@@ -26,7 +26,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use coyote_isa::{sweep_conflicts, AccessInterval};
+use coyote_isa::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
 use coyote_iss::core::{Core, CoreState, DecodedText, StepEvent};
 use coyote_iss::{BufferedMemory, MissRequest, SimError, SparseMemory, StoreBuffer};
 
@@ -136,21 +136,23 @@ fn run(job: Job) -> Vec<SteppedCore> {
 ///
 /// Granularity is byte ranges, not cache lines: HPC kernels routinely
 /// partition one line across harts (disjoint dwords), which must not
-/// force a fallback. Sweep: sort all `(start, end, core, write)`
-/// intervals, keep the open set, and flag any overlap between
-/// different cores where either side writes.
-pub(crate) fn conflicting(stepped: &[SteppedCore]) -> bool {
-    let mut intervals: Vec<AccessInterval> = Vec::new();
-    for s in stepped {
-        for &(addr, len) in s.buf.reads() {
-            intervals.push(AccessInterval::new(addr, u64::from(len), s.idx, false));
-        }
-        for (addr, len) in s.buf.writes() {
-            intervals.push(AccessInterval::new(addr, u64::from(len), s.idx, true));
-        }
-    }
-    let mut open = Vec::new();
-    sweep_conflicts(&mut intervals, &mut open)
+/// force a fallback. `map` is the orchestrator's reused scratch.
+pub(crate) fn conflicting(map: &mut StoreMap, stepped: &[SteppedCore]) -> bool {
+    let owners = stepped.iter().map(|s| OwnerAccesses {
+        owner: s.idx,
+        has_stores: s.buf.writes().next().is_some(),
+        accesses: s
+            .buf
+            .reads()
+            .iter()
+            .map(|&(addr, len)| Access::load(addr, u64::from(len)))
+            .chain(
+                s.buf
+                    .writes()
+                    .map(|(addr, len)| Access::store(addr, u64::from(len))),
+            ),
+    });
+    cross_owner_conflict(map, owners)
 }
 
 /// Fixed pool of `jobs - 1` worker threads (shard 0 always runs inline
@@ -243,20 +245,21 @@ mod tests {
     #[test]
     fn conflict_detection_is_byte_granular() {
         let mem = SparseMemory::new();
+        let mut map = StoreMap::new();
         // Disjoint dwords of one cache line: no conflict.
         let a = stepped_with(&mem, 0, |v| v.write_u64(0x100, 1));
         let b = stepped_with(&mem, 1, |v| v.write_u64(0x108, 2));
-        assert!(!conflicting(&[a, b]));
+        assert!(!conflicting(&mut map, &[a, b]));
         // Cross-core write/read overlap (even one byte): conflict.
         let a = stepped_with(&mem, 0, |v| v.write_u64(0x100, 1));
         let b = stepped_with(&mem, 1, |v| {
             let _ = v.read_u8(0x107);
         });
-        assert!(conflicting(&[a, b]));
+        assert!(conflicting(&mut map, &[a, b]));
         // Cross-core write/write overlap: conflict.
         let a = stepped_with(&mem, 0, |v| v.write_u32(0x200, 1));
         let b = stepped_with(&mem, 1, |v| v.write_u32(0x202, 2));
-        assert!(conflicting(&[a, b]));
+        assert!(conflicting(&mut map, &[a, b]));
         // Read/read overlap: no conflict.
         let a = stepped_with(&mem, 0, |v| {
             let _ = v.read_u64(0x100);
@@ -264,13 +267,20 @@ mod tests {
         let b = stepped_with(&mem, 1, |v| {
             let _ = v.read_u64(0x100);
         });
-        assert!(!conflicting(&[a, b]));
+        assert!(!conflicting(&mut map, &[a, b]));
         // Same-core read-modify-write: no conflict with itself.
         let a = stepped_with(&mem, 0, |v| {
             let _ = v.read_u64(0x300);
             v.write_u64(0x300, 3);
         });
-        assert!(!conflicting(&[a]));
+        assert!(!conflicting(&mut map, &[a]));
+        // A store straddling the top of the address space reaches
+        // address 0 (it used to be truncated at `u64::MAX`).
+        let a = stepped_with(&mem, 0, |v| v.write_u64(u64::MAX - 3, 4));
+        let b = stepped_with(&mem, 1, |v| {
+            let _ = v.read_u8(1);
+        });
+        assert!(conflicting(&mut map, &[a, b]));
     }
 
     #[test]

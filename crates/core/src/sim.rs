@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use coyote_asm::Program;
-use coyote_isa::{sweep_conflicts, AccessInterval, XReg};
+use coyote_isa::{cross_owner_conflict, StoreMap, XReg};
 use coyote_iss::core::{Core, CoreSnapshot, CoreState, DecodedText, StepEvent};
 use coyote_iss::{FuseStop, MissKind, SimError, SparseMemory};
 use coyote_mem::hierarchy::{Completion, Hierarchy, Request};
@@ -263,11 +263,9 @@ pub struct Simulation {
     deactivated_buf: Vec<usize>,
     /// Reused buffer: cores this cycle's completion drain woke.
     woken_buf: Vec<usize>,
-    /// Reused buffer: `(start, end, core, write)` byte intervals for
-    /// the fused window's cross-core disjointness sweep.
-    window_intervals: Vec<AccessInterval>,
-    /// Reused buffer: the disjointness sweep's open-interval set.
-    window_open: Vec<(u64, usize, bool)>,
+    /// Reused scratch: the store index of the cross-core conflict test
+    /// (fused-window chunks and parallel cycles).
+    store_map: StoreMap,
     /// Host-side self-profiler, present when [`SimConfig::profiling`]
     /// is not [`ProfMode::Off`]. Strictly observational: it reads the
     /// orchestrator, never the other way around — profiled and
@@ -423,8 +421,7 @@ impl Simulation {
             step_order: Vec::new(),
             deactivated_buf: Vec::new(),
             woken_buf: Vec::new(),
-            window_intervals: Vec::new(),
-            window_open: Vec::new(),
+            store_map: StoreMap::new(),
             prof,
             cert,
             status: None,
@@ -1278,7 +1275,7 @@ impl Simulation {
         // fire, so skip it; faults still force the sequential re-run
         // regardless (they must surface at their sequential position).
         let conflict = stepped.iter().any(|s| s.error.is_some())
-            || (!self.certificate_active() && par::conflicting(&stepped));
+            || (!self.certificate_active() && par::conflicting(&mut self.store_map, &stepped));
         self.prof_exit(check_span);
         if conflict {
             // Fall back: a fault must surface at its sequential
@@ -1353,17 +1350,17 @@ impl Simulation {
     /// to end at or before the next hierarchy event, the next telemetry
     /// boundary and the cycle limit, so the once-per-window bookkeeping
     /// at the window's last cycle observes exactly the state per-cycle
-    /// stepping would have produced there. Windows are disabled under
-    /// the oracle (which checks the canonical per-cycle retirement
-    /// interleaving), tracing and interleave > 1; the per-instruction
-    /// lockstep fused dispatch inside [`Core::step`] still covers those
-    /// modes.
+    /// stepping would have produced there. The Paraver and Chrome
+    /// planes record misses and core-state transitions only, and a
+    /// window contains neither, so windows stay on under tracing.
+    /// They are disabled under the oracle (which checks the canonical
+    /// per-cycle retirement interleaving) and interleave > 1; the
+    /// per-instruction lockstep fused dispatch inside [`Core::step`]
+    /// still covers those modes.
     fn try_fused_window(&mut self, cycle: u64) -> Result<Option<u32>, RunError> {
         if !self.config.fusion
             || self.config.interleave != 1
             || self.oracle.is_some()
-            || self.trace.is_some()
-            || self.config.chrome_trace
             || self.active_list.is_empty()
         {
             return Ok(None);
@@ -1441,7 +1438,7 @@ impl Simulation {
         'window: while consumed < bound {
             let mut chunk = bound - consumed;
             for &idx in actives {
-                let left = self.cores[idx].ensure_fused_run(&self.text);
+                let left = self.cores[idx].plan_fused_chunk(&self.text);
                 if left == 0 {
                     // The lockstep window ends the moment one core
                     // cannot re-arm; charge the abort to that core's
@@ -1490,33 +1487,24 @@ impl Simulation {
     /// `window` fused positions overlap at byte granularity with at
     /// least one side writing — the condition under which a multi-core
     /// window could observably differ from per-cycle interleaving.
-    /// Same sweep as [`par::conflicting`], over pre-validated addresses.
+    /// Same predicate as [`par::conflicting`], over pre-validated
+    /// addresses; a chunk in which no core stores costs one O(1) look
+    /// at each core's run summary.
     fn window_conflicts(&mut self, actives: &[usize], window: u32) -> bool {
         // Certified workloads proved cross-core disjointness statically
-        // — the sweep below cannot fire, so don't pay for it.
+        // — the test below cannot fire, so don't pay for it.
         if self.certificate_active() {
             return false;
         }
-        let intervals = &mut self.window_intervals;
-        intervals.clear();
-        for &idx in actives {
-            let core = &self.cores[idx];
-            let pos = core.fused_pos();
-            for access in core.fused_accesses() {
-                if access.pos >= pos && access.pos < pos + window {
-                    intervals.push(AccessInterval::new(
-                        access.addr,
-                        u64::from(access.size),
-                        idx,
-                        access.write,
-                    ));
-                }
-            }
-        }
-        let mut open = std::mem::take(&mut self.window_open);
-        let conflict = sweep_conflicts(intervals, &mut open);
-        self.window_open = open;
-        // The sweep must agree with the pairwise reference checker.
+        let cores = &self.cores;
+        let conflict = cross_owner_conflict(
+            &mut self.store_map,
+            actives.iter().map(|&idx| cores[idx].fused_window(window)),
+        );
+        self.prof_bump("window/conflict_checks", 1);
+        self.prof_bump("window/conflict_intervals", self.store_map.examined());
+        // The cursor-and-summary walk must agree with the pairwise
+        // reference checker, which re-filters each run from index 0.
         debug_assert_eq!(conflict, {
             let mut pairwise = false;
             'outer: for (i, &a) in actives.iter().enumerate() {

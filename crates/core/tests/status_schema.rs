@@ -13,7 +13,7 @@ use coyote::{parse_json, JsonValue, SimConfig, Simulation, StatusEmitter};
 
 /// Runs a small two-core kernel with a status stream attached and
 /// returns the last emitted snapshot line, parsed.
-fn last_snapshot() -> JsonValue {
+fn last_snapshot(tag: &str) -> JsonValue {
     let program = coyote_asm::assemble(
         ".data
          buf: .zero 1024
@@ -38,7 +38,8 @@ fn last_snapshot() -> JsonValue {
     let mut sim = Simulation::new(config, &program).expect("create sim");
     let dir = std::env::temp_dir().join("coyote-status-schema");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path: PathBuf = dir.join(format!("{}.jsonl", std::process::id()));
+    // Tests in this binary run on parallel threads: one file each.
+    let path: PathBuf = dir.join(format!("{}-{tag}.jsonl", std::process::id()));
     let emitter = StatusEmitter::create(&path, 3_600_000).expect("emitter");
     sim.set_status(emitter);
     sim.run().expect("run completes");
@@ -66,7 +67,7 @@ fn lookup<'a>(doc: &'a JsonValue, path: &str) -> Option<&'a JsonValue> {
 #[test]
 fn status_schema_matches_golden_file() {
     let golden = include_str!("golden/status_schema.txt");
-    let snap = last_snapshot();
+    let snap = last_snapshot("golden");
 
     let mut lines = golden.lines().filter(|l| !l.trim().is_empty());
     let version_line = lines.next().expect("golden file has a version line");
@@ -105,7 +106,7 @@ fn status_schema_matches_golden_file() {
 
 #[test]
 fn final_snapshot_reflects_the_finished_run() {
-    let snap = last_snapshot();
+    let snap = last_snapshot("final");
     // Both cores halted, so the final cut shows the end state.
     assert_eq!(snap.get("halted").and_then(JsonValue::as_u64), Some(2));
     let cores = snap

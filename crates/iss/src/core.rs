@@ -15,7 +15,7 @@ use std::fmt;
 
 use coyote_asm::Program;
 use coyote_isa::superblock::{build_plans, rebuild_runs, FuseClass, FusePlan, MemPlan};
-use coyote_isa::{DecodedInst, Inst, PredecodeStats, XReg};
+use coyote_isa::{Access, DecodedInst, Inst, OwnerAccesses, PredecodeStats, XReg};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::exec::{defs, execute, uses, Ecall, ExecError, MemAccess, RegSet};
@@ -407,6 +407,12 @@ pub struct Core {
     /// Index into `fused_accesses` of the next access to retire (the
     /// run's accesses retire strictly in order).
     fused_cursor: usize,
+    /// Index into `fused_accesses` below which no store is left to
+    /// retire: nothing in `[fused_cursor, fused_next_store)` writes.
+    /// Arming resets it to 0 and only [`Core::plan_fused_chunk`]
+    /// advances it, so runs that only ever retire alone never pay for
+    /// the scan; a value behind the cursor merely reads as "may store".
+    fused_next_store: usize,
     /// Cached static structure of the most recent hot run (see
     /// [`RunTemplate`]).
     template: RunTemplate,
@@ -457,6 +463,7 @@ impl Core {
             fused_left: 0,
             fused_accesses: Vec::new(),
             fused_cursor: 0,
+            fused_next_store: 0,
             template: RunTemplate::empty(),
             last_validated_pc: u64::MAX,
             fused_retired: 0,
@@ -606,6 +613,26 @@ impl Core {
         self.fused_len - self.fused_left
     }
 
+    /// The validated accesses of the next `n` run positions for the
+    /// cross-core conflict test. The walk starts at the retirement
+    /// cursor, and after [`Core::plan_fused_chunk`] whether a store
+    /// falls inside the `n` positions is known without walking.
+    #[must_use]
+    pub fn fused_window(&self, n: u32) -> OwnerAccesses<impl Iterator<Item = Access> + '_> {
+        let end = self.fused_pos() + n;
+        OwnerAccesses {
+            owner: self.index,
+            has_stores: self
+                .fused_accesses
+                .get(self.fused_next_store)
+                .is_some_and(|next| next.pos < end),
+            accesses: self.fused_accesses[self.fused_cursor..]
+                .iter()
+                .take_while(move |access| access.pos < end)
+                .map(FusedAccess::access),
+        }
+    }
+
     /// Pre-computed memory accesses of the validated run (positions
     /// are run-relative; compare against [`Core::fused_pos`]).
     #[must_use]
@@ -634,13 +661,29 @@ impl Core {
 
     /// Ensures a validated run is armed at the current PC, attempting
     /// validation when none is. Returns the instructions left in the
-    /// run (0 = this core cannot fuse from here). The orchestrator
-    /// calls this while planning a multi-core fused window.
+    /// run (0 = this core cannot fuse from here).
     pub fn ensure_fused_run(&mut self, text: &DecodedText) -> u32 {
         if self.fused_left == 0 {
             self.try_begin_fused_run(text);
         }
         self.fused_left
+    }
+
+    /// [`Core::ensure_fused_run`] for the orchestrator planning the
+    /// next chunk of a multi-core fused window: also moves
+    /// `fused_next_store` to the first store the retirement cursor has
+    /// not passed, so [`Core::fused_window`] can tell a store-free
+    /// chunk in O(1). The scan is amortised over the run.
+    pub fn plan_fused_chunk(&mut self, text: &DecodedText) -> u32 {
+        let left = self.ensure_fused_run(text);
+        if left > 0 {
+            let from = self.fused_next_store.max(self.fused_cursor);
+            self.fused_next_store = self.fused_accesses[from..]
+                .iter()
+                .position(|access| access.write)
+                .map_or(self.fused_accesses.len(), |ahead| from + ahead);
+        }
+        left
     }
 
     /// Attempts to validate a superblock run starting at the current
@@ -674,6 +717,7 @@ impl Core {
         self.fused_len = len;
         self.fused_left = len;
         self.fused_cursor = 0;
+        self.fused_next_store = 0;
         if len >= 2
             && self.last_validated_pc == pc
             && (self.template.pc != pc || self.template.text_gen != text.generation())
@@ -804,6 +848,7 @@ impl Core {
         self.fused_len = len;
         self.fused_left = len;
         self.fused_cursor = 0;
+        self.fused_next_store = 0;
         len
     }
 

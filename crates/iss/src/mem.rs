@@ -192,8 +192,10 @@ impl SparseMemory {
             }
             return;
         }
+        // Page-straddling slow path; addresses wrap modulo 2^64 like
+        // the guest's own arithmetic (`ld a1, -4(zero)` is legal).
         for (i, byte) in buf.iter_mut().enumerate() {
-            *byte = self.read_u8(addr + i as u64);
+            *byte = self.read_u8(addr.wrapping_add(i as u64));
         }
     }
 
@@ -206,7 +208,7 @@ impl SparseMemory {
             return;
         }
         for (i, byte) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *byte);
+            self.write_u8(addr.wrapping_add(i as u64), *byte);
         }
     }
 

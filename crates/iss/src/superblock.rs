@@ -33,7 +33,7 @@
 //! boundary cannot be silently bypassed.
 
 use coyote_isa::superblock::FuseClass;
-use coyote_isa::{sweep_conflicts, AccessInterval};
+use coyote_isa::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
 
 use crate::cache::Cache;
 use crate::core::DecodedText;
@@ -182,6 +182,18 @@ pub struct FusedAccess {
     pub way: u32,
 }
 
+impl FusedAccess {
+    /// The access as the cross-core conflict test sees it.
+    #[must_use]
+    pub fn access(&self) -> Access {
+        Access {
+            addr: self.addr,
+            size: u64::from(self.size),
+            write: self.write,
+        }
+    }
+}
+
 /// Live machine state a validation walk reads. Borrowed piecewise so
 /// [`crate::core::Core`] can lend its fields without a self-borrow
 /// conflict.
@@ -315,10 +327,12 @@ pub fn validate_run_stop(
     (len, stop)
 }
 
-/// Whether any access in `a`'s first `a_limit` positions overlaps any
-/// access in `b`'s first `b_limit` positions at byte granularity with
-/// at least one side writing. Used by the orchestrator to prove that a
-/// multi-cycle window's cores touch disjoint memory.
+/// Whether any access in `a`'s `a_limit` positions from `a_skip`
+/// overlaps any access in `b`'s `b_limit` positions from `b_skip` at
+/// byte granularity with at least one side writing. The summary-free
+/// pairwise form of the orchestrator's window check
+/// ([`crate::core::Core::fused_window`] feeds the same predicate from
+/// the retirement cursor); debug builds cross-check the two.
 #[must_use]
 pub fn accesses_conflict(
     a: &[FusedAccess],
@@ -328,18 +342,19 @@ pub fn accesses_conflict(
     b_skip: u32,
     b_limit: u32,
 ) -> bool {
-    let mut intervals: Vec<AccessInterval> = Vec::new();
-    let windowed = |accesses: &[FusedAccess], skip: u32, limit: u32, owner: usize| {
-        accesses
-            .iter()
-            .filter(move |x| x.pos >= skip && x.pos < skip + limit)
-            .map(move |x| AccessInterval::new(x.addr, u64::from(x.size), owner, x.write))
-            .collect::<Vec<_>>()
-    };
-    intervals.extend(windowed(a, a_skip, a_limit, 0));
-    intervals.extend(windowed(b, b_skip, b_limit, 1));
-    let mut open = Vec::new();
-    sweep_conflicts(&mut intervals, &mut open)
+    let sides = [(a, a_skip, a_limit), (b, b_skip, b_limit)];
+    let owners = sides
+        .iter()
+        .enumerate()
+        .map(|(owner, &(accesses, skip, limit))| OwnerAccesses {
+            owner,
+            has_stores: true,
+            accesses: accesses
+                .iter()
+                .filter(move |x| x.pos >= skip && x.pos < skip + limit)
+                .map(FusedAccess::access),
+        });
+    cross_owner_conflict(&mut StoreMap::new(), owners)
 }
 
 #[cfg(test)]

@@ -97,7 +97,7 @@ impl MemoryIo for BufferedMemory<'_> {
         self.base.read_bytes(addr, buf);
         if !self.buf.overlay.is_empty() {
             for (i, byte) in buf.iter_mut().enumerate() {
-                if let Some(own) = self.buf.overlay.get(&(addr + i as u64)) {
+                if let Some(own) = self.buf.overlay.get(&addr.wrapping_add(i as u64)) {
                     *byte = *own;
                 }
             }
@@ -107,7 +107,7 @@ impl MemoryIo for BufferedMemory<'_> {
 
     fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         for (chunk_no, chunk) in bytes.chunks(8).enumerate() {
-            let start = addr + (chunk_no * 8) as u64;
+            let start = addr.wrapping_add((chunk_no * 8) as u64);
             let mut record = StoreRecord {
                 addr: start,
                 len: chunk.len() as u32,
@@ -116,7 +116,7 @@ impl MemoryIo for BufferedMemory<'_> {
             record.bytes[..chunk.len()].copy_from_slice(chunk);
             self.buf.log.push(record);
             for (i, byte) in chunk.iter().enumerate() {
-                self.buf.overlay.insert(start + i as u64, *byte);
+                self.buf.overlay.insert(start.wrapping_add(i as u64), *byte);
             }
         }
     }

@@ -86,6 +86,28 @@ fn load_store_sign_extension() {
     assert_eq!(exit_code(src), 224);
 }
 
+/// Guest addresses wrap modulo 2^64: `-4(zero)` is `u64::MAX - 3`, so
+/// an 8-byte access there straddles the top of the address space and
+/// its upper half lands at addresses 0..3. Used to overflow-panic debug
+/// builds in `SparseMemory`'s page-straddling slow path.
+#[test]
+fn load_store_straddling_the_address_space_wraps() {
+    let src = "
+        _start:
+            li t0, 0x1122334455667788
+            sd t0, -4(zero)
+            ld a1, -4(zero)
+            sub a0, a1, t0
+            li a7, 93
+            ecall";
+    let (core, mem) = run(src);
+    assert_eq!(core.state(), CoreState::Halted(0), "load saw the store");
+    assert_eq!(mem.read_u32(u64::MAX - 3), 0x5566_7788);
+    let low: Vec<u8> = (0..4).map(|addr| mem.read_u8(addr)).collect();
+    assert_eq!(low, [0x44, 0x33, 0x22, 0x11]);
+    assert_eq!(mem.read_u64(u64::MAX - 3), 0x1122_3344_5566_7788);
+}
+
 #[test]
 fn fp_arithmetic_matches_host() {
     let src = "
