@@ -8,14 +8,13 @@
 //!   --weak               weak-scaling sweep (problem grows with cores)
 //!   --cores A,B,C        restrict the sweep to these core counts
 //!   --kernel matmul|spmv run only one kernel (default both)
-//!   --jobs N             host worker threads stepping the cores
 //!   --json FILE          write the sweep as JSON rows + a host block
 //!   --baseline FILE      compare MIPS against a committed JSON baseline
 //!   --max-regress PCT    allowed MIPS regression vs baseline (default 20)
 //!   --strict             exit non-zero on regression (default warn-only)
 //! ```
 //!
-//! The JSON schema is `{schema, experiment, scale, jobs, host, rows,
+//! The JSON schema is `{schema, experiment, scale, host, rows,
 //! host_profile}` with one row per measured point:
 //! `{cores, kernel, instructions, cycles, wall_ns, mips,
 //! block_hit_rate}`. The `host`
@@ -45,7 +44,6 @@ struct Options {
     weak: bool,
     cores: Option<Vec<usize>>,
     kernel: KernelChoice,
-    jobs: usize,
     json_path: Option<String>,
     baseline_path: Option<String>,
     max_regress_pct: f64,
@@ -72,7 +70,6 @@ fn parse_args() -> Result<Options, String> {
         weak: false,
         cores: None,
         kernel: KernelChoice::Both,
-        jobs: 1,
         json_path: None,
         baseline_path: None,
         max_regress_pct: 20.0,
@@ -95,14 +92,6 @@ fn parse_args() -> Result<Options, String> {
                     "both" => KernelChoice::Both,
                     other => return Err(format!("unknown kernel `{other}` (matmul|spmv|both)")),
                 };
-            }
-            "--jobs" => {
-                options.jobs = value(&mut args, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if options.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_owned());
-                }
             }
             "--json" => options.json_path = Some(value(&mut args, "--json")?),
             "--baseline" => options.baseline_path = Some(value(&mut args, "--baseline")?),
@@ -128,7 +117,6 @@ fn print_help() {
     println!("  --weak               weak-scaling sweep (problem grows with cores)");
     println!("  --cores A,B,C        restrict the sweep to these core counts");
     println!("  --kernel matmul|spmv run only one kernel (default both)");
-    println!("  --jobs N             host worker threads stepping the cores");
     println!("  --json FILE          write the sweep as JSON rows + a host block");
     println!("  --baseline FILE      compare MIPS against a committed JSON baseline");
     println!("  --max-regress PCT    allowed MIPS regression vs baseline (default 20)");
@@ -163,7 +151,7 @@ fn sweep(options: &Options) -> Vec<Fig3Row> {
             kernels.push(&spmv);
         }
         for kernel in kernels {
-            let row = fig3::measure(kernel, cores, options.jobs);
+            let row = fig3::measure(kernel, cores);
             eprintln!(
                 "fig3: cores={:3} kernel={:6} instructions={:>12} cycles={:>12} wall={:8.1}ms mips={:.3} block_hit={:.3}",
                 row.cores,
@@ -243,7 +231,6 @@ fn rows_json(options: &Options, rows: &[Fig3Row], host_profile: JsonValue) -> Js
         .with("schema", 2u64)
         .with("experiment", "fig3")
         .with("scale", scale_name(options))
-        .with("jobs", options.jobs)
         .with("host", host_block())
         .with("rows", row_values)
         .with("host_profile", host_profile)

@@ -63,13 +63,12 @@ pub fn spmv_for(scale: Scale) -> SpmvScalar {
 }
 
 /// Measures one point of the sweep: `workload` on `cores` simulated
-/// cores with `jobs` host worker threads stepping the cores.
+/// cores.
 #[must_use]
-pub fn measure(workload: &dyn Workload, cores: usize, jobs: usize) -> Fig3Row {
+pub fn measure(workload: &dyn Workload, cores: usize) -> Fig3Row {
     let config = SimConfig::builder()
         .cores(cores)
         .cores_per_tile(8)
-        .jobs(jobs)
         .build()
         .expect("valid config");
     let (report, _) = run_workload(workload, config).expect("workload runs and verifies");
@@ -156,8 +155,8 @@ pub fn run(scale: Scale) -> Vec<Fig3Row> {
     let spmv = spmv_for(scale);
     let mut rows = Vec::new();
     for &cores in &core_counts(scale) {
-        rows.push(measure(&matmul, cores, 1));
-        rows.push(measure(&spmv, cores, 1));
+        rows.push(measure(&matmul, cores));
+        rows.push(measure(&spmv, cores));
     }
     rows
 }
@@ -175,8 +174,8 @@ pub fn run_weak(scale: Scale) -> Vec<Fig3Row> {
     for &cores in &core_counts(scale) {
         let matmul = coyote_kernels::MatmulScalar::with_rows(rows_per_core * cores, n, 1003);
         let spmv = SpmvScalar::new(spmv_rows_per_core * cores, spmv_cols, 0.04, 1004);
-        rows.push(measure(&matmul, cores, 1));
-        rows.push(measure(&spmv, cores, 1));
+        rows.push(measure(&matmul, cores));
+        rows.push(measure(&spmv, cores));
     }
     rows
 }

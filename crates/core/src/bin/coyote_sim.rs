@@ -12,8 +12,6 @@
 //!   --mesh WxH           use a 2D mesh NoC instead of the crossbar
 //!   --prefetch N         L2 next-line prefetch degree (default 0)
 //!   --interleave N       instructions per core per cycle (default 1)
-//!   --jobs N             host threads for the execute phase (default 1;
-//!                        results are bit-identical for any value)
 //!   --max-cycles N       cycle budget (default 2e9)
 //!   --trace FILE         write a Paraver trace to FILE(.prv/.pcf)
 //!   --metrics-out FILE   write telemetry metrics to FILE(.json/.csv)
@@ -25,9 +23,6 @@
 //!                        FILE.folded (flamegraph folded stacks)
 //!   --prof-counters      with --prof-out: deterministic counter clock
 //!                        instead of wall time
-//!   --certify            run the load-time disjointness analysis and skip
-//!                        the runtime conflict sweeps when it proves them
-//!                        redundant (results are bit-identical either way)
 //!   --oracle             co-simulate a functional reference machine and
 //!                        abort on the first architectural divergence
 //!   --status-out FILE    stream live status snapshots (JSON lines) to FILE;
@@ -74,6 +69,16 @@ struct Options {
 
 fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
     args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value of an output-path flag; empty paths are rejected up front
+/// rather than after the whole program has been simulated.
+fn path_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    let path = value(args, flag)?;
+    if path.trim().is_empty() {
+        return Err(format!("{flag} needs a non-empty path"));
+    }
+    Ok(path)
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -155,13 +160,6 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|e| format!("--interleave: {e}"))?,
                 );
             }
-            "--jobs" => {
-                builder = builder.jobs(
-                    value(&mut args, "--jobs")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?,
-                );
-            }
             "--max-cycles" => {
                 builder = builder.max_cycles(
                     value(&mut args, "--max-cycles")?
@@ -170,15 +168,11 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--trace" => {
-                trace_path = Some(value(&mut args, "--trace")?);
+                trace_path = Some(path_value(&mut args, "--trace")?);
                 builder = builder.trace(true);
             }
             "--metrics-out" => {
-                let path = value(&mut args, "--metrics-out")?;
-                if path.trim().is_empty() {
-                    return Err("--metrics-out needs a non-empty path".to_owned());
-                }
-                metrics_path = Some(path);
+                metrics_path = Some(path_value(&mut args, "--metrics-out")?);
                 builder = builder.telemetry(true);
             }
             "--metrics-interval" => {
@@ -196,30 +190,13 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--chrome-trace" => {
-                let path = value(&mut args, "--chrome-trace")?;
-                if path.trim().is_empty() {
-                    return Err("--chrome-trace needs a non-empty path".to_owned());
-                }
-                chrome_trace_path = Some(path);
+                chrome_trace_path = Some(path_value(&mut args, "--chrome-trace")?);
                 builder = builder.chrome_trace(true);
             }
-            "--prof-out" => {
-                let path = value(&mut args, "--prof-out")?;
-                if path.trim().is_empty() {
-                    return Err("--prof-out needs a non-empty path".to_owned());
-                }
-                prof_path = Some(path);
-            }
+            "--prof-out" => prof_path = Some(path_value(&mut args, "--prof-out")?),
             "--prof-counters" => prof_counters = true,
-            "--certify" => builder = builder.certify(true),
             "--oracle" => builder = builder.oracle(true),
-            "--status-out" => {
-                let path = value(&mut args, "--status-out")?;
-                if path.trim().is_empty() {
-                    return Err("--status-out needs a non-empty path".to_owned());
-                }
-                status_path = Some(path);
-            }
+            "--status-out" => status_path = Some(path_value(&mut args, "--status-out")?),
             "--status-interval" => {
                 let ms: u64 = value(&mut args, "--status-interval")?
                     .parse()
@@ -229,20 +206,8 @@ fn parse_args() -> Result<Options, String> {
                 }
                 status_interval_ms = ms;
             }
-            "--crash-out" => {
-                let path = value(&mut args, "--crash-out")?;
-                if path.trim().is_empty() {
-                    return Err("--crash-out needs a non-empty path".to_owned());
-                }
-                crash_path = Some(path);
-            }
-            "--stop-file" => {
-                let path = value(&mut args, "--stop-file")?;
-                if path.trim().is_empty() {
-                    return Err("--stop-file needs a non-empty path".to_owned());
-                }
-                stop_file = Some(path);
-            }
+            "--crash-out" => crash_path = Some(path_value(&mut args, "--crash-out")?),
+            "--stop-file" => stop_file = Some(path_value(&mut args, "--stop-file")?),
             "--help" | "-h" => {
                 println!("usage: coyote-sim <program.s> [options]");
                 println!("  --cores N            simulated cores (default 1)");
@@ -254,7 +219,6 @@ fn parse_args() -> Result<Options, String> {
                 println!("  --mesh WxH           2D mesh NoC instead of the crossbar");
                 println!("  --prefetch N         L2 next-line prefetch degree (default 0)");
                 println!("  --interleave N       instructions per core per cycle (default 1)");
-                println!("  --jobs N             host threads for the execute phase (default 1)");
                 println!("  --max-cycles N       cycle budget");
                 println!("  --trace FILE         write a Paraver trace to FILE(.prv/.pcf)");
                 println!("  --metrics-out FILE   write telemetry metrics to FILE(.json/.csv)");
@@ -265,8 +229,6 @@ fn parse_args() -> Result<Options, String> {
                 println!("  --chrome-trace FILE  write a Chrome trace-event JSON (Perfetto)");
                 println!("  --prof-out FILE      write host profile FILE.json + FILE.folded");
                 println!("  --prof-counters      profile with the deterministic counter clock");
-                println!("  --certify            prove cross-core disjointness statically and");
-                println!("                       skip the runtime conflict sweeps when granted");
                 println!("  --oracle             check against a functional reference machine");
                 println!("  --status-out FILE    stream live status snapshots (watch: coyote-top)");
                 println!("  --status-interval N  milliseconds between snapshots (default 500)");
@@ -418,16 +380,6 @@ fn run(options: &Options) -> Result<i64, String> {
         }
     }
     eprintln!("{report}");
-    if options.config.certify {
-        eprintln!(
-            "certificate: {}",
-            if sim.certificate_active() {
-                "active (runtime conflict sweeps skipped)"
-            } else {
-                "not granted or revoked (runtime conflict sweeps ran)"
-            }
-        );
-    }
 
     if let Some(path) = &options.trace_path {
         let trace = sim.trace().expect("tracing was enabled");

@@ -40,8 +40,6 @@ const REQUIRED_KEYS: &[&str] = &[
     "cycles_per_sec",
     "eta_seconds",
     "block_hit_rate",
-    "conflict_fallbacks",
-    "certificate_active",
     "event_pops",
     "halted",
     "cores",
@@ -223,14 +221,8 @@ fn render(snap: &JsonValue) -> String {
         },
     ));
     out.push_str(&format!(
-        "fused coverage {:.1}%  conflict fallbacks {}  certificate {}  event pops {}  halted {}\n",
+        "fused coverage {:.1}%  event pops {}  halted {}\n",
         get_f64(snap, "block_hit_rate") * 100.0,
-        get_u64(snap, "conflict_fallbacks"),
-        if matches!(snap.get("certificate_active"), Some(JsonValue::Bool(true))) {
-            "active"
-        } else {
-            "off"
-        },
         get_u64(snap, "event_pops"),
         get_u64(snap, "halted"),
     ));

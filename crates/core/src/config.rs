@@ -82,41 +82,22 @@ pub struct SimConfig {
     /// Whether the superblock fusion fast path may retire validated
     /// straight-line runs through [`coyote_iss::Core`]'s fused
     /// dispatch and the orchestrator's multi-cycle windows. A
-    /// host-execution knob like `jobs`: every cycle count, digest and
+    /// host-execution knob: every cycle count, digest and
     /// exported metric is bit-identical either way (property-tested),
     /// only wall time changes. On by default; `false` forces the
     /// per-instruction path everywhere (the A/B reference).
     pub fusion: bool,
-    /// Host worker threads stepping the cores each cycle (must be at
-    /// least 1). `jobs = 1` is the sequential orchestrator; larger
-    /// values shard the per-cycle core loop across a fixed worker pool
-    /// while store-buffer commit, miss-buffer merge, and conflict
-    /// fallback keep every observable result bit-identical to
-    /// `jobs = 1`. A host-execution knob only: it never appears in
-    /// exported metrics or the determinism digest.
-    pub jobs: usize,
     /// Host-side self-profiling mode (see `coyote-prof`). A
-    /// host-execution knob like `jobs`: it never appears in the
+    /// host-execution knob like `fusion`: it never appears in the
     /// determinism digest or in `config_json`, and turning it on must
     /// not change any simulated result — the only observable addition
     /// is the `host_profile` metrics section (property-tested).
     pub profiling: ProfMode,
-    /// Whether to run the static disjointness analysis at load time
-    /// and, when it proves all cross-core write/any access pairs
-    /// disjoint, skip the runtime conflict sweeps (the parallel
-    /// execute phase's byte sweep and the fused window's cross-core
-    /// check). A host-execution knob like `jobs`: the certificate is
-    /// only ever granted when the sweeps provably cannot fire, so
-    /// every simulated result is bit-identical either way
-    /// (property-tested); it never appears in the determinism digest
-    /// or `config_json`. Off by default — the analysis costs load
-    /// time on workloads that may not earn a certificate.
-    pub certify: bool,
 }
 
 /// How the host-side self-profiler observes the orchestrator.
 ///
-/// A host-execution knob like [`SimConfig::jobs`]: excluded from the
+/// A host-execution knob like [`SimConfig::fusion`]: excluded from the
 /// determinism digest and from `config_json`, and forbidden from
 /// feeding back into simulated state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -160,9 +141,7 @@ impl Default for SimConfig {
             perturb_seed: 0,
             attribution_top_k: 32,
             fusion: true,
-            jobs: 1,
             profiling: ProfMode::Off,
-            certify: false,
         }
     }
 }
@@ -173,6 +152,7 @@ impl SimConfig {
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder {
             config: SimConfig::default(),
+            removed: None,
         }
     }
 
@@ -224,9 +204,6 @@ impl SimConfig {
         }
         if self.attribution_top_k == 0 {
             return Err(ConfigError::new("attribution_top_k must be at least 1"));
-        }
-        if self.jobs == 0 {
-            return Err(ConfigError::new("jobs must be at least 1"));
         }
         self.core
             .l1i
@@ -291,6 +268,9 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
     config: SimConfig,
+    /// Set by a benchmark-compat shim (below) asked for a removed
+    /// feature; makes [`SimConfigBuilder::build`] fail.
+    removed: Option<&'static str>,
 }
 
 impl SimConfigBuilder {
@@ -455,27 +435,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the host worker-thread count for the per-cycle core loop
-    /// (1 = sequential stepping, today's behavior).
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.config.jobs = jobs;
-        self
-    }
-
     /// Sets the host-side self-profiling mode (off by default).
     #[must_use]
     pub fn profiling(mut self, mode: ProfMode) -> Self {
         self.config.profiling = mode;
-        self
-    }
-
-    /// Enables or disables load-time disjointness certification (off
-    /// by default; a granted certificate skips the runtime conflict
-    /// sweeps without changing any simulated result).
-    #[must_use]
-    pub fn certify(mut self, certify: bool) -> Self {
-        self.config.certify = certify;
         self
     }
 
@@ -485,10 +448,61 @@ impl SimConfigBuilder {
     ///
     /// Returns [`ConfigError`] if the configuration is inconsistent.
     pub fn build(self) -> Result<SimConfig, ConfigError> {
+        if let Some(what) = self.removed {
+            return Err(ConfigError::new(what));
+        }
         self.config.validate()?;
         Ok(self.config)
     }
 }
+
+// benchmark-compat: delete with the next [benchmark] PR
+//
+// `benchmark/` (frozen between [benchmark] PRs) still spells out the
+// two retired host knobs at their only remaining value and reads the
+// retired fallback counter. These are not options: anything but the
+// retired default is a build error, and the counter is constant.
+impl SimConfigBuilder {
+    #[doc(hidden)]
+    #[must_use]
+    pub fn jobs(mut self, jobs: usize) -> Self {
+        if jobs != 1 {
+            self.removed =
+                Some("jobs: the parallel execute phase was removed (only 1 is accepted)");
+        }
+        self
+    }
+
+    #[doc(hidden)]
+    #[must_use]
+    pub fn certify(mut self, certify: bool) -> Self {
+        if certify {
+            self.removed = Some("certify: the runtime disjointness certificate was removed");
+        }
+        self
+    }
+}
+
+impl crate::sim::Simulation {
+    #[doc(hidden)]
+    #[must_use]
+    pub fn conflict_fallbacks(&self) -> u64 {
+        0
+    }
+}
+
+#[test]
+fn benchmark_compat_shims_accept_only_the_retired_defaults() {
+    let config = SimConfig::builder().jobs(1).certify(false).build().unwrap();
+    let err = SimConfig::builder().jobs(2).build().unwrap_err();
+    assert!(err.to_string().contains("jobs"), "{err}");
+    let err = SimConfig::builder().certify(true).build().unwrap_err();
+    assert!(err.to_string().contains("certify"), "{err}");
+    let program = coyote_asm::assemble("_start:\n li a7, 93\n ecall").unwrap();
+    let sim = crate::sim::Simulation::new(config, &program).unwrap();
+    assert_eq!(sim.conflict_fallbacks(), 0);
+}
+// end benchmark-compat
 
 #[cfg(test)]
 mod tests {
@@ -539,12 +553,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("metrics_interval"));
-    }
-
-    #[test]
-    fn zero_jobs_rejected() {
-        let err = SimConfig::builder().jobs(0).build().unwrap_err();
-        assert!(err.to_string().contains("jobs"));
     }
 
     #[test]

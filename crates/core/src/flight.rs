@@ -106,11 +106,6 @@ pub enum FlightKind {
     },
     /// A fused window stopped on a cross-core access conflict.
     WindowConflict,
-    /// The parallel execute phase discarded its speculative cycle and
-    /// re-ran sequentially.
-    ConflictFallback,
-    /// A text-segment store revoked the disjointness certificate.
-    CertificateRevoked,
     /// A text-segment store invalidated predecoded entries.
     TextInvalidate {
         /// First patched byte address.
@@ -151,8 +146,6 @@ impl fmt::Display for FlightEvent {
                 )
             }
             FlightKind::WindowConflict => write!(f, "fused window cross-core conflict"),
-            FlightKind::ConflictFallback => write!(f, "parallel conflict fallback"),
-            FlightKind::CertificateRevoked => write!(f, "disjointness certificate revoked"),
             FlightKind::TextInvalidate { addr } => {
                 write!(f, "text store invalidated predecode at {addr:#x}")
             }
@@ -184,8 +177,6 @@ impl FlightEvent {
                 .with("core", core)
                 .with("stop", fuse_stop_name(stop)),
             FlightKind::WindowConflict => with_kind(base, "window_conflict"),
-            FlightKind::ConflictFallback => with_kind(base, "conflict_fallback"),
-            FlightKind::CertificateRevoked => with_kind(base, "certificate_revoked"),
             FlightKind::TextInvalidate { addr } => {
                 with_kind(base, "text_invalidate").with("addr", addr)
             }
@@ -297,13 +288,13 @@ mod tests {
     #[test]
     fn tail_lines_takes_the_newest_events() {
         let mut rec = FlightRecorder::new();
-        rec.record(1, FlightKind::ConflictFallback);
+        rec.record(1, FlightKind::WindowConflict);
         rec.record(2, FlightKind::Halt { core: 3, code: 0 });
-        rec.record(3, FlightKind::CertificateRevoked);
+        rec.record(3, FlightKind::TextInvalidate { addr: 0x40 });
         let lines = rec.tail_lines(2);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("core 3 halted"));
-        assert!(lines[1].contains("certificate revoked"));
+        assert!(lines[1].contains("invalidated predecode"));
     }
 
     #[test]

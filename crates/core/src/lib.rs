@@ -45,7 +45,6 @@ pub mod attr;
 pub mod config;
 pub mod flight;
 pub mod metrics;
-mod par;
 pub mod report;
 pub mod sim;
 pub mod trace;
@@ -70,5 +69,5 @@ pub use coyote_mem::noc::NocModel;
 pub use coyote_oracle::{Delta, Divergence, LockstepChecker};
 pub use coyote_telemetry::{
     parse_json, Histogram, HostProf, JsonValue, Stage, StatusEmitter, StatusSnapshot,
-    TelemetrySink, TimeSeries,
+    TelemetrySink, TimeSeries, STATUS_SCHEMA_VERSION,
 };

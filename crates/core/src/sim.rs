@@ -21,12 +21,11 @@ use coyote_mem::telemetry::MemTelemetry;
 use coyote_oracle::{Divergence, LockstepChecker, TRAIL_EVENTS};
 use coyote_telemetry::hostprof::{HostProf, ProfClock, SpanToken, WallClock};
 use coyote_telemetry::live::{CoreStatus, StatusEmitter, StatusSnapshot};
-use coyote_telemetry::{EpochSnapshot, JsonValue, TelemetrySink, SCHEMA_VERSION};
+use coyote_telemetry::{EpochSnapshot, JsonValue, TelemetrySink, STATUS_SCHEMA_VERSION};
 
 use crate::attr::StallAttribution;
 use crate::config::{ConfigError, ProfMode, SimConfig};
 use crate::flight::{state_name, FlightKind, FlightRecorder};
-use crate::par::{self, WorkerPool};
 use crate::report::{CoreReport, Report};
 use crate::trace::{StateInterval, Trace, TraceEvent};
 
@@ -218,19 +217,10 @@ pub(crate) fn decode_tag(tag: u64) -> (usize, MissKind) {
 pub struct Simulation {
     config: SimConfig,
     cores: Vec<Core>,
-    /// Functional memory. Shared (`Arc`) so the parallel execute phase
-    /// can hand read-only snapshot handles to worker threads; outside
-    /// that phase the orchestrator holds the only reference and
-    /// reclaims `&mut` access via [`Arc::get_mut`].
-    mem: Arc<SparseMemory>,
-    /// Predecoded text segment, shared with workers the same way.
-    text: Arc<DecodedText>,
-    /// Worker pool for the parallel execute phase; `None` when
-    /// [`SimConfig::jobs`] is 1 (the default sequential schedule).
-    pool: Option<WorkerPool>,
-    /// Cycles the parallel phase discarded and re-ran sequentially
-    /// after detecting a same-cycle cross-core access overlap.
-    conflict_fallbacks: u64,
+    /// Functional memory shared by every core.
+    mem: SparseMemory,
+    /// Predecoded text segment.
+    text: DecodedText,
     hierarchy: Hierarchy,
     cycle: u64,
     trace: Option<Trace>,
@@ -255,31 +245,21 @@ pub struct Simulation {
     /// Cores halted so far. Monotone — a halted core never runs again —
     /// so the end-of-run check is a counter compare, not a scan.
     halted: usize,
-    /// Reused buffer: snapshot of the active list that the execute
-    /// phase iterates (the live list is compacted afterwards).
-    step_order: Vec<usize>,
     /// Reused buffer: cores the execute phase deactivated this cycle
     /// (the exact list the attribution scan needs).
     deactivated_buf: Vec<usize>,
     /// Reused buffer: cores this cycle's completion drain woke.
     woken_buf: Vec<usize>,
-    /// Reused scratch: the store index of the cross-core conflict test
-    /// (fused-window chunks and parallel cycles).
+    /// Reused scratch: the store index of the fused-window chunks'
+    /// cross-core conflict test.
     store_map: StoreMap,
     /// Host-side self-profiler, present when [`SimConfig::profiling`]
     /// is not [`ProfMode::Off`]. Strictly observational: it reads the
     /// orchestrator, never the other way around — profiled and
     /// unprofiled runs are bit-identical (property-tested).
     prof: Option<HostProf>,
-    /// Load-time disjointness certificate, present when
-    /// [`SimConfig::certify`] is on and the static analysis proved all
-    /// cross-core write/any access pairs disjoint. While valid (the
-    /// predecode generation still matches), the runtime conflict
-    /// sweeps are skipped; any text-segment store revokes it for the
-    /// rest of the run.
-    cert: Option<Certificate>,
     /// Live status stream, attached via [`Simulation::set_status`]. A
-    /// host knob like `jobs`/`profiling`: deliberately outside
+    /// host knob like `profiling`: deliberately outside
     /// [`SimConfig`] (and therefore outside `config_json` and the
     /// determinism digest) — emission reads simulated state, never
     /// writes it.
@@ -295,15 +275,6 @@ pub struct Simulation {
     /// delivery, stranding its waiter forever — the only way to produce
     /// a genuine [`RunError::Deadlock`] in a correct hierarchy.
     debug_drop_next_load_fill: bool,
-}
-
-/// A granted disjointness certificate, pinned to the predecode
-/// generation it was proven against.
-#[derive(Debug, Clone, Copy)]
-struct Certificate {
-    /// [`DecodedText::generation`] at proof time; a mismatch means the
-    /// text was patched after the proof and the certificate is void.
-    text_gen: u64,
 }
 
 /// The profile counter charged when a multi-core fused window stops
@@ -365,28 +336,6 @@ impl Simulation {
         let cores = (0..config.cores)
             .map(|i| Core::new(i, program.entry(), &core_config))
             .collect();
-        let cert = if config.certify {
-            let analysis_span = prof.as_mut().map(|p| p.enter("analysis"));
-            let outcome = coyote_analysis::certify(program, config.cores);
-            if let Some(p) = &mut prof {
-                if let Some(span) = analysis_span {
-                    p.exit(span);
-                }
-                p.bump(
-                    if outcome.granted {
-                        "certificate/granted"
-                    } else {
-                        "certificate/denied"
-                    },
-                    1,
-                );
-            }
-            outcome.granted.then(|| Certificate {
-                text_gen: text.generation(),
-            })
-        } else {
-            None
-        };
         let mut hierarchy = Hierarchy::new(config.hierarchy())
             .map_err(|m| RunError::Config(ConfigError::new(m)))?;
         if config.telemetry {
@@ -394,10 +343,8 @@ impl Simulation {
         }
         Ok(Simulation {
             cores,
-            mem: Arc::new(mem),
-            text: Arc::new(text),
-            pool: (config.jobs > 1).then(|| WorkerPool::new(config.jobs)),
-            conflict_fallbacks: 0,
+            mem,
+            text,
             hierarchy,
             cycle: 0,
             trace: config.trace.then(|| Trace::new(config.cores)),
@@ -418,12 +365,10 @@ impl Simulation {
             chrome_states: Vec::new(),
             active_list: (0..config.cores).collect(),
             halted: 0,
-            step_order: Vec::new(),
             deactivated_buf: Vec::new(),
             woken_buf: Vec::new(),
             store_map: StoreMap::new(),
             prof,
-            cert,
             status: None,
             flight: FlightRecorder::new(),
             stop: None,
@@ -471,29 +416,7 @@ impl Simulation {
     /// [`Simulation::run`].
     #[must_use]
     pub fn memory_mut(&mut self) -> &mut SparseMemory {
-        Arc::get_mut(&mut self.mem)
-            .expect("no snapshot handles outstanding outside the execute phase")
-    }
-
-    /// Number of cycles the parallel execute phase (when
-    /// [`SimConfig::jobs`] exceeds 1) detected a same-cycle cross-core
-    /// access overlap (or a shard fault) and re-executed sequentially.
-    /// Diagnostic only: deliberately excluded from exported metrics and
-    /// the [`Simulation::determinism_digest`], which must not vary with
-    /// `jobs`.
-    #[must_use]
-    pub fn conflict_fallbacks(&self) -> u64 {
-        self.conflict_fallbacks
-    }
-
-    /// Whether a load-time disjointness certificate is currently in
-    /// force: granted at construction (see [`SimConfig::certify`]) and
-    /// not yet revoked by a text-segment store. While active, the
-    /// runtime conflict sweeps are skipped.
-    #[must_use]
-    pub fn certificate_active(&self) -> bool {
-        self.cert
-            .is_some_and(|c| c.text_gen == self.text.generation())
+        &mut self.mem
     }
 
     /// The simulated cores.
@@ -518,9 +441,9 @@ impl Simulation {
 
     /// Attaches a live status stream: [`Simulation::run`] emits a
     /// snapshot on the emitter's host-time cadence plus one final
-    /// snapshot at exit. A host knob like [`SimConfig::jobs`] — the
-    /// `status_invariance` proptests pin that digests and metrics
-    /// bytes are bit-identical with and without it.
+    /// snapshot at exit. A host knob like [`SimConfig::profiling`] —
+    /// the `equivalence` proptests pin that digests and metrics bytes
+    /// are bit-identical with and without it.
     pub fn set_status(&mut self, emitter: StatusEmitter) {
         self.status = Some(emitter);
     }
@@ -768,8 +691,6 @@ impl Simulation {
             } else {
                 fused as f64 / retired as f64
             },
-            conflict_fallbacks: self.conflict_fallbacks,
-            certificate_active: self.certificate_active(),
             event_pops: self.hierarchy.event_pops(),
             halted: self.halted as u64,
             cores,
@@ -865,15 +786,13 @@ impl Simulation {
             })
             .collect();
         JsonValue::object()
-            .with("schema_version", SCHEMA_VERSION)
+            .with("schema_version", STATUS_SCHEMA_VERSION)
             .with("reason", reason)
             .with("cycle", self.cycle)
             .with("cores", JsonValue::Array(cores))
             .with("stalls", JsonValue::Array(stalls))
             .with("mshr_occupancy", JsonValue::Array(mshr))
             .with("hostprof_phases", JsonValue::Array(phases))
-            .with("conflict_fallbacks", self.conflict_fallbacks)
-            .with("certificate_active", self.certificate_active())
             .with("event_pops", self.hierarchy.event_pops())
             .with("flight_recorder", self.flight.to_json())
     }
@@ -913,13 +832,7 @@ impl Simulation {
         //    factor reproduces Spike's back-to-back batching; Coyote
         //    proper uses 1). The oracle replays each retirement in this
         //    same global order, so its reference memory reproduces the
-        //    timed machine's exact interleaving. With `jobs > 1` the
-        //    active cores step in parallel against a pre-cycle memory
-        //    snapshot; the commit protocol (see [`crate::par`]) keeps
-        //    the observable interleaving bit-identical to `jobs = 1`.
-        //    The oracle's per-retirement memory diff assumes one
-        //    retirement per core per cycle, so oracle runs only go
-        //    parallel at interleave 1.
+        //    timed machine's exact interleaving.
         //
         //    Before the per-cycle step, the fusion fast path may retire
         //    a whole multi-cycle window of validated superblock runs at
@@ -936,14 +849,7 @@ impl Simulation {
             cycle = self.cycle;
             self.deactivated_buf.clear();
         } else {
-            let use_parallel = self.pool.is_some()
-                && (self.config.interleave == 1 || self.oracle.is_none())
-                && self.active_list.len() >= 2;
-            if use_parallel {
-                self.step_cores_parallel(cycle)?;
-            } else {
-                self.step_cores_sequential(cycle)?;
-            }
+            self.step_cores_sequential(cycle)?;
             self.refresh_active_list();
         }
         self.prof_exit(execute_span);
@@ -959,8 +865,7 @@ impl Simulation {
 
         // Self-modifying code: stores into the text segment recorded
         // during the step phase invalidate the patched predecoded
-        // entries now — the same point in the cycle for every `jobs`
-        // count and for the fallback path, keeping runs bit-identical.
+        // entries now, at one fixed point in the cycle.
         self.drain_text_writes();
 
         // 2. Enqueue this cycle's L1 misses into the event model.
@@ -1148,9 +1053,6 @@ impl Simulation {
     /// active list afterwards.
     fn step_cores_sequential(&mut self, cycle: u64) -> Result<(), RunError> {
         let span = self.prof_enter("sequential");
-        let mut order = std::mem::take(&mut self.step_order);
-        order.clear();
-        order.extend_from_slice(&self.active_list);
         let mut diverged = None;
         let mut fault = None;
         {
@@ -1161,12 +1063,10 @@ impl Simulation {
                 miss_buf,
                 oracle,
                 config,
+                active_list,
                 ..
             } = self;
-            let mem = Arc::get_mut(mem)
-                .expect("no snapshot handles outstanding outside the execute phase");
-            let text: &DecodedText = text;
-            'cores: for &idx in &order {
+            'cores: for &idx in active_list.iter() {
                 let core = &mut cores[idx];
                 for _ in 0..config.interleave {
                     if core.state() != CoreState::Active {
@@ -1192,145 +1092,10 @@ impl Simulation {
                 }
             }
         }
-        self.step_order = order;
         self.prof_exit(span);
         if let Some((core, source)) = fault {
             return Err(RunError::Core { core, source });
         }
-        if let Some(mut divergence) = diverged {
-            divergence.context = self.cores.iter().map(Core::snapshot).collect();
-            divergence.trail = self.flight.tail_lines(TRAIL_EVENTS);
-            return Err(RunError::OracleDivergence(divergence));
-        }
-        Ok(())
-    }
-
-    /// The parallel execute phase: clones the active cores into
-    /// contiguous shards, steps shards 1.. on the worker pool and
-    /// shard 0 inline — every clone against the same read-only
-    /// pre-cycle memory snapshot — then, if no same-cycle cross-core
-    /// byte ranges overlap, commits stores, cores, oracle checks and
-    /// misses in core-index order, reproducing the sequential schedule
-    /// exactly. Any overlap (or a shard fault) discards the clones —
-    /// the real cores and memory are an untouched pre-cycle snapshot —
-    /// and re-executes the cycle sequentially.
-    fn step_cores_parallel(&mut self, cycle: u64) -> Result<(), RunError> {
-        let par_span = self.prof_enter("parallel");
-        let step_span = self.prof_enter("shard_step");
-        let active: &[usize] = &self.active_list;
-        let pool = self.pool.as_ref().expect("parallel phase requires a pool");
-        let shards = (pool.workers() + 1).min(active.len());
-        // Contiguous near-equal shards: reassembling shard by shard
-        // restores core-index order without a sort.
-        let base = active.len() / shards;
-        let extra = active.len() % shards;
-        let mut chunks: Vec<&[usize]> = Vec::with_capacity(shards);
-        let mut start = 0;
-        for shard in 0..shards {
-            let len = base + usize::from(shard < extra);
-            chunks.push(&active[start..start + len]);
-            start += len;
-        }
-        let interleave = self.config.interleave;
-        for (shard, chunk) in chunks.iter().enumerate().skip(1) {
-            pool.dispatch(
-                shard - 1,
-                par::Job {
-                    mem: Arc::clone(&self.mem),
-                    text: Arc::clone(&self.text),
-                    cycle,
-                    interleave,
-                    cores: chunk
-                        .iter()
-                        .map(|&idx| (idx, self.cores[idx].clone()))
-                        .collect(),
-                    shard,
-                },
-            );
-        }
-        let shard0 = par::step_shard(
-            &self.mem,
-            &self.text,
-            cycle,
-            interleave,
-            chunks[0]
-                .iter()
-                .map(|&idx| (idx, self.cores[idx].clone()))
-                .collect(),
-        );
-        let mut results: Vec<Option<Vec<par::SteppedCore>>> = (0..shards).map(|_| None).collect();
-        results[0] = Some(shard0);
-        for _ in 1..shards {
-            let result = pool.recv();
-            results[result.shard] = Some(result.cores);
-        }
-        let stepped: Vec<par::SteppedCore> = results
-            .into_iter()
-            .flat_map(|r| r.expect("every shard reports exactly once"))
-            .collect();
-        self.prof_exit(step_span);
-
-        let check_span = self.prof_enter("conflict_check");
-        // A valid disjointness certificate proved the sweep can never
-        // fire, so skip it; faults still force the sequential re-run
-        // regardless (they must surface at their sequential position).
-        let conflict = stepped.iter().any(|s| s.error.is_some())
-            || (!self.certificate_active() && par::conflicting(&mut self.store_map, &stepped));
-        self.prof_exit(check_span);
-        if conflict {
-            // Fall back: a fault must surface at its sequential
-            // position, and overlapping accesses mean the snapshot
-            // semantics differ from the sequential interleaving.
-            // Everything the discarded attempt produced lives inside
-            // `stepped` — core clones, buffered stores, events, raised
-            // misses. Nothing reaches shared memory, `miss_buf`, the
-            // hierarchy's request-lifecycle stamps, or the telemetry
-            // sink except through the commit path below, so dropping
-            // here leaves zero residue for the sequential re-run to
-            // double-count.
-            drop(stepped);
-            self.conflict_fallbacks += 1;
-            self.flight.record(cycle, FlightKind::ConflictFallback);
-            self.prof_bump("parallel/conflict_fallback", 1);
-            // The sequential re-run opens its own span; close the
-            // parallel one first so the phase tree nests it as a
-            // sibling retry, not a child of the discarded attempt.
-            self.prof_exit(par_span);
-            return self.step_cores_sequential(cycle);
-        }
-
-        let commit_span = self.prof_enter("commit");
-        let mut diverged = None;
-        {
-            let Simulation {
-                cores,
-                mem,
-                miss_buf,
-                oracle,
-                ..
-            } = self;
-            let mem = Arc::get_mut(mem).expect("workers released their snapshot handles");
-            'commit: for s in stepped {
-                s.buf.commit(mem);
-                let idx = s.idx;
-                cores[idx] = s.core;
-                for event in &s.events {
-                    if let Some(oracle) = oracle {
-                        if matches!(event, StepEvent::Retired { .. } | StepEvent::Halted(_)) {
-                            if let Err(divergence) =
-                                oracle.check_retirement(idx, cycle, cores[idx].hart(), mem)
-                            {
-                                diverged = Some(divergence);
-                                break 'commit;
-                            }
-                        }
-                    }
-                }
-                miss_buf.extend(s.misses);
-            }
-        }
-        self.prof_exit(commit_span);
-        self.prof_exit(par_span);
         if let Some(mut divergence) = diverged {
             divergence.context = self.cores.iter().map(Core::snapshot).collect();
             divergence.trail = self.flight.tail_lines(TRAIL_EVENTS);
@@ -1413,8 +1178,6 @@ impl Simulation {
             let Simulation {
                 cores, mem, text, ..
             } = self;
-            let mem = Arc::get_mut(mem)
-                .expect("no snapshot handles outstanding outside the execute phase");
             let consumed = cores[idx]
                 .step_block_chain(mem, text, cycle, bound)
                 .map_err(|source| RunError::Core { core: idx, source })?;
@@ -1462,8 +1225,6 @@ impl Simulation {
             let Simulation {
                 cores, mem, text, ..
             } = self;
-            let mem = Arc::get_mut(mem)
-                .expect("no snapshot handles outstanding outside the execute phase");
             for &idx in actives {
                 // Core-index order — though any order would do: the
                 // chunk's accesses are pairwise disjoint across cores,
@@ -1487,15 +1248,9 @@ impl Simulation {
     /// `window` fused positions overlap at byte granularity with at
     /// least one side writing — the condition under which a multi-core
     /// window could observably differ from per-cycle interleaving.
-    /// Same predicate as [`par::conflicting`], over pre-validated
-    /// addresses; a chunk in which no core stores costs one O(1) look
-    /// at each core's run summary.
+    /// A chunk in which no core stores costs one O(1) look at each
+    /// core's run summary.
     fn window_conflicts(&mut self, actives: &[usize], window: u32) -> bool {
-        // Certified workloads proved cross-core disjointness statically
-        // — the test below cannot fire, so don't pay for it.
-        if self.certificate_active() {
-            return false;
-        }
         let cores = &self.cores;
         let conflict = cross_owner_conflict(
             &mut self.store_map,
@@ -1529,7 +1284,7 @@ impl Simulation {
 
     /// Drains text-segment stores recorded by the step phase:
     /// invalidates the patched predecoded entries (in the simulation's
-    /// shared table and the oracle's), and aborts every validated run —
+    /// table and the oracle's), and aborts every validated run —
     /// a patched word may sit inside one.
     fn drain_text_writes(&mut self) {
         // Only cores the execute phase stepped can have recorded a
@@ -1553,24 +1308,14 @@ impl Simulation {
             self.flight
                 .record(self.cycle, FlightKind::TextInvalidate { addr });
         }
-        let text = Arc::make_mut(&mut self.text);
         for &(addr, size) in &writes {
-            text.invalidate(addr, u64::from(size));
+            self.text.invalidate(addr, u64::from(size));
             if let Some(oracle) = &mut self.oracle {
                 oracle.invalidate_text(addr, u64::from(size));
             }
         }
         for core in &mut self.cores {
             core.abort_fused_run();
-        }
-        // The static proof was over the pre-patch text: revoke the
-        // certificate for the rest of the run (the generation check in
-        // `certificate_active` would catch this too; dropping the
-        // certificate makes the revocation explicit and permanent).
-        if self.cert.take().is_some() {
-            self.flight
-                .record(self.cycle, FlightKind::CertificateRevoked);
-            self.prof_bump("certificate/revoked", 1);
         }
         self.prof_exit(span);
     }
@@ -1798,90 +1543,6 @@ mod tests {
             sim.cycle(),
             2,
             "fast-forward left the cycle counter past the configured limit"
-        );
-    }
-
-    #[test]
-    fn parallel_execute_matches_sequential() {
-        // The hart-partitioning kernel (8 cores, disjoint dwords of one
-        // line) exercises the byte-granular conflict detector: line
-        // granularity would force a fallback every writing cycle.
-        let src = "
-            .data
-            out: .zero 64
-            .text
-            _start:
-                csrr t0, mhartid
-                la t1, out
-                slli t2, t0, 3
-                add t1, t1, t2
-                addi t3, t0, 100
-                sd t3, 0(t1)
-                mv a0, t0
-                li a7, 93
-                ecall";
-        let program = assemble(src).unwrap();
-        let mut digests = Vec::new();
-        for jobs in [1, 2, 4] {
-            let config = SimConfig::builder()
-                .cores(8)
-                .oracle(true)
-                .jobs(jobs)
-                .build()
-                .unwrap();
-            let mut sim = Simulation::new(config, &program).unwrap();
-            let report = sim.run().unwrap();
-            assert_eq!(report.exit_codes(), Some((0..8).collect()));
-            digests.push((report.cycles, sim.determinism_digest()));
-        }
-        assert_eq!(digests[0], digests[1], "jobs=2 diverged from jobs=1");
-        assert_eq!(digests[0], digests[2], "jobs=4 diverged from jobs=1");
-    }
-
-    #[test]
-    fn parallel_conflict_falls_back_sequentially() {
-        // Every core hammers the SAME dword, so same-cycle cross-core
-        // write/write overlaps are guaranteed; the cycle must re-run
-        // sequentially (counted) and still match the jobs=1 result.
-        let src = "
-            .data
-            hot: .dword 0
-            .text
-            _start:
-                csrr t0, mhartid
-                la t1, hot
-                li t2, 32
-            loop:
-                ld t3, 0(t1)
-                add t3, t3, t0
-                sd t3, 0(t1)
-                addi t2, t2, -1
-                bnez t2, loop
-                li a0, 0
-                li a7, 93
-                ecall";
-        let program = assemble(src).unwrap();
-        let run = |jobs: usize| {
-            let config = SimConfig::builder()
-                .cores(4)
-                .oracle(true)
-                .jobs(jobs)
-                .build()
-                .unwrap();
-            let mut sim = Simulation::new(config, &program).unwrap();
-            sim.run().unwrap();
-            (sim.determinism_digest(), sim.conflict_fallbacks())
-        };
-        let (seq_digest, seq_fallbacks) = run(1);
-        assert_eq!(seq_fallbacks, 0, "jobs=1 never enters the parallel phase");
-        let (par_digest, par_fallbacks) = run(4);
-        assert_eq!(
-            par_digest, seq_digest,
-            "fallback changed observable results"
-        );
-        assert!(
-            par_fallbacks > 0,
-            "same-dword contention must trip the conflict detector"
         );
     }
 

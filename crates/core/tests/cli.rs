@@ -285,6 +285,7 @@ fn empty_output_paths_are_rejected() {
             ecall",
     );
     for flag in [
+        "--trace",
         "--metrics-out",
         "--chrome-trace",
         "--prof-out",

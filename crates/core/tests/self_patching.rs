@@ -34,17 +34,11 @@ const SELF_PATCHING: &str = "
         ecall";
 
 fn run(oracle: bool, fusion: bool) -> (Vec<i64>, u64, f64) {
-    let (exits, digest, hit, _) = run_certify(oracle, fusion, false);
-    (exits, digest, hit)
-}
-
-fn run_certify(oracle: bool, fusion: bool, certify: bool) -> (Vec<i64>, u64, f64, bool) {
     let program = coyote_asm::assemble(SELF_PATCHING).expect("assemble");
     let config = SimConfig::builder()
         .cores(1)
         .oracle(oracle)
         .fusion(fusion)
-        .certify(certify)
         .build()
         .expect("valid config");
     let mut sim = Simulation::new(config, &program).expect("create sim");
@@ -53,7 +47,6 @@ fn run_certify(oracle: bool, fusion: bool, certify: bool) -> (Vec<i64>, u64, f64
         report.exit_codes().expect("all harts exited"),
         sim.determinism_digest(),
         report.block_hit_rate(),
-        sim.certificate_active(),
     )
 }
 
@@ -83,29 +76,5 @@ fn fused_runs_see_the_patch_and_match_per_instruction_stepping() {
     assert_eq!(
         fused_digest, plain_digest,
         "fused execution diverged from per-instruction stepping"
-    );
-}
-
-#[test]
-fn text_store_revokes_the_disjointness_certificate_mid_run() {
-    // A single hart is trivially separable, so the static analysis
-    // grants a certificate at load time — but the certificate is tied
-    // to the text generation it analyzed. The self-patch invalidates
-    // the predecoded text, so by run end the certificate must be gone
-    // (the analyzed program is no longer the one executing), and the
-    // patched semantics must still hold, bit-identical to the
-    // uncertified schedule.
-    let (exits, digest, _, active) = run_certify(false, true, true);
-    assert_eq!(exits, vec![30], "patched addi must add 2 in phase 2");
-    assert!(
-        !active,
-        "the text store must revoke the load-time certificate"
-    );
-    let (plain_exits, plain_digest, _, plain_active) = run_certify(false, true, false);
-    assert_eq!(plain_exits, vec![30]);
-    assert!(!plain_active, "certify off must never report a certificate");
-    assert_eq!(
-        digest, plain_digest,
-        "revoked-certificate run diverged from the uncertified schedule"
     );
 }

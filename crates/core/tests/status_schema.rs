@@ -4,7 +4,7 @@
 //! key paths `coyote-top` (and any external watcher) may rely on. If
 //! this test fails you changed the externally visible status-line
 //! shape: either restore the old shape, or bump
-//! [`coyote::SCHEMA_VERSION`] and regenerate the golden file to match
+//! [`coyote::STATUS_SCHEMA_VERSION`] and regenerate the golden file to match
 //! (and mention the break in DESIGN.md).
 
 use std::path::PathBuf;
@@ -77,9 +77,9 @@ fn status_schema_matches_golden_file() {
         .parse()
         .expect("numeric schema version");
     assert_eq!(
-        coyote::SCHEMA_VERSION,
+        coyote::STATUS_SCHEMA_VERSION,
         version,
-        "SCHEMA_VERSION changed; regenerate tests/golden/status_schema.txt"
+        "STATUS_SCHEMA_VERSION changed; regenerate tests/golden/status_schema.txt"
     );
     assert_eq!(
         snap.get("schema_version").and_then(JsonValue::as_u64),
@@ -91,7 +91,7 @@ fn status_schema_matches_golden_file() {
         assert!(
             lookup(&snap, path).is_some(),
             "status snapshot lost pinned key `{path}` — \
-             bump SCHEMA_VERSION and update the golden file"
+             bump STATUS_SCHEMA_VERSION and update the golden file"
         );
     }
 
@@ -100,7 +100,7 @@ fn status_schema_matches_golden_file() {
     assert_eq!(
         snap.keys().expect("snapshot is an object"),
         pinned_top,
-        "top-level key set changed — bump SCHEMA_VERSION and update the golden file"
+        "top-level key set changed — bump STATUS_SCHEMA_VERSION and update the golden file"
     );
 }
 

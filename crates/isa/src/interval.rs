@@ -1,10 +1,8 @@
 //! Shared byte-interval primitives.
 //!
-//! The cross-core conflict test of the parallel orchestrator
-//! (`crates/core/src/par.rs`), the fused-window chunk check
-//! (`crates/core/src/sim.rs`) and the superblock pairwise checker
-//! (`crates/iss/src/superblock.rs`) is one predicate,
-//! [`cross_owner_conflict`], and [`ByteIntervalSet`] is the sorted,
+//! The fused-window chunk check (`crates/core/src/sim.rs`) and the
+//! superblock pairwise checker (`crates/iss/src/superblock.rs`) share
+//! one predicate, [`cross_owner_conflict`], and [`ByteIntervalSet`] is the sorted,
 //! coalesced byte-range container the static analysis crate builds
 //! footprints and text-overlap queries on.
 //!

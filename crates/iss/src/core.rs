@@ -421,7 +421,7 @@ pub struct Core {
     /// cold blocks never pay template construction.
     last_validated_pc: u64,
     /// Instructions retired through the fused path. A host-diagnostic
-    /// counter like `conflict_fallbacks`: deliberately outside
+    /// counter: deliberately outside
     /// [`CoreStats`] so the determinism digest cannot vary with the
     /// fusion knob, while metrics still export it (`block_hit_rate`).
     fused_retired: u64,
@@ -1126,9 +1126,7 @@ impl Core {
         for access in &accesses {
             // Self-modifying code: a store landing in the text segment
             // stales the predecoded table. Record it; the orchestrator
-            // invalidates the patched entries at end of cycle (the
-            // same point for every jobs count, keeping runs
-            // bit-identical).
+            // invalidates the patched entries at end of cycle.
             if access.write && text.overlaps(access.addr, u64::from(access.size)) {
                 self.text_writes.push((access.addr, access.size));
             }

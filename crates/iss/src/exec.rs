@@ -1,9 +1,9 @@
 //! Functional execution semantics.
 //!
 //! [`execute`] applies one decoded instruction to a [`Hart`] and a
-//! [`MemoryIo`] memory (the shared [`SparseMemory`](crate::mem::SparseMemory)
-//! or a buffered per-core view), reporting the data-memory accesses performed
-//! and the destination register written, which the timing layer (L1
+//! [`MemoryIo`] memory (the shared [`SparseMemory`](crate::mem::SparseMemory)),
+//! reporting the data-memory accesses performed and the destination
+//! register written, which the timing layer (L1
 //! caches + RAW scoreboard + event-driven hierarchy) uses to drive the
 //! Coyote cycle loop.
 //!

@@ -62,7 +62,6 @@ pub mod hart;
 pub mod mem;
 pub mod scoreboard;
 pub mod superblock;
-pub mod view;
 
 pub use crate::core::{
     Core, CoreConfig, CoreSnapshot, CoreState, CoreStats, DecodedText, MissKind, MissRequest,
@@ -74,4 +73,3 @@ pub use hart::{Hart, DEFAULT_VLEN_BITS};
 pub use mem::{MemoryIo, SparseMemory};
 pub use scoreboard::Scoreboard;
 pub use superblock::{accesses_conflict, FuseDiag, FuseStop, FusedAccess};
-pub use view::{BufferedMemory, StoreBuffer};

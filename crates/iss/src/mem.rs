@@ -311,12 +311,13 @@ impl SparseMemory {
 
 /// Byte-addressable memory as seen by the functional execution engine.
 ///
-/// [`execute`](crate::exec::execute) is generic over this trait so the
-/// same instruction semantics can run either directly against the shared
-/// [`SparseMemory`] (the sequential orchestrator and the oracle's
-/// replay) or against a buffered per-core view that logs reads and
-/// defers stores (the deterministic parallel execute phase). Reads take
-/// `&mut self` precisely so a logging view can record them.
+/// [`execute`](crate::exec::execute) and the `Core::step*` family are
+/// generic over this trait. [`SparseMemory`] is its only implementor
+/// since the buffered per-core views of the parallel execute phase
+/// were removed; the trait stayed because taking `&mut SparseMemory`
+/// directly (which moves monomorphisation out of the `coyote` crate)
+/// measured 1.1 % slower on `matmul_128c` — see the PR 13 session in
+/// EXPERIMENTS.md before retrying.
 pub trait MemoryIo {
     /// Reads `buf.len()` bytes starting at `addr`.
     fn read_bytes(&mut self, addr: u64, buf: &mut [u8]);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! coyote-audit --lint [--root DIR] [--baseline FILE] [--json | --format json]
-//! coyote-audit --race --config NAME [--perturb-seed N] [--jobs N] [--profile] [--certify] [--json]
+//! coyote-audit --race --config NAME [--perturb-seed N] [--profile] [--status] [--json]
 //! coyote-audit --race --all [--json]
 //! ```
 //!
@@ -14,16 +14,8 @@
 //! `--race` runs the named repro configuration twice — canonical and
 //! schedule-perturbed — and diffs the results (see
 //! `coyote_lint::race`); exit code 1 means a schedule race. With
-//! `--jobs N` the perturbed run also executes its cores on N host
-//! threads, so the same diff proves the parallel execute phase is
-//! bit-identical to the sequential schedule. With `--profile` both
-//! runs carry counter-mode host profiling, extending the byte-for-byte
-//! metrics diff over the `host_profile` section (requires jobs = 1:
-//! the phase shape legitimately differs under a parallel execute
-//! phase). With `--certify` the perturbed run carries a static
-//! disjointness certificate while the baseline keeps the dynamic
-//! conflict sweeps, so the same diff proves the certified fast path is
-//! observationally identical down to digest and metrics bytes. With
+//! `--profile` both runs carry counter-mode host profiling, extending
+//! the byte-for-byte metrics diff over the `host_profile` section. With
 //! `--status` both runs stream live status snapshots to a temp file
 //! while being diffed, so the same diff proves the introspection plane
 //! is observation-only.
@@ -37,8 +29,8 @@ use coyote_lint::race::{self, CONFIG_NAMES};
 
 const USAGE: &str =
     "usage: coyote-audit --lint [--root DIR] [--baseline FILE] [--json | --format json]
-       coyote-audit --race (--config NAME | --all) [--perturb-seed N] [--jobs N] [--profile] \
-[--certify] [--status] [--json]";
+       coyote-audit --race (--config NAME | --all) [--perturb-seed N] [--profile] \
+[--status] [--json]";
 
 struct Args {
     lint: bool,
@@ -47,9 +39,7 @@ struct Args {
     baseline: Option<PathBuf>,
     configs: Vec<String>,
     perturb_seed: u64,
-    jobs: usize,
     profile: bool,
-    certify: bool,
     status: bool,
     json: bool,
     format_json: bool,
@@ -63,9 +53,7 @@ fn parse_args() -> Result<Args, String> {
         baseline: None,
         configs: Vec::new(),
         perturb_seed: 0,
-        jobs: 1,
         profile: false,
-        certify: false,
         status: false,
         json: false,
         format_json: false,
@@ -76,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
             "--lint" => args.lint = true,
             "--race" => args.race = true,
             "--profile" => args.profile = true,
-            "--certify" => args.certify = true,
             "--status" => args.status = true,
             "--json" => args.json = true,
             "--format" => {
@@ -101,14 +88,6 @@ fn parse_args() -> Result<Args, String> {
                 };
                 args.perturb_seed = parsed.map_err(|e| format!("--perturb-seed: {e}"))?;
             }
-            "--jobs" => {
-                args.jobs = take(&mut it, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if args.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_owned());
-                }
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -121,9 +100,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.race && args.configs.is_empty() {
         return Err(format!("--race needs --config NAME or --all\n{USAGE}"));
-    }
-    if args.certify && !args.race {
-        return Err(format!("--certify requires --race\n{USAGE}"));
     }
     if args.status && !args.race {
         return Err(format!("--status requires --race\n{USAGE}"));
@@ -187,15 +163,7 @@ fn run_race(args: &Args) -> Result<bool, String> {
     let mut clean = true;
     let mut reports = Vec::new();
     for name in &args.configs {
-        let outcome = race::check(
-            name,
-            args.perturb_seed,
-            args.jobs,
-            args.profile,
-            args.certify,
-            args.status,
-            false,
-        )?;
+        let outcome = race::check(name, args.perturb_seed, args.profile, args.status, false)?;
         if args.json {
             reports.push(outcome.to_json());
         } else if let Some(divergence) = &outcome.divergence {
@@ -219,16 +187,14 @@ fn run_race(args: &Args) -> Result<bool, String> {
         } else {
             println!(
                 "coyote-audit --race: config `{}` deterministic over {} cycles \
-                 (seed {:#x}, jobs {}{})",
+                 (seed {:#x}{})",
                 outcome.config,
                 outcome.cycles,
                 outcome.perturb_seed,
-                outcome.jobs,
-                match (outcome.certified, outcome.status) {
-                    (true, true) => ", certified, status-streamed",
-                    (true, false) => ", certified",
-                    (false, true) => ", status-streamed",
-                    (false, false) => "",
+                if outcome.status {
+                    ", status-streamed"
+                } else {
+                    ""
                 }
             );
         }

@@ -102,15 +102,6 @@ pub struct RaceOutcome {
     pub status: bool,
     /// The perturbation seed of the second run.
     pub perturb_seed: u64,
-    /// Host threads of the perturbed run's execute phase (the baseline
-    /// is always sequential).
-    pub jobs: usize,
-    /// Whether the perturbed run actually held a static disjointness
-    /// certificate at the end of the run (the baseline always runs the
-    /// dynamic conflict sweeps). `false` under `--certify` means the
-    /// analysis declined or revoked the certificate, so the diff was
-    /// vacuous for the fast path.
-    pub certified: bool,
     /// Simulated cycles of the canonical run.
     pub cycles: u64,
     /// Hierarchy events compared during localization (0 when the runs
@@ -154,8 +145,6 @@ impl RaceOutcome {
             .with("profiled", self.profiled)
             .with("status", self.status)
             .with("perturb_seed", self.perturb_seed)
-            .with("jobs", self.jobs)
-            .with("certified", self.certified)
             .with("cycles", self.cycles)
             .with("events_compared", self.events_compared)
             .with("divergence", divergence)
@@ -168,7 +157,6 @@ struct RunArtifacts {
     digest: u64,
     metrics: String,
     cycles: u64,
-    certified: bool,
     events: Vec<EventRecord>,
 }
 
@@ -177,9 +165,7 @@ struct RunArtifacts {
 #[derive(Clone, Copy)]
 struct RunKnobs {
     perturb_seed: u64,
-    jobs: usize,
     profile: bool,
-    certify: bool,
     status: bool,
     log_events: bool,
     inject_unordered_drain: bool,
@@ -191,8 +177,6 @@ fn run_once(
     knobs: RunKnobs,
 ) -> Result<RunArtifacts, String> {
     config.perturb_seed = knobs.perturb_seed;
-    config.jobs = knobs.jobs;
-    config.certify = knobs.certify;
     if knobs.profile {
         // Counter-mode profiling is a pure function of the simulated
         // schedule, so the metrics diff below extends race detection
@@ -210,10 +194,9 @@ fn run_once(
         // emission is observation-only, so the diff below proves the
         // stream cannot perturb digest or metrics bytes.
         let path = std::env::temp_dir().join(format!(
-            "coyote-race-status-{}-s{}-j{}.jsonl",
+            "coyote-race-status-{}-s{}.jsonl",
             std::process::id(),
-            knobs.perturb_seed,
-            knobs.jobs
+            knobs.perturb_seed
         ));
         let emitter =
             coyote::StatusEmitter::create(&path, 1).map_err(|e| format!("status stream: {e}"))?;
@@ -240,7 +223,6 @@ fn run_once(
         digest: sim.determinism_digest(),
         metrics,
         cycles: report.cycles,
-        certified: sim.certificate_active(),
         events: sim.take_event_log(),
     })
 }
@@ -296,18 +278,6 @@ fn localize(
 /// injection the check must report a divergence, without it the check
 /// must report none.
 ///
-/// `jobs` sets the host-thread count of the *perturbed* run only; the
-/// baseline always runs the sequential `jobs = 1` schedule. Any value
-/// above 1 therefore makes one diff prove two independences at once:
-/// the results must not depend on the free same-cycle event pop order
-/// *or* on the parallel execute phase's sharding and commit protocol.
-///
-/// `certify` arms static footprint certification on the *perturbed*
-/// run only; the baseline always runs the dynamic conflict sweeps. A
-/// clean diff then proves the certificate-gated fast path — which
-/// skips those sweeps entirely — is observationally identical to the
-/// swept schedule, down to digest and metrics bytes.
-///
 /// `status` attaches a live status stream (1 ms cadence, temp file) to
 /// *both* runs; a clean diff then proves the introspection plane is
 /// observation-only all the way down to digest and metrics bytes.
@@ -319,31 +289,12 @@ fn localize(
 pub fn check(
     name: &str,
     perturb_seed: u64,
-    jobs: usize,
     profile: bool,
-    certify: bool,
     status: bool,
     inject_unordered_drain: bool,
 ) -> Result<RaceOutcome, String> {
     let (config, workload) = named_config(name)
         .ok_or_else(|| format!("unknown race config `{name}` (have: {CONFIG_NAMES:?})"))?;
-    if profile && jobs > 1 {
-        // The phase tree legitimately differs between sequential and
-        // parallel execute phases, and the baseline is always jobs=1 —
-        // profiled comparisons are only meaningful at matching shapes.
-        return Err("--profile requires jobs = 1 (the baseline is sequential)".to_owned());
-    }
-    if profile && certify {
-        // A certified run adds its own profiling spans and counters
-        // (the analysis phase, certificate grants), so a profiled diff
-        // against the uncertified baseline would flag those legitimate
-        // shape differences as a phantom race.
-        return Err(
-            "--certify cannot be combined with --profile (the certified run \
-                    has a legitimately different profile shape)"
-                .to_owned(),
-        );
-    }
     let seed = if perturb_seed == 0 {
         DEFAULT_PERTURB_SEED
     } else {
@@ -352,17 +303,13 @@ pub fn check(
 
     let baseline_knobs = RunKnobs {
         perturb_seed: 0,
-        jobs: 1,
         profile,
-        certify: false,
         status,
         log_events: false,
         inject_unordered_drain,
     };
     let perturbed_knobs = RunKnobs {
         perturb_seed: seed,
-        jobs,
-        certify,
         ..baseline_knobs
     };
     let baseline = run_once(config, &workload, baseline_knobs)?;
@@ -399,8 +346,6 @@ pub fn check(
             profiled: profile,
             status,
             perturb_seed: seed,
-            jobs,
-            certified: perturbed.certified,
             cycles: baseline.cycles,
             events_compared: 0,
             divergence: None,
@@ -438,8 +383,6 @@ pub fn check(
         profiled: profile,
         status,
         perturb_seed: seed,
-        jobs,
-        certified: perturbed.certified,
         cycles: baseline.cycles,
         events_compared,
         divergence: Some(RaceDivergence {

@@ -114,7 +114,7 @@ fn bad_format_and_misplaced_flags_are_usage_errors() {
     assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("yaml"));
 
-    // --format json is a --lint option; --certify is a --race option.
+    // --format json is a --lint option; --status is a --race option.
     let output = Command::new(audit_binary())
         .args(["--race", "--config", "tiny", "--format", "json"])
         .output()
@@ -122,9 +122,9 @@ fn bad_format_and_misplaced_flags_are_usage_errors() {
     assert_eq!(output.status.code(), Some(2));
 
     let output = Command::new(audit_binary())
-        .args(["--lint", "--certify"])
+        .args(["--lint", "--status"])
         .output()
         .expect("spawn coyote-audit");
     assert_eq!(output.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("--certify"));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("--status requires --race"));
 }

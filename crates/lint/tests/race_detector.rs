@@ -8,7 +8,7 @@ use coyote_lint::race::{check, named_config, DEFAULT_PERTURB_SEED};
 
 #[test]
 fn perturbed_schedule_is_clean_on_the_real_hierarchy() {
-    let outcome = check("tiny", 0, 1, false, false, false, false).expect("tiny config runs");
+    let outcome = check("tiny", 0, false, false, false).expect("tiny config runs");
     assert_eq!(outcome.perturb_seed, DEFAULT_PERTURB_SEED);
     assert!(outcome.cycles > 0);
     assert!(
@@ -20,7 +20,7 @@ fn perturbed_schedule_is_clean_on_the_real_hierarchy() {
 
 #[test]
 fn injected_hashmap_drain_is_caught() {
-    let outcome = check("tiny", 0, 1, false, false, false, true).expect("tiny config runs");
+    let outcome = check("tiny", 0, false, false, true).expect("tiny config runs");
     let divergence = outcome
         .divergence
         .expect("the injected HashMap-ordered drain must be detected as a race");
@@ -39,23 +39,8 @@ fn injected_hashmap_drain_is_caught() {
 }
 
 #[test]
-fn parallel_execute_phase_is_clean_under_perturbation() {
-    // jobs = 4 puts the perturbed run through the parallel execute
-    // phase: the diff against the sequential canonical run must still
-    // be empty — one check covering both schedule-perturbation and
-    // jobs-independence.
-    let outcome = check("tiny", 0, 4, false, false, false, false).expect("tiny config runs");
-    assert_eq!(outcome.jobs, 4);
-    assert!(
-        outcome.divergence.is_none(),
-        "parallel execute phase diverged from the sequential schedule: {:?}",
-        outcome.divergence
-    );
-}
-
-#[test]
 fn unknown_config_is_an_error_not_a_pass() {
-    let err = check("no-such-config", 0, 1, false, false, false, false).unwrap_err();
+    let err = check("no-such-config", 0, false, false, false).unwrap_err();
     assert!(err.contains("no-such-config"));
 }
 
@@ -65,7 +50,7 @@ fn profiled_runs_are_schedule_stable() {
     // the byte-for-byte metrics diff also covers the `host_profile`
     // section: phase entry counts, abort taxonomy and distributions
     // must all be pure functions of the simulated schedule.
-    let outcome = check("tiny", 0, 1, true, false, false, false).expect("tiny config runs");
+    let outcome = check("tiny", 0, true, false, false).expect("tiny config runs");
     assert!(outcome.profiled);
     assert!(
         outcome.divergence.is_none(),
@@ -76,48 +61,11 @@ fn profiled_runs_are_schedule_stable() {
 
 #[test]
 fn profiled_injected_race_is_still_caught() {
-    let outcome = check("tiny", 0, 1, true, false, false, true).expect("tiny config runs");
+    let outcome = check("tiny", 0, true, false, true).expect("tiny config runs");
     assert!(
         outcome.divergence.is_some(),
         "profiling must not mask the injected drain race"
     );
-}
-
-#[test]
-fn profile_rejects_parallel_jobs() {
-    // The baseline is always sequential; a parallel perturbed run has
-    // a legitimately different phase shape, so the combination is
-    // rejected rather than reported as a phantom race.
-    let err = check("tiny", 0, 4, true, false, false, false).unwrap_err();
-    assert!(err.contains("jobs"), "{err}");
-}
-
-#[test]
-fn certified_run_matches_the_swept_baseline() {
-    // With `certify` the perturbed run carries the static disjointness
-    // certificate and skips the dynamic conflict sweeps; the baseline
-    // keeps them. The matmul workload partitions output rows by
-    // mhartid, so the certificate must actually be granted — and the
-    // digest and metrics diff against the swept schedule must be empty.
-    let outcome = check("tiny", 0, 4, false, true, false, false).expect("tiny config runs");
-    assert!(
-        outcome.certified,
-        "the round-robin matmul should earn a disjointness certificate"
-    );
-    assert!(
-        outcome.divergence.is_none(),
-        "certified fast path diverged from the swept schedule: {:?}",
-        outcome.divergence
-    );
-}
-
-#[test]
-fn certify_rejects_profiled_comparisons() {
-    // The certified run has its own analysis phase and certificate
-    // counters, so a profiled byte diff would flag those legitimate
-    // differences as a phantom race.
-    let err = check("tiny", 0, 1, true, true, false, false).unwrap_err();
-    assert!(err.contains("certify"), "{err}");
 }
 
 #[test]
@@ -126,7 +74,7 @@ fn status_streamed_runs_are_schedule_stable() {
     // cadence, so snapshots genuinely fire mid-run on both sides of
     // the diff — proving the introspection plane is pure observation
     // even under schedule perturbation.
-    let outcome = check("tiny", 0, 1, false, false, true, false).expect("tiny config runs");
+    let outcome = check("tiny", 0, false, true, false).expect("tiny config runs");
     assert!(outcome.status);
     assert!(
         outcome.divergence.is_none(),
@@ -137,7 +85,7 @@ fn status_streamed_runs_are_schedule_stable() {
 
 #[test]
 fn status_streamed_injected_race_is_still_caught() {
-    let outcome = check("tiny", 0, 1, false, false, true, true).expect("tiny config runs");
+    let outcome = check("tiny", 0, false, true, true).expect("tiny config runs");
     assert!(
         outcome.divergence.is_some(),
         "status streaming must not mask the injected drain race"

@@ -44,7 +44,7 @@ pub use chrome::{ChromeEvent, ChromeTrace, FlowEvent};
 pub use hist::{Histogram, BUCKETS};
 pub use hostprof::{HostProf, ProfClock, SpanToken, WallClock};
 pub use json::{parse as parse_json, JsonParseError, JsonValue};
-pub use live::{CoreStatus, StatusEmitter, StatusSnapshot};
+pub use live::{CoreStatus, StatusEmitter, StatusSnapshot, STATUS_SCHEMA_VERSION};
 pub use series::{Sample, TimeSeries};
 pub use topk::{PcEntry, TopK};
 
@@ -55,7 +55,7 @@ pub use topk::{PcEntry, TopK};
 /// v4 added the `host_profile` top-level section (null unless the run
 /// was profiled). v5 added the `report.truncated` flag (true when a
 /// graceful stop cut the run short) and the status-snapshot lines
-/// emitted by [`live`], which carry the same version.
+/// emitted by [`live`], versioned by [`STATUS_SCHEMA_VERSION`].
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// A stage of the request lifecycle through the memory hierarchy.

@@ -21,7 +21,7 @@
 //! returns only a bool consumed by an observation-only branch, and
 //! [`StatusEmitter::emit`] borrows the snapshot immutably. Status
 //! emission on/off therefore cannot perturb the simulated schedule;
-//! the `status_invariance` proptests in `crates/core` pin digest and
+//! the `equivalence` proptests in `crates/core` pin digest and
 //! metrics bytes across the knob.
 
 use std::collections::VecDeque;
@@ -31,7 +31,13 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::json::JsonValue;
-use crate::SCHEMA_VERSION;
+
+/// Version of the status-line and `crash.json` schema, pinned by the
+/// `status_schema` golden test in `crates/core`. Moves independently
+/// of the metrics [`crate::SCHEMA_VERSION`]: v6 dropped
+/// `conflict_fallbacks` and `certificate_active` with the features
+/// they reported on.
+pub const STATUS_SCHEMA_VERSION: u64 = 6;
 
 /// Maximum snapshot lines retained in the status file; older lines
 /// roll off so the file stays bounded for arbitrarily long runs.
@@ -75,10 +81,6 @@ pub struct StatusSnapshot {
     pub retired: u64,
     /// Fraction of retirements through the superblock fused path.
     pub block_hit_rate: f64,
-    /// Parallel-phase conflict fallbacks so far.
-    pub conflict_fallbacks: u64,
-    /// Whether a static disjointness certificate is currently in force.
-    pub certificate_active: bool,
     /// Events popped from the hierarchy event queue so far.
     pub event_pops: u64,
     /// Cores halted so far.
@@ -255,7 +257,7 @@ impl StatusEmitter {
             })
             .collect();
         JsonValue::object()
-            .with("schema_version", SCHEMA_VERSION)
+            .with("schema_version", STATUS_SCHEMA_VERSION)
             .with("seq", self.seq)
             .with("cycle", snap.cycle)
             .with("max_cycles", snap.max_cycles)
@@ -265,8 +267,6 @@ impl StatusEmitter {
             .with("cycles_per_sec", cycles_per_sec)
             .with("eta_seconds", eta_seconds)
             .with("block_hit_rate", snap.block_hit_rate)
-            .with("conflict_fallbacks", snap.conflict_fallbacks)
-            .with("certificate_active", snap.certificate_active)
             .with("event_pops", snap.event_pops)
             .with("halted", snap.halted)
             .with("cores", JsonValue::Array(cores))
@@ -294,8 +294,6 @@ mod tests {
             max_cycles: 1_000_000,
             retired,
             block_hit_rate: 0.5,
-            conflict_fallbacks: 1,
-            certificate_active: false,
             event_pops: 7,
             halted: 0,
             cores: vec![CoreStatus {
