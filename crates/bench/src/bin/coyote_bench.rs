@@ -9,25 +9,23 @@
 //!   --cores A,B,C        restrict the sweep to these core counts
 //!   --kernel matmul|spmv run only one kernel (default both)
 //!   --json FILE          write the sweep as JSON rows + a host block
-//!   --baseline FILE      compare MIPS against a committed JSON baseline
-//!   --max-regress PCT    allowed MIPS regression vs baseline (default 20)
-//!   --strict             exit non-zero on regression (default warn-only)
 //! ```
 //!
 //! The JSON schema is `{schema, experiment, scale, host, rows,
 //! host_profile}` with one row per measured point:
 //! `{cores, kernel, instructions, cycles, wall_ns, mips,
 //! block_hit_rate}`. The `host`
-//! block records the machine the numbers came from so a baseline diff
-//! across runners is interpreted, not blindly trusted — hence the
-//! warn-only default. `host_profile` is one *extra* wall-profiled run
+//! block records the machine the numbers came from; the MIPS column is
+//! one wall-clock sample per point, so comparing two files is the
+//! `benchmark/` harness's job (`compare`, repeated interleaved runs),
+//! not this binary's. `host_profile` is one *extra* wall-profiled run
 //! at the sweep's largest core count — per-phase share of host time,
 //! fused-chunk p50/p99, abort-reason counts — kept out of the measured
 //! rows so profiling overhead never touches the MIPS numbers.
 
 use std::process::ExitCode;
 
-use coyote::{parse_json, JsonValue};
+use coyote::JsonValue;
 use coyote_bench::fig3::{self, Fig3Row};
 use coyote_bench::Scale;
 use coyote_kernels::workload::Workload;
@@ -45,9 +43,6 @@ struct Options {
     cores: Option<Vec<usize>>,
     kernel: KernelChoice,
     json_path: Option<String>,
-    baseline_path: Option<String>,
-    max_regress_pct: f64,
-    strict: bool,
 }
 
 fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
@@ -71,9 +66,6 @@ fn parse_args() -> Result<Options, String> {
         cores: None,
         kernel: KernelChoice::Both,
         json_path: None,
-        baseline_path: None,
-        max_regress_pct: 20.0,
-        strict: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -94,13 +86,6 @@ fn parse_args() -> Result<Options, String> {
                 };
             }
             "--json" => options.json_path = Some(value(&mut args, "--json")?),
-            "--baseline" => options.baseline_path = Some(value(&mut args, "--baseline")?),
-            "--max-regress" => {
-                options.max_regress_pct = value(&mut args, "--max-regress")?
-                    .parse()
-                    .map_err(|e| format!("--max-regress: {e}"))?;
-            }
-            "--strict" => options.strict = true,
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
@@ -118,9 +103,6 @@ fn print_help() {
     println!("  --cores A,B,C        restrict the sweep to these core counts");
     println!("  --kernel matmul|spmv run only one kernel (default both)");
     println!("  --json FILE          write the sweep as JSON rows + a host block");
-    println!("  --baseline FILE      compare MIPS against a committed JSON baseline");
-    println!("  --max-regress PCT    allowed MIPS regression vs baseline (default 20)");
-    println!("  --strict             exit non-zero on regression (default warn-only)");
 }
 
 fn sweep(options: &Options) -> Vec<Fig3Row> {
@@ -236,36 +218,7 @@ fn rows_json(options: &Options, rows: &[Fig3Row], host_profile: JsonValue) -> Js
         .with("host_profile", host_profile)
 }
 
-/// Compares measured MIPS against a committed baseline; returns the
-/// points that regressed more than the allowed percentage.
-fn regressions(baseline: &JsonValue, rows: &[Fig3Row], max_regress_pct: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    let Some(base_rows) = baseline.get("rows").and_then(JsonValue::as_array) else {
-        return vec!["baseline has no `rows` array".to_owned()];
-    };
-    for row in rows {
-        let base = base_rows.iter().find(|b| {
-            b.get("cores").and_then(JsonValue::as_u64) == Some(row.cores as u64)
-                && b.get("kernel").and_then(JsonValue::as_str) == Some(row.kernel)
-        });
-        let Some(base_mips) = base.and_then(|b| b.get("mips")).and_then(JsonValue::as_f64) else {
-            continue; // point not in baseline: nothing to diff
-        };
-        if base_mips <= 0.0 {
-            continue;
-        }
-        let regress_pct = (base_mips - row.mips) / base_mips * 100.0;
-        if regress_pct > max_regress_pct {
-            out.push(format!(
-                "cores={} kernel={}: {:.3} MIPS vs baseline {:.3} ({:.1}% regression > {:.0}% allowed)",
-                row.cores, row.kernel, row.mips, base_mips, regress_pct, max_regress_pct
-            ));
-        }
-    }
-    out
-}
-
-fn run(options: &Options) -> Result<ExitCode, String> {
+fn run(options: &Options) -> Result<(), String> {
     let rows = sweep(options);
     println!("{}", fig3::table(&rows));
 
@@ -276,42 +229,12 @@ fn run(options: &Options) -> Result<ExitCode, String> {
             .map_err(|e| format!("{path}: {e}"))?;
         eprintln!("fig3: wrote {path}");
     }
-
-    if let Some(path) = &options.baseline_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        let bad = regressions(&baseline, &rows, options.max_regress_pct);
-        if bad.is_empty() {
-            eprintln!(
-                "fig3: no point regressed more than {:.0}% vs {path}",
-                options.max_regress_pct
-            );
-        } else {
-            for line in &bad {
-                eprintln!("fig3: WARNING: {line}");
-            }
-            if options.strict {
-                return Err(format!(
-                    "{} point(s) regressed more than {:.0}% vs {path}",
-                    bad.len(),
-                    options.max_regress_pct
-                ));
-            }
-            eprintln!("fig3: regression is warn-only without --strict (shared-runner noise)");
-        }
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    match parse_args() {
-        Ok(options) => match run(&options) {
-            Ok(code) => code,
-            Err(message) => {
-                eprintln!("coyote-bench: {message}");
-                ExitCode::FAILURE
-            }
-        },
+    match parse_args().and_then(|options| run(&options)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("coyote-bench: {message}");
             ExitCode::FAILURE

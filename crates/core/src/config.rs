@@ -12,13 +12,20 @@ use coyote_mem::mc::McConfig;
 use coyote_mem::noc::NocModel;
 use std::fmt;
 
+/// Largest core count [`SimConfig::validate`] accepts: 32× the paper's
+/// largest machine (128 cores). Every core owns its L1 models and
+/// vector register file, so an unbounded count turns a typo into a
+/// multi-gigabyte allocation that aborts the process instead of
+/// returning a [`ConfigError`].
+pub const MAX_CORES: usize = 4096;
+
 /// Complete configuration of a Coyote simulation.
 ///
 /// Build with [`SimConfig::builder`]; `SimConfig::default()` models a
 /// single 8-core tile resembling one ACME VAS tile.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Total simulated cores.
+    /// Total simulated cores (at most [`MAX_CORES`]).
     pub cores: usize,
     /// Cores per tile (the paper's VAS tile holds 8).
     pub cores_per_tile: usize,
@@ -192,6 +199,12 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("core count must be positive"));
+        }
+        if self.cores > MAX_CORES {
+            return Err(ConfigError::new(format!(
+                "core count {} exceeds the supported maximum of {MAX_CORES}",
+                self.cores
+            )));
         }
         if self.cores_per_tile == 0 {
             return Err(ConfigError::new("cores_per_tile must be positive"));
@@ -527,8 +540,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_cores_rejected() {
-        assert!(SimConfig::builder().cores(0).build().is_err());
+    fn out_of_range_core_counts_rejected() {
+        for cores in [0, MAX_CORES + 1, 100_000_000] {
+            assert!(SimConfig::builder().cores(cores).build().is_err());
+        }
+        assert!(SimConfig::builder().cores(MAX_CORES).build().is_ok());
     }
 
     #[test]

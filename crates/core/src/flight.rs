@@ -39,29 +39,6 @@ pub fn state_name(state: CoreState) -> &'static str {
     }
 }
 
-/// Stable lower-snake name of a fused-run stop reason.
-#[must_use]
-pub fn fuse_stop_name(stop: FuseStop) -> &'static str {
-    match stop {
-        FuseStop::RunEnd => "run_end",
-        FuseStop::TooShort => "too_short",
-        FuseStop::ScoreboardBusy => "scoreboard_busy",
-        FuseStop::PendingFill => "pending_fill",
-        FuseStop::LineNotResident => "line_not_resident",
-        FuseStop::BaseWritten => "base_written",
-        FuseStop::TextStore => "text_store",
-    }
-}
-
-fn miss_kind_name(kind: MissKind) -> &'static str {
-    match kind {
-        MissKind::Ifetch => "ifetch",
-        MissKind::Load => "load",
-        MissKind::Store => "store",
-        MissKind::Writeback => "writeback",
-    }
-}
-
 /// What happened. Every variant is `Copy` so recording is a pair of
 /// stores into the preallocated ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,8 +73,8 @@ pub enum FlightKind {
         /// Its exit code.
         code: i64,
     },
-    /// A multi-core fused window stopped because a core failed to
-    /// re-arm its run.
+    /// A multi-core fused window that was under way stopped because
+    /// a core failed to re-arm its run.
     WindowAbort {
         /// The core that failed validation.
         core: usize,
@@ -130,7 +107,7 @@ impl fmt::Display for FlightEvent {
                 write!(
                     f,
                     "completion to core {core} ({}, line {line:#x})",
-                    miss_kind_name(kind)
+                    kind.name()
                 )
             }
             FlightKind::Wake { core } => write!(f, "core {core} woken"),
@@ -142,7 +119,7 @@ impl fmt::Display for FlightEvent {
                 write!(
                     f,
                     "fused window abort: core {core} rearm failed ({})",
-                    fuse_stop_name(stop)
+                    stop.name()
                 )
             }
             FlightKind::WindowConflict => write!(f, "fused window cross-core conflict"),
@@ -163,7 +140,7 @@ impl FlightEvent {
         let obj = match self.kind {
             FlightKind::Completion { core, kind, line } => with_kind(base, "completion")
                 .with("core", core)
-                .with("miss_kind", miss_kind_name(kind))
+                .with("miss_kind", kind.name())
                 .with("line", line),
             FlightKind::Wake { core } => with_kind(base, "wake").with("core", core),
             FlightKind::Stall { core, state, pc } => with_kind(base, "stall")
@@ -175,7 +152,7 @@ impl FlightEvent {
                 .with("exit_code", code),
             FlightKind::WindowAbort { core, stop } => with_kind(base, "window_abort")
                 .with("core", core)
-                .with("stop", fuse_stop_name(stop)),
+                .with("stop", stop.name()),
             FlightKind::WindowConflict => with_kind(base, "window_conflict"),
             FlightKind::TextInvalidate { addr } => {
                 with_kind(base, "text_invalidate").with("addr", addr)

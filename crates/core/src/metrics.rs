@@ -414,17 +414,6 @@ fn state_name(code: u64) -> &'static str {
     }
 }
 
-/// Miss-kind name recovered from a request tag (see the orchestrator's
-/// tag encoding).
-fn request_name(tag: u64) -> &'static str {
-    match crate::sim::decode_tag(tag).1 {
-        coyote_iss::MissKind::Ifetch => "ifetch",
-        coyote_iss::MissKind::Load => "load",
-        coyote_iss::MissKind::Store => "store",
-        coyote_iss::MissKind::Writeback => "writeback",
-    }
-}
-
 /// Row groups in the exported Chrome trace.
 const PID_CORES: u32 = 1;
 const PID_BANKS: u32 = 2;
@@ -469,8 +458,8 @@ pub fn chrome_trace_json(sim: &Simulation) -> JsonValue {
         let mut slices: Vec<_> = mem.slices().to_vec();
         slices.sort_by_key(|s| (s.submit, s.complete, s.line_addr, s.tag));
         for slice in &slices {
-            let name = request_name(slice.tag);
-            let (core, _) = crate::sim::decode_tag(slice.tag);
+            let (core, kind) = crate::sim::decode_tag(slice.tag);
+            let name = kind.name();
             let args = vec![
                 (
                     "line_addr".to_owned(),

@@ -277,19 +277,19 @@ pub struct Simulation {
     debug_drop_next_load_fill: bool,
 }
 
-/// The profile counter charged when a multi-core fused window stops
-/// because a core failed to re-arm, keyed by that core's stop reason.
-fn rearm_fail_counter(stop: FuseStop) -> &'static str {
-    match stop {
-        FuseStop::RunEnd => "window/rearm_fail/run_end",
-        FuseStop::TooShort => "window/rearm_fail/too_short",
-        FuseStop::ScoreboardBusy => "window/rearm_fail/scoreboard_busy",
-        FuseStop::PendingFill => "window/rearm_fail/pending_fill",
-        FuseStop::LineNotResident => "window/rearm_fail/line_not_resident",
-        FuseStop::BaseWritten => "window/rearm_fail/base_written",
-        FuseStop::TextStore => "window/rearm_fail/text_store",
-    }
-}
+/// The profile counters charged when a lockstep fused window stops
+/// because a core failed to re-arm, indexed by that core's stop reason
+/// (`FuseStop as usize`, [`FuseStop::ALL`] order): `FuseStop::name()`
+/// under a `window/rearm_fail/` prefix (unit-tested below).
+const REARM_FAIL_COUNTERS: [&str; FuseStop::COUNT] = [
+    "window/rearm_fail/run_end",
+    "window/rearm_fail/too_short",
+    "window/rearm_fail/scoreboard_busy",
+    "window/rearm_fail/pending_fill",
+    "window/rearm_fail/line_not_resident",
+    "window/rearm_fail/base_written",
+    "window/rearm_fail/text_store",
+];
 
 impl fmt::Debug for Simulation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -808,7 +808,11 @@ impl Simulation {
         report
     }
 
-    /// Advances the system by one orchestrator cycle.
+    /// Advances the system by one orchestrator cycle — the paper's five
+    /// steps (§III-A), each a named call — or, when the execute step
+    /// retired a fused window, by the window's width: the steps after
+    /// it then run once at the window's last cycle, which per-cycle
+    /// stepping would reach in exactly the same state.
     ///
     /// Returns `true` once every core has halted.
     ///
@@ -817,63 +821,287 @@ impl Simulation {
     /// Returns [`RunError`] on core faults or deadlock.
     pub fn step_cycle(&mut self) -> Result<bool, RunError> {
         self.cycle += 1;
-        let mut cycle = self.cycle;
+        // 1–2. Attempt instructions on each active core; RAW
+        //      dependencies and fetch misses deactivate cores.
+        let width = self.execute(self.cycle)?;
+        self.cycle += u64::from(width) - 1;
+        let cycle = self.cycle;
+        // 3. Enqueue this cycle's L1 misses into the event model.
+        self.submit_misses(cycle);
+        // 4–5. Advance the event model to the current cycle; serviced
+        //      misses wake the cores stalled on them.
+        self.advance_and_wake(cycle);
+        self.observe(cycle);
+        self.progress(cycle)
+    }
 
-        // Workload data is populated through `memory_mut` between
-        // construction and the first cycle; give the oracle's reference
-        // machine the same initial memory image.
-        if cycle == 1 {
-            if let Some(oracle) = &mut self.oracle {
-                oracle.sync_memory(&self.mem);
-            }
-        }
-
-        // 1. Attempt instructions on each active core (the interleave
-        //    factor reproduces Spike's back-to-back batching; Coyote
-        //    proper uses 1). The oracle replays each retirement in this
-        //    same global order, so its reference memory reproduces the
-        //    timed machine's exact interleaving.
-        //
-        //    Before the per-cycle step, the fusion fast path may retire
-        //    a whole multi-cycle window of validated superblock runs at
-        //    once; the window is bounded so every observable event
-        //    (hierarchy completion, telemetry sample, cycle limit)
-        //    still lands on exactly the cycle it would have per-cycle.
-        let execute_span = self.prof_enter("execute");
-        if let Some(window) = self.try_fused_window(cycle)? {
-            // `window` cycles retired one instruction per active core
-            // per cycle with no stalls, misses or state transitions;
-            // the rest of this function runs once at the window's last
-            // cycle, which per-cycle stepping would reach identically.
-            self.cycle = cycle + u64::from(window) - 1;
-            cycle = self.cycle;
-            self.deactivated_buf.clear();
+    /// Steps 1–2, the one execute engine. Retires a window of `width`
+    /// cycles in which every active core retires exactly one
+    /// instruction per cycle, and returns `width`.
+    ///
+    /// The window is bounded so every observable event (hierarchy
+    /// completion, telemetry sample, cycle limit) still lands on exactly
+    /// the cycle it would have per-cycle. Inside the bound the fused
+    /// path retires validated superblock runs for as long as every
+    /// active core holds one ([`Simulation::fused_window`]); when it
+    /// retires nothing — the bound is one cycle, or some core cannot
+    /// arm — the width-1 window is the paper's plain cycle: one
+    /// [`Core::step`] attempt per active core, after which stalled and
+    /// halted cores leave the active list.
+    fn execute(&mut self, cycle: u64) -> Result<u32, RunError> {
+        let span = self.prof_enter("execute");
+        let bound = self.window_bound(cycle);
+        let width = if bound > 1 {
+            self.fused_window(cycle, bound)?
         } else {
-            self.step_cores_sequential(cycle)?;
-            self.refresh_active_list();
+            0
+        };
+        if width > 0 {
+            // No stalls, misses, state transitions or text stores
+            // happen inside a fused window: nothing to compact.
+            self.prof_exit(span);
+            return Ok(width);
         }
-        self.prof_exit(execute_span);
+        self.step_cores(cycle)?;
+        self.refresh_active_list();
+        self.prof_exit(span);
 
-        // Close `active` intervals for cores the execute phase just
-        // deactivated (stall attribution runs unconditionally, but a
-        // cycle in which every stepped core retired cleanly cannot have
-        // opened an interval, so the scan is skipped).
+        // Close `active` intervals for cores the step just deactivated
+        // (stall attribution runs unconditionally, but a cycle in which
+        // every stepped core retired cleanly cannot have opened an
+        // interval, so the scan is skipped).
         if !self.deactivated_buf.is_empty() {
             self.attr
                 .scan_after_step(&self.cores, &self.deactivated_buf, cycle);
         }
-
         // Self-modifying code: stores into the text segment recorded
-        // during the step phase invalidate the patched predecoded
-        // entries now, at one fixed point in the cycle.
+        // during the step invalidate the patched predecoded entries
+        // now, at one fixed point in the cycle.
         self.drain_text_writes();
+        Ok(1)
+    }
 
-        // 2. Enqueue this cycle's L1 misses into the event model.
-        let miss_span = if self.miss_buf.is_empty() {
-            None
-        } else {
-            self.prof_enter("miss_submit")
-        };
+    /// How many cycles starting at `cycle` the execute step may retire
+    /// as one window: up to and including the next hierarchy event, the
+    /// next telemetry boundary and the cycle limit, so the
+    /// once-per-window steps at the window's last cycle observe exactly
+    /// the state per-cycle stepping would have produced there. The
+    /// Paraver and Chrome planes record misses and core-state
+    /// transitions only, and a window contains neither, so tracing does
+    /// not shorten it. The oracle checks the canonical per-cycle
+    /// retirement interleaving and `interleave > 1` retires several
+    /// instructions per core per cycle: both pin the bound to one cycle,
+    /// as does an empty active list (nothing to retire).
+    fn window_bound(&self, cycle: u64) -> u32 {
+        if self.oracle.is_some() || self.config.interleave != 1 || self.active_list.is_empty() {
+            return 1;
+        }
+        let mut bound = self
+            .config
+            .max_cycles
+            .saturating_sub(cycle)
+            .saturating_add(1);
+        if let Some(t) = self.hierarchy.next_event_time() {
+            // Events pending at the start of this cycle are due at
+            // `cycle` or later (earlier ones were popped last cycle),
+            // so the bound is always at least 1.
+            bound = bound.min(t.saturating_sub(cycle) + 1);
+        }
+        if let Some(sink) = &self.telemetry {
+            bound = bound.min(sink.next_due().saturating_sub(cycle) + 1);
+        }
+        u32::try_from(bound).unwrap_or(u32::MAX)
+    }
+
+    /// The fused path of [`Simulation::execute`]: retires up to `bound`
+    /// cycles through [`Core::step_block`] and returns how many (0 =
+    /// nothing could be fused this cycle).
+    ///
+    /// Chunk-wise lockstep: every active core must hold a validated
+    /// run; the chunk is the longest span every core can retire from
+    /// its current run. At chunk boundaries exhausted cores re-arm
+    /// (validation reads only the core's own registers, private
+    /// caches, private fill table and the frozen text — none of
+    /// which another core's fused retirement can touch — so mid-
+    /// window revalidation sees exactly what per-cycle stepping
+    /// would), and the window extends while every core stays armed,
+    /// the chunks stay conflict-free and the bound holds. Every fused
+    /// step is a validated guaranteed-hit retirement — no misses, no
+    /// stalls, no state transitions, no console output, no new
+    /// hierarchy events. With one active core there is nothing to
+    /// conflict with, so its runs chain across branch targets until it
+    /// fails to re-arm.
+    fn fused_window(&mut self, cycle: u64, bound: u32) -> Result<u32, RunError> {
+        let span = self.prof_enter("fused_window");
+        let mut consumed = 0u32;
+        while consumed < bound {
+            let mut chunk = bound - consumed;
+            let mut unarmed = None;
+            for &idx in &self.active_list {
+                let left = self.cores[idx].ensure_fused_run(&self.text);
+                if left == 0 {
+                    unarmed = Some(idx);
+                    break;
+                }
+                chunk = chunk.min(left);
+            }
+            if let Some(idx) = unarmed {
+                // The window ends the moment one core cannot re-arm.
+                // When that breaks a lockstep under way, name the core
+                // the others were cut short by and its validation stop
+                // reason (a lone core's window just ends with its run).
+                if consumed > 0 && self.active_list.len() > 1 {
+                    let stop = self.cores[idx].fuse_diag().last_stop;
+                    self.flight.record(
+                        cycle + u64::from(consumed),
+                        FlightKind::WindowAbort { core: idx, stop },
+                    );
+                    self.prof_bump(REARM_FAIL_COUNTERS[stop as usize], 1);
+                }
+                break;
+            }
+            if self.active_list.len() > 1 && self.window_conflicts(chunk) {
+                self.flight
+                    .record(cycle + u64::from(consumed), FlightKind::WindowConflict);
+                self.prof_bump("window/cross_core_conflict", 1);
+                break;
+            }
+            for &idx in &self.active_list {
+                // Core-index order — though any order would do: the
+                // chunk's accesses are pairwise disjoint across cores,
+                // so the per-cycle interleaving and this per-core order
+                // commute.
+                self.cores[idx]
+                    .step_block(
+                        &mut self.mem,
+                        &self.text,
+                        cycle + u64::from(consumed),
+                        chunk,
+                    )
+                    .map_err(|source| RunError::Core { core: idx, source })?;
+            }
+            consumed += chunk;
+            if let Some(prof) = &mut self.prof {
+                for &idx in &self.active_list {
+                    prof.record_core("chunk_len", idx, u64::from(chunk));
+                }
+            }
+        }
+        self.prof_exit(span);
+        Ok(consumed)
+    }
+
+    /// The plain cycle of [`Simulation::execute`]: one [`Core::step`]
+    /// attempt per active core in index order, directly against shared
+    /// memory (the interleave factor reproduces Spike's back-to-back
+    /// batching; Coyote proper uses 1). The oracle replays each
+    /// retirement in this same global order, so its reference memory
+    /// reproduces the timed machine's exact interleaving.
+    fn step_cores(&mut self, cycle: u64) -> Result<(), RunError> {
+        let span = self.prof_enter("sequential");
+        let mut diverged = None;
+        let mut fault = None;
+        {
+            let Simulation {
+                cores,
+                mem,
+                text,
+                miss_buf,
+                oracle,
+                config,
+                active_list,
+                ..
+            } = self;
+            // Workload data is populated through `memory_mut` between
+            // construction and the first cycle; give the oracle's
+            // reference machine the same initial memory image.
+            if cycle == 1 {
+                if let Some(oracle) = oracle {
+                    oracle.sync_memory(mem);
+                }
+            }
+            'cores: for &idx in active_list.iter() {
+                let core = &mut cores[idx];
+                for _ in 0..config.interleave {
+                    if core.state() != CoreState::Active {
+                        break;
+                    }
+                    let event = match core.step(mem, text, cycle, miss_buf) {
+                        Ok(event) => event,
+                        Err(source) => {
+                            fault = Some((idx, source));
+                            break 'cores;
+                        }
+                    };
+                    if let Some(oracle) = oracle {
+                        if matches!(event, StepEvent::Retired | StepEvent::Halted(_)) {
+                            if let Err(divergence) =
+                                oracle.check_retirement(idx, cycle, core.hart(), mem)
+                            {
+                                diverged = Some(divergence);
+                                break 'cores;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        self.prof_exit(span);
+        if let Some((core, source)) = fault {
+            return Err(RunError::Core { core, source });
+        }
+        if let Some(mut divergence) = diverged {
+            divergence.context = self.cores.iter().map(Core::snapshot).collect();
+            divergence.trail = self.flight.tail_lines(TRAIL_EVENTS);
+            return Err(RunError::OracleDivergence(divergence));
+        }
+        Ok(())
+    }
+
+    /// Compacts the active list after a plain cycle: cores that left
+    /// `Active` move to `deactivated_buf` (the exact list the
+    /// attribution scan needs) and halting cores bump the monotone
+    /// halted count. O(cores stepped this cycle).
+    fn refresh_active_list(&mut self) {
+        self.deactivated_buf.clear();
+        let mut write = 0;
+        for read in 0..self.active_list.len() {
+            let idx = self.active_list[read];
+            let state = self.cores[idx].state();
+            match state {
+                CoreState::Active => {
+                    self.active_list[write] = idx;
+                    write += 1;
+                }
+                CoreState::Halted(code) => {
+                    self.halted += 1;
+                    self.deactivated_buf.push(idx);
+                    self.flight
+                        .record(self.cycle, FlightKind::Halt { core: idx, code });
+                }
+                CoreState::StalledDep | CoreState::StalledFetch => {
+                    self.deactivated_buf.push(idx);
+                    self.flight.record(
+                        self.cycle,
+                        FlightKind::Stall {
+                            core: idx,
+                            state,
+                            pc: self.cores[idx].snapshot().pc,
+                        },
+                    );
+                }
+            }
+        }
+        self.active_list.truncate(write);
+    }
+
+    /// Step 3: hands the misses the execute step collected to the event
+    /// model (and to the Paraver trace).
+    fn submit_misses(&mut self, cycle: u64) {
+        if self.miss_buf.is_empty() {
+            return;
+        }
+        let span = self.prof_enter("miss_submit");
         for miss in self.miss_buf.drain(..) {
             if let Some(trace) = &mut self.trace {
                 trace.record(TraceEvent {
@@ -895,12 +1123,14 @@ impl Simulation {
                 },
             );
         }
-        self.prof_exit(miss_span);
+        self.prof_exit(span);
+    }
 
-        // 3. Advance the event model to the current cycle and service
-        //    completed misses (waking stalled cores). Every fill that
-        //    reaches a still-stalled core is a wake-cause candidate.
-        let advance_span = self.prof_enter("hier_advance");
+    /// Steps 4–5: advances the event model to `cycle` and delivers the
+    /// completed misses, waking the cores stalled on them. Every fill
+    /// that reaches a still-stalled core is a wake-cause candidate.
+    fn advance_and_wake(&mut self, cycle: u64) {
+        let span = self.prof_enter("hier_advance");
         self.hierarchy.advance(cycle, &mut self.completion_buf);
         let drained_any = !self.completion_buf.is_empty();
         self.woken_buf.clear();
@@ -951,17 +1181,16 @@ impl Simulation {
             self.attr
                 .scan_after_drain(&self.cores, &self.woken_buf, cycle);
         }
-        self.prof_exit(advance_span);
+        self.prof_exit(span);
+    }
 
-        // 4. Trace core-state intervals on transitions (Paraver and/or
-        //    Chrome trace).
-        if self.trace.is_some() || self.config.chrome_trace {
-            self.record_state_transitions(cycle);
-        }
-
-        // 5. Epoch telemetry sampling. The cycle counter can jump past
-        //    epoch boundaries when fast-forwarding (below), so the
-        //    sample covers whatever span actually elapsed.
+    /// Observation after the five steps: core-state intervals on
+    /// transitions (Paraver and/or Chrome trace) and the epoch
+    /// telemetry sample. The cycle counter can jump past epoch
+    /// boundaries when fast-forwarding, so the sample covers whatever
+    /// span actually elapsed.
+    fn observe(&mut self, cycle: u64) {
+        self.close_state_intervals(cycle, false);
         if self
             .telemetry
             .as_ref()
@@ -969,23 +1198,22 @@ impl Simulation {
         {
             self.flush_epoch_sample(cycle);
         }
+    }
 
-        // 6. Progress bookkeeping — counter compares, not core scans:
-        //    `halted` is maintained by `refresh_active_list` (halting
-        //    is monotone) and the active list tracks `Active` exactly.
-        let all_halted = self.halted == self.cores.len();
-        let any_active = !self.active_list.is_empty();
-        if all_halted {
+    /// Progress bookkeeping — counter compares, not core scans:
+    /// `halted` is maintained by `refresh_active_list` (halting is
+    /// monotone) and the active list tracks `Active` exactly. Returns
+    /// `true` once every core has halted.
+    fn progress(&mut self, cycle: u64) -> Result<bool, RunError> {
+        if self.halted == self.cores.len() {
             self.attr.finish(&self.cores, cycle);
-            if self.trace.is_some() || self.config.chrome_trace {
-                self.flush_state_intervals(cycle);
-            }
+            self.close_state_intervals(cycle, true);
             // Flush the final partial epoch (the sink drops it if no
             // cycles elapsed since the last sample).
             self.flush_epoch_sample(cycle);
             return Ok(true);
         }
-        if !any_active {
+        if self.active_list.is_empty() {
             // Every live core is stalled; fast-forward to the next
             // hierarchy event (or report a deadlock if there is none).
             // Clamp at the configured cycle limit: a hierarchy event
@@ -1011,253 +1239,26 @@ impl Simulation {
         Ok(false)
     }
 
-    /// Compacts the active list after an execute phase: cores that
-    /// left `Active` move to `deactivated_buf` (the exact list the
-    /// attribution scan needs) and halting cores bump the monotone
-    /// halted count. O(cores stepped this cycle).
-    fn refresh_active_list(&mut self) {
-        self.deactivated_buf.clear();
-        let mut write = 0;
-        for read in 0..self.active_list.len() {
-            let idx = self.active_list[read];
-            let state = self.cores[idx].state();
-            match state {
-                CoreState::Active => {
-                    self.active_list[write] = idx;
-                    write += 1;
-                }
-                CoreState::Halted(code) => {
-                    self.halted += 1;
-                    self.deactivated_buf.push(idx);
-                    self.flight
-                        .record(self.cycle, FlightKind::Halt { core: idx, code });
-                }
-                CoreState::StalledDep | CoreState::StalledFetch => {
-                    self.deactivated_buf.push(idx);
-                    self.flight.record(
-                        self.cycle,
-                        FlightKind::Stall {
-                            core: idx,
-                            state,
-                            pc: self.cores[idx].snapshot().pc,
-                        },
-                    );
-                }
-            }
+    /// Whether any two active cores' validated accesses within the
+    /// next `window` fused positions overlap at byte granularity with
+    /// at least one side writing — the condition under which a
+    /// multi-core window could observably differ from per-cycle
+    /// interleaving. A chunk in which no core stores costs one O(1)
+    /// look at each core's run summary.
+    fn window_conflicts(&mut self, window: u32) -> bool {
+        let Simulation {
+            cores,
+            active_list: actives,
+            store_map,
+            ..
+        } = self;
+        for &idx in actives.iter() {
+            cores[idx].seek_next_store();
         }
-        self.active_list.truncate(write);
-    }
-
-    /// The sequential execute phase: steps each active core in index
-    /// order directly against shared memory. The caller refreshes the
-    /// active list afterwards.
-    fn step_cores_sequential(&mut self, cycle: u64) -> Result<(), RunError> {
-        let span = self.prof_enter("sequential");
-        let mut diverged = None;
-        let mut fault = None;
-        {
-            let Simulation {
-                cores,
-                mem,
-                text,
-                miss_buf,
-                oracle,
-                config,
-                active_list,
-                ..
-            } = self;
-            'cores: for &idx in active_list.iter() {
-                let core = &mut cores[idx];
-                for _ in 0..config.interleave {
-                    if core.state() != CoreState::Active {
-                        break;
-                    }
-                    let event = match core.step(mem, text, cycle, miss_buf) {
-                        Ok(event) => event,
-                        Err(source) => {
-                            fault = Some((idx, source));
-                            break 'cores;
-                        }
-                    };
-                    if let Some(oracle) = oracle {
-                        if matches!(event, StepEvent::Retired { .. } | StepEvent::Halted(_)) {
-                            if let Err(divergence) =
-                                oracle.check_retirement(idx, cycle, core.hart(), mem)
-                            {
-                                diverged = Some(divergence);
-                                break 'cores;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.prof_exit(span);
-        if let Some((core, source)) = fault {
-            return Err(RunError::Core { core, source });
-        }
-        if let Some(mut divergence) = diverged {
-            divergence.context = self.cores.iter().map(Core::snapshot).collect();
-            divergence.trail = self.flight.tail_lines(TRAIL_EVENTS);
-            return Err(RunError::OracleDivergence(divergence));
-        }
-        Ok(())
-    }
-
-    /// Attempts to retire a multi-cycle window through the superblock
-    /// fused path. Returns the number of cycles retired (each active
-    /// core retired exactly one instruction per cycle), or `None` when
-    /// the window is not applicable and the per-cycle step must run.
-    ///
-    /// Window soundness: every fused step is a validated guaranteed-hit
-    /// retirement — no misses, no stalls, no state transitions, no
-    /// console output, no new hierarchy events. The window is bounded
-    /// to end at or before the next hierarchy event, the next telemetry
-    /// boundary and the cycle limit, so the once-per-window bookkeeping
-    /// at the window's last cycle observes exactly the state per-cycle
-    /// stepping would have produced there. The Paraver and Chrome
-    /// planes record misses and core-state transitions only, and a
-    /// window contains neither, so windows stay on under tracing.
-    /// They are disabled under the oracle (which checks the canonical
-    /// per-cycle retirement interleaving) and interleave > 1; the
-    /// per-instruction lockstep fused dispatch inside [`Core::step`]
-    /// still covers those modes.
-    fn try_fused_window(&mut self, cycle: u64) -> Result<Option<u32>, RunError> {
-        if !self.config.fusion
-            || self.config.interleave != 1
-            || self.oracle.is_some()
-            || self.active_list.is_empty()
-        {
-            return Ok(None);
-        }
-        let mut bound = self
-            .config
-            .max_cycles
-            .saturating_sub(cycle)
-            .saturating_add(1);
-        if let Some(t) = self.hierarchy.next_event_time() {
-            // Events pending at the start of this cycle are due at
-            // `cycle` or later (earlier ones were popped last cycle),
-            // so the bound is always at least 1.
-            bound = bound.min(t.saturating_sub(cycle) + 1);
-        }
-        if let Some(sink) = &self.telemetry {
-            bound = bound.min(sink.next_due().saturating_sub(cycle) + 1);
-        }
-        let bound = u32::try_from(bound.min(u64::from(u32::MAX))).expect("clamped to u32");
-        if bound == 0 || (bound < 2 && self.active_list.len() > 1) {
-            // A multi-core window shorter than two cycles cannot skip
-            // any bookkeeping: bail before paying the planning cost.
-            return Ok(None);
-        }
-
-        let span = self.prof_enter("fused_window");
-        let actives = std::mem::take(&mut self.active_list);
-        let result = self.fused_window_of(cycle, bound, &actives);
-        self.active_list = actives;
-        self.prof_exit(span);
-        result
-    }
-
-    /// The window body: single-active-core runs chain across branch
-    /// targets; multi-core windows require every active core to hold a
-    /// validated run and their window-prefix accesses to be disjoint.
-    fn fused_window_of(
-        &mut self,
-        cycle: u64,
-        bound: u32,
-        actives: &[usize],
-    ) -> Result<Option<u32>, RunError> {
-        if actives.is_empty() {
-            return Ok(None);
-        }
-        if let [idx] = *actives {
-            // With every other core halted or stalled, machine state
-            // evolves through this core alone until the next hierarchy
-            // event, so the chain may revalidate across run boundaries.
-            let Simulation {
-                cores, mem, text, ..
-            } = self;
-            let consumed = cores[idx]
-                .step_block_chain(mem, text, cycle, bound)
-                .map_err(|source| RunError::Core { core: idx, source })?;
-            if consumed > 0 {
-                if let Some(prof) = &mut self.prof {
-                    prof.record_core("chunk_len", idx, u64::from(consumed));
-                }
-            }
-            return Ok((consumed > 0).then_some(consumed));
-        }
-        // Chunk-wise lockstep: every active core must hold a validated
-        // run; the chunk is the longest span every core can retire from
-        // its current run. At chunk boundaries exhausted cores re-arm
-        // (validation reads only the core's own registers, private
-        // caches, private fill table and the frozen text — none of
-        // which another core's fused retirement can touch — so mid-
-        // window revalidation sees exactly what per-cycle stepping
-        // would), and the window extends while every core stays armed,
-        // the chunks stay conflict-free and the event bound holds.
-        let mut consumed = 0u32;
-        'window: while consumed < bound {
-            let mut chunk = bound - consumed;
-            for &idx in actives {
-                let left = self.cores[idx].plan_fused_chunk(&self.text);
-                if left == 0 {
-                    // The lockstep window ends the moment one core
-                    // cannot re-arm; charge the abort to that core's
-                    // validation stop reason.
-                    let stop = self.cores[idx].fuse_diag().last_stop;
-                    self.flight.record(
-                        cycle + u64::from(consumed),
-                        FlightKind::WindowAbort { core: idx, stop },
-                    );
-                    self.prof_bump(rearm_fail_counter(stop), 1);
-                    break 'window;
-                }
-                chunk = chunk.min(left);
-            }
-            if self.window_conflicts(actives, chunk) {
-                self.flight
-                    .record(cycle + u64::from(consumed), FlightKind::WindowConflict);
-                self.prof_bump("window/cross_core_conflict", 1);
-                break;
-            }
-            let Simulation {
-                cores, mem, text, ..
-            } = self;
-            for &idx in actives {
-                // Core-index order — though any order would do: the
-                // chunk's accesses are pairwise disjoint across cores,
-                // so the per-cycle interleaving and this per-core order
-                // commute.
-                cores[idx]
-                    .step_block(mem, text, cycle + u64::from(consumed), chunk)
-                    .map_err(|source| RunError::Core { core: idx, source })?;
-            }
-            consumed += chunk;
-            if let Some(prof) = &mut self.prof {
-                for &idx in actives {
-                    prof.record_core("chunk_len", idx, u64::from(chunk));
-                }
-            }
-        }
-        Ok((consumed > 0).then_some(consumed))
-    }
-
-    /// Whether any two cores' validated accesses within the next
-    /// `window` fused positions overlap at byte granularity with at
-    /// least one side writing — the condition under which a multi-core
-    /// window could observably differ from per-cycle interleaving.
-    /// A chunk in which no core stores costs one O(1) look at each
-    /// core's run summary.
-    fn window_conflicts(&mut self, actives: &[usize], window: u32) -> bool {
-        let cores = &self.cores;
         let conflict = cross_owner_conflict(
-            &mut self.store_map,
+            store_map,
             actives.iter().map(|&idx| cores[idx].fused_window(window)),
         );
-        self.prof_bump("window/conflict_checks", 1);
-        self.prof_bump("window/conflict_intervals", self.store_map.examined());
         // The cursor-and-summary walk must agree with the pairwise
         // reference checker, which re-filters each run from index 0.
         debug_assert_eq!(conflict, {
@@ -1265,11 +1266,11 @@ impl Simulation {
             'outer: for (i, &a) in actives.iter().enumerate() {
                 for &b in &actives[i + 1..] {
                     if coyote_iss::accesses_conflict(
-                        self.cores[a].fused_accesses(),
-                        self.cores[a].fused_pos(),
+                        cores[a].fused_accesses(),
+                        cores[a].fused_pos(),
                         window,
-                        self.cores[b].fused_accesses(),
-                        self.cores[b].fused_pos(),
+                        cores[b].fused_accesses(),
+                        cores[b].fused_pos(),
                         window,
                     ) {
                         pairwise = true;
@@ -1279,17 +1280,19 @@ impl Simulation {
             }
             pairwise
         });
+        self.prof_bump("window/conflict_checks", 1);
+        self.prof_bump("window/conflict_intervals", self.store_map.examined());
         conflict
     }
 
-    /// Drains text-segment stores recorded by the step phase:
+    /// Drains text-segment stores recorded by the plain cycle's steps:
     /// invalidates the patched predecoded entries (in the simulation's
     /// table and the oracle's), and aborts every validated run —
     /// a patched word may sit inside one.
     fn drain_text_writes(&mut self) {
-        // Only cores the execute phase stepped can have recorded a
-        // write: the still-active list plus this cycle's deactivations
-        // cover exactly that set (fused windows never store to text).
+        // Only cores this cycle stepped can have recorded a write: the
+        // still-active list plus this cycle's deactivations cover
+        // exactly that set.
         let stepped_wrote = self
             .active_list
             .iter()
@@ -1334,11 +1337,17 @@ impl Simulation {
         }
     }
 
-    fn record_state_transitions(&mut self, cycle: u64) {
+    /// Closes the open core-state interval of every core whose state
+    /// changed since it opened — or of every core when `flush`, at the
+    /// end of the run — into the Paraver and/or Chrome trace.
+    fn close_state_intervals(&mut self, cycle: u64, flush: bool) {
+        if self.trace.is_none() && !self.config.chrome_trace {
+            return;
+        }
         let chrome = self.config.chrome_trace;
         for (core, track) in self.cores.iter().zip(&mut self.state_track) {
             let current = core.state();
-            if current != track.0 {
+            if flush || current != track.0 {
                 let interval = StateInterval {
                     core: core.index(),
                     start: track.1,
@@ -1353,25 +1362,6 @@ impl Simulation {
                 }
                 *track = (current, cycle);
             }
-        }
-    }
-
-    fn flush_state_intervals(&mut self, cycle: u64) {
-        let chrome = self.config.chrome_trace;
-        for (core, track) in self.cores.iter().zip(&mut self.state_track) {
-            let interval = StateInterval {
-                core: core.index(),
-                start: track.1,
-                end: cycle,
-                state: state_code(track.0),
-            };
-            if let Some(trace) = &mut self.trace {
-                trace.record_state(interval);
-            }
-            if chrome && interval.end > interval.start {
-                self.chrome_states.push(interval);
-            }
-            *track = (core.state(), cycle);
         }
     }
 
@@ -1458,6 +1448,16 @@ mod tests {
             ] {
                 assert_eq!(decode_tag(encode_tag(core, kind)), (core, kind));
             }
+        }
+    }
+
+    #[test]
+    fn rearm_fail_counters_are_the_prefixed_stop_names() {
+        for stop in FuseStop::ALL {
+            assert_eq!(
+                REARM_FAIL_COUNTERS[stop as usize],
+                format!("window/rearm_fail/{}", stop.name())
+            );
         }
     }
 

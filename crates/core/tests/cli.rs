@@ -91,6 +91,16 @@ fn bad_arguments_fail_cleanly() {
     assert_eq!(output.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&output.stderr).contains("--cores"));
 
+    // A hostile core count is a config error, not a failed allocation.
+    let path = write_temp_program("hostile_cores.s", "_start:\n li a7, 93\n ecall\n");
+    let output = Command::new(sim_binary())
+        .arg(&path)
+        .args(["--cores", "100000000"])
+        .output()
+        .expect("spawn coyote-sim");
+    assert_eq!(output.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("core count"));
+
     let output = Command::new(sim_binary())
         .arg("/nonexistent/file.s")
         .output()

@@ -5,10 +5,11 @@
 //! * superblock fusion on / off,
 //! * host profiling off / wall clock / counter clock,
 //! * live status stream attached / not,
+//! * co-simulation oracle on / off,
 //! * schedule-perturbation seed,
 //!
 //! must reproduce the plain baseline (fusion off, unprofiled, unwatched,
-//! canonical schedule) exactly: same determinism digest, same cycle
+//! unchecked, canonical schedule) of the same machine exactly: same determinism digest, same cycle
 //! count, byte-identical metrics JSON once the sections that *describe*
 //! a knob (the `host_profile` member, the fused-coverage counters, the
 //! `fusion` config echo) are stripped. The always-on flight recorder
@@ -21,24 +22,30 @@ use std::time::Duration;
 use coyote::{JsonValue, L2Sharing, ProfMode, SimConfig, Simulation, StatusEmitter};
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Machine {
     cores: usize,
     sharing: L2Sharing,
+    /// Instructions per core per cycle. Part of the simulated machine
+    /// (it changes the cycle count), so the baseline shares it; like
+    /// the oracle it pins the execute step to one-cycle windows.
+    interleave: usize,
     iterations: u64,
     stride: u64,
 }
 
 fn machine_strategy() -> impl Strategy<Value = Machine> {
     (
-        2usize..9,
+        1usize..9,
         prop_oneof![Just(L2Sharing::Shared), Just(L2Sharing::Private)],
+        prop_oneof![Just(1usize), Just(4)],
         4u64..32,
         prop_oneof![Just(8u64), Just(64), Just(72)],
     )
-        .prop_map(|(cores, sharing, iterations, stride)| Machine {
+        .prop_map(|(cores, sharing, interleave, iterations, stride)| Machine {
             cores,
             sharing,
+            interleave,
             iterations,
             stride,
         })
@@ -105,31 +112,36 @@ struct Knobs {
     fusion: bool,
     profiling: ProfMode,
     status: bool,
+    oracle: bool,
     perturb: u64,
 }
 
 /// The reference everything must equal: plain per-instruction stepping
-/// on the canonical schedule, nothing watching.
+/// on the canonical schedule, nothing watching or checking.
 const BASELINE: Knobs = Knobs {
     fusion: false,
     profiling: ProfMode::Off,
     status: false,
+    oracle: false,
     perturb: 0,
 };
 
 /// The full cross product of the on/off axes at one perturbation seed
-/// (12 rows; the kernels are a few hundred cycles each).
+/// (24 rows; the kernels are a few hundred cycles each).
 fn all_knobs(perturb: u64) -> Vec<Knobs> {
     let mut rows = Vec::new();
     for fusion in [false, true] {
         for profiling in [ProfMode::Off, ProfMode::Wall, ProfMode::Counter] {
             for status in [false, true] {
-                rows.push(Knobs {
-                    fusion,
-                    profiling,
-                    status,
-                    perturb,
-                });
+                for oracle in [false, true] {
+                    rows.push(Knobs {
+                        fusion,
+                        profiling,
+                        status,
+                        oracle,
+                        perturb,
+                    });
+                }
             }
         }
     }
@@ -181,8 +193,10 @@ fn run(src: &str, machine: &Machine, knobs: Knobs) -> Outcome {
     let config = SimConfig::builder()
         .cores(machine.cores)
         .sharing(machine.sharing)
+        .interleave(machine.interleave)
         .fusion(knobs.fusion)
         .profiling(knobs.profiling)
+        .oracle(knobs.oracle)
         .perturb_seed(knobs.perturb)
         .telemetry(true)
         .metrics_interval(64)
@@ -269,14 +283,17 @@ proptest! {
 }
 
 /// Fixed shapes checked without the generator in the way: the 4-core
-/// contended machine the CI smoke uses, and the 8-core private-L2 case
+/// contended machine the CI smoke uses, the 8-core private-L2 case
 /// that once made a fused window diverge from per-instruction stepping
-/// (formerly the stored seed in `parallel_props.proptest-regressions`).
+/// (formerly the stored seed in `parallel_props.proptest-regressions`),
+/// the same smoke machine batching four instructions per cycle, and a
+/// single core (whose windows take the same loop as everyone's).
 #[test]
 fn fixed_shapes_reproduce_the_plain_baseline() {
     let smoke = Machine {
         cores: 4,
         sharing: L2Sharing::Shared,
+        interleave: 1,
         iterations: 24,
         stride: 64,
     };
@@ -284,9 +301,14 @@ fn fixed_shapes_reproduce_the_plain_baseline() {
         cores: 8,
         sharing: L2Sharing::Private,
         iterations: 10,
-        stride: 64,
+        ..smoke
     };
-    for machine in [smoke, regression] {
+    let batched = Machine {
+        interleave: 4,
+        ..smoke
+    };
+    let solo = Machine { cores: 1, ..smoke };
+    for machine in [smoke, regression, batched, solo] {
         for perturb in [0, 0x00C0_707E_5EED] {
             assert_table_matches_baseline(&machine, true, perturb);
         }
@@ -304,6 +326,7 @@ fn counter_profiles_aggregate_by_core_order() {
     let machine = Machine {
         cores: 4,
         sharing: L2Sharing::Shared,
+        interleave: 1,
         iterations: 24,
         stride: 64,
     };
@@ -313,8 +336,8 @@ fn counter_profiles_aggregate_by_core_order() {
             let knobs = Knobs {
                 fusion: true,
                 profiling: ProfMode::Counter,
-                status: false,
                 perturb,
+                ..BASELINE
             };
             run(&src, &machine, knobs)
         };

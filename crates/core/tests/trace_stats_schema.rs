@@ -24,7 +24,9 @@ const SAMPLE_PRV: &str = "#Paraver (01/01/2021 at 00:00):101:1(2):1:2(1:1,1:1)
 fn stats_json() -> JsonValue {
     let dir = std::env::temp_dir().join("coyote-trace-stats-golden");
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let prv = dir.join("sample.prv");
+    // The two tests in this binary run on parallel threads: one file
+    // each, or one truncates the sample while the other's child reads.
+    let prv = dir.join(format!("sample-{:?}.prv", std::thread::current().id()));
     let mut file = std::fs::File::create(&prv).expect("create prv");
     file.write_all(SAMPLE_PRV.as_bytes()).expect("write prv");
     drop(file);

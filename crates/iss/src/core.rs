@@ -63,6 +63,20 @@ pub enum MissKind {
     Writeback,
 }
 
+impl MissKind {
+    /// Stable lower-case name used in flight-recorder lines, crash
+    /// dumps and Chrome-trace request labels.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            MissKind::Ifetch => "ifetch",
+            MissKind::Load => "load",
+            MissKind::Store => "store",
+            MissKind::Writeback => "writeback",
+        }
+    }
+}
+
 /// An L1 miss crossing into the event-driven hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MissRequest {
@@ -80,11 +94,8 @@ pub struct MissRequest {
 /// Result of attempting one instruction on a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepEvent {
-    /// An instruction retired. `branched` reports taken control flow.
-    Retired {
-        /// Whether control flow was redirected.
-        branched: bool,
-    },
+    /// An instruction retired.
+    Retired,
     /// The core stalled on a register dependency (now inactive).
     DepStall,
     /// The core is waiting for an instruction-line fill (now inactive).
@@ -409,7 +420,7 @@ pub struct Core {
     fused_cursor: usize,
     /// Index into `fused_accesses` below which no store is left to
     /// retire: nothing in `[fused_cursor, fused_next_store)` writes.
-    /// Arming resets it to 0 and only [`Core::plan_fused_chunk`]
+    /// Arming resets it to 0 and only [`Core::seek_next_store`]
     /// advances it, so runs that only ever retire alone never pay for
     /// the scan; a value behind the cursor merely reads as "may store".
     fused_next_store: usize,
@@ -615,7 +626,7 @@ impl Core {
 
     /// The validated accesses of the next `n` run positions for the
     /// cross-core conflict test. The walk starts at the retirement
-    /// cursor, and after [`Core::plan_fused_chunk`] whether a store
+    /// cursor, and after [`Core::seek_next_store`] whether a store
     /// falls inside the `n` positions is known without walking.
     #[must_use]
     pub fn fused_window(&self, n: u32) -> OwnerAccesses<impl Iterator<Item = Access> + '_> {
@@ -662,6 +673,10 @@ impl Core {
     /// Ensures a validated run is armed at the current PC, attempting
     /// validation when none is. Returns the instructions left in the
     /// run (0 = this core cannot fuse from here).
+    // `#[inline]`: the orchestrator's window loop calls this once per
+    // core per chunk from another crate; inlined, an armed core costs
+    // one field load and only a run boundary pays a call.
+    #[inline]
     pub fn ensure_fused_run(&mut self, text: &DecodedText) -> u32 {
         if self.fused_left == 0 {
             self.try_begin_fused_run(text);
@@ -669,21 +684,17 @@ impl Core {
         self.fused_left
     }
 
-    /// [`Core::ensure_fused_run`] for the orchestrator planning the
-    /// next chunk of a multi-core fused window: also moves
-    /// `fused_next_store` to the first store the retirement cursor has
-    /// not passed, so [`Core::fused_window`] can tell a store-free
-    /// chunk in O(1). The scan is amortised over the run.
-    pub fn plan_fused_chunk(&mut self, text: &DecodedText) -> u32 {
-        let left = self.ensure_fused_run(text);
-        if left > 0 {
-            let from = self.fused_next_store.max(self.fused_cursor);
-            self.fused_next_store = self.fused_accesses[from..]
-                .iter()
-                .position(|access| access.write)
-                .map_or(self.fused_accesses.len(), |ahead| from + ahead);
-        }
-        left
+    /// Moves `fused_next_store` to the first store the retirement
+    /// cursor has not passed, so [`Core::fused_window`] can tell a
+    /// store-free chunk in O(1). Called by the orchestrator on every
+    /// armed core of a multi-core chunk before the cross-core conflict
+    /// test; the scan is amortised over the run.
+    pub fn seek_next_store(&mut self) {
+        let from = self.fused_next_store.max(self.fused_cursor);
+        self.fused_next_store = self.fused_accesses[from..]
+            .iter()
+            .position(|access| access.write)
+            .map_or(self.fused_accesses.len(), |ahead| from + ahead);
     }
 
     /// Attempts to validate a superblock run starting at the current
@@ -852,84 +863,39 @@ impl Core {
         len
     }
 
-    /// Retires one pre-validated instruction through the fused path.
+    /// Retires exactly `n` pre-validated instructions over the cycles
+    /// `[cycle, cycle + n)` — the one fused retire routine: a window
+    /// chunk of the orchestrator, or `n = 1` from [`Core::step`]. The
+    /// caller must have proved `n <= self.fused_left()`.
     ///
     /// Validation proved: I-line and every accessed D-line resident
     /// (probing resident lines never evicts, so residency holds for
     /// the whole run), no scoreboard hazard, accessed lines not in
     /// flight, no trap/fence/CSR/AMO/vector op, no text-segment store.
-    /// The skipped checks are therefore exactly the ones that cannot
-    /// fire; every counter the skipped branches would have touched is
-    /// still updated identically (cache probes, retired, branches).
-    fn step_fused_one<M: MemoryIo>(
-        &mut self,
-        mem: &mut M,
-        text: &DecodedText,
-        cycle: u64,
-    ) -> Result<StepEvent, SimError> {
-        let pc = self.hart.pc;
-        let iprobe = self.icache.access(pc, false);
-        debug_assert!(iprobe.hit, "fused fetch missed at {pc:#x}");
-        let entry = text
-            .entry(pc)
-            .expect("validated run left the predecoded text");
-
-        let mut accesses = std::mem::take(&mut self.access_buf);
-        let fx = execute(
-            &mut self.hart,
-            mem,
-            &entry.inst,
-            cycle,
-            self.stats.retired,
-            &mut accesses,
-        )
-        .map_err(|source| SimError::Exec { pc, source })?;
-        for access in &accesses {
-            // Pre-validated: replay the guaranteed hit via the way
-            // resolved at validation time (identical counter/LRU/stats
-            // evolution, no associative scan).
-            let fa = self.fused_accesses[self.fused_cursor];
-            debug_assert_eq!(
-                (fa.addr, fa.size, fa.write),
-                (access.addr, access.size, access.write),
-                "fused access diverged from validation at {pc:#x}"
-            );
-            self.dcache.touch(fa.way, access.write);
-            self.fused_cursor += 1;
-        }
-        accesses.clear();
-        self.access_buf = accesses;
-
-        self.stats.retired += 1;
-        if fx.branched {
-            self.stats.branches += 1;
-        }
-        self.fused_retired += 1;
-        self.fused_left -= 1;
-        Ok(StepEvent::Retired {
-            branched: fx.branched,
-        })
-    }
-
-    /// Retires exactly `n` pre-validated instructions over the cycles
-    /// `[cycle, cycle + n)` — the multi-core fused window body. The
-    /// caller must have proved `n <= self.fused_left()`.
-    ///
-    /// Equivalent to `n` [`Core::step_fused_one`] calls with the
-    /// per-instruction bookkeeping hoisted to run granularity: the
-    /// I-cache evolution for the straight-line fetch sequence is
-    /// applied as one batch per line, the D-cache evolution replays the
-    /// pre-validated access list directly, predecoded entries are read
-    /// by consecutive slot index instead of per-PC lookup, and the
-    /// retirement counters are bumped once. Only per-cache *final*
-    /// state is observable at the window boundary, and each cache's
-    /// own access sequence is preserved exactly, so the evolution is
-    /// bit-identical.
+    /// The checks the per-instruction body of [`Core::step`] makes and
+    /// this skips are therefore exactly the ones that cannot fire, and
+    /// every counter the skipped branches would have touched is still
+    /// updated identically, with the bookkeeping hoisted to run
+    /// granularity: the I-cache evolution for the straight-line fetch
+    /// sequence is applied as one batch per line, the D-cache evolution
+    /// replays the pre-validated access list directly (identical
+    /// counter/LRU/stats evolution, no associative scan), predecoded
+    /// entries are read by consecutive slot index instead of per-PC
+    /// lookup, and the retirement counters are bumped once. Only
+    /// per-cache *final* state is observable at the chunk boundary, and
+    /// each cache's own access sequence is preserved exactly, so the
+    /// evolution is bit-identical.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from execution (unreachable for
     /// validated runs; kept for defense in depth).
+    // `#[inline]`: `Core::step` calls this with the constant `n = 1`;
+    // inlined there the chunk loops fold away, which is what lets one
+    // source routine serve the width-1 dispatch at the speed of a
+    // hand-written single-instruction copy (EXPERIMENTS.md
+    // `one-engine`: 2.7 % of `spmv_128c` without it).
+    #[inline]
     pub fn step_block<M: MemoryIo>(
         &mut self,
         mem: &mut M,
@@ -945,8 +911,9 @@ impl Core {
         self.icache.touch_run(start_pc, n);
         // Replay the pre-validated data accesses of the next `n`
         // positions (validation proved them guaranteed hits; the
-        // per-instruction path debug-asserts executed accesses match).
+        // executed accesses are checked against them below).
         let pos0 = self.fused_len - self.fused_left;
+        let mut checked = self.fused_cursor;
         while let Some(fa) = self.fused_accesses.get(self.fused_cursor) {
             if fa.pos >= pos0 + n {
                 break;
@@ -979,47 +946,28 @@ impl Core {
                 pc: start_pc + u64::from(i) * 4,
                 source,
             })?;
+            if cfg!(debug_assertions) {
+                for access in &self.access_buf {
+                    debug_assert_eq!(
+                        self.fused_accesses
+                            .get(checked)
+                            .map(|fa| (fa.pos, fa.addr, fa.size, fa.write)),
+                        Some((pos0 + i, access.addr, access.size, access.write)),
+                        "fused access diverged from validation at {:#x}",
+                        start_pc + u64::from(i) * 4
+                    );
+                    checked += 1;
+                }
+            }
             self.stats.retired += 1;
             branches += u64::from(fx.branched);
         }
+        debug_assert_eq!(checked, self.fused_cursor, "replayed an unexecuted access");
         self.access_buf.clear();
         self.stats.branches += branches;
         self.fused_retired += u64::from(n);
         self.fused_left -= n;
         Ok(())
-    }
-
-    /// Retires up to `budget` instructions through the fused path,
-    /// revalidating across run boundaries (branch targets) — the
-    /// single-active-core fused chain. Returns the number of cycles
-    /// (= instructions) consumed; `0` means nothing could be fused and
-    /// the caller must take the per-instruction path.
-    ///
-    /// Sound only while no other core runs and no hierarchy event or
-    /// telemetry boundary falls inside the chained cycles: the machine
-    /// state then evolves through this core alone, so mid-chain
-    /// revalidation sees exactly what per-cycle stepping would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from execution.
-    pub fn step_block_chain<M: MemoryIo>(
-        &mut self,
-        mem: &mut M,
-        text: &DecodedText,
-        cycle: u64,
-        budget: u32,
-    ) -> Result<u32, SimError> {
-        let mut n = 0u32;
-        while n < budget {
-            if self.fused_left == 0 && self.try_begin_fused_run(text) == 0 {
-                break;
-            }
-            let k = self.fused_left.min(budget - n);
-            self.step_block(mem, text, cycle + u64::from(n), k)?;
-            n += k;
-        }
-        Ok(n)
     }
 
     /// Attempts to execute one instruction at the current cycle.
@@ -1059,7 +1007,8 @@ impl Core {
         // At a run boundary, try to validate a fresh run; on success
         // this very step takes the fast path too.
         if self.fused_left > 0 || self.try_begin_fused_run(text) > 0 {
-            return self.step_fused_one(mem, text, cycle);
+            self.step_block(mem, text, cycle, 1)?;
+            return Ok(StepEvent::Retired);
         }
 
         // ---- fetch ----
@@ -1205,9 +1154,7 @@ impl Core {
             Some(Ecall::PutChar(byte)) => self.console.push(byte),
             Some(Ecall::Unknown(_)) | None => {}
         }
-        Ok(StepEvent::Retired {
-            branched: fx.branched,
-        })
+        Ok(StepEvent::Retired)
     }
 
     /// Notifies the core that a miss it issued has been serviced.

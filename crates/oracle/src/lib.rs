@@ -453,7 +453,7 @@ mod tests {
                 let ev = core.step(&mut mem, &text, cycle, &mut misses).unwrap();
                 if matches!(
                     ev,
-                    coyote_iss::StepEvent::Retired { .. } | coyote_iss::StepEvent::Halted(_)
+                    coyote_iss::StepEvent::Retired | coyote_iss::StepEvent::Halted(_)
                 ) {
                     checker
                         .check_retirement(0, cycle, core.hart(), &mem)

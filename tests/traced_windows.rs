@@ -97,43 +97,64 @@ fn observe(
 
 /// Every hart read-modify-writes the same dword: multi-core chunks
 /// always conflict, so windows only open while one hart runs alone.
-fn contended_kernel() -> Program {
-    coyote_asm::assemble(
-        "
-        .data
-        hot: .dword 0
-        .text
-        _start:
-            csrr t0, mhartid
-            la t1, hot
-            li t2, 24
-        loop:
-            ld t3, 0(t1)
-            add t3, t3, t0
-            sd t3, 0(t1)
-            addi t2, t2, -1
-            bnez t2, loop
-            li a0, 0
-            li a7, 93
-            ecall",
-    )
-    .expect("assemble")
-}
+const CONTENDED: &str = "
+    .data
+    hot: .dword 0
+    .text
+    _start:
+        csrr t0, mhartid
+        la t1, hot
+        li t2, 24
+    loop:
+        ld t3, 0(t1)
+        add t3, t3, t0
+        sd t3, 0(t1)
+        addi t2, t2, -1
+        bnez t2, loop
+        li a0, 0
+        li a7, 93
+        ecall";
+
+/// Every hart but hart 0 exits at once: after the first few cycles the
+/// windows are those of one active core among halted ones.
+const STRAGGLER: &str = "
+    .data
+    buf: .zero 2048
+    .text
+    _start:
+        csrr t0, mhartid
+        bnez t0, done
+        la t1, buf
+        li t2, 200
+    loop:
+        ld t3, 0(t1)
+        addi t3, t3, 1
+        sd t3, 0(t1)
+        addi t1, t1, 8
+        addi t2, t2, -1
+        bnez t2, loop
+    done:
+        li a0, 0
+        li a7, 93
+        ecall";
 
 #[test]
 fn traced_windows_are_observationally_invisible() {
     let matmul = MatmulScalar::new(16, 7);
     let spmv = SpmvScalar::new(64, 64, 0.1, 8);
-    let kernels: [(&str, Option<&dyn Workload>); 3] = [
-        ("matmul", Some(&matmul)),
-        ("spmv", Some(&spmv)),
-        ("contended", None),
+    // A workload, or the assembly source of a kernel with no data.
+    let kernels: [(&str, Result<&dyn Workload, &str>); 4] = [
+        ("matmul", Ok(&matmul)),
+        ("spmv", Ok(&spmv)),
+        ("contended", Err(CONTENDED)),
+        ("straggler", Err(STRAGGLER)),
     ];
-    for (name, workload) in kernels {
-        for cores in [2, 8, 16] {
-            let program = match workload {
-                Some(w) => w.program(cores).expect("assemble"),
-                None => contended_kernel(),
+    for (name, kernel) in kernels {
+        let workload = kernel.ok();
+        for cores in [1, 2, 8, 16] {
+            let program = match kernel {
+                Ok(w) => w.program(cores).expect("assemble"),
+                Err(src) => coyote_asm::assemble(src).expect("assemble"),
             };
             let populate = |mem: &mut SparseMemory| {
                 if let Some(w) = workload {
