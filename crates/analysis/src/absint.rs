@@ -2,8 +2,8 @@
 //!
 //! A forward dataflow fixpoint propagates per-register [`AbsVal`]
 //! states block to block. Loops are handled by *widen-and-freeze*:
-//! after a loop head has been revisited [`FREEZE_AT`] times without
-//! converging, the interpreter builds a syntactic [`FrozenPlan`] for
+//! after a loop head has been revisited `FREEZE_AT` times without
+//! converging, the interpreter builds a syntactic `FrozenPlan` for
 //! the loop — classifying every register as invariant, a simple
 //! induction variable (`addi r, r, imm` / `add r, r, invariant`), or
 //! clobbered — and from then on computes the head state *functionally*

@@ -4,9 +4,9 @@
 //! the abstract interpreter once per core (`mhartid` is the only
 //! per-core input, so the text is shared). [`certify`] then tries to
 //! prove that no two cores can ever touch the same byte with at least
-//! one write involved — the exact property the runtime conflict sweep
-//! checks dynamically. A granted certificate lets the simulator skip
-//! that sweep wholesale.
+//! one write involved — the exact property the simulator's fused
+//! windows test dynamically on every chunk. The certificate is a
+//! verdict `coyote-check` reports; the simulator does not consume it.
 
 use crate::absint::{interpret, CoreAnalysis, MemAccess};
 use crate::footprint::{disjoint, AccessPattern, Disjoint};

@@ -175,7 +175,7 @@ pub fn check(program: &Program, cores: usize) -> CheckReport {
         rule: "certificate",
         message: if certificate.granted {
             format!(
-                "disjointness certificate GRANTED for {} core(s): runtime conflict sweep is skippable",
+                "disjointness certificate GRANTED for {} core(s): every cross-core write/any pair is provably disjoint",
                 certificate.cores
             )
         } else {

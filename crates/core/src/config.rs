@@ -19,6 +19,13 @@ use std::fmt;
 /// returning a [`ConfigError`].
 pub const MAX_CORES: usize = 4096;
 
+/// Largest L2 next-line prefetch degree [`SimConfig::validate`]
+/// accepts: 64 sequential 64-byte lines is a whole 4 KiB page per
+/// demand miss, 16× the largest degree the `prefetch` experiment
+/// sweeps. Every demand L2 miss loops over the degree, so an unbounded
+/// one turns a typo into a run that never finishes.
+pub const MAX_PREFETCH_DEGREE: usize = 64;
+
 /// Complete configuration of a Coyote simulation.
 ///
 /// Build with [`SimConfig::builder`]; `SimConfig::default()` models a
@@ -43,7 +50,8 @@ pub struct SimConfig {
     pub noc: NocModel,
     /// Memory controllers.
     pub mc: McConfig,
-    /// L2 next-line prefetch degree (0 disables, the paper's baseline).
+    /// L2 next-line prefetch degree (0 disables, the paper's baseline;
+    /// at most [`MAX_PREFETCH_DEGREE`]).
     pub prefetch_degree: usize,
     /// Instructions each active core executes per simulated cycle.
     ///
@@ -208,6 +216,12 @@ impl SimConfig {
         }
         if self.cores_per_tile == 0 {
             return Err(ConfigError::new("cores_per_tile must be positive"));
+        }
+        if self.prefetch_degree > MAX_PREFETCH_DEGREE {
+            return Err(ConfigError::new(format!(
+                "prefetch degree {} exceeds the supported maximum of {MAX_PREFETCH_DEGREE}",
+                self.prefetch_degree
+            )));
         }
         if self.interleave == 0 {
             return Err(ConfigError::new("interleave must be at least 1"));
@@ -545,6 +559,32 @@ mod tests {
             assert!(SimConfig::builder().cores(cores).build().is_err());
         }
         assert!(SimConfig::builder().cores(MAX_CORES).build().is_ok());
+    }
+
+    #[test]
+    fn undersized_mesh_and_unbounded_prefetch_rejected() {
+        let mesh = |width, height| NocModel::Mesh {
+            width,
+            height,
+            hop_latency: 1,
+            base_latency: 2,
+        };
+        // 16 cores = 2 tiles.
+        let two_tiles = || SimConfig::builder().cores(16);
+        for (width, height) in [(1, 1), (0, 0), (1 << 32, 1 << 32)] {
+            let err = two_tiles().noc(mesh(width, height)).build().unwrap_err();
+            assert!(err.to_string().contains("mesh"), "{err}");
+        }
+        assert!(two_tiles().noc(mesh(2, 1)).build().is_ok());
+        let err = SimConfig::builder()
+            .prefetch_degree(99_999_999)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("prefetch degree"), "{err}");
+        assert!(SimConfig::builder()
+            .prefetch_degree(MAX_PREFETCH_DEGREE)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -101,6 +101,29 @@ fn bad_arguments_fail_cleanly() {
     assert_eq!(output.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&output.stderr).contains("core count"));
 
+    // So are a mesh that cannot hold the tiles (it used to panic inside
+    // the hierarchy) and a prefetch degree that would never finish.
+    for (flags, needle) in [
+        (["--cores", "16", "--mesh", "1x1"], "mesh 1x1"),
+        (["--cores", "2", "--mesh", "0x0"], "mesh 0x0"),
+        (
+            ["--cores", "2", "--prefetch", "99999999"],
+            "prefetch degree",
+        ),
+    ] {
+        let output = Command::new(sim_binary())
+            .arg(&path)
+            .args(flags)
+            .output()
+            .expect("spawn coyote-sim");
+        assert_eq!(output.status.code(), Some(1), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("invalid simulation config") && stderr.contains(needle),
+            "{flags:?}: {stderr}"
+        );
+    }
+
     let output = Command::new(sim_binary())
         .arg("/nonexistent/file.s")
         .output()

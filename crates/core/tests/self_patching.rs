@@ -61,8 +61,8 @@ fn patched_instruction_reexecutes_with_new_semantics_under_oracle() {
 #[test]
 fn fused_runs_see_the_patch_and_match_per_instruction_stepping() {
     // Fusion on: the hot loop retires through validated superblock
-    // runs, so the store must bump the text generation, abort the
-    // armed run, and force re-validation over the patched slot.
+    // runs, so the store must re-derive the static runs that reach the
+    // patched slot, abort the armed run, and force a fresh arm.
     let (fused_exits, fused_digest, hit) = run(false, true);
     assert_eq!(fused_exits, vec![30]);
     assert!(

@@ -1,7 +1,7 @@
 //! Control-flow graph recovery over a predecoded text segment.
 //!
 //! [`Cfg::build`] walks the dense micro-op table produced by
-//! [`crate::predecode`] from the program entry point, splitting the
+//! [`crate::predecode()`] from the program entry point, splitting the
 //! reachable code into basic blocks and recording every block's exit
 //! shape. Direct control flow (`jal`, conditional branches, plain
 //! fallthrough) is followed exactly; `jalr` and other indirect

@@ -1,7 +1,7 @@
 //! Superblock fuse plans: static classification of predecoded text
 //! for fused multi-instruction retirement.
 //!
-//! The per-cycle stepper ([`crate::predecode`]) pays a fixed dispatch
+//! The per-cycle stepper ([`mod@crate::predecode`]) pays a fixed dispatch
 //! cost per instruction: hazard check, access probing, miss-path
 //! branches, oracle hooks. For straight-line scalar code whose lines
 //! are resident and whose registers are clear, none of those branches
@@ -21,18 +21,29 @@
 //! * a [`MemPlan`] for scalar memory ops: the base register and
 //!   offset needed to recompute the access address at validation time
 //!   without executing the instruction;
-//! * `run_len`: the length of the longest fusable run starting here
-//!   (ending at, and including, a terminator).
+//! * `run_len`: how far a run starting here can ever fuse — everything
+//!   about a run's length that depends only on the text: it is
+//!   straight-line (ends at, and includes, a terminator; stops before
+//!   an excluded slot), at most [`MAX_RUN`] long, and stops before a
+//!   memory op whose base register an earlier instruction of the run
+//!   writes.
 //!
-//! The dynamic half lives in the timing layer
-//! (`crates/iss/src/superblock.rs`): it walks a plan at run time,
-//! checks cache residency / scoreboard state / in-flight lines, and
-//! only then arms the fused path. [`BlockSummary`] aggregates a run's
-//! register footprint for diagnostics and tests.
+//! The table is built once per text segment and shared by every core;
+//! a text-segment store re-derives the affected slots
+//! ([`rebuild_runs`]). The dynamic half lives in the timing layer
+//! (`Core::ensure_fused_run` in `crates/iss/src/core.rs`): at arm time
+//! it rechecks only what depends on machine state — cache residency,
+//! scoreboard, in-flight lines, access addresses — and truncates the
+//! static run at the first failure. [`BlockSummary`] aggregates a
+//! run's register footprint for diagnostics and tests.
 
 use crate::inst::Inst;
 use crate::predecode::{DecodedInst, RegSet};
 use crate::reg::XReg;
+
+/// Cap on fused run length: bounds the cost of one arm attempt and the
+/// staleness window of the residency facts it relies on.
+pub const MAX_RUN: u32 = 64;
 
 /// Static plan for one scalar memory access inside a fusable run.
 ///
@@ -74,9 +85,11 @@ pub enum FuseClass {
 pub struct FusePlan {
     /// Eligibility class.
     pub class: FuseClass,
-    /// Length of the longest fusable run starting at this slot
-    /// (including a trailing [`FuseClass::Terminator`]); 0 when the
-    /// slot itself is [`FuseClass::Excluded`].
+    /// Length of the longest run starting at this slot that can ever
+    /// fuse: straight-line up to and including a
+    /// [`FuseClass::Terminator`], at most [`MAX_RUN`], stopping before
+    /// a memory op whose base register the run writes; 0 when the slot
+    /// itself is [`FuseClass::Excluded`].
     pub run_len: u32,
 }
 
@@ -149,47 +162,78 @@ pub fn classify(slot: Option<&DecodedInst>) -> FuseClass {
     }
 }
 
-/// Builds the per-slot fuse-plan table for a predecoded text segment.
+/// The static run length of slot `idx`, given that every later slot's
+/// `run_len` is already final. The one place a run's text-only limits
+/// are decided:
 ///
-/// One backwards pass: a plain/mem slot's run extends its successor's
-/// run; a terminator contributes a run of exactly itself; an excluded
-/// slot resets the chain.
+/// * an excluded slot starts no run and a terminator is a run of
+///   exactly itself; any other slot extends its successor's run;
+/// * no run is longer than [`MAX_RUN`];
+/// * a memory op's address must be computable from the registers as
+///   they are *before* the run starts, so the run stops before the
+///   first memory op whose base register this slot writes. (Writes by
+///   later slots already cut the successor's run, which this one
+///   extends — so checking this slot's own defs covers every earlier
+///   writer.)
+fn static_run_len(insts: &[Option<DecodedInst>], plans: &[FusePlan], idx: usize) -> u32 {
+    match plans[idx].class {
+        FuseClass::Excluded => 0,
+        FuseClass::Terminator => 1,
+        FuseClass::Plain | FuseClass::Mem(_) => {
+            let next = plans.get(idx + 1).map_or(0, |next| next.run_len);
+            let len = (1 + next).min(MAX_RUN);
+            let defs = insts[idx]
+                .as_ref()
+                .map_or(RegSet::new(), |entry| entry.defs);
+            (1..len)
+                .find(|&pos| match plans[idx + pos as usize].class {
+                    FuseClass::Mem(op) => {
+                        let mut base = RegSet::new();
+                        base.add_x(op.base);
+                        defs.intersects(&base)
+                    }
+                    _ => false,
+                })
+                .unwrap_or(len)
+        }
+    }
+}
+
+/// Builds the per-slot fuse-plan table for a predecoded text segment:
+/// classifies every slot, then one backwards pass fills in `run_len`.
 #[must_use]
 pub fn build_plans(insts: &[Option<DecodedInst>]) -> Vec<FusePlan> {
-    let mut plans = vec![FusePlan::excluded(); insts.len()];
-    for idx in (0..insts.len()).rev() {
-        let class = classify(insts[idx].as_ref());
-        let run_len = match class {
-            FuseClass::Excluded => 0,
-            FuseClass::Terminator => 1,
-            FuseClass::Plain | FuseClass::Mem(_) => {
-                1 + plans.get(idx + 1).map_or(0, |next| next.run_len)
-            }
-        };
-        plans[idx] = FusePlan { class, run_len };
+    let mut plans: Vec<FusePlan> = insts
+        .iter()
+        .map(|slot| FusePlan {
+            class: classify(slot.as_ref()),
+            run_len: 0,
+        })
+        .collect();
+    for idx in (0..plans.len()).rev() {
+        plans[idx].run_len = static_run_len(insts, &plans, idx);
     }
     plans
 }
 
-/// Recomputes `run_len` for the slots whose chains flow through
-/// `[first, last]` after those slots' classes changed (text-segment
-/// invalidation). Walks backwards from `last` until a slot's run
-/// length stops changing — chains upstream of that point are
-/// unaffected.
-pub fn rebuild_runs(plans: &mut [FusePlan], first: usize, last: usize) {
+/// Recomputes `run_len` for the slots whose runs reach into
+/// `[first, last]` after those slots were excluded (text-segment
+/// invalidation). Walks backwards from `last` until a slot upstream of
+/// `first` keeps its run length: its run stops short of the excluded
+/// slots, and so does every run that extends it.
+pub fn rebuild_runs(
+    insts: &[Option<DecodedInst>],
+    plans: &mut [FusePlan],
+    first: usize,
+    last: usize,
+) {
     let last = last.min(plans.len().saturating_sub(1));
     if plans.is_empty() || first >= plans.len() {
         return;
     }
     let mut idx = last;
     loop {
-        let run_len = match plans[idx].class {
-            FuseClass::Excluded => 0,
-            FuseClass::Terminator => 1,
-            FuseClass::Plain | FuseClass::Mem(_) => {
-                1 + plans.get(idx + 1).map_or(0, |next| next.run_len)
-            }
-        };
+        let run_len = static_run_len(insts, plans, idx);
         let changed = plans[idx].run_len != run_len;
         plans[idx].run_len = run_len;
         if idx == 0 || (!changed && idx < first) {
@@ -319,11 +363,79 @@ mod tests {
         // Patch slot 2 into a hole (self-modifying store landed there).
         t[2] = None;
         plans[2] = FusePlan::excluded();
-        rebuild_runs(&mut plans, 2, 2);
+        rebuild_runs(&t, &mut plans, 2, 2);
         assert_eq!(
             plans.iter().map(|p| p.run_len).collect::<Vec<_>>(),
             vec![2, 1, 0, 1]
         );
+    }
+
+    const ADDI_T0_8: u32 = 0x0082_8293; // addi t0, t0, 8
+    const LD_T0_T0: u32 = 0x0002_b283; // ld t0, 0(t0)
+
+    /// The static length of the run at `start` by a forward walk from
+    /// that slot alone — the reference `run_len` is checked against.
+    fn naive_run_len(insts: &[Option<DecodedInst>], start: usize) -> u32 {
+        let mut written = RegSet::new();
+        let mut len = 0;
+        while len < MAX_RUN {
+            let Some(entry) = insts.get(start + len as usize).and_then(Option::as_ref) else {
+                break;
+            };
+            match classify(Some(entry)) {
+                FuseClass::Excluded => break,
+                FuseClass::Terminator => return len + 1,
+                FuseClass::Mem(op) => {
+                    let mut base = RegSet::new();
+                    base.add_x(op.base);
+                    if written.intersects(&base) {
+                        break;
+                    }
+                }
+                FuseClass::Plain => {}
+            }
+            written.insert_all(&entry.defs);
+            len += 1;
+        }
+        len
+    }
+
+    #[test]
+    fn run_len_equals_a_forward_walk_from_every_slot_before_and_after_patching() {
+        // A base-written hazard, a load that writes its own base, a
+        // hole, a straight line longer than MAX_RUN, a trap.
+        let mut words = vec![ADDI_RA_1, ADDI_T0_8, LD_T1_T0, ADDI_RA_1, BEQ_BACK];
+        words.extend([LD_T0_T0, LD_T1_T0, SD_T1_T0, BEQ_BACK, HOLE]);
+        words.extend([ADDI_RA_1; MAX_RUN as usize + 6]);
+        words.extend([LD_T1_T0, ADDI_T0_8, SD_T1_T0, BEQ_BACK, ECALL, ADDI_RA_1]);
+        let t = table(&words);
+        let plans = build_plans(&t);
+        let lens = |plans: &[FusePlan]| plans.iter().map(|p| p.run_len).collect::<Vec<_>>();
+        let naive = |t: &[Option<DecodedInst>]| {
+            (0..t.len())
+                .map(|start| naive_run_len(t, start))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lens(&plans), naive(&t));
+        // The table holds what it claims to.
+        assert_eq!(lens(&plans)[..10], [2, 1, 3, 2, 1, 1, 3, 2, 1, 0]);
+        assert_eq!(plans[10].run_len, MAX_RUN, "clamped");
+        assert_eq!(plans[10 + 8].run_len, MAX_RUN, "62 addi, ld, addi t0");
+        assert_eq!(plans[10 + 9].run_len, MAX_RUN - 1, "stops before sd 0(t0)");
+
+        // Every one- and two-slot patch (a 4- or 8-byte text store).
+        for first in 0..t.len() {
+            for last in first..(first + 2).min(t.len()) {
+                let mut patched = t.clone();
+                let mut plans = plans.clone();
+                for idx in first..=last {
+                    patched[idx] = None;
+                    plans[idx] = FusePlan::excluded();
+                }
+                rebuild_runs(&patched, &mut plans, first, last);
+                assert_eq!(lens(&plans), naive(&patched), "patched {first}..={last}");
+            }
+        }
     }
 
     #[test]

@@ -140,12 +140,6 @@ pub struct Cache {
     line_shift: u32,
     counter: u64,
     stats: CacheStats,
-    /// Residency generation: bumped whenever the resident-line set
-    /// changes (miss installs, flushes). Hits never bump it, so
-    /// `generation()` staying equal proves every previously-resident
-    /// line is still resident — the superblock engine uses this to
-    /// reuse residency facts across run re-validations.
-    gen: u64,
     /// Memo of the most recently touched line `(tag, index into
     /// `lines`)`: sequential code re-probes the same line many times in
     /// a row, and the memo answers those hits without the associative
@@ -173,7 +167,6 @@ impl Cache {
             line_shift: config.line_bytes.trailing_zeros(),
             counter: 0,
             stats: CacheStats::default(),
-            gen: 0,
             last: None,
         }
     }
@@ -235,7 +228,6 @@ impl Cache {
         }
 
         self.stats.misses += 1;
-        self.gen += 1;
         // Choose victim: an invalid way, else the least recently used.
         let (way, victim) = set_lines
             .iter_mut()
@@ -259,19 +251,11 @@ impl Cache {
         }
     }
 
-    /// The residency generation (see the field doc). Equal generations
-    /// bracket a span in which no line was installed or evicted.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
-
     /// Flat index of `addr`'s resident line, if resident (no LRU
     /// update, no stats) — the superblock validation probe. The index
     /// stays valid while the line stays resident: hits never relocate
     /// lines, and a resident line is only displaced by an eviction
-    /// (which [`Cache::generation`] / the pre-validated run contract
-    /// exclude).
+    /// (which the pre-validated run contract excludes).
     #[must_use]
     pub fn probe_way(&self, addr: u64) -> Option<u32> {
         let tag = addr >> self.line_shift;
@@ -349,7 +333,6 @@ impl Cache {
         for line in &mut self.lines {
             *line = Line::default();
         }
-        self.gen += 1;
         self.last = None;
     }
 }

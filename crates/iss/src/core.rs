@@ -14,7 +14,7 @@
 use std::fmt;
 
 use coyote_asm::Program;
-use coyote_isa::superblock::{build_plans, rebuild_runs, FuseClass, FusePlan, MemPlan};
+use coyote_isa::superblock::{build_plans, rebuild_runs, FuseClass, FusePlan};
 use coyote_isa::{Access, DecodedInst, Inst, OwnerAccesses, PredecodeStats, XReg};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
@@ -22,7 +22,7 @@ use crate::exec::{defs, execute, uses, Ecall, ExecError, MemAccess, RegSet};
 use crate::hart::{Hart, DEFAULT_VLEN_BITS};
 use crate::mem::{AddrMap, MemoryIo};
 use crate::scoreboard::{dest_set, Scoreboard};
-use crate::superblock::{validate_run_stop, FuseDiag, FuseStop, FusedAccess, ValidateCtx, MAX_RUN};
+use crate::superblock::{FuseDiag, FuseStop, FusedAccess};
 
 /// Configuration of one core.
 #[derive(Debug, Clone, Copy)]
@@ -183,12 +183,10 @@ impl std::error::Error for SimError {
 pub struct DecodedText {
     base: u64,
     insts: Vec<Option<DecodedInst>>,
-    /// Per-slot superblock fuse plans (same indexing as `insts`).
+    /// Per-slot superblock fuse plans (same indexing as `insts`): the
+    /// static structure of every run, derived here once for all cores
+    /// and re-derived by [`DecodedText::invalidate`].
     plans: Vec<FusePlan>,
-    /// Invalidation generation: bumped exactly when `invalidate`
-    /// patches slots, so facts derived from the static tables (per-core
-    /// run templates) self-expire when the text changes.
-    gen: u64,
     /// Volume counters from the initial predecode pass.
     predecode_stats: PredecodeStats,
 }
@@ -204,7 +202,6 @@ impl DecodedText {
             base: program.text_base(),
             insts,
             plans,
-            gen: 0,
             predecode_stats,
         }
     }
@@ -214,14 +211,6 @@ impl DecodedText {
     #[must_use]
     pub fn predecode_stats(&self) -> PredecodeStats {
         self.predecode_stats
-    }
-
-    /// The invalidation generation: changes exactly when predecoded
-    /// slots are patched, so anything derived from the static tables is
-    /// reusable while the generation holds still.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.gen
     }
 
     /// The decoded instruction at `pc`, if it lies in the text section
@@ -282,7 +271,6 @@ impl DecodedText {
         if !self.overlaps(addr, len) || len == 0 {
             return;
         }
-        self.gen += 1;
         let end = self.base + self.insts.len() as u64 * 4;
         let lo = addr.max(self.base);
         let hi = addr.saturating_add(len).min(end);
@@ -292,7 +280,7 @@ impl DecodedText {
             self.insts[idx] = None;
             self.plans[idx] = FusePlan::excluded();
         }
-        rebuild_runs(&mut self.plans, first, last);
+        rebuild_runs(&self.insts, &mut self.plans, first, last);
     }
 }
 
@@ -328,57 +316,6 @@ impl fmt::Display for CoreSnapshot {
             write!(f, ", fetch blocked on line {line:#x}")?;
         }
         write!(f, ", {} retired", self.retired)
-    }
-}
-
-/// Cached static structure of a superblock run, keyed by `(pc, text
-/// generation)`.
-///
-/// The hot runs are short loop bodies (the matmul inner loop validates
-/// a ~5-instruction run on every iteration), so the full
-/// [`validate_run`] walk — slot loads, plan loads, register-set
-/// algebra — re-runs every few retirements and dominates fused-path
-/// cost. The template caches everything about the run that cannot
-/// change while the text generation holds still (decoded-slot
-/// coverage, `run_len`/[`MAX_RUN`] clamping, base-written-earlier
-/// truncation, the memory-op list), leaving only the dynamic facts —
-/// I/D-line residency, in-flight lines, access addresses — to recheck
-/// at arm time. Arming from a template reproduces the full
-/// validation's result bit-for-bit whenever its guards pass (same
-/// text generation, idle scoreboard); in every other case the full
-/// walk runs exactly as before, so observable behaviour is identical.
-#[derive(Debug, Clone)]
-struct RunTemplate {
-    /// Run start PC (`u64::MAX` = nothing cached).
-    pc: u64,
-    /// Text generation the static walk ran against.
-    text_gen: u64,
-    /// Static run length: `run_len` clamped by [`MAX_RUN`], slot holes
-    /// and base-written-earlier truncation.
-    len: u32,
-    /// Memory ops at positions `< len`, ascending by position.
-    ops: Vec<(u32, MemPlan)>,
-    /// Whether `icache_len` is current for `icache_gen`.
-    icache_valid: bool,
-    /// I-cache residency generation `icache_len` was computed at
-    /// (equal generations prove an identical resident-line set).
-    icache_gen: u64,
-    /// Length of the prefix whose I-lines were resident at
-    /// `icache_gen`.
-    icache_len: u32,
-}
-
-impl RunTemplate {
-    fn empty() -> RunTemplate {
-        RunTemplate {
-            pc: u64::MAX,
-            text_gen: 0,
-            len: 0,
-            ops: Vec::new(),
-            icache_valid: false,
-            icache_gen: 0,
-            icache_len: 0,
-        }
     }
 }
 
@@ -424,13 +361,6 @@ pub struct Core {
     /// advances it, so runs that only ever retire alone never pay for
     /// the scan; a value behind the cursor merely reads as "may store".
     fused_next_store: usize,
-    /// Cached static structure of the most recent hot run (see
-    /// [`RunTemplate`]).
-    template: RunTemplate,
-    /// PC of the last successful full validation; a template is only
-    /// built when the same PC validates twice in a row, so one-shot
-    /// cold blocks never pay template construction.
-    last_validated_pc: u64,
     /// Instructions retired through the fused path. A host-diagnostic
     /// counter: deliberately outside
     /// [`CoreStats`] so the determinism digest cannot vary with the
@@ -475,8 +405,6 @@ impl Core {
             fused_accesses: Vec::new(),
             fused_cursor: 0,
             fused_next_store: 0,
-            template: RunTemplate::empty(),
-            last_validated_pc: u64::MAX,
             fused_retired: 0,
             fuse_diag: FuseDiag::default(),
             text_writes: Vec::new(),
@@ -604,18 +532,11 @@ impl Core {
         self.fused_retired
     }
 
-    /// Host-diagnostic arm/validate outcome counters (see
-    /// [`FuseDiag`]): how often this core armed runs, from which path,
-    /// and why validation walks stopped.
+    /// Host-diagnostic arm outcome counters (see [`FuseDiag`]): how
+    /// often this core armed runs and why arm attempts stopped.
     #[must_use]
     pub fn fuse_diag(&self) -> &FuseDiag {
         &self.fuse_diag
-    }
-
-    /// Instructions remaining in the currently validated run.
-    #[must_use]
-    pub fn fused_left(&self) -> u32 {
-        self.fused_left
     }
 
     /// Position of the next instruction within the validated run.
@@ -697,164 +618,100 @@ impl Core {
             .map_or(self.fused_accesses.len(), |ahead| from + ahead);
     }
 
-    /// Attempts to validate a superblock run starting at the current
-    /// PC; on success arms the fused dispatch. Returns the validated
-    /// length (0 = per-instruction path).
+    /// The one arm routine: arms the longest run at the current PC that
+    /// may retire through the fused path and returns its length (0 =
+    /// per-instruction path), for every PC, scoreboard state and core.
+    ///
+    /// What depends only on the text was decided at predecode time and
+    /// is one load here (`FusePlan::run_len`: straight line, `MAX_RUN`
+    /// clamp, no memory op whose base the run writes). What depends on
+    /// machine state is rechecked now, one fact at a time, each check
+    /// truncating the run at its first failure (prefixes of a valid run
+    /// are valid runs). The checks commute: the armed length is the
+    /// smallest failing position, and a later check only renames the
+    /// stop reason when it fails strictly earlier.
     fn try_begin_fused_run(&mut self, text: &DecodedText) -> u32 {
         if !self.fusion || self.corrupt_fill.is_some() {
             return 0;
         }
-        let pc = self.hart.pc;
-        // Hot path: the core keeps re-entering the same run (a loop
-        // body). The template already holds the static walk; with the
-        // text unchanged and the scoreboard idle, arming from it
-        // reproduces the full validation bit-for-bit.
-        if self.template.pc == pc
-            && self.template.text_gen == text.generation()
-            && self.scoreboard.is_clear()
-        {
-            return self.arm_from_template(text);
-        }
-        let ctx = ValidateCtx {
-            hart: &self.hart,
-            icache: &self.icache,
-            dcache: &self.dcache,
-            scoreboard: &self.scoreboard,
-            pending_data: &self.pending_data,
-        };
-        let (len, stop) = validate_run_stop(text, pc, &ctx, &mut self.fused_accesses);
-        self.fuse_diag.full_validations += 1;
-        self.fuse_diag.record_arm(len, stop);
-        self.fused_len = len;
-        self.fused_left = len;
-        self.fused_cursor = 0;
-        self.fused_next_store = 0;
-        if len >= 2
-            && self.last_validated_pc == pc
-            && (self.template.pc != pc || self.template.text_gen != text.generation())
-        {
-            self.build_template(text, pc);
-        }
-        self.last_validated_pc = pc;
-        len
-    }
-
-    /// Records the static structure of the run at `pc` into the
-    /// template: the walk [`validate_run`] just performed, minus every
-    /// dynamic check. Called only after a successful full validation,
-    /// so the static length is at least the validated length.
-    fn build_template(&mut self, text: &DecodedText, pc: u64) {
-        let Some(start) = text.index_of(pc) else {
-            return;
-        };
-        let full = text.plan(start).run_len.min(MAX_RUN);
-        let mut ops = std::mem::take(&mut self.template.ops);
-        ops.clear();
-        let mut written = RegSet::new();
-        let mut len = 0u32;
-        for i in 0..full {
-            let idx = start + i as usize;
-            let Some(entry) = text.slot(idx) else { break };
-            if let FuseClass::Mem(plan) = text.plan(idx).class {
-                let mut base = RegSet::new();
-                base.add_x(plan.base);
-                if written.intersects(&base) {
-                    break;
-                }
-                ops.push((i, plan));
-            }
-            written.insert_all(&entry.defs);
-            len = i + 1;
-        }
-        ops.retain(|&(pos, _)| pos < len);
-        self.template = RunTemplate {
-            pc,
-            text_gen: text.generation(),
-            len,
-            ops,
-            icache_valid: false,
-            icache_gen: 0,
-            icache_len: 0,
-        };
-    }
-
-    /// Arms the fused dispatch from the cached template, rechecking
-    /// only the dynamic facts: I-line residency (cached per I-cache
-    /// residency generation — equal generations prove an identical
-    /// resident-line set), and per memory op the address, D-line
-    /// residency, in-flight table and text overlap. Truncates at the
-    /// first failure exactly like the full walk; returns the armed
-    /// length (0 = per-instruction path).
-    fn arm_from_template(&mut self, text: &DecodedText) -> u32 {
-        let tpl = &mut self.template;
-        if !tpl.icache_valid || tpl.icache_gen != self.icache.generation() {
-            let mut checked_iline = u64::MAX;
-            let mut resident = tpl.len;
-            for i in 0..tpl.len {
-                let slot_pc = tpl.pc + u64::from(i) * 4;
-                let iline = self.icache.line_addr(slot_pc);
-                if iline != checked_iline {
-                    if !self.icache.contains(slot_pc) {
-                        resident = i;
-                        break;
-                    }
-                    checked_iline = iline;
-                }
-            }
-            tpl.icache_len = resident;
-            tpl.icache_gen = self.icache.generation();
-            tpl.icache_valid = true;
-        }
-        let mut len = tpl.len.min(tpl.icache_len);
-        // Observation only: why the arm stops where it does (the
-        // re-arm half of the abort-reason taxonomy).
-        let mut stop = if tpl.icache_len < tpl.len {
-            FuseStop::LineNotResident
-        } else {
-            FuseStop::RunEnd
-        };
-        let pending_empty = self.pending_data.is_empty();
         self.fused_accesses.clear();
-        for &(pos, plan) in &tpl.ops {
-            if pos >= len {
+        let pc = self.hart.pc;
+        let (start, mut len, mut stop) = match text.index_of(pc) {
+            // Fewer than two instructions gain nothing over the
+            // per-instruction path.
+            Some(start) if text.plan(start).run_len >= 2 => {
+                (start, text.plan(start).run_len, FuseStop::RunEnd)
+            }
+            _ => (0, 0, FuseStop::TooShort),
+        };
+
+        // I-line residency is line-granular: one probe vouches for
+        // every slot sharing the line.
+        let line_bytes = self.icache.config().line_bytes;
+        let mut slot_pc = pc;
+        while slot_pc < pc + u64::from(len) * 4 {
+            if !self.icache.contains(slot_pc) {
+                (len, stop) = (((slot_pc - pc) / 4) as u32, FuseStop::LineNotResident);
                 break;
             }
-            let addr = self
-                .hart
-                .x(plan.base)
-                .wrapping_add(plan.offset as i64 as u64);
-            let way = self.dcache.probe_way(addr);
-            let blocked = match way {
-                None => Some(FuseStop::LineNotResident),
-                Some(_)
-                    if !pending_empty
-                        && self.pending_data.contains_key(&self.dcache.line_addr(addr)) =>
-                {
-                    Some(FuseStop::PendingFill)
-                }
-                Some(_) if plan.write && text.overlaps(addr, u64::from(plan.size)) => {
-                    Some(FuseStop::TextStore)
-                }
-                Some(_) => None,
+            slot_pc = self.icache.line_addr(slot_pc) + line_bytes;
+        }
+
+        // Per-instruction hazard check against the *current* mask.
+        // Exact: fused runs never acquire, so the mask only shrinks
+        // while the run retires. An idle scoreboard blocks nothing.
+        if !self.scoreboard.is_clear() {
+            let busy = (0..len).find(|&i| {
+                let entry = text
+                    .slot(start + i as usize)
+                    .expect("run slots are decoded by construction");
+                self.scoreboard.blocks(&entry.uses, &entry.defs)
+            });
+            if let Some(i) = busy {
+                (len, stop) = (i, FuseStop::ScoreboardBusy);
+            }
+        }
+
+        // Every memory op must be a guaranteed hit at an address known
+        // now (the static run never writes a base before using it).
+        let no_pending_data = self.pending_data.is_empty();
+        let mut blocked = None;
+        for i in 0..len {
+            let FuseClass::Mem(op) = text.plan(start + i as usize).class else {
+                continue;
             };
-            if let Some(reason) = blocked {
-                len = pos;
-                stop = reason;
+            let addr = self.hart.x(op.base).wrapping_add(op.offset as i64 as u64);
+            let Some(way) = self.dcache.probe_way(addr) else {
+                blocked = Some((i, FuseStop::LineNotResident));
+                break;
+            };
+            // A hit on an in-flight line must wait for the data.
+            if !no_pending_data && self.pending_data.contains_key(&self.dcache.line_addr(addr)) {
+                blocked = Some((i, FuseStop::PendingFill));
+                break;
+            }
+            // Self-modifying stores go through the per-instruction
+            // path so invalidation fires.
+            if op.write && text.overlaps(addr, u64::from(op.size)) {
+                blocked = Some((i, FuseStop::TextStore));
                 break;
             }
             self.fused_accesses.push(FusedAccess {
-                pos,
+                pos: i,
                 addr,
-                size: plan.size,
-                write: plan.write,
-                way: way.expect("blocked covers the non-resident case"),
+                size: op.size,
+                write: op.write,
+                way,
             });
         }
+        if let Some(cut) = blocked {
+            (len, stop) = cut;
+        }
+
         if len < 2 {
             self.fused_accesses.clear();
             len = 0;
         }
-        self.fuse_diag.template_arms += 1;
         self.fuse_diag.record_arm(len, stop);
         self.fused_len = len;
         self.fused_left = len;
@@ -866,7 +723,8 @@ impl Core {
     /// Retires exactly `n` pre-validated instructions over the cycles
     /// `[cycle, cycle + n)` — the one fused retire routine: a window
     /// chunk of the orchestrator, or `n = 1` from [`Core::step`]. The
-    /// caller must have proved `n <= self.fused_left()`.
+    /// caller must have proved `n` is at most what
+    /// [`Core::ensure_fused_run`] last returned.
     ///
     /// Validation proved: I-line and every accessed D-line resident
     /// (probing resident lines never evicts, so residency holds for

@@ -56,7 +56,7 @@ const MAX_DENSE_PAGES: u64 = 1 << 16;
 /// a contiguous slot vector starting at the lowest written page — so
 /// the hot path (kernel text + data live within a few MiB of each
 /// other) resolves a page with one subtraction and one bounds check
-/// instead of a hash lookup. Pages further than [`MAX_DENSE_PAGES`]
+/// instead of a hash lookup. Pages further than `MAX_DENSE_PAGES`
 /// from the window spill into a hash-map fallback, preserving the
 /// 4 GiB-style sparse address space.
 #[derive(Debug, Default, Clone)]
@@ -91,7 +91,7 @@ impl SparseMemory {
     }
 
     /// Resolves a page for writing, allocating (and growing the dense
-    /// window when the page is within [`MAX_DENSE_PAGES`] of it) on
+    /// window when the page is within `MAX_DENSE_PAGES` of it) on
     /// first touch.
     fn page_mut(&mut self, page_no: u64) -> &mut [u8; PAGE_SIZE] {
         let idx = page_no.wrapping_sub(self.base_page) as usize;
@@ -108,7 +108,7 @@ impl SparseMemory {
 
     /// Cold path of [`Self::page_mut`]: the page is outside the dense
     /// window. Establish or grow the window to cover it when the
-    /// resulting span stays within [`MAX_DENSE_PAGES`] (migrating any
+    /// resulting span stays within `MAX_DENSE_PAGES` (migrating any
     /// far pages the grown window swallows, so they are not shadowed
     /// by fresh zero slots); otherwise fall back to the hash map.
     #[cold]

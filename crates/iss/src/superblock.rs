@@ -1,12 +1,12 @@
-//! Dynamic half of the superblock translation engine: run validation
-//! and the fused dispatch state machine.
+//! Dynamic half of the superblock translation engine: what an arm
+//! attempt reports and records.
 //!
 //! The static half (`coyote_isa::superblock`) classifies every text
-//! slot and precomputes `run_len`, the longest straight-line fusable
-//! run starting there. This module decides, against the *live* machine
-//! state, whether the next `run_len` instructions can retire through
-//! the stripped-down fused path with bit-identical observable
-//! behaviour:
+//! slot and precomputes `run_len`: how far a straight-line run starting
+//! there can ever fuse. [`crate::core::Core::ensure_fused_run`] arms
+//! the longest prefix of that run for which, against the *live* machine
+//! state, the stripped-down fused path is bit-identical to the
+//! per-instruction one:
 //!
 //! * every instruction line of the run is resident in the L1I (probing
 //!   a resident line never evicts, so residency is stable for the
@@ -14,50 +14,41 @@
 //! * no instruction's use/def set is blocked by the scoreboard — exact
 //!   because fused runs never *acquire* scoreboard references, so the
 //!   pending mask can only shrink mid-run (fills completing), never
-//!   grow: an instruction that is unblocked at validation time stays
-//!   unblocked when its turn comes;
-//! * every memory access is a guaranteed L1D hit whose address is
-//!   computable now: base register not written earlier in the run,
-//!   line resident, and — crucially — *not* in the pending-fill table
-//!   (a hit on an in-flight line must wait for the data);
+//!   grow: an instruction that is unblocked at arm time stays unblocked
+//!   when its turn comes;
+//! * every memory access is a guaranteed L1D hit: line resident, and —
+//!   crucially — *not* in the pending-fill table (a hit on an in-flight
+//!   line must wait for the data). Its address is computable at arm
+//!   time because the static run stops before any memory op whose base
+//!   register the run writes;
 //! * no store lands in the text segment (self-modifying code takes
 //!   the per-instruction path, which detects and invalidates);
 //! * no fill-corruption fault is armed (the oracle's mutation hook
 //!   rewrites a register mid-flight, which would invalidate the
-//!   addresses computed here).
+//!   addresses computed at arm time).
 //!
 //! A run that fails any check is simply truncated at the first
-//! uncertain instruction; prefixes of a valid run are valid runs. The
-//! fused path itself lives in [`crate::core::Core`]; this file is
-//! pinned by the `predecode-bypass` lint so the dispatch/fallback
-//! boundary cannot be silently bypassed.
+//! uncertain instruction; prefixes of a valid run are valid runs. This
+//! file holds the vocabulary of that decision — why a run stopped
+//! ([`FuseStop`]), the per-core tallies ([`FuseDiag`]) and the armed
+//! accesses the orchestrator's cross-core test reads
+//! ([`FusedAccess`]); it is pinned by the `predecode-bypass` lint so
+//! the dispatch/fallback boundary cannot be silently bypassed.
 
-use coyote_isa::superblock::FuseClass;
+use coyote_isa::superblock::MAX_RUN;
 use coyote_isa::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
 
-use crate::cache::Cache;
-use crate::core::DecodedText;
-use crate::exec::RegSet;
-use crate::hart::Hart;
-use crate::mem::AddrMap;
-use crate::scoreboard::Scoreboard;
-
-/// Cap on validated run length: bounds validation cost per attempt and
-/// the staleness window of the residency facts it relies on.
-pub const MAX_RUN: u32 = 64;
-
-/// Why a validation or template-arm walk stopped where it did — the
+/// Why an arm attempt stopped where it did — the
 /// window-abort and re-arm reason taxonomy the host profiler reports.
 ///
-/// Purely host-diagnostic: recording a stop never changes what the
-/// walk validates, and the counters live outside `CoreStats` so the
+/// Purely host-diagnostic: recording a stop never changes what is
+/// armed, and the counters live outside `CoreStats` so the
 /// determinism digest cannot see them. Two further abort reasons exist
 /// only at the orchestrator (they involve more than one core):
 /// cross-core access conflicts and text-segment invalidation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuseStop {
-    /// The walk reached the end of the static run: nothing dynamic
-    /// truncated it.
+    /// The whole static run armed: nothing dynamic truncated it.
     RunEnd,
     /// No fusable run starts here (static run shorter than two
     /// instructions, or the PC is outside the predecoded text).
@@ -68,8 +59,12 @@ pub enum FuseStop {
     PendingFill,
     /// An instruction or data line is not resident in its L1.
     LineNotResident,
-    /// A memory op's base register is written earlier in the run, so
-    /// its address is not knowable at validation time.
+    /// Never recorded: that a memory op's base register is written
+    /// earlier in the run is decided at predecode time and shortens
+    /// the static run, so it reads as [`FuseStop::RunEnd`] or
+    /// [`FuseStop::TooShort`]. The variant stays so the `base_written`
+    /// keys of metrics schema 5 keep existing (as zeros); the next
+    /// schema bump drops it.
     BaseWritten,
     /// A store lands in the text segment (self-modifying code takes
     /// the per-instruction path so invalidation fires).
@@ -107,22 +102,25 @@ impl FuseStop {
 }
 
 /// Host-diagnostic counters for one core's fused dispatch: how often
-/// runs were armed, from which path, and why walks stopped. Like
+/// runs were armed and why arm attempts stopped. Like
 /// `fused_retired`, deliberately outside `CoreStats` so the
 /// determinism digest cannot vary with profiling; the orchestrator
 /// aggregates these in core-index order when exporting a profile.
 #[derive(Debug, Clone)]
 pub struct FuseDiag {
-    /// Arm attempts that ran the cached-template fast path.
+    /// Arm attempts, all of them (the name is the exported key's, from
+    /// when a second routine counted the rest).
     pub template_arms: u64,
-    /// Arm attempts that ran the full validation walk.
+    /// Always 0.
+    // benchmark-compat: `benchmark/` adds this field to `template_arms`
+    // for its arm-attempt count; ROADMAP item 2 lists it for deletion.
     pub full_validations: u64,
     /// Attempts that armed a run of length >= 2.
     pub armed_runs: u64,
-    /// Walk-stop counts indexed by `FuseStop as usize`
+    /// Stop-reason counts indexed by `FuseStop as usize`
     /// ([`FuseStop::ALL`] order).
     pub stops: [u64; FuseStop::COUNT],
-    /// Reason the most recent walk stopped (what the orchestrator
+    /// Reason the most recent attempt stopped (what the orchestrator
     /// reports when a multi-core window dies on a failed re-arm).
     pub last_stop: FuseStop,
     /// Exact armed-run-length distribution: `run_len_counts[n]` counts
@@ -145,8 +143,9 @@ impl Default for FuseDiag {
 
 impl FuseDiag {
     /// Records the outcome of one arm attempt: the length it armed
-    /// (0 = per-instruction path) and why the walk stopped there.
+    /// (0 = per-instruction path) and why it stopped there.
     pub fn record_arm(&mut self, len: u32, stop: FuseStop) {
+        self.template_arms += 1;
         self.stops[stop as usize] += 1;
         self.last_stop = stop;
         if len > 0 {
@@ -192,139 +191,6 @@ impl FusedAccess {
             write: self.write,
         }
     }
-}
-
-/// Live machine state a validation walk reads. Borrowed piecewise so
-/// [`crate::core::Core`] can lend its fields without a self-borrow
-/// conflict.
-pub struct ValidateCtx<'a> {
-    /// The hart's architectural registers (for access addresses).
-    pub hart: &'a Hart,
-    /// L1 instruction cache (residency only).
-    pub icache: &'a Cache,
-    /// L1 data cache (residency only).
-    pub dcache: &'a Cache,
-    /// RAW/WAW scoreboard.
-    pub scoreboard: &'a Scoreboard,
-    /// Data lines with fills in flight.
-    pub pending_data: &'a AddrMap<RegSet>,
-}
-
-/// Validates the longest fusable run starting at `pc`, recording its
-/// pre-computed memory accesses into `accesses` (cleared first).
-///
-/// Returns the number of instructions that may retire through the
-/// fused path — `0` when fusion is not worthwhile (runs shorter than
-/// two instructions gain nothing over the per-instruction path).
-#[must_use]
-pub fn validate_run(
-    text: &DecodedText,
-    pc: u64,
-    ctx: &ValidateCtx<'_>,
-    accesses: &mut Vec<FusedAccess>,
-) -> u32 {
-    validate_run_stop(text, pc, ctx, accesses).0
-}
-
-/// [`validate_run`] plus the [`FuseStop`] reason the walk stopped
-/// where it did. The length is computed identically; the reason is
-/// observation only.
-#[must_use]
-pub fn validate_run_stop(
-    text: &DecodedText,
-    pc: u64,
-    ctx: &ValidateCtx<'_>,
-    accesses: &mut Vec<FusedAccess>,
-) -> (u32, FuseStop) {
-    accesses.clear();
-    let Some(start) = text.index_of(pc) else {
-        return (0, FuseStop::TooShort);
-    };
-    let full = text.plan(start).run_len.min(MAX_RUN);
-    if full < 2 {
-        return (0, FuseStop::TooShort);
-    }
-
-    // Hoisted loop invariants: the walk is pure, so an idle scoreboard
-    // stays idle (`blocks` is identically false) and an empty
-    // pending-fill table stays empty for the whole validation.
-    let scoreboard_idle = ctx.scoreboard.is_clear();
-    let no_pending_data = ctx.pending_data.is_empty();
-    // I-line residency is line-granular: one probe vouches for every
-    // slot sharing the line. `u64::MAX` is unaligned, so it can never
-    // collide with a real line address.
-    let mut checked_iline = u64::MAX;
-
-    let mut written = RegSet::new();
-    let mut len = 0u32;
-    let mut stop = FuseStop::RunEnd;
-    for i in 0..full {
-        let idx = start + i as usize;
-        let slot_pc = pc + u64::from(i) * 4;
-        // Run slots are non-excluded by construction, hence decoded.
-        let Some(entry) = text.slot(idx) else { break };
-        let iline = ctx.icache.line_addr(slot_pc);
-        if iline != checked_iline {
-            if !ctx.icache.contains(slot_pc) {
-                stop = FuseStop::LineNotResident;
-                break;
-            }
-            checked_iline = iline;
-        }
-        // Per-instruction hazard check against the *current* mask.
-        // Exact: fused runs never acquire, so the mask only shrinks
-        // while the run retires.
-        if !scoreboard_idle && ctx.scoreboard.blocks(&entry.uses, &entry.defs) {
-            stop = FuseStop::ScoreboardBusy;
-            break;
-        }
-        if let FuseClass::Mem(plan) = text.plan(idx).class {
-            // The address is only knowable now if nothing earlier in
-            // the run redefines the base register.
-            let mut base = RegSet::new();
-            base.add_x(plan.base);
-            if written.intersects(&base) {
-                stop = FuseStop::BaseWritten;
-                break;
-            }
-            let addr = ctx
-                .hart
-                .x(plan.base)
-                .wrapping_add(plan.offset as i64 as u64);
-            let Some(way) = ctx.dcache.probe_way(addr) else {
-                stop = FuseStop::LineNotResident;
-                break;
-            };
-            // A hit on an in-flight line must wait for the data.
-            if !no_pending_data && ctx.pending_data.contains_key(&ctx.dcache.line_addr(addr)) {
-                stop = FuseStop::PendingFill;
-                break;
-            }
-            // Self-modifying stores go through the per-instruction
-            // path so invalidation fires.
-            if plan.write && text.overlaps(addr, u64::from(plan.size)) {
-                stop = FuseStop::TextStore;
-                break;
-            }
-            accesses.push(FusedAccess {
-                pos: i,
-                addr,
-                size: plan.size,
-                write: plan.write,
-                way,
-            });
-        }
-        written.insert_all(&entry.defs);
-        len = i + 1;
-    }
-
-    if len < 2 {
-        accesses.clear();
-        return (0, stop);
-    }
-    // Drop accesses of instructions beyond the validated prefix.
-    accesses.retain(|access| access.pos < len);
-    (len, stop)
 }
 
 /// Whether any access in `a`'s `a_limit` positions from `a_skip`

@@ -12,7 +12,7 @@
 //! | `lossy-cast`    | a narrowing `as` cast applied to a cycle/latency-named counter: silently truncates long runs |
 //! | `lib-unwrap`    | bare `.unwrap()` in library (non-`bin`, non-test) code: panics instead of a typed error (`.expect("why")` documents the invariant and is permitted) |
 //! | `forbid-unsafe` | crate root missing `#![forbid(unsafe_code)]`              |
-//! | `predecode-bypass` | a `coyote_isa::decode` call in the core step path (`crates/iss/src/core.rs`) or the superblock dispatch path (`crates/iss/src/superblock.rs`): per-retirement decode silently reintroduces the hot-loop cost the predecoded micro-op table ([`coyote_isa::predecode`]) exists to eliminate, and in the superblock path it would dodge the fusion boundary checks; out-of-text PCs must go through `DecodedInst::from_word` |
+//! | `predecode-bypass` | a `coyote_isa::decode` call in the core step path (`crates/iss/src/core.rs`) or the superblock dispatch path (`crates/iss/src/superblock.rs`): per-retirement decode silently reintroduces the hot-loop cost the predecoded micro-op table (`coyote_isa::predecode`) exists to eliminate, and in the superblock path it would dodge the fusion boundary checks; out-of-text PCs must go through `DecodedInst::from_word` |
 //!
 //! Suppression: a `// audit:allow(<rule>)` comment on the offending
 //! line, or heading the comment block directly above it (the directive

@@ -92,6 +92,19 @@ impl HierarchyConfig {
         }
         self.l2.validate()?;
         self.mc.validate()?;
+        if let NocModel::Mesh { width, height, .. } = self.noc {
+            // `checked_mul`: a grid too large to count is refused too,
+            // not multiplied into an overflow.
+            if width
+                .checked_mul(height)
+                .is_none_or(|nodes| nodes < self.tiles)
+            {
+                return Err(format!(
+                    "mesh {width}x{height} cannot hold {} tiles",
+                    self.tiles
+                ));
+            }
+        }
         Ok(())
     }
 

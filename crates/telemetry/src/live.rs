@@ -173,7 +173,7 @@ impl StatusEmitter {
     }
 
     /// Whether a snapshot is due. Cheap enough to poll every simulated
-    /// cycle: the host clock is only read every [`DUE_CHECK_STRIDE`]
+    /// cycle: the host clock is only read every `DUE_CHECK_STRIDE`
     /// calls. The returned bool gates an observation-only branch — it
     /// never reaches simulated state.
     pub fn due(&mut self) -> bool {
