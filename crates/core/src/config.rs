@@ -26,6 +26,18 @@ pub const MAX_CORES: usize = 4096;
 /// one turns a typo into a run that never finishes.
 pub const MAX_PREFETCH_DEGREE: usize = 64;
 
+/// Largest total number of cache lines (every L1 and every L2 bank)
+/// [`SimConfig::validate`] accepts: 2^24, 1 GiB of 64-byte lines. The
+/// default per-core and per-bank geometry at [`MAX_CORES`] needs 11.5 Mi.
+/// Every line has a tag-array entry on the host, so an unbounded cache
+/// size aborts the process on a failed allocation instead of returning
+/// a [`ConfigError`].
+pub const MAX_CACHE_LINES: u64 = 1 << 24;
+
+/// Largest vector register length [`SimConfig::validate`] accepts: the
+/// RVV 1.0 architectural maximum of 65,536 bits.
+pub const MAX_VLEN_BITS: u64 = 1 << 16;
+
 /// Complete configuration of a Coyote simulation.
 ///
 /// Build with [`SimConfig::builder`]; `SimConfig::default()` models a
@@ -128,8 +140,8 @@ pub enum ProfMode {
     Wall,
     /// Wall-clock-free mode: phase *entry counts* instead of
     /// durations. The whole profile is then byte-stable across hosts
-    /// and legal schedule perturbations, which is what
-    /// `coyote-audit --race --profile` checks.
+    /// and legal schedule perturbations (pinned by
+    /// `tests/equivalence.rs`).
     Counter,
 }
 
@@ -247,7 +259,26 @@ impl SimConfig {
                 "L1 and L2 line sizes must match (line-granular hierarchy requests)",
             ));
         }
-        self.hierarchy().validate().map_err(ConfigError::new)?;
+        let vlen = self.core.vlen_bits;
+        if !(64..=MAX_VLEN_BITS).contains(&vlen) || !vlen.is_power_of_two() {
+            return Err(ConfigError::new(format!(
+                "vlen_bits {vlen} must be a power of two between 64 and {MAX_VLEN_BITS}"
+            )));
+        }
+        let hierarchy = self.hierarchy();
+        hierarchy.validate().map_err(ConfigError::new)?;
+        // u128: 4096 cores and 16,384 banks of `u64` sizes cannot wrap it.
+        let line = u128::from(self.l2.line_bytes);
+        let lines = self.cores as u128
+            * (u128::from(self.core.l1i.size_bytes) + u128::from(self.core.l1d.size_bytes))
+            / line
+            + hierarchy.total_banks() as u128 * u128::from(self.l2.bank_size_bytes) / line;
+        if lines > u128::from(MAX_CACHE_LINES) {
+            return Err(ConfigError::new(format!(
+                "the L1s and L2 banks hold {lines} cache lines in total, more than the \
+                 supported maximum of {MAX_CACHE_LINES}"
+            )));
+        }
         Ok(())
     }
 }

@@ -102,13 +102,24 @@ fn bad_arguments_fail_cleanly() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("core count"));
 
     // So are a mesh that cannot hold the tiles (it used to panic inside
-    // the hierarchy) and a prefetch degree that would never finish.
+    // the hierarchy), a prefetch degree that would never finish, a
+    // latency that wrapped the event clock (debug panic; release
+    // reported shorter stalls than the default) and a bank count that
+    // never started.
     for (flags, needle) in [
         (["--cores", "16", "--mesh", "1x1"], "mesh 1x1"),
         (["--cores", "2", "--mesh", "0x0"], "mesh 0x0"),
         (
             ["--cores", "2", "--prefetch", "99999999"],
             "prefetch degree",
+        ),
+        (
+            ["--cores", "4", "--noc-latency", "18446744073709551615"],
+            "NoC traversal latency 18446744073709551615 exceeds the supported maximum of 1048576",
+        ),
+        (
+            ["--cores", "4", "--banks-per-tile", "100000"],
+            "100000 banks_per_tile exceeds the supported maximum of 16384 L2 banks",
         ),
     ] {
         let output = Command::new(sim_binary())

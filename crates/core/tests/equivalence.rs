@@ -286,8 +286,11 @@ proptest! {
 /// contended machine the CI smoke uses, the 8-core private-L2 case
 /// that once made a fused window diverge from per-instruction stepping
 /// (formerly the stored seed in `parallel_props.proptest-regressions`),
-/// the same smoke machine batching four instructions per cycle, and a
-/// single core (whose windows take the same loop as everyone's).
+/// the same smoke machine batching four instructions per cycle, a
+/// single core (whose windows take the same loop as everyone's), and
+/// the two 16-core two-tile machines `coyote-audit --race` perturbs
+/// (`shared-l2`, `private-l2`): crossing seed x profiling x status on
+/// them here is what that detector's `--profile`/`--status` flags did.
 #[test]
 fn fixed_shapes_reproduce_the_plain_baseline() {
     let smoke = Machine {
@@ -308,7 +311,13 @@ fn fixed_shapes_reproduce_the_plain_baseline() {
         ..smoke
     };
     let solo = Machine { cores: 1, ..smoke };
-    for machine in [smoke, regression, batched, solo] {
+    let shared_l2 = Machine { cores: 16, ..smoke };
+    let private_l2 = Machine {
+        cores: 16,
+        sharing: L2Sharing::Private,
+        ..smoke
+    };
+    for machine in [smoke, regression, batched, solo, shared_l2, private_l2] {
         for perturb in [0, 0x00C0_707E_5EED] {
             assert_table_matches_baseline(&machine, true, perturb);
         }

@@ -7,7 +7,7 @@
 //! in place, and re-runs it — the exit code proves which semantics
 //! executed.
 
-use coyote::{SimConfig, Simulation};
+use coyote::{host_profile_json, FlightKind, JsonValue, ProfMode, Report, SimConfig, Simulation};
 
 /// Ten iterations of `addi a0, a0, 1`, then the word is patched to
 /// `addi a0, a0, 2` (0x0025_0513) and the loop runs ten more times:
@@ -33,29 +33,36 @@ const SELF_PATCHING: &str = "
         li a7, 93
         ecall";
 
-fn run(oracle: bool, fusion: bool) -> (Vec<i64>, u64, f64) {
+/// Runs the kernel to completion under the counter-clock host profiler
+/// (which `equivalence.rs` proves changes no simulated state).
+fn run(oracle: bool, fusion: bool) -> (Simulation, Report) {
     let program = coyote_asm::assemble(SELF_PATCHING).expect("assemble");
     let config = SimConfig::builder()
         .cores(1)
         .oracle(oracle)
         .fusion(fusion)
+        .profiling(ProfMode::Counter)
         .build()
         .expect("valid config");
     let mut sim = Simulation::new(config, &program).expect("create sim");
     let report = sim.run().expect("run completes");
-    (
-        report.exit_codes().expect("all harts exited"),
-        sim.determinism_digest(),
-        report.block_hit_rate(),
-    )
+    (sim, report)
+}
+
+fn exits(report: &Report) -> Vec<i64> {
+    report.exit_codes().expect("all harts exited")
 }
 
 #[test]
 fn patched_instruction_reexecutes_with_new_semantics_under_oracle() {
     // The oracle steps a functional twin in lockstep; a stale decode
     // on either side diverges and fails the run outright.
-    let (exits, _, _) = run(true, true);
-    assert_eq!(exits, vec![30], "patched addi must add 2 in phase 2");
+    let (_, report) = run(true, true);
+    assert_eq!(
+        exits(&report),
+        vec![30],
+        "patched addi must add 2 in phase 2"
+    );
 }
 
 #[test]
@@ -63,18 +70,37 @@ fn fused_runs_see_the_patch_and_match_per_instruction_stepping() {
     // Fusion on: the hot loop retires through validated superblock
     // runs, so the store must re-derive the static runs that reach the
     // patched slot, abort the armed run, and force a fresh arm.
-    let (fused_exits, fused_digest, hit) = run(false, true);
-    assert_eq!(fused_exits, vec![30]);
+    let (fused, fused_report) = run(false, true);
+    assert_eq!(exits(&fused_report), vec![30]);
     assert!(
-        hit > 0.0,
+        fused_report.block_hit_rate() > 0.0,
         "the hot loop must actually exercise the fused path"
     );
     // Fusion off: the reference per-instruction schedule.
-    let (plain_exits, plain_digest, plain_hit) = run(false, false);
-    assert_eq!(plain_exits, vec![30]);
-    assert_eq!(plain_hit, 0.0, "fusion off must not fuse");
+    let (plain, plain_report) = run(false, false);
+    assert_eq!(exits(&plain_report), vec![30]);
     assert_eq!(
-        fused_digest, plain_digest,
+        plain_report.block_hit_rate(),
+        0.0,
+        "fusion off must not fuse"
+    );
+    assert_eq!(
+        fused.determinism_digest(),
+        plain.determinism_digest(),
         "fused execution diverged from per-instruction stepping"
     );
+    // A store into text is reported where it happens: a flight event
+    // and a `text_invalidation` window abort.
+    assert!(
+        fused
+            .flight()
+            .tail()
+            .iter()
+            .any(|e| matches!(e.kind, FlightKind::TextInvalidate { .. })),
+        "no text_invalidate flight event: {:?}",
+        fused.flight().tail_lines(8)
+    );
+    let aborts = host_profile_json(&fused);
+    let aborts = aborts.get("abort_reasons").expect("abort taxonomy");
+    assert!(aborts.get("text_invalidation").and_then(JsonValue::as_u64) >= Some(1));
 }

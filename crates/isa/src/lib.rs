@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cfg;
 pub mod csr;
 pub mod decode;
 pub mod disasm;
@@ -37,7 +36,6 @@ pub mod reg;
 pub mod superblock;
 pub mod vtype;
 
-pub use cfg::{BasicBlock, BlockExit, Cfg, NaturalLoop};
 pub use csr::Csr;
 pub use decode::{decode, DecodeError};
 pub use encode::{encode, EncodeError};

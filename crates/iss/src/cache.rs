@@ -68,7 +68,8 @@ impl CacheConfig {
         if self.ways == 0 {
             return Err("associativity must be at least 1".to_owned());
         }
-        let denom = self.ways * self.line_bytes;
+        // 0 stands for a product too large to hold: refused, not wrapped.
+        let denom = self.ways.checked_mul(self.line_bytes).unwrap_or(0);
         if denom == 0 || !self.size_bytes.is_multiple_of(denom) {
             return Err(format!(
                 "capacity {} not divisible by ways*line ({denom})",

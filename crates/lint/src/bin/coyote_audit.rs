@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! coyote-audit --lint [--root DIR] [--baseline FILE] [--json | --format json]
-//! coyote-audit --race --config NAME [--perturb-seed N] [--profile] [--status] [--json]
+//! coyote-audit --race --config NAME [--perturb-seed N] [--json]
 //! coyote-audit --race --all [--json]
 //! ```
 //!
@@ -13,12 +13,7 @@
 //! `text` key for existing consumers).
 //! `--race` runs the named repro configuration twice — canonical and
 //! schedule-perturbed — and diffs the results (see
-//! `coyote_lint::race`); exit code 1 means a schedule race. With
-//! `--profile` both runs carry counter-mode host profiling, extending
-//! the byte-for-byte metrics diff over the `host_profile` section. With
-//! `--status` both runs stream live status snapshots to a temp file
-//! while being diffed, so the same diff proves the introspection plane
-//! is observation-only.
+//! `coyote_lint::race`); exit code 1 means a schedule race.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,8 +24,7 @@ use coyote_lint::race::{self, CONFIG_NAMES};
 
 const USAGE: &str =
     "usage: coyote-audit --lint [--root DIR] [--baseline FILE] [--json | --format json]
-       coyote-audit --race (--config NAME | --all) [--perturb-seed N] [--profile] \
-[--status] [--json]";
+       coyote-audit --race (--config NAME | --all) [--perturb-seed N] [--json]";
 
 struct Args {
     lint: bool,
@@ -39,8 +33,6 @@ struct Args {
     baseline: Option<PathBuf>,
     configs: Vec<String>,
     perturb_seed: u64,
-    profile: bool,
-    status: bool,
     json: bool,
     format_json: bool,
 }
@@ -53,8 +45,6 @@ fn parse_args() -> Result<Args, String> {
         baseline: None,
         configs: Vec::new(),
         perturb_seed: 0,
-        profile: false,
-        status: false,
         json: false,
         format_json: false,
     };
@@ -63,8 +53,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--lint" => args.lint = true,
             "--race" => args.race = true,
-            "--profile" => args.profile = true,
-            "--status" => args.status = true,
             "--json" => args.json = true,
             "--format" => {
                 let format = take(&mut it, "--format")?;
@@ -100,9 +88,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.race && args.configs.is_empty() {
         return Err(format!("--race needs --config NAME or --all\n{USAGE}"));
-    }
-    if args.status && !args.race {
-        return Err(format!("--status requires --race\n{USAGE}"));
     }
     if args.format_json && !args.lint {
         return Err(format!("--format json applies to --lint only\n{USAGE}"));
@@ -163,7 +148,7 @@ fn run_race(args: &Args) -> Result<bool, String> {
     let mut clean = true;
     let mut reports = Vec::new();
     for name in &args.configs {
-        let outcome = race::check(name, args.perturb_seed, args.profile, args.status, false)?;
+        let outcome = race::check(name, args.perturb_seed, false)?;
         if args.json {
             reports.push(outcome.to_json());
         } else if let Some(divergence) = &outcome.divergence {
@@ -186,16 +171,8 @@ fn run_race(args: &Args) -> Result<bool, String> {
             }
         } else {
             println!(
-                "coyote-audit --race: config `{}` deterministic over {} cycles \
-                 (seed {:#x}{})",
-                outcome.config,
-                outcome.cycles,
-                outcome.perturb_seed,
-                if outcome.status {
-                    ", status-streamed"
-                } else {
-                    ""
-                }
+                "coyote-audit --race: config `{}` deterministic over {} cycles (seed {:#x})",
+                outcome.config, outcome.cycles, outcome.perturb_seed
             );
         }
         if outcome.divergence.is_some() {

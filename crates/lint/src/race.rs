@@ -92,14 +92,6 @@ pub struct RaceDivergence {
 pub struct RaceOutcome {
     /// The named configuration checked.
     pub config: String,
-    /// Whether both runs carried counter-mode host profiling, extending
-    /// the byte-for-byte metrics comparison over the `host_profile`
-    /// section.
-    pub profiled: bool,
-    /// Whether both runs streamed live status snapshots while being
-    /// diffed — proving the introspection plane is observation-only
-    /// (digest and metrics bytes match with the stream attached).
-    pub status: bool,
     /// The perturbation seed of the second run.
     pub perturb_seed: u64,
     /// Simulated cycles of the canonical run.
@@ -142,8 +134,6 @@ impl RaceOutcome {
         });
         JsonValue::object()
             .with("config", self.config.clone())
-            .with("profiled", self.profiled)
-            .with("status", self.status)
             .with("perturb_seed", self.perturb_seed)
             .with("cycles", self.cycles)
             .with("events_compared", self.events_compared)
@@ -165,8 +155,6 @@ struct RunArtifacts {
 #[derive(Clone, Copy)]
 struct RunKnobs {
     perturb_seed: u64,
-    profile: bool,
-    status: bool,
     log_events: bool,
     inject_unordered_drain: bool,
 }
@@ -177,34 +165,11 @@ fn run_once(
     knobs: RunKnobs,
 ) -> Result<RunArtifacts, String> {
     config.perturb_seed = knobs.perturb_seed;
-    if knobs.profile {
-        // Counter-mode profiling is a pure function of the simulated
-        // schedule, so the metrics diff below extends race detection
-        // over the whole `host_profile` section for free. (Wall mode
-        // would diff raw nanoseconds — never byte-stable.)
-        config.profiling = coyote::ProfMode::Counter;
-    }
     let program = workload
         .program(config.cores)
         .map_err(|e| format!("workload failed to assemble: {e}"))?;
     let mut sim = Simulation::new(config, &program).map_err(|e| e.to_string())?;
     workload.populate(&program, sim.memory_mut());
-    let status_path = if knobs.status {
-        // A short interval so snapshots actually fire during the run;
-        // emission is observation-only, so the diff below proves the
-        // stream cannot perturb digest or metrics bytes.
-        let path = std::env::temp_dir().join(format!(
-            "coyote-race-status-{}-s{}.jsonl",
-            std::process::id(),
-            knobs.perturb_seed
-        ));
-        let emitter =
-            coyote::StatusEmitter::create(&path, 1).map_err(|e| format!("status stream: {e}"))?;
-        sim.set_status(emitter);
-        Some(path)
-    } else {
-        None
-    };
     sim.set_event_log(knobs.log_events);
     if knobs.inject_unordered_drain {
         sim.debug_inject_unordered_drain();
@@ -215,9 +180,6 @@ fn run_once(
     // byte-for-byte metrics comparison sees only model state.
     report.wall_time = Duration::ZERO;
     let metrics = metrics_json(&sim, &report).to_string_pretty();
-    if let Some(path) = status_path {
-        let _ = std::fs::remove_file(&path);
-    }
     Ok(RunArtifacts {
         exit_codes: report.exit_codes(),
         digest: sim.determinism_digest(),
@@ -278,10 +240,6 @@ fn localize(
 /// injection the check must report a divergence, without it the check
 /// must report none.
 ///
-/// `status` attaches a live status stream (1 ms cadence, temp file) to
-/// *both* runs; a clean diff then proves the introspection plane is
-/// observation-only all the way down to digest and metrics bytes.
-///
 /// # Errors
 ///
 /// Returns a message for unknown configuration names and for
@@ -289,8 +247,6 @@ fn localize(
 pub fn check(
     name: &str,
     perturb_seed: u64,
-    profile: bool,
-    status: bool,
     inject_unordered_drain: bool,
 ) -> Result<RaceOutcome, String> {
     let (config, workload) = named_config(name)
@@ -303,8 +259,6 @@ pub fn check(
 
     let baseline_knobs = RunKnobs {
         perturb_seed: 0,
-        profile,
-        status,
         log_events: false,
         inject_unordered_drain,
     };
@@ -343,8 +297,6 @@ pub fn check(
     if observables.is_empty() {
         return Ok(RaceOutcome {
             config: name.to_owned(),
-            profiled: profile,
-            status,
             perturb_seed: seed,
             cycles: baseline.cycles,
             events_compared: 0,
@@ -380,8 +332,6 @@ pub fn check(
 
     Ok(RaceOutcome {
         config: name.to_owned(),
-        profiled: profile,
-        status,
         perturb_seed: seed,
         cycles: baseline.cycles,
         events_compared,

@@ -114,17 +114,20 @@ fn bad_format_and_misplaced_flags_are_usage_errors() {
     assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("yaml"));
 
-    // --format json is a --lint option; --status is a --race option.
+    // --format json is a --lint option.
     let output = Command::new(audit_binary())
         .args(["--race", "--config", "tiny", "--format", "json"])
         .output()
         .expect("spawn coyote-audit");
     assert_eq!(output.status.code(), Some(2));
 
-    let output = Command::new(audit_binary())
-        .args(["--lint", "--status"])
-        .output()
-        .expect("spawn coyote-audit");
-    assert_eq!(output.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("--status requires --race"));
+    // The retired --race knobs are unknown arguments, not silent no-ops.
+    for flag in ["--profile", "--status"] {
+        let output = Command::new(audit_binary())
+            .args(["--race", "--config", "tiny", flag])
+            .output()
+            .expect("spawn coyote-audit");
+        assert_eq!(output.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&output.stderr).contains("unknown argument"));
+    }
 }

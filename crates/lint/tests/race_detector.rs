@@ -8,7 +8,7 @@ use coyote_lint::race::{check, named_config, DEFAULT_PERTURB_SEED};
 
 #[test]
 fn perturbed_schedule_is_clean_on_the_real_hierarchy() {
-    let outcome = check("tiny", 0, false, false, false).expect("tiny config runs");
+    let outcome = check("tiny", 0, false).expect("tiny config runs");
     assert_eq!(outcome.perturb_seed, DEFAULT_PERTURB_SEED);
     assert!(outcome.cycles > 0);
     assert!(
@@ -20,7 +20,7 @@ fn perturbed_schedule_is_clean_on_the_real_hierarchy() {
 
 #[test]
 fn injected_hashmap_drain_is_caught() {
-    let outcome = check("tiny", 0, false, false, true).expect("tiny config runs");
+    let outcome = check("tiny", 0, true).expect("tiny config runs");
     let divergence = outcome
         .divergence
         .expect("the injected HashMap-ordered drain must be detected as a race");
@@ -40,56 +40,8 @@ fn injected_hashmap_drain_is_caught() {
 
 #[test]
 fn unknown_config_is_an_error_not_a_pass() {
-    let err = check("no-such-config", 0, false, false, false).unwrap_err();
+    let err = check("no-such-config", 0, false).unwrap_err();
     assert!(err.contains("no-such-config"));
-}
-
-#[test]
-fn profiled_runs_are_schedule_stable() {
-    // With --profile both runs carry counter-mode host profiling, so
-    // the byte-for-byte metrics diff also covers the `host_profile`
-    // section: phase entry counts, abort taxonomy and distributions
-    // must all be pure functions of the simulated schedule.
-    let outcome = check("tiny", 0, true, false, false).expect("tiny config runs");
-    assert!(outcome.profiled);
-    assert!(
-        outcome.divergence.is_none(),
-        "counter-mode profile diverged under perturbation: {:?}",
-        outcome.divergence
-    );
-}
-
-#[test]
-fn profiled_injected_race_is_still_caught() {
-    let outcome = check("tiny", 0, true, false, true).expect("tiny config runs");
-    assert!(
-        outcome.divergence.is_some(),
-        "profiling must not mask the injected drain race"
-    );
-}
-
-#[test]
-fn status_streamed_runs_are_schedule_stable() {
-    // With `status` both runs carry a live status emitter at a 1 ms
-    // cadence, so snapshots genuinely fire mid-run on both sides of
-    // the diff — proving the introspection plane is pure observation
-    // even under schedule perturbation.
-    let outcome = check("tiny", 0, false, true, false).expect("tiny config runs");
-    assert!(outcome.status);
-    assert!(
-        outcome.divergence.is_none(),
-        "status streaming diverged under perturbation: {:?}",
-        outcome.divergence
-    );
-}
-
-#[test]
-fn status_streamed_injected_race_is_still_caught() {
-    let outcome = check("tiny", 0, false, true, true).expect("tiny config runs");
-    assert!(
-        outcome.divergence.is_some(),
-        "status streaming must not mask the injected drain race"
-    );
 }
 
 #[test]

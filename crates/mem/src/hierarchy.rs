@@ -24,6 +24,20 @@ use crate::mc::{McConfig, McStats, MemoryController};
 use crate::noc::{Noc, NocModel, NocNode, NocStats};
 use crate::telemetry::MemTelemetry;
 
+/// Largest value [`HierarchyConfig::validate`] accepts for any latency
+/// or occupancy that is added to an event time: 2^20 cycles, four
+/// orders of magnitude above the default DRAM access. A request sums a
+/// handful of these onto the current cycle, so an unbounded one wraps
+/// `u64` (a debug-build panic, a silently *shorter* stall in release).
+pub const MAX_LATENCY: u64 = 1 << 20;
+
+/// Largest total L2 bank count [`HierarchyConfig::validate`] accepts:
+/// four banks for each of the 4096 tiles the largest accepted machine
+/// can have, 256x the paper's 128-core system. Every bank owns a tag
+/// array, so an unbounded count turns a typo into a run that never
+/// starts.
+pub const MAX_BANKS: usize = 16_384;
+
 /// Whether the L2 is shared across tiles or private per tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum L2Sharing {
@@ -90,25 +104,73 @@ impl HierarchyConfig {
         if self.tiles == 0 || self.banks_per_tile == 0 {
             return Err("tiles and banks_per_tile must be positive".to_owned());
         }
+        if self
+            .tiles
+            .checked_mul(self.banks_per_tile)
+            .is_none_or(|banks| banks > MAX_BANKS)
+        {
+            return Err(format!(
+                "{} tiles x {} banks_per_tile exceeds the supported maximum of {MAX_BANKS} L2 banks",
+                self.tiles, self.banks_per_tile
+            ));
+        }
         self.l2.validate()?;
         self.mc.validate()?;
-        if let NocModel::Mesh { width, height, .. } = self.noc {
-            // `checked_mul`: a grid too large to count is refused too,
-            // not multiplied into an overflow.
-            if width
-                .checked_mul(height)
-                .is_none_or(|nodes| nodes < self.tiles)
-            {
+        if let MappingPolicy::PageToBank { page_bytes } = self.mapping {
+            if !page_bytes.is_power_of_two() || page_bytes < self.l2.line_bytes {
                 return Err(format!(
-                    "mesh {width}x{height} cannot hold {} tiles",
-                    self.tiles
+                    "page size {page_bytes} must be a power of two of at least one {}-byte line",
+                    self.l2.line_bytes
+                ));
+            }
+        }
+        // The worst traversal the NoC can charge; for a mesh, injection
+        // overhead plus one hop per row and column.
+        let noc_latency = match self.noc {
+            NocModel::IdealCrossbar {
+                request_latency,
+                response_latency,
+            } => request_latency.max(response_latency),
+            NocModel::Mesh {
+                width,
+                height,
+                hop_latency,
+                base_latency,
+            } => {
+                // `checked_mul`: a grid too large to count is refused
+                // too, not multiplied into an overflow.
+                if width
+                    .checked_mul(height)
+                    .is_none_or(|nodes| nodes < self.tiles)
+                {
+                    return Err(format!(
+                        "mesh {width}x{height} cannot hold {} tiles",
+                        self.tiles
+                    ));
+                }
+                let hops = (width as u64).saturating_add(height as u64);
+                base_latency.saturating_add(hop_latency.saturating_mul(hops))
+            }
+        };
+        for (field, cycles) in [
+            ("NoC traversal latency", noc_latency),
+            ("L2 hit_latency", self.l2.hit_latency),
+            ("L2 miss_latency", self.l2.miss_latency),
+            ("MC access_latency", self.mc.access_latency),
+            ("MC cycles_per_line", self.mc.cycles_per_line),
+            ("MC row_hit_latency", self.mc.row_hit_latency),
+            ("MC row_miss_latency", self.mc.row_miss_latency),
+        ] {
+            if cycles > MAX_LATENCY {
+                return Err(format!(
+                    "{field} {cycles} exceeds the supported maximum of {MAX_LATENCY} cycles"
                 ));
             }
         }
         Ok(())
     }
 
-    /// Total bank count.
+    /// Total bank count (at most [`MAX_BANKS`] once validated).
     #[must_use]
     pub fn total_banks(&self) -> usize {
         self.tiles * self.banks_per_tile

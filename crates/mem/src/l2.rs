@@ -60,7 +60,9 @@ impl L2Config {
         if self.ways == 0 || self.mshrs == 0 {
             return Err("L2 ways and mshrs must be positive".to_owned());
         }
-        let denom = self.ways * self.line_bytes;
+        // 0 stands for a product too large to hold; nothing but 0 is a
+        // multiple of it, so it is refused below, not wrapped.
+        let denom = self.ways.checked_mul(self.line_bytes).unwrap_or(0);
         if self.bank_size_bytes == 0 || !self.bank_size_bytes.is_multiple_of(denom) {
             return Err(format!(
                 "L2 bank size {} not divisible by ways*line",

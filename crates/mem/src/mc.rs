@@ -8,6 +8,11 @@
 //! is busy is served when the channel frees, so the completion time is
 //! computable at arrival (no extra events needed).
 
+/// Largest total channel count (`count * channels_per_mc`)
+/// [`McConfig::validate`] accepts: 256x the default 2 x 8. Every channel
+/// owns host state, so an unbounded count aborts on a failed allocation.
+pub const MAX_CHANNELS: usize = 4096;
+
 /// Memory-controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McConfig {
@@ -80,6 +85,17 @@ impl McConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.count == 0 || self.channels_per_mc == 0 {
             return Err("memory controller and channel counts must be positive".to_owned());
+        }
+        if self
+            .count
+            .checked_mul(self.channels_per_mc)
+            .is_none_or(|channels| channels > MAX_CHANNELS)
+        {
+            return Err(format!(
+                "{} controllers x {} channels_per_mc exceeds the supported maximum of \
+                 {MAX_CHANNELS} memory channels",
+                self.count, self.channels_per_mc
+            ));
         }
         if self.cycles_per_line == 0 {
             return Err("cycles_per_line must be at least 1".to_owned());

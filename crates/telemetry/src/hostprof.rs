@@ -26,8 +26,8 @@
 //! zero wall-clock reads: phase entry counts, abort-reason counters and
 //! per-core histograms all derive from simulated state only, so two
 //! legal schedules of the same simulation produce byte-identical
-//! profiles. `coyote-audit --race --profile` uses this mode to extend
-//! the perturbation detector over the profiling layer itself.
+//! profiles (`crates/core/tests/equivalence.rs` diffs them across
+//! perturbation seeds).
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

@@ -1,8 +1,7 @@
 # Paper-scale scalar matmul for coyote-sim: C = A x B for 96x96
 # row-major f64 matrices, output rows striped across up to 128 harts
 # by mhartid (the DATE'21 Figure-3 workload shape). Each hart owns row
-# `mhartid` outright, so the per-hart write footprints are statically
-# disjoint and `coyote-check` grants the disjointness certificate.
+# `mhartid` outright, so the per-hart write footprints are disjoint.
 # Run with any --cores up to 128; surplus harts exit
 # immediately, and with fewer than 96 cores the uncovered rows simply
 # stay zero (the matrices are zero-filled — this kernel exists for
