@@ -25,12 +25,9 @@
 //!                        instead of wall time
 //!   --oracle             co-simulate a functional reference machine and
 //!                        abort on the first architectural divergence
-//!   --status-out FILE    stream live status snapshots (JSON lines) to FILE;
-//!                        watch with `coyote-top FILE`
-//!   --status-interval N  milliseconds between snapshots (default 500)
 //!   --crash-out FILE     write a crash dump (flight-recorder tail, stalls,
 //!                        MSHR occupancy) on deadlock, divergence, panic or
-//!                        stop (default <status-out>.crash.json)
+//!                        stop
 //!   --stop-file FILE     stop gracefully when FILE appears: finish the
 //!                        current cycle, write partial metrics marked
 //!                        truncated, exit 130. The crate forbids unsafe
@@ -47,7 +44,6 @@ use std::sync::Arc;
 
 use coyote::{
     L2Sharing, MappingPolicy, NocModel, ProfMode, Report, RunError, SimConfig, Simulation,
-    StatusEmitter,
 };
 
 /// Exit code of a graceful stop — distinct from hart exit codes (0..=127
@@ -61,8 +57,6 @@ struct Options {
     metrics_path: Option<String>,
     chrome_trace_path: Option<String>,
     prof_path: Option<String>,
-    status_path: Option<String>,
-    status_interval_ms: u64,
     crash_path: Option<String>,
     stop_file: Option<String>,
 }
@@ -92,8 +86,6 @@ fn parse_args() -> Result<Options, String> {
     let mut prof_counters = false;
     let mut mesh: Option<(usize, usize)> = None;
     let mut noc_latency: Option<u64> = None;
-    let mut status_path: Option<String> = None;
-    let mut status_interval_ms = 500u64;
     let mut crash_path: Option<String> = None;
     let mut stop_file: Option<String> = None;
 
@@ -196,16 +188,6 @@ fn parse_args() -> Result<Options, String> {
             "--prof-out" => prof_path = Some(path_value(&mut args, "--prof-out")?),
             "--prof-counters" => prof_counters = true,
             "--oracle" => builder = builder.oracle(true),
-            "--status-out" => status_path = Some(path_value(&mut args, "--status-out")?),
-            "--status-interval" => {
-                let ms: u64 = value(&mut args, "--status-interval")?
-                    .parse()
-                    .map_err(|e| format!("--status-interval: {e}"))?;
-                if ms == 0 {
-                    return Err("--status-interval must be at least 1 millisecond".to_owned());
-                }
-                status_interval_ms = ms;
-            }
             "--crash-out" => crash_path = Some(path_value(&mut args, "--crash-out")?),
             "--stop-file" => stop_file = Some(path_value(&mut args, "--stop-file")?),
             "--help" | "-h" => {
@@ -230,8 +212,6 @@ fn parse_args() -> Result<Options, String> {
                 println!("  --prof-out FILE      write host profile FILE.json + FILE.folded");
                 println!("  --prof-counters      profile with the deterministic counter clock");
                 println!("  --oracle             check against a functional reference machine");
-                println!("  --status-out FILE    stream live status snapshots (watch: coyote-top)");
-                println!("  --status-interval N  milliseconds between snapshots (default 500)");
                 println!("  --crash-out FILE     crash dump on deadlock/divergence/panic/stop");
                 println!("  --stop-file FILE     stop gracefully when FILE appears (exit 130)");
                 std::process::exit(0);
@@ -267,12 +247,6 @@ fn parse_args() -> Result<Options, String> {
         });
     }
 
-    // A status stream gets a crash-dump sibling by default, so abnormal
-    // exits of a watched run always leave a post-mortem behind.
-    if crash_path.is_none() {
-        crash_path = status_path.as_ref().map(|p| format!("{p}.crash.json"));
-    }
-
     Ok(Options {
         source: source.ok_or("no input file given (try --help)")?,
         config: builder.build().map_err(|e| e.to_string())?,
@@ -280,8 +254,6 @@ fn parse_args() -> Result<Options, String> {
         metrics_path,
         chrome_trace_path,
         prof_path,
-        status_path,
-        status_interval_ms,
         crash_path,
         stop_file,
     })
@@ -320,11 +292,6 @@ fn run(options: &Options) -> Result<i64, String> {
     let program = coyote_asm::assemble(&text).map_err(|e| format!("{}: {e}", options.source))?;
     let mut sim = Simulation::new(options.config, &program).map_err(|e| e.to_string())?;
 
-    if let Some(path) = &options.status_path {
-        let emitter = StatusEmitter::create(path, options.status_interval_ms)
-            .map_err(|e| format!("--status-out: {e}"))?;
-        sim.set_status(emitter);
-    }
     if let Some(stop_path) = &options.stop_file {
         let flag = Arc::new(AtomicBool::new(false));
         sim.set_stop_handle(Arc::clone(&flag));

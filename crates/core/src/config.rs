@@ -26,6 +26,13 @@ pub const MAX_CORES: usize = 4096;
 /// one turns a typo into a run that never finishes.
 pub const MAX_PREFETCH_DEGREE: usize = 64;
 
+/// Largest interleave factor [`SimConfig::validate`] accepts: 65,536
+/// instructions per core per cycle — Spike's default batch is 5,000
+/// and the `interleave` experiment sweeps to 64. The batch runs inside
+/// one simulated cycle, so on a kernel that never stalls an unbounded
+/// factor spins there forever, out of `max_cycles`' sight.
+pub const MAX_INTERLEAVE: usize = 1 << 16;
+
 /// Largest total number of cache lines (every L1 and every L2 bank)
 /// [`SimConfig::validate`] accepts: 2^24, 1 GiB of 64-byte lines. The
 /// default per-core and per-bank geometry at [`MAX_CORES`] needs 11.5 Mi.
@@ -65,7 +72,8 @@ pub struct SimConfig {
     /// L2 next-line prefetch degree (0 disables, the paper's baseline;
     /// at most [`MAX_PREFETCH_DEGREE`]).
     pub prefetch_degree: usize,
-    /// Instructions each active core executes per simulated cycle.
+    /// Instructions each active core executes per simulated cycle (at
+    /// least 1, at most [`MAX_INTERLEAVE`]).
     ///
     /// Coyote runs with 1 (interleaving disabled, the paper's timing
     /// model); larger values reproduce Spike's back-to-back
@@ -114,7 +122,7 @@ pub struct SimConfig {
     /// only wall time changes. On by default; `false` forces the
     /// per-instruction path everywhere (the A/B reference).
     pub fusion: bool,
-    /// Host-side self-profiling mode (see `coyote-prof`). A
+    /// Host-side self-profiling mode (see `coyote-inspect prof`). A
     /// host-execution knob like `fusion`: it never appears in the
     /// determinism digest or in `config_json`, and turning it on must
     /// not change any simulated result — the only observable addition
@@ -237,6 +245,12 @@ impl SimConfig {
         }
         if self.interleave == 0 {
             return Err(ConfigError::new("interleave must be at least 1"));
+        }
+        if self.interleave > MAX_INTERLEAVE {
+            return Err(ConfigError::new(format!(
+                "interleave {} exceeds the supported maximum of {MAX_INTERLEAVE}",
+                self.interleave
+            )));
         }
         if self.metrics_interval == 0 {
             return Err(ConfigError::new("metrics_interval must be at least 1"));
@@ -629,8 +643,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_interleave_rejected() {
+    fn zero_and_unbounded_interleave_rejected() {
         assert!(SimConfig::builder().interleave(0).build().is_err());
+        let err = SimConfig::builder()
+            .interleave(usize::MAX)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("interleave"), "{err}");
+        assert!(SimConfig::builder()
+            .interleave(MAX_INTERLEAVE)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use metrics::{
     chrome_trace_json, host_profile_json, metrics_csv, metrics_json, SCHEMA_VERSION,
 };
 pub use report::{CoreReport, Report};
-pub use sim::{RunError, Simulation, StallInfo};
+pub use sim::{RunError, Simulation, StallInfo, CRASH_SCHEMA_VERSION};
 pub use trace::{Trace, TraceEvent};
 
 // Re-export the building blocks so downstream users need one import.
@@ -68,6 +68,5 @@ pub use coyote_mem::mc::McConfig;
 pub use coyote_mem::noc::NocModel;
 pub use coyote_oracle::{Delta, Divergence, LockstepChecker};
 pub use coyote_telemetry::{
-    parse_json, Histogram, HostProf, JsonValue, Stage, StatusEmitter, StatusSnapshot,
-    TelemetrySink, TimeSeries, STATUS_SCHEMA_VERSION,
+    parse_json, Histogram, HostProf, JsonValue, Stage, TelemetrySink, TimeSeries,
 };

@@ -20,8 +20,7 @@ use coyote_mem::hierarchy::{Completion, Hierarchy, Request};
 use coyote_mem::telemetry::MemTelemetry;
 use coyote_oracle::{Divergence, LockstepChecker, TRAIL_EVENTS};
 use coyote_telemetry::hostprof::{HostProf, ProfClock, SpanToken, WallClock};
-use coyote_telemetry::live::{CoreStatus, StatusEmitter, StatusSnapshot};
-use coyote_telemetry::{EpochSnapshot, JsonValue, TelemetrySink, STATUS_SCHEMA_VERSION};
+use coyote_telemetry::{EpochSnapshot, JsonValue, TelemetrySink};
 
 use crate::attr::StallAttribution;
 use crate::config::{ConfigError, ProfMode, SimConfig};
@@ -193,6 +192,12 @@ pub(crate) fn decode_tag(tag: u64) -> (usize, MissKind) {
     ((tag >> 2) as usize, kind)
 }
 
+/// Version of the `crash.json` document [`Simulation::crash_json`]
+/// builds. Bump on any breaking change to its key names or value
+/// semantics; moves independently of the metrics
+/// [`crate::SCHEMA_VERSION`].
+pub const CRASH_SCHEMA_VERSION: u64 = 6;
+
 /// A configured multicore simulation ready to run.
 ///
 /// # Examples
@@ -258,12 +263,6 @@ pub struct Simulation {
     /// orchestrator, never the other way around — profiled and
     /// unprofiled runs are bit-identical (property-tested).
     prof: Option<HostProf>,
-    /// Live status stream, attached via [`Simulation::set_status`]. A
-    /// host knob like `profiling`: deliberately outside
-    /// [`SimConfig`] (and therefore outside `config_json` and the
-    /// determinism digest) — emission reads simulated state, never
-    /// writes it.
-    status: Option<StatusEmitter>,
     /// Always-on flight recorder: bounded ring of recent notable
     /// events, dumped into crash reports. Pure observation of the
     /// simulated schedule.
@@ -369,7 +368,6 @@ impl Simulation {
             woken_buf: Vec::new(),
             store_map: StoreMap::new(),
             prof,
-            status: None,
             flight: FlightRecorder::new(),
             stop: None,
             debug_drop_next_load_fill: false,
@@ -437,15 +435,6 @@ impl Simulation {
     #[must_use]
     pub fn event_pops(&self) -> u64 {
         self.hierarchy.event_pops()
-    }
-
-    /// Attaches a live status stream: [`Simulation::run`] emits a
-    /// snapshot on the emitter's host-time cadence plus one final
-    /// snapshot at exit. A host knob like [`SimConfig::profiling`] —
-    /// the `equivalence` proptests pin that digests and metrics bytes
-    /// are bit-identical with and without it.
-    pub fn set_status(&mut self, emitter: StatusEmitter) {
-        self.status = Some(emitter);
     }
 
     /// Arms a graceful-stop token: once `handle` reads `true`,
@@ -615,16 +604,12 @@ impl Simulation {
         let started = WallClock::start();
         loop {
             if self.step_cycle()? {
-                // Final snapshot regardless of cadence, so short runs
-                // still leave a parseable status file behind.
-                self.emit_status_now();
                 return Ok(self.build_report(started.elapsed()));
             }
             if let Some(stop) = &self.stop {
                 // The cycle in progress finished above; stopping here
                 // leaves the machine at a clean cycle boundary.
                 if stop.load(Ordering::Relaxed) {
-                    self.emit_status_now();
                     return Err(RunError::Stopped { cycle: self.cycle });
                 }
             }
@@ -633,67 +618,6 @@ impl Simulation {
                     cycles: self.config.max_cycles,
                 });
             }
-            // Live status plane: a host-cadence poll whose result gates
-            // an observation-only emit — simulated state never depends
-            // on it.
-            if self.status.as_mut().is_some_and(StatusEmitter::due) {
-                self.emit_status_now();
-            }
-        }
-    }
-
-    /// Emits one status snapshot now, if a stream is attached. Mid-run
-    /// write failures are dropped deliberately — the live plane is
-    /// best-effort; an unusable path already failed at
-    /// [`StatusEmitter::create`] time.
-    fn emit_status_now(&mut self) {
-        if self.status.is_none() {
-            return;
-        }
-        let snap = self.status_snapshot();
-        if let Some(emitter) = &mut self.status {
-            let _ = emitter.emit(&snap);
-        }
-    }
-
-    /// Assembles the purely simulated half of one status line.
-    fn status_snapshot(&self) -> StatusSnapshot {
-        let dep = self.attr.dep();
-        let cores: Vec<CoreStatus> = self
-            .cores
-            .iter()
-            .enumerate()
-            .map(|(i, core)| {
-                let snap = core.snapshot();
-                let dep_total: u64 = dep.get(i).map_or(0, |row| row.iter().sum());
-                CoreStatus {
-                    core: i,
-                    state: state_name(snap.state),
-                    pc: snap.pc,
-                    retired: snap.retired,
-                    cpi: [
-                        self.attr.active().get(i).copied().unwrap_or(0),
-                        dep_total,
-                        self.attr.fetch().get(i).copied().unwrap_or(0),
-                        self.attr.drained().get(i).copied().unwrap_or(0),
-                    ],
-                }
-            })
-            .collect();
-        let retired: u64 = cores.iter().map(|c| c.retired).sum();
-        let fused: u64 = self.cores.iter().map(Core::fused_retired).sum();
-        StatusSnapshot {
-            cycle: self.cycle,
-            max_cycles: self.config.max_cycles,
-            retired,
-            block_hit_rate: if retired == 0 {
-                0.0
-            } else {
-                fused as f64 / retired as f64
-            },
-            event_pops: self.hierarchy.event_pops(),
-            halted: self.halted as u64,
-            cores,
         }
     }
 
@@ -786,7 +710,7 @@ impl Simulation {
             })
             .collect();
         JsonValue::object()
-            .with("schema_version", STATUS_SCHEMA_VERSION)
+            .with("schema_version", CRASH_SCHEMA_VERSION)
             .with("reason", reason)
             .with("cycle", self.cycle)
             .with("cores", JsonValue::Array(cores))

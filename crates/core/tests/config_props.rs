@@ -5,13 +5,18 @@
 //! validator — tier-1 runs this in the debug profile, where arithmetic
 //! overflow panics — and a config the validator accepts must construct
 //! a `Simulation` and run `examples/asm/hello.s` to halt or to the cycle
-//! limit. Each hole this harness (or a person) found is a row of
-//! `committed_regressions`.
+//! limit — and a spin loop, which never halts or stalls, to the cycle
+//! limit in bounded host time. Each hole this harness (or a person)
+//! found is a row of `committed_regressions`.
 
 use coyote::{L2Sharing, MappingPolicy, NocModel, ProfMode, RunError, SimConfig, Simulation};
 use proptest::prelude::*;
 
 const HELLO: &str = include_str!("../../../examples/asm/hello.s");
+
+/// Never halts, never misses after the first fetch, never stalls: only
+/// the cycle limit ends it.
+const SPIN: &str = "_start:\n j _start";
 
 /// Number of scalar fields [`set_field`] can reach.
 const FIELDS: usize = 39;
@@ -120,6 +125,45 @@ fn validate_is_total_and_accepted_configs_run(config: SimConfig) {
         Ok(_) | Err(RunError::CycleLimit { .. }) => {}
         Err(other) => panic!("validated config failed to run: {other}\n{config:?}"),
     }
+
+    // Whatever a config lets one core do inside one cycle must be
+    // bounded, or the cycle limit never gets its turn: the spin loop
+    // must hit a limit set two cycles past its first retirement. (A
+    // limit that expires during the first fetch's fill would pass
+    // without one instruction having run.) Per-cycle work is per core,
+    // so a tile's worth of cores shows it and keeps the debug-profile
+    // cost at 2 × 8 × `MAX_INTERLEAVE` steps.
+    let mut spin_config = SimConfig {
+        cores: config.cores.min(8),
+        ..config
+    };
+    if spin_config.validate().is_err() {
+        return;
+    }
+    let spin = coyote_asm::assemble(SPIN).expect("the spin loop assembles");
+    let new_sim = |config: SimConfig| {
+        Simulation::new(config, &spin)
+            .unwrap_or_else(|e| panic!("validated config refused: {e}\n{config:?}"))
+    };
+    // Until something retires nothing depends on `interleave`, so a
+    // probe at 1 finds the first-retirement cycle cheaply; stalled
+    // cycles fast-forward, so a few dozen calls cross any fill latency.
+    let mut probe = new_sim(SimConfig {
+        interleave: 1,
+        ..spin_config
+    });
+    let first_retire = (0..64).find_map(|_| {
+        probe.step_cycle().expect("the spin loop cannot fault");
+        (probe.cores()[0].stats().retired > 0).then(|| probe.cycle())
+    });
+    let Some(first_retire) = first_retire else {
+        return;
+    };
+    spin_config.max_cycles = first_retire + 2;
+    match new_sim(spin_config).run() {
+        Err(RunError::CycleLimit { .. }) => {}
+        other => panic!("spin loop did not hit the cycle limit: {other:?}\n{spin_config:?}"),
+    }
 }
 
 /// A field value: the edges, a typical small value, or anything.
@@ -222,6 +266,15 @@ fn committed_regressions() {
     cases.push((
         "exceeds the supported maximum of 4096 memory channels",
         config,
+    ));
+    // `--interleave 9223372036854775807` on the spin loop: the batch
+    // never left its first cycle, so `--max-cycles` never fired.
+    cases.push((
+        "interleave 9223372036854775807 exceeds the supported maximum of 65536",
+        SimConfig {
+            interleave: usize::MAX / 2,
+            ..base
+        },
     ));
 
     for (needle, config) in cases {

@@ -4,22 +4,21 @@
 //!
 //! * superblock fusion on / off,
 //! * host profiling off / wall clock / counter clock,
-//! * live status stream attached / not,
 //! * co-simulation oracle on / off,
 //! * schedule-perturbation seed,
 //!
-//! must reproduce the plain baseline (fusion off, unprofiled, unwatched,
-//! unchecked, canonical schedule) of the same machine exactly: same determinism digest, same cycle
-//! count, byte-identical metrics JSON once the sections that *describe*
-//! a knob (the `host_profile` member, the fused-coverage counters, the
-//! `fusion` config echo) are stripped. The always-on flight recorder
+//! must reproduce the plain baseline (fusion off, unprofiled, unchecked,
+//! canonical schedule) of the same machine exactly: same determinism
+//! digest, same cycle count, byte-identical metrics JSON once the
+//! sections that *describe* a knob (the `host_profile` member, the
+//! fused-coverage counters, the `fusion` config echo) are stripped. The always-on flight recorder
 //! rides the same proof: it is active in every run below. A new host
 //! knob adds a field to [`Knobs`] and a loop in [`all_knobs`], not a
 //! file.
 
 use std::time::Duration;
 
-use coyote::{JsonValue, L2Sharing, ProfMode, SimConfig, Simulation, StatusEmitter};
+use coyote::{JsonValue, L2Sharing, ProfMode, SimConfig, Simulation};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -111,37 +110,32 @@ fn kernel(machine: &Machine, contended: bool) -> String {
 struct Knobs {
     fusion: bool,
     profiling: ProfMode,
-    status: bool,
     oracle: bool,
     perturb: u64,
 }
 
 /// The reference everything must equal: plain per-instruction stepping
-/// on the canonical schedule, nothing watching or checking.
+/// on the canonical schedule, nothing profiling or checking.
 const BASELINE: Knobs = Knobs {
     fusion: false,
     profiling: ProfMode::Off,
-    status: false,
     oracle: false,
     perturb: 0,
 };
 
 /// The full cross product of the on/off axes at one perturbation seed
-/// (24 rows; the kernels are a few hundred cycles each).
+/// (12 rows; the kernels are a few hundred cycles each).
 fn all_knobs(perturb: u64) -> Vec<Knobs> {
     let mut rows = Vec::new();
     for fusion in [false, true] {
         for profiling in [ProfMode::Off, ProfMode::Wall, ProfMode::Counter] {
-            for status in [false, true] {
-                for oracle in [false, true] {
-                    rows.push(Knobs {
-                        fusion,
-                        profiling,
-                        status,
-                        oracle,
-                        perturb,
-                    });
-                }
+            for oracle in [false, true] {
+                rows.push(Knobs {
+                    fusion,
+                    profiling,
+                    oracle,
+                    perturb,
+                });
             }
         }
     }
@@ -203,21 +197,6 @@ fn run(src: &str, machine: &Machine, knobs: Knobs) -> Outcome {
         .build()
         .expect("valid config");
     let mut sim = Simulation::new(config, &program).expect("create sim");
-    let status_path = knobs.status.then(|| {
-        let dir = std::env::temp_dir().join("coyote-equivalence");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        // Tests in this binary run on parallel threads: one file each.
-        dir.join(format!(
-            "{}-{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ))
-    });
-    if let Some(path) = &status_path {
-        // 1 ms cadence so snapshots genuinely fire mid-run; the point
-        // is that firing cannot matter.
-        sim.set_status(StatusEmitter::create(path, 1).expect("status emitter"));
-    }
     let mut report = sim.run().expect("run completes");
     // Wall time is host noise, not model output.
     report.wall_time = Duration::ZERO;
@@ -228,14 +207,6 @@ fn run(src: &str, machine: &Machine, knobs: Knobs) -> Outcome {
         knobs.profiling == ProfMode::Off,
         "host_profile must be exported exactly when profiling is on ({knobs:?})"
     );
-    if let Some(path) = &status_path {
-        let stream = std::fs::read_to_string(path).expect("status file readable");
-        assert!(
-            stream.lines().any(|l| !l.trim().is_empty()),
-            "status stream never emitted a snapshot"
-        );
-        let _ = std::fs::remove_file(path);
-    }
     Outcome {
         digest: sim.determinism_digest(),
         cycles: report.cycles,
@@ -289,8 +260,8 @@ proptest! {
 /// the same smoke machine batching four instructions per cycle, a
 /// single core (whose windows take the same loop as everyone's), and
 /// the two 16-core two-tile machines `coyote-audit --race` perturbs
-/// (`shared-l2`, `private-l2`): crossing seed x profiling x status on
-/// them here is what that detector's `--profile`/`--status` flags did.
+/// (`shared-l2`, `private-l2`): crossing seed x profiling on them here
+/// is what that detector's `--profile` flag did.
 #[test]
 fn fixed_shapes_reproduce_the_plain_baseline() {
     let smoke = Machine {

@@ -1,4 +1,4 @@
-//! Golden-file test pinning the `coyote-trace-stats --json` schema.
+//! Golden-file test pinning the `coyote-inspect trace --json` schema.
 //!
 //! `tests/golden/trace_stats_schema.txt` lists the schema version and
 //! the key paths downstream tooling may rely on, in the same format as
@@ -31,11 +31,12 @@ fn stats_json() -> JsonValue {
     file.write_all(SAMPLE_PRV.as_bytes()).expect("write prv");
     drop(file);
 
-    let output = Command::new(env!("CARGO_BIN_EXE_coyote-trace-stats"))
+    let output = Command::new(env!("CARGO_BIN_EXE_coyote-inspect"))
+        .arg("trace")
         .arg(&prv)
         .arg("--json")
         .output()
-        .expect("spawn coyote-trace-stats");
+        .expect("spawn coyote-inspect trace");
     assert!(
         output.status.success(),
         "stderr: {}",

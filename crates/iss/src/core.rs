@@ -20,7 +20,7 @@ use coyote_isa::{Access, DecodedInst, Inst, OwnerAccesses, PredecodeStats, XReg}
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::exec::{defs, execute, uses, Ecall, ExecError, MemAccess, RegSet};
 use crate::hart::{Hart, DEFAULT_VLEN_BITS};
-use crate::mem::{AddrMap, MemoryIo};
+use crate::mem::{AddrMap, SparseMemory};
 use crate::scoreboard::{dest_set, Scoreboard};
 use crate::superblock::{FuseDiag, FuseStop, FusedAccess};
 
@@ -754,9 +754,9 @@ impl Core {
     // hand-written single-instruction copy (EXPERIMENTS.md
     // `one-engine`: 2.7 % of `spmv_128c` without it).
     #[inline]
-    pub fn step_block<M: MemoryIo>(
+    pub fn step_block(
         &mut self,
-        mem: &mut M,
+        mem: &mut SparseMemory,
         text: &DecodedText,
         cycle: u64,
         n: u32,
@@ -844,9 +844,9 @@ impl Core {
     ///
     /// Panics if called while the core is not [`CoreState::Active`]
     /// (orchestrator bug).
-    pub fn step<M: MemoryIo>(
+    pub fn step(
         &mut self,
-        mem: &mut M,
+        mem: &mut SparseMemory,
         text: &DecodedText,
         cycle: u64,
         misses: &mut Vec<MissRequest>,

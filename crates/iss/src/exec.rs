@@ -1,11 +1,10 @@
 //! Functional execution semantics.
 //!
-//! [`execute`] applies one decoded instruction to a [`Hart`] and a
-//! [`MemoryIo`] memory (the shared [`SparseMemory`](crate::mem::SparseMemory)),
-//! reporting the data-memory accesses performed and the destination
-//! register written, which the timing layer (L1
-//! caches + RAW scoreboard + event-driven hierarchy) uses to drive the
-//! Coyote cycle loop.
+//! [`execute`] applies one decoded instruction to a [`Hart`] and the
+//! shared [`SparseMemory`], reporting the data-memory accesses
+//! performed and the destination register written, which the timing
+//! layer (L1 caches + RAW scoreboard + event-driven hierarchy) uses to
+//! drive the Coyote cycle loop.
 //!
 //! Floating-point notes: the simulator computes with host `f64`
 //! arithmetic. Arithmetic uses round-to-nearest-even (the canonical
@@ -23,7 +22,7 @@ use coyote_isa::inst::{
 use coyote_isa::{FReg, Sew, VReg, XReg};
 
 use crate::hart::Hart;
-use crate::mem::MemoryIo;
+use crate::mem::SparseMemory;
 
 /// One data-memory access performed by an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,7 +216,7 @@ fn alu_w(op: AluWOp, a: u64, b: u64) -> u64 {
     result as i64 as u64
 }
 
-fn load_value<M: MemoryIo>(mem: &mut M, addr: u64, width: MemWidth, signed: bool) -> u64 {
+fn load_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, signed: bool) -> u64 {
     match (width, signed) {
         (MemWidth::B, true) => mem.read_u8(addr) as i8 as i64 as u64,
         (MemWidth::B, false) => u64::from(mem.read_u8(addr)),
@@ -229,7 +228,7 @@ fn load_value<M: MemoryIo>(mem: &mut M, addr: u64, width: MemWidth, signed: bool
     }
 }
 
-fn store_value<M: MemoryIo>(mem: &mut M, addr: u64, width: MemWidth, value: u64) {
+fn store_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, value: u64) {
     match width {
         MemWidth::B => mem.write_u8(addr, value as u8),
         MemWidth::H => mem.write_u16(addr, value as u16),
@@ -248,9 +247,9 @@ fn store_value<M: MemoryIo>(mem: &mut M, addr: u64, width: MemWidth, value: u64)
 ///
 /// Returns [`ExecError`] for vector operations at unsupported element
 /// widths. The instruction is not retired in that case.
-pub fn execute<M: MemoryIo>(
+pub fn execute(
     hart: &mut Hart,
-    mem: &mut M,
+    mem: &mut SparseMemory,
     inst: &Inst,
     cycle: u64,
     instret: u64,

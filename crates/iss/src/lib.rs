@@ -70,6 +70,6 @@ pub use crate::core::{
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use exec::{Dest, Ecall, Effects, ExecError, MemAccess, RegSet};
 pub use hart::{Hart, DEFAULT_VLEN_BITS};
-pub use mem::{MemoryIo, SparseMemory};
+pub use mem::SparseMemory;
 pub use scoreboard::Scoreboard;
 pub use superblock::{accesses_conflict, FuseDiag, FuseStop, FusedAccess};

@@ -309,91 +309,6 @@ impl SparseMemory {
     }
 }
 
-/// Byte-addressable memory as seen by the functional execution engine.
-///
-/// [`execute`](crate::exec::execute) and the `Core::step*` family are
-/// generic over this trait. [`SparseMemory`] is its only implementor
-/// since the buffered per-core views of the parallel execute phase
-/// were removed; the trait stayed because taking `&mut SparseMemory`
-/// directly (which moves monomorphisation out of the `coyote` crate)
-/// measured 1.1 % slower on `matmul_128c` — see the PR 13 session in
-/// EXPERIMENTS.md before retrying.
-pub trait MemoryIo {
-    /// Reads `buf.len()` bytes starting at `addr`.
-    fn read_bytes(&mut self, addr: u64, buf: &mut [u8]);
-
-    /// Writes `bytes` starting at `addr`.
-    fn write_bytes(&mut self, addr: u64, bytes: &[u8]);
-
-    /// Reads one byte.
-    fn read_u8(&mut self, addr: u64) -> u8 {
-        let mut b = [0u8; 1];
-        self.read_bytes(addr, &mut b);
-        b[0]
-    }
-
-    /// Reads a little-endian `u16`.
-    fn read_u16(&mut self, addr: u64) -> u16 {
-        let mut b = [0u8; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u32`.
-    fn read_u32(&mut self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u64`.
-    fn read_u64(&mut self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Reads an `f64` (IEEE-754 bits).
-    fn read_f64(&mut self, addr: u64) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Writes one byte.
-    fn write_u8(&mut self, addr: u64, value: u8) {
-        self.write_bytes(addr, &[value]);
-    }
-
-    /// Writes a little-endian `u16`.
-    fn write_u16(&mut self, addr: u64, value: u16) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u32`.
-    fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u64`.
-    fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-
-    /// Writes an `f64`.
-    fn write_f64(&mut self, addr: u64, value: f64) {
-        self.write_u64(addr, value.to_bits());
-    }
-}
-
-impl MemoryIo for SparseMemory {
-    fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
-        SparseMemory::read_bytes(self, addr, buf);
-    }
-
-    fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        SparseMemory::write_bytes(self, addr, bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

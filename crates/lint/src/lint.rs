@@ -47,17 +47,13 @@ pub const RULES: &[&str] = &[
 /// checks built on top of it.
 pub const PREDECODED_FILES: &[&str] = &["crates/iss/src/core.rs", "crates/iss/src/superblock.rs"];
 
-/// The only files allowed to read the host wall clock. The host-side
-/// self-profiler must time real phases and the live status plane must
-/// pace its snapshot cadence, so the clock lives in exactly these
-/// modules whose APIs cannot leak an `Instant` into simulated state;
-/// everywhere else `Instant::now` / `SystemTime` still fires the
-/// `wall-clock` rule. Path-pinned (not `audit:allow`-commented) so
+/// The only file allowed to read the host wall clock. The host-side
+/// self-profiler must time real phases, so the clock lives in exactly
+/// this module, whose API cannot leak an `Instant` into simulated
+/// state; everywhere else `Instant::now` / `SystemTime` still fires
+/// the `wall-clock` rule. Path-pinned (not `audit:allow`-commented) so
 /// moving or copying the code revokes the exception automatically.
-pub const WALL_CLOCK_FILES: &[&str] = &[
-    "crates/telemetry/src/hostprof.rs",
-    "crates/telemetry/src/live.rs",
-];
+pub const WALL_CLOCK_FILES: &[&str] = &["crates/telemetry/src/hostprof.rs"];
 
 /// Crates whose iteration order feeds statistics or exported JSON.
 pub const MODEL_CRATES: &[&str] = &["mem", "iss", "core", "telemetry"];

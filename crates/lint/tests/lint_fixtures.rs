@@ -47,23 +47,21 @@ fn wall_clock_flagged_and_clean_twin_passes() {
 
 #[test]
 fn wall_clock_exception_is_path_pinned_to_the_hostprof_module() {
-    // The allowlisted paths (the host profiler and the live status
-    // emitter) may read the clock with no `audit:allow` comment at
-    // all...
-    for path in [
+    // The one allowlisted path (the host profiler) may read the clock
+    // with no `audit:allow` comment at all...
+    let pinned = scan_file(
         "crates/telemetry/src/hostprof.rs",
-        "crates/telemetry/src/live.rs",
-    ] {
-        let pinned = scan_file(path, include_str!("fixtures/wall_clock_bad.rs"));
-        assert!(
-            !rules(&pinned).contains(&"wall-clock"),
-            "{path} must be exempt: {pinned:?}"
-        );
-    }
+        include_str!("fixtures/wall_clock_bad.rs"),
+    );
+    assert!(
+        !rules(&pinned).contains(&"wall-clock"),
+        "hostprof.rs must be exempt: {pinned:?}"
+    );
     // ...while the identical code anywhere else — even elsewhere in
-    // the telemetry crate, or in the orchestrator — still fires. The
-    // live.rs exemption must not weaken the rule for any other file.
+    // the telemetry crate, or in the orchestrator — still fires:
+    // `hostprof.rs` is the whole exception list.
     for path in [
+        "crates/telemetry/src/live.rs",
         "crates/telemetry/src/hist.rs",
         "crates/telemetry/src/lib.rs",
         "crates/core/src/sim.rs",

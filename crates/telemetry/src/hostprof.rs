@@ -10,10 +10,9 @@
 //!
 //! # The wall-clock exception
 //!
-//! This file (together with [`crate::live`], which paces the status
-//! stream) is allowed to call [`Instant::now`]. The `wall-clock` lint
-//! in `crates/lint` pins the exception to these paths; `Instant::now`
-//! anywhere else is a finding.
+//! This file alone is allowed to call [`Instant::now`]. The
+//! `wall-clock` lint in `crates/lint` pins the exception to this path;
+//! `Instant::now` anywhere else is a finding.
 //! Keeping every wall-clock read behind [`HostProf`] and [`WallClock`]
 //! makes the determinism argument local: host time can be *measured*
 //! here but never *returned into* simulated state, because nothing in

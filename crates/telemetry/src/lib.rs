@@ -17,17 +17,13 @@
 //!   drives, deliberately typed on plain numbers so this crate stays a
 //!   leaf dependency;
 //! - [`HostProf`] — the host-side self-profiler: phase timers and
-//!   counters for the simulator's *own* hot path;
-//! - [`StatusEmitter`] — the live plane: periodic JSON-lines status
-//!   snapshots replaced atomically for out-of-band watchers
-//!   (`coyote-top`).
+//!   counters for the simulator's *own* hot path.
 //!
 //! Everything that describes the simulated machine is deterministic:
 //! no hashing with random seeds, so identical simulations produce
-//! byte-identical exports. Wall-clock reads exist in exactly two
-//! places — [`hostprof`] and [`live`], path-pinned by the `wall-clock`
-//! lint — and measure the host without ever feeding time back into
-//! the model.
+//! byte-identical exports. Wall-clock reads exist in exactly one
+//! place — [`hostprof`], path-pinned by the `wall-clock` lint — and
+//! measure the host without ever feeding time back into the model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +32,6 @@ pub mod chrome;
 pub mod hist;
 pub mod hostprof;
 pub mod json;
-pub mod live;
 pub mod series;
 pub mod topk;
 
@@ -44,7 +39,6 @@ pub use chrome::{ChromeEvent, ChromeTrace, FlowEvent};
 pub use hist::{Histogram, BUCKETS};
 pub use hostprof::{HostProf, ProfClock, SpanToken, WallClock};
 pub use json::{parse as parse_json, JsonParseError, JsonValue};
-pub use live::{CoreStatus, StatusEmitter, StatusSnapshot, STATUS_SCHEMA_VERSION};
 pub use series::{Sample, TimeSeries};
 pub use topk::{PcEntry, TopK};
 
@@ -54,8 +48,7 @@ pub use topk::{PcEntry, TopK};
 ///
 /// v4 added the `host_profile` top-level section (null unless the run
 /// was profiled). v5 added the `report.truncated` flag (true when a
-/// graceful stop cut the run short) and the status-snapshot lines
-/// emitted by [`live`], versioned by [`STATUS_SCHEMA_VERSION`].
+/// graceful stop cut the run short).
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// A stage of the request lifecycle through the memory hierarchy.
