@@ -576,8 +576,12 @@ pub fn telemetry_demo(scale: Scale, path: Option<&std::path::Path>) -> Table {
             .expect("write metrics .json");
         std::fs::write(base.with_extension("csv"), coyote::metrics_csv(&sim))
             .expect("write metrics .csv");
-        let trace = coyote::chrome_trace_json(&sim);
-        std::fs::write(base.with_extension("trace.json"), trace.to_string_pretty())
+        let mut trace = std::io::BufWriter::new(
+            std::fs::File::create(base.with_extension("trace.json")).expect("create chrome trace"),
+        );
+        coyote::chrome_trace_json(&sim)
+            .write_pretty(&mut trace)
+            .and_then(|()| std::io::Write::flush(&mut trace))
             .expect("write chrome trace");
     }
 

@@ -38,6 +38,9 @@
 //! The program's console output (ecall 64) is printed; the process exit
 //! code is the maximum hart exit code.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -286,6 +289,21 @@ fn write_metrics(options: &Options, sim: &Simulation, report: &Report) -> Result
     Ok(())
 }
 
+/// Creates `path`, streams an artifact into it through a buffer and
+/// flushes; a failure at any of the three names the path.
+fn write_file(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), String> {
+    File::create(path)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write(&mut out)?;
+            out.flush()
+        })
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
 fn run(options: &Options) -> Result<i64, String> {
     let text =
         std::fs::read_to_string(&options.source).map_err(|e| format!("{}: {e}", options.source))?;
@@ -353,12 +371,8 @@ fn run(options: &Options) -> Result<i64, String> {
         let base = std::path::Path::new(path);
         let prv = base.with_extension("prv");
         let pcf = base.with_extension("pcf");
-        trace
-            .write_prv(std::fs::File::create(&prv).map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-        trace
-            .write_pcf(std::fs::File::create(&pcf).map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
+        write_file(&prv, |out| trace.write_prv(out))?;
+        write_file(&pcf, |out| trace.write_pcf(out))?;
         eprintln!("trace: {} (+ {})", prv.display(), pcf.display());
     }
 
@@ -379,9 +393,22 @@ fn run(options: &Options) -> Result<i64, String> {
     }
 
     if let Some(path) = &options.chrome_trace_path {
-        std::fs::write(path, coyote::chrome_trace_json(&sim).to_string_pretty())
-            .map_err(|e| format!("{path}: {e}"))?;
+        write_file(Path::new(path), |out| {
+            coyote::chrome_trace_json(&sim).write_pretty(out)
+        })?;
         eprintln!("chrome trace: {path}");
+        // Both record stores are capped; past the cap the timeline has
+        // core-state slices only, and nothing in the file says so.
+        let slices = sim.mem_telemetry().map_or(0, |mem| mem.dropped_slices());
+        let links = sim.attribution().dropped_links();
+        if slices > 0 || links > 0 {
+            eprintln!(
+                "chrome trace: capped: dropped {slices} request slices (cap {}) and \
+                 {links} stall links (cap {}); later requests and stall arrows are missing",
+                coyote_mem::SLICE_CAP,
+                coyote::attr::LINK_CAP,
+            );
+        }
     }
 
     Ok(report

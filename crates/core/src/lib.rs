@@ -53,7 +53,7 @@ pub use attr::{StallAttribution, StallLink};
 pub use config::{ConfigError, ProfMode, SimConfig, SimConfigBuilder};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use metrics::{
-    chrome_trace_json, host_profile_json, metrics_csv, metrics_json, SCHEMA_VERSION,
+    chrome_trace_json, host_profile_json, metrics_csv, metrics_json, ChromeTraceDoc, SCHEMA_VERSION,
 };
 pub use report::{CoreReport, Report};
 pub use sim::{RunError, Simulation, StallInfo, CRASH_SCHEMA_VERSION};

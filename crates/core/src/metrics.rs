@@ -14,10 +14,12 @@
 //!   or <https://ui.perfetto.dev>. One trace `ts` microsecond equals
 //!   one simulated cycle.
 
+use std::io::{self, Write};
+
 use coyote_iss::{FuseDiag, FuseStop};
 use coyote_mem::hierarchy::HierarchyStats;
 use coyote_telemetry::hostprof::HostProf;
-use coyote_telemetry::{Blame, ChromeEvent, ChromeTrace, FlowEvent, Histogram, JsonValue, Stage};
+use coyote_telemetry::{Blame, ChromeWriter, Histogram, JsonValue, SliceArgs, Stage};
 
 use crate::attr::BLAME_OTHER;
 use crate::config::SimConfig;
@@ -420,120 +422,156 @@ const PID_BANKS: u32 = 2;
 const PID_MCS: u32 = 3;
 const PID_REQUESTS: u32 = 4;
 
-/// Builds the Chrome trace-event document from the run's core-state
-/// intervals and captured request lifecycles. Requires
-/// [`SimConfig::chrome_trace`] to have been set for the run; otherwise
-/// the document is valid but empty.
+/// The Chrome trace-event document of a run, borrowed from its
+/// [`Simulation`]: core-state intervals, captured request lifecycles and
+/// stall→request flow arrows. Nothing is built until one of the
+/// serializers runs, and each walks the three record stores once,
+/// emitting text as it goes. Requires [`SimConfig::chrome_trace`] to
+/// have been set for the run; otherwise the document is valid but empty.
+#[derive(Debug, Clone, Copy)]
+pub struct ChromeTraceDoc<'a> {
+    sim: &'a Simulation,
+}
+
+/// The Chrome trace-event document of `sim`'s run; see [`ChromeTraceDoc`].
 #[must_use]
-pub fn chrome_trace_json(sim: &Simulation) -> JsonValue {
-    let mut out = ChromeTrace::new();
-    out.name_process(PID_CORES, "cores");
-    out.name_process(PID_BANKS, "L2 banks (bank stage)");
-    out.name_process(PID_MCS, "memory controllers");
-    out.name_process(PID_REQUESTS, "requests end-to-end (by core)");
+pub fn chrome_trace_json(sim: &Simulation) -> ChromeTraceDoc<'_> {
+    ChromeTraceDoc { sim }
+}
 
-    for core in 0..sim.config().cores {
-        out.name_thread(PID_CORES, core as u32, &format!("core {core}"));
-    }
-    for interval in sim.chrome_states() {
-        // Trailing halted intervals add nothing but timeline width.
-        if interval.state == trace::STATE_HALTED {
-            continue;
-        }
-        out.push(ChromeEvent {
-            name: state_name(interval.state).to_owned(),
-            cat: "core-state",
-            ts: interval.start,
-            dur: interval.end - interval.start,
-            pid: PID_CORES,
-            tid: interval.core as u32,
-            args: Vec::new(),
-        });
+impl ChromeTraceDoc<'_> {
+    /// Serializes compactly (no whitespace).
+    #[must_use]
+    pub fn to_string_compact(&self) -> String {
+        self.emit(false, None).expect("no sink, no I/O")
     }
 
-    if let Some(mem) = sim.mem_telemetry() {
+    /// Serializes with two-space indentation.
+    #[must_use]
+    pub fn to_string_pretty(&self) -> String {
+        self.emit(true, None).expect("no sink, no I/O")
+    }
+
+    /// Streams the compact form into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from `out`.
+    pub fn write_compact<W: Write>(&self, mut out: W) -> io::Result<()> {
+        let tail = self.emit(false, Some(&mut out))?;
+        out.write_all(tail.as_bytes())
+    }
+
+    /// Streams the pretty form into `out`: the bytes of
+    /// [`ChromeTraceDoc::to_string_pretty`], never all held at once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from `out`.
+    pub fn write_pretty<W: Write>(&self, mut out: W) -> io::Result<()> {
+        let tail = self.emit(true, Some(&mut out))?;
+        out.write_all(tail.as_bytes())
+    }
+
+    /// Emits the document. With a `sink` the text moves there a chunk
+    /// at a time and only the unwritten tail is returned; without one
+    /// the whole document is.
+    fn emit(&self, pretty: bool, mut sink: Option<&mut dyn Write>) -> io::Result<String> {
+        /// Text buffered between writes to the sink.
+        const CHUNK: usize = 64 << 10;
+        let sim = self.sim;
+        let states = sim.chrome_states();
         // Slices accumulate in completion pop order, which same-cycle
         // completions leave unspecified; sort canonically so the
         // exported trace is byte-stable across legal schedules.
-        let mut slices: Vec<_> = mem.slices().to_vec();
+        let mut slices: Vec<_> = sim
+            .mem_telemetry()
+            .map_or(&[][..], |mem| mem.slices())
+            .iter()
+            .collect();
         slices.sort_by_key(|s| (s.submit, s.complete, s.line_addr, s.tag));
-        for slice in &slices {
-            let (core, kind) = crate::sim::decode_tag(slice.tag);
-            let name = kind.name();
-            let args = vec![
-                (
-                    "line_addr".to_owned(),
-                    JsonValue::Str(format!("{:#x}", slice.line_addr)),
-                ),
-                ("core".to_owned(), JsonValue::UInt(core as u64)),
-                ("bank".to_owned(), JsonValue::UInt(slice.bank as u64)),
-            ];
-            out.push(ChromeEvent {
-                name: name.to_owned(),
-                cat: "request",
-                ts: slice.submit,
-                dur: slice.complete - slice.submit,
-                pid: PID_REQUESTS,
-                tid: core as u32,
-                args: args.clone(),
-            });
-            if let (Some(arrive), Some(done)) = (slice.bank_arrive, slice.mc_send.or(slice.respond))
-            {
-                out.push(ChromeEvent {
-                    name: name.to_owned(),
-                    cat: "bank",
-                    ts: arrive,
-                    dur: done.saturating_sub(arrive),
-                    pid: PID_BANKS,
-                    tid: slice.bank as u32,
-                    args: args.clone(),
-                });
-            }
-            if let (Some(mc), Some(send), Some(respond)) =
-                (slice.mc, slice.mc_send, slice.mc_respond)
-            {
-                out.push(ChromeEvent {
-                    name: name.to_owned(),
-                    cat: "mc",
-                    ts: send,
-                    dur: respond - send,
-                    pid: PID_MCS,
-                    tid: mc as u32,
-                    args,
-                });
-            }
-        }
-    }
+        // Links accumulate in wakeup order, which is already canonical
+        // per core, but sort anyway so the export never depends on
+        // collection order.
+        let mut links: Vec<_> = sim.attribution().links().iter().collect();
+        links.sort_by_key(|l| (l.core, l.start, l.line_addr, l.tag));
 
-    // Flow events bind each closed stall interval to the request that
-    // ended it: the flow starts on the causing request's slice and
-    // finishes on the core's stall slice. Links accumulate in wakeup
-    // order, which is already canonical per core, but sort anyway so
-    // the export never depends on collection order.
-    let mut links: Vec<_> = sim.attribution().links().to_vec();
-    links.sort_by_key(|l| (l.core, l.start, l.line_addr, l.tag));
-    for (idx, link) in links.iter().enumerate() {
-        let id = idx as u64 + 1;
-        out.push_flow(FlowEvent {
-            name: format!("stall pc {:#x}", link.pc),
-            cat: "stall-cause",
-            id,
-            ts: link.submit,
-            pid: PID_REQUESTS,
-            tid: link.core as u32,
-            start: true,
-        });
-        out.push_flow(FlowEvent {
-            name: format!("stall pc {:#x}", link.pc),
-            cat: "stall-cause",
-            id,
-            ts: link.start,
-            pid: PID_CORES,
-            tid: link.core as u32,
-            start: false,
-        });
+        // A whole document is sized up front so it is never regrown:
+        // compact bytes per state slice / request (up to three slices
+        // with args) / flow pair as measured on the 128-core matmul,
+        // rounded up; pretty text is under twice that.
+        let capacity = match sink {
+            Some(_) => 2 * CHUNK,
+            None => {
+                (states.len() * 96 + slices.len() * 448 + links.len() * 224 + 4096)
+                    * if pretty { 2 } else { 1 }
+            }
+        };
+        let mut spill = |out: &mut ChromeWriter| -> io::Result<()> {
+            if let Some(sink) = &mut sink {
+                let text = out.buffer_mut();
+                if text.len() >= CHUNK {
+                    sink.write_all(text.as_bytes())?;
+                    text.clear();
+                }
+            }
+            Ok(())
+        };
+        let mut out = ChromeWriter::new(pretty, capacity);
+        for (pid, name) in [
+            (PID_CORES, "cores"),
+            (PID_BANKS, "L2 banks (bank stage)"),
+            (PID_MCS, "memory controllers"),
+            (PID_REQUESTS, "requests end-to-end (by core)"),
+        ] {
+            out.metadata("process_name", pid, 0, name);
+        }
+        for core in 0..sim.config().cores {
+            let name = format!("core {core}");
+            out.metadata("thread_name", PID_CORES, core as u32, &name);
+        }
+
+        for s in states {
+            // Trailing halted intervals add nothing but timeline width.
+            if s.state == trace::STATE_HALTED {
+                continue;
+            }
+            let (name, dur, tid) = (state_name(s.state), s.end - s.start, s.core as u32);
+            out.slice(name, "core-state", s.start, dur, PID_CORES, tid, None);
+            spill(&mut out)?;
+        }
+
+        for s in slices {
+            let (core, kind) = crate::sim::decode_tag(s.tag);
+            let (name, tid, bank) = (kind.name(), core as u32, s.bank as u32);
+            let args = Some(SliceArgs {
+                line_addr: s.line_addr,
+                core: core as u64,
+                bank: u64::from(bank),
+            });
+            let dur = s.complete - s.submit;
+            out.slice(name, "request", s.submit, dur, PID_REQUESTS, tid, args);
+            if let (Some(arrive), Some(done)) = (s.bank_arrive, s.mc_send.or(s.respond)) {
+                let dur = done.saturating_sub(arrive);
+                out.slice(name, "bank", arrive, dur, PID_BANKS, bank, args);
+            }
+            if let (Some(mc), Some(send), Some(respond)) = (s.mc, s.mc_send, s.mc_respond) {
+                out.slice(name, "mc", send, respond - send, PID_MCS, mc as u32, args);
+            }
+            spill(&mut out)?;
+        }
+
+        // Flow events bind each closed stall interval to the request that
+        // ended it: the flow starts on the causing request's slice and
+        // finishes on the core's stall slice.
+        for (idx, link) in links.into_iter().enumerate() {
+            let (id, tid) = (idx as u64 + 1, link.core as u32);
+            out.flow(link.pc, id, link.submit, PID_REQUESTS, tid, true);
+            out.flow(link.pc, id, link.start, PID_CORES, tid, false);
+            spill(&mut out)?;
+        }
+        Ok(out.finish())
     }
-    out.to_json()
 }
 
 #[cfg(test)]
@@ -573,6 +611,25 @@ mod tests {
         let mut sim = Simulation::new(config, &program).unwrap();
         let report = sim.run().unwrap();
         (sim, report)
+    }
+
+    /// The `traceEvents` of the run's Chrome document, read back
+    /// through the parser (compact and streamed pretty must agree).
+    fn chrome_events(sim: &Simulation) -> Vec<JsonValue> {
+        let doc = chrome_trace_json(sim);
+        let parsed = coyote_telemetry::parse_json(&doc.to_string_compact()).unwrap();
+        let mut streamed = Vec::new();
+        doc.write_pretty(&mut streamed).unwrap();
+        assert_eq!(String::from_utf8(streamed).unwrap(), doc.to_string_pretty());
+        assert_eq!(
+            coyote_telemetry::parse_json(&doc.to_string_pretty()).unwrap(),
+            parsed
+        );
+        parsed
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .unwrap()
+            .to_vec()
     }
 
     #[test]
@@ -709,11 +766,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_core_and_request_slices() {
         let (sim, _report) = run_telemetry_sim();
-        let doc = chrome_trace_json(&sim);
-        let events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .unwrap();
+        let events = chrome_events(&sim);
         let slices: Vec<&JsonValue> = events
             .iter()
             .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
@@ -747,8 +800,11 @@ mod tests {
             .and_then(|a| a.get("per_core"))
             .is_some());
         assert_eq!(metrics_csv(&sim).lines().count(), 1);
-        let chrome = chrome_trace_json(&sim);
-        assert!(chrome.get("traceEvents").is_some());
+        assert_eq!(
+            chrome_events(&sim).len(),
+            5,
+            "metadata only: four row groups and one core"
+        );
     }
 
     /// Reads one CPI-stack row back out of the document.
@@ -816,11 +872,7 @@ mod tests {
             assert_eq!(entry.get("error").and_then(JsonValue::as_u64), Some(0));
         }
         // Each link becomes one start/finish flow pair in the trace.
-        let chrome = chrome_trace_json(&sim);
-        let events = chrome
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .unwrap();
+        let events = chrome_events(&sim);
         let ph_count = |ph: &str| {
             events
                 .iter()

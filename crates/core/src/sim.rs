@@ -228,6 +228,9 @@ pub struct Simulation {
     text: DecodedText,
     hierarchy: Hierarchy,
     cycle: u64,
+    /// Miss events (with `trace`) and the one store of core-state
+    /// intervals both trace exporters read; present when `trace` or
+    /// `chrome_trace` is on.
     trace: Option<Trace>,
     /// Per-core (state, since-cycle) for trace state intervals.
     state_track: Vec<(CoreState, u64)>,
@@ -239,9 +242,6 @@ pub struct Simulation {
     telemetry: Option<TelemetrySink>,
     /// Per-core CPI stacks and the critical-PC table; always on.
     attr: StallAttribution,
-    /// Core-state intervals retained for Chrome-trace export (empty
-    /// unless `chrome_trace` is on).
-    chrome_states: Vec<StateInterval>,
     /// Indices of cores currently in [`CoreState::Active`], ascending —
     /// the execute phase's work list. Maintained incrementally (compacted
     /// after each step phase, re-inserted on wake) so per-cycle cost
@@ -346,7 +346,7 @@ impl Simulation {
             text,
             hierarchy,
             cycle: 0,
-            trace: config.trace.then(|| Trace::new(config.cores)),
+            trace: (config.trace || config.chrome_trace).then(|| Trace::new(config.cores)),
             state_track: vec![(CoreState::Active, 0); config.cores],
             miss_buf: Vec::new(),
             completion_buf: Vec::new(),
@@ -361,7 +361,6 @@ impl Simulation {
                 config.attribution_top_k,
                 config.chrome_trace,
             ),
-            chrome_states: Vec::new(),
             active_list: (0..config.cores).collect(),
             halted: 0,
             deactivated_buf: Vec::new(),
@@ -482,13 +481,7 @@ impl Simulation {
     /// The collected trace, if tracing was enabled.
     #[must_use]
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Consumes the simulation, returning the trace.
-    #[must_use]
-    pub fn into_trace(self) -> Option<Trace> {
-        self.trace
+        self.trace.as_ref().filter(|_| self.config.trace)
     }
 
     /// The epoch-sampling telemetry sink, if telemetry was enabled.
@@ -515,7 +508,10 @@ impl Simulation {
     /// unless [`SimConfig::chrome_trace`] was set).
     #[must_use]
     pub fn chrome_states(&self) -> &[StateInterval] {
-        &self.chrome_states
+        match &self.trace {
+            Some(trace) if self.config.chrome_trace => trace.states(),
+            _ => &[],
+        }
     }
 
     /// Enables hierarchy event logging (one record per handled event)
@@ -1026,8 +1022,9 @@ impl Simulation {
             return;
         }
         let span = self.prof_enter("miss_submit");
+        let mut trace = self.trace.as_mut().filter(|_| self.config.trace);
         for miss in self.miss_buf.drain(..) {
-            if let Some(trace) = &mut self.trace {
+            if let Some(trace) = &mut trace {
                 trace.record(TraceEvent {
                     cycle,
                     core: miss.core,
@@ -1263,27 +1260,21 @@ impl Simulation {
 
     /// Closes the open core-state interval of every core whose state
     /// changed since it opened — or of every core when `flush`, at the
-    /// end of the run — into the Paraver and/or Chrome trace.
+    /// end of the run — into the store the Paraver and Chrome exporters
+    /// share.
     fn close_state_intervals(&mut self, cycle: u64, flush: bool) {
-        if self.trace.is_none() && !self.config.chrome_trace {
+        let Some(trace) = &mut self.trace else {
             return;
-        }
-        let chrome = self.config.chrome_trace;
+        };
         for (core, track) in self.cores.iter().zip(&mut self.state_track) {
             let current = core.state();
             if flush || current != track.0 {
-                let interval = StateInterval {
+                trace.record_state(StateInterval {
                     core: core.index(),
                     start: track.1,
                     end: cycle,
                     state: state_code(track.0),
-                };
-                if let Some(trace) = &mut self.trace {
-                    trace.record_state(interval);
-                }
-                if chrome && interval.end > interval.start {
-                    self.chrome_states.push(interval);
-                }
+                });
                 *track = (current, cycle);
             }
         }

@@ -9,6 +9,7 @@
 use std::io::{self, Write};
 
 use coyote_iss::MissKind;
+use coyote_telemetry::push_u64;
 
 /// Paraver event type for L1 miss kind (value = [`kind_code`]).
 pub const EVENT_MISS_KIND: u64 = 42_000_001;
@@ -144,8 +145,9 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `out`. A `&mut Vec<u8>` or `&mut File`
-    /// can be passed for `out`.
+    /// Propagates I/O errors from `out`. Every record is one `write_all`,
+    /// so hand a `File` over inside a `BufWriter` (and `flush` it); a
+    /// `&mut Vec<u8>` works as is.
     pub fn write_prv<W: Write>(&self, mut out: W) -> io::Result<()> {
         let cores = self.cores.max(1);
         // Header: #Paraver (date):duration:nodes(cpus):apps:app1(tasks)
@@ -163,33 +165,38 @@ impl Trace {
             write!(out, "1:1")?;
         }
         writeln!(out, ")")?;
+        // One line buffer, filled by the JSON emitter's integer routine:
+        // a record is one `write_all`, not a dozen `fmt` fragments.
+        // Every record starts `type:cpu:appl:task:thread` — one
+        // application, and a task of one thread per core, 1-based.
+        let mut line = String::new();
+        let mut record = |kind: char, core: usize, fields: &[u64]| {
+            line.clear();
+            line.push(kind);
+            let task = core as u64 + 1;
+            for field in [task, 1, task, 1].iter().chain(fields) {
+                line.push(':');
+                push_u64(&mut line, *field);
+            }
+            line.push('\n');
+            out.write_all(line.as_bytes())
+        };
         for st in &self.states {
-            // Record type 1 (state): 1:cpu:appl:task:thread:begin:end:state
-            writeln!(
-                out,
-                "1:{cpu}:1:{task}:1:{begin}:{end}:{state}",
-                cpu = st.core + 1,
-                task = st.core + 1,
-                begin = st.start,
-                end = st.end,
-                state = st.state,
-            )?;
+            // Record type 1 (state): …:begin:end:state
+            record('1', st.core, &[st.start, st.end, st.state])?;
         }
         for ev in &self.events {
-            // Record type 2 (event): 2:cpu:appl:task:thread:time:type:value[:type:value]
-            writeln!(
-                out,
-                "2:{cpu}:1:{task}:1:{time}:{kt}:{kv}:{at}:{av}:{pt}:{pv}",
-                cpu = ev.core + 1,
-                task = ev.core + 1,
-                time = ev.cycle,
-                kt = EVENT_MISS_KIND,
-                kv = kind_code(ev.kind),
-                at = EVENT_LINE_ADDR,
-                av = ev.line_addr,
-                pt = EVENT_PC,
-                pv = ev.pc,
-            )?;
+            // Record type 2 (event): …:time:type:value[:type:value]
+            let fields = [
+                ev.cycle,
+                EVENT_MISS_KIND,
+                kind_code(ev.kind),
+                EVENT_LINE_ADDR,
+                ev.line_addr,
+                EVENT_PC,
+                ev.pc,
+            ];
+            record('2', ev.core, &fields)?;
         }
         Ok(())
     }

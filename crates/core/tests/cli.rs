@@ -288,6 +288,89 @@ fn chrome_trace_flag_writes_trace_event_json() {
     }
 }
 
+/// The streamed file is the in-memory pretty document byte for byte,
+/// and the compact form still equals the golden recorded from the tree
+/// serialiser this path replaced (commit 79160f9, same program and
+/// flags), so identity with the old exporter outlives it.
+#[test]
+fn streamed_chrome_trace_equals_the_library_document_and_the_golden() {
+    let program = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/asm/dotprod.s");
+    let dir = std::env::temp_dir().join("coyote-sim-tests");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let chrome = dir.join("dotprod-chrome.json");
+    let output = Command::new(sim_binary())
+        .arg(program)
+        .args(["--cores", "8"])
+        .arg("--chrome-trace")
+        .arg(&chrome)
+        .arg("--metrics-out")
+        .arg(dir.join("dotprod-metrics"))
+        .arg("--trace")
+        .arg(dir.join("dotprod-trace"))
+        .output()
+        .expect("spawn coyote-sim");
+    assert_eq!(output.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("capped"), "no cap is reached: {stderr}");
+
+    let source = std::fs::read_to_string(program).expect("dotprod.s");
+    let config = coyote::SimConfig::builder()
+        .cores(8)
+        .trace(true)
+        .telemetry(true)
+        .chrome_trace(true)
+        .build()
+        .expect("valid config");
+    let mut sim = coyote::Simulation::new(config, &coyote_asm::assemble(&source).unwrap()).unwrap();
+    sim.run().expect("dotprod runs");
+    let doc = coyote::chrome_trace_json(&sim);
+    let streamed = std::fs::read_to_string(&chrome).expect("chrome trace");
+    assert!(streamed == doc.to_string_pretty(), "streamed file differs");
+    assert!(
+        doc.to_string_compact() == include_str!("golden/chrome_dotprod_8c.json"),
+        "compact document differs from the golden of the old tree exporter"
+    );
+}
+
+/// More than `SLICE_CAP` / `LINK_CAP` requests: the trace silently
+/// loses the later ones, so stderr must say how many.
+#[test]
+fn capped_chrome_trace_reports_the_drop_counts() {
+    let path = write_temp_program(
+        "cap-overflow.s",
+        "_start:
+            li t1, 0x1000000
+            li t2, 100100
+        loop:
+            ld t3, 0(t1)        # every load misses: a new line each time
+            add t4, t4, t3      # and stalls the core until it returns
+            addi t1, t1, 64
+            addi t2, t2, -1
+            bnez t2, loop
+            li a0, 0
+            li a7, 93
+            ecall",
+    );
+    let chrome = std::env::temp_dir().join("coyote-sim-tests/cap-overflow-chrome.json");
+    let output = Command::new(sim_binary())
+        .arg(&path)
+        .arg("--chrome-trace")
+        .arg(&chrome)
+        .output()
+        .expect("spawn coyote-sim");
+    std::fs::remove_file(&chrome).expect("the (large) trace was written");
+    assert_eq!(output.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let notice: Vec<&str> = stderr.lines().filter(|l| l.contains("capped")).collect();
+    assert_eq!(notice.len(), 1, "one notice line: {stderr}");
+    assert!(
+        notice[0].contains("dropped 101 request slices (cap 100000)")
+            && notice[0].contains("101 stall links (cap 100000)"),
+        "both drop counts: {}",
+        notice[0]
+    );
+}
+
 #[test]
 fn zero_metrics_interval_is_rejected() {
     let path = write_temp_program(

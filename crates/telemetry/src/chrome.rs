@@ -1,4 +1,4 @@
-//! Chrome trace-event JSON builder.
+//! Chrome trace-event JSON writer.
 //!
 //! Emits the subset of the trace-event format that chrome://tracing and
 //! Perfetto load without configuration: complete events (`"ph": "X"`)
@@ -6,272 +6,219 @@
 //! cycle to one microsecond, so the Perfetto timeline reads directly in
 //! cycles. `pid` groups a subsystem (cores vs. memory hierarchy) and
 //! `tid` selects the row within it.
+//!
+//! A paper-scale trace has ~10^6 events, so nothing is accumulated:
+//! every call appends its event's text through the [`JsonEmitter`] and
+//! the caller may drain [`ChromeWriter::buffer_mut`] between calls.
 
-use crate::json::JsonValue;
+use crate::json::JsonEmitter;
 
-/// One complete ("X") trace event.
-#[derive(Debug, Clone)]
-pub struct ChromeEvent {
-    /// Slice label shown on the timeline.
-    pub name: String,
-    /// Comma-separated categories (filterable in the UI).
-    pub cat: &'static str,
-    /// Start, in cycles.
-    pub ts: u64,
-    /// Duration, in cycles.
-    pub dur: u64,
-    /// Process row group.
-    pub pid: u32,
-    /// Thread row within the group.
-    pub tid: u32,
-    /// Extra `args` fields shown when the slice is selected.
-    pub args: Vec<(String, JsonValue)>,
+/// The `args` object of a memory-request slice.
+#[derive(Debug, Clone, Copy)]
+pub struct SliceArgs {
+    /// Line address of the request (shown in hex).
+    pub line_addr: u64,
+    /// Requesting core.
+    pub core: u64,
+    /// L2 bank that served it.
+    pub bank: u64,
 }
 
-/// One endpoint of a flow arrow: a flow-start ("s") or flow-finish
-/// ("f") event. Perfetto draws an arrow from each start to the finish
-/// sharing its `id`, binding each endpoint to the slice enclosing its
-/// `(pid, tid, ts)` point — which is how stall intervals are visually
-/// linked to the memory request that caused them.
-#[derive(Debug, Clone)]
-pub struct FlowEvent {
-    /// Flow label (shared by both endpoints).
-    pub name: String,
-    /// Comma-separated categories.
-    pub cat: &'static str,
-    /// Identifier pairing a start with its finish.
-    pub id: u64,
-    /// Timestamp, in cycles; must fall inside the slice to bind to.
-    pub ts: u64,
-    /// Process row group of the bound slice.
-    pub pid: u32,
-    /// Thread row of the bound slice.
-    pub tid: u32,
-    /// `true` emits phase "s" (start), `false` phase "f" (finish,
-    /// binding to the enclosing slice via `bp: "e"`).
-    pub start: bool,
+/// Writer of one trace-event document
+/// (`{"traceEvents": [...], "displayTimeUnit": "ns"}`); events appear in
+/// call order. Viewers want metadata first.
+#[derive(Debug)]
+pub struct ChromeWriter {
+    json: JsonEmitter,
+    /// Reused for the formatted (hex) strings of one event.
+    scratch: String,
 }
 
-/// Builder that accumulates events and serializes the final document.
-#[derive(Debug, Default)]
-pub struct ChromeTrace {
-    events: Vec<ChromeEvent>,
-    flows: Vec<FlowEvent>,
-    names: Vec<((u32, u32), String)>,
-    process_names: Vec<(u32, String)>,
-}
-
-impl ChromeTrace {
-    /// An empty trace.
+impl ChromeWriter {
+    /// Opens a document, two-space `pretty` or compact, in a buffer
+    /// pre-sized to `capacity` bytes.
     #[must_use]
-    pub fn new() -> ChromeTrace {
-        ChromeTrace::default()
-    }
-
-    /// Labels a `pid` row group (emitted as a `process_name` metadata
-    /// event).
-    pub fn name_process(&mut self, pid: u32, name: &str) {
-        self.process_names.push((pid, name.to_owned()));
-    }
-
-    /// Labels a `(pid, tid)` row (emitted as a `thread_name` metadata
-    /// event).
-    pub fn name_thread(&mut self, pid: u32, tid: u32, name: &str) {
-        self.names.push(((pid, tid), name.to_owned()));
-    }
-
-    /// Appends a complete event.
-    pub fn push(&mut self, event: ChromeEvent) {
-        self.events.push(event);
-    }
-
-    /// Appends a flow endpoint (arrow start or finish).
-    pub fn push_flow(&mut self, flow: FlowEvent) {
-        self.flows.push(flow);
-    }
-
-    /// Number of flow endpoints recorded so far.
-    #[must_use]
-    pub fn flow_len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Number of slice events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no slice events were recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Serializes to the trace-event JSON object format
-    /// (`{"traceEvents": [...], "displayTimeUnit": "ns"}`).
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        let mut events = Vec::with_capacity(
-            self.events.len() + self.flows.len() + self.names.len() + self.process_names.len(),
-        );
-        for (pid, name) in &self.process_names {
-            events.push(metadata_event("process_name", *pid, 0, name));
+    pub fn new(pretty: bool, capacity: usize) -> ChromeWriter {
+        let mut json = JsonEmitter::new(pretty, capacity);
+        json.begin_object();
+        json.key("traceEvents");
+        json.begin_array();
+        ChromeWriter {
+            json,
+            scratch: String::new(),
         }
-        for ((pid, tid), name) in &self.names {
-            events.push(metadata_event("thread_name", *pid, *tid, name));
-        }
-        for e in &self.events {
-            let mut obj = JsonValue::object()
-                .with("name", e.name.as_str())
-                .with("cat", e.cat)
-                .with("ph", "X")
-                .with("ts", e.ts)
-                .with("dur", e.dur)
-                .with("pid", e.pid)
-                .with("tid", e.tid);
-            if !e.args.is_empty() {
-                obj = obj.with("args", JsonValue::Object(e.args.clone()));
-            }
-            events.push(obj);
-        }
-        for f in &self.flows {
-            let mut obj = JsonValue::object()
-                .with("name", f.name.as_str())
-                .with("cat", f.cat)
-                .with("ph", if f.start { "s" } else { "f" })
-                .with("id", f.id)
-                .with("ts", f.ts)
-                .with("pid", f.pid)
-                .with("tid", f.tid);
-            if !f.start {
-                // Bind the finish to the enclosing slice, not the next one.
-                obj = obj.with("bp", "e");
-            }
-            events.push(obj);
-        }
-        JsonValue::object()
-            .with("traceEvents", JsonValue::Array(events))
-            .with("displayTimeUnit", "ns")
     }
 
-    /// Serializes the document to a JSON string.
+    /// Labels a row group (`kind` = `process_name`, `tid` 0) or a row
+    /// (`thread_name`) with a metadata ("M") event.
+    pub fn metadata(&mut self, kind: &'static str, pid: u32, tid: u32, name: &str) {
+        let json = &mut self.json;
+        json.begin_object();
+        json.field_str("name", kind);
+        json.field_str("ph", "M");
+        json.field_uint("pid", u64::from(pid));
+        json.field_uint("tid", u64::from(tid));
+        json.key("args");
+        json.begin_object();
+        json.field_str("name", name);
+        json.end_object();
+        json.end_object();
+    }
+
+    /// Appends a complete ("X") event: a slice `dur` cycles long
+    /// starting at cycle `ts` on row `(pid, tid)`; `args` are shown when
+    /// the slice is selected.
+    #[allow(clippy::too_many_arguments)]
+    pub fn slice(
+        &mut self,
+        name: &'static str,
+        cat: &'static str,
+        ts: u64,
+        dur: u64,
+        pid: u32,
+        tid: u32,
+        args: Option<SliceArgs>,
+    ) {
+        let json = &mut self.json;
+        json.begin_object();
+        json.field_str("name", name);
+        json.field_str("cat", cat);
+        json.field_str("ph", "X");
+        json.field_uint("ts", ts);
+        json.field_uint("dur", dur);
+        json.field_uint("pid", u64::from(pid));
+        json.field_uint("tid", u64::from(tid));
+        if let Some(args) = args {
+            self.scratch.clear();
+            push_hex(&mut self.scratch, args.line_addr);
+            json.key("args");
+            json.begin_object();
+            json.field_str("line_addr", &self.scratch);
+            json.field_uint("core", args.core);
+            json.field_uint("bank", args.bank);
+            json.end_object();
+        }
+        json.end_object();
+    }
+
+    /// Appends one endpoint of a `stall-cause` flow arrow, labelled with
+    /// the stalled `pc`: a flow-start ("s") or, when `start` is false, a
+    /// flow-finish ("f"). Perfetto draws an arrow from each start to the
+    /// finish sharing its `id`, binding each endpoint to the slice
+    /// enclosing its `(pid, tid, ts)` point — which is how stall
+    /// intervals are visually linked to the memory request that caused
+    /// them.
+    pub fn flow(&mut self, pc: u64, id: u64, ts: u64, pid: u32, tid: u32, start: bool) {
+        self.scratch.clear();
+        self.scratch.push_str("stall pc ");
+        push_hex(&mut self.scratch, pc);
+        let json = &mut self.json;
+        json.begin_object();
+        json.field_str("name", &self.scratch);
+        json.field_str("cat", "stall-cause");
+        json.field_str("ph", if start { "s" } else { "f" });
+        json.field_uint("id", id);
+        json.field_uint("ts", ts);
+        json.field_uint("pid", u64::from(pid));
+        json.field_uint("tid", u64::from(tid));
+        if !start {
+            // Bind the finish to the enclosing slice, not the next one.
+            json.field_str("bp", "e");
+        }
+        json.end_object();
+    }
+
+    /// The text emitted so far; a streaming caller writes it out and
+    /// clears it between events.
+    pub fn buffer_mut(&mut self) -> &mut String {
+        self.json.buffer_mut()
+    }
+
+    /// Closes the document and returns what is left in the buffer.
     #[must_use]
-    pub fn to_string_pretty(&self) -> String {
-        self.to_json().to_string_pretty()
+    pub fn finish(mut self) -> String {
+        self.json.end_array();
+        self.json.field_str("displayTimeUnit", "ns");
+        self.json.end_object();
+        self.json.finish()
     }
 }
 
-fn metadata_event(kind: &str, pid: u32, tid: u32, name: &str) -> JsonValue {
-    JsonValue::object()
-        .with("name", kind)
-        .with("ph", "M")
-        .with("pid", pid)
-        .with("tid", tid)
-        .with("args", JsonValue::object().with("name", name))
+/// Appends `v` as `{:#x}` would (`0x` + lower-case digits, no padding).
+fn push_hex(out: &mut String, v: u64) {
+    out.push_str("0x");
+    let nibbles = (64 - v.leading_zeros()).div_ceil(4).max(1);
+    for shift in (0..nibbles).rev() {
+        let nibble = (v >> (4 * shift)) & 0xf;
+        out.push(char::from_digit(nibble as u32, 16).expect("nibble < 16"));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
-    fn document_shape_is_trace_event_format() {
-        let mut trace = ChromeTrace::new();
-        trace.name_process(1, "cores");
-        trace.name_thread(1, 0, "core 0");
-        trace.push(ChromeEvent {
-            name: "load miss".to_owned(),
-            cat: "mem",
-            ts: 100,
-            dur: 40,
-            pid: 1,
-            tid: 0,
-            args: vec![("line".to_owned(), JsonValue::UInt(0xabc))],
-        });
-        let doc = trace.to_json();
-        let events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert_eq!(events.len(), 3);
-        // Metadata events come first.
-        assert_eq!(events[0].get("ph").and_then(JsonValue::as_str), Some("M"));
-        let slice = &events[2];
-        assert_eq!(slice.get("ph").and_then(JsonValue::as_str), Some("X"));
-        assert_eq!(slice.get("ts").and_then(JsonValue::as_u64), Some(100));
-        assert_eq!(slice.get("dur").and_then(JsonValue::as_u64), Some(40));
+    fn events_carry_the_trace_event_keys_in_call_order() {
+        let mut trace = ChromeWriter::new(false, 0);
+        trace.metadata("thread_name", 1, 0, "core 0");
+        let args = SliceArgs {
+            line_addr: 0xabc,
+            core: 0,
+            bank: 3,
+        };
+        trace.slice("load", "request", 100, 40, 4, 0, Some(args));
+        trace.flow(0x8000_0010, 7, 120, 4, 0, true);
+        trace.flow(0x8000_0010, 7, 150, 1, 0, false);
+        let text = trace.finish();
         assert_eq!(
-            slice
-                .get("args")
-                .and_then(|a| a.get("line"))
-                .and_then(JsonValue::as_u64),
-            Some(0xabc)
+            text,
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"core 0"}},"#,
+                r#"{"name":"load","cat":"request","ph":"X","ts":100,"dur":40,"pid":4,"tid":0,"#,
+                r#""args":{"line_addr":"0xabc","core":0,"bank":3}},"#,
+                r#"{"name":"stall pc 0x80000010","cat":"stall-cause","ph":"s","id":7,"ts":120,"#,
+                r#""pid":4,"tid":0},"#,
+                r#"{"name":"stall pc 0x80000010","cat":"stall-cause","ph":"f","id":7,"ts":150,"#,
+                r#""pid":1,"tid":0,"bp":"e"}"#,
+                r#"],"displayTimeUnit":"ns"}"#,
+            )
         );
+        assert!(crate::json::parse(&text).is_ok());
     }
 
     #[test]
-    fn flow_endpoints_serialize_as_s_and_f_phases() {
-        let mut trace = ChromeTrace::new();
-        trace.push_flow(FlowEvent {
-            name: "stall".to_owned(),
-            cat: "attribution",
-            id: 7,
-            ts: 120,
-            pid: 4,
-            tid: 0,
-            start: true,
-        });
-        trace.push_flow(FlowEvent {
-            name: "stall".to_owned(),
-            cat: "attribution",
-            id: 7,
-            ts: 150,
-            pid: 1,
-            tid: 0,
-            start: false,
-        });
-        assert_eq!(trace.flow_len(), 2);
-        let doc = trace.to_json();
-        let events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        let start = &events[0];
-        assert_eq!(start.get("ph").and_then(JsonValue::as_str), Some("s"));
-        assert_eq!(start.get("id").and_then(JsonValue::as_u64), Some(7));
-        assert!(start.get("bp").is_none());
-        let finish = &events[1];
-        assert_eq!(finish.get("ph").and_then(JsonValue::as_str), Some("f"));
-        assert_eq!(finish.get("bp").and_then(JsonValue::as_str), Some("e"));
-        assert_eq!(finish.get("id").and_then(JsonValue::as_u64), Some(7));
-    }
-
-    #[test]
-    fn serialized_document_parses_back() {
-        let mut trace = ChromeTrace::new();
-        trace.push(ChromeEvent {
-            name: "e2e".to_owned(),
-            cat: "request",
-            ts: 0,
-            dur: 1,
-            pid: 2,
-            tid: 3,
-            args: Vec::new(),
-        });
-        let text = trace.to_string_pretty();
-        let parsed = json::parse(&text).unwrap();
-        assert!(parsed.get("traceEvents").is_some());
+    fn draining_between_events_does_not_change_the_text() {
+        let write = |drain: bool| {
+            let mut text = String::new();
+            let mut trace = ChromeWriter::new(true, 0);
+            for ts in 0..3 {
+                trace.slice("running", "core-state", ts, 1, 1, 0, None);
+                if drain {
+                    text.push_str(trace.buffer_mut());
+                    trace.buffer_mut().clear();
+                }
+            }
+            text.push_str(&trace.finish());
+            text
+        };
+        assert_eq!(write(true), write(false));
+        assert!(crate::json::parse(&write(true)).is_ok());
     }
 
     #[test]
     fn empty_trace_is_still_valid() {
-        let doc = ChromeTrace::new().to_json();
-        let events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert!(events.is_empty());
+        let text = ChromeWriter::new(false, 0).finish();
+        assert_eq!(text, r#"{"traceEvents":[],"displayTimeUnit":"ns"}"#);
+    }
+
+    #[test]
+    fn hex_matches_the_fmt_alternate_form() {
+        for v in [0, 1, 0xf, 0x10, 0xabc, 0x8000_0010, u64::MAX] {
+            let mut out = String::new();
+            push_hex(&mut out, v);
+            assert_eq!(out, format!("{v:#x}"));
+        }
     }
 }

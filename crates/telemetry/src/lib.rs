@@ -9,10 +9,12 @@
 //!   request-lifecycle stages (NoC, bank, MSHR wait, DRAM, delivery);
 //! - [`TimeSeries`] / [`Sample`] — epoch-sampled delta counters with
 //!   bounded-memory pair-merge compaction, serializing to CSV;
-//! - [`JsonValue`] — a hand-rolled, dependency-free JSON writer and
-//!   parser used for the stable `schema_version`ed metrics document;
-//! - [`ChromeTrace`] — Chrome trace-event JSON (Perfetto-loadable) for
-//!   request lifecycles and core-state intervals;
+//! - [`JsonValue`] — a hand-rolled, dependency-free JSON tree and
+//!   parser used for the stable `schema_version`ed metrics document,
+//!   serialized by [`JsonEmitter`], the one streaming formatter;
+//! - [`ChromeWriter`] — Chrome trace-event JSON (Perfetto-loadable) for
+//!   request lifecycles and core-state intervals, streamed event by
+//!   event through the same emitter;
 //! - [`TelemetrySink`] — the epoch bookkeeping the simulation loop
 //!   drives, deliberately typed on plain numbers so this crate stays a
 //!   leaf dependency;
@@ -35,10 +37,10 @@ pub mod json;
 pub mod series;
 pub mod topk;
 
-pub use chrome::{ChromeEvent, ChromeTrace, FlowEvent};
+pub use chrome::{ChromeWriter, SliceArgs};
 pub use hist::{Histogram, BUCKETS};
 pub use hostprof::{HostProf, ProfClock, SpanToken, WallClock};
-pub use json::{parse as parse_json, JsonParseError, JsonValue};
+pub use json::{parse as parse_json, push_u64, JsonEmitter, JsonParseError, JsonValue};
 pub use series::{Sample, TimeSeries};
 pub use topk::{PcEntry, TopK};
 

@@ -9,6 +9,7 @@
 //! Writes `target/stencil.prv` and `target/stencil.pcf`.
 
 use std::fs::File;
+use std::io::{BufWriter, Write};
 
 use coyote::SimConfig;
 use coyote_iss::MissKind;
@@ -22,7 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let trace = sim.trace().expect("tracing enabled");
     std::fs::create_dir_all("target")?;
-    trace.write_prv(File::create("target/stencil.prv")?)?;
+    let mut prv = BufWriter::new(File::create("target/stencil.prv")?);
+    trace.write_prv(&mut prv)?;
+    prv.flush()?;
     trace.write_pcf(File::create("target/stencil.pcf")?)?;
 
     println!("{report}");
