@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use coyote::{JsonValue, ProfMode, SimConfig};
+use coyote::SimConfig;
 use coyote_kernels::workload::{run_workload, Workload};
 use coyote_kernels::{MatmulScalar, SpmvScalar};
 
@@ -85,66 +85,6 @@ pub fn measure(workload: &dyn Workload, cores: usize) -> Fig3Row {
         mips: report.host_mips(),
         block_hit_rate: report.block_hit_rate(),
     }
-}
-
-/// One extra wall-profiled run of `workload` at `cores`, kept separate
-/// from the measured sweep rows so profiling overhead never pollutes
-/// the MIPS numbers. Returns the summary block the JSON export embeds:
-/// per-phase share of profiled wall time, fused-chunk-length p50/p99,
-/// and the window-abort reason counts.
-#[must_use]
-pub fn profile_summary(workload: &dyn Workload, cores: usize) -> JsonValue {
-    let config = SimConfig::builder()
-        .cores(cores)
-        .cores_per_tile(8)
-        .profiling(ProfMode::Wall)
-        .build()
-        .expect("valid config");
-    let (_, sim) = run_workload(workload, config).expect("workload runs and verifies");
-    let profile = coyote::host_profile_json(&sim);
-    let phases = profile.get("phases").and_then(JsonValue::as_array);
-    let total: u64 = phases.map_or(0, |list| {
-        list.iter()
-            .filter_map(|p| p.get("total_ns").and_then(JsonValue::as_u64))
-            .sum()
-    });
-    let mut share = JsonValue::object();
-    if let Some(list) = phases {
-        for phase in list {
-            let name = phase.get("name").and_then(JsonValue::as_str).unwrap_or("?");
-            let ns = phase
-                .get("total_ns")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0);
-            let frac = if total == 0 {
-                0.0
-            } else {
-                ns as f64 / total as f64
-            };
-            share = share.with(name, frac);
-        }
-    }
-    let chunk_quantile = |key: &str| {
-        profile
-            .get("chunk_lengths")
-            .and_then(|h| h.get(key))
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0)
-    };
-    JsonValue::object()
-        .with("kernel", workload.name())
-        .with("cores", cores)
-        .with("profiled_wall_ns", total)
-        .with("phase_share", share)
-        .with("chunk_len_p50", chunk_quantile("p50"))
-        .with("chunk_len_p99", chunk_quantile("p99"))
-        .with(
-            "abort_reasons",
-            profile
-                .get("abort_reasons")
-                .cloned()
-                .unwrap_or(JsonValue::Null),
-        )
 }
 
 /// Runs the sweep for both kernels across the scale's core counts
@@ -249,32 +189,6 @@ mod tests {
                 base
             );
         }
-    }
-
-    #[test]
-    fn profile_summary_reports_shares_and_distributions() {
-        let matmul = matmul_for(Scale::Quick);
-        let summary = profile_summary(&matmul, 4);
-        let share = summary.get("phase_share").expect("phase_share block");
-        let execute = share
-            .get("execute")
-            .and_then(JsonValue::as_f64)
-            .expect("execute share");
-        assert!(
-            (0.0..=1.0).contains(&execute),
-            "share must be a fraction: {execute}"
-        );
-        let p50 = summary
-            .get("chunk_len_p50")
-            .and_then(JsonValue::as_u64)
-            .unwrap();
-        let p99 = summary
-            .get("chunk_len_p99")
-            .and_then(JsonValue::as_u64)
-            .unwrap();
-        assert!(p50 <= p99, "quantiles unordered: p50 {p50} p99 {p99}");
-        let aborts = summary.get("abort_reasons").expect("abort reasons");
-        assert!(aborts.get("scoreboard_busy").is_some());
     }
 
     #[test]

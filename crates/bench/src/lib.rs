@@ -1,8 +1,8 @@
 //! Benchmark and reproduction harness for the Coyote paper's
 //! evaluation.
 //!
-//! The library half holds the experiment implementations (shared by the
-//! `repro` binary and the Criterion benches); see [`fig3`] for the
+//! The library half holds the experiment implementations the `repro`
+//! binary prints; see [`fig3`] for the
 //! paper's figure and [`experiments`] for the remaining evaluation
 //! axes. Experiment ids match the DESIGN.md per-experiment index.
 

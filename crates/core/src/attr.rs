@@ -3,11 +3,11 @@
 //!
 //! The orchestrator deactivates a core when it blocks on a register
 //! dependency against an in-flight miss (or on an instruction-line
-//! fill) and wakes it when the hierarchy delivers the fill.  This
-//! module turns those deactivations into *stall intervals*: one opens
-//! when a core leaves [`CoreState::Active`], and closes when it
-//! returns, attributing every cycle of the interval to exactly one
-//! bucket of the core's CPI stack:
+//! fill) and wakes it when the hierarchy delivers the fill.  The
+//! observer (`observe.rs`) turns those transitions into intervals
+//! of its per-core state table and hands each one here as it closes;
+//! this module attributes every cycle of it to exactly one bucket of
+//! the core's CPI stack:
 //!
 //! * `active` — the core executed (or attempted) an instruction;
 //! * `dep_stall[blame]` — blocked on a RAW dependency, split by the
@@ -17,8 +17,8 @@
 //! * `drained` — halted while other cores kept running.
 //!
 //! The four buckets partition simulated time exactly: for every core,
-//! `active + Σ dep_stall + fetch_stall + drained == cycles` on any run
-//! that ends by halting (the invariant is property-tested).
+//! `active + Σ dep_stall + fetch_stall + drained == cycles` however the
+//! run ends (the invariant is property-tested).
 //!
 //! # Schedule insensitivity
 //!
@@ -33,8 +33,8 @@
 //! end-to-end latency, ties broken by smallest PC, then smallest line
 //! address, then smallest tag — all schedule-invariant quantities.
 
+use coyote_isa::RegSet;
 use coyote_iss::core::CoreState;
-use coyote_iss::Core;
 use coyote_mem::hierarchy::Completion;
 use coyote_telemetry::{Blame, RequestCause, TopK, BLAME_COLS};
 
@@ -79,7 +79,6 @@ pub struct StallLink {
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     core: usize,
-    fetch: bool,
     line_addr: u64,
     tag: u64,
     cause: Option<RequestCause>,
@@ -87,14 +86,11 @@ struct Candidate {
 
 /// Per-core CPI-stack accumulator plus the bounded critical-PC table.
 ///
-/// Driven by [`crate::Simulation`] once per cycle: a transition scan
-/// after the execute phase (opens stall intervals), candidate
-/// collection plus a second scan after the completion drain (closes
-/// them), and a final flush when the run ends.
+/// Holds no core state of its own: the observer (`observe.rs`)
+/// owns the per-core state table and reports each interval as it
+/// closes, plus the fills that are candidates for ending a stall.
 #[derive(Debug)]
 pub struct StallAttribution {
-    /// Per-core `(state, cycle the state was entered)`.
-    state: Vec<(CoreState, u64)>,
     /// Blocked-register mask captured when a dep-stall opened
     /// (`[x | f << 32, v]`).
     stall_regs: Vec<[u64; 2]>,
@@ -116,7 +112,6 @@ impl StallAttribution {
     #[must_use]
     pub fn new(cores: usize, top_k: usize, collect_links: bool) -> StallAttribution {
         StallAttribution {
-            state: vec![(CoreState::Active, 0); cores],
             stall_regs: vec![[0, 0]; cores],
             active: vec![0; cores],
             dep: vec![[0; BLAME_COLS]; cores],
@@ -130,37 +125,26 @@ impl StallAttribution {
         }
     }
 
-    /// Close intervals for cores that left `Active` during the execute
-    /// phase (stalled or halted) and open the successor interval.
-    /// `deactivated` is the exact transition list the orchestrator
-    /// tracked, so the scan touches only cores that actually moved.
-    pub fn scan_after_step(&mut self, cores: &[Core], deactivated: &[usize], cycle: u64) {
-        for &idx in deactivated {
-            let core = &cores[idx];
-            let current = core.state();
-            let (prev, since) = self.state[idx];
-            if current == prev {
-                continue;
-            }
-            // Only Active -> {StalledDep, StalledFetch, Halted} can
-            // happen while cores execute; wakes happen in the drain.
-            self.active[idx] += cycle.saturating_sub(since);
-            if current == CoreState::StalledDep {
-                let regs = core.blocked_regs();
-                self.stall_regs[idx] = [
-                    u64::from(regs.x) | u64::from(regs.f) << 32,
-                    u64::from(regs.v),
-                ];
-            }
-            self.state[idx] = (current, cycle);
-        }
+    /// `core` blocked on a register dependency: remember which
+    /// registers, for the critical-PC table row its wake will credit.
+    pub fn stalled_on(&mut self, core: usize, regs: &RegSet) {
+        self.stall_regs[core] = [
+            u64::from(regs.x) | u64::from(regs.f) << 32,
+            u64::from(regs.v),
+        ];
     }
 
-    /// Record a fill delivered to `core` as a wake candidate if that
-    /// core entered this cycle's drain still stalled on the matching
-    /// kind of request.
-    pub fn note_completion(&mut self, core: usize, fetch: bool, completion: &Completion) {
-        let eligible = match self.state[core].0 {
+    /// Record a fill (an instruction line if `fetch`) delivered to
+    /// `core`, in `state` as this cycle's drain began, as a wake
+    /// candidate if the core is stalled on the matching kind of request.
+    pub fn note_completion(
+        &mut self,
+        core: usize,
+        state: CoreState,
+        fetch: bool,
+        completion: &Completion,
+    ) {
+        let eligible = match state {
             CoreState::StalledDep => !fetch,
             CoreState::StalledFetch => fetch,
             CoreState::Active | CoreState::Halted(_) => false,
@@ -168,7 +152,6 @@ impl StallAttribution {
         if eligible {
             self.candidates.push(Candidate {
                 core,
-                fetch,
                 line_addr: completion.line_addr,
                 tag: completion.tag,
                 cause: completion.cause,
@@ -176,64 +159,45 @@ impl StallAttribution {
         }
     }
 
-    /// Close intervals for cores woken by this cycle's completion
-    /// drain (the orchestrator's exact wake list), electing the
-    /// canonical cause among the candidates. Must run after every
-    /// drain that delivered a fill — even one that woke nobody — so
-    /// the per-cycle candidate list is cleared.
-    pub fn scan_after_drain(&mut self, cores: &[Core], woken: &[usize], cycle: u64) {
-        for &idx in woken {
-            let core = &cores[idx];
-            let current = core.state();
-            let (prev, since) = self.state[idx];
-            if current == prev {
-                continue;
+    /// Charge the interval `since..end` that `core` spent in `state`
+    /// to its bucket. A stall goes to the canonical cause among this
+    /// cycle's candidates; with none (telemetry off, or a stall still
+    /// open when the run ends) it lands in `other`.
+    #[inline]
+    pub fn close(&mut self, core: usize, state: CoreState, since: u64, end: u64) {
+        let span = end.saturating_sub(since);
+        match state {
+            CoreState::Active => self.active[core] += span,
+            CoreState::Halted(_) => self.drained[core] += span,
+            CoreState::StalledDep => {
+                let winner = self.elect(core);
+                let blame = winner.and_then(|c| c.cause).map(|c| c.dominant());
+                self.dep[core][blame.map_or(BLAME_OTHER, |b| b as usize)] += span;
+                let regs = std::mem::take(&mut self.stall_regs[core]);
+                self.credit(winner, core, since, end, span, regs);
             }
-            let span = cycle.saturating_sub(since);
-            let winner = self.elect(idx, prev == CoreState::StalledFetch);
-            match prev {
-                CoreState::StalledDep => {
-                    let blame = winner.and_then(|c| c.cause).map(|c| c.dominant());
-                    let col = blame.map_or(BLAME_OTHER, |b| b as usize);
-                    self.dep[idx][col] += span;
-                    self.credit(winner, idx, since, cycle, span, self.stall_regs[idx]);
-                    self.stall_regs[idx] = [0, 0];
-                }
-                CoreState::StalledFetch => {
-                    self.fetch[idx] += span;
-                    self.credit(winner, idx, since, cycle, span, [0, 0]);
-                }
-                // A stalled core cannot halt, and Active -> * is
-                // handled by `scan_after_step`; be permissive anyway.
-                CoreState::Active | CoreState::Halted(_) => self.active[idx] += span,
+            CoreState::StalledFetch => {
+                let winner = self.elect(core);
+                self.fetch[core] += span;
+                self.credit(winner, core, since, end, span, [0, 0]);
             }
-            self.state[idx] = (current, cycle);
         }
+    }
+
+    /// Ends a completion drain: its candidates can explain no later
+    /// wake. Must follow every drain that delivered a fill, even one
+    /// that woke nobody.
+    pub fn end_drain(&mut self) {
         self.candidates.clear();
     }
 
-    /// Flush the tail interval of every core at end of run (`cycle` =
-    /// final simulated cycle).  Halted cores accrue `drained`.
-    pub fn finish(&mut self, cores: &[Core], cycle: u64) {
-        for (idx, core) in cores.iter().enumerate() {
-            let (prev, since) = self.state[idx];
-            let span = cycle.saturating_sub(since);
-            match prev {
-                CoreState::Active => self.active[idx] += span,
-                CoreState::StalledDep => self.dep[idx][BLAME_OTHER] += span,
-                CoreState::StalledFetch => self.fetch[idx] += span,
-                CoreState::Halted(_) => self.drained[idx] += span,
-            }
-            self.state[idx] = (core.state(), cycle);
-        }
-    }
-
     /// Elect the canonical wake cause for `core`: maximum end-to-end
-    /// latency, ties to smallest PC, then line address, then tag.
-    fn elect(&self, core: usize, fetch: bool) -> Option<Candidate> {
+    /// latency, ties to smallest PC, then line address, then tag. (A
+    /// core's candidates are all of the kind it was stalled on.)
+    fn elect(&self, core: usize) -> Option<Candidate> {
         self.candidates
             .iter()
-            .filter(|c| c.core == core && c.fetch == fetch)
+            .filter(|c| c.core == core)
             .max_by(|a, b| {
                 let ka = Self::rank(a);
                 let kb = Self::rank(b);

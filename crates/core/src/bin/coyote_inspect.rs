@@ -27,9 +27,12 @@
 //!   banks, NoC, or memory are stressed"). `--json` emits the same
 //!   summary as a JSON document (same writer as `--metrics-out`).
 //!
-//! A failed `--check` exits 1 (the CI smoke gates).
+//! A failed `--check` exits 1 (the CI smoke gates). Every report goes
+//! through one buffered handle on stdout; a reader that hangs up early
+//! (`coyote-inspect trace big.prv | head`) ends the run quietly, exit 0.
 
 use std::collections::BTreeMap;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use coyote::trace::{STATE_DEP_STALL, STATE_FETCH_STALL, STATE_RUNNING};
@@ -43,8 +46,12 @@ struct Subcommand {
     input: &'static str,
     /// `--check` or `--json`.
     flag: &'static str,
-    run: fn(&Options) -> Result<(), String>,
+    run: fn(&Options, &mut dyn Write) -> Result<(), Failure>,
 }
+
+/// Why a subcommand stopped early: a message for the user (a `String`),
+/// or stdout went away (an [`io::Error`]).
+type Failure = Box<dyn std::error::Error>;
 
 const SUBCOMMANDS: [Subcommand; 3] = [
     Subcommand {
@@ -87,7 +94,11 @@ fn usage() -> String {
     text
 }
 
-fn parse_args(sub: &Subcommand, mut args: impl Iterator<Item = String>) -> Result<Options, String> {
+/// The subcommand's options, or `None` when `--help` asks for the usage.
+fn parse_args(
+    sub: &Subcommand,
+    mut args: impl Iterator<Item = String>,
+) -> Result<Option<Options>, String> {
     let mut path = None;
     let mut top = None;
     let mut flag = false;
@@ -97,20 +108,17 @@ fn parse_args(sub: &Subcommand, mut args: impl Iterator<Item = String>) -> Resul
                 let v = args.next().ok_or("--top needs a value")?;
                 top = Some(v.parse().map_err(|e| format!("--top: {e}"))?);
             }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
+            "--help" | "-h" => return Ok(None),
             other if other == sub.flag => flag = true,
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_owned()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(Options {
+    Ok(Some(Options {
         path: path.ok_or_else(|| format!("no {} given (try --help)", sub.input))?,
         top,
         flag,
-    })
+    }))
 }
 
 /// Reads and parses the JSON document at `path`.
@@ -152,7 +160,7 @@ fn percent(part: u64, whole: u64) -> f64 {
     }
 }
 
-fn explain(options: &Options) -> Result<(), String> {
+fn explain(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let doc = read_json(&options.path)?;
 
     let schema = u64_at(&doc, &["schema_version"])?;
@@ -160,20 +168,22 @@ fn explain(options: &Options) -> Result<(), String> {
         return Err(format!(
             "schema_version {schema} predates stall attribution (need >= 2); \
              regenerate the metrics with a current coyote-sim"
-        ));
+        )
+        .into());
     }
     let cycles = u64_at(&doc, &["report", "cycles"])?;
     let report_cores = array_at(&doc, &["report", "cores"])?;
     let per_core = array_at(&doc, &["attribution", "per_core"])?;
     let top_pcs = array_at(&doc, &["attribution", "top_pcs"])?;
 
-    println!(
+    writeln!(
+        out,
         "{}: {} cores, {} cycles",
         options.path,
         per_core.len(),
         cycles
-    );
-    println!();
+    )?;
+    writeln!(out)?;
 
     // Blame columns come from the document itself so the binary keeps
     // working if categories are added in a later schema revision.
@@ -184,13 +194,13 @@ fn explain(options: &Options) -> Result<(), String> {
         .map(|keys| keys.iter().map(|&k| k.to_owned()).collect())
         .unwrap_or_default();
 
-    println!("Per-core CPI stack (% of {cycles} cycles)");
+    writeln!(out, "Per-core CPI stack (% of {cycles} cycles)")?;
     let mut header = format!("{:>4} {:>8} {:>7}", "core", "cpi", "active");
     for key in &blame_keys {
         header.push_str(&format!(" {:>8}", format!("d:{key}")));
     }
     header.push_str(&format!(" {:>7} {:>7}", "fetch", "drained"));
-    println!("{header}");
+    writeln!(out, "{header}")?;
     let mut partition_ok = true;
     for (idx, row) in per_core.iter().enumerate() {
         let core = u64_at(row, &["core"])?;
@@ -224,7 +234,7 @@ fn explain(options: &Options) -> Result<(), String> {
             percent(fetch, cycles),
             percent(drained, cycles)
         ));
-        println!("{line}");
+        writeln!(out, "{line}")?;
         let total = active + dep_total + fetch + drained;
         if total != cycles {
             partition_ok = false;
@@ -234,17 +244,19 @@ fn explain(options: &Options) -> Result<(), String> {
         }
     }
 
-    println!();
+    writeln!(out)?;
     let shown = options.top.unwrap_or(top_pcs.len()).min(top_pcs.len());
-    println!(
+    writeln!(
+        out,
         "Top critical PCs ({} shown of {} exported; cycles = attributed stall time)",
         shown,
         top_pcs.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>4} {:>14} {:>10} {:>7} {:>9} {:>6}  blocked regs",
         "rank", "pc", "cycles", "count", "dominant", "error"
-    );
+    )?;
     for (rank, entry) in top_pcs.iter().take(shown).enumerate() {
         let pc = get(entry, &["pc"])?.as_str().unwrap_or("?");
         let ecycles = u64_at(entry, &["cycles"])?;
@@ -252,29 +264,30 @@ fn explain(options: &Options) -> Result<(), String> {
         let error = u64_at(entry, &["error"])?;
         let dominant = get(entry, &["dominant"])?.as_str().unwrap_or("?");
         let regs = get(entry, &["regs"])?.as_str().unwrap_or("");
-        println!(
+        writeln!(
+            out,
             "{:>4} {pc:>14} {ecycles:>10} {count:>7} {dominant:>9} {error:>6}  {regs}",
             rank + 1
-        );
+        )?;
     }
 
     if options.flag {
         if !partition_ok {
-            return Err("CPI-stack partition check failed".to_owned());
+            return Err("CPI-stack partition check failed".into());
         }
         if top_pcs.is_empty() {
             return Err(
-                "critical-PC table is empty (was the run telemetry-enabled and stalling?)"
-                    .to_owned(),
+                "critical-PC table is empty (was the run telemetry-enabled and stalling?)".into(),
             );
         }
-        println!();
-        println!(
+        writeln!(out)?;
+        writeln!(
+            out,
             "check: OK ({} cores partition {} cycles; {} critical PCs)",
             per_core.len(),
             cycles,
             top_pcs.len()
-        );
+        )?;
     }
     Ok(())
 }
@@ -286,39 +299,51 @@ fn ms(ns: u64) -> f64 {
 
 /// Recursively prints one phase row and its children. In wall mode the
 /// magnitude column is time; in counter mode it is the entry count.
-fn print_phase(phase: &JsonValue, depth: usize, wall: bool, total: u64) -> Result<(), String> {
+fn print_phase(
+    out: &mut dyn Write,
+    phase: &JsonValue,
+    depth: usize,
+    wall: bool,
+    total: u64,
+) -> Result<(), Failure> {
     let name = get(phase, &["name"])?.as_str().unwrap_or("?");
     let count = u64_at(phase, &["count"])?;
     let total_ns = u64_at(phase, &["total_ns"])?;
     let exclusive_ns = u64_at(phase, &["exclusive_ns"])?;
     let label = format!("{:indent$}{name}", "", indent = 2 * depth);
     if wall {
-        println!(
+        writeln!(
+            out,
             "{label:<28} {:>10.2}ms {:>6.1}% {:>10.2}ms {:>12}",
             ms(total_ns),
             percent(total_ns, total),
             ms(exclusive_ns),
             count
-        );
+        )?;
     } else {
-        println!("{label:<28} {:>12} {:>6.1}%", count, percent(count, total));
+        writeln!(
+            out,
+            "{label:<28} {:>12} {:>6.1}%",
+            count,
+            percent(count, total)
+        )?;
     }
     if let Some(children) = get(phase, &["children"])?.as_array() {
         for child in children {
-            print_phase(child, depth + 1, wall, total)?;
+            print_phase(out, child, depth + 1, wall, total)?;
         }
     }
     Ok(())
 }
 
-fn prof(options: &Options) -> Result<(), String> {
+fn prof(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let doc = read_json(&options.path)?;
 
     let profile = get(&doc, &["host_profile"])?;
     if *profile == JsonValue::Null {
         return Err("this run was not profiled (host_profile is null); \
              re-run coyote-sim with --prof-out, or enable SimConfig profiling"
-            .to_owned());
+            .into());
     }
     let mode = get(profile, &["mode"])?.as_str().unwrap_or("?");
     let wall = mode == "wall";
@@ -332,21 +357,25 @@ fn prof(options: &Options) -> Result<(), String> {
         total += u64_at(phase, &[if wall { "total_ns" } else { "count" }])?;
     }
 
-    println!("{}: host profile ({mode} clock)", options.path);
-    println!("event-queue pops: {event_pops}");
-    println!();
+    writeln!(out, "{}: host profile ({mode} clock)", options.path)?;
+    writeln!(out, "event-queue pops: {event_pops}")?;
+    writeln!(out)?;
     if wall {
-        println!("Phase tree ({:.2}ms profiled)", ms(total));
-        println!(
+        writeln!(out, "Phase tree ({:.2}ms profiled)", ms(total))?;
+        writeln!(
+            out,
             "{:<28} {:>12} {:>6} {:>12} {:>12}",
             "phase", "total", "share", "exclusive", "entries"
-        );
+        )?;
     } else {
-        println!("Phase tree (counter mode: entries, share of top-level entries)");
-        println!("{:<28} {:>12} {:>6}", "phase", "entries", "share");
+        writeln!(
+            out,
+            "Phase tree (counter mode: entries, share of top-level entries)"
+        )?;
+        writeln!(out, "{:<28} {:>12} {:>6}", "phase", "entries", "share")?;
     }
     for phase in phases {
-        print_phase(phase, 0, wall, total)?;
+        print_phase(out, phase, 0, wall, total)?;
     }
 
     // Abort reasons, largest first.
@@ -364,13 +393,17 @@ fn prof(options: &Options) -> Result<(), String> {
     reasons.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     let nonzero = reasons.iter().filter(|(_, v)| *v > 0).count();
     let shown = options.top.unwrap_or(nonzero).min(reasons.len());
-    println!();
-    println!("Window aborts and validation stops ({total_aborts} total)");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "Window aborts and validation stops ({total_aborts} total)"
+    )?;
     for (reason, count) in reasons.iter().take(shown.max(1)) {
-        println!(
+        writeln!(
+            out,
             "  {reason:<22} {count:>12} {:>6.1}%",
             percent(*count, total_aborts)
-        );
+        )?;
     }
 
     // Fused-chunk and run-length distributions.
@@ -383,13 +416,19 @@ fn prof(options: &Options) -> Result<(), String> {
     };
     let [c_count, c_p50, c_p99, c_max] = dist("chunk_lengths")?;
     let [r_count, r_p50, r_p99, r_max] = dist("run_lengths")?;
-    println!();
-    println!("Fused-window chunk lengths: count {c_count}  p50 {c_p50}  p99 {c_p99}  max {c_max}");
-    println!("Armed run lengths:          count {r_count}  p50 {r_p50}  p99 {r_p99}  max {r_max}");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "Fused-window chunk lengths: count {c_count}  p50 {c_p50}  p99 {c_p99}  max {c_max}"
+    )?;
+    writeln!(
+        out,
+        "Armed run lengths:          count {r_count}  p50 {r_p50}  p99 {r_p99}  max {r_max}"
+    )?;
 
     if options.flag {
         if phases.is_empty() {
-            return Err("phase tree is empty".to_owned());
+            return Err("phase tree is empty".into());
         }
         for required in [
             "run_end",
@@ -403,21 +442,23 @@ fn prof(options: &Options) -> Result<(), String> {
             "text_invalidation",
         ] {
             if abort.get(required).is_none() {
-                return Err(format!("abort taxonomy missing `{required}`"));
+                return Err(format!("abort taxonomy missing `{required}`").into());
             }
         }
         if c_p50 > c_p99 || c_p99 > c_max {
             return Err(format!(
                 "chunk-length quantiles are unordered: p50 {c_p50}, p99 {c_p99}, max {c_max}"
-            ));
+            )
+            .into());
         }
-        println!();
-        println!(
+        writeln!(out)?;
+        writeln!(
+            out,
             "check: OK ({} top-level phases; {} abort reasons; {} chunks)",
             phases.len(),
             reasons.len(),
             c_count
-        );
+        )?;
     }
     Ok(())
 }
@@ -553,51 +594,55 @@ fn summarize(trace: &Trace, top: usize) -> Summary {
     }
 }
 
-fn print_text(summary: &Summary) {
-    println!(
+fn print_text(summary: &Summary, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "trace: {} events over {} cycles",
         summary.events, summary.horizon
-    );
+    )?;
 
     if !summary.cores.is_empty() {
-        println!("\nper-core time breakdown:");
-        println!("  core  running%  dep-stall%  fetch-stall%");
+        writeln!(out, "\nper-core time breakdown:")?;
+        writeln!(out, "  core  running%  dep-stall%  fetch-stall%")?;
         for (core, b) in summary.cores.iter().enumerate() {
-            println!(
+            writeln!(
+                out,
                 "  {core:>4}  {:>7.1}%  {:>9.1}%  {:>11.1}%",
                 percent(b.running, b.total()),
                 percent(b.dep, b.total()),
                 percent(b.fetch, b.total()),
-            );
+            )?;
         }
     }
 
-    println!("\nmiss mix:");
+    writeln!(out, "\nmiss mix:")?;
     for (label, count) in &summary.miss_mix {
-        println!("  {:<18} {count}", label.replace('_', " "));
+        writeln!(out, "  {:<18} {count}", label.replace('_', " "))?;
     }
 
-    println!("\nhottest lines:");
+    writeln!(out, "\nhottest lines:")?;
     for (addr, count) in &summary.hottest {
-        println!("  {addr:#012x}  {count} misses");
+        writeln!(out, "  {addr:#012x}  {count} misses")?;
     }
 
     if !summary.hottest_pcs.is_empty() {
-        println!("\ncritical PCs (most misses issued):");
+        writeln!(out, "\ncritical PCs (most misses issued):")?;
         for (pc, count) in &summary.hottest_pcs {
-            println!("  {pc:#012x}  {count} misses");
+            writeln!(out, "  {pc:#012x}  {count} misses")?;
         }
     }
 
     if let Some((start, end, count)) = summary.busiest {
-        println!(
+        writeln!(
+            out,
             "\nbusiest window: {} misses in cycles {}..{} ({:.1}% of all misses in 10% of time)",
             count,
             start,
             end,
             percent(count as u64, summary.events.max(1) as u64)
-        );
+        )?;
     }
+    Ok(())
 }
 
 fn to_json(summary: &Summary) -> JsonValue {
@@ -654,15 +699,15 @@ fn to_json(summary: &Summary) -> JsonValue {
         .with("busiest_window", busiest)
 }
 
-fn trace(options: &Options) -> Result<(), String> {
+fn trace(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let path = &options.path;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let trace = Trace::parse_prv(&text).map_err(|e| format!("{path}: {e}"))?;
     let summary = summarize(&trace, options.top.unwrap_or(8));
     if options.flag {
-        println!("{}", to_json(&summary).to_string_pretty());
+        writeln!(out, "{}", to_json(&summary).to_string_pretty())?;
     } else {
-        print_text(&summary);
+        print_text(&summary, out)?;
     }
     Ok(())
 }
@@ -670,22 +715,30 @@ fn trace(options: &Options) -> Result<(), String> {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_default();
-    if name == "--help" || name == "-h" {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    let Some(sub) = SUBCOMMANDS.iter().find(|sub| sub.name == name) else {
+    let sub = SUBCOMMANDS.iter().find(|sub| sub.name == name);
+    if sub.is_none() && name != "--help" && name != "-h" {
         if !name.is_empty() {
             eprintln!("coyote-inspect: unknown subcommand `{name}`");
         }
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
+    }
+    let mut out = BufWriter::new(io::stdout().lock());
+    let result = match sub.map(|sub| (sub, parse_args(sub, args))) {
+        Some((sub, Ok(Some(options)))) => (sub.run)(&options, &mut out),
+        Some((_, Err(message))) => Err(message.into()),
+        // `--help`, bare or after a subcommand.
+        _ => writeln!(out, "{}", usage()).map_err(Failure::from),
     };
-    match parse_args(sub, args).and_then(|options| (sub.run)(&options)) {
+    // Whatever the subcommand managed to say is said before its verdict.
+    match result.and(out.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("coyote-inspect {}: {message}", sub.name);
-            ExitCode::FAILURE
-        }
+        Err(failure) => match failure.downcast_ref::<io::Error>() {
+            Some(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+            _ => {
+                eprintln!("coyote-inspect {name}: {failure}");
+                ExitCode::FAILURE
+            }
+        },
     }
 }

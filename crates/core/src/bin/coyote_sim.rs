@@ -29,10 +29,11 @@
 //!                        MSHR occupancy) on deadlock, divergence, panic or
 //!                        stop
 //!   --stop-file FILE     stop gracefully when FILE appears: finish the
-//!                        current cycle, write partial metrics marked
-//!                        truncated, exit 130. The crate forbids unsafe
-//!                        code, so there is no signal handler; wrap runs
-//!                        with `trap 'touch stop' INT` to map Ctrl-C here.
+//!                        current cycle, write every requested artifact
+//!                        up to it (metrics marked truncated), exit 130.
+//!                        The crate forbids unsafe code, so there is no
+//!                        signal handler; wrap runs with
+//!                        `trap 'touch stop' INT` to map Ctrl-C here.
 //! ```
 //!
 //! The program's console output (ecall 64) is printed; the process exit
@@ -68,6 +69,15 @@ fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, 
     args.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
+/// The parsed value of a numeric flag.
+fn number<T>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr<Err: std::fmt::Display>,
+{
+    let text = value(args, flag)?;
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 /// The value of an output-path flag; empty paths are rejected up front
 /// rather than after the whole program has been simulated.
 fn path_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
@@ -94,26 +104,12 @@ fn parse_args() -> Result<Options, String> {
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--cores" => {
-                builder = builder.cores(
-                    value(&mut args, "--cores")?
-                        .parse()
-                        .map_err(|e| format!("--cores: {e}"))?,
-                );
-            }
+            "--cores" => builder = builder.cores(number(&mut args, "--cores")?),
             "--cores-per-tile" => {
-                builder = builder.cores_per_tile(
-                    value(&mut args, "--cores-per-tile")?
-                        .parse()
-                        .map_err(|e| format!("--cores-per-tile: {e}"))?,
-                );
+                builder = builder.cores_per_tile(number(&mut args, "--cores-per-tile")?)
             }
             "--banks-per-tile" => {
-                builder = builder.banks_per_tile(
-                    value(&mut args, "--banks-per-tile")?
-                        .parse()
-                        .map_err(|e| format!("--banks-per-tile: {e}"))?,
-                );
+                builder = builder.banks_per_tile(number(&mut args, "--banks-per-tile")?)
             }
             "--l2-private" => builder = builder.sharing(L2Sharing::Private),
             "--mapping" => {
@@ -124,13 +120,7 @@ fn parse_args() -> Result<Options, String> {
                 };
                 builder = builder.mapping(policy);
             }
-            "--noc-latency" => {
-                noc_latency = Some(
-                    value(&mut args, "--noc-latency")?
-                        .parse()
-                        .map_err(|e| format!("--noc-latency: {e}"))?,
-                );
-            }
+            "--noc-latency" => noc_latency = Some(number(&mut args, "--noc-latency")?),
             "--mesh" => {
                 let spec = value(&mut args, "--mesh")?;
                 let (w, h) = spec
@@ -141,27 +131,9 @@ fn parse_args() -> Result<Options, String> {
                     h.parse().map_err(|e| format!("--mesh height: {e}"))?,
                 ));
             }
-            "--prefetch" => {
-                builder = builder.prefetch_degree(
-                    value(&mut args, "--prefetch")?
-                        .parse()
-                        .map_err(|e| format!("--prefetch: {e}"))?,
-                );
-            }
-            "--interleave" => {
-                builder = builder.interleave(
-                    value(&mut args, "--interleave")?
-                        .parse()
-                        .map_err(|e| format!("--interleave: {e}"))?,
-                );
-            }
-            "--max-cycles" => {
-                builder = builder.max_cycles(
-                    value(&mut args, "--max-cycles")?
-                        .parse()
-                        .map_err(|e| format!("--max-cycles: {e}"))?,
-                );
-            }
+            "--prefetch" => builder = builder.prefetch_degree(number(&mut args, "--prefetch")?),
+            "--interleave" => builder = builder.interleave(number(&mut args, "--interleave")?),
+            "--max-cycles" => builder = builder.max_cycles(number(&mut args, "--max-cycles")?),
             "--trace" => {
                 trace_path = Some(path_value(&mut args, "--trace")?);
                 builder = builder.trace(true);
@@ -171,19 +143,9 @@ fn parse_args() -> Result<Options, String> {
                 builder = builder.telemetry(true);
             }
             "--metrics-interval" => {
-                builder = builder.metrics_interval(
-                    value(&mut args, "--metrics-interval")?
-                        .parse()
-                        .map_err(|e| format!("--metrics-interval: {e}"))?,
-                );
+                builder = builder.metrics_interval(number(&mut args, "--metrics-interval")?)
             }
-            "--top-k" => {
-                builder = builder.attribution_top_k(
-                    value(&mut args, "--top-k")?
-                        .parse()
-                        .map_err(|e| format!("--top-k: {e}"))?,
-                );
-            }
+            "--top-k" => builder = builder.attribution_top_k(number(&mut args, "--top-k")?),
             "--chrome-trace" => {
                 chrome_trace_path = Some(path_value(&mut args, "--chrome-trace")?);
                 builder = builder.chrome_trace(true);
@@ -334,17 +296,16 @@ fn run(options: &Options) -> Result<i64, String> {
             std::panic::resume_unwind(panic);
         }
     };
-    let report = match result {
-        Ok(report) => report,
+    // A stopped run is written out like a finished one: the library
+    // closed every plane at the stop cycle, so each requested artifact
+    // is whole up to it.
+    let (report, stopped) = match result {
+        Ok(report) => (report, false),
         Err(RunError::Stopped { cycle }) => {
             eprintln!(
-                "coyote-sim: stop requested; finished cycle {cycle} and wrote partial results"
+                "coyote-sim: stop requested; finished cycle {cycle}, writing partial results"
             );
-            let report = sim.partial_report();
-            eprintln!("{report}");
-            write_metrics(options, &sim, &report)?;
-            write_crash_dump(options, &sim, "stopped");
-            return Ok(STOP_EXIT);
+            (sim.partial_report(), true)
         }
         Err(err) => {
             let reason = match &err {
@@ -358,7 +319,7 @@ fn run(options: &Options) -> Result<i64, String> {
     };
 
     let console = report.console_string();
-    if !console.is_empty() {
+    if !stopped && !console.is_empty() {
         print!("{console}");
         if !console.ends_with('\n') {
             println!();
@@ -411,6 +372,10 @@ fn run(options: &Options) -> Result<i64, String> {
         }
     }
 
+    if stopped {
+        write_crash_dump(options, &sim, "stopped");
+        return Ok(STOP_EXIT);
+    }
     Ok(report
         .exit_codes()
         .map_or(-1, |codes| codes.into_iter().max().unwrap_or(0)))

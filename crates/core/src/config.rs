@@ -80,13 +80,13 @@ pub struct SimConfig {
     /// interleaving as an ablation of the Figure 3 bottleneck
     /// discussion.
     pub interleave: usize,
-    /// Cycle budget before [`crate::sim::RunError::CycleLimit`].
+    /// Cycle budget before [`crate::RunError::CycleLimit`].
     pub max_cycles: u64,
     /// Whether to collect the Paraver L1-miss trace.
     pub trace: bool,
     /// Whether to run the differential co-simulation oracle: a pure
     /// functional reference machine replays every retirement and the
-    /// run aborts with [`crate::sim::RunError::OracleDivergence`] on
+    /// run aborts with [`crate::RunError::OracleDivergence`] on
     /// the first architectural mismatch.
     pub oracle: bool,
     /// Whether to collect telemetry: request-lifecycle latency

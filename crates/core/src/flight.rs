@@ -15,8 +15,8 @@
 //! mutates nothing the simulation reads, and the ring's content is a
 //! pure function of the simulated schedule — so two legal schedules of
 //! the same run produce identical tails, and the recorder being
-//! always-on cannot perturb digests or metrics (the `status_invariance`
-//! proptests cover the whole introspection plane).
+//! always-on cannot perturb digests or metrics (`equivalence.rs`
+//! crosses seed, profiling, fusion and oracle over the same digests).
 
 use std::fmt;
 
@@ -24,20 +24,10 @@ use coyote_iss::core::CoreState;
 use coyote_iss::{FuseStop, MissKind};
 use coyote_telemetry::JsonValue;
 
+use crate::trace::state_names;
+
 /// Events retained in the ring; older events roll off.
 pub const FLIGHT_CAPACITY: usize = 256;
-
-/// Stable lower-case name of a core state, used in status snapshots,
-/// crash dumps and flight-event rendering.
-#[must_use]
-pub fn state_name(state: CoreState) -> &'static str {
-    match state {
-        CoreState::Active => "active",
-        CoreState::StalledDep => "stalled_dep",
-        CoreState::StalledFetch => "stalled_fetch",
-        CoreState::Halted(_) => "halted",
-    }
-}
 
 /// What happened. Every variant is `Copy` so recording is a pair of
 /// stores into the preallocated ring.
@@ -112,7 +102,7 @@ impl fmt::Display for FlightEvent {
             }
             FlightKind::Wake { core } => write!(f, "core {core} woken"),
             FlightKind::Stall { core, state, pc } => {
-                write!(f, "core {core} {} at pc {pc:#x}", state_name(state))
+                write!(f, "core {core} {} at pc {pc:#x}", state_names(state).name)
             }
             FlightKind::Halt { core, code } => write!(f, "core {core} halted (exit {code})"),
             FlightKind::WindowAbort { core, stop } => {
@@ -145,7 +135,7 @@ impl FlightEvent {
             FlightKind::Wake { core } => with_kind(base, "wake").with("core", core),
             FlightKind::Stall { core, state, pc } => with_kind(base, "stall")
                 .with("core", core)
-                .with("state", state_name(state))
+                .with("state", state_names(state).name)
                 .with("pc", pc),
             FlightKind::Halt { core, code } => with_kind(base, "halt")
                 .with("core", core)

@@ -35,28 +35,33 @@
 //! ```
 //!
 //! See the `coyote-kernels` crate for the paper's HPC kernels (matmul,
-//! SpMV, stencil) and the `coyote-bench` crate for the harness that
-//! regenerates the paper's evaluation.
+//! SpMV, stencil) and the `coyote-bench` crate for the `repro` harness
+//! that regenerates the paper's evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attr;
 pub mod config;
+mod crash;
+mod error;
 pub mod flight;
 pub mod metrics;
+mod observe;
 pub mod report;
 pub mod sim;
 pub mod trace;
 
 pub use attr::{StallAttribution, StallLink};
 pub use config::{ConfigError, ProfMode, SimConfig, SimConfigBuilder};
+pub use crash::CRASH_SCHEMA_VERSION;
+pub use error::{RunError, StallInfo};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use metrics::{
     chrome_trace_json, host_profile_json, metrics_csv, metrics_json, ChromeTraceDoc, SCHEMA_VERSION,
 };
 pub use report::{CoreReport, Report};
-pub use sim::{RunError, Simulation, StallInfo, CRASH_SCHEMA_VERSION};
+pub use sim::Simulation;
 pub use trace::{Trace, TraceEvent};
 
 // Re-export the building blocks so downstream users need one import.

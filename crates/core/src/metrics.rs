@@ -405,17 +405,6 @@ fn run_length_hist(diag: &FuseDiag) -> Histogram {
     hist
 }
 
-/// Human name for a Paraver state code (Chrome slice labels).
-fn state_name(code: u64) -> &'static str {
-    match code {
-        trace::STATE_RUNNING => "running",
-        trace::STATE_DEP_STALL => "dep stall",
-        trace::STATE_FETCH_STALL => "fetch stall",
-        trace::STATE_HALTED => "halted",
-        _ => "unknown",
-    }
-}
-
 /// Row groups in the exported Chrome trace.
 const PID_CORES: u32 = 1;
 const PID_BANKS: u32 = 2;
@@ -536,7 +525,8 @@ impl ChromeTraceDoc<'_> {
             if s.state == trace::STATE_HALTED {
                 continue;
             }
-            let (name, dur, tid) = (state_name(s.state), s.end - s.start, s.core as u32);
+            let name = trace::STATES[s.state as usize].chrome;
+            let (dur, tid) = (s.end - s.start, s.core as u32);
             out.slice(name, "core-state", s.start, dur, PID_CORES, tid, None);
             spill(&mut out)?;
         }

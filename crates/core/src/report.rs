@@ -2,13 +2,16 @@
 //! ("statistics about memory accesses (miss rates, number of stalls due
 //! to dependencies, etc.), the execution time of the simulated
 //! application"), plus host-side throughput for the Figure 3
-//! reproduction.
+//! reproduction — and the other two read-only views of a machine's
+//! counters: the epoch snapshot and the determinism digest.
 
 use std::fmt;
 use std::time::Duration;
 
-use coyote_iss::{CacheStats, CoreStats};
-use coyote_mem::hierarchy::HierarchyStats;
+use coyote_iss::core::{Core, CoreState};
+use coyote_iss::{CacheStats, CoreStats, SparseMemory};
+use coyote_mem::hierarchy::{Hierarchy, HierarchyStats};
+use coyote_telemetry::{EpochSnapshot, BLAME_COLS};
 
 /// Per-core slice of a report.
 #[derive(Debug, Clone)]
@@ -47,6 +50,35 @@ pub struct Report {
 }
 
 impl Report {
+    /// The counters of a machine `cycle` cycles into its run.
+    pub(crate) fn collect(
+        cycle: u64,
+        cores: &[Core],
+        hierarchy: &Hierarchy,
+        wall_time: Duration,
+    ) -> Report {
+        Report {
+            cycles: cycle,
+            cores: cores
+                .iter()
+                .map(|core| CoreReport {
+                    stats: core.stats(),
+                    l1i: core.icache_stats(),
+                    l1d: core.dcache_stats(),
+                    exit_code: match core.state() {
+                        CoreState::Halted(code) => Some(code),
+                        _ => None,
+                    },
+                    console: core.console().to_vec(),
+                    fused_retired: core.fused_retired(),
+                })
+                .collect(),
+            hierarchy: hierarchy.stats(),
+            wall_time,
+            truncated: false,
+        }
+    }
+
     /// Total instructions retired across cores.
     #[must_use]
     pub fn total_retired(&self) -> u64 {
@@ -127,6 +159,79 @@ impl Report {
         }
         out
     }
+}
+
+/// The cumulative-counter snapshot the telemetry sink differences into
+/// one epoch sample; `blame` is the per-core dep-stall blame so far.
+pub(crate) fn epoch_snapshot(
+    cycle: u64,
+    cores: &[Core],
+    hierarchy: &Hierarchy,
+    blame: &[[u64; BLAME_COLS]],
+) -> EpochSnapshot {
+    let per_core = cores
+        .iter()
+        .map(|core| {
+            let stats = core.stats_through(cycle);
+            [
+                stats.retired,
+                stats.dep_stall_cycles,
+                stats.fetch_stall_cycles,
+            ]
+        })
+        .collect();
+    let stats = hierarchy.stats();
+    let mshr = hierarchy.mshr_occupancy();
+    let per_bank = stats
+        .banks
+        .iter()
+        .zip(&mshr)
+        .map(|(bank, &occupancy)| [bank.hits, bank.misses, occupancy as u64])
+        .collect();
+    EpochSnapshot {
+        cycle,
+        per_core,
+        per_core_blame: blame.to_vec(),
+        per_bank,
+        noc_traversals: stats.noc.traversals,
+        completed: stats.completed,
+        queued_requests: hierarchy.queued_requests() as u64,
+        in_flight: hierarchy.in_flight_requests() as u64,
+        mc_busy_channels: hierarchy.mc_busy_channels(cycle) as u64,
+    }
+}
+
+/// See [`crate::Simulation::determinism_digest`].
+pub(crate) fn determinism_digest(
+    cycle: u64,
+    cores: &[Core],
+    hierarchy: &Hierarchy,
+    mem: &SparseMemory,
+) -> u64 {
+    fn fnv(acc: u64, bytes: &[u8]) -> u64 {
+        let mix = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        bytes.iter().fold(acc, mix)
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    h = fnv(h, &cycle.to_le_bytes());
+    for core in cores {
+        let exit = match core.state() {
+            CoreState::Halted(code) => format!("halt:{code}"),
+            other => format!("{other:?}"),
+        };
+        let line = format!(
+            "core {} {exit} {:?} {:?} {:?}",
+            core.index(),
+            core.stats(),
+            core.icache_stats(),
+            core.dcache_stats(),
+        );
+        h = fnv(h, line.as_bytes());
+        h = fnv(h, core.console());
+    }
+    h = fnv(h, format!("{:?}", hierarchy.stats()).as_bytes());
+    h = fnv(h, &mem.digest().to_le_bytes());
+    h
 }
 
 impl fmt::Display for Report {

@@ -7,6 +7,11 @@
 //! and then the event model is advanced "to keep it in sync with the
 //! rest of the simulation", waking stalled cores whose misses were
 //! serviced.
+//!
+//! This file is the machine and those five steps. What a run records
+//! about itself is behind the one `Observer` (`observe.rs`); how it
+//! fails is `error.rs`; what it says afterwards, [`crate::report`] and
+//! `crash.rs`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,161 +19,21 @@ use std::sync::Arc;
 
 use coyote_asm::Program;
 use coyote_isa::{cross_owner_conflict, StoreMap, XReg};
-use coyote_iss::core::{Core, CoreSnapshot, CoreState, DecodedText, StepEvent};
-use coyote_iss::{FuseStop, MissKind, SimError, SparseMemory};
+use coyote_iss::core::{Core, CoreState, DecodedText, StepEvent};
+use coyote_iss::{MissKind, SparseMemory};
 use coyote_mem::hierarchy::{Completion, Hierarchy, Request};
 use coyote_mem::telemetry::MemTelemetry;
-use coyote_oracle::{Divergence, LockstepChecker, TRAIL_EVENTS};
-use coyote_telemetry::hostprof::{HostProf, ProfClock, SpanToken, WallClock};
-use coyote_telemetry::{EpochSnapshot, JsonValue, TelemetrySink};
+use coyote_oracle::{LockstepChecker, TRAIL_EVENTS};
+use coyote_telemetry::hostprof::{HostProf, WallClock};
+use coyote_telemetry::{JsonValue, TelemetrySink};
 
 use crate::attr::StallAttribution;
-use crate::config::{ConfigError, ProfMode, SimConfig};
-use crate::flight::{state_name, FlightKind, FlightRecorder};
-use crate::report::{CoreReport, Report};
-use crate::trace::{StateInterval, Trace, TraceEvent};
-
-/// Error terminating a simulation run.
-#[derive(Debug)]
-pub enum RunError {
-    /// The configuration was invalid.
-    Config(ConfigError),
-    /// A core faulted (illegal instruction, unsupported vector config).
-    Core {
-        /// Which core faulted.
-        core: usize,
-        /// The underlying fault.
-        source: SimError,
-    },
-    /// No core can ever make progress again (all stalled or halted with
-    /// an idle hierarchy) — indicates a kernel or simulator bug.
-    Deadlock {
-        /// Cycle at which the deadlock was detected.
-        cycle: u64,
-        /// Snapshot of every core at detection time: state, stalled PC
-        /// and outstanding-miss counts.
-        cores: Vec<CoreSnapshot>,
-        /// Per stalled core: the line it waits on and where that line
-        /// sits in the hierarchy, so the error display and the crash
-        /// dump agree on what blocked whom.
-        stalls: Vec<StallInfo>,
-    },
-    /// The co-simulation oracle caught the timed machine producing a
-    /// different architectural result than the functional reference
-    /// ([`SimConfig::oracle`]).
-    OracleDivergence(Box<Divergence>),
-    /// The configured cycle budget was exhausted.
-    CycleLimit {
-        /// The budget that was exceeded.
-        cycles: u64,
-    },
-    /// A graceful stop was requested (see
-    /// [`Simulation::set_stop_handle`]): the current cycle finished,
-    /// the simulation state is intact, and a partial report is
-    /// available via [`Simulation::partial_report`].
-    Stopped {
-        /// Cycle the run stopped after.
-        cycle: u64,
-    },
-}
-
-/// Why one core in a [`RunError::Deadlock`] report cannot make
-/// progress: the cache line it waits on, and — when the hierarchy
-/// still tracks an in-flight request for it — the bank MSHR holding
-/// that fill plus the PC that issued it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StallInfo {
-    /// The stalled core.
-    pub core: usize,
-    /// PC of the blocked instruction.
-    pub pc: u64,
-    /// Line the core waits on (first outstanding data line, or the
-    /// blocked fetch line). `None` if the core records no pending line
-    /// — a scoreboard-level simulator bug.
-    pub line: Option<u64>,
-    /// Global bank index whose MSHR holds the in-flight fill.
-    pub bank: Option<usize>,
-    /// Issuing PC the hierarchy recorded for that in-flight request.
-    pub issue_pc: Option<u64>,
-}
-
-impl fmt::Display for StallInfo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "core {} blocked at pc {:#x}", self.core, self.pc)?;
-        match self.line {
-            Some(line) => write!(f, " on line {line:#x}")?,
-            None => write!(f, " with no pending line")?,
-        }
-        if let Some(bank) = self.bank {
-            write!(f, " (bank {bank} MSHR")?;
-            if let Some(pc) = self.issue_pc {
-                write!(f, ", issued at pc {pc:#x}")?;
-            }
-            write!(f, ")")?;
-        } else if self.line.is_some() {
-            write!(f, " (not in flight in the hierarchy)")?;
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::Config(e) => write!(f, "{e}"),
-            RunError::Core { core, source } => write!(f, "core {core}: {source}"),
-            RunError::Deadlock {
-                cycle,
-                cores,
-                stalls,
-            } => {
-                write!(f, "deadlock at cycle {cycle}")?;
-                for snap in cores {
-                    write!(f, "\n  {snap}")?;
-                }
-                if !stalls.is_empty() {
-                    write!(f, "\nblocked on:")?;
-                    for stall in stalls {
-                        write!(f, "\n  {stall}")?;
-                    }
-                }
-                Ok(())
-            }
-            RunError::OracleDivergence(divergence) => write!(f, "{divergence}"),
-            RunError::CycleLimit { cycles } => write!(f, "cycle limit {cycles} exceeded"),
-            RunError::Stopped { cycle } => {
-                write!(f, "run stopped by request after cycle {cycle}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::Config(e) => Some(e),
-            RunError::Core { source, .. } => Some(source),
-            RunError::OracleDivergence(divergence) => Some(divergence.as_ref()),
-            _ => None,
-        }
-    }
-}
-
-impl From<ConfigError> for RunError {
-    fn from(e: ConfigError) -> Self {
-        RunError::Config(e)
-    }
-}
-
-/// Maps a core state to its Paraver state value.
-fn state_code(state: CoreState) -> u64 {
-    match state {
-        CoreState::Active => crate::trace::STATE_RUNNING,
-        CoreState::StalledDep => crate::trace::STATE_DEP_STALL,
-        CoreState::StalledFetch => crate::trace::STATE_FETCH_STALL,
-        CoreState::Halted(_) => crate::trace::STATE_HALTED,
-    }
-}
+use crate::config::{ConfigError, SimConfig};
+use crate::error::RunError;
+use crate::flight::FlightRecorder;
+use crate::observe::Observer;
+use crate::report::Report;
+use crate::trace::{StateInterval, Trace};
 
 /// Encodes (core, miss kind) into a hierarchy request tag.
 fn encode_tag(core: usize, kind: MissKind) -> u64 {
@@ -192,33 +57,8 @@ pub(crate) fn decode_tag(tag: u64) -> (usize, MissKind) {
     ((tag >> 2) as usize, kind)
 }
 
-/// Version of the `crash.json` document [`Simulation::crash_json`]
-/// builds. Bump on any breaking change to its key names or value
-/// semantics; moves independently of the metrics
-/// [`crate::SCHEMA_VERSION`].
-pub const CRASH_SCHEMA_VERSION: u64 = 6;
-
-/// A configured multicore simulation ready to run.
-///
-/// # Examples
-///
-/// ```
-/// use coyote::{SimConfig, Simulation};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let program = coyote_asm::assemble(
-///     "_start:
-///         csrr a0, mhartid
-///         li a7, 93
-///         ecall",
-/// )?;
-/// let config = SimConfig::builder().cores(4).build()?;
-/// let mut sim = Simulation::new(config, &program)?;
-/// let report = sim.run()?;
-/// assert_eq!(report.exit_codes(), Some(vec![0, 1, 2, 3]));
-/// # Ok(())
-/// # }
-/// ```
+/// A configured multicore simulation ready to run (the crate root has
+/// the quick-start example).
 pub struct Simulation {
     config: SimConfig,
     cores: Vec<Core>,
@@ -228,20 +68,13 @@ pub struct Simulation {
     text: DecodedText,
     hierarchy: Hierarchy,
     cycle: u64,
-    /// Miss events (with `trace`) and the one store of core-state
-    /// intervals both trace exporters read; present when `trace` or
-    /// `chrome_trace` is on.
-    trace: Option<Trace>,
-    /// Per-core (state, since-cycle) for trace state intervals.
-    state_track: Vec<(CoreState, u64)>,
+    /// Everything the run records about itself; strictly observational
+    /// (it reads the orchestrator, never the other way around).
+    obs: Observer,
     miss_buf: Vec<coyote_iss::MissRequest>,
     completion_buf: Vec<Completion>,
     /// Lockstep functional reference, present when the oracle is on.
     oracle: Option<LockstepChecker>,
-    /// Epoch sampler, present when telemetry is on.
-    telemetry: Option<TelemetrySink>,
-    /// Per-core CPI stacks and the critical-PC table; always on.
-    attr: StallAttribution,
     /// Indices of cores currently in [`CoreState::Active`], ascending —
     /// the execute phase's work list. Maintained incrementally (compacted
     /// after each step phase, re-inserted on wake) so per-cycle cost
@@ -250,45 +83,19 @@ pub struct Simulation {
     /// Cores halted so far. Monotone — a halted core never runs again —
     /// so the end-of-run check is a counter compare, not a scan.
     halted: usize,
-    /// Reused buffer: cores the execute phase deactivated this cycle
-    /// (the exact list the attribution scan needs).
+    /// Reused buffer: cores the execute phase deactivated this cycle.
     deactivated_buf: Vec<usize>,
     /// Reused buffer: cores this cycle's completion drain woke.
     woken_buf: Vec<usize>,
     /// Reused scratch: the store index of the fused-window chunks'
     /// cross-core conflict test.
     store_map: StoreMap,
-    /// Host-side self-profiler, present when [`SimConfig::profiling`]
-    /// is not [`ProfMode::Off`]. Strictly observational: it reads the
-    /// orchestrator, never the other way around — profiled and
-    /// unprofiled runs are bit-identical (property-tested).
-    prof: Option<HostProf>,
-    /// Always-on flight recorder: bounded ring of recent notable
-    /// events, dumped into crash reports. Pure observation of the
-    /// simulated schedule.
-    flight: FlightRecorder,
-    /// Graceful-stop token, polled once per cycle when set (see
-    /// [`Simulation::set_stop_handle`]).
+    /// Graceful-stop token ([`Simulation::set_stop_handle`]), polled per cycle.
     stop: Option<Arc<AtomicBool>>,
-    /// Test hook: swallow the next data-load completion before
-    /// delivery, stranding its waiter forever — the only way to produce
-    /// a genuine [`RunError::Deadlock`] in a correct hierarchy.
+    /// Test hook: swallow the next data-load completion, stranding its
+    /// waiter — the only genuine deadlock a correct hierarchy allows.
     debug_drop_next_load_fill: bool,
 }
-
-/// The profile counters charged when a lockstep fused window stops
-/// because a core failed to re-arm, indexed by that core's stop reason
-/// (`FuseStop as usize`, [`FuseStop::ALL`] order): `FuseStop::name()`
-/// under a `window/rearm_fail/` prefix (unit-tested below).
-const REARM_FAIL_COUNTERS: [&str; FuseStop::COUNT] = [
-    "window/rearm_fail/run_end",
-    "window/rearm_fail/too_short",
-    "window/rearm_fail/scoreboard_busy",
-    "window/rearm_fail/pending_fill",
-    "window/rearm_fail/line_not_resident",
-    "window/rearm_fail/base_written",
-    "window/rearm_fail/text_store",
-];
 
 impl fmt::Debug for Simulation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -310,24 +117,8 @@ impl Simulation {
     /// Returns [`RunError::Config`] for invalid configurations.
     pub fn new(config: SimConfig, program: &Program) -> Result<Simulation, RunError> {
         config.validate()?;
-        let mut prof = match config.profiling {
-            ProfMode::Off => None,
-            ProfMode::Wall => Some(HostProf::new(ProfClock::Wall, config.cores)),
-            ProfMode::Counter => Some(HostProf::new(ProfClock::Counter, config.cores)),
-        };
         let mut mem = SparseMemory::new();
         mem.load_program(program);
-        let predecode_span = prof.as_mut().map(|p| p.enter("predecode"));
-        let text = DecodedText::from_program(program);
-        if let Some(p) = &mut prof {
-            if let Some(span) = predecode_span {
-                p.exit(span);
-            }
-            let stats = text.predecode_stats();
-            p.bump("predecode/words", stats.words);
-            p.bump("predecode/decoded", stats.decoded);
-            p.bump("predecode/holes", stats.holes);
-        }
         // `SimConfig::fusion` is authoritative for the per-core fused
         // dispatch; mirror it into the core configuration.
         let mut core_config = config.core;
@@ -340,51 +131,46 @@ impl Simulation {
         if config.telemetry {
             hierarchy.enable_telemetry(config.chrome_trace);
         }
+        let mut obs = Observer::new(&config);
+        let span = obs.enter("predecode");
+        let text = DecodedText::from_program(program);
+        obs.exit(span);
+        let stats = text.predecode_stats();
+        obs.bump("predecode/words", stats.words);
+        obs.bump("predecode/decoded", stats.decoded);
+        obs.bump("predecode/holes", stats.holes);
         Ok(Simulation {
             cores,
             mem,
             text,
             hierarchy,
             cycle: 0,
-            trace: (config.trace || config.chrome_trace).then(|| Trace::new(config.cores)),
-            state_track: vec![(CoreState::Active, 0); config.cores],
+            obs,
             miss_buf: Vec::new(),
             completion_buf: Vec::new(),
             oracle: config
                 .oracle
                 .then(|| LockstepChecker::new(program, config.cores, config.core.vlen_bits)),
-            telemetry: config
-                .telemetry
-                .then(|| TelemetrySink::new(config.metrics_interval)),
-            attr: StallAttribution::new(
-                config.cores,
-                config.attribution_top_k,
-                config.chrome_trace,
-            ),
             active_list: (0..config.cores).collect(),
             halted: 0,
             deactivated_buf: Vec::new(),
             woken_buf: Vec::new(),
             store_map: StoreMap::new(),
-            prof,
-            flight: FlightRecorder::new(),
             stop: None,
             debug_drop_next_load_fill: false,
             config,
         })
     }
 
-    /// Attaches a property-test replay seed to oracle divergence
-    /// reports. No-op when the oracle is disabled.
+    /// Attaches a property-test replay seed to oracle divergence reports.
     pub fn set_oracle_replay_seed(&mut self, seed: u64) {
         if let Some(oracle) = &mut self.oracle {
             oracle.set_replay_seed(seed);
         }
     }
 
-    /// Arms a deliberate timing-model fault on `core`: its next data
-    /// fill delivers into the wrong register. Mutation-testing hook
-    /// used to demonstrate the oracle catches timing-model corruption.
+    /// Mutation-testing hook for the oracle: `core`'s next data fill
+    /// delivers into the wrong register.
     pub fn inject_fill_corruption(&mut self, core: usize, reg: XReg) {
         self.cores[core].inject_fill_corruption(reg);
     }
@@ -407,10 +193,9 @@ impl Simulation {
         &self.mem
     }
 
-    /// Mutable access to the functional memory, for populating workload
-    /// data before the run starts. Mutating memory mid-run bypasses the
-    /// cache model's view of traffic; call this only before
-    /// [`Simulation::run`].
+    /// The functional memory, for populating workload data. Mutating it
+    /// mid-run bypasses the cache model's view of traffic: call this
+    /// only before [`Simulation::run`].
     #[must_use]
     pub fn memory_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
@@ -422,15 +207,18 @@ impl Simulation {
         &self.cores
     }
 
-    /// The host-side self-profiler, when [`SimConfig::profiling`] was
-    /// enabled for this run.
-    #[must_use]
-    pub fn host_prof(&self) -> Option<&HostProf> {
-        self.prof.as_ref()
+    /// The event-driven memory hierarchy.
+    pub(crate) fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
     }
 
-    /// Total events popped from the hierarchy event queue so far — the
-    /// event-queue drain volume the host profile exports.
+    /// The host-side self-profiler, if [`SimConfig::profiling`] is on.
+    #[must_use]
+    pub fn host_prof(&self) -> Option<&HostProf> {
+        self.obs.host_prof()
+    }
+
+    /// Total events popped from the hierarchy event queue so far.
     #[must_use]
     pub fn event_pops(&self) -> u64 {
         self.hierarchy.event_pops()
@@ -438,13 +226,10 @@ impl Simulation {
 
     /// Arms a graceful-stop token: once `handle` reads `true`,
     /// [`Simulation::run`] finishes the cycle in progress and returns
-    /// [`RunError::Stopped`] with all state intact — a partial report
-    /// marked `truncated` stays available via
-    /// [`Simulation::partial_report`]. The token is how a CLI maps
-    /// SIGINT/SIGTERM onto the run without any signal-handler
-    /// machinery inside the model (`#![forbid(unsafe_code)]` rules out
-    /// raw `sigaction`); `coyote-sim --stop-file` watches a file from
-    /// a plain thread and flips this flag.
+    /// [`RunError::Stopped`] with all state intact, so
+    /// [`Simulation::partial_report`] and every exporter still work.
+    /// `#![forbid(unsafe_code)]` rules out a signal handler in the
+    /// model; `coyote-sim --stop-file` flips this flag from a thread.
     pub fn set_stop_handle(&mut self, handle: Arc<AtomicBool>) {
         self.stop = Some(handle);
     }
@@ -452,42 +237,19 @@ impl Simulation {
     /// The flight recorder: the bounded ring of recent notable events.
     #[must_use]
     pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// Opens a profiling span, if profiling is on. The token must be
-    /// handed back to [`Simulation::prof_exit`] on every path that
-    /// continues the run (error paths may drop it: the run is over).
-    fn prof_enter(&mut self, name: &'static str) -> Option<SpanToken> {
-        self.prof.as_mut().map(|p| p.enter(name))
-    }
-
-    /// Closes a span opened by [`Simulation::prof_enter`].
-    fn prof_exit(&mut self, span: Option<SpanToken>) {
-        if let Some(prof) = &mut self.prof {
-            if let Some(span) = span {
-                prof.exit(span);
-            }
-        }
-    }
-
-    /// Adds `n` to a named profile counter, if profiling is on.
-    fn prof_bump(&mut self, name: &'static str, n: u64) {
-        if let Some(prof) = &mut self.prof {
-            prof.bump(name, n);
-        }
+        self.obs.flight()
     }
 
     /// The collected trace, if tracing was enabled.
     #[must_use]
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref().filter(|_| self.config.trace)
+        self.obs.trace()
     }
 
     /// The epoch-sampling telemetry sink, if telemetry was enabled.
     #[must_use]
     pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.telemetry.as_ref()
+        self.obs.telemetry()
     }
 
     /// The hierarchy's request-lifecycle telemetry, if enabled.
@@ -496,26 +258,21 @@ impl Simulation {
         self.hierarchy.telemetry()
     }
 
-    /// Per-core CPI stacks and the critical-PC table (always
-    /// collected; blame splits degrade to `other` when
-    /// [`SimConfig::telemetry`] is off).
+    /// Per-core CPI stacks and the critical-PC table (always collected;
+    /// blame degrades to `other` when [`SimConfig::telemetry`] is off).
     #[must_use]
     pub fn attribution(&self) -> &StallAttribution {
-        &self.attr
+        self.obs.attribution()
     }
 
     /// Core-state intervals collected for Chrome-trace export (empty
     /// unless [`SimConfig::chrome_trace`] was set).
     #[must_use]
     pub fn chrome_states(&self) -> &[StateInterval] {
-        match &self.trace {
-            Some(trace) if self.config.chrome_trace => trace.states(),
-            _ => &[],
-        }
+        self.obs.chrome_states()
     }
 
-    /// Enables hierarchy event logging (one record per handled event)
-    /// for `coyote-audit --race` divergence localization.
+    /// Logs one record per handled hierarchy event (`coyote-audit --race`).
     pub fn set_event_log(&mut self, enabled: bool) {
         self.hierarchy.set_event_log(enabled);
     }
@@ -526,20 +283,16 @@ impl Simulation {
         self.hierarchy.take_event_log()
     }
 
-    /// Arms the deliberate `HashMap`-ordered event drain in the
-    /// hierarchy. Test hook proving `coyote-audit --race` fires on a
-    /// genuine schedule race; never use outside the detector's
-    /// self-test.
+    /// Test hook: arms the deliberate `HashMap`-ordered event drain
+    /// that proves `coyote-audit --race` fires on a genuine race.
     #[doc(hidden)]
     pub fn debug_inject_unordered_drain(&mut self) {
         self.hierarchy.debug_inject_unordered_drain();
     }
 
-    /// Arms a deliberate lost-fill fault: the next data-load completion
-    /// is swallowed before delivery, so its waiter stalls forever and
-    /// the run ends in [`RunError::Deadlock`]. Test hook for the
-    /// deadlock report and the crash-dump path; never use outside
-    /// tests.
+    /// Test hook: the next data-load completion is swallowed before
+    /// delivery, so its waiter stalls forever and the run ends in
+    /// [`RunError::Deadlock`].
     #[doc(hidden)]
     pub fn debug_inject_lost_fill(&mut self) {
         self.debug_drop_next_load_fill = true;
@@ -548,44 +301,40 @@ impl Simulation {
     /// Order-insensitive digest of the architecturally visible outcome:
     /// final cycle count, every core's exit code, statistics, cache
     /// counters and console bytes, the hierarchy statistics, and the
-    /// full functional-memory image.
-    ///
-    /// Two runs of the same program and config must produce equal
-    /// digests even when their same-cycle cross-domain event pop order
-    /// differs ([`SimConfig::perturb_seed`]); a mismatch is a
-    /// schedule race.
+    /// full functional-memory image. Two runs of one program and config
+    /// must agree on it even when their same-cycle event pop order
+    /// differs ([`SimConfig::perturb_seed`]); a mismatch is a race.
     #[must_use]
     pub fn determinism_digest(&self) -> u64 {
-        fn fnv(acc: u64, bytes: &[u8]) -> u64 {
-            let mut h = acc;
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-            h
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        h = fnv(h, &self.cycle.to_le_bytes());
-        for core in &self.cores {
-            let exit = match core.state() {
-                CoreState::Halted(code) => format!("halt:{code}"),
-                other => format!("{other:?}"),
-            };
-            let line = format!(
-                "core {} {exit} {:?} {:?} {:?}",
-                core.index(),
-                core.stats(),
-                core.icache_stats(),
-                core.dcache_stats(),
-            );
-            h = fnv(h, line.as_bytes());
-            h = fnv(h, core.console());
-        }
-        h = fnv(h, format!("{:?}", self.hierarchy.stats()).as_bytes());
-        h = fnv(h, &self.mem.digest().to_le_bytes());
-        h
+        crate::report::determinism_digest(self.cycle, &self.cores, &self.hierarchy, &self.mem)
     }
 
-    /// Runs until every core exits, producing the report.
+    /// The machine's last known state as a structured crash dump:
+    /// per-core snapshots, stalls, MSHR occupancy, the open hostprof
+    /// phases and the flight-recorder tail. `reason` names the exit
+    /// (`deadlock`, `oracle_divergence`, `panic`, `stopped`, …).
+    #[must_use]
+    pub fn crash_json(&self, reason: &str) -> JsonValue {
+        crate::crash::crash_json(self, reason)
+    }
+
+    /// A report over the cycles that actually ran, marked `truncated`;
+    /// `wall_time` is zero because a partial run's host throughput is
+    /// not comparable to a finished one.
+    #[must_use]
+    pub fn partial_report(&self) -> Report {
+        let mut report = self.report(std::time::Duration::ZERO);
+        report.truncated = true;
+        report
+    }
+
+    fn report(&self, wall_time: std::time::Duration) -> Report {
+        Report::collect(self.cycle, &self.cores, &self.hierarchy, wall_time)
+    }
+
+    /// Runs until every core exits, producing the report. However the
+    /// run ends, the observer is finished at the last cycle reached, so
+    /// a stopped or failed run's CPI stacks and traces cover it too.
     ///
     /// # Errors
     ///
@@ -593,139 +342,27 @@ impl Simulation {
     /// `max_cycles` is exceeded.
     pub fn run(&mut self) -> Result<Report, RunError> {
         // Wall time feeds only the report's host-MIPS diagnostics,
-        // never the model; exports that must be byte-stable zero it
-        // (see `coyote_lint::race::run_once`). The clock itself lives
-        // behind `coyote_telemetry::hostprof` — the workspace's one
-        // path-pinned wall-clock exception.
+        // never the model; exports that must be byte-stable zero it.
+        // The clock lives behind `coyote_telemetry::hostprof` — the
+        // workspace's one path-pinned wall-clock exception.
         let started = WallClock::start();
-        loop {
+        let cut_short = loop {
             if self.step_cycle()? {
-                return Ok(self.build_report(started.elapsed()));
+                return Ok(self.report(started.elapsed()));
             }
-            if let Some(stop) = &self.stop {
-                // The cycle in progress finished above; stopping here
-                // leaves the machine at a clean cycle boundary.
-                if stop.load(Ordering::Relaxed) {
-                    return Err(RunError::Stopped { cycle: self.cycle });
-                }
+            // The cycle in progress finished above; stopping here
+            // leaves the machine at a clean cycle boundary.
+            let stop = self.stop.as_ref();
+            if stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+                break RunError::Stopped { cycle: self.cycle };
             }
-            if self.cycle >= self.config.max_cycles {
-                return Err(RunError::CycleLimit {
-                    cycles: self.config.max_cycles,
-                });
+            let cycles = self.config.max_cycles;
+            if self.cycle >= cycles {
+                break RunError::CycleLimit { cycles };
             }
-        }
-    }
-
-    /// Why each currently stalled core cannot make progress: its
-    /// waiting line resolved against the hierarchy's in-flight state.
-    fn stall_infos(&self) -> Vec<StallInfo> {
-        self.cores
-            .iter()
-            .filter(|core| {
-                matches!(
-                    core.state(),
-                    CoreState::StalledDep | CoreState::StalledFetch
-                )
-            })
-            .map(|core| {
-                let snap = core.snapshot();
-                let line = core
-                    .waiting_lines()
-                    .first()
-                    .copied()
-                    .or_else(|| core.pending_fetch_line());
-                let (bank, issue_pc) = line
-                    .and_then(|l| self.hierarchy.in_flight_line_info(l))
-                    .map_or((None, None), |(b, p)| (Some(b), Some(p)));
-                StallInfo {
-                    core: snap.core,
-                    pc: snap.pc,
-                    line,
-                    bank,
-                    issue_pc,
-                }
-            })
-            .collect()
-    }
-
-    /// The machine's last known state as a structured crash dump:
-    /// per-core snapshots with waiting lines, MSHR occupancy, the open
-    /// hostprof phase stack, introspection counters, and the flight
-    /// recorder tail. `reason` names the abnormal exit
-    /// (`deadlock`, `oracle_divergence`, `panic`, `stopped`, …).
-    #[must_use]
-    pub fn crash_json(&self, reason: &str) -> JsonValue {
-        let cores: Vec<JsonValue> = self
-            .cores
-            .iter()
-            .map(|core| {
-                let snap = core.snapshot();
-                let waiting: Vec<JsonValue> = core
-                    .waiting_lines()
-                    .into_iter()
-                    .map(JsonValue::from)
-                    .collect();
-                JsonValue::object()
-                    .with("core", snap.core)
-                    .with("state", state_name(snap.state))
-                    .with("pc", snap.pc)
-                    .with("retired", snap.retired)
-                    .with("in_flight_lines", snap.in_flight_lines)
-                    .with("waiting_lines", JsonValue::Array(waiting))
-                    .with(
-                        "pending_fetch",
-                        snap.pending_fetch.map_or(JsonValue::Null, JsonValue::from),
-                    )
-            })
-            .collect();
-        let mshr: Vec<JsonValue> = self
-            .hierarchy
-            .mshr_occupancy()
-            .into_iter()
-            .map(JsonValue::from)
-            .collect();
-        let phases: Vec<JsonValue> = self
-            .prof
-            .as_ref()
-            .map(|p| p.open_phases().into_iter().map(JsonValue::from).collect())
-            .unwrap_or_default();
-        let stalls: Vec<JsonValue> = self
-            .stall_infos()
-            .into_iter()
-            .map(|s| {
-                JsonValue::object()
-                    .with("core", s.core)
-                    .with("pc", s.pc)
-                    .with("line", s.line.map_or(JsonValue::Null, JsonValue::from))
-                    .with("bank", s.bank.map_or(JsonValue::Null, JsonValue::from))
-                    .with(
-                        "issue_pc",
-                        s.issue_pc.map_or(JsonValue::Null, JsonValue::from),
-                    )
-            })
-            .collect();
-        JsonValue::object()
-            .with("schema_version", CRASH_SCHEMA_VERSION)
-            .with("reason", reason)
-            .with("cycle", self.cycle)
-            .with("cores", JsonValue::Array(cores))
-            .with("stalls", JsonValue::Array(stalls))
-            .with("mshr_occupancy", JsonValue::Array(mshr))
-            .with("hostprof_phases", JsonValue::Array(phases))
-            .with("event_pops", self.hierarchy.event_pops())
-            .with("flight_recorder", self.flight.to_json())
-    }
-
-    /// A report over the cycles that actually ran, marked `truncated`.
-    /// Valid after [`RunError::Stopped`] (the machine stopped at a
-    /// clean cycle boundary); `wall_time` is zero because a partial
-    /// run's host throughput is not comparable to a finished one.
-    #[must_use]
-    pub fn partial_report(&self) -> Report {
-        let mut report = self.build_report(std::time::Duration::ZERO);
-        report.truncated = true;
-        report
+        };
+        self.obs.finish(&self.cores, &self.hierarchy, self.cycle);
+        Err(cut_short)
     }
 
     /// Advances the system by one orchestrator cycle — the paper's five
@@ -734,12 +371,21 @@ impl Simulation {
     /// it then run once at the window's last cycle, which per-cycle
     /// stepping would reach in exactly the same state.
     ///
-    /// Returns `true` once every core has halted.
+    /// Returns `true` once every core has halted. That, like an error,
+    /// ends the run: the observer is finished before either is returned.
     ///
     /// # Errors
     ///
     /// Returns [`RunError`] on core faults or deadlock.
     pub fn step_cycle(&mut self) -> Result<bool, RunError> {
+        let outcome = self.five_steps();
+        if !matches!(outcome, Ok(false)) {
+            self.obs.finish(&self.cores, &self.hierarchy, self.cycle);
+        }
+        outcome
+    }
+
+    fn five_steps(&mut self) -> Result<bool, RunError> {
         self.cycle += 1;
         // 1–2. Attempt instructions on each active core; RAW
         //      dependencies and fetch misses deactivate cores.
@@ -751,7 +397,7 @@ impl Simulation {
         // 4–5. Advance the event model to the current cycle; serviced
         //      misses wake the cores stalled on them.
         self.advance_and_wake(cycle);
-        self.observe(cycle);
+        self.obs.end_of_cycle(&self.cores, &self.hierarchy, cycle);
         self.progress(cycle)
     }
 
@@ -769,7 +415,7 @@ impl Simulation {
     /// [`Core::step`] attempt per active core, after which stalled and
     /// halted cores leave the active list.
     fn execute(&mut self, cycle: u64) -> Result<u32, RunError> {
-        let span = self.prof_enter("execute");
+        let span = self.obs.enter("execute");
         let bound = self.window_bound(cycle);
         let width = if bound > 1 {
             self.fused_window(cycle, bound)?
@@ -779,20 +425,15 @@ impl Simulation {
         if width > 0 {
             // No stalls, misses, state transitions or text stores
             // happen inside a fused window: nothing to compact.
-            self.prof_exit(span);
+            self.obs.exit(span);
             return Ok(width);
         }
         self.step_cores(cycle)?;
         self.refresh_active_list();
-        self.prof_exit(span);
-
-        // Close `active` intervals for cores the step just deactivated
-        // (stall attribution runs unconditionally, but a cycle in which
-        // every stepped core retired cleanly cannot have opened an
-        // interval, so the scan is skipped).
+        self.obs.exit(span);
         if !self.deactivated_buf.is_empty() {
-            self.attr
-                .scan_after_step(&self.cores, &self.deactivated_buf, cycle);
+            self.obs
+                .deactivated(&self.cores, &self.deactivated_buf, cycle);
         }
         // Self-modifying code: stores into the text segment recorded
         // during the step invalidate the patched predecoded entries
@@ -816,19 +457,16 @@ impl Simulation {
         if self.oracle.is_some() || self.config.interleave != 1 || self.active_list.is_empty() {
             return 1;
         }
-        let mut bound = self
-            .config
-            .max_cycles
-            .saturating_sub(cycle)
-            .saturating_add(1);
+        let limit = self.config.max_cycles;
+        let mut bound = limit.saturating_sub(cycle).saturating_add(1);
+        // Events pending at the start of this cycle are due at `cycle`
+        // or later (earlier ones were popped last cycle), so the bound
+        // is always at least 1.
         if let Some(t) = self.hierarchy.next_event_time() {
-            // Events pending at the start of this cycle are due at
-            // `cycle` or later (earlier ones were popped last cycle),
-            // so the bound is always at least 1.
             bound = bound.min(t.saturating_sub(cycle) + 1);
         }
-        if let Some(sink) = &self.telemetry {
-            bound = bound.min(sink.next_due().saturating_sub(cycle) + 1);
+        if let Some(due) = self.obs.next_due() {
+            bound = bound.min(due.saturating_sub(cycle) + 1);
         }
         u32::try_from(bound).unwrap_or(u32::MAX)
     }
@@ -852,9 +490,10 @@ impl Simulation {
     /// conflict with, so its runs chain across branch targets until it
     /// fails to re-arm.
     fn fused_window(&mut self, cycle: u64, bound: u32) -> Result<u32, RunError> {
-        let span = self.prof_enter("fused_window");
+        let span = self.obs.enter("fused_window");
         let mut consumed = 0u32;
         while consumed < bound {
+            let at = cycle + u64::from(consumed);
             let mut chunk = bound - consumed;
             let mut unarmed = None;
             for &idx in &self.active_list {
@@ -872,18 +511,12 @@ impl Simulation {
                 // reason (a lone core's window just ends with its run).
                 if consumed > 0 && self.active_list.len() > 1 {
                     let stop = self.cores[idx].fuse_diag().last_stop;
-                    self.flight.record(
-                        cycle + u64::from(consumed),
-                        FlightKind::WindowAbort { core: idx, stop },
-                    );
-                    self.prof_bump(REARM_FAIL_COUNTERS[stop as usize], 1);
+                    self.obs.window_stopped(at, Some((idx, stop)));
                 }
                 break;
             }
             if self.active_list.len() > 1 && self.window_conflicts(chunk) {
-                self.flight
-                    .record(cycle + u64::from(consumed), FlightKind::WindowConflict);
-                self.prof_bump("window/cross_core_conflict", 1);
+                self.obs.window_stopped(at, None);
                 break;
             }
             for &idx in &self.active_list {
@@ -892,22 +525,13 @@ impl Simulation {
                 // so the per-cycle interleaving and this per-core order
                 // commute.
                 self.cores[idx]
-                    .step_block(
-                        &mut self.mem,
-                        &self.text,
-                        cycle + u64::from(consumed),
-                        chunk,
-                    )
+                    .step_block(&mut self.mem, &self.text, at, chunk)
                     .map_err(|source| RunError::Core { core: idx, source })?;
             }
             consumed += chunk;
-            if let Some(prof) = &mut self.prof {
-                for &idx in &self.active_list {
-                    prof.record_core("chunk_len", idx, u64::from(chunk));
-                }
-            }
+            self.obs.chunk_retired(&self.active_list, chunk);
         }
-        self.prof_exit(span);
+        self.obs.exit(span);
         Ok(consumed)
     }
 
@@ -918,7 +542,7 @@ impl Simulation {
     /// retirement in this same global order, so its reference memory
     /// reproduces the timed machine's exact interleaving.
     fn step_cores(&mut self, cycle: u64) -> Result<(), RunError> {
-        let span = self.prof_enter("sequential");
+        let span = self.obs.enter("sequential");
         let mut diverged = None;
         let mut fault = None;
         {
@@ -966,49 +590,35 @@ impl Simulation {
                 }
             }
         }
-        self.prof_exit(span);
+        self.obs.exit(span);
         if let Some((core, source)) = fault {
             return Err(RunError::Core { core, source });
         }
         if let Some(mut divergence) = diverged {
             divergence.context = self.cores.iter().map(Core::snapshot).collect();
-            divergence.trail = self.flight.tail_lines(TRAIL_EVENTS);
+            divergence.trail = self.obs.flight().tail_lines(TRAIL_EVENTS);
             return Err(RunError::OracleDivergence(divergence));
         }
         Ok(())
     }
 
     /// Compacts the active list after a plain cycle: cores that left
-    /// `Active` move to `deactivated_buf` (the exact list the
-    /// attribution scan needs) and halting cores bump the monotone
-    /// halted count. O(cores stepped this cycle).
+    /// `Active` move to `deactivated_buf` (the exact transition list
+    /// the observer is told) and halting cores bump the monotone halted
+    /// count. O(cores stepped this cycle).
     fn refresh_active_list(&mut self) {
         self.deactivated_buf.clear();
         let mut write = 0;
         for read in 0..self.active_list.len() {
             let idx = self.active_list[read];
-            let state = self.cores[idx].state();
-            match state {
+            match self.cores[idx].state() {
                 CoreState::Active => {
                     self.active_list[write] = idx;
                     write += 1;
                 }
-                CoreState::Halted(code) => {
-                    self.halted += 1;
+                left => {
+                    self.halted += usize::from(matches!(left, CoreState::Halted(_)));
                     self.deactivated_buf.push(idx);
-                    self.flight
-                        .record(self.cycle, FlightKind::Halt { core: idx, code });
-                }
-                CoreState::StalledDep | CoreState::StalledFetch => {
-                    self.deactivated_buf.push(idx);
-                    self.flight.record(
-                        self.cycle,
-                        FlightKind::Stall {
-                            core: idx,
-                            state,
-                            pc: self.cores[idx].snapshot().pc,
-                        },
-                    );
                 }
             }
         }
@@ -1021,18 +631,9 @@ impl Simulation {
         if self.miss_buf.is_empty() {
             return;
         }
-        let span = self.prof_enter("miss_submit");
-        let mut trace = self.trace.as_mut().filter(|_| self.config.trace);
+        let span = self.obs.enter("miss_submit");
         for miss in self.miss_buf.drain(..) {
-            if let Some(trace) = &mut trace {
-                trace.record(TraceEvent {
-                    cycle,
-                    core: miss.core,
-                    kind: miss.kind,
-                    line_addr: miss.line_addr,
-                    pc: miss.pc,
-                });
-            }
+            self.obs.miss(cycle, &miss);
             self.hierarchy.submit(
                 cycle,
                 Request {
@@ -1044,14 +645,13 @@ impl Simulation {
                 },
             );
         }
-        self.prof_exit(span);
+        self.obs.exit(span);
     }
 
     /// Steps 4–5: advances the event model to `cycle` and delivers the
-    /// completed misses, waking the cores stalled on them. Every fill
-    /// that reaches a still-stalled core is a wake-cause candidate.
+    /// completed misses, waking the cores stalled on them.
     fn advance_and_wake(&mut self, cycle: u64) {
-        let span = self.prof_enter("hier_advance");
+        let span = self.obs.enter("hier_advance");
         self.hierarchy.advance(cycle, &mut self.completion_buf);
         let drained_any = !self.completion_buf.is_empty();
         self.woken_buf.clear();
@@ -1063,75 +663,32 @@ impl Simulation {
                 self.debug_drop_next_load_fill = false;
                 continue;
             }
-            match kind {
-                MissKind::Load | MissKind::Store => {
-                    self.attr.note_completion(core, false, &completion);
-                }
-                MissKind::Ifetch => self.attr.note_completion(core, true, &completion),
-                MissKind::Writeback => {}
-            }
-            self.flight.record(
-                cycle,
-                FlightKind::Completion {
-                    core,
-                    kind,
-                    line: completion.line_addr,
-                },
-            );
-            if self.cores[core].complete_fill(completion.line_addr, kind, cycle) {
+            let woke = self.cores[core].complete_fill(completion.line_addr, kind, cycle);
+            self.obs.completion(cycle, core, kind, &completion, woke);
+            if woke {
                 self.woken_buf.push(core);
-                self.flight.record(cycle, FlightKind::Wake { core });
             }
         }
         // Woken cores rejoin the active list at their index position
         // (ascending order is the deterministic step order).
-        for i in 0..self.woken_buf.len() {
-            let core = self.woken_buf[i];
-            let pos = self
-                .active_list
-                .binary_search(&core)
-                .expect_err("woken core was already on the active list");
+        for &core in &self.woken_buf {
+            let pos = self.active_list.binary_search(&core);
+            let pos = pos.expect_err("woken core was already on the active list");
             self.active_list.insert(pos, core);
         }
-        // Close stall intervals for cores the drain woke. Only fills
-        // wake cores and only `note_completion` queues candidates, so a
-        // drain that serviced nothing has nothing to scan or clear —
-        // but a drain that serviced *anything* must still run the scan
-        // to retire this cycle's wake-cause candidates.
+        // A drain that serviced nothing has nothing to report — but
+        // one that serviced *anything* must, to retire its candidates.
         if drained_any {
-            self.attr
-                .scan_after_drain(&self.cores, &self.woken_buf, cycle);
+            self.obs.woken(&self.woken_buf, cycle);
         }
-        self.prof_exit(span);
+        self.obs.exit(span);
     }
 
-    /// Observation after the five steps: core-state intervals on
-    /// transitions (Paraver and/or Chrome trace) and the epoch
-    /// telemetry sample. The cycle counter can jump past epoch
-    /// boundaries when fast-forwarding, so the sample covers whatever
-    /// span actually elapsed.
-    fn observe(&mut self, cycle: u64) {
-        self.close_state_intervals(cycle, false);
-        if self
-            .telemetry
-            .as_ref()
-            .is_some_and(|sink| cycle >= sink.next_due())
-        {
-            self.flush_epoch_sample(cycle);
-        }
-    }
-
-    /// Progress bookkeeping — counter compares, not core scans:
-    /// `halted` is maintained by `refresh_active_list` (halting is
-    /// monotone) and the active list tracks `Active` exactly. Returns
+    /// Progress bookkeeping — counter compares, not core scans: `halted`
+    /// is monotone and the active list tracks `Active` exactly. Returns
     /// `true` once every core has halted.
     fn progress(&mut self, cycle: u64) -> Result<bool, RunError> {
         if self.halted == self.cores.len() {
-            self.attr.finish(&self.cores, cycle);
-            self.close_state_intervals(cycle, true);
-            // Flush the final partial epoch (the sink drops it if no
-            // cycles elapsed since the last sample).
-            self.flush_epoch_sample(cycle);
             return Ok(true);
         }
         if self.active_list.is_empty() {
@@ -1141,21 +698,15 @@ impl Simulation {
             // scheduled past `max_cycles` must still report the limit
             // as the cycle it was exceeded at, not the far-future event
             // time the simulation never actually reached.
-            match self.hierarchy.next_event_time() {
-                Some(t) => {
-                    self.cycle = self
-                        .cycle
-                        .max(t.saturating_sub(1))
-                        .min(self.config.max_cycles);
-                }
-                None => {
-                    return Err(RunError::Deadlock {
-                        cycle,
-                        cores: self.cores.iter().map(Core::snapshot).collect(),
-                        stalls: self.stall_infos(),
-                    })
-                }
-            }
+            let Some(t) = self.hierarchy.next_event_time() else {
+                return Err(RunError::Deadlock {
+                    cycle,
+                    cores: self.cores.iter().map(Core::snapshot).collect(),
+                    stalls: crate::crash::stall_infos(&self.cores, &self.hierarchy),
+                });
+            };
+            let resume = self.cycle.max(t.saturating_sub(1));
+            self.cycle = resume.min(self.config.max_cycles);
         }
         Ok(false)
     }
@@ -1201,8 +752,9 @@ impl Simulation {
             }
             pairwise
         });
-        self.prof_bump("window/conflict_checks", 1);
-        self.prof_bump("window/conflict_intervals", self.store_map.examined());
+        self.obs.bump("window/conflict_checks", 1);
+        self.obs
+            .bump("window/conflict_intervals", self.store_map.examined());
         conflict
     }
 
@@ -1222,15 +774,13 @@ impl Simulation {
         if !stepped_wrote {
             return;
         }
-        let span = self.prof_enter("text_invalidate");
-        self.prof_bump("window/text_invalidation", 1);
+        let span = self.obs.enter("text_invalidate");
         let mut writes: Vec<(u64, u8)> = Vec::new();
         for core in &mut self.cores {
             writes.append(&mut core.take_text_writes());
         }
         if let Some(&(addr, _)) = writes.first() {
-            self.flight
-                .record(self.cycle, FlightKind::TextInvalidate { addr });
+            self.obs.text_invalidated(self.cycle, addr);
         }
         for &(addr, size) in &writes {
             self.text.invalidate(addr, u64::from(size));
@@ -1241,103 +791,7 @@ impl Simulation {
         for core in &mut self.cores {
             core.abort_fused_run();
         }
-        self.prof_exit(span);
-    }
-
-    /// Takes one epoch-telemetry sample at `cycle`, if telemetry is on.
-    /// Shared by the periodic sampler and the end-of-run final flush
-    /// (the sink itself drops empty spans).
-    fn flush_epoch_sample(&mut self, cycle: u64) {
-        if self.telemetry.is_some() {
-            let span = self.prof_enter("epoch_sample");
-            let snapshot = self.epoch_snapshot(cycle);
-            if let Some(sink) = &mut self.telemetry {
-                sink.sample(snapshot);
-            }
-            self.prof_exit(span);
-        }
-    }
-
-    /// Closes the open core-state interval of every core whose state
-    /// changed since it opened — or of every core when `flush`, at the
-    /// end of the run — into the store the Paraver and Chrome exporters
-    /// share.
-    fn close_state_intervals(&mut self, cycle: u64, flush: bool) {
-        let Some(trace) = &mut self.trace else {
-            return;
-        };
-        for (core, track) in self.cores.iter().zip(&mut self.state_track) {
-            let current = core.state();
-            if flush || current != track.0 {
-                trace.record_state(StateInterval {
-                    core: core.index(),
-                    start: track.1,
-                    end: cycle,
-                    state: state_code(track.0),
-                });
-                *track = (current, cycle);
-            }
-        }
-    }
-
-    /// Builds the cumulative-counter snapshot the telemetry sink
-    /// differences into one epoch sample.
-    fn epoch_snapshot(&self, cycle: u64) -> EpochSnapshot {
-        let per_core = self
-            .cores
-            .iter()
-            .map(|core| {
-                let stats = core.stats_through(cycle);
-                [
-                    stats.retired,
-                    stats.dep_stall_cycles,
-                    stats.fetch_stall_cycles,
-                ]
-            })
-            .collect();
-        let stats = self.hierarchy.stats();
-        let mshr = self.hierarchy.mshr_occupancy();
-        let per_bank = stats
-            .banks
-            .iter()
-            .zip(&mshr)
-            .map(|(bank, &occupancy)| [bank.hits, bank.misses, occupancy as u64])
-            .collect();
-        EpochSnapshot {
-            cycle,
-            per_core,
-            per_core_blame: self.attr.dep().to_vec(),
-            per_bank,
-            noc_traversals: stats.noc.traversals,
-            completed: stats.completed,
-            queued_requests: self.hierarchy.queued_requests() as u64,
-            in_flight: self.hierarchy.in_flight_requests() as u64,
-            mc_busy_channels: self.hierarchy.mc_busy_channels(cycle) as u64,
-        }
-    }
-
-    fn build_report(&self, wall_time: std::time::Duration) -> Report {
-        Report {
-            cycles: self.cycle,
-            cores: self
-                .cores
-                .iter()
-                .map(|core| CoreReport {
-                    stats: core.stats(),
-                    l1i: core.icache_stats(),
-                    l1d: core.dcache_stats(),
-                    exit_code: match core.state() {
-                        CoreState::Halted(code) => Some(code),
-                        _ => None,
-                    },
-                    console: core.console().to_vec(),
-                    fused_retired: core.fused_retired(),
-                })
-                .collect(),
-            hierarchy: self.hierarchy.stats(),
-            wall_time,
-            truncated: false,
-        }
+        self.obs.exit(span);
     }
 }
 
@@ -1363,16 +817,6 @@ mod tests {
             ] {
                 assert_eq!(decode_tag(encode_tag(core, kind)), (core, kind));
             }
-        }
-    }
-
-    #[test]
-    fn rearm_fail_counters_are_the_prefixed_stop_names() {
-        for stop in FuseStop::ALL {
-            assert_eq!(
-                REARM_FAIL_COUNTERS[stop as usize],
-                format!("window/rearm_fail/{}", stop.name())
-            );
         }
     }
 

@@ -8,8 +8,11 @@
 
 use std::io::{self, Write};
 
+use coyote_iss::core::CoreState;
 use coyote_iss::MissKind;
 use coyote_telemetry::push_u64;
+
+use crate::config::MAX_CORES;
 
 /// Paraver event type for L1 miss kind (value = [`kind_code`]).
 pub const EVENT_MISS_KIND: u64 = 42_000_001;
@@ -27,6 +30,40 @@ pub const STATE_DEP_STALL: u64 = 2;
 pub const STATE_FETCH_STALL: u64 = 3;
 /// Paraver state value: halted.
 pub const STATE_HALTED: u64 = 0;
+
+/// One core state as every artifact spells it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StateNames {
+    /// Paraver state value (`.prv` state records, [`StateInterval::state`]).
+    pub code: u64,
+    /// `crash.json` and flight-recorder name.
+    pub name: &'static str,
+    /// Chrome-trace slice label.
+    pub chrome: &'static str,
+    /// `.pcf` label.
+    pub pcf: &'static str,
+}
+
+/// The four core states, indexed by Paraver state value: the one place
+/// a state is spelled.
+#[rustfmt::skip]
+pub(crate) const STATES: [StateNames; 4] = [
+    StateNames { code: STATE_HALTED,      name: "halted",        chrome: "halted",      pcf: "halted" },
+    StateNames { code: STATE_RUNNING,     name: "active",        chrome: "running",     pcf: "running" },
+    StateNames { code: STATE_DEP_STALL,   name: "stalled_dep",   chrome: "dep stall",   pcf: "dependency stall" },
+    StateNames { code: STATE_FETCH_STALL, name: "stalled_fetch", chrome: "fetch stall", pcf: "fetch stall" },
+];
+
+/// The spellings of a core's state.
+#[must_use]
+pub(crate) fn state_names(state: CoreState) -> &'static StateNames {
+    &STATES[match state {
+        CoreState::Halted(_) => STATE_HALTED,
+        CoreState::Active => STATE_RUNNING,
+        CoreState::StalledDep => STATE_DEP_STALL,
+        CoreState::StalledFetch => STATE_FETCH_STALL,
+    } as usize]
+}
 
 /// Encodes a miss kind as a Paraver event value.
 #[must_use]
@@ -208,10 +245,9 @@ impl Trace {
     /// Propagates I/O errors from `out`.
     pub fn write_pcf<W: Write>(&self, mut out: W) -> io::Result<()> {
         writeln!(out, "STATES")?;
-        writeln!(out, "{STATE_HALTED}	halted")?;
-        writeln!(out, "{STATE_RUNNING}	running")?;
-        writeln!(out, "{STATE_DEP_STALL}	dependency stall")?;
-        writeln!(out, "{STATE_FETCH_STALL}	fetch stall")?;
+        for state in &STATES {
+            writeln!(out, "{}\t{}", state.code, state.pcf)?;
+        }
         writeln!(out)?;
         writeln!(out, "EVENT_TYPE")?;
         writeln!(out, "0\t{EVENT_MISS_KIND}\tL1 miss kind")?;
@@ -267,19 +303,19 @@ impl Trace {
                 message: "missing #Paraver header".to_owned(),
             });
         }
-        // Task count from "...:1:N(1:1,...)": scan fields right-to-left
-        // for the last `N(` field (the date and task list also contain
-        // colons, so positional splitting is unreliable).
+        // Task count from "...:1:N(1:1,...)": the last `N(` field (the
+        // date and task list also contain colons, so positional
+        // splitting is unreliable). The count sizes every reader's
+        // per-core tables, so it is bounded like `SimConfig::cores`.
         let cores = header
             .split(':')
             .rev()
-            .find_map(|field| {
-                let (digits, _) = field.split_once('(')?;
-                digits.parse::<usize>().ok()
-            })
+            .find_map(|field| Some(field.split_once('(')?.0))
+            .and_then(|digits| digits.parse::<usize>().ok())
+            .filter(|&tasks| tasks <= MAX_CORES)
             .ok_or_else(|| ParseTraceError {
                 line: 1,
-                message: "cannot read task count from header".to_owned(),
+                message: format!("cannot read a task count of at most {MAX_CORES} from header"),
             })?;
         let mut trace = Trace::new(cores);
         for (idx, line) in lines {
@@ -287,17 +323,26 @@ impl Trace {
                 line: idx + 1,
                 message,
             };
+            let parse = |s: &str| s.parse::<u64>().map_err(|e| err(format!("{e}: `{s}`")));
+            // Tasks are 1-based and the header declares how many exist.
+            let core_of = |s: &str| match parse(s)? {
+                task if (1..=cores as u64).contains(&task) => Ok(task as usize - 1),
+                task => Err(err(format!("task {task} outside 1..={cores}"))),
+            };
             let fields: Vec<&str> = line.split(':').collect();
             match fields.first() {
                 Some(&"1") => {
                     if fields.len() != 8 {
                         return Err(err("state record needs 8 fields".to_owned()));
                     }
-                    let parse = |s: &str| s.parse::<u64>().map_err(|e| err(format!("{e}: `{s}`")));
+                    let (start, end) = (parse(fields[5])?, parse(fields[6])?);
+                    if start > end {
+                        return Err(err(format!("state interval ends at {end}, before {start}")));
+                    }
                     trace.record_state(StateInterval {
-                        core: parse(fields[3])? as usize - 1,
-                        start: parse(fields[5])?,
-                        end: parse(fields[6])?,
+                        core: core_of(fields[3])?,
+                        start,
+                        end,
                         state: parse(fields[7])?,
                     });
                 }
@@ -307,7 +352,6 @@ impl Trace {
                     if fields.len() != 10 && fields.len() != 12 {
                         return Err(err("event record needs 10 or 12 fields".to_owned()));
                     }
-                    let parse = |s: &str| s.parse::<u64>().map_err(|e| err(format!("{e}: `{s}`")));
                     let kind = match parse(fields[6])? {
                         k if k == EVENT_MISS_KIND => match parse(fields[7])? {
                             1 => MissKind::Ifetch,
@@ -328,7 +372,7 @@ impl Trace {
                     };
                     trace.record(TraceEvent {
                         cycle: parse(fields[5])?,
-                        core: parse(fields[3])? as usize - 1,
+                        core: core_of(fields[3])?,
                         kind,
                         line_addr: parse(fields[9])?,
                         pc,
@@ -438,13 +482,38 @@ mod tests {
         assert!(lines[3].starts_with("2:"));
     }
 
+    /// The one table spells each state the way the `.pcf`, the Chrome
+    /// trace and `crash.json` have always shipped it.
     #[test]
-    fn pcf_names_states() {
-        let t = sample();
+    fn states_keep_their_shipped_spellings() {
         let mut buf = Vec::new();
-        t.write_pcf(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("dependency stall"));
+        sample().write_pcf(&mut buf).unwrap();
+        assert!(String::from_utf8(buf)
+            .unwrap()
+            .starts_with("STATES\n0\thalted\n1\trunning\n2\tdependency stall\n3\tfetch stall\n\n"));
+        for (state, code, crash, chrome) in [
+            (CoreState::Halted(3), STATE_HALTED, "halted", "halted"),
+            (CoreState::Active, STATE_RUNNING, "active", "running"),
+            (
+                CoreState::StalledDep,
+                STATE_DEP_STALL,
+                "stalled_dep",
+                "dep stall",
+            ),
+            (
+                CoreState::StalledFetch,
+                STATE_FETCH_STALL,
+                "stalled_fetch",
+                "fetch stall",
+            ),
+        ] {
+            let names = state_names(state);
+            assert_eq!(
+                (names.code, names.name, names.chrome),
+                (code, crash, chrome)
+            );
+            assert_eq!(STATES[code as usize], *names, "indexed by Paraver value");
+        }
     }
 
     #[test]

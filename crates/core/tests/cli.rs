@@ -291,7 +291,9 @@ fn chrome_trace_flag_writes_trace_event_json() {
 /// The streamed file is the in-memory pretty document byte for byte,
 /// and the compact form still equals the golden recorded from the tree
 /// serialiser this path replaced (commit 79160f9, same program and
-/// flags), so identity with the old exporter outlives it.
+/// flags), so identity with the old exporter outlives it. Likewise the
+/// `.prv`, recorded at 4b772b8 from the per-core interval scan the
+/// observer's transition lists replaced.
 #[test]
 fn streamed_chrome_trace_equals_the_library_document_and_the_golden() {
     let program = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/asm/dotprod.s");
@@ -329,6 +331,11 @@ fn streamed_chrome_trace_equals_the_library_document_and_the_golden() {
     assert!(
         doc.to_string_compact() == include_str!("golden/chrome_dotprod_8c.json"),
         "compact document differs from the golden of the old tree exporter"
+    );
+    let prv = std::fs::read(dir.join("dotprod-trace.prv")).expect("paraver trace");
+    assert!(
+        prv == include_bytes!("golden/prv_dotprod_8c.prv"),
+        ".prv differs from the golden of the per-core interval scan"
     );
 }
 
@@ -545,6 +552,117 @@ fn stop_file_truncates_the_run_with_a_crash_dump() {
         .and_then(|e| e.as_array())
         .expect("flight events");
     assert!(!events.is_empty(), "flight tail is empty");
+}
+
+/// A stopped run is written out like a finished one: every artifact the
+/// command line asked for exists, reaches the stop cycle, and passes the
+/// repo's own readers (before, only the metrics were written and their
+/// CPI stacks stopped at each core's last transition).
+#[test]
+fn stopped_run_writes_every_requested_artifact_and_passes_the_check() {
+    let path = write_temp_program("spin.s", "_start:\n    j _start\n");
+    let dir = std::env::temp_dir().join("coyote-sim-tests");
+    let stop = dir.join("spin-stop");
+    std::fs::write(&stop, b"").expect("create stop file");
+    let (metrics, trace, chrome) = (
+        dir.join("spin-metrics"),
+        dir.join("spin-trace"),
+        dir.join("spin-chrome.json"),
+    );
+    let output = Command::new(sim_binary())
+        .arg(&path)
+        .args(["--cores", "2"])
+        .arg("--stop-file")
+        .arg(&stop)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .arg("--trace")
+        .arg(&trace)
+        .arg("--chrome-trace")
+        .arg(&chrome)
+        .output()
+        .expect("spawn coyote-sim");
+    let _ = std::fs::remove_file(&stop);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(130), "stderr: {stderr}");
+
+    let check = inspect("explain")
+        .arg(metrics.with_extension("json"))
+        .arg("--check")
+        .output()
+        .expect("spawn coyote-inspect explain");
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert_eq!(check.status.code(), Some(0), "stderr: {stderr}");
+
+    let text = std::fs::read_to_string(metrics.with_extension("json")).expect("metrics json");
+    let doc = coyote_telemetry::parse_json(&text).expect("valid JSON");
+    let cycles = doc
+        .get("report")
+        .and_then(|r| r.get("cycles"))
+        .and_then(coyote_telemetry::JsonValue::as_u64)
+        .expect("report.cycles");
+    let summary = inspect("trace")
+        .arg(trace.with_extension("prv"))
+        .arg("--json")
+        .output()
+        .expect("spawn coyote-inspect trace");
+    assert_eq!(summary.status.code(), Some(0));
+    let summary = coyote_telemetry::parse_json(&String::from_utf8_lossy(&summary.stdout))
+        .expect("valid JSON from --json");
+    assert_eq!(
+        summary
+            .get("horizon_cycles")
+            .and_then(coyote_telemetry::JsonValue::as_u64),
+        Some(cycles),
+        "the Paraver trace must reach the stop cycle"
+    );
+    assert!(trace.with_extension("pcf").exists());
+    let text = std::fs::read_to_string(&chrome).expect("chrome trace");
+    let doc = coyote_telemetry::parse_json(&text).expect("valid Chrome JSON");
+    let field = |e: &coyote_telemetry::JsonValue, key: &str| e.get(key).and_then(|v| v.as_u64());
+    let open_at_the_stop = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents")
+        .iter()
+        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("running"))
+        .filter(|e| {
+            field(e, "ts")
+                .zip(field(e, "dur"))
+                .map(|(ts, dur)| ts + dur)
+                == Some(cycles)
+        })
+        .count();
+    assert_eq!(open_at_the_stop, 2, "each spinning hart's running slice");
+}
+
+/// `coyote-inspect … | head`: the reader hangs up before the report is
+/// written. That is not an error (it used to be a panic, exit 101).
+#[test]
+fn inspect_exits_quietly_when_the_reader_hangs_up() {
+    // Big enough that parsing it outlasts the parent closing the pipe.
+    let mut prv = String::from("#Paraver (01/01/2021 at 00:00):400001:1(1):1:1(1:1)\n");
+    for cycle in 0..400_000u64 {
+        let line = 0x1000 + 64 * (cycle % 4096);
+        prv.push_str(&format!(
+            "2:1:1:1:1:{cycle}:42000001:2:42000002:{line}:42000003:2147483664\n"
+        ));
+    }
+    let dir = std::env::temp_dir().join("coyote-sim-tests");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("hangup.prv");
+    std::fs::write(&path, prv).expect("write trace");
+    let mut child = inspect("trace")
+        .arg(&path)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn coyote-inspect trace");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
 }
 
 /// `coyote-inspect <subcommand>` as a command.

@@ -1,6 +1,7 @@
 //! Abnormal exits: a deadlock or a graceful stop leaves a parseable
 //! crash dump that says on its own where every core was and why, and a
-//! stop leaves a partial report marked `truncated`.
+//! stop leaves a partial report marked `truncated` whose CPI stacks
+//! still partition the cycles that ran.
 
 use coyote::{JsonValue, SimConfig, Simulation, CRASH_SCHEMA_VERSION};
 
@@ -118,11 +119,27 @@ fn deadlock_crash_dump_carries_stalls_and_flight_tail() {
             .any(|e| e.get("kind").and_then(JsonValue::as_str) == Some("stall")),
         "flight tail should record the stall"
     );
+    // The whole dump, flight-tail order included (`Completion` then
+    // `Wake` per fill, the swallowed fill absent), as recorded at
+    // 4b772b8, before the recorders moved behind one observer.
+    assert_eq!(
+        sim.crash_json("deadlock").to_string_pretty(),
+        include_str!("golden/crash_lost_fill.json")
+    );
+    // The run is over, so the planes are closed at the cycle it died on.
+    let attr = sim.attribution();
+    let dep: u64 = attr.dep()[0].iter().sum();
+    assert_eq!(
+        attr.active()[0] + dep + attr.fetch()[0] + attr.drained()[0],
+        sim.cycle()
+    );
 }
 
 /// A graceful stop yields a partial report marked `truncated`, the
-/// truncation flag shows up in the metrics document, and the crash dump
-/// shows the core unfinished.
+/// truncation flag shows up in the metrics document, every core's CPI
+/// stack partitions the cycles that ran (hart 0 was running, hart 1 had
+/// halted: both tails are flushed), and the crash dump shows hart 0
+/// unfinished.
 #[test]
 fn stop_token_truncates_the_run() {
     use std::sync::atomic::AtomicBool;
@@ -130,16 +147,29 @@ fn stop_token_truncates_the_run() {
 
     let src = "
         _start:
+            csrr t0, mhartid
+            bnez t0, done
             li t0, 100000
         loop:
             addi t0, t0, -1
             bnez t0, loop
+        done:
             li a0, 0
             li a7, 93
             ecall";
     let program = coyote_asm::assemble(src).expect("assemble");
-    let config = SimConfig::builder().cores(1).build().expect("config");
+    let config = SimConfig::builder()
+        .cores(2)
+        .telemetry(true)
+        .trace(true)
+        .build()
+        .expect("config");
     let mut sim = Simulation::new(config, &program).expect("create sim");
+    // Run into the loop first, so the stop lands mid-run with one hart
+    // halted, then stop at the next cycle boundary.
+    while sim.cores()[1].snapshot().retired < 5 {
+        assert!(!sim.step_cycle().expect("step"), "hart 0 loops on");
+    }
     let stop = Arc::new(AtomicBool::new(true));
     sim.set_stop_handle(Arc::clone(&stop));
     match sim.run() {
@@ -157,6 +187,26 @@ fn stop_token_truncates_the_run() {
             .map(JsonValue::to_string_compact),
         Some("true".to_owned())
     );
+    let per_core = doc
+        .get("attribution")
+        .and_then(|a| a.get("per_core"))
+        .and_then(JsonValue::as_array)
+        .expect("CPI stacks");
+    for row in per_core {
+        assert_eq!(
+            row.get("total_cycles").and_then(JsonValue::as_u64),
+            Some(report.cycles),
+            "a stopped run's CPI stack must still partition it: {}",
+            row.to_string_compact()
+        );
+    }
+    assert!(
+        per_core[1].get("drained").and_then(JsonValue::as_u64) > Some(0),
+        "the halted hart drains until the stop"
+    );
+    // Both traces reach the stop cycle too.
+    let last = sim.trace().expect("tracing on").states().iter();
+    assert_eq!(last.map(|s| s.end).max(), Some(report.cycles));
     let dump = self_sufficient_crash_dump(&sim, "stopped");
     let core = &dump
         .get("cores")

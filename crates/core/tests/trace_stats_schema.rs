@@ -105,3 +105,47 @@ fn critical_pcs_rank_by_miss_count_and_skip_synthetic() {
         Some("0x80000034")
     );
 }
+
+/// Hostile `.prv` text is a `ParseTraceError` naming its line — not a
+/// 2.4 TB allocation (the header's task count sized the per-core
+/// table), a debug-build underflow or a wrapped index (task 0), or a
+/// silently accepted record for a task the header never declared.
+#[test]
+fn hostile_prv_inputs_are_parse_errors_with_their_line() {
+    let header = "#Paraver (01/01/2021 at 00:00):101:1(8):1:8(1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1)";
+    for (name, text, line) in [
+        (
+            "unbounded task count",
+            "#Paraver (01/01/2021 at 00:00):101:1(1):1:99999999999(1:1)\n".to_owned(),
+            1,
+        ),
+        ("task 0", format!("{header}\n1:0:1:0:1:0:40:1\n"), 2),
+        (
+            "task 9 of 8",
+            format!(
+                "{header}\n1:1:1:1:1:0:40:1\n2:9:1:9:1:10:42000001:2:42000002:4096:42000003:4\n"
+            ),
+            3,
+        ),
+        (
+            "interval ending before it starts",
+            format!("{header}\n1:1:1:1:1:40:10:1\n"),
+            2,
+        ),
+    ] {
+        let err = coyote::Trace::parse_prv(&text).expect_err(name);
+        assert_eq!(err.line, line, "{name}: {err}");
+    }
+    // The command reports it and exits 1 instead of aborting.
+    let dir = std::env::temp_dir().join("coyote-trace-stats-golden");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let prv = dir.join("hostile.prv");
+    std::fs::write(&prv, "#Paraver (x):1:1(1):1:99999999999(1:1)\n").expect("write prv");
+    let output = Command::new(env!("CARGO_BIN_EXE_coyote-inspect"))
+        .arg("trace")
+        .arg(&prv)
+        .output()
+        .expect("spawn coyote-inspect trace");
+    assert_eq!(output.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("prv line 1"));
+}

@@ -324,12 +324,6 @@ impl TelemetrySink {
     pub fn series(&self) -> &TimeSeries {
         &self.series
     }
-
-    /// Consumes the sink, returning the time series.
-    #[must_use]
-    pub fn into_series(self) -> TimeSeries {
-        self.series
-    }
 }
 
 /// Per-row difference of cumulative snapshots; `diff[i]` subtracts the

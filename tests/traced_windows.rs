@@ -4,6 +4,10 @@
 //! same cycles, digest, `.prv` bytes, Chrome JSON bytes and metrics
 //! JSON bytes as the same run stepped one cycle at a time — and it
 //! must really have taken windows, or the comparison proves nothing.
+//! The same artifacts must also not tell which legal schedule ran: a
+//! non-zero `perturb_seed` permutes the pop order of same-cycle
+//! completions (so the order cores are reported woken in), and every
+//! byte stays put.
 //!
 //! Also pins the cost model of the cross-core conflict test through
 //! the host profiler's deterministic counters: a chunk in which no
@@ -35,11 +39,13 @@ fn observe(
     cores: usize,
     sharing: L2Sharing,
     fusion: bool,
+    perturb_seed: u64,
 ) -> (Observed, u64) {
     let config = SimConfig::builder()
         .cores(cores)
         .sharing(sharing)
         .fusion(fusion)
+        .perturb_seed(perturb_seed)
         .telemetry(true)
         .metrics_interval(512)
         .trace(true)
@@ -163,8 +169,9 @@ fn traced_windows_are_observationally_invisible() {
             };
             for sharing in [L2Sharing::Shared, L2Sharing::Private] {
                 let tag = format!("{name} cores={cores} {sharing:?}");
-                let (stepped, no_windows) = observe(&program, &populate, cores, sharing, false);
-                let (fused, windows) = observe(&program, &populate, cores, sharing, true);
+                let (stepped, no_windows) = observe(&program, &populate, cores, sharing, false, 0);
+                let (fused, windows) = observe(&program, &populate, cores, sharing, true, 0);
+                let (reordered, _) = observe(&program, &populate, cores, sharing, true, 7);
                 assert_eq!(no_windows, 0, "{tag}: fusion off took a window");
                 assert!(windows > 0, "{tag}: no multi-cycle window under tracing");
                 assert_eq!(fused.cycles, stepped.cycles, "{tag}: cycles");
@@ -172,6 +179,11 @@ fn traced_windows_are_observationally_invisible() {
                 assert!(fused.prv == stepped.prv, "{tag}: .prv bytes differ");
                 assert!(fused.chrome == stepped.chrome, "{tag}: Chrome JSON differs");
                 assert_eq!(fused.metrics, stepped.metrics, "{tag}: metrics JSON");
+                assert_eq!(reordered.cycles, fused.cycles, "{tag}: cycles by seed");
+                assert_eq!(reordered.digest, fused.digest, "{tag}: digest by seed");
+                assert!(reordered.prv == fused.prv, "{tag}: .prv bytes by seed");
+                assert!(reordered.chrome == fused.chrome, "{tag}: Chrome by seed");
+                assert_eq!(reordered.metrics, fused.metrics, "{tag}: metrics by seed");
             }
         }
     }
