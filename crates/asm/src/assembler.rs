@@ -14,6 +14,12 @@ use crate::expand::{expand, expansion_len, Symbols};
 use crate::operand::{parse_int, split_operands, Operand};
 use crate::program::{Program, DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE};
 
+/// Largest data image the assembler lays out: a `.zero` count is the
+/// one size the source states rather than spells out, so it is bounded
+/// before anything is allocated for it. 1 GiB is about 100× the largest
+/// shipped kernel's data.
+pub const MAX_DATA_BYTES: u64 = 1 << 30;
+
 /// Configurable assembler.
 ///
 /// # Examples
@@ -278,7 +284,15 @@ impl Assembler {
                             .and_then(|v| u64::try_from(v).ok())
                             .ok_or_else(|| AsmError::new(line, "bad .zero argument"))?;
                         let addr = data_pc;
-                        data_pc += n;
+                        data_pc = data_pc
+                            .checked_add(n)
+                            .filter(|end| end - self.data_base <= MAX_DATA_BYTES)
+                            .ok_or_else(|| {
+                                let msg = format!(
+                                    ".{directive} {n} grows the data image past {MAX_DATA_BYTES} bytes"
+                                );
+                                AsmError::new(line, msg)
+                            })?;
                         placed.push(Placed {
                             stmt: Stmt::Zero { n },
                             section: Section::Data,

@@ -15,9 +15,9 @@
 use std::collections::BTreeMap;
 
 use coyote_isa::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCmpOp, FpCvtOp, FpOp, Inst, MemWidth,
-    VAddrMode, VCmpOp, VFCmpOp, VFScalar, VFpOp, VIntOp, VMaskOp, VMulOp, VScalar,
+    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FpOp, Inst, VAddrMode, VFScalar, VScalar,
 };
+use coyote_isa::ops::{self, TO_INT, UIMM};
 use coyote_isa::{Csr, FReg, Lmul, Sew, VReg, VType, XReg};
 
 use crate::operand::Operand;
@@ -232,8 +232,12 @@ pub fn expansion_len(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<us
 ///
 /// Returns a message describing the malformed statement.
 pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<Vec<Inst>> {
-    // Vector mnemonics have systematic shapes; try those first.
+    // Vector mnemonics have systematic shapes; try those first, then
+    // the scalar operation tables; what is left is one of a kind.
     if let Some(insts) = expand_vector(mnemonic, ops, symbols)? {
+        return Ok(insts);
+    }
+    if let Some(insts) = expand_family(mnemonic, ops, pc, symbols)? {
         return Ok(insts);
     }
 
@@ -331,10 +335,6 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
             Ok(pcrel_pair(rd, value, pc, PcrelKind::Address)?)
         }
         // ---- branches ----
-        "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" => {
-            let op = branch_op(mnemonic);
-            branch(op, xr(ops, 0)?, xr(ops, 1)?, target(ops, 2, pc, symbols)?)
-        }
         "bgt" | "ble" | "bgtu" | "bleu" => {
             // Swapped-operand aliases.
             let op = match mnemonic {
@@ -356,128 +356,6 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
                 "bltz" => branch(BranchOp::Lt, rs, XReg::ZERO, t),
                 _ => branch(BranchOp::Lt, XReg::ZERO, rs, t),
             }
-        }
-        // ---- loads/stores ----
-        "lb" | "lh" | "lw" | "ld" | "lbu" | "lhu" | "lwu" => {
-            let (width, signed) = match mnemonic {
-                "lb" => (MemWidth::B, true),
-                "lh" => (MemWidth::H, true),
-                "lw" => (MemWidth::W, true),
-                "ld" => (MemWidth::D, true),
-                "lbu" => (MemWidth::B, false),
-                "lhu" => (MemWidth::H, false),
-                _ => (MemWidth::W, false),
-            };
-            let rd = xr(ops, 0)?;
-            let (offset, rs1) = mem(ops, 1, symbols)?;
-            one(Inst::Load {
-                width,
-                signed,
-                rd,
-                rs1,
-                offset: i32::try_from(offset).map_err(|_| "load offset too large")?,
-            })
-        }
-        "sb" | "sh" | "sw" | "sd" => {
-            let width = match mnemonic {
-                "sb" => MemWidth::B,
-                "sh" => MemWidth::H,
-                "sw" => MemWidth::W,
-                _ => MemWidth::D,
-            };
-            let rs2 = xr(ops, 0)?;
-            let (offset, rs1) = mem(ops, 1, symbols)?;
-            one(Inst::Store {
-                width,
-                rs2,
-                rs1,
-                offset: i32::try_from(offset).map_err(|_| "store offset too large")?,
-            })
-        }
-        // ---- ALU immediates ----
-        "addi" | "slti" | "sltiu" | "xori" | "ori" | "andi" | "slli" | "srli" | "srai" => {
-            let op = match mnemonic {
-                "addi" => AluOp::Add,
-                "slti" => AluOp::Slt,
-                "sltiu" => AluOp::Sltu,
-                "xori" => AluOp::Xor,
-                "ori" => AluOp::Or,
-                "andi" => AluOp::And,
-                "slli" => AluOp::Sll,
-                "srli" => AluOp::Srl,
-                _ => AluOp::Sra,
-            };
-            one(Inst::OpImm {
-                op,
-                rd: xr(ops, 0)?,
-                rs1: xr(ops, 1)?,
-                imm: imm(ops, 2, symbols)?,
-            })
-        }
-        "addiw" | "slliw" | "srliw" | "sraiw" => {
-            let op = match mnemonic {
-                "addiw" => AluWOp::Addw,
-                "slliw" => AluWOp::Sllw,
-                "srliw" => AluWOp::Srlw,
-                _ => AluWOp::Sraw,
-            };
-            one(Inst::OpImm32 {
-                op,
-                rd: xr(ops, 0)?,
-                rs1: xr(ops, 1)?,
-                imm: imm(ops, 2, symbols)?,
-            })
-        }
-        // ---- ALU register ----
-        "add" | "sub" | "sll" | "slt" | "sltu" | "xor" | "srl" | "sra" | "or" | "and" | "mul"
-        | "mulh" | "mulhsu" | "mulhu" | "div" | "divu" | "rem" | "remu" => {
-            let op = match mnemonic {
-                "add" => AluOp::Add,
-                "sub" => AluOp::Sub,
-                "sll" => AluOp::Sll,
-                "slt" => AluOp::Slt,
-                "sltu" => AluOp::Sltu,
-                "xor" => AluOp::Xor,
-                "srl" => AluOp::Srl,
-                "sra" => AluOp::Sra,
-                "or" => AluOp::Or,
-                "and" => AluOp::And,
-                "mul" => AluOp::Mul,
-                "mulh" => AluOp::Mulh,
-                "mulhsu" => AluOp::Mulhsu,
-                "mulhu" => AluOp::Mulhu,
-                "div" => AluOp::Div,
-                "divu" => AluOp::Divu,
-                "rem" => AluOp::Rem,
-                _ => AluOp::Remu,
-            };
-            one(Inst::Op {
-                op,
-                rd: xr(ops, 0)?,
-                rs1: xr(ops, 1)?,
-                rs2: xr(ops, 2)?,
-            })
-        }
-        "addw" | "subw" | "sllw" | "srlw" | "sraw" | "mulw" | "divw" | "divuw" | "remw"
-        | "remuw" => {
-            let op = match mnemonic {
-                "addw" => AluWOp::Addw,
-                "subw" => AluWOp::Subw,
-                "sllw" => AluWOp::Sllw,
-                "srlw" => AluWOp::Srlw,
-                "sraw" => AluWOp::Sraw,
-                "mulw" => AluWOp::Mulw,
-                "divw" => AluWOp::Divw,
-                "divuw" => AluWOp::Divuw,
-                "remw" => AluWOp::Remw,
-                _ => AluWOp::Remuw,
-            };
-            one(Inst::Op32 {
-                op,
-                rd: xr(ops, 0)?,
-                rs1: xr(ops, 1)?,
-                rs2: xr(ops, 2)?,
-            })
         }
         // ---- misc ----
         "fence" => one(Inst::Fence),
@@ -548,26 +426,6 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
             rs2: xr(ops, 1)?,
         }),
         // ---- CSR ----
-        "csrrw" | "csrrs" | "csrrc" => {
-            let op = csr_op(mnemonic);
-            one(Inst::Csr {
-                op,
-                rd: xr(ops, 0)?,
-                csr: csr_operand(ops, 1)?,
-                src: CsrSrc::Reg(xr(ops, 2)?),
-            })
-        }
-        "csrrwi" | "csrrsi" | "csrrci" => {
-            let op = csr_op(&mnemonic[..5]);
-            let z = imm(ops, 2, symbols)?;
-            let z = u8::try_from(z).map_err(|_| "csr immediate out of range")?;
-            one(Inst::Csr {
-                op,
-                rd: xr(ops, 0)?,
-                csr: csr_operand(ops, 1)?,
-                src: CsrSrc::Imm(z),
-            })
-        }
         "csrr" => one(Inst::Csr {
             op: CsrOp::Rs,
             rd: xr(ops, 0)?,
@@ -580,39 +438,6 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
             csr: csr_operand(ops, 0)?,
             src: CsrSrc::Reg(xr(ops, 1)?),
         }),
-        // ---- atomics ----
-        "lr.w" | "lr.d" => one(Inst::Amo {
-            op: AmoOp::Lr,
-            width: amo_width(mnemonic),
-            rd: xr(ops, 0)?,
-            rs1: vmem_base(ops, 1)?,
-            rs2: XReg::ZERO,
-        }),
-        "sc.w" | "sc.d" | "amoswap.w" | "amoswap.d" | "amoadd.w" | "amoadd.d" | "amoxor.w"
-        | "amoxor.d" | "amoand.w" | "amoand.d" | "amoor.w" | "amoor.d" | "amomin.w"
-        | "amomin.d" | "amomax.w" | "amomax.d" | "amominu.w" | "amominu.d" | "amomaxu.w"
-        | "amomaxu.d" => {
-            let base = mnemonic.split('.').next().unwrap_or(mnemonic);
-            let op = match base {
-                "sc" => AmoOp::Sc,
-                "amoswap" => AmoOp::Swap,
-                "amoadd" => AmoOp::Add,
-                "amoxor" => AmoOp::Xor,
-                "amoand" => AmoOp::And,
-                "amoor" => AmoOp::Or,
-                "amomin" => AmoOp::Min,
-                "amomax" => AmoOp::Max,
-                "amominu" => AmoOp::Minu,
-                _ => AmoOp::Maxu,
-            };
-            one(Inst::Amo {
-                op,
-                width: amo_width(mnemonic),
-                rd: xr(ops, 0)?,
-                rs1: vmem_base(ops, 2)?,
-                rs2: xr(ops, 1)?,
-            })
-        }
         // ---- D extension ----
         "fld" => {
             let rd = fr(ops, 0)?;
@@ -630,78 +455,6 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
                 rs2,
                 rs1,
                 offset: i32::try_from(offset).map_err(|_| "fsd offset too large")?,
-            })
-        }
-        "fadd.d" | "fsub.d" | "fmul.d" | "fdiv.d" | "fsgnj.d" | "fsgnjn.d" | "fsgnjx.d"
-        | "fmin.d" | "fmax.d" => {
-            let op = match mnemonic {
-                "fadd.d" => FpOp::Add,
-                "fsub.d" => FpOp::Sub,
-                "fmul.d" => FpOp::Mul,
-                "fdiv.d" => FpOp::Div,
-                "fsgnj.d" => FpOp::Sgnj,
-                "fsgnjn.d" => FpOp::Sgnjn,
-                "fsgnjx.d" => FpOp::Sgnjx,
-                "fmin.d" => FpOp::Min,
-                _ => FpOp::Max,
-            };
-            one(Inst::FpOp {
-                op,
-                rd: fr(ops, 0)?,
-                rs1: fr(ops, 1)?,
-                rs2: fr(ops, 2)?,
-            })
-        }
-        "fmadd.d" | "fmsub.d" | "fnmsub.d" | "fnmadd.d" => {
-            let op = match mnemonic {
-                "fmadd.d" => FmaOp::Madd,
-                "fmsub.d" => FmaOp::Msub,
-                "fnmsub.d" => FmaOp::Nmsub,
-                _ => FmaOp::Nmadd,
-            };
-            one(Inst::FpFma {
-                op,
-                rd: fr(ops, 0)?,
-                rs1: fr(ops, 1)?,
-                rs2: fr(ops, 2)?,
-                rs3: fr(ops, 3)?,
-            })
-        }
-        "feq.d" | "flt.d" | "fle.d" => {
-            let op = match mnemonic {
-                "feq.d" => FpCmpOp::Eq,
-                "flt.d" => FpCmpOp::Lt,
-                _ => FpCmpOp::Le,
-            };
-            one(Inst::FpCmp {
-                op,
-                rd: xr(ops, 0)?,
-                rs1: fr(ops, 1)?,
-                rs2: fr(ops, 2)?,
-            })
-        }
-        "fcvt.d.l" | "fcvt.d.lu" | "fcvt.d.w" => {
-            let op = match mnemonic {
-                "fcvt.d.l" => FpCvtOp::DFromL,
-                "fcvt.d.lu" => FpCvtOp::DFromLu,
-                _ => FpCvtOp::DFromW,
-            };
-            one(Inst::FpCvt {
-                op,
-                rd: fr(ops, 0)?.into(),
-                rs1: xr(ops, 1)?.into(),
-            })
-        }
-        "fcvt.l.d" | "fcvt.lu.d" | "fcvt.w.d" => {
-            let op = match mnemonic {
-                "fcvt.l.d" => FpCvtOp::LFromD,
-                "fcvt.lu.d" => FpCvtOp::LuFromD,
-                _ => FpCvtOp::WFromD,
-            };
-            one(Inst::FpCvt {
-                op,
-                rd: xr(ops, 0)?.into(),
-                rs1: fr(ops, 1)?.into(),
             })
         }
         "fmv.x.d" => one(Inst::FmvXD {
@@ -734,31 +487,151 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
     }
 }
 
-fn branch_op(mnemonic: &str) -> BranchOp {
-    match mnemonic {
-        "beq" => BranchOp::Eq,
-        "bne" => BranchOp::Ne,
-        "blt" => BranchOp::Lt,
-        "bge" => BranchOp::Ge,
-        "bltu" => BranchOp::Ltu,
-        _ => BranchOp::Geu,
+/// The scalar operation families, where the mnemonic selects a row of
+/// a table in [`coyote_isa::ops`]; returns `Ok(None)` when it names none.
+fn expand_family(
+    mnemonic: &str,
+    ops: &[Operand],
+    pc: u64,
+    symbols: &Symbols,
+) -> R<Option<Vec<Inst>>> {
+    let some = |inst: Inst| Ok(Some(vec![inst]));
+    if let Some(row) = ops::BRANCH.from_name(mnemonic) {
+        let (rs1, rs2) = (xr(ops, 0)?, xr(ops, 1)?);
+        return branch(row.op, rs1, rs2, target(ops, 2, pc, symbols)?).map(Some);
     }
-}
-
-fn csr_op(mnemonic: &str) -> CsrOp {
-    match mnemonic {
-        "csrrw" => CsrOp::Rw,
-        "csrrs" => CsrOp::Rs,
-        _ => CsrOp::Rc,
+    if let Some(row) = ops::LOAD.from_name(mnemonic) {
+        let (width, signed) = row.op;
+        let rd = xr(ops, 0)?;
+        let (offset, rs1) = mem(ops, 1, symbols)?;
+        return some(Inst::Load {
+            width,
+            signed,
+            rd,
+            rs1,
+            offset: i32::try_from(offset).map_err(|_| "load offset too large")?,
+        });
     }
-}
-
-fn amo_width(mnemonic: &str) -> MemWidth {
-    if mnemonic.ends_with(".w") {
-        MemWidth::W
-    } else {
-        MemWidth::D
+    if let Some(row) = ops::STORE.from_name(mnemonic) {
+        let rs2 = xr(ops, 0)?;
+        let (offset, rs1) = mem(ops, 1, symbols)?;
+        return some(Inst::Store {
+            width: row.op,
+            rs2,
+            rs1,
+            offset: i32::try_from(offset).map_err(|_| "store offset too large")?,
+        });
     }
+    if let Some(row) = ops::ALU.from_imm(mnemonic) {
+        return some(Inst::OpImm {
+            op: row.op,
+            rd: xr(ops, 0)?,
+            rs1: xr(ops, 1)?,
+            imm: imm(ops, 2, symbols)?,
+        });
+    }
+    if let Some(row) = ops::ALU_W.from_imm(mnemonic) {
+        return some(Inst::OpImm32 {
+            op: row.op,
+            rd: xr(ops, 0)?,
+            rs1: xr(ops, 1)?,
+            imm: imm(ops, 2, symbols)?,
+        });
+    }
+    if let Some(row) = ops::ALU.from_name(mnemonic) {
+        return some(Inst::Op {
+            op: row.op,
+            rd: xr(ops, 0)?,
+            rs1: xr(ops, 1)?,
+            rs2: xr(ops, 2)?,
+        });
+    }
+    if let Some(row) = ops::ALU_W.from_name(mnemonic) {
+        return some(Inst::Op32 {
+            op: row.op,
+            rd: xr(ops, 0)?,
+            rs1: xr(ops, 1)?,
+            rs2: xr(ops, 2)?,
+        });
+    }
+    if let Some(row) = ops::CSR.from_name(mnemonic) {
+        return some(Inst::Csr {
+            op: row.op,
+            rd: xr(ops, 0)?,
+            csr: csr_operand(ops, 1)?,
+            src: CsrSrc::Reg(xr(ops, 2)?),
+        });
+    }
+    if let Some(row) = ops::CSR.from_imm(mnemonic) {
+        let z = imm(ops, 2, symbols)?;
+        let z = u8::try_from(z).map_err(|_| "csr immediate out of range")?;
+        return some(Inst::Csr {
+            op: row.op,
+            rd: xr(ops, 0)?,
+            csr: csr_operand(ops, 1)?,
+            src: CsrSrc::Imm(z),
+        });
+    }
+    let amo = mnemonic.split_once('.').and_then(|(stem, width)| {
+        Some((
+            ops::AMO.from_name(stem)?.op,
+            ops::AMO_WIDTH.from_name(width)?.op,
+        ))
+    });
+    if let Some((op, width)) = amo {
+        // `lr` has no data register: `lr.d rd, (rs1)`.
+        let rd = xr(ops, 0)?;
+        let (rs1, rs2) = if op == AmoOp::Lr {
+            (vmem_base(ops, 1)?, XReg::ZERO)
+        } else {
+            (vmem_base(ops, 2)?, xr(ops, 1)?)
+        };
+        return some(Inst::Amo {
+            op,
+            width,
+            rd,
+            rs1,
+            rs2,
+        });
+    }
+    if let Some(row) = ops::FP.from_name(mnemonic) {
+        return some(Inst::FpOp {
+            op: row.op,
+            rd: fr(ops, 0)?,
+            rs1: fr(ops, 1)?,
+            rs2: fr(ops, 2)?,
+        });
+    }
+    if let Some(row) = ops::FMA.from_name(mnemonic) {
+        return some(Inst::FpFma {
+            op: row.op,
+            rd: fr(ops, 0)?,
+            rs1: fr(ops, 1)?,
+            rs2: fr(ops, 2)?,
+            rs3: fr(ops, 3)?,
+        });
+    }
+    if let Some(row) = ops::FP_CMP.from_name(mnemonic) {
+        return some(Inst::FpCmp {
+            op: row.op,
+            rd: xr(ops, 0)?,
+            rs1: fr(ops, 1)?,
+            rs2: fr(ops, 2)?,
+        });
+    }
+    if let Some(row) = ops::FP_CVT.from_name(mnemonic) {
+        let (rd, rs1) = if row.has(TO_INT) {
+            (xr(ops, 0)?.into(), fr(ops, 1)?.into())
+        } else {
+            (fr(ops, 0)?.into(), xr(ops, 1)?.into())
+        };
+        return some(Inst::FpCvt {
+            op: row.op,
+            rd,
+            rs1,
+        });
+    }
+    Ok(None)
 }
 
 fn branch(op: BranchOp, rs1: XReg, rs2: XReg, offset: i64) -> R<Vec<Inst>> {
@@ -948,14 +821,13 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
     }
 
     // Vector memory: v{l,s}{e,se,uxei}<bits>.v
-    if let Some(parsed) = parse_vmem_mnemonic(mnemonic) {
-        let (is_load, needs_extra, eew) = parsed;
+    if let Some((is_load, mode, eew)) = parse_vmem_mnemonic(mnemonic) {
         let vreg0 = vr(ops, 0)?;
         let rs1 = vmem_base(ops, 1)?;
-        let (mode, mask_idx) = match needs_extra {
-            VMemExtra::None => (VAddrMode::Unit, 2),
-            VMemExtra::Stride => (VAddrMode::Strided(xr(ops, 2)?), 3),
-            VMemExtra::Index => (VAddrMode::Indexed(vr(ops, 2)?), 3),
+        let (mode, mask_idx) = match mode {
+            VAddrMode::Unit => (VAddrMode::Unit, 2),
+            VAddrMode::Strided(_) => (VAddrMode::Strided(xr(ops, 2)?), 3),
+            VAddrMode::Indexed(_) => (VAddrMode::Indexed(vr(ops, 2)?), 3),
         };
         let vm = !mask_at(ops, mask_idx);
         return some(if is_load {
@@ -977,276 +849,129 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
         });
     }
 
-    // Vector arithmetic: <base>.<form> where form ∈ {vv, vx, vi, vf, mm}.
-    let Some((base, form)) = mnemonic.rsplit_once('.') else {
+    // Vector arithmetic: <stem>.<form> where form ∈ {vv, vx, vi, vf, mm}.
+    let Some((stem, form)) = mnemonic.rsplit_once('.') else {
         return Ok(None);
     };
-    if !matches!(form, "vv" | "vx" | "vi" | "vf" | "mm") {
-        return Ok(None);
-    }
     if form == "mm" {
-        let op = match base {
-            "vmand" => VMaskOp::And,
-            "vmnand" => VMaskOp::Nand,
-            "vmandn" | "vmandnot" => VMaskOp::AndNot,
-            "vmxor" => VMaskOp::Xor,
-            "vmor" => VMaskOp::Or,
-            "vmnor" => VMaskOp::Nor,
-            "vmorn" | "vmornot" => VMaskOp::OrNot,
-            "vmxnor" => VMaskOp::Xnor,
-            _ => return Ok(None),
+        let Some(row) = ops::VMASK.from_name(stem) else {
+            return Ok(None);
         };
         return some(Inst::VMaskLogical {
-            op,
+            op: row.op,
             vd: vr(ops, 0)?,
             vs2: vr(ops, 1)?,
             vs1: vr(ops, 2)?,
         });
     }
-    let vcmp = |name: &str| -> Option<VCmpOp> {
-        Some(match name {
-            "vmseq" => VCmpOp::Eq,
-            "vmsne" => VCmpOp::Ne,
-            "vmsltu" => VCmpOp::Ltu,
-            "vmslt" => VCmpOp::Lt,
-            "vmsleu" => VCmpOp::Leu,
-            "vmsle" => VCmpOp::Le,
-            "vmsgtu" => VCmpOp::Gtu,
-            "vmsgt" => VCmpOp::Gt,
-            _ => return None,
-        })
+    if !matches!(form, "vv" | "vx" | "vi" | "vf") {
+        return Ok(None);
+    }
+    // The operand shapes every family shares; which forms an operation
+    // really has is the encoder's check, from the same table.
+    let no_form = || format!("`{mnemonic}` has no {form} form");
+    let head = || Ok::<_, String>((vr(ops, 0)?, vr(ops, 1)?, !mask_at(ops, 3)));
+    let int_src = || match form {
+        "vv" => Ok(VScalar::Vector(vr(ops, 2)?)),
+        "vx" => Ok(VScalar::Xreg(xr(ops, 2)?)),
+        _ => Err(no_form()),
     };
-    if let Some(op) = vcmp(base) {
-        let vd = vr(ops, 0)?;
-        let vs2 = vr(ops, 1)?;
-        let vm = !mask_at(ops, 3);
-        return some(match form {
-            "vv" => Inst::VMaskCmp {
+    let fp_src = || match form {
+        "vv" => Ok(VFScalar::Vector(vr(ops, 2)?)),
+        "vf" => Ok(VFScalar::Freg(fr(ops, 2)?)),
+        _ => Err(no_form()),
+    };
+    if let Some(row) = ops::VCMP.from_name(stem) {
+        let (op, (vd, vs2, vm)) = (row.op, head()?);
+        return some(if form == "vi" {
+            let i = imm(ops, 2, symbols)?;
+            Inst::VMaskCmpImm {
                 op,
                 vd,
                 vs2,
-                src: VScalar::Vector(vr(ops, 2)?),
+                imm: i8::try_from(i).map_err(|_| "compare immediate out of range")?,
                 vm,
-            },
-            "vx" => Inst::VMaskCmp {
-                op,
-                vd,
-                vs2,
-                src: VScalar::Xreg(xr(ops, 2)?),
-                vm,
-            },
-            "vi" => {
-                let i = imm(ops, 2, symbols)?;
-                Inst::VMaskCmpImm {
-                    op,
-                    vd,
-                    vs2,
-                    imm: i8::try_from(i).map_err(|_| "compare immediate out of range")?,
-                    vm,
-                }
             }
-            _ => return Err(format!("`{mnemonic}` has no {form} form")),
-        });
-    }
-    let vfcmp = |name: &str| -> Option<VFCmpOp> {
-        Some(match name {
-            "vmfeq" => VFCmpOp::Eq,
-            "vmfle" => VFCmpOp::Le,
-            "vmflt" => VFCmpOp::Lt,
-            "vmfne" => VFCmpOp::Ne,
-            "vmfgt" => VFCmpOp::Gt,
-            "vmfge" => VFCmpOp::Ge,
-            _ => return None,
-        })
-    };
-    if let Some(op) = vfcmp(base) {
-        let vd = vr(ops, 0)?;
-        let vs2 = vr(ops, 1)?;
-        let vm = !mask_at(ops, 3);
-        return some(match form {
-            "vv" => Inst::VFMaskCmp {
+        } else {
+            Inst::VMaskCmp {
                 op,
                 vd,
                 vs2,
-                src: VFScalar::Vector(vr(ops, 2)?),
+                src: int_src()?,
                 vm,
-            },
-            "vf" => Inst::VFMaskCmp {
-                op,
-                vd,
-                vs2,
-                src: VFScalar::Freg(fr(ops, 2)?),
-                vm,
-            },
-            _ => return Err(format!("`{mnemonic}` has no {form} form")),
-        });
-    }
-    let vint = |name: &str| -> Option<VIntOp> {
-        Some(match name {
-            "vadd" => VIntOp::Add,
-            "vsub" => VIntOp::Sub,
-            "vrsub" => VIntOp::Rsub,
-            "vand" => VIntOp::And,
-            "vor" => VIntOp::Or,
-            "vxor" => VIntOp::Xor,
-            "vsll" => VIntOp::Sll,
-            "vsrl" => VIntOp::Srl,
-            "vsra" => VIntOp::Sra,
-            "vmin" => VIntOp::Min,
-            "vmax" => VIntOp::Max,
-            "vminu" => VIntOp::Minu,
-            "vmaxu" => VIntOp::Maxu,
-            _ => return None,
-        })
-    };
-    let vmul = |name: &str| -> Option<VMulOp> {
-        Some(match name {
-            "vmul" => VMulOp::Mul,
-            "vmulh" => VMulOp::Mulh,
-            "vmulhu" => VMulOp::Mulhu,
-            "vdiv" => VMulOp::Div,
-            "vdivu" => VMulOp::Divu,
-            "vrem" => VMulOp::Rem,
-            "vremu" => VMulOp::Remu,
-            "vmacc" => VMulOp::Macc,
-            _ => return None,
-        })
-    };
-    let vfp = |name: &str| -> Option<VFpOp> {
-        Some(match name {
-            "vfadd" => VFpOp::Add,
-            "vfsub" => VFpOp::Sub,
-            "vfmul" => VFpOp::Mul,
-            "vfdiv" => VFpOp::Div,
-            "vfmin" => VFpOp::Min,
-            "vfmax" => VFpOp::Max,
-            "vfsgnj" => VFpOp::Sgnj,
-            "vfmacc" => VFpOp::Macc,
-            _ => return None,
-        })
-    };
-
-    if let Some(op) = vint(base) {
-        let vd = vr(ops, 0)?;
-        let vs2 = vr(ops, 1)?;
-        let vm = !mask_at(ops, 3);
-        return some(match form {
-            "vv" => Inst::VIntOp {
-                op,
-                vd,
-                vs2,
-                src: VScalar::Vector(vr(ops, 2)?),
-                vm,
-            },
-            "vx" => Inst::VIntOp {
-                op,
-                vd,
-                vs2,
-                src: VScalar::Xreg(xr(ops, 2)?),
-                vm,
-            },
-            "vi" => {
-                let i = imm(ops, 2, symbols)?;
-                let range = if matches!(op, VIntOp::Sll | VIntOp::Srl | VIntOp::Sra) {
-                    0..=31
-                } else {
-                    -16..=15
-                };
-                if !range.contains(&i) {
-                    return Err(format!("vector immediate {i} out of range"));
-                }
-                Inst::VIntOpImm {
-                    op,
-                    vd,
-                    vs2,
-                    imm: i as i8,
-                    vm,
-                }
             }
-            _ => return Err(format!("`{mnemonic}` has no {form} form")),
         });
     }
-    if let Some(op) = vmul(base) {
-        let vd = vr(ops, 0)?;
-        let vs2 = vr(ops, 1)?;
-        let vm = !mask_at(ops, 3);
-        return some(match form {
-            "vv" => Inst::VMulOp {
-                op,
-                vd,
-                vs2,
-                src: VScalar::Vector(vr(ops, 2)?),
-                vm,
-            },
-            "vx" => Inst::VMulOp {
-                op,
-                vd,
-                vs2,
-                src: VScalar::Xreg(xr(ops, 2)?),
-                vm,
-            },
-            _ => return Err(format!("`{mnemonic}` has no {form} form")),
+    if let Some(row) = ops::VFCMP.from_name(stem) {
+        let (op, (vd, vs2, vm)) = (row.op, head()?);
+        return some(Inst::VFMaskCmp {
+            op,
+            vd,
+            vs2,
+            src: fp_src()?,
+            vm,
         });
     }
-    if let Some(op) = vfp(base) {
-        let vd = vr(ops, 0)?;
-        let vs2 = vr(ops, 1)?;
-        let vm = !mask_at(ops, 3);
-        return some(match form {
-            "vv" => Inst::VFpOp {
+    if let Some(row) = ops::VINT.from_name(stem) {
+        let (op, (vd, vs2, vm)) = (row.op, head()?);
+        return some(if form == "vi" {
+            let i = imm(ops, 2, symbols)?;
+            let range = if row.has(UIMM) { 0..=31 } else { -16..=15 };
+            if !range.contains(&i) {
+                return Err(format!("vector immediate {i} out of range"));
+            }
+            Inst::VIntOpImm {
                 op,
                 vd,
                 vs2,
-                src: VFScalar::Vector(vr(ops, 2)?),
+                imm: i as i8,
                 vm,
-            },
-            "vf" => Inst::VFpOp {
+            }
+        } else {
+            Inst::VIntOp {
                 op,
                 vd,
                 vs2,
-                src: VFScalar::Freg(fr(ops, 2)?),
+                src: int_src()?,
                 vm,
-            },
-            _ => return Err(format!("`{mnemonic}` has no {form} form")),
+            }
+        });
+    }
+    if let Some(row) = ops::VMUL.from_name(stem) {
+        let (op, (vd, vs2, vm)) = (row.op, head()?);
+        return some(Inst::VMulOp {
+            op,
+            vd,
+            vs2,
+            src: int_src()?,
+            vm,
+        });
+    }
+    if let Some(row) = ops::VFP.from_name(stem) {
+        let (op, (vd, vs2, vm)) = (row.op, head()?);
+        return some(Inst::VFpOp {
+            op,
+            vd,
+            vs2,
+            src: fp_src()?,
+            vm,
         });
     }
     Ok(None)
 }
 
-enum VMemExtra {
-    None,
-    Stride,
-    Index,
-}
-
-/// Parses `v{l,s}{e,se,uxei}<bits>.v`.
-fn parse_vmem_mnemonic(mnemonic: &str) -> Option<(bool, VMemExtra, Sew)> {
-    let rest = mnemonic.strip_prefix('v')?;
-    let (is_load, rest) = if let Some(r) = rest.strip_prefix('l') {
-        (true, r)
-    } else if let Some(r) = rest.strip_prefix('s') {
-        (false, r)
-    } else {
-        return None;
+/// Parses `v{l,s}{e,se,uxei}<bits>.v` into (is-load, the mode's table
+/// row key with its placeholder register, element width).
+fn parse_vmem_mnemonic(mnemonic: &str) -> Option<(bool, VAddrMode, Sew)> {
+    let rest = mnemonic.strip_prefix('v')?.strip_suffix(".v")?;
+    let (is_load, rest) = match rest.strip_prefix('l') {
+        Some(rest) => (true, rest),
+        None => (false, rest.strip_prefix('s')?),
     };
-    let rest = rest.strip_suffix(".v")?;
-    let (extra, digits) = if let Some(r) = rest.strip_prefix("uxei") {
-        (VMemExtra::Index, r)
-    } else if let Some(r) = rest.strip_prefix("se") {
-        (VMemExtra::Stride, r)
-    } else if let Some(r) = rest.strip_prefix('e') {
-        (VMemExtra::None, r)
-    } else {
-        return None;
-    };
-    let eew = match digits {
-        "8" => Sew::E8,
-        "16" => Sew::E16,
-        "32" => Sew::E32,
-        "64" => Sew::E64,
-        _ => return None,
-    };
-    Some((is_load, extra, eew))
+    let digits = rest.find(|c: char| c.is_ascii_digit())?;
+    let mode = ops::VMEM_MODE.from_name(&rest[..digits])?.op;
+    let eew = ops::VMEM_EEW.from_name(&rest[digits..])?.op;
+    Some((is_load, mode, eew))
 }
 
 /// Parses the trailing `eXX,mY,ta,ma` operands of a `vset*` instruction.
@@ -1289,6 +1014,7 @@ fn parse_vtype(ops: &[Operand]) -> R<VType> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coyote_isa::inst::{MemWidth, VFpOp, VIntOp, VMulOp};
 
     fn parse_ops(text: &str) -> Vec<Operand> {
         crate::operand::split_operands(text)
@@ -1523,6 +1249,19 @@ mod tests {
         assert!(err.contains("nowhere"));
         let ops = parse_ops("v1, v2, 99");
         assert!(expand("vadd.vi", &ops, 0, &Symbols::new()).is_err());
+        // A form the operation lacks is reported under its own name.
+        for (mnemonic, ops_text) in [
+            ("vmsgtu.vv", "v1, v2, v3"),
+            ("vmsltu.vi", "v1, v2, 3"),
+            ("vsub.vi", "v1, v2, 3"),
+            ("vmin.vi", "v1, v2, 3"),
+            ("vmax.vi", "v1, v2, 3"),
+            ("vmfge.vv", "v1, v2, v3"),
+        ] {
+            let err = coyote_isa::encode(&expand1(mnemonic, ops_text)).unwrap_err();
+            let (stem, form) = mnemonic.split_once('.').unwrap();
+            assert_eq!(err.to_string(), format!("`{stem}` has no .{form} form"));
+        }
     }
 
     #[test]

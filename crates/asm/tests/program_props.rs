@@ -6,6 +6,7 @@
 //! * arbitrary garbage input produces an error (never a panic);
 //! * `.equ`-driven layouts match direct numeric layouts.
 
+use coyote_asm::assembler::MAX_DATA_BYTES;
 use coyote_asm::Assembler;
 use coyote_isa::decode::decode;
 use coyote_isa::inst::Inst;
@@ -153,4 +154,31 @@ fn equ_and_numeric_layouts_agree() {
         .unwrap();
     assert_eq!(with_equ.text(), numeric.text());
     assert_eq!(with_equ.symbol("tail"), numeric.symbol("tail"));
+}
+
+/// A `.zero`/`.space`/`.skip` count is bounded and overflow-checked
+/// during layout, before anything is allocated for it.
+#[test]
+fn zero_counts_are_bounded_before_allocation() {
+    let max = MAX_DATA_BYTES;
+    let half = max / 2 + 1;
+    for (source, line) in [
+        (".data\n.zero 0x7fffffffffffffff\n".to_owned(), 2),
+        (
+            ".data\nx: .space 0x7fffffffffffffff\n.skip 0x7fffffffffffffff\n".to_owned(),
+            2,
+        ),
+        (format!(".data\n.zero {half}\n.zero {half}\n"), 3),
+        (format!(".data\n.dword 1\n.zero {max}\n"), 3),
+    ] {
+        let err = Assembler::new().assemble(&source).unwrap_err();
+        assert_eq!(err.line, line, "{source:?}: {err}");
+        assert!(err.message.contains("data image"), "{err}");
+    }
+    // A count that wraps the address space is an error too, not a wrap.
+    let top = Assembler::new().data_base(u64::MAX - 8);
+    assert_eq!(top.assemble(".data\n.zero 16\n").unwrap_err().line, 2);
+    // The bound itself is accepted.
+    let full = Assembler::new().assemble(&format!(".data\n.zero {max}\n"));
+    assert_eq!(full.unwrap().data().len() as u64, max);
 }

@@ -144,19 +144,25 @@ fn bad_arguments_fail_cleanly() {
 
 #[test]
 fn assembly_errors_point_at_the_line() {
-    let path = write_temp_program(
-        "broken.s",
-        "_start:
-            nop
-            bogus_mnemonic a0",
-    );
-    let output = Command::new(sim_binary())
-        .arg(&path)
-        .output()
-        .expect("spawn coyote-sim");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("line 3"), "stderr: {stderr}");
+    // The second program used to abort the process on a failed
+    // 8 EiB allocation instead of returning an error.
+    for (name, source, line) in [
+        (
+            "broken.s",
+            "_start:\n    nop\n    bogus_mnemonic a0",
+            "line 3",
+        ),
+        ("huge.s", ".data\n.zero 0x7fffffffffffffff\n", "line 2"),
+    ] {
+        let path = write_temp_program(name, source);
+        let output = Command::new(sim_binary())
+            .arg(&path)
+            .output()
+            .expect("spawn coyote-sim");
+        assert_eq!(output.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(line), "{name} stderr: {stderr}");
+    }
 }
 
 #[test]

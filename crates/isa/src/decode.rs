@@ -9,10 +9,8 @@
 use std::fmt;
 
 use crate::csr::Csr;
-use crate::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCmpOp, FpCvtOp, FpOp, Inst, MemWidth,
-    VAddrMode, VCmpOp, VFCmpOp, VFScalar, VFpOp, VIntOp, VMaskOp, VMulOp, VScalar,
-};
+use crate::inst::{AmoOp, CsrSrc, FmaOp, Inst, VAddrMode, VFScalar, VScalar};
+use crate::ops::{self, *};
 use crate::reg::{FReg, VReg, XReg};
 use crate::vtype::{Sew, VType};
 
@@ -64,6 +62,13 @@ fn funct3(word: u32) -> u32 {
 fn funct7(word: u32) -> u32 {
     word >> 25
 }
+/// `funct7_funct3`, the key of the R-type tables.
+fn funct7_3(word: u32) -> u32 {
+    funct7(word) << 3 | funct3(word)
+}
+fn f24_20(word: u32) -> u32 {
+    (word >> 20) & 0x1f
+}
 
 fn imm_i(word: u32) -> i64 {
     i64::from((word as i32) >> 20)
@@ -95,10 +100,6 @@ fn imm_j(word: u32) -> i32 {
     sign | (b19_12 | b11 | b10_1) as i32
 }
 
-fn err(word: u32) -> Result<Inst, DecodeError> {
-    Err(DecodeError { word })
-}
-
 /// Decodes a 32-bit instruction word.
 ///
 /// # Errors
@@ -120,450 +121,228 @@ fn err(word: u32) -> Result<Inst, DecodeError> {
 /// # }
 /// ```
 pub fn decode(word: u32) -> Result<Inst, DecodeError> {
-    match word & 0x7f {
-        0b0110111 => Ok(Inst::Lui {
+    decode_opt(word).ok_or(DecodeError { word })
+}
+
+fn decode_opt(word: u32) -> Option<Inst> {
+    Some(match word & 0x7f {
+        OPC_LUI => Inst::Lui {
             rd: rd_x(word),
             imm: imm_u(word),
-        }),
-        0b0010111 => Ok(Inst::Auipc {
+        },
+        OPC_AUIPC => Inst::Auipc {
             rd: rd_x(word),
             imm: imm_u(word),
-        }),
-        0b1101111 => Ok(Inst::Jal {
+        },
+        OPC_JAL => Inst::Jal {
             rd: rd_x(word),
             offset: imm_j(word),
-        }),
-        0b1100111 => {
-            if funct3(word) != 0 {
-                return err(word);
-            }
-            Ok(Inst::Jalr {
-                rd: rd_x(word),
-                rs1: rs1_x(word),
-                offset: imm_i(word) as i32,
-            })
-        }
-        0b1100011 => {
-            let op = match funct3(word) {
-                0b000 => BranchOp::Eq,
-                0b001 => BranchOp::Ne,
-                0b100 => BranchOp::Lt,
-                0b101 => BranchOp::Ge,
-                0b110 => BranchOp::Ltu,
-                0b111 => BranchOp::Geu,
-                _ => return err(word),
-            };
-            Ok(Inst::Branch {
-                op,
-                rs1: rs1_x(word),
-                rs2: rs2_x(word),
-                offset: imm_b(word),
-            })
-        }
-        0b0000011 => {
-            let (width, signed) = match funct3(word) {
-                0b000 => (MemWidth::B, true),
-                0b001 => (MemWidth::H, true),
-                0b010 => (MemWidth::W, true),
-                0b011 => (MemWidth::D, true),
-                0b100 => (MemWidth::B, false),
-                0b101 => (MemWidth::H, false),
-                0b110 => (MemWidth::W, false),
-                _ => return err(word),
-            };
-            Ok(Inst::Load {
+        },
+        OPC_JALR if funct3(word) == 0 => Inst::Jalr {
+            rd: rd_x(word),
+            rs1: rs1_x(word),
+            offset: imm_i(word) as i32,
+        },
+        OPC_BRANCH => Inst::Branch {
+            op: ops::BRANCH.from_bits(funct3(word))?.op,
+            rs1: rs1_x(word),
+            rs2: rs2_x(word),
+            offset: imm_b(word),
+        },
+        OPC_LOAD => {
+            let (width, signed) = ops::LOAD.from_bits(funct3(word))?.op;
+            Inst::Load {
                 width,
                 signed,
                 rd: rd_x(word),
                 rs1: rs1_x(word),
                 offset: imm_i(word) as i32,
-            })
-        }
-        0b0100011 => {
-            let width = match funct3(word) {
-                0b000 => MemWidth::B,
-                0b001 => MemWidth::H,
-                0b010 => MemWidth::W,
-                0b011 => MemWidth::D,
-                _ => return err(word),
-            };
-            Ok(Inst::Store {
-                width,
-                rs2: rs2_x(word),
-                rs1: rs1_x(word),
-                offset: imm_s(word) as i32,
-            })
-        }
-        0b0010011 => {
-            let rd = rd_x(word);
-            let rs1 = rs1_x(word);
-            let f3 = funct3(word);
-            let op = match f3 {
-                0b000 => AluOp::Add,
-                0b010 => AluOp::Slt,
-                0b011 => AluOp::Sltu,
-                0b100 => AluOp::Xor,
-                0b110 => AluOp::Or,
-                0b111 => AluOp::And,
-                0b001 | 0b101 => {
-                    let funct6 = word >> 26;
-                    let sh = i64::from((word >> 20) & 0x3f);
-                    let op = match (f3, funct6) {
-                        (0b001, 0b000000) => AluOp::Sll,
-                        (0b101, 0b000000) => AluOp::Srl,
-                        (0b101, 0b010000) => AluOp::Sra,
-                        _ => return err(word),
-                    };
-                    return Ok(Inst::OpImm {
-                        op,
-                        rd,
-                        rs1,
-                        imm: sh,
-                    });
-                }
-                _ => return err(word),
-            };
-            Ok(Inst::OpImm {
-                op,
-                rd,
-                rs1,
-                imm: imm_i(word),
-            })
-        }
-        0b0110011 => {
-            let op = match (funct7(word), funct3(word)) {
-                (0b0000000, 0b000) => AluOp::Add,
-                (0b0100000, 0b000) => AluOp::Sub,
-                (0b0000000, 0b001) => AluOp::Sll,
-                (0b0000000, 0b010) => AluOp::Slt,
-                (0b0000000, 0b011) => AluOp::Sltu,
-                (0b0000000, 0b100) => AluOp::Xor,
-                (0b0000000, 0b101) => AluOp::Srl,
-                (0b0100000, 0b101) => AluOp::Sra,
-                (0b0000000, 0b110) => AluOp::Or,
-                (0b0000000, 0b111) => AluOp::And,
-                (0b0000001, 0b000) => AluOp::Mul,
-                (0b0000001, 0b001) => AluOp::Mulh,
-                (0b0000001, 0b010) => AluOp::Mulhsu,
-                (0b0000001, 0b011) => AluOp::Mulhu,
-                (0b0000001, 0b100) => AluOp::Div,
-                (0b0000001, 0b101) => AluOp::Divu,
-                (0b0000001, 0b110) => AluOp::Rem,
-                (0b0000001, 0b111) => AluOp::Remu,
-                _ => return err(word),
-            };
-            Ok(Inst::Op {
-                op,
-                rd: rd_x(word),
-                rs1: rs1_x(word),
-                rs2: rs2_x(word),
-            })
-        }
-        0b0011011 => {
-            let rd = rd_x(word);
-            let rs1 = rs1_x(word);
-            match funct3(word) {
-                0b000 => Ok(Inst::OpImm32 {
-                    op: AluWOp::Addw,
-                    rd,
-                    rs1,
-                    imm: imm_i(word),
-                }),
-                0b001 | 0b101 => {
-                    let sh = i64::from((word >> 20) & 0x1f);
-                    let op = match (funct3(word), funct7(word)) {
-                        (0b001, 0b0000000) => AluWOp::Sllw,
-                        (0b101, 0b0000000) => AluWOp::Srlw,
-                        (0b101, 0b0100000) => AluWOp::Sraw,
-                        _ => return err(word),
-                    };
-                    Ok(Inst::OpImm32 {
-                        op,
-                        rd,
-                        rs1,
-                        imm: sh,
-                    })
-                }
-                _ => err(word),
             }
         }
-        0b0111011 => {
-            let op = match (funct7(word), funct3(word)) {
-                (0b0000000, 0b000) => AluWOp::Addw,
-                (0b0100000, 0b000) => AluWOp::Subw,
-                (0b0000000, 0b001) => AluWOp::Sllw,
-                (0b0000000, 0b101) => AluWOp::Srlw,
-                (0b0100000, 0b101) => AluWOp::Sraw,
-                (0b0000001, 0b000) => AluWOp::Mulw,
-                (0b0000001, 0b100) => AluWOp::Divw,
-                (0b0000001, 0b101) => AluWOp::Divuw,
-                (0b0000001, 0b110) => AluWOp::Remw,
-                (0b0000001, 0b111) => AluWOp::Remuw,
-                _ => return err(word),
-            };
-            Ok(Inst::Op32 {
+        OPC_STORE => Inst::Store {
+            width: ops::STORE.from_bits(funct3(word))?.op,
+            rs2: rs2_x(word),
+            rs1: rs1_x(word),
+            offset: imm_s(word) as i32,
+        },
+        OPC_OP_IMM => {
+            let (op, imm) = op_imm(word, &ops::ALU, 6)?;
+            Inst::OpImm {
                 op,
                 rd: rd_x(word),
                 rs1: rs1_x(word),
-                rs2: rs2_x(word),
-            })
+                imm,
+            }
         }
-        0b0001111 => Ok(Inst::Fence),
-        0b1110011 => match funct3(word) {
+        OPC_OP => Inst::Op {
+            op: ops::ALU.from_bits(funct7_3(word))?.op,
+            rd: rd_x(word),
+            rs1: rs1_x(word),
+            rs2: rs2_x(word),
+        },
+        OPC_OP_IMM32 => {
+            let (op, imm) = op_imm(word, &ops::ALU_W, 5)?;
+            Inst::OpImm32 {
+                op,
+                rd: rd_x(word),
+                rs1: rs1_x(word),
+                imm,
+            }
+        }
+        OPC_OP32 => Inst::Op32 {
+            op: ops::ALU_W.from_bits(funct7_3(word))?.op,
+            rd: rd_x(word),
+            rs1: rs1_x(word),
+            rs2: rs2_x(word),
+        },
+        OPC_MISC_MEM => Inst::Fence,
+        OPC_SYSTEM => match funct3(word) {
             0b000 => match word {
-                0x0000_0073 => Ok(Inst::Ecall),
-                0x0010_0073 => Ok(Inst::Ebreak),
-                _ => err(word),
+                0x0000_0073 => Inst::Ecall,
+                0x0010_0073 => Inst::Ebreak,
+                _ => return None,
             },
             f3 => {
-                let op = match f3 & 0b011 {
-                    0b01 => CsrOp::Rw,
-                    0b10 => CsrOp::Rs,
-                    0b11 => CsrOp::Rc,
-                    _ => return err(word),
-                };
+                // funct3 bit 2 selects the immediate form.
                 let field = (word >> 15) & 0x1f;
-                let src = if f3 & 0b100 != 0 {
-                    CsrSrc::Imm(field as u8)
-                } else {
-                    CsrSrc::Reg(XReg::from_bits(field))
-                };
-                Ok(Inst::Csr {
-                    op,
+                Inst::Csr {
+                    op: ops::CSR.from_bits(f3 & 0b011)?.op,
                     rd: rd_x(word),
                     csr: Csr::from_bits(word >> 20),
-                    src,
-                })
+                    src: if f3 & 0b100 != 0 {
+                        CsrSrc::Imm(field as u8)
+                    } else {
+                        CsrSrc::Reg(XReg::from_bits(field))
+                    },
+                }
             }
         },
-        0b0101111 => {
-            let width = match funct3(word) {
-                0b010 => MemWidth::W,
-                0b011 => MemWidth::D,
-                _ => return err(word),
-            };
-            let op = match word >> 27 {
-                0b00010 => AmoOp::Lr,
-                0b00011 => AmoOp::Sc,
-                0b00001 => AmoOp::Swap,
-                0b00000 => AmoOp::Add,
-                0b00100 => AmoOp::Xor,
-                0b01100 => AmoOp::And,
-                0b01000 => AmoOp::Or,
-                0b10000 => AmoOp::Min,
-                0b10100 => AmoOp::Max,
-                0b11000 => AmoOp::Minu,
-                0b11100 => AmoOp::Maxu,
-                _ => return err(word),
-            };
+        OPC_AMO => {
+            let width = ops::AMO_WIDTH.from_bits(funct3(word))?.op;
+            let op = ops::AMO.from_bits(word >> 27)?.op;
             if op == AmoOp::Lr && rs2_x(word) != XReg::ZERO {
-                return err(word);
+                return None;
             }
-            Ok(Inst::Amo {
+            Inst::Amo {
                 op,
                 width,
                 rd: rd_x(word),
                 rs1: rs1_x(word),
                 rs2: rs2_x(word),
-            })
+            }
         }
-        0b0000111 => decode_load_fp(word),
-        0b0100111 => decode_store_fp(word),
-        0b1010011 => decode_op_fp(word),
-        0b1000011 => decode_fma(word, FmaOp::Madd),
-        0b1000111 => decode_fma(word, FmaOp::Msub),
-        0b1001011 => decode_fma(word, FmaOp::Nmsub),
-        0b1001111 => decode_fma(word, FmaOp::Nmadd),
-        0b1010111 => decode_op_v(word),
-        _ => err(word),
-    }
-}
-
-fn decode_vmem_eew(width: u32) -> Option<Sew> {
-    match width {
-        0b000 => Some(Sew::E8),
-        0b101 => Some(Sew::E16),
-        0b110 => Some(Sew::E32),
-        0b111 => Some(Sew::E64),
-        _ => None,
-    }
-}
-
-fn decode_vmem_mode(word: u32) -> Option<VAddrMode> {
-    let mop = (word >> 26) & 0b11;
-    let f24_20 = (word >> 20) & 0x1f;
-    match mop {
-        0b00 if f24_20 == 0 => Some(VAddrMode::Unit),
-        0b01 => Some(VAddrMode::Indexed(VReg::from_bits(f24_20))),
-        0b10 => Some(VAddrMode::Strided(XReg::from_bits(f24_20))),
-        _ => None,
-    }
-}
-
-fn decode_load_fp(word: u32) -> Result<Inst, DecodeError> {
-    // The width field discriminates scalar FP loads (010/011/100) from
-    // vector loads (000/101/110/111) on the shared LOAD-FP opcode.
-    match funct3(word) {
-        0b011 => Ok(Inst::Fld {
+        // The width field discriminates the scalar FP access from the
+        // vector ones on the shared LOAD-FP / STORE-FP opcodes.
+        OPC_LOAD_FP if funct3(word) == F3_FP_D => Inst::Fld {
             rd: rd_f(word),
             rs1: rs1_x(word),
             offset: imm_i(word) as i32,
-        }),
-        width @ (0b000 | 0b101 | 0b110 | 0b111) => {
-            let eew = decode_vmem_eew(width).ok_or(DecodeError { word })?;
-            if (word >> 28) != 0 {
-                return err(word); // nf/mew unsupported
-            }
-            let mode = decode_vmem_mode(word).ok_or(DecodeError { word })?;
-            Ok(Inst::VLoad {
+        },
+        OPC_LOAD_FP => {
+            let (mode, eew, vm) = vmem(word)?;
+            Inst::VLoad {
                 vd: rd_v(word),
                 rs1: rs1_x(word),
                 mode,
                 eew,
-                vm: (word >> 25) & 1 == 1,
-            })
+                vm,
+            }
         }
-        _ => err(word),
-    }
-}
-
-fn decode_store_fp(word: u32) -> Result<Inst, DecodeError> {
-    match funct3(word) {
-        0b011 => Ok(Inst::Fsd {
+        OPC_STORE_FP if funct3(word) == F3_FP_D => Inst::Fsd {
             rs2: rs2_f(word),
             rs1: rs1_x(word),
             offset: imm_s(word) as i32,
-        }),
-        width @ (0b000 | 0b101 | 0b110 | 0b111) => {
-            let eew = decode_vmem_eew(width).ok_or(DecodeError { word })?;
-            if (word >> 28) != 0 {
-                return err(word);
-            }
-            let mode = decode_vmem_mode(word).ok_or(DecodeError { word })?;
-            Ok(Inst::VStore {
+        },
+        OPC_STORE_FP => {
+            let (mode, eew, vm) = vmem(word)?;
+            Inst::VStore {
                 vs3: rd_v(word),
                 rs1: rs1_x(word),
                 mode,
                 eew,
-                vm: (word >> 25) & 1 == 1,
-            })
+                vm,
+            }
         }
-        _ => err(word),
-    }
+        OPC_OP_FP => return decode_op_fp(word),
+        OPC_OP_V if funct3(word) == F3_OPCFG => return decode_vset(word),
+        OPC_OP_V => return decode_op_v(word),
+        opcode => return decode_fma(word, ops::FMA.from_bits(opcode)?.op),
+    })
 }
 
-fn decode_op_fp(word: u32) -> Result<Inst, DecodeError> {
-    let f7 = funct7(word);
-    let rm = funct3(word);
-    match f7 {
-        0b0000001 => Ok(Inst::FpOp {
-            op: FpOp::Add,
+/// `(op, imm)` of OP-IMM and OP-IMM-32: a shift keeps the upper bits of
+/// funct7 above a `shamt_bits`-wide shift amount, everything else
+/// carries a 12-bit immediate and selects on funct3 alone.
+fn op_imm<T: Copy + PartialEq>(word: u32, table: &Table<T>, shamt_bits: u32) -> Option<(T, i64)> {
+    let mut row = table.from_bits(funct3(word))?;
+    let mut imm = imm_i(word);
+    if row.has(UIMM) {
+        let shamt_mask = (1 << shamt_bits) - 1;
+        row = table.from_bits((funct7(word) & !(shamt_mask >> 5)) << 3 | funct3(word))?;
+        imm = i64::from((word >> 20) & shamt_mask);
+    }
+    row.imm.map(|_| (row.op, imm))
+}
+
+/// `(mode, eew, vm)` of a vector load or store.
+fn vmem(word: u32) -> Option<(VAddrMode, Sew, bool)> {
+    let eew = ops::VMEM_EEW.from_bits(funct3(word))?.op;
+    if (word >> 28) != 0 {
+        return None; // nf/mew unsupported
+    }
+    let mode = match ops::VMEM_MODE.from_bits((word >> 26) & 0b11)?.op {
+        VAddrMode::Unit if f24_20(word) != 0 => return None,
+        VAddrMode::Unit => VAddrMode::Unit,
+        VAddrMode::Strided(_) => VAddrMode::Strided(rs2_x(word)),
+        VAddrMode::Indexed(_) => VAddrMode::Indexed(vs2(word)),
+    };
+    Some((mode, eew, (word >> 25) & 1 == 1))
+}
+
+fn decode_op_fp(word: u32) -> Option<Inst> {
+    let key = funct7_3(word);
+    let arith = |r: &&ops::Row<_>| r.bits == key || (r.has(RM) && r.bits >> 3 == key >> 3);
+    if let Some(row) = ops::FP.0.iter().find(arith) {
+        return Some(Inst::FpOp {
+            op: row.op,
             rd: rd_f(word),
             rs1: rs1_f(word),
             rs2: rs2_f(word),
-        }),
-        0b0000101 => Ok(Inst::FpOp {
-            op: FpOp::Sub,
-            rd: rd_f(word),
+        });
+    }
+    if let Some(row) = ops::FP_CMP.from_bits(key) {
+        return Some(Inst::FpCmp {
+            op: row.op,
+            rd: rd_x(word),
             rs1: rs1_f(word),
             rs2: rs2_f(word),
-        }),
-        0b0001001 => Ok(Inst::FpOp {
-            op: FpOp::Mul,
-            rd: rd_f(word),
-            rs1: rs1_f(word),
-            rs2: rs2_f(word),
-        }),
-        0b0001101 => Ok(Inst::FpOp {
-            op: FpOp::Div,
-            rd: rd_f(word),
-            rs1: rs1_f(word),
-            rs2: rs2_f(word),
-        }),
-        0b0010001 => {
-            let op = match rm {
-                0b000 => FpOp::Sgnj,
-                0b001 => FpOp::Sgnjn,
-                0b010 => FpOp::Sgnjx,
-                _ => return err(word),
-            };
-            Ok(Inst::FpOp {
-                op,
-                rd: rd_f(word),
-                rs1: rs1_f(word),
-                rs2: rs2_f(word),
-            })
-        }
-        0b0010101 => {
-            let op = match rm {
-                0b000 => FpOp::Min,
-                0b001 => FpOp::Max,
-                _ => return err(word),
-            };
-            Ok(Inst::FpOp {
-                op,
-                rd: rd_f(word),
-                rs1: rs1_f(word),
-                rs2: rs2_f(word),
-            })
-        }
-        0b1010001 => {
-            let op = match rm {
-                0b010 => FpCmpOp::Eq,
-                0b001 => FpCmpOp::Lt,
-                0b000 => FpCmpOp::Le,
-                _ => return err(word),
-            };
-            Ok(Inst::FpCmp {
-                op,
-                rd: rd_x(word),
-                rs1: rs1_f(word),
-                rs2: rs2_f(word),
-            })
-        }
-        0b1100001 => {
-            let op = match (word >> 20) & 0x1f {
-                0b00000 => FpCvtOp::WFromD,
-                0b00010 => FpCvtOp::LFromD,
-                0b00011 => FpCvtOp::LuFromD,
-                _ => return err(word),
-            };
-            Ok(Inst::FpCvt {
-                op,
-                rd: ((word >> 7) & 0x1f) as u8,
-                rs1: ((word >> 15) & 0x1f) as u8,
-            })
-        }
-        0b1101001 => {
-            let op = match (word >> 20) & 0x1f {
-                0b00000 => FpCvtOp::DFromW,
-                0b00010 => FpCvtOp::DFromL,
-                0b00011 => FpCvtOp::DFromLu,
-                _ => return err(word),
-            };
-            Ok(Inst::FpCvt {
-                op,
-                rd: ((word >> 7) & 0x1f) as u8,
-                rs1: ((word >> 15) & 0x1f) as u8,
-            })
-        }
-        0b1110001 if rm == 0b000 && (word >> 20) & 0x1f == 0 => Ok(Inst::FmvXD {
+        });
+    }
+    if let Some(row) = ops::FP_CVT.from_bits(funct7(word) << 5 | f24_20(word)) {
+        return Some(Inst::FpCvt {
+            op: row.op,
+            rd: ((word >> 7) & 0x1f) as u8,
+            rs1: ((word >> 15) & 0x1f) as u8,
+        });
+    }
+    match (funct7(word), funct3(word), f24_20(word)) {
+        (0b1110001, 0, 0) => Some(Inst::FmvXD {
             rd: rd_x(word),
             rs1: rs1_f(word),
         }),
-        0b1111001 if rm == 0b000 && (word >> 20) & 0x1f == 0 => Ok(Inst::FmvDX {
+        (0b1111001, 0, 0) => Some(Inst::FmvDX {
             rd: rd_f(word),
             rs1: rs1_x(word),
         }),
-        _ => err(word),
+        _ => None,
     }
 }
 
-fn decode_fma(word: u32, op: FmaOp) -> Result<Inst, DecodeError> {
+fn decode_fma(word: u32, op: FmaOp) -> Option<Inst> {
     if (word >> 25) & 0b11 != 0b01 {
-        return err(word); // only the D format is supported
+        return None; // only the D format is supported
     }
-    Ok(Inst::FpFma {
+    Some(Inst::FpFma {
         op,
         rd: rd_f(word),
         rs1: rs1_f(word),
@@ -572,391 +351,199 @@ fn decode_fma(word: u32, op: FmaOp) -> Result<Inst, DecodeError> {
     })
 }
 
-fn decode_op_v(word: u32) -> Result<Inst, DecodeError> {
+fn decode_op_v(word: u32) -> Option<Inst> {
     let f3 = funct3(word);
-    if f3 == 0b111 {
-        return decode_vset(word);
-    }
     let funct6 = word >> 26;
     let vm = (word >> 25) & 1 == 1;
     let vd = rd_v(word);
     let v2 = vs2(word);
     let f19_15 = (word >> 15) & 0x1f;
+    // The splats and scalar→element-0 moves fix `vm` = 1 and `vs2` = v0.
+    let whole = vm && v2 == VReg::V0;
 
-    let vint = |funct6: u32| -> Option<VIntOp> {
-        Some(match funct6 {
-            0b000000 => VIntOp::Add,
-            0b000010 => VIntOp::Sub,
-            0b000011 => VIntOp::Rsub,
-            0b000100 => VIntOp::Minu,
-            0b000101 => VIntOp::Min,
-            0b000110 => VIntOp::Maxu,
-            0b000111 => VIntOp::Max,
-            0b001001 => VIntOp::And,
-            0b001010 => VIntOp::Or,
-            0b001011 => VIntOp::Xor,
-            0b100101 => VIntOp::Sll,
-            0b101000 => VIntOp::Srl,
-            0b101001 => VIntOp::Sra,
-            _ => return None,
-        })
-    };
-    let vmul = |funct6: u32| -> Option<VMulOp> {
-        Some(match funct6 {
-            0b100000 => VMulOp::Divu,
-            0b100001 => VMulOp::Div,
-            0b100010 => VMulOp::Remu,
-            0b100011 => VMulOp::Rem,
-            0b100100 => VMulOp::Mulhu,
-            0b100101 => VMulOp::Mul,
-            0b100111 => VMulOp::Mulh,
-            0b101101 => VMulOp::Macc,
-            _ => return None,
-        })
-    };
-    let vcmp = |funct6: u32| -> Option<VCmpOp> {
-        Some(match funct6 {
-            0b011000 => VCmpOp::Eq,
-            0b011001 => VCmpOp::Ne,
-            0b011010 => VCmpOp::Ltu,
-            0b011011 => VCmpOp::Lt,
-            0b011100 => VCmpOp::Leu,
-            0b011101 => VCmpOp::Le,
-            0b011110 => VCmpOp::Gtu,
-            0b011111 => VCmpOp::Gt,
-            _ => return None,
-        })
-    };
-    let vfcmp = |funct6: u32| -> Option<VFCmpOp> {
-        Some(match funct6 {
-            0b011000 => VFCmpOp::Eq,
-            0b011001 => VFCmpOp::Le,
-            0b011011 => VFCmpOp::Lt,
-            0b011100 => VFCmpOp::Ne,
-            0b011101 => VFCmpOp::Gt,
-            0b011111 => VFCmpOp::Ge,
-            _ => return None,
-        })
-    };
-    let vmask = |funct6: u32| -> Option<VMaskOp> {
-        Some(match funct6 {
-            0b011000 => VMaskOp::AndNot,
-            0b011001 => VMaskOp::And,
-            0b011010 => VMaskOp::Or,
-            0b011011 => VMaskOp::Xor,
-            0b011100 => VMaskOp::OrNot,
-            0b011101 => VMaskOp::Nand,
-            0b011110 => VMaskOp::Nor,
-            0b011111 => VMaskOp::Xnor,
-            _ => return None,
-        })
-    };
-    let vfp = |funct6: u32| -> Option<VFpOp> {
-        Some(match funct6 {
-            0b000000 => VFpOp::Add,
-            0b000010 => VFpOp::Sub,
-            0b000100 => VFpOp::Min,
-            0b000110 => VFpOp::Max,
-            0b001000 => VFpOp::Sgnj,
-            0b100000 => VFpOp::Div,
-            0b100100 => VFpOp::Mul,
-            0b101100 => VFpOp::Macc,
-            _ => return None,
-        })
-    };
-
-    match f3 {
-        0b000 => {
-            // OPIVV
-            if funct6 == 0b010111 {
-                if vm {
-                    if v2 == VReg::V0 {
-                        return Ok(Inst::VMvVV { vd, vs1: vs1(word) });
-                    }
-                    return err(word);
-                }
-                return Ok(Inst::VMerge {
-                    vd,
-                    vs2: v2,
-                    src: VScalar::Vector(vs1(word)),
-                });
-            }
-            if let Some(op) = vcmp(funct6) {
-                if matches!(op, VCmpOp::Gt | VCmpOp::Gtu) {
-                    return err(word);
-                }
-                return Ok(Inst::VMaskCmp {
-                    op,
-                    vd,
-                    vs2: v2,
-                    src: VScalar::Vector(vs1(word)),
-                    vm,
-                });
-            }
-            let op = vint(funct6).ok_or(DecodeError { word })?;
-            if op == VIntOp::Rsub {
-                return err(word);
-            }
-            Ok(Inst::VIntOp {
-                op,
-                vd,
-                vs2: v2,
-                src: VScalar::Vector(vs1(word)),
-                vm,
-            })
-        }
-        0b100 => {
-            // OPIVX
-            if funct6 == 0b010111 {
-                if vm {
-                    if v2 == VReg::V0 {
-                        return Ok(Inst::VMvVX {
-                            vd,
-                            rs1: rs1_x(word),
-                        });
-                    }
-                    return err(word);
-                }
-                return Ok(Inst::VMerge {
-                    vd,
-                    vs2: v2,
-                    src: VScalar::Xreg(rs1_x(word)),
-                });
-            }
-            if let Some(op) = vcmp(funct6) {
-                return Ok(Inst::VMaskCmp {
-                    op,
-                    vd,
-                    vs2: v2,
-                    src: VScalar::Xreg(rs1_x(word)),
-                    vm,
-                });
-            }
-            let op = vint(funct6).ok_or(DecodeError { word })?;
-            Ok(Inst::VIntOp {
-                op,
-                vd,
-                vs2: v2,
-                src: VScalar::Xreg(rs1_x(word)),
-                vm,
-            })
-        }
-        0b011 => {
-            // OPIVI
-            let imm_field = f19_15;
-            if funct6 == 0b010111 {
-                if vm {
-                    if v2 == VReg::V0 {
-                        return Ok(Inst::VMvVI {
-                            vd,
-                            imm: sext5(imm_field),
-                        });
-                    }
-                    return err(word);
-                }
-                return Ok(Inst::VMergeImm {
-                    vd,
-                    vs2: v2,
-                    imm: sext5(imm_field),
-                });
-            }
-            if let Some(op) = vcmp(funct6) {
-                if matches!(op, VCmpOp::Lt | VCmpOp::Ltu) {
-                    return err(word);
-                }
-                return Ok(Inst::VMaskCmpImm {
-                    op,
-                    vd,
-                    vs2: v2,
-                    imm: sext5(imm_field),
-                    vm,
-                });
-            }
-            let op = vint(funct6).ok_or(DecodeError { word })?;
-            let imm = if matches!(op, VIntOp::Sll | VIntOp::Srl | VIntOp::Sra) {
-                imm_field as i8 // unsigned 5-bit shift amount
-            } else {
-                sext5(imm_field)
+    Some(match f3 {
+        F3_OPIVV | F3_OPIVX | F3_OPIVI => {
+            // Field 19:15 is a register in `.vv`/`.vx` and the immediate in `.vi`.
+            let (form, src) = match f3 {
+                F3_OPIVV => (VV, Some(VScalar::Vector(vs1(word)))),
+                F3_OPIVX => (VX, Some(VScalar::Xreg(rs1_x(word)))),
+                _ => (VI, None),
             };
-            match op {
-                VIntOp::Sub | VIntOp::Min | VIntOp::Max | VIntOp::Minu | VIntOp::Maxu => err(word),
-                _ => Ok(Inst::VIntOpImm {
-                    op,
+            let imm = sext5(f19_15);
+            if funct6 == F6_VMV {
+                return match (src, vm) {
+                    (Some(src), false) => Some(Inst::VMerge { vd, vs2: v2, src }),
+                    (None, false) => Some(Inst::VMergeImm { vd, vs2: v2, imm }),
+                    _ if !whole => None,
+                    (Some(VScalar::Vector(vs1)), _) => Some(Inst::VMvVV { vd, vs1 }),
+                    (Some(VScalar::Xreg(rs1)), _) => Some(Inst::VMvVX { vd, rs1 }),
+                    (None, _) => Some(Inst::VMvVI { vd, imm }),
+                };
+            }
+            if let Some(row) = ops::VCMP.from_bits(funct6) {
+                if !row.has(form) {
+                    return None;
+                }
+                return Some(match src {
+                    Some(src) => Inst::VMaskCmp {
+                        op: row.op,
+                        vd,
+                        vs2: v2,
+                        src,
+                        vm,
+                    },
+                    None => Inst::VMaskCmpImm {
+                        op: row.op,
+                        vd,
+                        vs2: v2,
+                        imm,
+                        vm,
+                    },
+                });
+            }
+            let row = ops::VINT.from_bits(funct6).filter(|r| r.has(form))?;
+            match src {
+                Some(src) => Inst::VIntOp {
+                    op: row.op,
                     vd,
                     vs2: v2,
-                    imm,
+                    src,
                     vm,
-                }),
+                },
+                None => Inst::VIntOpImm {
+                    op: row.op,
+                    vd,
+                    vs2: v2,
+                    imm: if row.has(UIMM) { f19_15 as i8 } else { imm },
+                    vm,
+                },
             }
         }
-        0b010 => {
-            // OPMVV
-            match funct6 {
-                0b000000 => Ok(Inst::VRedSum {
+        F3_OPMVV => match (funct6, f19_15) {
+            (F6_VREDSUM, _) => Inst::VRedSum {
+                vd,
+                vs2: v2,
+                vs1: vs1(word),
+                vm,
+            },
+            (F6_VUNARY0, 0) => Inst::VMvXS {
+                rd: rd_x(word),
+                vs2: v2,
+            },
+            (F6_VUNARY0, VS1_VCPOP) => Inst::Vcpop {
+                rd: rd_x(word),
+                vs2: v2,
+                vm,
+            },
+            (F6_VUNARY0, VS1_VFIRST) => Inst::Vfirst {
+                rd: rd_x(word),
+                vs2: v2,
+                vm,
+            },
+            (F6_VMUNARY0, VS1_VID) if v2 == VReg::V0 => Inst::Vid { vd, vm },
+            _ => match ops::VMASK.from_bits(funct6).filter(|_| vm) {
+                Some(row) => Inst::VMaskLogical {
+                    op: row.op,
                     vd,
                     vs2: v2,
                     vs1: vs1(word),
-                    vm,
-                }),
-                0b010000 if f19_15 == 0 => Ok(Inst::VMvXS {
-                    rd: rd_x(word),
-                    vs2: v2,
-                }),
-                0b010000 if f19_15 == 0b10000 => Ok(Inst::Vcpop {
-                    rd: rd_x(word),
-                    vs2: v2,
-                    vm,
-                }),
-                0b010000 if f19_15 == 0b10001 => Ok(Inst::Vfirst {
-                    rd: rd_x(word),
-                    vs2: v2,
-                    vm,
-                }),
-                0b010100 if f19_15 == 0b10001 && v2 == VReg::V0 => Ok(Inst::Vid { vd, vm }),
-                _ if vm && vmask(funct6).is_some() => Ok(Inst::VMaskLogical {
-                    op: vmask(funct6).expect("checked"),
+                },
+                None => Inst::VMulOp {
+                    op: ops::VMUL.from_bits(funct6)?.op,
                     vd,
                     vs2: v2,
-                    vs1: vs1(word),
-                }),
-                _ => {
-                    let op = vmul(funct6).ok_or(DecodeError { word })?;
-                    Ok(Inst::VMulOp {
-                        op,
-                        vd,
-                        vs2: v2,
-                        src: VScalar::Vector(vs1(word)),
-                        vm,
-                    })
-                }
+                    src: VScalar::Vector(vs1(word)),
+                    vm,
+                },
+            },
+        },
+        F3_OPMVX if funct6 == F6_VUNARY0 && whole => Inst::VMvSX {
+            vd,
+            rs1: rs1_x(word),
+        },
+        F3_OPMVX => Inst::VMulOp {
+            op: ops::VMUL.from_bits(funct6)?.op,
+            vd,
+            vs2: v2,
+            src: VScalar::Xreg(rs1_x(word)),
+            vm,
+        },
+        F3_OPFVV if funct6 == F6_VFREDUSUM => Inst::VFRedSum {
+            vd,
+            vs2: v2,
+            vs1: vs1(word),
+            vm,
+        },
+        F3_OPFVV if funct6 == F6_VUNARY0 && f19_15 == 0 => Inst::VFMvFS {
+            rd: rd_f(word),
+            vs2: v2,
+        },
+        F3_OPFVF if funct6 == F6_VUNARY0 && whole => Inst::VFMvSF {
+            vd,
+            rs1: rs1_f(word),
+        },
+        F3_OPFVF if funct6 == F6_VMV && whole => Inst::VFMvVF {
+            vd,
+            rs1: rs1_f(word),
+        },
+        F3_OPFVF if funct6 == F6_VMV && !vm => Inst::VFMerge {
+            vd,
+            vs2: v2,
+            rs1: rs1_f(word),
+        },
+        _ => {
+            let (form, src) = if f3 == F3_OPFVV {
+                (VV, VFScalar::Vector(vs1(word)))
+            } else {
+                (VF, VFScalar::Freg(rs1_f(word)))
+            };
+            match ops::VFCMP.from_bits(funct6) {
+                Some(row) if !row.has(form) => return None,
+                Some(row) => Inst::VFMaskCmp {
+                    op: row.op,
+                    vd,
+                    vs2: v2,
+                    src,
+                    vm,
+                },
+                None => Inst::VFpOp {
+                    op: ops::VFP.from_bits(funct6).filter(|r| r.has(form))?.op,
+                    vd,
+                    vs2: v2,
+                    src,
+                    vm,
+                },
             }
         }
-        0b110 => {
-            // OPMVX
-            match funct6 {
-                0b010000 if v2 == VReg::V0 && vm => Ok(Inst::VMvSX {
-                    vd,
-                    rs1: rs1_x(word),
-                }),
-                _ => {
-                    let op = vmul(funct6).ok_or(DecodeError { word })?;
-                    Ok(Inst::VMulOp {
-                        op,
-                        vd,
-                        vs2: v2,
-                        src: VScalar::Xreg(rs1_x(word)),
-                        vm,
-                    })
-                }
-            }
-        }
-        0b001 => {
-            // OPFVV
-            match funct6 {
-                0b000001 => Ok(Inst::VFRedSum {
-                    vd,
-                    vs2: v2,
-                    vs1: vs1(word),
-                    vm,
-                }),
-                0b010000 if f19_15 == 0 => Ok(Inst::VFMvFS {
-                    rd: rd_f(word),
-                    vs2: v2,
-                }),
-                _ if vfcmp(funct6).is_some() => {
-                    let op = vfcmp(funct6).expect("checked");
-                    if matches!(op, VFCmpOp::Gt | VFCmpOp::Ge) {
-                        return err(word);
-                    }
-                    Ok(Inst::VFMaskCmp {
-                        op,
-                        vd,
-                        vs2: v2,
-                        src: VFScalar::Vector(vs1(word)),
-                        vm,
-                    })
-                }
-                _ => {
-                    let op = vfp(funct6).ok_or(DecodeError { word })?;
-                    Ok(Inst::VFpOp {
-                        op,
-                        vd,
-                        vs2: v2,
-                        src: VFScalar::Vector(vs1(word)),
-                        vm,
-                    })
-                }
-            }
-        }
-        0b101 => {
-            // OPFVF
-            match funct6 {
-                0b010000 if v2 == VReg::V0 && vm => Ok(Inst::VFMvSF {
-                    vd,
-                    rs1: rs1_f(word),
-                }),
-                0b010111 if v2 == VReg::V0 && vm => Ok(Inst::VFMvVF {
-                    vd,
-                    rs1: rs1_f(word),
-                }),
-                0b010111 if !vm => Ok(Inst::VFMerge {
-                    vd,
-                    vs2: v2,
-                    rs1: rs1_f(word),
-                }),
-                _ if vfcmp(funct6).is_some() => Ok(Inst::VFMaskCmp {
-                    op: vfcmp(funct6).expect("checked"),
-                    vd,
-                    vs2: v2,
-                    src: VFScalar::Freg(rs1_f(word)),
-                    vm,
-                }),
-                _ => {
-                    let op = vfp(funct6).ok_or(DecodeError { word })?;
-                    Ok(Inst::VFpOp {
-                        op,
-                        vd,
-                        vs2: v2,
-                        src: VFScalar::Freg(rs1_f(word)),
-                        vm,
-                    })
-                }
-            }
-        }
-        _ => err(word),
-    }
+    })
 }
 
 fn sext5(field: u32) -> i8 {
     (((field << 3) as u8) as i8) >> 3
 }
 
-fn decode_vset(word: u32) -> Result<Inst, DecodeError> {
+fn decode_vset(word: u32) -> Option<Inst> {
     let rd = rd_x(word);
     if word >> 31 == 0 {
-        let vtype =
-            VType::from_bits(u64::from((word >> 20) & 0x7ff)).ok_or(DecodeError { word })?;
-        Ok(Inst::Vsetvli {
+        Some(Inst::Vsetvli {
             rd,
             rs1: rs1_x(word),
-            vtype,
+            vtype: VType::from_bits(u64::from((word >> 20) & 0x7ff))?,
         })
     } else if word >> 30 == 0b11 {
-        let vtype =
-            VType::from_bits(u64::from((word >> 20) & 0x3ff)).ok_or(DecodeError { word })?;
-        Ok(Inst::Vsetivli {
+        Some(Inst::Vsetivli {
             rd,
             avl: ((word >> 15) & 0x1f) as u8,
-            vtype,
+            vtype: VType::from_bits(u64::from((word >> 20) & 0x3ff))?,
         })
     } else if word >> 25 == 0b1000000 {
-        Ok(Inst::Vsetvl {
+        Some(Inst::Vsetvl {
             rd,
             rs1: rs1_x(word),
             rs2: rs2_x(word),
         })
     } else {
-        err(word)
+        None
     }
 }
 
@@ -964,6 +551,9 @@ fn decode_vset(word: u32) -> Result<Inst, DecodeError> {
 mod tests {
     use super::*;
     use crate::encode::encode;
+    use crate::inst::{
+        AluOp, AluWOp, BranchOp, CsrOp, FpCmpOp, FpCvtOp, FpOp, MemWidth, VFpOp, VIntOp, VMulOp,
+    };
     use crate::vtype::Lmul;
 
     fn x(n: u8) -> XReg {

@@ -6,189 +6,10 @@
 
 use std::fmt;
 
-use crate::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCmpOp, FpCvtOp, FpOp, Inst, MemWidth,
-    VAddrMode, VCmpOp, VFCmpOp, VFScalar, VFpOp, VIntOp, VMaskOp, VMulOp, VScalar,
-};
-
-fn alu_name(op: AluOp) -> &'static str {
-    match op {
-        AluOp::Add => "add",
-        AluOp::Sub => "sub",
-        AluOp::Sll => "sll",
-        AluOp::Slt => "slt",
-        AluOp::Sltu => "sltu",
-        AluOp::Xor => "xor",
-        AluOp::Srl => "srl",
-        AluOp::Sra => "sra",
-        AluOp::Or => "or",
-        AluOp::And => "and",
-        AluOp::Mul => "mul",
-        AluOp::Mulh => "mulh",
-        AluOp::Mulhsu => "mulhsu",
-        AluOp::Mulhu => "mulhu",
-        AluOp::Div => "div",
-        AluOp::Divu => "divu",
-        AluOp::Rem => "rem",
-        AluOp::Remu => "remu",
-    }
-}
-
-fn alu_w_name(op: AluWOp) -> &'static str {
-    match op {
-        AluWOp::Addw => "addw",
-        AluWOp::Subw => "subw",
-        AluWOp::Sllw => "sllw",
-        AluWOp::Srlw => "srlw",
-        AluWOp::Sraw => "sraw",
-        AluWOp::Mulw => "mulw",
-        AluWOp::Divw => "divw",
-        AluWOp::Divuw => "divuw",
-        AluWOp::Remw => "remw",
-        AluWOp::Remuw => "remuw",
-    }
-}
-
-fn branch_name(op: BranchOp) -> &'static str {
-    match op {
-        BranchOp::Eq => "beq",
-        BranchOp::Ne => "bne",
-        BranchOp::Lt => "blt",
-        BranchOp::Ge => "bge",
-        BranchOp::Ltu => "bltu",
-        BranchOp::Geu => "bgeu",
-    }
-}
-
-fn load_name(width: MemWidth, signed: bool) -> &'static str {
-    match (width, signed) {
-        (MemWidth::B, true) => "lb",
-        (MemWidth::H, true) => "lh",
-        (MemWidth::W, true) => "lw",
-        (MemWidth::D, _) => "ld",
-        (MemWidth::B, false) => "lbu",
-        (MemWidth::H, false) => "lhu",
-        (MemWidth::W, false) => "lwu",
-    }
-}
-
-fn store_name(width: MemWidth) -> &'static str {
-    match width {
-        MemWidth::B => "sb",
-        MemWidth::H => "sh",
-        MemWidth::W => "sw",
-        MemWidth::D => "sd",
-    }
-}
-
-fn amo_name(op: AmoOp, width: MemWidth) -> String {
-    let base = match op {
-        AmoOp::Lr => "lr",
-        AmoOp::Sc => "sc",
-        AmoOp::Swap => "amoswap",
-        AmoOp::Add => "amoadd",
-        AmoOp::Xor => "amoxor",
-        AmoOp::And => "amoand",
-        AmoOp::Or => "amoor",
-        AmoOp::Min => "amomin",
-        AmoOp::Max => "amomax",
-        AmoOp::Minu => "amominu",
-        AmoOp::Maxu => "amomaxu",
-    };
-    let suffix = if width == MemWidth::W { "w" } else { "d" };
-    format!("{base}.{suffix}")
-}
-
-fn vint_name(op: VIntOp) -> &'static str {
-    match op {
-        VIntOp::Add => "vadd",
-        VIntOp::Sub => "vsub",
-        VIntOp::Rsub => "vrsub",
-        VIntOp::And => "vand",
-        VIntOp::Or => "vor",
-        VIntOp::Xor => "vxor",
-        VIntOp::Sll => "vsll",
-        VIntOp::Srl => "vsrl",
-        VIntOp::Sra => "vsra",
-        VIntOp::Min => "vmin",
-        VIntOp::Max => "vmax",
-        VIntOp::Minu => "vminu",
-        VIntOp::Maxu => "vmaxu",
-    }
-}
-
-fn vmul_name(op: VMulOp) -> &'static str {
-    match op {
-        VMulOp::Mul => "vmul",
-        VMulOp::Mulh => "vmulh",
-        VMulOp::Mulhu => "vmulhu",
-        VMulOp::Div => "vdiv",
-        VMulOp::Divu => "vdivu",
-        VMulOp::Rem => "vrem",
-        VMulOp::Remu => "vremu",
-        VMulOp::Macc => "vmacc",
-    }
-}
-
-fn vfp_name(op: VFpOp) -> &'static str {
-    match op {
-        VFpOp::Add => "vfadd",
-        VFpOp::Sub => "vfsub",
-        VFpOp::Mul => "vfmul",
-        VFpOp::Div => "vfdiv",
-        VFpOp::Min => "vfmin",
-        VFpOp::Max => "vfmax",
-        VFpOp::Sgnj => "vfsgnj",
-        VFpOp::Macc => "vfmacc",
-    }
-}
-
-fn vcmp_name(op: VCmpOp) -> &'static str {
-    match op {
-        VCmpOp::Eq => "vmseq",
-        VCmpOp::Ne => "vmsne",
-        VCmpOp::Ltu => "vmsltu",
-        VCmpOp::Lt => "vmslt",
-        VCmpOp::Leu => "vmsleu",
-        VCmpOp::Le => "vmsle",
-        VCmpOp::Gtu => "vmsgtu",
-        VCmpOp::Gt => "vmsgt",
-    }
-}
-
-fn vfcmp_name(op: VFCmpOp) -> &'static str {
-    match op {
-        VFCmpOp::Eq => "vmfeq",
-        VFCmpOp::Le => "vmfle",
-        VFCmpOp::Lt => "vmflt",
-        VFCmpOp::Ne => "vmfne",
-        VFCmpOp::Gt => "vmfgt",
-        VFCmpOp::Ge => "vmfge",
-    }
-}
-
-fn vmask_name(op: VMaskOp) -> &'static str {
-    match op {
-        VMaskOp::And => "vmand",
-        VMaskOp::Nand => "vmnand",
-        VMaskOp::AndNot => "vmandn",
-        VMaskOp::Xor => "vmxor",
-        VMaskOp::Or => "vmor",
-        VMaskOp::Nor => "vmnor",
-        VMaskOp::OrNot => "vmorn",
-        VMaskOp::Xnor => "vmxnor",
-    }
-}
-
-fn vmem_name(load: bool, mode: VAddrMode, eew: crate::vtype::Sew) -> String {
-    let dir = if load { "l" } else { "s" };
-    let kind = match mode {
-        VAddrMode::Unit => "e",
-        VAddrMode::Strided(_) => "se",
-        VAddrMode::Indexed(_) => "uxei",
-    };
-    format!("v{dir}{kind}{}.v", eew.bits())
-}
+use crate::inst::{AmoOp, CsrSrc, Inst, MemWidth, VAddrMode, VFScalar, VScalar};
+use crate::ops::{self, TO_INT};
+use crate::reg::{FReg, VReg, XReg};
+use crate::vtype::Sew;
 
 fn mask_suffix(vm: bool) -> &'static str {
     if vm {
@@ -196,6 +17,64 @@ fn mask_suffix(vm: bool) -> &'static str {
     } else {
         ", v0.t"
     }
+}
+
+/// Form suffix and printable second operand of a `.vv`/`.vx` source.
+fn vscalar(src: &VScalar) -> (&'static str, &dyn fmt::Display) {
+    match src {
+        VScalar::Vector(v1) => ("vv", v1),
+        VScalar::Xreg(r1) => ("vx", r1),
+    }
+}
+
+/// Form suffix and printable second operand of a `.vv`/`.vf` source.
+fn vfscalar(src: &VFScalar) -> (&'static str, &dyn fmt::Display) {
+    match src {
+        VFScalar::Vector(v1) => ("vv", v1),
+        VFScalar::Freg(r1) => ("vf", r1),
+    }
+}
+
+/// `name.form vd, vs2, src[, v0.t]`, the shape of every vector
+/// arithmetic and compare instruction.
+fn varith(
+    f: &mut fmt::Formatter<'_>,
+    name: &str,
+    (form, src): (&str, &dyn fmt::Display),
+    (vd, vs2): (VReg, VReg),
+    vm: bool,
+) -> fmt::Result {
+    write!(f, "{name}.{form} {vd}, {vs2}, {src}{}", mask_suffix(vm))
+}
+
+/// Vector load (`dir` = `l`) or store (`s`) of register `reg`.
+fn vmem(
+    f: &mut fmt::Formatter<'_>,
+    dir: char,
+    (reg, rs1): (VReg, XReg),
+    mode: VAddrMode,
+    eew: Sew,
+    vm: bool,
+) -> fmt::Result {
+    let kind = ops::VMEM_MODE.mode(mode).name;
+    let bits = ops::VMEM_EEW.row(eew).name;
+    write!(f, "v{dir}{kind}{bits}.v {reg}, ({rs1})")?;
+    match mode {
+        VAddrMode::Unit => Ok(()),
+        VAddrMode::Strided(rs2) => write!(f, ", {rs2}"),
+        VAddrMode::Indexed(v2) => write!(f, ", {v2}"),
+    }?;
+    f.write_str(mask_suffix(vm))
+}
+
+/// A raw register index printed as an `f` or `x` register.
+fn raw_reg(index: u8, float: bool) -> String {
+    if float {
+        FReg::new(index).map(|r| r.to_string())
+    } else {
+        XReg::new(index).map(|r| r.to_string())
+    }
+    .unwrap_or_else(|_| format!("?{index}"))
 }
 
 impl fmt::Display for Inst {
@@ -210,63 +89,46 @@ impl fmt::Display for Inst {
                 rs1,
                 rs2,
                 offset,
-            } => write!(f, "{} {rs1}, {rs2}, {offset}", branch_name(op)),
+            } => write!(f, "{} {rs1}, {rs2}, {offset}", ops::BRANCH.row(op).name),
             Inst::Load {
                 width,
                 signed,
                 rd,
                 rs1,
                 offset,
-            } => write!(f, "{} {rd}, {offset}({rs1})", load_name(width, signed)),
+            } => {
+                // There is no `ldu`: a doubleword load is `ld` either way.
+                let row = ops::LOAD.row((width, signed || width == MemWidth::D));
+                write!(f, "{} {rd}, {offset}({rs1})", row.name)
+            }
             Inst::Store {
                 width,
                 rs2,
                 rs1,
                 offset,
-            } => write!(f, "{} {rs2}, {offset}({rs1})", store_name(width)),
+            } => write!(f, "{} {rs2}, {offset}({rs1})", ops::STORE.row(width).name),
             Inst::OpImm { op, rd, rs1, imm } => {
-                let name = match op {
-                    AluOp::Add => "addi",
-                    AluOp::Slt => "slti",
-                    AluOp::Sltu => "sltiu",
-                    AluOp::Xor => "xori",
-                    AluOp::Or => "ori",
-                    AluOp::And => "andi",
-                    AluOp::Sll => "slli",
-                    AluOp::Srl => "srli",
-                    AluOp::Sra => "srai",
-                    _ => "op-imm?",
-                };
+                let name = ops::ALU.row(op).imm.unwrap_or("op-imm?");
                 write!(f, "{name} {rd}, {rs1}, {imm}")
             }
             Inst::Op { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", alu_name(op))
+                write!(f, "{} {rd}, {rs1}, {rs2}", ops::ALU.row(op).name)
             }
             Inst::OpImm32 { op, rd, rs1, imm } => {
-                let name = match op {
-                    AluWOp::Addw => "addiw",
-                    AluWOp::Sllw => "slliw",
-                    AluWOp::Srlw => "srliw",
-                    AluWOp::Sraw => "sraiw",
-                    _ => "op-imm-32?",
-                };
+                let name = ops::ALU_W.row(op).imm.unwrap_or("op-imm-32?");
                 write!(f, "{name} {rd}, {rs1}, {imm}")
             }
             Inst::Op32 { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", alu_w_name(op))
+                write!(f, "{} {rd}, {rs1}, {rs2}", ops::ALU_W.row(op).name)
             }
             Inst::Fence => f.write_str("fence"),
             Inst::Ecall => f.write_str("ecall"),
             Inst::Ebreak => f.write_str("ebreak"),
             Inst::Csr { op, rd, csr, src } => {
-                let base = match op {
-                    CsrOp::Rw => "csrrw",
-                    CsrOp::Rs => "csrrs",
-                    CsrOp::Rc => "csrrc",
-                };
+                let row = ops::CSR.row(op);
                 match src {
-                    CsrSrc::Reg(rs1) => write!(f, "{base} {rd}, {csr}, {rs1}"),
-                    CsrSrc::Imm(z) => write!(f, "{base}i {rd}, {csr}, {z}"),
+                    CsrSrc::Reg(rs1) => write!(f, "{} {rd}, {csr}, {rs1}", row.name),
+                    CsrSrc::Imm(z) => write!(f, "{} {rd}, {csr}, {z}", row.imm.unwrap_or("?")),
                 }
             }
             Inst::Amo {
@@ -276,27 +138,18 @@ impl fmt::Display for Inst {
                 rs1,
                 rs2,
             } => {
+                let name = ops::AMO.row(op).name;
+                let suffix = ops::AMO_WIDTH.get(width).map_or("?", |r| r.name);
                 if op == AmoOp::Lr {
-                    write!(f, "{} {rd}, ({rs1})", amo_name(op, width))
+                    write!(f, "{name}.{suffix} {rd}, ({rs1})")
                 } else {
-                    write!(f, "{} {rd}, {rs2}, ({rs1})", amo_name(op, width))
+                    write!(f, "{name}.{suffix} {rd}, {rs2}, ({rs1})")
                 }
             }
             Inst::Fld { rd, rs1, offset } => write!(f, "fld {rd}, {offset}({rs1})"),
             Inst::Fsd { rs2, rs1, offset } => write!(f, "fsd {rs2}, {offset}({rs1})"),
             Inst::FpOp { op, rd, rs1, rs2 } => {
-                let name = match op {
-                    FpOp::Add => "fadd.d",
-                    FpOp::Sub => "fsub.d",
-                    FpOp::Mul => "fmul.d",
-                    FpOp::Div => "fdiv.d",
-                    FpOp::Sgnj => "fsgnj.d",
-                    FpOp::Sgnjn => "fsgnjn.d",
-                    FpOp::Sgnjx => "fsgnjx.d",
-                    FpOp::Min => "fmin.d",
-                    FpOp::Max => "fmax.d",
-                };
-                write!(f, "{name} {rd}, {rs1}, {rs2}")
+                write!(f, "{} {rd}, {rs1}, {rs2}", ops::FP.row(op).name)
             }
             Inst::FpFma {
                 op,
@@ -304,47 +157,17 @@ impl fmt::Display for Inst {
                 rs1,
                 rs2,
                 rs3,
-            } => {
-                let name = match op {
-                    FmaOp::Madd => "fmadd.d",
-                    FmaOp::Msub => "fmsub.d",
-                    FmaOp::Nmsub => "fnmsub.d",
-                    FmaOp::Nmadd => "fnmadd.d",
-                };
-                write!(f, "{name} {rd}, {rs1}, {rs2}, {rs3}")
-            }
+            } => write!(f, "{} {rd}, {rs1}, {rs2}, {rs3}", ops::FMA.row(op).name),
             Inst::FpCmp { op, rd, rs1, rs2 } => {
-                let name = match op {
-                    FpCmpOp::Eq => "feq.d",
-                    FpCmpOp::Lt => "flt.d",
-                    FpCmpOp::Le => "fle.d",
-                };
-                write!(f, "{name} {rd}, {rs1}, {rs2}")
+                write!(f, "{} {rd}, {rs1}, {rs2}", ops::FP_CMP.row(op).name)
             }
             Inst::FpCvt { op, rd, rs1 } => {
                 // rd/rs1 are raw indices; render with the class each side
                 // of the conversion uses.
-                let (name, rd_f, rs1_f) = match op {
-                    FpCvtOp::DFromL => ("fcvt.d.l", true, false),
-                    FpCvtOp::DFromLu => ("fcvt.d.lu", true, false),
-                    FpCvtOp::DFromW => ("fcvt.d.w", true, false),
-                    FpCvtOp::LFromD => ("fcvt.l.d", false, true),
-                    FpCvtOp::LuFromD => ("fcvt.lu.d", false, true),
-                    FpCvtOp::WFromD => ("fcvt.w.d", false, true),
-                };
-                let rd_s = if rd_f {
-                    crate::reg::FReg::new(rd).map(|r| r.to_string())
-                } else {
-                    crate::reg::XReg::new(rd).map(|r| r.to_string())
-                }
-                .unwrap_or_else(|_| format!("?{rd}"));
-                let rs1_s = if rs1_f {
-                    crate::reg::FReg::new(rs1).map(|r| r.to_string())
-                } else {
-                    crate::reg::XReg::new(rs1).map(|r| r.to_string())
-                }
-                .unwrap_or_else(|_| format!("?{rs1}"));
-                write!(f, "{name} {rd_s}, {rs1_s}")
+                let row = ops::FP_CVT.row(op);
+                let to_int = row.has(TO_INT);
+                let (rd, rs1) = (raw_reg(rd, !to_int), raw_reg(rs1, to_int));
+                write!(f, "{} {rd}, {rs1}", row.name)
             }
             Inst::FmvXD { rd, rs1 } => write!(f, "fmv.x.d {rd}, {rs1}"),
             Inst::FmvDX { rd, rs1 } => write!(f, "fmv.d.x {rd}, {rs1}"),
@@ -357,108 +180,42 @@ impl fmt::Display for Inst {
                 mode,
                 eew,
                 vm,
-            } => {
-                let name = vmem_name(true, mode, eew);
-                match mode {
-                    VAddrMode::Unit => write!(f, "{name} {vd}, ({rs1}){}", mask_suffix(vm)),
-                    VAddrMode::Strided(rs2) => {
-                        write!(f, "{name} {vd}, ({rs1}), {rs2}{}", mask_suffix(vm))
-                    }
-                    VAddrMode::Indexed(v2) => {
-                        write!(f, "{name} {vd}, ({rs1}), {v2}{}", mask_suffix(vm))
-                    }
-                }
-            }
+            } => vmem(f, 'l', (vd, rs1), mode, eew, vm),
             Inst::VStore {
                 vs3,
                 rs1,
                 mode,
                 eew,
                 vm,
-            } => {
-                let name = vmem_name(false, mode, eew);
-                match mode {
-                    VAddrMode::Unit => write!(f, "{name} {vs3}, ({rs1}){}", mask_suffix(vm)),
-                    VAddrMode::Strided(rs2) => {
-                        write!(f, "{name} {vs3}, ({rs1}), {rs2}{}", mask_suffix(vm))
-                    }
-                    VAddrMode::Indexed(v2) => {
-                        write!(f, "{name} {vs3}, ({rs1}), {v2}{}", mask_suffix(vm))
-                    }
-                }
-            }
+            } => vmem(f, 's', (vs3, rs1), mode, eew, vm),
             Inst::VIntOp {
                 op,
                 vd,
                 vs2,
                 src,
                 vm,
-            } => match src {
-                VScalar::Vector(v1) => write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {v1}{}",
-                    vint_name(op),
-                    mask_suffix(vm)
-                ),
-                VScalar::Xreg(r1) => write!(
-                    f,
-                    "{}.vx {vd}, {vs2}, {r1}{}",
-                    vint_name(op),
-                    mask_suffix(vm)
-                ),
-            },
+            } => varith(f, ops::VINT.row(op).name, vscalar(&src), (vd, vs2), vm),
             Inst::VIntOpImm {
                 op,
                 vd,
                 vs2,
                 imm,
                 vm,
-            } => write!(
-                f,
-                "{}.vi {vd}, {vs2}, {imm}{}",
-                vint_name(op),
-                mask_suffix(vm)
-            ),
+            } => varith(f, ops::VINT.row(op).name, ("vi", &imm), (vd, vs2), vm),
             Inst::VMulOp {
                 op,
                 vd,
                 vs2,
                 src,
                 vm,
-            } => match src {
-                VScalar::Vector(v1) => write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {v1}{}",
-                    vmul_name(op),
-                    mask_suffix(vm)
-                ),
-                VScalar::Xreg(r1) => write!(
-                    f,
-                    "{}.vx {vd}, {vs2}, {r1}{}",
-                    vmul_name(op),
-                    mask_suffix(vm)
-                ),
-            },
+            } => varith(f, ops::VMUL.row(op).name, vscalar(&src), (vd, vs2), vm),
             Inst::VFpOp {
                 op,
                 vd,
                 vs2,
                 src,
                 vm,
-            } => match src {
-                VFScalar::Vector(v1) => write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {v1}{}",
-                    vfp_name(op),
-                    mask_suffix(vm)
-                ),
-                VFScalar::Freg(r1) => write!(
-                    f,
-                    "{}.vf {vd}, {vs2}, {r1}{}",
-                    vfp_name(op),
-                    mask_suffix(vm)
-                ),
-            },
+            } => varith(f, ops::VFP.row(op).name, vfscalar(&src), (vd, vs2), vm),
             Inst::VRedSum { vd, vs2, vs1, vm } => {
                 write!(f, "vredsum.vs {vd}, {vs2}, {vs1}{}", mask_suffix(vm))
             }
@@ -480,59 +237,28 @@ impl fmt::Display for Inst {
                 vs2,
                 src,
                 vm,
-            } => match src {
-                VScalar::Vector(v1) => write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {v1}{}",
-                    vcmp_name(op),
-                    mask_suffix(vm)
-                ),
-                VScalar::Xreg(r1) => write!(
-                    f,
-                    "{}.vx {vd}, {vs2}, {r1}{}",
-                    vcmp_name(op),
-                    mask_suffix(vm)
-                ),
-            },
+            } => varith(f, ops::VCMP.row(op).name, vscalar(&src), (vd, vs2), vm),
             Inst::VMaskCmpImm {
                 op,
                 vd,
                 vs2,
                 imm,
                 vm,
-            } => write!(
-                f,
-                "{}.vi {vd}, {vs2}, {imm}{}",
-                vcmp_name(op),
-                mask_suffix(vm)
-            ),
+            } => varith(f, ops::VCMP.row(op).name, ("vi", &imm), (vd, vs2), vm),
             Inst::VFMaskCmp {
                 op,
                 vd,
                 vs2,
                 src,
                 vm,
-            } => match src {
-                VFScalar::Vector(v1) => write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {v1}{}",
-                    vfcmp_name(op),
-                    mask_suffix(vm)
-                ),
-                VFScalar::Freg(r1) => write!(
-                    f,
-                    "{}.vf {vd}, {vs2}, {r1}{}",
-                    vfcmp_name(op),
-                    mask_suffix(vm)
-                ),
-            },
+            } => varith(f, ops::VFCMP.row(op).name, vfscalar(&src), (vd, vs2), vm),
             Inst::VMaskLogical { op, vd, vs2, vs1 } => {
-                write!(f, "{}.mm {vd}, {vs2}, {vs1}", vmask_name(op))
+                write!(f, "{}.mm {vd}, {vs2}, {vs1}", ops::VMASK.row(op).name)
             }
-            Inst::VMerge { vd, vs2, src } => match src {
-                VScalar::Vector(v1) => write!(f, "vmerge.vvm {vd}, {vs2}, {v1}, v0"),
-                VScalar::Xreg(r1) => write!(f, "vmerge.vxm {vd}, {vs2}, {r1}, v0"),
-            },
+            Inst::VMerge { vd, vs2, src } => {
+                let (form, src) = vscalar(&src);
+                write!(f, "vmerge.{form}m {vd}, {vs2}, {src}, v0")
+            }
             Inst::VMergeImm { vd, vs2, imm } => {
                 write!(f, "vmerge.vim {vd}, {vs2}, {imm}, v0")
             }
@@ -552,8 +278,8 @@ impl fmt::Display for Inst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::{FReg, VReg, XReg};
-    use crate::vtype::{Lmul, Sew, VType};
+    use crate::inst::{AluOp, FmaOp, FpCvtOp, VIntOp};
+    use crate::vtype::{Lmul, VType};
 
     fn x(n: u8) -> XReg {
         XReg::new(n).unwrap()

@@ -11,10 +11,9 @@
 
 use std::fmt;
 
-use crate::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCmpOp, FpCvtOp, FpOp, Inst, MemWidth,
-    VAddrMode, VCmpOp, VFCmpOp, VFScalar, VFpOp, VIntOp, VMaskOp, VMulOp, VScalar,
-};
+use crate::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VFScalar, VScalar};
+use crate::ops::{self, *};
+use crate::reg::{VReg, XReg};
 use crate::vtype::Sew;
 
 /// Error produced when an [`Inst`] has no valid encoding.
@@ -34,8 +33,16 @@ pub enum EncodeError {
         /// The rejected value.
         value: i64,
     },
-    /// The instruction variant cannot be expressed (e.g. `OpImm` with
-    /// `Sub`, or a `.vi` form of an operation that has none).
+    /// The operation exists but not in this operand form (`sub` has no
+    /// immediate form, `vmsgtu` no `.vv` form).
+    NoSuchForm {
+        /// Mnemonic stem of the operation.
+        name: &'static str,
+        /// The missing form: `.vv`, `.vx`, `.vi`, `.vf` or `immediate`.
+        form: &'static str,
+    },
+    /// The instruction variant cannot be expressed (e.g. an unsigned
+    /// doubleword load).
     InvalidForm(&'static str),
 }
 
@@ -48,6 +55,7 @@ impl fmt::Display for EncodeError {
             EncodeError::MisalignedOffset { what, value } => {
                 write!(f, "offset {value} for {what} is not a multiple of 2")
             }
+            EncodeError::NoSuchForm { name, form } => write!(f, "`{name}` has no {form} form"),
             EncodeError::InvalidForm(what) => write!(f, "no valid encoding for {what}"),
         }
     }
@@ -56,28 +64,6 @@ impl fmt::Display for EncodeError {
 impl std::error::Error for EncodeError {}
 
 type Result32 = Result<u32, EncodeError>;
-
-const OPC_LUI: u32 = 0b0110111;
-const OPC_AUIPC: u32 = 0b0010111;
-const OPC_JAL: u32 = 0b1101111;
-const OPC_JALR: u32 = 0b1100111;
-const OPC_BRANCH: u32 = 0b1100011;
-const OPC_LOAD: u32 = 0b0000011;
-const OPC_STORE: u32 = 0b0100011;
-const OPC_OP_IMM: u32 = 0b0010011;
-const OPC_OP: u32 = 0b0110011;
-const OPC_OP_IMM32: u32 = 0b0011011;
-const OPC_OP32: u32 = 0b0111011;
-const OPC_SYSTEM: u32 = 0b1110011;
-const OPC_AMO: u32 = 0b0101111;
-const OPC_LOAD_FP: u32 = 0b0000111;
-const OPC_STORE_FP: u32 = 0b0100111;
-const OPC_OP_FP: u32 = 0b1010011;
-const OPC_FMADD: u32 = 0b1000011;
-const OPC_FMSUB: u32 = 0b1000111;
-const OPC_FNMSUB: u32 = 0b1001011;
-const OPC_FNMADD: u32 = 0b1001111;
-const OPC_OP_V: u32 = 0b1010111;
 
 /// Dynamic rounding mode, used for FP arithmetic.
 const RM_DYN: u32 = 0b111;
@@ -165,217 +151,38 @@ fn j_type(offset: i64, rd: u32, what: &'static str) -> Result32 {
         | OPC_JAL)
 }
 
-fn shamt(imm: i64, max: i64, what: &'static str) -> Result<u32, EncodeError> {
-    if (0..=max).contains(&imm) {
-        Ok(imm as u32)
-    } else {
-        Err(EncodeError::ImmOutOfRange { what, value: imm })
+/// R-type word of a row keyed `funct7_funct3`.
+fn r_row<T>(row: &Row<T>, rs2: u32, rs1: u32, rd: u32, opcode: u32) -> u32 {
+    r_type(row.bits >> 3, rs2, rs1, row.bits & 0x7, rd, opcode)
+}
+
+/// OP-IMM / OP-IMM-32: a shift packs its amount (at most `max_shamt`)
+/// under funct7, everything else is an I-type. `what` names the shift
+/// amount and the immediate in range errors.
+fn op_imm<T>(
+    row: &Row<T>,
+    imm: i64,
+    max_shamt: i64,
+    what: [&'static str; 2],
+    (rs1, rd): (XReg, XReg),
+    opcode: u32,
+) -> Result32 {
+    if row.imm.is_none() {
+        return Err(EncodeError::NoSuchForm {
+            name: row.name,
+            form: "immediate",
+        });
     }
-}
-
-fn branch_funct3(op: BranchOp) -> u32 {
-    match op {
-        BranchOp::Eq => 0b000,
-        BranchOp::Ne => 0b001,
-        BranchOp::Lt => 0b100,
-        BranchOp::Ge => 0b101,
-        BranchOp::Ltu => 0b110,
-        BranchOp::Geu => 0b111,
+    if !row.has(UIMM) {
+        return i_type(imm, rs1.bits(), row.bits & 0x7, rd.bits(), opcode, what[1]);
     }
-}
-
-/// `(funct3, funct7)` for the register form of an [`AluOp`].
-fn alu_funct(op: AluOp) -> (u32, u32) {
-    match op {
-        AluOp::Add => (0b000, 0b0000000),
-        AluOp::Sub => (0b000, 0b0100000),
-        AluOp::Sll => (0b001, 0b0000000),
-        AluOp::Slt => (0b010, 0b0000000),
-        AluOp::Sltu => (0b011, 0b0000000),
-        AluOp::Xor => (0b100, 0b0000000),
-        AluOp::Srl => (0b101, 0b0000000),
-        AluOp::Sra => (0b101, 0b0100000),
-        AluOp::Or => (0b110, 0b0000000),
-        AluOp::And => (0b111, 0b0000000),
-        AluOp::Mul => (0b000, 0b0000001),
-        AluOp::Mulh => (0b001, 0b0000001),
-        AluOp::Mulhsu => (0b010, 0b0000001),
-        AluOp::Mulhu => (0b011, 0b0000001),
-        AluOp::Div => (0b100, 0b0000001),
-        AluOp::Divu => (0b101, 0b0000001),
-        AluOp::Rem => (0b110, 0b0000001),
-        AluOp::Remu => (0b111, 0b0000001),
+    if !(0..=max_shamt).contains(&imm) {
+        return Err(EncodeError::ImmOutOfRange {
+            what: what[0],
+            value: imm,
+        });
     }
-}
-
-fn alu_w_funct(op: AluWOp) -> (u32, u32) {
-    match op {
-        AluWOp::Addw => (0b000, 0b0000000),
-        AluWOp::Subw => (0b000, 0b0100000),
-        AluWOp::Sllw => (0b001, 0b0000000),
-        AluWOp::Srlw => (0b101, 0b0000000),
-        AluWOp::Sraw => (0b101, 0b0100000),
-        AluWOp::Mulw => (0b000, 0b0000001),
-        AluWOp::Divw => (0b100, 0b0000001),
-        AluWOp::Divuw => (0b101, 0b0000001),
-        AluWOp::Remw => (0b110, 0b0000001),
-        AluWOp::Remuw => (0b111, 0b0000001),
-    }
-}
-
-fn load_funct3(width: MemWidth, signed: bool) -> Result<u32, EncodeError> {
-    Ok(match (width, signed) {
-        (MemWidth::B, true) => 0b000,
-        (MemWidth::H, true) => 0b001,
-        (MemWidth::W, true) => 0b010,
-        (MemWidth::D, true) => 0b011,
-        (MemWidth::B, false) => 0b100,
-        (MemWidth::H, false) => 0b101,
-        (MemWidth::W, false) => 0b110,
-        (MemWidth::D, false) => return Err(EncodeError::InvalidForm("ldu does not exist")),
-    })
-}
-
-fn amo_funct5(op: AmoOp) -> u32 {
-    match op {
-        AmoOp::Lr => 0b00010,
-        AmoOp::Sc => 0b00011,
-        AmoOp::Swap => 0b00001,
-        AmoOp::Add => 0b00000,
-        AmoOp::Xor => 0b00100,
-        AmoOp::And => 0b01100,
-        AmoOp::Or => 0b01000,
-        AmoOp::Min => 0b10000,
-        AmoOp::Max => 0b10100,
-        AmoOp::Minu => 0b11000,
-        AmoOp::Maxu => 0b11100,
-    }
-}
-
-/// Vector element width → mem-op `width` field.
-fn vmem_width(eew: Sew) -> u32 {
-    match eew {
-        Sew::E8 => 0b000,
-        Sew::E16 => 0b101,
-        Sew::E32 => 0b110,
-        Sew::E64 => 0b111,
-    }
-}
-
-/// `(mop, field24_20)` for a vector addressing mode.
-fn vmem_mode(mode: VAddrMode) -> (u32, u32) {
-    match mode {
-        VAddrMode::Unit => (0b00, 0b00000),
-        VAddrMode::Indexed(vs2) => (0b01, vs2.bits()),
-        VAddrMode::Strided(rs2) => (0b10, rs2.bits()),
-    }
-}
-
-/// OPIVV/OPIVX/OPIVI funct6 for a [`VIntOp`].
-fn vint_funct6(op: VIntOp) -> u32 {
-    match op {
-        VIntOp::Add => 0b000000,
-        VIntOp::Sub => 0b000010,
-        VIntOp::Rsub => 0b000011,
-        VIntOp::Minu => 0b000100,
-        VIntOp::Min => 0b000101,
-        VIntOp::Maxu => 0b000110,
-        VIntOp::Max => 0b000111,
-        VIntOp::And => 0b001001,
-        VIntOp::Or => 0b001010,
-        VIntOp::Xor => 0b001011,
-        VIntOp::Sll => 0b100101,
-        VIntOp::Srl => 0b101000,
-        VIntOp::Sra => 0b101001,
-    }
-}
-
-/// Whether the `.vi` form exists for a [`VIntOp`].
-fn vint_has_vi(op: VIntOp) -> bool {
-    matches!(
-        op,
-        VIntOp::Add
-            | VIntOp::Rsub
-            | VIntOp::And
-            | VIntOp::Or
-            | VIntOp::Xor
-            | VIntOp::Sll
-            | VIntOp::Srl
-            | VIntOp::Sra
-    )
-}
-
-/// Whether the `.vx` (and `.vv`) form exists: `Rsub` has no `.vv`.
-fn vint_has_vv(op: VIntOp) -> bool {
-    op != VIntOp::Rsub
-}
-
-/// OPMVV/OPMVX funct6 for a [`VMulOp`].
-fn vmul_funct6(op: VMulOp) -> u32 {
-    match op {
-        VMulOp::Divu => 0b100000,
-        VMulOp::Div => 0b100001,
-        VMulOp::Remu => 0b100010,
-        VMulOp::Rem => 0b100011,
-        VMulOp::Mulhu => 0b100100,
-        VMulOp::Mul => 0b100101,
-        VMulOp::Mulh => 0b100111,
-        VMulOp::Macc => 0b101101,
-    }
-}
-
-/// OPIVV/OPIVX/OPIVI funct6 for a [`VCmpOp`].
-fn vcmp_funct6(op: VCmpOp) -> u32 {
-    match op {
-        VCmpOp::Eq => 0b011000,
-        VCmpOp::Ne => 0b011001,
-        VCmpOp::Ltu => 0b011010,
-        VCmpOp::Lt => 0b011011,
-        VCmpOp::Leu => 0b011100,
-        VCmpOp::Le => 0b011101,
-        VCmpOp::Gtu => 0b011110,
-        VCmpOp::Gt => 0b011111,
-    }
-}
-
-/// OPFVV/OPFVF funct6 for a [`VFCmpOp`].
-fn vfcmp_funct6(op: VFCmpOp) -> u32 {
-    match op {
-        VFCmpOp::Eq => 0b011000,
-        VFCmpOp::Le => 0b011001,
-        VFCmpOp::Lt => 0b011011,
-        VFCmpOp::Ne => 0b011100,
-        VFCmpOp::Gt => 0b011101,
-        VFCmpOp::Ge => 0b011111,
-    }
-}
-
-/// OPMVV funct6 for a [`VMaskOp`] (`.mm` form).
-fn vmask_funct6(op: VMaskOp) -> u32 {
-    match op {
-        VMaskOp::AndNot => 0b011000,
-        VMaskOp::And => 0b011001,
-        VMaskOp::Or => 0b011010,
-        VMaskOp::Xor => 0b011011,
-        VMaskOp::OrNot => 0b011100,
-        VMaskOp::Nand => 0b011101,
-        VMaskOp::Nor => 0b011110,
-        VMaskOp::Xnor => 0b011111,
-    }
-}
-
-/// OPFVV/OPFVF funct6 for a [`VFpOp`].
-fn vfp_funct6(op: VFpOp) -> u32 {
-    match op {
-        VFpOp::Add => 0b000000,
-        VFpOp::Sub => 0b000010,
-        VFpOp::Min => 0b000100,
-        VFpOp::Max => 0b000110,
-        VFpOp::Sgnj => 0b001000,
-        VFpOp::Div => 0b100000,
-        VFpOp::Mul => 0b100100,
-        VFpOp::Macc => 0b101100,
-    }
+    Ok(r_row(row, 0, rs1.bits(), rd.bits(), opcode) | (imm as u32) << 20)
 }
 
 /// OP-V arithmetic encoding: `funct6 | vm | vs2 | vs1/rs1/imm | funct3 | vd`.
@@ -389,14 +196,53 @@ fn op_v(funct6: u32, vm: bool, f19_15: u32, f24_20: u32, funct3: u32, vd: u32) -
         | OPC_OP_V
 }
 
-const F3_OPIVV: u32 = 0b000;
-const F3_OPFVV: u32 = 0b001;
-const F3_OPMVV: u32 = 0b010;
-const F3_OPIVI: u32 = 0b011;
-const F3_OPIVX: u32 = 0b100;
-const F3_OPFVF: u32 = 0b101;
-const F3_OPMVX: u32 = 0b110;
-const F3_OPCFG: u32 = 0b111;
+/// Checks that the row's operation has the operand form `form`.
+fn require_form<T>(row: &Row<T>, form: u8) -> Result<(), EncodeError> {
+    if row.has(form) {
+        return Ok(());
+    }
+    let form = match form {
+        VV => ".vv",
+        VX => ".vx",
+        VI => ".vi",
+        _ => ".vf",
+    };
+    Err(EncodeError::NoSuchForm {
+        name: row.name,
+        form,
+    })
+}
+
+/// [`op_v`] for a table row and the operand [`vscalar`] or [`vfscalar`]
+/// split.
+fn op_v_row<T>(
+    row: &Row<T>,
+    (form, funct3, f19_15): (u8, u32, u32),
+    vm: bool,
+    vs2: VReg,
+    vd: VReg,
+) -> Result32 {
+    require_form(row, form)?;
+    Ok(op_v(row.bits, vm, f19_15, vs2.bits(), funct3, vd.bits()))
+}
+
+/// `(form, funct3, field 19:15)` of a `.vv`/`.vx` operand in the
+/// funct3 space whose vector form is `f3_vv`; the scalar form of every
+/// space sets funct3 bit 2.
+fn vscalar(src: VScalar, f3_vv: u32) -> (u8, u32, u32) {
+    match src {
+        VScalar::Vector(vs1) => (VV, f3_vv, vs1.bits()),
+        VScalar::Xreg(rs1) => (VX, f3_vv | 0b100, rs1.bits()),
+    }
+}
+
+/// [`vscalar`] for the `.vv`/`.vf` operand of the floating-point space.
+fn vfscalar(src: VFScalar) -> (u8, u32, u32) {
+    match src {
+        VFScalar::Vector(vs1) => (VV, F3_OPFVV, vs1.bits()),
+        VFScalar::Freg(rs1) => (VF, F3_OPFVF, rs1.bits()),
+    }
+}
 
 fn simm5(imm: i8, what: &'static str) -> Result<u32, EncodeError> {
     if (-16..=15).contains(&imm) {
@@ -407,6 +253,22 @@ fn simm5(imm: i8, what: &'static str) -> Result<u32, EncodeError> {
             value: i64::from(imm),
         })
     }
+}
+
+/// Vector load/store word; `reg` is `vd` or `vs3`.
+fn vmem(mode: VAddrMode, eew: Sew, vm: bool, rs1: XReg, reg: VReg, opcode: u32) -> u32 {
+    let f24_20 = match mode {
+        VAddrMode::Unit => 0,
+        VAddrMode::Indexed(vs2) => vs2.bits(),
+        VAddrMode::Strided(rs2) => rs2.bits(),
+    };
+    (ops::VMEM_MODE.mode(mode).bits << 26)
+        | (u32::from(vm) << 25)
+        | (f24_20 << 20)
+        | (rs1.bits() << 15)
+        | (ops::VMEM_EEW.row(eew).bits << 12)
+        | (reg.bits() << 7)
+        | opcode
 }
 
 /// Encodes a decoded instruction into its 32-bit machine representation.
@@ -454,7 +316,7 @@ pub fn encode(inst: &Inst) -> Result32 {
             i64::from(offset),
             rs2.bits(),
             rs1.bits(),
-            branch_funct3(op),
+            ops::BRANCH.row(op).bits,
             "branch",
         ),
         Inst::Load {
@@ -466,7 +328,10 @@ pub fn encode(inst: &Inst) -> Result32 {
         } => i_type(
             i64::from(offset),
             rs1.bits(),
-            load_funct3(width, signed)?,
+            ops::LOAD
+                .get((width, signed))
+                .ok_or(EncodeError::InvalidForm("ldu does not exist"))?
+                .bits,
             rd.bits(),
             OPC_LOAD,
             "load",
@@ -480,78 +345,45 @@ pub fn encode(inst: &Inst) -> Result32 {
             i64::from(offset),
             rs2.bits(),
             rs1.bits(),
-            width.log2_bytes(),
+            ops::STORE.row(width).bits,
             OPC_STORE,
             "store",
         ),
-        Inst::OpImm { op, rd, rs1, imm } => {
-            let (funct3, funct7) = alu_funct(op);
-            match op {
-                AluOp::Sub => Err(EncodeError::InvalidForm("subi does not exist")),
-                _ if op.is_m_ext() => Err(EncodeError::InvalidForm("op-imm with M-extension op")),
-                AluOp::Sll | AluOp::Srl | AluOp::Sra => {
-                    let sh = shamt(imm, 63, "shift amount")?;
-                    Ok(r_type(
-                        funct7 | (sh >> 5),
-                        sh & 0x1f,
-                        rs1.bits(),
-                        funct3,
-                        rd.bits(),
-                        OPC_OP_IMM,
-                    ))
-                }
-                _ => i_type(imm, rs1.bits(), funct3, rd.bits(), OPC_OP_IMM, "op-imm"),
-            }
-        }
-        Inst::Op { op, rd, rs1, rs2 } => {
-            let (funct3, funct7) = alu_funct(op);
-            Ok(r_type(
-                funct7,
-                rs2.bits(),
-                rs1.bits(),
-                funct3,
-                rd.bits(),
-                OPC_OP,
-            ))
-        }
-        Inst::OpImm32 { op, rd, rs1, imm } => {
-            let (funct3, funct7) = alu_w_funct(op);
-            match op {
-                AluWOp::Addw => i_type(imm, rs1.bits(), funct3, rd.bits(), OPC_OP_IMM32, "addiw"),
-                AluWOp::Sllw | AluWOp::Srlw | AluWOp::Sraw => {
-                    let sh = shamt(imm, 31, "word shift amount")?;
-                    Ok(r_type(
-                        funct7,
-                        sh,
-                        rs1.bits(),
-                        funct3,
-                        rd.bits(),
-                        OPC_OP_IMM32,
-                    ))
-                }
-                _ => Err(EncodeError::InvalidForm("op-imm-32 variant")),
-            }
-        }
-        Inst::Op32 { op, rd, rs1, rs2 } => {
-            let (funct3, funct7) = alu_w_funct(op);
-            Ok(r_type(
-                funct7,
-                rs2.bits(),
-                rs1.bits(),
-                funct3,
-                rd.bits(),
-                OPC_OP32,
-            ))
-        }
+        Inst::OpImm { op, rd, rs1, imm } => op_imm(
+            ops::ALU.row(op),
+            imm,
+            63,
+            ["shift amount", "op-imm"],
+            (rs1, rd),
+            OPC_OP_IMM,
+        ),
+        Inst::Op { op, rd, rs1, rs2 } => Ok(r_row(
+            ops::ALU.row(op),
+            rs2.bits(),
+            rs1.bits(),
+            rd.bits(),
+            OPC_OP,
+        )),
+        Inst::OpImm32 { op, rd, rs1, imm } => op_imm(
+            ops::ALU_W.row(op),
+            imm,
+            31,
+            ["word shift amount", "addiw"],
+            (rs1, rd),
+            OPC_OP_IMM32,
+        ),
+        Inst::Op32 { op, rd, rs1, rs2 } => Ok(r_row(
+            ops::ALU_W.row(op),
+            rs2.bits(),
+            rs1.bits(),
+            rd.bits(),
+            OPC_OP32,
+        )),
         Inst::Fence => Ok(0x0ff0_000f),
         Inst::Ecall => Ok(0x0000_0073),
         Inst::Ebreak => Ok(0x0010_0073),
         Inst::Csr { op, rd, csr, src } => {
-            let base = match op {
-                CsrOp::Rw => 0b001,
-                CsrOp::Rs => 0b010,
-                CsrOp::Rc => 0b011,
-            };
+            let base = ops::CSR.row(op).bits;
             let (funct3, field) = match src {
                 CsrSrc::Reg(rs1) => (base, rs1.bits()),
                 CsrSrc::Imm(z) => {
@@ -573,16 +405,15 @@ pub fn encode(inst: &Inst) -> Result32 {
             rs1,
             rs2,
         } => {
-            let funct3 = match width {
-                MemWidth::W => 0b010,
-                MemWidth::D => 0b011,
-                _ => return Err(EncodeError::InvalidForm("amo width must be w or d")),
-            };
-            if op == AmoOp::Lr && rs2 != crate::reg::XReg::ZERO {
+            let funct3 = ops::AMO_WIDTH
+                .get(width)
+                .ok_or(EncodeError::InvalidForm("amo width must be w or d"))?
+                .bits;
+            if op == AmoOp::Lr && rs2 != XReg::ZERO {
                 return Err(EncodeError::InvalidForm("lr with rs2 != x0"));
             }
             Ok(r_type(
-                amo_funct5(op) << 2,
+                ops::AMO.row(op).bits << 2,
                 rs2.bits(),
                 rs1.bits(),
                 funct3,
@@ -593,7 +424,7 @@ pub fn encode(inst: &Inst) -> Result32 {
         Inst::Fld { rd, rs1, offset } => i_type(
             i64::from(offset),
             rs1.bits(),
-            0b011,
+            F3_FP_D,
             rd.bits(),
             OPC_LOAD_FP,
             "fld",
@@ -602,85 +433,49 @@ pub fn encode(inst: &Inst) -> Result32 {
             i64::from(offset),
             rs2.bits(),
             rs1.bits(),
-            0b011,
+            F3_FP_D,
             OPC_STORE_FP,
             "fsd",
         ),
-        Inst::FpOp { op, rd, rs1, rs2 } => {
-            let (funct7, rm) = match op {
-                FpOp::Add => (0b0000001, RM_DYN),
-                FpOp::Sub => (0b0000101, RM_DYN),
-                FpOp::Mul => (0b0001001, RM_DYN),
-                FpOp::Div => (0b0001101, RM_DYN),
-                FpOp::Sgnj => (0b0010001, 0b000),
-                FpOp::Sgnjn => (0b0010001, 0b001),
-                FpOp::Sgnjx => (0b0010001, 0b010),
-                FpOp::Min => (0b0010101, 0b000),
-                FpOp::Max => (0b0010101, 0b001),
-            };
-            Ok(r_type(
-                funct7,
-                rs2.bits(),
-                rs1.bits(),
-                rm,
-                rd.bits(),
-                OPC_OP_FP,
-            ))
-        }
+        Inst::FpOp { op, rd, rs1, rs2 } => Ok(r_row(
+            ops::FP.row(op),
+            rs2.bits(),
+            rs1.bits(),
+            rd.bits(),
+            OPC_OP_FP,
+        )),
         Inst::FpFma {
             op,
             rd,
             rs1,
             rs2,
             rs3,
-        } => {
-            let opcode = match op {
-                FmaOp::Madd => OPC_FMADD,
-                FmaOp::Msub => OPC_FMSUB,
-                FmaOp::Nmsub => OPC_FNMSUB,
-                FmaOp::Nmadd => OPC_FNMADD,
-            };
-            Ok((rs3.bits() << 27)
-                | (0b01 << 25)
-                | (rs2.bits() << 20)
-                | (rs1.bits() << 15)
-                | (RM_DYN << 12)
-                | (rd.bits() << 7)
-                | opcode)
-        }
-        Inst::FpCmp { op, rd, rs1, rs2 } => {
-            let rm = match op {
-                FpCmpOp::Eq => 0b010,
-                FpCmpOp::Lt => 0b001,
-                FpCmpOp::Le => 0b000,
-            };
-            Ok(r_type(
-                0b1010001,
-                rs2.bits(),
-                rs1.bits(),
-                rm,
-                rd.bits(),
-                OPC_OP_FP,
-            ))
-        }
+        } => Ok((rs3.bits() << 27)
+            | (0b01 << 25)
+            | (rs2.bits() << 20)
+            | (rs1.bits() << 15)
+            | (RM_DYN << 12)
+            | (rd.bits() << 7)
+            | ops::FMA.row(op).bits),
+        Inst::FpCmp { op, rd, rs1, rs2 } => Ok(r_row(
+            ops::FP_CMP.row(op),
+            rs2.bits(),
+            rs1.bits(),
+            rd.bits(),
+            OPC_OP_FP,
+        )),
         Inst::FpCvt { op, rd, rs1 } => {
-            let (funct7, rs2_field, rm) = match op {
-                FpCvtOp::DFromW => (0b1101001, 0b00000, 0b000),
-                FpCvtOp::DFromL => (0b1101001, 0b00010, 0b000),
-                FpCvtOp::DFromLu => (0b1101001, 0b00011, 0b000),
-                FpCvtOp::WFromD => (0b1100001, 0b00000, RM_RTZ),
-                FpCvtOp::LFromD => (0b1100001, 0b00010, RM_RTZ),
-                FpCvtOp::LuFromD => (0b1100001, 0b00011, RM_RTZ),
-            };
+            let row = ops::FP_CVT.row(op);
             if rd >= 32 || rs1 >= 32 {
                 return Err(EncodeError::ImmOutOfRange {
                     what: "fcvt register index",
                     value: i64::from(rd.max(rs1)),
                 });
             }
+            let rm = if row.has(TO_INT) { RM_RTZ } else { 0b000 };
             Ok(r_type(
-                funct7,
-                rs2_field,
+                row.bits >> 5,
+                row.bits & 0x1f,
                 u32::from(rs1),
                 rm,
                 u32::from(rd),
@@ -734,64 +529,21 @@ pub fn encode(inst: &Inst) -> Result32 {
             mode,
             eew,
             vm,
-        } => {
-            let (mop, f24_20) = vmem_mode(mode);
-            Ok((mop << 26)
-                | (u32::from(vm) << 25)
-                | (f24_20 << 20)
-                | (rs1.bits() << 15)
-                | (vmem_width(eew) << 12)
-                | (vd.bits() << 7)
-                | OPC_LOAD_FP)
-        }
+        } => Ok(vmem(mode, eew, vm, rs1, vd, OPC_LOAD_FP)),
         Inst::VStore {
             vs3,
             rs1,
             mode,
             eew,
             vm,
-        } => {
-            let (mop, f24_20) = vmem_mode(mode);
-            Ok((mop << 26)
-                | (u32::from(vm) << 25)
-                | (f24_20 << 20)
-                | (rs1.bits() << 15)
-                | (vmem_width(eew) << 12)
-                | (vs3.bits() << 7)
-                | OPC_STORE_FP)
-        }
+        } => Ok(vmem(mode, eew, vm, rs1, vs3, OPC_STORE_FP)),
         Inst::VIntOp {
             op,
             vd,
             vs2,
             src,
             vm,
-        } => {
-            let funct6 = vint_funct6(op);
-            match src {
-                VScalar::Vector(vs1) => {
-                    if !vint_has_vv(op) {
-                        return Err(EncodeError::InvalidForm("vrsub.vv does not exist"));
-                    }
-                    Ok(op_v(
-                        funct6,
-                        vm,
-                        vs1.bits(),
-                        vs2.bits(),
-                        F3_OPIVV,
-                        vd.bits(),
-                    ))
-                }
-                VScalar::Xreg(rs1) => Ok(op_v(
-                    funct6,
-                    vm,
-                    rs1.bits(),
-                    vs2.bits(),
-                    F3_OPIVX,
-                    vd.bits(),
-                )),
-            }
-        }
+        } => op_v_row(ops::VINT.row(op), vscalar(src, F3_OPIVV), vm, vs2, vd),
         Inst::VIntOpImm {
             op,
             vd,
@@ -799,28 +551,19 @@ pub fn encode(inst: &Inst) -> Result32 {
             imm,
             vm,
         } => {
-            if !vint_has_vi(op) {
-                return Err(EncodeError::InvalidForm("vector op has no .vi form"));
-            }
-            let field = if matches!(op, VIntOp::Sll | VIntOp::Srl | VIntOp::Sra) {
-                if !(0..=31).contains(&imm) {
-                    return Err(EncodeError::ImmOutOfRange {
-                        what: "vector shift immediate",
-                        value: i64::from(imm),
-                    });
-                }
-                (imm as u32) & 0x1f
-            } else {
+            let row = ops::VINT.row(op);
+            require_form(row, VI)?;
+            let field = if !row.has(UIMM) {
                 simm5(imm, "vector immediate")?
+            } else if (0..=31).contains(&imm) {
+                imm as u32
+            } else {
+                return Err(EncodeError::ImmOutOfRange {
+                    what: "vector shift immediate",
+                    value: i64::from(imm),
+                });
             };
-            Ok(op_v(
-                vint_funct6(op),
-                vm,
-                field,
-                vs2.bits(),
-                F3_OPIVI,
-                vd.bits(),
-            ))
+            Ok(op_v(row.bits, vm, field, vs2.bits(), F3_OPIVI, vd.bits()))
         }
         Inst::VMulOp {
             op,
@@ -828,56 +571,16 @@ pub fn encode(inst: &Inst) -> Result32 {
             vs2,
             src,
             vm,
-        } => {
-            let funct6 = vmul_funct6(op);
-            match src {
-                VScalar::Vector(vs1) => Ok(op_v(
-                    funct6,
-                    vm,
-                    vs1.bits(),
-                    vs2.bits(),
-                    F3_OPMVV,
-                    vd.bits(),
-                )),
-                VScalar::Xreg(rs1) => Ok(op_v(
-                    funct6,
-                    vm,
-                    rs1.bits(),
-                    vs2.bits(),
-                    F3_OPMVX,
-                    vd.bits(),
-                )),
-            }
-        }
+        } => op_v_row(ops::VMUL.row(op), vscalar(src, F3_OPMVV), vm, vs2, vd),
         Inst::VFpOp {
             op,
             vd,
             vs2,
             src,
             vm,
-        } => {
-            let funct6 = vfp_funct6(op);
-            match src {
-                VFScalar::Vector(vs1) => Ok(op_v(
-                    funct6,
-                    vm,
-                    vs1.bits(),
-                    vs2.bits(),
-                    F3_OPFVV,
-                    vd.bits(),
-                )),
-                VFScalar::Freg(rs1) => Ok(op_v(
-                    funct6,
-                    vm,
-                    rs1.bits(),
-                    vs2.bits(),
-                    F3_OPFVF,
-                    vd.bits(),
-                )),
-            }
-        }
+        } => op_v_row(ops::VFP.row(op), vfscalar(src), vm, vs2, vd),
         Inst::VRedSum { vd, vs2, vs1, vm } => Ok(op_v(
-            0b000000,
+            F6_VREDSUM,
             vm,
             vs1.bits(),
             vs2.bits(),
@@ -885,61 +588,36 @@ pub fn encode(inst: &Inst) -> Result32 {
             vd.bits(),
         )),
         Inst::VFRedSum { vd, vs2, vs1, vm } => Ok(op_v(
-            0b000001,
+            F6_VFREDUSUM,
             vm,
             vs1.bits(),
             vs2.bits(),
             F3_OPFVV,
             vd.bits(),
         )),
-        Inst::VMvVV { vd, vs1 } => Ok(op_v(0b010111, true, vs1.bits(), 0, F3_OPIVV, vd.bits())),
-        Inst::VMvVX { vd, rs1 } => Ok(op_v(0b010111, true, rs1.bits(), 0, F3_OPIVX, vd.bits())),
+        Inst::VMvVV { vd, vs1 } => Ok(op_v(F6_VMV, true, vs1.bits(), 0, F3_OPIVV, vd.bits())),
+        Inst::VMvVX { vd, rs1 } => Ok(op_v(F6_VMV, true, rs1.bits(), 0, F3_OPIVX, vd.bits())),
         Inst::VMvVI { vd, imm } => Ok(op_v(
-            0b010111,
+            F6_VMV,
             true,
             simm5(imm, "vmv.v.i immediate")?,
             0,
             F3_OPIVI,
             vd.bits(),
         )),
-        Inst::VFMvVF { vd, rs1 } => Ok(op_v(0b010111, true, rs1.bits(), 0, F3_OPFVF, vd.bits())),
-        Inst::VMvXS { rd, vs2 } => Ok(op_v(0b010000, true, 0, vs2.bits(), F3_OPMVV, rd.bits())),
-        Inst::VMvSX { vd, rs1 } => Ok(op_v(0b010000, true, rs1.bits(), 0, F3_OPMVX, vd.bits())),
-        Inst::VFMvFS { rd, vs2 } => Ok(op_v(0b010000, true, 0, vs2.bits(), F3_OPFVV, rd.bits())),
-        Inst::VFMvSF { vd, rs1 } => Ok(op_v(0b010000, true, rs1.bits(), 0, F3_OPFVF, vd.bits())),
-        Inst::Vid { vd, vm } => Ok(op_v(0b010100, vm, 0b10001, 0, F3_OPMVV, vd.bits())),
+        Inst::VFMvVF { vd, rs1 } => Ok(op_v(F6_VMV, true, rs1.bits(), 0, F3_OPFVF, vd.bits())),
+        Inst::VMvXS { rd, vs2 } => Ok(op_v(F6_VUNARY0, true, 0, vs2.bits(), F3_OPMVV, rd.bits())),
+        Inst::VMvSX { vd, rs1 } => Ok(op_v(F6_VUNARY0, true, rs1.bits(), 0, F3_OPMVX, vd.bits())),
+        Inst::VFMvFS { rd, vs2 } => Ok(op_v(F6_VUNARY0, true, 0, vs2.bits(), F3_OPFVV, rd.bits())),
+        Inst::VFMvSF { vd, rs1 } => Ok(op_v(F6_VUNARY0, true, rs1.bits(), 0, F3_OPFVF, vd.bits())),
+        Inst::Vid { vd, vm } => Ok(op_v(F6_VMUNARY0, vm, VS1_VID, 0, F3_OPMVV, vd.bits())),
         Inst::VMaskCmp {
             op,
             vd,
             vs2,
             src,
             vm,
-        } => {
-            let funct6 = vcmp_funct6(op);
-            match src {
-                VScalar::Vector(vs1) => {
-                    if matches!(op, VCmpOp::Gt | VCmpOp::Gtu) {
-                        return Err(EncodeError::InvalidForm("vmsgt has no .vv form"));
-                    }
-                    Ok(op_v(
-                        funct6,
-                        vm,
-                        vs1.bits(),
-                        vs2.bits(),
-                        F3_OPIVV,
-                        vd.bits(),
-                    ))
-                }
-                VScalar::Xreg(rs1) => Ok(op_v(
-                    funct6,
-                    vm,
-                    rs1.bits(),
-                    vs2.bits(),
-                    F3_OPIVX,
-                    vd.bits(),
-                )),
-            }
-        }
+        } => op_v_row(ops::VCMP.row(op), vscalar(src, F3_OPIVV), vm, vs2, vd),
         Inst::VMaskCmpImm {
             op,
             vd,
@@ -947,17 +625,10 @@ pub fn encode(inst: &Inst) -> Result32 {
             imm,
             vm,
         } => {
-            if matches!(op, VCmpOp::Lt | VCmpOp::Ltu) {
-                return Err(EncodeError::InvalidForm("vmslt has no .vi form"));
-            }
-            Ok(op_v(
-                vcmp_funct6(op),
-                vm,
-                simm5(imm, "mask-compare immediate")?,
-                vs2.bits(),
-                F3_OPIVI,
-                vd.bits(),
-            ))
+            let row = ops::VCMP.row(op);
+            require_form(row, VI)?;
+            let field = simm5(imm, "mask-compare immediate")?;
+            Ok(op_v(row.bits, vm, field, vs2.bits(), F3_OPIVI, vd.bits()))
         }
         Inst::VFMaskCmp {
             op,
@@ -965,60 +636,21 @@ pub fn encode(inst: &Inst) -> Result32 {
             vs2,
             src,
             vm,
-        } => {
-            let funct6 = vfcmp_funct6(op);
-            match src {
-                VFScalar::Vector(vs1) => {
-                    if matches!(op, VFCmpOp::Gt | VFCmpOp::Ge) {
-                        return Err(EncodeError::InvalidForm("vmfgt/vmfge have no .vv form"));
-                    }
-                    Ok(op_v(
-                        funct6,
-                        vm,
-                        vs1.bits(),
-                        vs2.bits(),
-                        F3_OPFVV,
-                        vd.bits(),
-                    ))
-                }
-                VFScalar::Freg(rs1) => Ok(op_v(
-                    funct6,
-                    vm,
-                    rs1.bits(),
-                    vs2.bits(),
-                    F3_OPFVF,
-                    vd.bits(),
-                )),
-            }
-        }
+        } => op_v_row(ops::VFCMP.row(op), vfscalar(src), vm, vs2, vd),
         Inst::VMaskLogical { op, vd, vs2, vs1 } => Ok(op_v(
-            vmask_funct6(op),
+            ops::VMASK.row(op).bits,
             true,
             vs1.bits(),
             vs2.bits(),
             F3_OPMVV,
             vd.bits(),
         )),
-        Inst::VMerge { vd, vs2, src } => match src {
-            VScalar::Vector(vs1) => Ok(op_v(
-                0b010111,
-                false,
-                vs1.bits(),
-                vs2.bits(),
-                F3_OPIVV,
-                vd.bits(),
-            )),
-            VScalar::Xreg(rs1) => Ok(op_v(
-                0b010111,
-                false,
-                rs1.bits(),
-                vs2.bits(),
-                F3_OPIVX,
-                vd.bits(),
-            )),
-        },
+        Inst::VMerge { vd, vs2, src } => {
+            let (_, funct3, f19_15) = vscalar(src, F3_OPIVV);
+            Ok(op_v(F6_VMV, false, f19_15, vs2.bits(), funct3, vd.bits()))
+        }
         Inst::VMergeImm { vd, vs2, imm } => Ok(op_v(
-            0b010111,
+            F6_VMV,
             false,
             simm5(imm, "vmerge immediate")?,
             vs2.bits(),
@@ -1026,26 +658,36 @@ pub fn encode(inst: &Inst) -> Result32 {
             vd.bits(),
         )),
         Inst::VFMerge { vd, vs2, rs1 } => Ok(op_v(
-            0b010111,
+            F6_VMV,
             false,
             rs1.bits(),
             vs2.bits(),
             F3_OPFVF,
             vd.bits(),
         )),
-        Inst::Vcpop { rd, vs2, vm } => {
-            Ok(op_v(0b010000, vm, 0b10000, vs2.bits(), F3_OPMVV, rd.bits()))
-        }
-        Inst::Vfirst { rd, vs2, vm } => {
-            Ok(op_v(0b010000, vm, 0b10001, vs2.bits(), F3_OPMVV, rd.bits()))
-        }
+        Inst::Vcpop { rd, vs2, vm } => Ok(op_v(
+            F6_VUNARY0,
+            vm,
+            VS1_VCPOP,
+            vs2.bits(),
+            F3_OPMVV,
+            rd.bits(),
+        )),
+        Inst::Vfirst { rd, vs2, vm } => Ok(op_v(
+            F6_VUNARY0,
+            vm,
+            VS1_VFIRST,
+            vs2.bits(),
+            F3_OPMVV,
+            rd.bits(),
+        )),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::XReg;
+    use crate::inst::{AluOp, BranchOp, MemWidth, VIntOp};
     use crate::vtype::{Lmul, VType};
 
     fn x(n: u8) -> XReg {
@@ -1172,7 +814,10 @@ mod tests {
         };
         assert_eq!(
             encode(&inst),
-            Err(EncodeError::InvalidForm("subi does not exist"))
+            Err(EncodeError::NoSuchForm {
+                name: "sub",
+                form: "immediate"
+            })
         );
 
         let inst = Inst::OpImm {

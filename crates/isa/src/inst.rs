@@ -110,25 +110,6 @@ pub enum AluOp {
     Remu,
 }
 
-impl AluOp {
-    /// Whether this operation belongs to the M extension (and thus uses
-    /// funct7 = `0000001` in the register encoding).
-    #[must_use]
-    pub fn is_m_ext(self) -> bool {
-        matches!(
-            self,
-            AluOp::Mul
-                | AluOp::Mulh
-                | AluOp::Mulhsu
-                | AluOp::Mulhu
-                | AluOp::Div
-                | AluOp::Divu
-                | AluOp::Rem
-                | AluOp::Remu
-        )
-    }
-}
-
 /// 32-bit (`*W`) integer operation for RV64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluWOp {
@@ -152,17 +133,6 @@ pub enum AluWOp {
     Remw,
     /// `remuw` (M extension).
     Remuw,
-}
-
-impl AluWOp {
-    /// Whether this operation belongs to the M extension.
-    #[must_use]
-    pub fn is_m_ext(self) -> bool {
-        matches!(
-            self,
-            AluWOp::Mulw | AluWOp::Divw | AluWOp::Divuw | AluWOp::Remw | AluWOp::Remuw
-        )
-    }
 }
 
 /// Atomic memory operation (A extension subset).
@@ -1058,13 +1028,5 @@ mod tests {
         };
         assert!(vl.is_memory());
         assert!(vl.is_vector());
-    }
-
-    #[test]
-    fn m_extension_classification() {
-        assert!(AluOp::Mul.is_m_ext());
-        assert!(!AluOp::Add.is_m_ext());
-        assert!(AluWOp::Remuw.is_m_ext());
-        assert!(!AluWOp::Sraw.is_m_ext());
     }
 }

@@ -31,6 +31,7 @@ pub mod disasm;
 pub mod encode;
 pub mod inst;
 pub mod interval;
+pub mod ops;
 pub mod predecode;
 pub mod reg;
 pub mod superblock;

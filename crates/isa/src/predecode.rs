@@ -14,7 +14,8 @@
 //! and the stepper recomputes their sets with [`uses_with_group`] /
 //! [`defs_with_group`] under the current group length.
 
-use crate::inst::{CsrSrc, FpCvtOp, Inst, VAddrMode, VFScalar, VFpOp, VMulOp, VScalar};
+use crate::inst::{CsrSrc, Inst, VAddrMode, VFScalar, VFpOp, VMulOp, VScalar};
+use crate::ops;
 use crate::reg::{FReg, VReg, XReg};
 
 /// A set of registers, used for hazard detection (bit per register).
@@ -137,12 +138,13 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
             set.add_f(rs1);
             set.add_f(rs2);
         }
-        Inst::FpCvt { op, rs1, .. } => match op {
-            FpCvtOp::DFromL | FpCvtOp::DFromLu | FpCvtOp::DFromW => {
+        Inst::FpCvt { op, rs1, .. } => {
+            if !ops::FP_CVT.row(op).has(ops::TO_INT) {
                 set.add_x(XReg::new(rs1).unwrap_or(XReg::ZERO));
+            } else {
+                set.add_f(FReg::new(rs1).unwrap_or_default());
             }
-            _ => set.add_f(FReg::new(rs1).unwrap_or_default()),
-        },
+        }
         Inst::FmvXD { rs1, .. } => set.add_f(rs1),
         Inst::FmvDX { rs1, .. } => set.add_x(rs1),
         Inst::Vsetvli { rs1, .. } => set.add_x(rs1),
@@ -331,12 +333,13 @@ pub fn defs_with_group(inst: &Inst, g: u8) -> RegSet {
         | Inst::VMvXS { rd, .. } => set.add_x(rd),
         Inst::Fld { rd, .. } | Inst::FmvDX { rd, .. } | Inst::VFMvFS { rd, .. } => set.add_f(rd),
         Inst::FpOp { rd, .. } | Inst::FpFma { rd, .. } => set.add_f(rd),
-        Inst::FpCvt { op, rd, .. } => match op {
-            FpCvtOp::DFromL | FpCvtOp::DFromLu | FpCvtOp::DFromW => {
+        Inst::FpCvt { op, rd, .. } => {
+            if !ops::FP_CVT.row(op).has(ops::TO_INT) {
                 set.add_f(FReg::new(rd).unwrap_or_default());
+            } else {
+                set.add_x(XReg::new(rd).unwrap_or(XReg::ZERO));
             }
-            _ => set.add_x(XReg::new(rd).unwrap_or(XReg::ZERO)),
-        },
+        }
         Inst::VLoad { vd, .. } => set.add_v_group(vd, g),
         Inst::VIntOp { vd, .. }
         | Inst::VIntOpImm { vd, .. }

@@ -4,12 +4,43 @@
 
 use coyote_isa::decode::decode;
 use coyote_isa::encode::encode;
-use coyote_isa::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCmpOp, FpCvtOp, FpOp, Inst, MemWidth,
-    VAddrMode, VCmpOp, VFCmpOp, VFScalar, VFpOp, VIntOp, VMaskOp, VMulOp, VScalar,
-};
+use coyote_isa::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VFScalar, VScalar};
+use coyote_isa::ops::{self, Row, Table, UIMM, VF, VI, VV, VX};
 use coyote_isa::{Csr, FReg, Lmul, Sew, VReg, VType, XReg};
 use proptest::prelude::*;
+
+/// The operations of `table` whose row satisfies `keep`. Every
+/// operation strategy below is drawn from the tables this way, so a new
+/// row is covered with no edit here.
+fn rows<T: Copy + std::fmt::Debug + 'static>(
+    table: &Table<T>,
+    keep: impl Fn(&Row<T>) -> bool,
+) -> impl Strategy<Value = T> {
+    let ops: Vec<T> = table.0.iter().filter(|r| keep(r)).map(|r| r.op).collect();
+    (0..ops.len()).prop_map(move |i| ops[i])
+}
+
+/// Every operation of `table`.
+fn all<T: Copy + std::fmt::Debug + 'static>(table: &Table<T>) -> impl Strategy<Value = T> {
+    rows(table, |_| true)
+}
+
+/// The operations of `table` that have every form in `forms`.
+fn with<T: Copy + std::fmt::Debug + 'static>(
+    table: &Table<T>,
+    forms: u8,
+) -> impl Strategy<Value = T> {
+    rows(table, move |r| r.forms & forms == forms)
+}
+
+/// The operations with an immediate form that does (`shift`) or does
+/// not carry an unsigned shift amount.
+fn imm_form<T: Copy + std::fmt::Debug + 'static>(
+    table: &Table<T>,
+    shift: bool,
+) -> impl Strategy<Value = T> {
+    rows(table, move |r| r.imm.is_some() && r.has(UIMM) == shift)
+}
 
 fn xreg() -> impl Strategy<Value = XReg> {
     (0u8..32).prop_map(|n| XReg::new(n).unwrap())
@@ -24,12 +55,7 @@ fn csr() -> impl Strategy<Value = Csr> {
     (0u16..0x1000).prop_map(|a| Csr::new(a).unwrap())
 }
 fn sew() -> impl Strategy<Value = Sew> {
-    prop_oneof![
-        Just(Sew::E8),
-        Just(Sew::E16),
-        Just(Sew::E32),
-        Just(Sew::E64)
-    ]
+    all(&ops::VMEM_EEW)
 }
 fn lmul() -> impl Strategy<Value = Lmul> {
     prop_oneof![
@@ -49,142 +75,6 @@ fn vtype() -> impl Strategy<Value = VType> {
         ta,
         ma,
     })
-}
-
-fn branch_op() -> impl Strategy<Value = BranchOp> {
-    prop_oneof![
-        Just(BranchOp::Eq),
-        Just(BranchOp::Ne),
-        Just(BranchOp::Lt),
-        Just(BranchOp::Ge),
-        Just(BranchOp::Ltu),
-        Just(BranchOp::Geu),
-    ]
-}
-
-fn reg_alu_op() -> impl Strategy<Value = AluOp> {
-    prop_oneof![
-        Just(AluOp::Add),
-        Just(AluOp::Sub),
-        Just(AluOp::Sll),
-        Just(AluOp::Slt),
-        Just(AluOp::Sltu),
-        Just(AluOp::Xor),
-        Just(AluOp::Srl),
-        Just(AluOp::Sra),
-        Just(AluOp::Or),
-        Just(AluOp::And),
-        Just(AluOp::Mul),
-        Just(AluOp::Mulh),
-        Just(AluOp::Mulhsu),
-        Just(AluOp::Mulhu),
-        Just(AluOp::Div),
-        Just(AluOp::Divu),
-        Just(AluOp::Rem),
-        Just(AluOp::Remu),
-    ]
-}
-
-fn imm_alu_op() -> impl Strategy<Value = AluOp> {
-    prop_oneof![
-        Just(AluOp::Add),
-        Just(AluOp::Slt),
-        Just(AluOp::Sltu),
-        Just(AluOp::Xor),
-        Just(AluOp::Or),
-        Just(AluOp::And),
-    ]
-}
-
-fn shift_op() -> impl Strategy<Value = AluOp> {
-    prop_oneof![Just(AluOp::Sll), Just(AluOp::Srl), Just(AluOp::Sra)]
-}
-
-fn alu_w_op() -> impl Strategy<Value = AluWOp> {
-    prop_oneof![
-        Just(AluWOp::Addw),
-        Just(AluWOp::Subw),
-        Just(AluWOp::Sllw),
-        Just(AluWOp::Srlw),
-        Just(AluWOp::Sraw),
-        Just(AluWOp::Mulw),
-        Just(AluWOp::Divw),
-        Just(AluWOp::Divuw),
-        Just(AluWOp::Remw),
-        Just(AluWOp::Remuw),
-    ]
-}
-
-fn amo_op() -> impl Strategy<Value = AmoOp> {
-    prop_oneof![
-        Just(AmoOp::Sc),
-        Just(AmoOp::Swap),
-        Just(AmoOp::Add),
-        Just(AmoOp::Xor),
-        Just(AmoOp::And),
-        Just(AmoOp::Or),
-        Just(AmoOp::Min),
-        Just(AmoOp::Max),
-        Just(AmoOp::Minu),
-        Just(AmoOp::Maxu),
-    ]
-}
-
-fn fp_op() -> impl Strategy<Value = FpOp> {
-    prop_oneof![
-        Just(FpOp::Add),
-        Just(FpOp::Sub),
-        Just(FpOp::Mul),
-        Just(FpOp::Div),
-        Just(FpOp::Sgnj),
-        Just(FpOp::Sgnjn),
-        Just(FpOp::Sgnjx),
-        Just(FpOp::Min),
-        Just(FpOp::Max),
-    ]
-}
-
-fn vint_vv_op() -> impl Strategy<Value = VIntOp> {
-    prop_oneof![
-        Just(VIntOp::Add),
-        Just(VIntOp::Sub),
-        Just(VIntOp::And),
-        Just(VIntOp::Or),
-        Just(VIntOp::Xor),
-        Just(VIntOp::Sll),
-        Just(VIntOp::Srl),
-        Just(VIntOp::Sra),
-        Just(VIntOp::Min),
-        Just(VIntOp::Max),
-        Just(VIntOp::Minu),
-        Just(VIntOp::Maxu),
-    ]
-}
-
-fn vmul_op() -> impl Strategy<Value = VMulOp> {
-    prop_oneof![
-        Just(VMulOp::Mul),
-        Just(VMulOp::Mulh),
-        Just(VMulOp::Mulhu),
-        Just(VMulOp::Div),
-        Just(VMulOp::Divu),
-        Just(VMulOp::Rem),
-        Just(VMulOp::Remu),
-        Just(VMulOp::Macc),
-    ]
-}
-
-fn vfp_op() -> impl Strategy<Value = VFpOp> {
-    prop_oneof![
-        Just(VFpOp::Add),
-        Just(VFpOp::Sub),
-        Just(VFpOp::Mul),
-        Just(VFpOp::Div),
-        Just(VFpOp::Min),
-        Just(VFpOp::Max),
-        Just(VFpOp::Sgnj),
-        Just(VFpOp::Macc),
-    ]
 }
 
 fn vaddr_mode() -> impl Strategy<Value = VAddrMode> {
@@ -216,75 +106,51 @@ fn inst() -> impl Strategy<Value = Inst> {
             rs1,
             offset
         }),
-        (branch_op(), xreg(), xreg(), b_offset()).prop_map(|(op, rs1, rs2, offset)| Inst::Branch {
-            op,
-            rs1,
-            rs2,
-            offset
+        (all(&ops::BRANCH), xreg(), xreg(), b_offset()).prop_map(|(op, rs1, rs2, offset)| {
+            Inst::Branch {
+                op,
+                rs1,
+                rs2,
+                offset,
+            }
         }),
-        (
-            prop_oneof![
-                (Just(MemWidth::B), any::<bool>()),
-                (Just(MemWidth::H), any::<bool>()),
-                (Just(MemWidth::W), any::<bool>()),
-                (Just(MemWidth::D), Just(true)),
-            ],
-            xreg(),
-            xreg(),
-            -2048i32..=2047
-        )
-            .prop_map(|((width, signed), rd, rs1, offset)| Inst::Load {
+        (all(&ops::LOAD), xreg(), xreg(), -2048i32..=2047).prop_map(
+            |((width, signed), rd, rs1, offset)| Inst::Load {
                 width,
                 signed,
                 rd,
                 rs1,
                 offset
-            }),
-        (
-            prop_oneof![
-                Just(MemWidth::B),
-                Just(MemWidth::H),
-                Just(MemWidth::W),
-                Just(MemWidth::D)
-            ],
-            xreg(),
-            xreg(),
-            -2048i32..=2047
-        )
-            .prop_map(|(width, rs2, rs1, offset)| Inst::Store {
+            }
+        ),
+        (all(&ops::STORE), xreg(), xreg(), -2048i32..=2047).prop_map(
+            |(width, rs2, rs1, offset)| Inst::Store {
                 width,
                 rs2,
                 rs1,
                 offset
-            }),
-        (imm_alu_op(), xreg(), xreg(), -2048i64..=2047)
+            }
+        ),
+        (imm_form(&ops::ALU, false), xreg(), xreg(), -2048i64..=2047)
             .prop_map(|(op, rd, rs1, imm)| Inst::OpImm { op, rd, rs1, imm }),
-        (shift_op(), xreg(), xreg(), 0i64..=63).prop_map(|(op, rd, rs1, imm)| Inst::OpImm {
-            op,
-            rd,
-            rs1,
-            imm
-        }),
-        (reg_alu_op(), xreg(), xreg(), xreg()).prop_map(|(op, rd, rs1, rs2)| Inst::Op {
+        (imm_form(&ops::ALU, true), xreg(), xreg(), 0i64..=63)
+            .prop_map(|(op, rd, rs1, imm)| Inst::OpImm { op, rd, rs1, imm }),
+        (all(&ops::ALU), xreg(), xreg(), xreg()).prop_map(|(op, rd, rs1, rs2)| Inst::Op {
             op,
             rd,
             rs1,
             rs2
         }),
-        (xreg(), xreg(), -2048i64..=2047).prop_map(|(rd, rs1, imm)| Inst::OpImm32 {
-            op: AluWOp::Addw,
-            rd,
-            rs1,
-            imm
-        }),
         (
-            prop_oneof![Just(AluWOp::Sllw), Just(AluWOp::Srlw), Just(AluWOp::Sraw)],
+            imm_form(&ops::ALU_W, false),
             xreg(),
             xreg(),
-            0i64..=31
+            -2048i64..=2047
         )
             .prop_map(|(op, rd, rs1, imm)| Inst::OpImm32 { op, rd, rs1, imm }),
-        (alu_w_op(), xreg(), xreg(), xreg()).prop_map(|(op, rd, rs1, rs2)| Inst::Op32 {
+        (imm_form(&ops::ALU_W, true), xreg(), xreg(), 0i64..=31)
+            .prop_map(|(op, rd, rs1, imm)| Inst::OpImm32 { op, rd, rs1, imm }),
+        (all(&ops::ALU_W), xreg(), xreg(), xreg()).prop_map(|(op, rd, rs1, rs2)| Inst::Op32 {
             op,
             rd,
             rs1,
@@ -294,7 +160,7 @@ fn inst() -> impl Strategy<Value = Inst> {
         Just(Inst::Ecall),
         Just(Inst::Ebreak),
         (
-            prop_oneof![Just(CsrOp::Rw), Just(CsrOp::Rs), Just(CsrOp::Rc)],
+            all(&ops::CSR),
             xreg(),
             csr(),
             prop_oneof![
@@ -303,32 +169,16 @@ fn inst() -> impl Strategy<Value = Inst> {
             ]
         )
             .prop_map(|(op, rd, csr, src)| Inst::Csr { op, rd, csr, src }),
-        (
-            amo_op(),
-            prop_oneof![Just(MemWidth::W), Just(MemWidth::D)],
-            xreg(),
-            xreg(),
-            xreg()
-        )
-            .prop_map(|(op, width, rd, rs1, rs2)| Inst::Amo {
+        // `lr` has no data register: rs2 must be x0.
+        (all(&ops::AMO), all(&ops::AMO_WIDTH), xreg(), xreg(), xreg()).prop_map(
+            |(op, width, rd, rs1, rs2)| Inst::Amo {
                 op,
                 width,
                 rd,
                 rs1,
-                rs2
-            }),
-        (
-            prop_oneof![Just(MemWidth::W), Just(MemWidth::D)],
-            xreg(),
-            xreg()
-        )
-            .prop_map(|(width, rd, rs1)| Inst::Amo {
-                op: AmoOp::Lr,
-                width,
-                rd,
-                rs1,
-                rs2: XReg::ZERO
-            }),
+                rs2: if op == AmoOp::Lr { XReg::ZERO } else { rs2 }
+            }
+        ),
         (freg(), xreg(), -2048i32..=2047).prop_map(|(rd, rs1, offset)| Inst::Fld {
             rd,
             rs1,
@@ -339,51 +189,28 @@ fn inst() -> impl Strategy<Value = Inst> {
             rs1,
             offset
         }),
-        (fp_op(), freg(), freg(), freg()).prop_map(|(op, rd, rs1, rs2)| Inst::FpOp {
+        (all(&ops::FP), freg(), freg(), freg()).prop_map(|(op, rd, rs1, rs2)| Inst::FpOp {
             op,
             rd,
             rs1,
             rs2
         }),
-        (
-            prop_oneof![
-                Just(FmaOp::Madd),
-                Just(FmaOp::Msub),
-                Just(FmaOp::Nmsub),
-                Just(FmaOp::Nmadd)
-            ],
-            freg(),
-            freg(),
-            freg(),
-            freg()
-        )
-            .prop_map(|(op, rd, rs1, rs2, rs3)| Inst::FpFma {
+        (all(&ops::FMA), freg(), freg(), freg(), freg()).prop_map(|(op, rd, rs1, rs2, rs3)| {
+            Inst::FpFma {
                 op,
                 rd,
                 rs1,
                 rs2,
-                rs3
-            }),
-        (
-            prop_oneof![Just(FpCmpOp::Eq), Just(FpCmpOp::Lt), Just(FpCmpOp::Le)],
-            xreg(),
-            freg(),
-            freg()
-        )
-            .prop_map(|(op, rd, rs1, rs2)| Inst::FpCmp { op, rd, rs1, rs2 }),
-        (
-            prop_oneof![
-                Just(FpCvtOp::DFromL),
-                Just(FpCvtOp::DFromLu),
-                Just(FpCvtOp::DFromW),
-                Just(FpCvtOp::LFromD),
-                Just(FpCvtOp::LuFromD),
-                Just(FpCvtOp::WFromD)
-            ],
-            0u8..32,
-            0u8..32
-        )
-            .prop_map(|(op, rd, rs1)| Inst::FpCvt { op, rd, rs1 }),
+                rs3,
+            }
+        }),
+        (all(&ops::FP_CMP), xreg(), freg(), freg()).prop_map(|(op, rd, rs1, rs2)| Inst::FpCmp {
+            op,
+            rd,
+            rs1,
+            rs2
+        }),
+        (all(&ops::FP_CVT), 0u8..32, 0u8..32).prop_map(|(op, rd, rs1)| Inst::FpCvt { op, rd, rs1 }),
         (xreg(), freg()).prop_map(|(rd, rs1)| Inst::FmvXD { rd, rs1 }),
         (freg(), xreg()).prop_map(|(rd, rs1)| Inst::FmvDX { rd, rs1 }),
         (xreg(), xreg(), vtype()).prop_map(|(rd, rs1, vtype)| Inst::Vsetvli { rd, rs1, vtype }),
@@ -407,37 +234,26 @@ fn inst() -> impl Strategy<Value = Inst> {
                 vm
             }
         ),
-        (vint_vv_op(), vreg(), vreg(), vreg(), any::<bool>()).prop_map(|(op, vd, vs2, vs1, vm)| {
-            Inst::VIntOp {
+        (with(&ops::VINT, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, vs1, vm)| Inst::VIntOp {
                 op,
                 vd,
                 vs2,
                 src: VScalar::Vector(vs1),
                 vm,
             }
-        }),
-        (
-            prop_oneof![vint_vv_op(), Just(VIntOp::Rsub)],
-            vreg(),
-            vreg(),
-            xreg(),
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, rs1, vm)| Inst::VIntOp {
+        ),
+        (with(&ops::VINT, VX), vreg(), vreg(), xreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, rs1, vm)| Inst::VIntOp {
                 op,
                 vd,
                 vs2,
                 src: VScalar::Xreg(rs1),
                 vm
-            }),
+            }
+        ),
         (
-            prop_oneof![
-                Just(VIntOp::Add),
-                Just(VIntOp::Rsub),
-                Just(VIntOp::And),
-                Just(VIntOp::Or),
-                Just(VIntOp::Xor)
-            ],
+            rows(&ops::VINT, |r| r.has(VI) && !r.has(UIMM)),
             vreg(),
             vreg(),
             -16i8..=15,
@@ -451,7 +267,7 @@ fn inst() -> impl Strategy<Value = Inst> {
                 vm
             }),
         (
-            prop_oneof![Just(VIntOp::Sll), Just(VIntOp::Srl), Just(VIntOp::Sra)],
+            with(&ops::VINT, VI | UIMM),
             vreg(),
             vreg(),
             0i8..=31,
@@ -464,40 +280,42 @@ fn inst() -> impl Strategy<Value = Inst> {
                 imm,
                 vm
             }),
-        (
-            vmul_op(),
-            vreg(),
-            vreg(),
-            prop_oneof![
-                vreg().prop_map(VScalar::Vector),
-                xreg().prop_map(VScalar::Xreg)
-            ],
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, src, vm)| Inst::VMulOp {
+        (with(&ops::VMUL, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, vs1, vm)| Inst::VMulOp {
                 op,
                 vd,
                 vs2,
-                src,
+                src: VScalar::Vector(vs1),
                 vm
-            }),
-        (
-            vfp_op(),
-            vreg(),
-            vreg(),
-            prop_oneof![
-                vreg().prop_map(VFScalar::Vector),
-                freg().prop_map(VFScalar::Freg)
-            ],
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, src, vm)| Inst::VFpOp {
+            }
+        ),
+        (with(&ops::VMUL, VX), vreg(), vreg(), xreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, rs1, vm)| Inst::VMulOp {
                 op,
                 vd,
                 vs2,
-                src,
+                src: VScalar::Xreg(rs1),
                 vm
-            }),
+            }
+        ),
+        (with(&ops::VFP, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, vs1, vm)| Inst::VFpOp {
+                op,
+                vd,
+                vs2,
+                src: VFScalar::Vector(vs1),
+                vm
+            }
+        ),
+        (with(&ops::VFP, VF), vreg(), vreg(), freg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, rs1, vm)| Inst::VFpOp {
+                op,
+                vd,
+                vs2,
+                src: VFScalar::Freg(rs1),
+                vm
+            }
+        ),
         (vreg(), vreg(), vreg(), any::<bool>()).prop_map(|(vd, vs2, vs1, vm)| Inst::VRedSum {
             vd,
             vs2,
@@ -520,59 +338,26 @@ fn inst() -> impl Strategy<Value = Inst> {
         (vreg(), freg()).prop_map(|(vd, rs1)| Inst::VFMvSF { vd, rs1 }),
         (vreg(), any::<bool>()).prop_map(|(vd, vm)| Inst::Vid { vd, vm }),
         // Mask subset.
-        (
-            prop_oneof![
-                Just(VCmpOp::Eq),
-                Just(VCmpOp::Ne),
-                Just(VCmpOp::Ltu),
-                Just(VCmpOp::Lt),
-                Just(VCmpOp::Leu),
-                Just(VCmpOp::Le)
-            ],
-            vreg(),
-            vreg(),
-            vreg(),
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, vs1, vm)| Inst::VMaskCmp {
+        (with(&ops::VCMP, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, vs1, vm)| Inst::VMaskCmp {
                 op,
                 vd,
                 vs2,
                 src: VScalar::Vector(vs1),
                 vm
-            }),
-        (
-            prop_oneof![
-                Just(VCmpOp::Eq),
-                Just(VCmpOp::Ne),
-                Just(VCmpOp::Ltu),
-                Just(VCmpOp::Lt),
-                Just(VCmpOp::Leu),
-                Just(VCmpOp::Le),
-                Just(VCmpOp::Gtu),
-                Just(VCmpOp::Gt)
-            ],
-            vreg(),
-            vreg(),
-            xreg(),
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, rs1, vm)| Inst::VMaskCmp {
+            }
+        ),
+        (with(&ops::VCMP, VX), vreg(), vreg(), xreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, rs1, vm)| Inst::VMaskCmp {
                 op,
                 vd,
                 vs2,
                 src: VScalar::Xreg(rs1),
                 vm
-            }),
+            }
+        ),
         (
-            prop_oneof![
-                Just(VCmpOp::Eq),
-                Just(VCmpOp::Ne),
-                Just(VCmpOp::Leu),
-                Just(VCmpOp::Le),
-                Just(VCmpOp::Gtu),
-                Just(VCmpOp::Gt)
-            ],
+            with(&ops::VCMP, VI),
             vreg(),
             vreg(),
             -16i8..=15,
@@ -585,61 +370,25 @@ fn inst() -> impl Strategy<Value = Inst> {
                 imm,
                 vm
             }),
-        (
-            prop_oneof![
-                Just(VFCmpOp::Eq),
-                Just(VFCmpOp::Le),
-                Just(VFCmpOp::Lt),
-                Just(VFCmpOp::Ne)
-            ],
-            vreg(),
-            vreg(),
-            vreg(),
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, vs1, vm)| Inst::VFMaskCmp {
+        (with(&ops::VFCMP, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, vs1, vm)| Inst::VFMaskCmp {
                 op,
                 vd,
                 vs2,
                 src: VFScalar::Vector(vs1),
                 vm
-            }),
-        (
-            prop_oneof![
-                Just(VFCmpOp::Eq),
-                Just(VFCmpOp::Le),
-                Just(VFCmpOp::Lt),
-                Just(VFCmpOp::Ne),
-                Just(VFCmpOp::Gt),
-                Just(VFCmpOp::Ge)
-            ],
-            vreg(),
-            vreg(),
-            freg(),
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, rs1, vm)| Inst::VFMaskCmp {
+            }
+        ),
+        (with(&ops::VFCMP, VF), vreg(), vreg(), freg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, rs1, vm)| Inst::VFMaskCmp {
                 op,
                 vd,
                 vs2,
                 src: VFScalar::Freg(rs1),
                 vm
-            }),
-        (
-            prop_oneof![
-                Just(VMaskOp::And),
-                Just(VMaskOp::Nand),
-                Just(VMaskOp::AndNot),
-                Just(VMaskOp::Xor),
-                Just(VMaskOp::Or),
-                Just(VMaskOp::Nor),
-                Just(VMaskOp::OrNot),
-                Just(VMaskOp::Xnor)
-            ],
-            vreg(),
-            vreg(),
-            vreg()
-        )
+            }
+        ),
+        (all(&ops::VMASK), vreg(), vreg(), vreg())
             .prop_map(|(op, vd, vs2, vs1)| Inst::VMaskLogical { op, vd, vs2, vs1 }),
         (
             vreg(),
