@@ -15,9 +15,9 @@
 use std::collections::BTreeMap;
 
 use coyote_isa::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FpOp, Inst, VAddrMode, VFScalar, VScalar,
+    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FpOp, Inst, VAddrMode, VSrc,
 };
-use coyote_isa::ops::{self, TO_INT, UIMM};
+use coyote_isa::ops::{self, TO_INT};
 use coyote_isa::{Csr, FReg, Lmul, Sew, VReg, VType, XReg};
 
 use crate::operand::Operand;
@@ -699,53 +699,16 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
                 rs2: xr(ops, 2)?,
             });
         }
-        "vmv.v.v" => {
-            return some(Inst::VMvVV {
-                vd: vr(ops, 0)?,
-                vs1: vr(ops, 1)?,
-            })
-        }
-        "vmv.v.x" => {
-            return some(Inst::VMvVX {
-                vd: vr(ops, 0)?,
-                rs1: xr(ops, 1)?,
-            })
-        }
-        "vmv.v.i" => {
-            let i = imm(ops, 1, symbols)?;
-            return some(Inst::VMvVI {
-                vd: vr(ops, 0)?,
-                imm: i8::try_from(i).map_err(|_| "vmv.v.i immediate out of range")?,
-            });
-        }
-        "vfmv.v.f" => {
-            return some(Inst::VFMvVF {
-                vd: vr(ops, 0)?,
-                rs1: fr(ops, 1)?,
-            })
-        }
         "vmv.x.s" => {
             return some(Inst::VMvXS {
                 rd: xr(ops, 0)?,
                 vs2: vr(ops, 1)?,
             })
         }
-        "vmv.s.x" => {
-            return some(Inst::VMvSX {
-                vd: vr(ops, 0)?,
-                rs1: xr(ops, 1)?,
-            })
-        }
         "vfmv.f.s" => {
             return some(Inst::VFMvFS {
                 rd: fr(ops, 0)?,
                 vs2: vr(ops, 1)?,
-            })
-        }
-        "vfmv.s.f" => {
-            return some(Inst::VFMvSF {
-                vd: vr(ops, 0)?,
-                rs1: fr(ops, 1)?,
             })
         }
         "vid.v" => {
@@ -768,37 +731,29 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
                 vm: !mask_at(ops, 2),
             });
         }
-        "vmerge.vvm" => {
+        // The merges, the splats they encode as (`vm` = 1, `vs2` = v0)
+        // and the element-0 moves.
+        "vmerge.vvm" | "vmerge.vxm" | "vmerge.vim" | "vfmerge.vfm" => {
             require_v0(ops, 3)?;
             return some(Inst::VMerge {
                 vd: vr(ops, 0)?,
                 vs2: vr(ops, 1)?,
-                src: VScalar::Vector(vr(ops, 2)?),
+                src: vsrc(mnemonic, ops, 2, symbols)?,
+                vm: false,
             });
         }
-        "vmerge.vxm" => {
-            require_v0(ops, 3)?;
+        "vmv.v.v" | "vmv.v.x" | "vmv.v.i" | "vfmv.v.f" => {
             return some(Inst::VMerge {
                 vd: vr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-                src: VScalar::Xreg(xr(ops, 2)?),
+                vs2: VReg::V0,
+                src: vsrc(mnemonic, ops, 1, symbols)?,
+                vm: true,
             });
         }
-        "vmerge.vim" => {
-            require_v0(ops, 3)?;
-            let i = imm(ops, 2, symbols)?;
-            return some(Inst::VMergeImm {
+        "vmv.s.x" | "vfmv.s.f" => {
+            return some(Inst::VMvS {
                 vd: vr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-                imm: i8::try_from(i).map_err(|_| "vmerge immediate out of range")?,
-            });
-        }
-        "vfmerge.vfm" => {
-            require_v0(ops, 3)?;
-            return some(Inst::VFMerge {
-                vd: vr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-                rs1: fr(ops, 2)?,
+                src: vsrc(mnemonic, ops, 1, symbols)?,
             });
         }
         "vredsum.vs" => {
@@ -869,95 +824,79 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
     }
     // The operand shapes every family shares; which forms an operation
     // really has is the encoder's check, from the same table.
-    let no_form = || format!("`{mnemonic}` has no {form} form");
-    let head = || Ok::<_, String>((vr(ops, 0)?, vr(ops, 1)?, !mask_at(ops, 3)));
-    let int_src = || match form {
-        "vv" => Ok(VScalar::Vector(vr(ops, 2)?)),
-        "vx" => Ok(VScalar::Xreg(xr(ops, 2)?)),
-        _ => Err(no_form()),
+    let head = || -> R<_> {
+        let (vd, vs2) = (vr(ops, 0)?, vr(ops, 1)?);
+        let src = vsrc(mnemonic, ops, 2, symbols)?;
+        Ok((vd, vs2, src, !mask_at(ops, 3)))
     };
-    let fp_src = || match form {
-        "vv" => Ok(VFScalar::Vector(vr(ops, 2)?)),
-        "vf" => Ok(VFScalar::Freg(fr(ops, 2)?)),
-        _ => Err(no_form()),
-    };
-    if let Some(row) = ops::VCMP.from_name(stem) {
-        let (op, (vd, vs2, vm)) = (row.op, head()?);
-        return some(if form == "vi" {
-            let i = imm(ops, 2, symbols)?;
-            Inst::VMaskCmpImm {
-                op,
-                vd,
-                vs2,
-                imm: i8::try_from(i).map_err(|_| "compare immediate out of range")?,
-                vm,
-            }
-        } else {
-            Inst::VMaskCmp {
-                op,
-                vd,
-                vs2,
-                src: int_src()?,
-                vm,
-            }
-        });
-    }
-    if let Some(row) = ops::VFCMP.from_name(stem) {
-        let (op, (vd, vs2, vm)) = (row.op, head()?);
-        return some(Inst::VFMaskCmp {
-            op,
+    if let Some(row) = ops::VINT.from_name(stem) {
+        let (vd, vs2, src, vm) = head()?;
+        return some(Inst::VIntOp {
+            op: row.op,
             vd,
             vs2,
-            src: fp_src()?,
+            src,
             vm,
         });
     }
-    if let Some(row) = ops::VINT.from_name(stem) {
-        let (op, (vd, vs2, vm)) = (row.op, head()?);
-        return some(if form == "vi" {
-            let i = imm(ops, 2, symbols)?;
-            let range = if row.has(UIMM) { 0..=31 } else { -16..=15 };
-            if !range.contains(&i) {
-                return Err(format!("vector immediate {i} out of range"));
-            }
-            Inst::VIntOpImm {
-                op,
-                vd,
-                vs2,
-                imm: i as i8,
-                vm,
-            }
-        } else {
-            Inst::VIntOp {
-                op,
-                vd,
-                vs2,
-                src: int_src()?,
-                vm,
-            }
-        });
-    }
     if let Some(row) = ops::VMUL.from_name(stem) {
-        let (op, (vd, vs2, vm)) = (row.op, head()?);
+        let (vd, vs2, src, vm) = head()?;
         return some(Inst::VMulOp {
-            op,
+            op: row.op,
             vd,
             vs2,
-            src: int_src()?,
+            src,
             vm,
         });
     }
     if let Some(row) = ops::VFP.from_name(stem) {
-        let (op, (vd, vs2, vm)) = (row.op, head()?);
+        let (vd, vs2, src, vm) = head()?;
         return some(Inst::VFpOp {
-            op,
+            op: row.op,
             vd,
             vs2,
-            src: fp_src()?,
+            src,
+            vm,
+        });
+    }
+    if let Some(row) = ops::VCMP.from_name(stem) {
+        let (vd, vs2, src, vm) = head()?;
+        return some(Inst::VMaskCmp {
+            op: row.op,
+            vd,
+            vs2,
+            src,
+            vm,
+        });
+    }
+    if let Some(row) = ops::VFCMP.from_name(stem) {
+        let (vd, vs2, src, vm) = head()?;
+        return some(Inst::VFMaskCmp {
+            op: row.op,
+            vd,
+            vs2,
+            src,
             vm,
         });
     }
     Ok(None)
+}
+
+/// The second operand of a vector instruction, by the form letter its
+/// mnemonic ends in (`x` for `vadd.vx`, `vmv.v.x` and `vmerge.vxm`): a
+/// `v`, `x` or `f` register, or (`i`) an immediate.
+fn vsrc(mnemonic: &str, ops: &[Operand], i: usize, symbols: &Symbols) -> R<VSrc> {
+    let stem = mnemonic.trim_end_matches('m');
+    Ok(match &stem[stem.len() - 1..] {
+        "v" => VSrc::V(vr(ops, i)?),
+        "x" => VSrc::X(xr(ops, i)?),
+        "f" => VSrc::F(fr(ops, i)?),
+        _ => {
+            let value = imm(ops, i, symbols)?;
+            let imm = i8::try_from(value);
+            VSrc::I(imm.map_err(|_| format!("vector immediate {value} out of range"))?)
+        }
+    })
 }
 
 /// Parses `v{l,s}{e,se,uxei}<bits>.v` into (is-load, the mode's table
@@ -1196,16 +1135,16 @@ mod tests {
             expand1("vadd.vv", "v1, v2, v3"),
             Inst::VIntOp {
                 op: VIntOp::Add,
-                src: VScalar::Vector(_),
+                src: VSrc::V(_),
                 vm: true,
                 ..
             }
         ));
         assert!(matches!(
             expand1("vsll.vi", "v1, v2, 3"),
-            Inst::VIntOpImm {
+            Inst::VIntOp {
                 op: VIntOp::Sll,
-                imm: 3,
+                src: VSrc::I(3),
                 ..
             }
         ));
@@ -1213,7 +1152,7 @@ mod tests {
             expand1("vfmacc.vf", "v1, v2, fa0"),
             Inst::VFpOp {
                 op: VFpOp::Macc,
-                src: VFScalar::Freg(_),
+                src: VSrc::F(_),
                 ..
             }
         ));
@@ -1247,8 +1186,11 @@ mod tests {
         let ops = parse_ops("a0, a1, nowhere");
         let err = expand("beq", &ops, 0, &Symbols::new()).unwrap_err();
         assert!(err.contains("nowhere"));
-        let ops = parse_ops("v1, v2, 99");
-        assert!(expand("vadd.vi", &ops, 0, &Symbols::new()).is_err());
+        let err = coyote_isa::encode(&expand1("vadd.vi", "v1, v2, 99")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "immediate 99 out of range for vector immediate",
+        );
         // A form the operation lacks is reported under its own name.
         for (mnemonic, ops_text) in [
             ("vmsgtu.vv", "v1, v2, v3"),

@@ -106,10 +106,10 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--cores" => builder = builder.cores(number(&mut args, "--cores")?),
             "--cores-per-tile" => {
-                builder = builder.cores_per_tile(number(&mut args, "--cores-per-tile")?)
+                builder = builder.cores_per_tile(number(&mut args, "--cores-per-tile")?);
             }
             "--banks-per-tile" => {
-                builder = builder.banks_per_tile(number(&mut args, "--banks-per-tile")?)
+                builder = builder.banks_per_tile(number(&mut args, "--banks-per-tile")?);
             }
             "--l2-private" => builder = builder.sharing(L2Sharing::Private),
             "--mapping" => {
@@ -143,7 +143,7 @@ fn parse_args() -> Result<Options, String> {
                 builder = builder.telemetry(true);
             }
             "--metrics-interval" => {
-                builder = builder.metrics_interval(number(&mut args, "--metrics-interval")?)
+                builder = builder.metrics_interval(number(&mut args, "--metrics-interval")?);
             }
             "--top-k" => builder = builder.attribution_top_k(number(&mut args, "--top-k")?),
             "--chrome-trace" => {
@@ -360,7 +360,9 @@ fn run(options: &Options) -> Result<i64, String> {
         eprintln!("chrome trace: {path}");
         // Both record stores are capped; past the cap the timeline has
         // core-state slices only, and nothing in the file says so.
-        let slices = sim.mem_telemetry().map_or(0, |mem| mem.dropped_slices());
+        let slices = sim
+            .mem_telemetry()
+            .map_or(0, coyote_mem::MemTelemetry::dropped_slices);
         let links = sim.attribution().dropped_links();
         if slices > 0 || links > 0 {
             eprintln!(

@@ -165,6 +165,30 @@ fn assembly_errors_point_at_the_line() {
     }
 }
 
+/// A register group that runs past `v31` used to panic the simulator
+/// (exit 101), with and without the oracle; it is an execution error
+/// naming the pc and the register.
+#[test]
+fn vector_group_past_v31_is_an_error_naming_the_pc() {
+    let path = write_temp_program(
+        "group_past_v31.s",
+        "_start:\n li a0, 1024\n vsetvli t0, a0, e64,m8,ta,ma\n vadd.vv v31, v31, v31\n",
+    );
+    for oracle in [&[][..], &["--oracle"][..]] {
+        let output = Command::new(sim_binary())
+            .arg(&path)
+            .args(oracle)
+            .output()
+            .expect("spawn coyote-sim");
+        assert_eq!(output.status.code(), Some(1), "{oracle:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("pc 0x80000008") && stderr.contains("v31 runs past v31"),
+            "{oracle:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn every_documented_flag_parses() {
     let path = write_temp_program(
@@ -625,7 +649,9 @@ fn stopped_run_writes_every_requested_artifact_and_passes_the_check() {
     assert!(trace.with_extension("pcf").exists());
     let text = std::fs::read_to_string(&chrome).expect("chrome trace");
     let doc = coyote_telemetry::parse_json(&text).expect("valid Chrome JSON");
-    let field = |e: &coyote_telemetry::JsonValue, key: &str| e.get(key).and_then(|v| v.as_u64());
+    let field = |e: &coyote_telemetry::JsonValue, key: &str| {
+        e.get(key).and_then(coyote_telemetry::JsonValue::as_u64)
+    };
     let open_at_the_stop = doc
         .get("traceEvents")
         .and_then(|v| v.as_array())

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::csr::Csr;
-use crate::inst::{AmoOp, CsrSrc, FmaOp, Inst, VAddrMode, VFScalar, VScalar};
+use crate::inst::{AmoOp, CsrSrc, FmaOp, Inst, VAddrMode, VSrc};
 use crate::ops::{self, *};
 use crate::reg::{FReg, VReg, XReg};
 use crate::vtype::{Sew, VType};
@@ -356,165 +356,146 @@ fn decode_op_v(word: u32) -> Option<Inst> {
     let funct6 = word >> 26;
     let vm = (word >> 25) & 1 == 1;
     let vd = rd_v(word);
-    let v2 = vs2(word);
+    let vs2 = vs2(word);
     let f19_15 = (word >> 15) & 0x1f;
+    // Field 19:15 is the second operand; funct3 says which form it is.
+    let src = match f3 {
+        F3_OPIVI => VSrc::I(sext5(f19_15)),
+        F3_OPIVX | F3_OPMVX => VSrc::X(rs1_x(word)),
+        F3_OPFVF => VSrc::F(rs1_f(word)),
+        _ => VSrc::V(vs1(word)),
+    };
+    // Whether `src` is a form a row with `forms` has, in the family
+    // whose `.vv` funct3 is `f3_vv`.
+    let fits = |forms: u8, f3_vv: u32| forms & src.form() != 0 && vsrc_funct3(src, f3_vv) == f3;
     // The splats and scalar→element-0 moves fix `vm` = 1 and `vs2` = v0.
-    let whole = vm && v2 == VReg::V0;
+    let whole = vm && vs2 == VReg::V0;
 
-    Some(match f3 {
-        F3_OPIVV | F3_OPIVX | F3_OPIVI => {
-            // Field 19:15 is a register in `.vv`/`.vx` and the immediate in `.vi`.
-            let (form, src) = match f3 {
-                F3_OPIVV => (VV, Some(VScalar::Vector(vs1(word)))),
-                F3_OPIVX => (VX, Some(VScalar::Xreg(rs1_x(word)))),
-                _ => (VI, None),
-            };
-            let imm = sext5(f19_15);
-            if funct6 == F6_VMV {
-                return match (src, vm) {
-                    (Some(src), false) => Some(Inst::VMerge { vd, vs2: v2, src }),
-                    (None, false) => Some(Inst::VMergeImm { vd, vs2: v2, imm }),
-                    _ if !whole => None,
-                    (Some(VScalar::Vector(vs1)), _) => Some(Inst::VMvVV { vd, vs1 }),
-                    (Some(VScalar::Xreg(rs1)), _) => Some(Inst::VMvVX { vd, rs1 }),
-                    (None, _) => Some(Inst::VMvVI { vd, imm }),
-                };
-            }
-            if let Some(row) = ops::VCMP.from_bits(funct6) {
-                if !row.has(form) {
-                    return None;
-                }
-                return Some(match src {
-                    Some(src) => Inst::VMaskCmp {
-                        op: row.op,
-                        vd,
-                        vs2: v2,
-                        src,
-                        vm,
-                    },
-                    None => Inst::VMaskCmpImm {
-                        op: row.op,
-                        vd,
-                        vs2: v2,
-                        imm,
-                        vm,
-                    },
-                });
-            }
-            let row = ops::VINT.from_bits(funct6).filter(|r| r.has(form))?;
-            match src {
-                Some(src) => Inst::VIntOp {
-                    op: row.op,
-                    vd,
-                    vs2: v2,
-                    src,
-                    vm,
-                },
-                None => Inst::VIntOpImm {
-                    op: row.op,
-                    vd,
-                    vs2: v2,
-                    imm: if row.has(UIMM) { f19_15 as i8 } else { imm },
-                    vm,
-                },
-            }
-        }
-        F3_OPMVV => match (funct6, f19_15) {
-            (F6_VREDSUM, _) => Inst::VRedSum {
+    match (f3, funct6, f19_15) {
+        (F3_OPMVV, F6_VREDSUM, _) => {
+            return Some(Inst::VRedSum {
                 vd,
-                vs2: v2,
+                vs2,
                 vs1: vs1(word),
                 vm,
-            },
-            (F6_VUNARY0, 0) => Inst::VMvXS {
-                rd: rd_x(word),
-                vs2: v2,
-            },
-            (F6_VUNARY0, VS1_VCPOP) => Inst::Vcpop {
-                rd: rd_x(word),
-                vs2: v2,
-                vm,
-            },
-            (F6_VUNARY0, VS1_VFIRST) => Inst::Vfirst {
-                rd: rd_x(word),
-                vs2: v2,
-                vm,
-            },
-            (F6_VMUNARY0, VS1_VID) if v2 == VReg::V0 => Inst::Vid { vd, vm },
-            _ => match ops::VMASK.from_bits(funct6).filter(|_| vm) {
-                Some(row) => Inst::VMaskLogical {
-                    op: row.op,
-                    vd,
-                    vs2: v2,
-                    vs1: vs1(word),
-                },
-                None => Inst::VMulOp {
-                    op: ops::VMUL.from_bits(funct6)?.op,
-                    vd,
-                    vs2: v2,
-                    src: VScalar::Vector(vs1(word)),
-                    vm,
-                },
-            },
-        },
-        F3_OPMVX if funct6 == F6_VUNARY0 && whole => Inst::VMvSX {
-            vd,
-            rs1: rs1_x(word),
-        },
-        F3_OPMVX => Inst::VMulOp {
-            op: ops::VMUL.from_bits(funct6)?.op,
-            vd,
-            vs2: v2,
-            src: VScalar::Xreg(rs1_x(word)),
-            vm,
-        },
-        F3_OPFVV if funct6 == F6_VFREDUSUM => Inst::VFRedSum {
-            vd,
-            vs2: v2,
-            vs1: vs1(word),
-            vm,
-        },
-        F3_OPFVV if funct6 == F6_VUNARY0 && f19_15 == 0 => Inst::VFMvFS {
-            rd: rd_f(word),
-            vs2: v2,
-        },
-        F3_OPFVF if funct6 == F6_VUNARY0 && whole => Inst::VFMvSF {
-            vd,
-            rs1: rs1_f(word),
-        },
-        F3_OPFVF if funct6 == F6_VMV && whole => Inst::VFMvVF {
-            vd,
-            rs1: rs1_f(word),
-        },
-        F3_OPFVF if funct6 == F6_VMV && !vm => Inst::VFMerge {
-            vd,
-            vs2: v2,
-            rs1: rs1_f(word),
-        },
-        _ => {
-            let (form, src) = if f3 == F3_OPFVV {
-                (VV, VFScalar::Vector(vs1(word)))
-            } else {
-                (VF, VFScalar::Freg(rs1_f(word)))
-            };
-            match ops::VFCMP.from_bits(funct6) {
-                Some(row) if !row.has(form) => return None,
-                Some(row) => Inst::VFMaskCmp {
-                    op: row.op,
-                    vd,
-                    vs2: v2,
-                    src,
-                    vm,
-                },
-                None => Inst::VFpOp {
-                    op: ops::VFP.from_bits(funct6).filter(|r| r.has(form))?.op,
-                    vd,
-                    vs2: v2,
-                    src,
-                    vm,
-                },
-            }
+            })
         }
+        (F3_OPFVV, F6_VFREDUSUM, _) => {
+            return Some(Inst::VFRedSum {
+                vd,
+                vs2,
+                vs1: vs1(word),
+                vm,
+            })
+        }
+        (F3_OPMVV, F6_VUNARY0, 0) => {
+            return Some(Inst::VMvXS {
+                rd: rd_x(word),
+                vs2,
+            })
+        }
+        (F3_OPMVV, F6_VUNARY0, VS1_VCPOP) => {
+            return Some(Inst::Vcpop {
+                rd: rd_x(word),
+                vs2,
+                vm,
+            })
+        }
+        (F3_OPMVV, F6_VUNARY0, VS1_VFIRST) => {
+            return Some(Inst::Vfirst {
+                rd: rd_x(word),
+                vs2,
+                vm,
+            })
+        }
+        (F3_OPFVV, F6_VUNARY0, 0) => {
+            return Some(Inst::VFMvFS {
+                rd: rd_f(word),
+                vs2,
+            })
+        }
+        (F3_OPMVV, F6_VMUNARY0, VS1_VID) if vs2 == VReg::V0 => return Some(Inst::Vid { vd, vm }),
+        _ => {}
+    }
+    if funct6 == ops::VMV_S.bits && whole && fits(ops::VMV_S.forms, F3_OPMVV) {
+        return Some(Inst::VMvS { vd, src });
+    }
+    if funct6 == ops::VMERGE.bits && (whole || !vm) && fits(ops::VMERGE.forms, F3_OPIVV) {
+        return Some(Inst::VMerge { vd, vs2, src, vm });
+    }
+    if let Some(row) = ops::VMASK
+        .from_bits(funct6)
+        .filter(|_| vm && f3 == F3_OPMVV)
+    {
+        return Some(Inst::VMaskLogical {
+            op: row.op,
+            vd,
+            vs2,
+            vs1: vs1(word),
+        });
+    }
+    if let Some(row) = ops::VINT
+        .from_bits(funct6)
+        .filter(|r| fits(r.forms, F3_OPIVV))
+    {
+        // A shift's immediate is an unsigned amount.
+        let src = match src {
+            VSrc::I(_) if row.has(UIMM) => VSrc::I(f19_15 as i8),
+            src => src,
+        };
+        return Some(Inst::VIntOp {
+            op: row.op,
+            vd,
+            vs2,
+            src,
+            vm,
+        });
+    }
+    if let Some(row) = ops::VMUL
+        .from_bits(funct6)
+        .filter(|r| fits(r.forms, F3_OPMVV))
+    {
+        return Some(Inst::VMulOp {
+            op: row.op,
+            vd,
+            vs2,
+            src,
+            vm,
+        });
+    }
+    if let Some(row) = ops::VFP
+        .from_bits(funct6)
+        .filter(|r| fits(r.forms, F3_OPFVV))
+    {
+        return Some(Inst::VFpOp {
+            op: row.op,
+            vd,
+            vs2,
+            src,
+            vm,
+        });
+    }
+    if let Some(row) = ops::VCMP
+        .from_bits(funct6)
+        .filter(|r| fits(r.forms, F3_OPIVV))
+    {
+        return Some(Inst::VMaskCmp {
+            op: row.op,
+            vd,
+            vs2,
+            src,
+            vm,
+        });
+    }
+    let row = ops::VFCMP
+        .from_bits(funct6)
+        .filter(|r| fits(r.forms, F3_OPFVV))?;
+    Some(Inst::VFMaskCmp {
+        op: row.op,
+        vd,
+        vs2,
+        src,
+        vm,
     })
 }
 
@@ -771,42 +752,42 @@ mod tests {
                 op: VIntOp::Add,
                 vd: v(1),
                 vs2: v(2),
-                src: VScalar::Vector(v(3)),
+                src: VSrc::V(v(3)),
                 vm: true,
             },
             Inst::VIntOp {
                 op: VIntOp::Rsub,
                 vd: v(1),
                 vs2: v(2),
-                src: VScalar::Xreg(x(3)),
+                src: VSrc::X(x(3)),
                 vm: false,
             },
-            Inst::VIntOpImm {
+            Inst::VIntOp {
                 op: VIntOp::Sll,
                 vd: v(1),
                 vs2: v(2),
-                imm: 3,
+                src: VSrc::I(3),
                 vm: true,
             },
-            Inst::VIntOpImm {
+            Inst::VIntOp {
                 op: VIntOp::Add,
                 vd: v(1),
                 vs2: v(2),
-                imm: -16,
+                src: VSrc::I(-16),
                 vm: true,
             },
             Inst::VMulOp {
                 op: VMulOp::Macc,
                 vd: v(1),
                 vs2: v(2),
-                src: VScalar::Vector(v(3)),
+                src: VSrc::V(v(3)),
                 vm: true,
             },
             Inst::VFpOp {
                 op: VFpOp::Macc,
                 vd: v(1),
                 vs2: v(2),
-                src: VFScalar::Freg(f(3)),
+                src: VSrc::F(f(3)),
                 vm: true,
             },
             Inst::VRedSum {
@@ -821,34 +802,33 @@ mod tests {
                 vs1: v(3),
                 vm: true,
             },
-            Inst::VMvVV {
+            Inst::VMerge {
                 vd: v(1),
-                vs1: v(2),
+                vs2: v(2),
+                src: VSrc::I(-5),
+                vm: false,
             },
-            Inst::VMvVX {
+            Inst::VMerge {
                 vd: v(1),
-                rs1: x(2),
-            },
-            Inst::VMvVI { vd: v(1), imm: -5 },
-            Inst::VFMvVF {
-                vd: v(1),
-                rs1: f(2),
+                vs2: VReg::V0,
+                src: VSrc::F(f(2)),
+                vm: true,
             },
             Inst::VMvXS {
                 rd: x(1),
                 vs2: v(2),
             },
-            Inst::VMvSX {
+            Inst::VMvS {
                 vd: v(1),
-                rs1: x(2),
+                src: VSrc::X(x(2)),
             },
             Inst::VFMvFS {
                 rd: f(1),
                 vs2: v(2),
             },
-            Inst::VFMvSF {
+            Inst::VMvS {
                 vd: v(1),
-                rs1: f(2),
+                src: VSrc::F(f(2)),
             },
             Inst::Vid { vd: v(1), vm: true },
         ];
@@ -861,11 +841,11 @@ mod tests {
 
     #[test]
     fn vector_shift_imm_decodes_unsigned() {
-        let inst = Inst::VIntOpImm {
+        let inst = Inst::VIntOp {
             op: VIntOp::Srl,
             vd: v(4),
             vs2: v(5),
-            imm: 17,
+            src: VSrc::I(17),
             vm: true,
         };
         let word = encode(&inst).unwrap();

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::inst::{AmoOp, CsrSrc, Inst, MemWidth, VAddrMode, VFScalar, VScalar};
+use crate::inst::{AmoOp, CsrSrc, Inst, MemWidth, VAddrMode, VSrc};
 use crate::ops::{self, TO_INT};
 use crate::reg::{FReg, VReg, XReg};
 use crate::vtype::Sew;
@@ -19,19 +19,14 @@ fn mask_suffix(vm: bool) -> &'static str {
     }
 }
 
-/// Form suffix and printable second operand of a `.vv`/`.vx` source.
-fn vscalar(src: &VScalar) -> (&'static str, &dyn fmt::Display) {
-    match src {
-        VScalar::Vector(v1) => ("vv", v1),
-        VScalar::Xreg(r1) => ("vx", r1),
-    }
-}
-
-/// Form suffix and printable second operand of a `.vv`/`.vf` source.
-fn vfscalar(src: &VFScalar) -> (&'static str, &dyn fmt::Display) {
-    match src {
-        VFScalar::Vector(v1) => ("vv", v1),
-        VFScalar::Freg(r1) => ("vf", r1),
+impl fmt::Display for VSrc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            VSrc::V(vs1) => write!(f, "{vs1}"),
+            VSrc::X(rs1) => write!(f, "{rs1}"),
+            VSrc::F(rs1) => write!(f, "{rs1}"),
+            VSrc::I(imm) => write!(f, "{imm}"),
+        }
     }
 }
 
@@ -40,11 +35,12 @@ fn vfscalar(src: &VFScalar) -> (&'static str, &dyn fmt::Display) {
 fn varith(
     f: &mut fmt::Formatter<'_>,
     name: &str,
-    (form, src): (&str, &dyn fmt::Display),
+    src: VSrc,
     (vd, vs2): (VReg, VReg),
     vm: bool,
 ) -> fmt::Result {
-    write!(f, "{name}.{form} {vd}, {vs2}, {src}{}", mask_suffix(vm))
+    let form = src.suffix();
+    write!(f, "{name}{form} {vd}, {vs2}, {src}{}", mask_suffix(vm))
 }
 
 /// Vector load (`dir` = `l`) or store (`s`) of register `reg`.
@@ -65,6 +61,16 @@ fn vmem(
         VAddrMode::Indexed(v2) => write!(f, ", {v2}"),
     }?;
     f.write_str(mask_suffix(vm))
+}
+
+/// `vf` for an `f`-register source, `v` otherwise: the mnemonic prefix
+/// of the merges and moves.
+fn fp_prefix(src: VSrc) -> &'static str {
+    if let VSrc::F(_) = src {
+        "vf"
+    } else {
+        "v"
+    }
 }
 
 /// A raw register index printed as an `f` or `x` register.
@@ -194,42 +200,43 @@ impl fmt::Display for Inst {
                 vs2,
                 src,
                 vm,
-            } => varith(f, ops::VINT.row(op).name, vscalar(&src), (vd, vs2), vm),
-            Inst::VIntOpImm {
-                op,
-                vd,
-                vs2,
-                imm,
-                vm,
-            } => varith(f, ops::VINT.row(op).name, ("vi", &imm), (vd, vs2), vm),
+            } => varith(f, ops::VINT.row(op).name, src, (vd, vs2), vm),
             Inst::VMulOp {
                 op,
                 vd,
                 vs2,
                 src,
                 vm,
-            } => varith(f, ops::VMUL.row(op).name, vscalar(&src), (vd, vs2), vm),
+            } => varith(f, ops::VMUL.row(op).name, src, (vd, vs2), vm),
             Inst::VFpOp {
                 op,
                 vd,
                 vs2,
                 src,
                 vm,
-            } => varith(f, ops::VFP.row(op).name, vfscalar(&src), (vd, vs2), vm),
+            } => varith(f, ops::VFP.row(op).name, src, (vd, vs2), vm),
             Inst::VRedSum { vd, vs2, vs1, vm } => {
                 write!(f, "vredsum.vs {vd}, {vs2}, {vs1}{}", mask_suffix(vm))
             }
             Inst::VFRedSum { vd, vs2, vs1, vm } => {
                 write!(f, "vfredusum.vs {vd}, {vs2}, {vs1}{}", mask_suffix(vm))
             }
-            Inst::VMvVV { vd, vs1 } => write!(f, "vmv.v.v {vd}, {vs1}"),
-            Inst::VMvVX { vd, rs1 } => write!(f, "vmv.v.x {vd}, {rs1}"),
-            Inst::VMvVI { vd, imm } => write!(f, "vmv.v.i {vd}, {imm}"),
-            Inst::VFMvVF { vd, rs1 } => write!(f, "vfmv.v.f {vd}, {rs1}"),
+            // `vfmerge.vfm`, `vmv.v.x`, …: an `f` source prefixes `vf`,
+            // the splat prints the form's last letter only.
+            Inst::VMerge { vd, vs2, src, vm } => {
+                let (v, form) = (fp_prefix(src), src.suffix());
+                if vm {
+                    write!(f, "{v}mv.v.{} {vd}, {src}", &form[2..])
+                } else {
+                    write!(f, "{v}merge{form}m {vd}, {vs2}, {src}, v0")
+                }
+            }
             Inst::VMvXS { rd, vs2 } => write!(f, "vmv.x.s {rd}, {vs2}"),
-            Inst::VMvSX { vd, rs1 } => write!(f, "vmv.s.x {vd}, {rs1}"),
+            Inst::VMvS { vd, src } => {
+                let (v, form) = (fp_prefix(src), src.suffix());
+                write!(f, "{v}mv.s.{} {vd}, {src}", &form[2..])
+            }
             Inst::VFMvFS { rd, vs2 } => write!(f, "vfmv.f.s {rd}, {vs2}"),
-            Inst::VFMvSF { vd, rs1 } => write!(f, "vfmv.s.f {vd}, {rs1}"),
             Inst::Vid { vd, vm } => write!(f, "vid.v {vd}{}", mask_suffix(vm)),
             Inst::VMaskCmp {
                 op,
@@ -237,33 +244,16 @@ impl fmt::Display for Inst {
                 vs2,
                 src,
                 vm,
-            } => varith(f, ops::VCMP.row(op).name, vscalar(&src), (vd, vs2), vm),
-            Inst::VMaskCmpImm {
-                op,
-                vd,
-                vs2,
-                imm,
-                vm,
-            } => varith(f, ops::VCMP.row(op).name, ("vi", &imm), (vd, vs2), vm),
+            } => varith(f, ops::VCMP.row(op).name, src, (vd, vs2), vm),
             Inst::VFMaskCmp {
                 op,
                 vd,
                 vs2,
                 src,
                 vm,
-            } => varith(f, ops::VFCMP.row(op).name, vfscalar(&src), (vd, vs2), vm),
+            } => varith(f, ops::VFCMP.row(op).name, src, (vd, vs2), vm),
             Inst::VMaskLogical { op, vd, vs2, vs1 } => {
                 write!(f, "{}.mm {vd}, {vs2}, {vs1}", ops::VMASK.row(op).name)
-            }
-            Inst::VMerge { vd, vs2, src } => {
-                let (form, src) = vscalar(&src);
-                write!(f, "vmerge.{form}m {vd}, {vs2}, {src}, v0")
-            }
-            Inst::VMergeImm { vd, vs2, imm } => {
-                write!(f, "vmerge.vim {vd}, {vs2}, {imm}, v0")
-            }
-            Inst::VFMerge { vd, vs2, rs1 } => {
-                write!(f, "vfmerge.vfm {vd}, {vs2}, {rs1}, v0")
             }
             Inst::Vcpop { rd, vs2, vm } => {
                 write!(f, "vcpop.m {rd}, {vs2}{}", mask_suffix(vm))
@@ -342,7 +332,7 @@ mod tests {
             op: VIntOp::Add,
             vd: v(1),
             vs2: v(2),
-            src: VScalar::Vector(v(3)),
+            src: VSrc::V(v(3)),
             vm: false,
         };
         assert_eq!(inst.to_string(), "vadd.vv v1, v2, v3, v0.t");

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use crate::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VFScalar, VScalar};
+use crate::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VSrc};
 use crate::ops::{self, *};
 use crate::reg::{VReg, XReg};
 use crate::vtype::Sew;
@@ -196,63 +196,36 @@ fn op_v(funct6: u32, vm: bool, f19_15: u32, f24_20: u32, funct3: u32, vd: u32) -
         | OPC_OP_V
 }
 
-/// Checks that the row's operation has the operand form `form`.
-fn require_form<T>(row: &Row<T>, form: u8) -> Result<(), EncodeError> {
-    if row.has(form) {
-        return Ok(());
+/// [`op_v`] for a row of the family whose `.vv` funct3 is `f3_vv`,
+/// with second operand `src`; a form the row lacks is an error.
+fn op_v_row<T>(row: &Row<T>, f3_vv: u32, (src, vm): (VSrc, bool), vs2: VReg, vd: VReg) -> Result32 {
+    if !row.has(src.form()) {
+        return Err(EncodeError::NoSuchForm {
+            name: row.name,
+            form: src.suffix(),
+        });
     }
-    let form = match form {
-        VV => ".vv",
-        VX => ".vx",
-        VI => ".vi",
-        _ => ".vf",
+    let f19_15 = match src {
+        VSrc::V(vs1) => vs1.bits(),
+        VSrc::X(rs1) => rs1.bits(),
+        VSrc::F(rs1) => rs1.bits(),
+        VSrc::I(imm) => {
+            let (range, what) = if row.has(UIMM) {
+                (0..=31, "vector shift immediate")
+            } else {
+                (-16..=15, "vector immediate")
+            };
+            if !range.contains(&imm) {
+                return Err(EncodeError::ImmOutOfRange {
+                    what,
+                    value: i64::from(imm),
+                });
+            }
+            (imm as u32) & 0x1f
+        }
     };
-    Err(EncodeError::NoSuchForm {
-        name: row.name,
-        form,
-    })
-}
-
-/// [`op_v`] for a table row and the operand [`vscalar`] or [`vfscalar`]
-/// split.
-fn op_v_row<T>(
-    row: &Row<T>,
-    (form, funct3, f19_15): (u8, u32, u32),
-    vm: bool,
-    vs2: VReg,
-    vd: VReg,
-) -> Result32 {
-    require_form(row, form)?;
+    let funct3 = vsrc_funct3(src, f3_vv);
     Ok(op_v(row.bits, vm, f19_15, vs2.bits(), funct3, vd.bits()))
-}
-
-/// `(form, funct3, field 19:15)` of a `.vv`/`.vx` operand in the
-/// funct3 space whose vector form is `f3_vv`; the scalar form of every
-/// space sets funct3 bit 2.
-fn vscalar(src: VScalar, f3_vv: u32) -> (u8, u32, u32) {
-    match src {
-        VScalar::Vector(vs1) => (VV, f3_vv, vs1.bits()),
-        VScalar::Xreg(rs1) => (VX, f3_vv | 0b100, rs1.bits()),
-    }
-}
-
-/// [`vscalar`] for the `.vv`/`.vf` operand of the floating-point space.
-fn vfscalar(src: VFScalar) -> (u8, u32, u32) {
-    match src {
-        VFScalar::Vector(vs1) => (VV, F3_OPFVV, vs1.bits()),
-        VFScalar::Freg(rs1) => (VF, F3_OPFVF, rs1.bits()),
-    }
-}
-
-fn simm5(imm: i8, what: &'static str) -> Result<u32, EncodeError> {
-    if (-16..=15).contains(&imm) {
-        Ok((imm as u32) & 0x1f)
-    } else {
-        Err(EncodeError::ImmOutOfRange {
-            what,
-            value: i64::from(imm),
-        })
-    }
 }
 
 /// Vector load/store word; `reg` is `vd` or `vs3`.
@@ -543,42 +516,21 @@ pub fn encode(inst: &Inst) -> Result32 {
             vs2,
             src,
             vm,
-        } => op_v_row(ops::VINT.row(op), vscalar(src, F3_OPIVV), vm, vs2, vd),
-        Inst::VIntOpImm {
-            op,
-            vd,
-            vs2,
-            imm,
-            vm,
-        } => {
-            let row = ops::VINT.row(op);
-            require_form(row, VI)?;
-            let field = if !row.has(UIMM) {
-                simm5(imm, "vector immediate")?
-            } else if (0..=31).contains(&imm) {
-                imm as u32
-            } else {
-                return Err(EncodeError::ImmOutOfRange {
-                    what: "vector shift immediate",
-                    value: i64::from(imm),
-                });
-            };
-            Ok(op_v(row.bits, vm, field, vs2.bits(), F3_OPIVI, vd.bits()))
-        }
+        } => op_v_row(ops::VINT.row(op), F3_OPIVV, (src, vm), vs2, vd),
         Inst::VMulOp {
             op,
             vd,
             vs2,
             src,
             vm,
-        } => op_v_row(ops::VMUL.row(op), vscalar(src, F3_OPMVV), vm, vs2, vd),
+        } => op_v_row(ops::VMUL.row(op), F3_OPMVV, (src, vm), vs2, vd),
         Inst::VFpOp {
             op,
             vd,
             vs2,
             src,
             vm,
-        } => op_v_row(ops::VFP.row(op), vfscalar(src), vm, vs2, vd),
+        } => op_v_row(ops::VFP.row(op), F3_OPFVV, (src, vm), vs2, vd),
         Inst::VRedSum { vd, vs2, vs1, vm } => Ok(op_v(
             F6_VREDSUM,
             vm,
@@ -595,21 +547,13 @@ pub fn encode(inst: &Inst) -> Result32 {
             F3_OPFVV,
             vd.bits(),
         )),
-        Inst::VMvVV { vd, vs1 } => Ok(op_v(F6_VMV, true, vs1.bits(), 0, F3_OPIVV, vd.bits())),
-        Inst::VMvVX { vd, rs1 } => Ok(op_v(F6_VMV, true, rs1.bits(), 0, F3_OPIVX, vd.bits())),
-        Inst::VMvVI { vd, imm } => Ok(op_v(
-            F6_VMV,
-            true,
-            simm5(imm, "vmv.v.i immediate")?,
-            0,
-            F3_OPIVI,
-            vd.bits(),
-        )),
-        Inst::VFMvVF { vd, rs1 } => Ok(op_v(F6_VMV, true, rs1.bits(), 0, F3_OPFVF, vd.bits())),
+        Inst::VMerge { vs2, vm: true, .. } if vs2 != VReg::V0 => {
+            Err(EncodeError::InvalidForm("vmv.v with vs2 other than v0"))
+        }
+        Inst::VMerge { vd, vs2, src, vm } => op_v_row(&ops::VMERGE, F3_OPIVV, (src, vm), vs2, vd),
         Inst::VMvXS { rd, vs2 } => Ok(op_v(F6_VUNARY0, true, 0, vs2.bits(), F3_OPMVV, rd.bits())),
-        Inst::VMvSX { vd, rs1 } => Ok(op_v(F6_VUNARY0, true, rs1.bits(), 0, F3_OPMVX, vd.bits())),
+        Inst::VMvS { vd, src } => op_v_row(&ops::VMV_S, F3_OPMVV, (src, true), VReg::V0, vd),
         Inst::VFMvFS { rd, vs2 } => Ok(op_v(F6_VUNARY0, true, 0, vs2.bits(), F3_OPFVV, rd.bits())),
-        Inst::VFMvSF { vd, rs1 } => Ok(op_v(F6_VUNARY0, true, rs1.bits(), 0, F3_OPFVF, vd.bits())),
         Inst::Vid { vd, vm } => Ok(op_v(F6_VMUNARY0, vm, VS1_VID, 0, F3_OPMVV, vd.bits())),
         Inst::VMaskCmp {
             op,
@@ -617,52 +561,20 @@ pub fn encode(inst: &Inst) -> Result32 {
             vs2,
             src,
             vm,
-        } => op_v_row(ops::VCMP.row(op), vscalar(src, F3_OPIVV), vm, vs2, vd),
-        Inst::VMaskCmpImm {
-            op,
-            vd,
-            vs2,
-            imm,
-            vm,
-        } => {
-            let row = ops::VCMP.row(op);
-            require_form(row, VI)?;
-            let field = simm5(imm, "mask-compare immediate")?;
-            Ok(op_v(row.bits, vm, field, vs2.bits(), F3_OPIVI, vd.bits()))
-        }
+        } => op_v_row(ops::VCMP.row(op), F3_OPIVV, (src, vm), vs2, vd),
         Inst::VFMaskCmp {
             op,
             vd,
             vs2,
             src,
             vm,
-        } => op_v_row(ops::VFCMP.row(op), vfscalar(src), vm, vs2, vd),
+        } => op_v_row(ops::VFCMP.row(op), F3_OPFVV, (src, vm), vs2, vd),
         Inst::VMaskLogical { op, vd, vs2, vs1 } => Ok(op_v(
             ops::VMASK.row(op).bits,
             true,
             vs1.bits(),
             vs2.bits(),
             F3_OPMVV,
-            vd.bits(),
-        )),
-        Inst::VMerge { vd, vs2, src } => {
-            let (_, funct3, f19_15) = vscalar(src, F3_OPIVV);
-            Ok(op_v(F6_VMV, false, f19_15, vs2.bits(), funct3, vd.bits()))
-        }
-        Inst::VMergeImm { vd, vs2, imm } => Ok(op_v(
-            F6_VMV,
-            false,
-            simm5(imm, "vmerge immediate")?,
-            vs2.bits(),
-            F3_OPIVI,
-            vd.bits(),
-        )),
-        Inst::VFMerge { vd, vs2, rs1 } => Ok(op_v(
-            F6_VMV,
-            false,
-            rs1.bits(),
-            vs2.bits(),
-            F3_OPFVF,
             vd.bits(),
         )),
         Inst::Vcpop { rd, vs2, vm } => Ok(op_v(
@@ -850,32 +762,18 @@ mod tests {
     fn vector_shift_immediate_range() {
         use crate::reg::VReg;
         let v = |n| VReg::new(n).unwrap();
-        let ok = Inst::VIntOpImm {
+        let sll = |imm| Inst::VIntOp {
             op: VIntOp::Sll,
             vd: v(1),
             vs2: v(2),
-            imm: 31,
+            src: VSrc::I(imm),
             vm: true,
         };
-        assert!(encode(&ok).is_ok());
+        assert!(encode(&sll(31)).is_ok());
         // Shift amounts are unsigned 5-bit: 17 would be negative as simm5
         // but is a legal shift.
-        let ok17 = Inst::VIntOpImm {
-            op: VIntOp::Sll,
-            vd: v(1),
-            vs2: v(2),
-            imm: 17,
-            vm: true,
-        };
-        assert!(encode(&ok17).is_ok());
-        let bad = Inst::VIntOpImm {
-            op: VIntOp::Sll,
-            vd: v(1),
-            vs2: v(2),
-            imm: -1,
-            vm: true,
-        };
-        assert!(encode(&bad).is_err());
+        assert!(encode(&sll(17)).is_ok());
+        assert!(encode(&sll(-1)).is_err());
     }
 
     #[test]

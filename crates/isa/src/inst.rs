@@ -12,6 +12,7 @@
 //! encoding details.
 
 use crate::csr::Csr;
+use crate::ops;
 use crate::reg::{FReg, VReg, XReg};
 use crate::vtype::{Sew, VType};
 
@@ -391,22 +392,43 @@ pub enum VFpOp {
     Macc,
 }
 
-/// Scalar source of a `.vx`/`.vf` vector operation.
+/// Second source operand of a vector arithmetic instruction. The
+/// variant is the operand form: `.vv`, `.vx`, `.vf` or `.vi`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VScalar {
-    /// A second vector operand (`.vv` form), naming `vs1`.
-    Vector(VReg),
-    /// An `x`-register operand (`.vx` form).
-    Xreg(XReg),
+pub enum VSrc {
+    /// A vector register (`.vv`), naming `vs1`.
+    V(VReg),
+    /// An integer register (`.vx`).
+    X(XReg),
+    /// A floating-point register (`.vf`).
+    F(FReg),
+    /// A 5-bit immediate (`.vi`): sign-extended, or an unsigned shift
+    /// amount where the operation's row has [`ops::UIMM`].
+    I(i8),
 }
 
-/// Scalar source of a floating-point vector operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VFScalar {
-    /// A second vector operand (`.vv` form), naming `vs1`.
-    Vector(VReg),
-    /// An `f`-register operand (`.vf` form).
-    Freg(FReg),
+impl VSrc {
+    /// The form flag: [`ops::VV`], [`ops::VX`], [`ops::VF`] or [`ops::VI`].
+    #[must_use]
+    pub fn form(self) -> u8 {
+        match self {
+            VSrc::V(_) => ops::VV,
+            VSrc::X(_) => ops::VX,
+            VSrc::F(_) => ops::VF,
+            VSrc::I(_) => ops::VI,
+        }
+    }
+
+    /// The mnemonic's form suffix: `.vv`, `.vx`, `.vf` or `.vi`.
+    #[must_use]
+    pub fn suffix(self) -> &'static str {
+        match self {
+            VSrc::V(_) => ".vv",
+            VSrc::X(_) => ".vx",
+            VSrc::F(_) => ".vf",
+            VSrc::I(_) => ".vi",
+        }
+    }
 }
 
 /// A decoded instruction.
@@ -691,7 +713,7 @@ pub enum Inst {
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
-    /// Integer vector ALU op, `.vv`/`.vx` forms.
+    /// Integer vector ALU op.
     VIntOp {
         /// Operation.
         op: VIntOp,
@@ -699,25 +721,12 @@ pub enum Inst {
         vd: VReg,
         /// Vector source (`vs2`).
         vs2: VReg,
-        /// Second operand.
-        src: VScalar,
+        /// Second operand: `.vv`, `.vx` or `.vi`.
+        src: VSrc,
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
-    /// Integer vector ALU op, `.vi` form (5-bit signed immediate).
-    VIntOpImm {
-        /// Operation (immediate-capable subset).
-        op: VIntOp,
-        /// Destination.
-        vd: VReg,
-        /// Vector source (`vs2`).
-        vs2: VReg,
-        /// Sign-extended 5-bit immediate.
-        imm: i8,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
-    /// Integer vector multiply/divide/MAC, `.vv`/`.vx` forms.
+    /// Integer vector multiply/divide/MAC.
     VMulOp {
         /// Operation.
         op: VMulOp,
@@ -725,12 +734,12 @@ pub enum Inst {
         vd: VReg,
         /// Vector source (`vs2`).
         vs2: VReg,
-        /// Second operand.
-        src: VScalar,
+        /// Second operand: `.vv` or `.vx`.
+        src: VSrc,
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
-    /// Floating-point vector op, `.vv`/`.vf` forms.
+    /// Floating-point vector op.
     VFpOp {
         /// Operation.
         op: VFpOp,
@@ -738,8 +747,8 @@ pub enum Inst {
         vd: VReg,
         /// Vector source (`vs2`).
         vs2: VReg,
-        /// Second operand.
-        src: VFScalar,
+        /// Second operand: `.vv` or `.vf`.
+        src: VSrc,
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
@@ -765,33 +774,18 @@ pub enum Inst {
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
-    /// `vmv.v.v`.
-    VMvVV {
+    /// `vmerge.v{v,x,i}m` / `vfmerge.vfm` (`vm` clear):
+    /// `vd[i] = v0.mask[i] ? src[i] : vs2[i]`. With `vm` set and `vs2` =
+    /// `v0` it is the splat `vmv.v.{v,x,i}` / `vfmv.v.f`: `vd[i] = src[i]`.
+    VMerge {
         /// Destination.
         vd: VReg,
-        /// Source (`vs1`).
-        vs1: VReg,
-    },
-    /// `vmv.v.x` (splat an integer register).
-    VMvVX {
-        /// Destination.
-        vd: VReg,
-        /// Splatted register.
-        rs1: XReg,
-    },
-    /// `vmv.v.i` (splat a 5-bit immediate).
-    VMvVI {
-        /// Destination.
-        vd: VReg,
-        /// Sign-extended immediate.
-        imm: i8,
-    },
-    /// `vfmv.v.f` (splat an FP register).
-    VFMvVF {
-        /// Destination.
-        vd: VReg,
-        /// Splatted register.
-        rs1: FReg,
+        /// Taken where the mask bit is clear; `v0` for a splat.
+        vs2: VReg,
+        /// Taken where the mask bit is set, or everywhere in a splat.
+        src: VSrc,
+        /// `true` = the splat.
+        vm: bool,
     },
     /// `vmv.x.s`: element 0 → integer register.
     VMvXS {
@@ -800,12 +794,12 @@ pub enum Inst {
         /// Vector source.
         vs2: VReg,
     },
-    /// `vmv.s.x`: integer register → element 0.
-    VMvSX {
+    /// `vmv.s.x` / `vfmv.s.f`: scalar register → element 0.
+    VMvS {
         /// Vector destination.
         vd: VReg,
-        /// Integer source.
-        rs1: XReg,
+        /// The `x` or `f` source.
+        src: VSrc,
     },
     /// `vfmv.f.s`: element 0 → FP register.
     VFMvFS {
@@ -814,13 +808,6 @@ pub enum Inst {
         /// Vector source.
         vs2: VReg,
     },
-    /// `vfmv.s.f`: FP register → element 0.
-    VFMvSF {
-        /// Vector destination.
-        vd: VReg,
-        /// FP source.
-        rs1: FReg,
-    },
     /// `vid.v`: write element indices 0,1,2,… .
     Vid {
         /// Destination.
@@ -828,7 +815,7 @@ pub enum Inst {
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
-    /// Integer compare into a mask register, `.vv`/`.vx` forms.
+    /// Integer compare into a mask register.
     VMaskCmp {
         /// Comparison.
         op: VCmpOp,
@@ -836,21 +823,8 @@ pub enum Inst {
         vd: VReg,
         /// Vector source.
         vs2: VReg,
-        /// Second operand.
-        src: VScalar,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
-    /// Integer compare into a mask register, `.vi` form.
-    VMaskCmpImm {
-        /// Comparison (immediate-capable subset).
-        op: VCmpOp,
-        /// Mask destination.
-        vd: VReg,
-        /// Vector source.
-        vs2: VReg,
-        /// Sign-extended 5-bit immediate.
-        imm: i8,
+        /// Second operand: `.vv`, `.vx` or `.vi`.
+        src: VSrc,
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
@@ -862,8 +836,8 @@ pub enum Inst {
         vd: VReg,
         /// Vector source.
         vs2: VReg,
-        /// Second operand.
-        src: VFScalar,
+        /// Second operand: `.vv` or `.vf`.
+        src: VSrc,
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
@@ -877,33 +851,6 @@ pub enum Inst {
         vs2: VReg,
         /// Second source mask (`vs1`).
         vs1: VReg,
-    },
-    /// `vmerge.v?m`: `vd[i] = v0.mask[i] ? src[i] : vs2[i]`.
-    VMerge {
-        /// Destination.
-        vd: VReg,
-        /// Taken where the mask bit is clear.
-        vs2: VReg,
-        /// Taken where the mask bit is set.
-        src: VScalar,
-    },
-    /// `vmerge.vim` with an immediate "set" operand.
-    VMergeImm {
-        /// Destination.
-        vd: VReg,
-        /// Taken where the mask bit is clear.
-        vs2: VReg,
-        /// Taken (sign-extended) where the mask bit is set.
-        imm: i8,
-    },
-    /// `vfmerge.vfm`: `vd[i] = v0.mask[i] ? rs1 : vs2[i]`.
-    VFMerge {
-        /// Destination.
-        vd: VReg,
-        /// Taken where the mask bit is clear.
-        vs2: VReg,
-        /// FP scalar taken where the mask bit is set.
-        rs1: FReg,
     },
     /// `vcpop.m`: count set mask bits in `vs2[0..vl]`.
     Vcpop {
@@ -961,27 +908,18 @@ impl Inst {
                 | Inst::VLoad { .. }
                 | Inst::VStore { .. }
                 | Inst::VIntOp { .. }
-                | Inst::VIntOpImm { .. }
                 | Inst::VMulOp { .. }
                 | Inst::VFpOp { .. }
                 | Inst::VRedSum { .. }
                 | Inst::VFRedSum { .. }
-                | Inst::VMvVV { .. }
-                | Inst::VMvVX { .. }
-                | Inst::VMvVI { .. }
-                | Inst::VFMvVF { .. }
+                | Inst::VMerge { .. }
                 | Inst::VMvXS { .. }
-                | Inst::VMvSX { .. }
+                | Inst::VMvS { .. }
                 | Inst::VFMvFS { .. }
-                | Inst::VFMvSF { .. }
                 | Inst::Vid { .. }
                 | Inst::VMaskCmp { .. }
-                | Inst::VMaskCmpImm { .. }
                 | Inst::VFMaskCmp { .. }
                 | Inst::VMaskLogical { .. }
-                | Inst::VMerge { .. }
-                | Inst::VMergeImm { .. }
-                | Inst::VFMerge { .. }
                 | Inst::Vcpop { .. }
                 | Inst::Vfirst { .. }
         )

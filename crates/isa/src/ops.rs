@@ -18,7 +18,7 @@
 
 use crate::inst::{
     AluOp, AluWOp, AmoOp, BranchOp, CsrOp, FmaOp, FpCmpOp, FpCvtOp, FpOp, MemWidth, VAddrMode,
-    VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp,
+    VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VSrc,
 };
 use crate::reg::{VReg, XReg};
 use crate::vtype::Sew;
@@ -450,8 +450,27 @@ pub const VS1_VFIRST: u32 = 0b10001;
 pub const F6_VMUNARY0: u32 = 0b010100;
 /// `vs1` selector of `vid.v` under [`F6_VMUNARY0`].
 pub const VS1_VID: u32 = 0b10001;
-/// funct6 of the splats (`vm` set, `vs2` = `v0`) and merges (`vm` clear).
-pub const F6_VMV: u32 = 0b010111;
+
+/// The merges (`vm` clear) and splats (`vm` set, `vs2` = `v0`); `bits`
+/// is funct6. `.vf` is `vfmerge.vfm` / `vfmv.v.f`.
+pub static VMERGE: Row<()> = row((), "vmerge", 0b010111).forms(VV | VX | VI | VF);
+
+/// The scalar → element-0 moves `vmv.s.x` / `vfmv.s.f`; `bits` is
+/// funct6.
+pub static VMV_S: Row<()> = row((), "vmv.s", F6_VUNARY0).forms(VX | VF);
+
+/// funct3 of operand `src` in the family whose `.vv` form is `f3_vv`
+/// (OPIVV, OPMVV or OPFVV): an `x` register sets bit 2 of it, an `f`
+/// register is always OPFVF and an immediate always OPIVI.
+#[must_use]
+pub fn vsrc_funct3(src: VSrc, f3_vv: u32) -> u32 {
+    match src {
+        VSrc::V(_) => f3_vv,
+        VSrc::X(_) => f3_vv | 0b100,
+        VSrc::F(_) => F3_OPFVF,
+        VSrc::I(_) => F3_OPIVI,
+    }
+}
 
 #[cfg(test)]
 mod tests {

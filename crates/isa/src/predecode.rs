@@ -14,7 +14,7 @@
 //! and the stepper recomputes their sets with [`uses_with_group`] /
 //! [`defs_with_group`] under the current group length.
 
-use crate::inst::{CsrSrc, Inst, VAddrMode, VFScalar, VFpOp, VMulOp, VScalar};
+use crate::inst::{CsrSrc, Inst, VAddrMode, VFpOp, VMulOp, VSrc};
 use crate::ops;
 use crate::reg::{FReg, VReg, XReg};
 
@@ -170,60 +170,29 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
                 set.add_v_group(VReg::V0, 1);
             }
         }
-        Inst::VIntOp { vs2, src, vm, .. } => {
+        Inst::VIntOp { vs2, src, vm, .. }
+        | Inst::VMulOp { vs2, src, vm, .. }
+        | Inst::VFpOp { vs2, src, vm, .. }
+        | Inst::VMaskCmp { vs2, src, vm, .. }
+        | Inst::VFMaskCmp { vs2, src, vm, .. } => {
             set.add_v_group(vs2, g);
-            match src {
-                VScalar::Vector(v1) => set.add_v_group(v1, g),
-                VScalar::Xreg(r1) => set.add_x(r1),
-            }
+            add_src(&mut set, src, g);
             if !vm {
                 set.add_v_group(VReg::V0, 1);
             }
-        }
-        Inst::VIntOpImm { vs2, vm, .. } => {
-            set.add_v_group(vs2, g);
-            if !vm {
-                set.add_v_group(VReg::V0, 1);
+            // A multiply-accumulate also reads its destination.
+            if let Inst::VMulOp {
+                op: VMulOp::Macc,
+                vd,
+                ..
             }
-        }
-        Inst::VMulOp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-            ..
-        } => {
-            set.add_v_group(vs2, g);
-            match src {
-                VScalar::Vector(v1) => set.add_v_group(v1, g),
-                VScalar::Xreg(r1) => set.add_x(r1),
-            }
-            if op == VMulOp::Macc {
-                set.add_v_group(vd, g); // accumulator is also a source
-            }
-            if !vm {
-                set.add_v_group(VReg::V0, 1);
-            }
-        }
-        Inst::VFpOp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-            ..
-        } => {
-            set.add_v_group(vs2, g);
-            match src {
-                VFScalar::Vector(v1) => set.add_v_group(v1, g),
-                VFScalar::Freg(r1) => set.add_f(r1),
-            }
-            if op == VFpOp::Macc {
+            | Inst::VFpOp {
+                op: VFpOp::Macc,
+                vd,
+                ..
+            } = *inst
+            {
                 set.add_v_group(vd, g);
-            }
-            if !vm {
-                set.add_v_group(VReg::V0, 1);
             }
         }
         Inst::VRedSum { vs2, vs1, vm, .. } | Inst::VFRedSum { vs2, vs1, vm, .. } => {
@@ -233,38 +202,17 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
                 set.add_v_group(VReg::V0, 1);
             }
         }
-        Inst::VMvVV { vs1, .. } => set.add_v_group(vs1, g),
-        Inst::VMvVX { rs1, .. } | Inst::VMvSX { rs1, .. } => set.add_x(rs1),
-        Inst::VMvVI { .. } => {}
-        Inst::VFMvVF { rs1, .. } | Inst::VFMvSF { rs1, .. } => set.add_f(rs1),
+        Inst::VMerge { vs2, src, vm, .. } => {
+            add_src(&mut set, src, g);
+            // A splat reads neither `vs2` nor the mask.
+            if !vm {
+                set.add_v_group(vs2, g);
+                set.add_v_group(VReg::V0, 1);
+            }
+        }
+        Inst::VMvS { src, .. } => add_src(&mut set, src, 1),
         Inst::VMvXS { vs2, .. } | Inst::VFMvFS { vs2, .. } => set.add_v_group(vs2, 1),
         Inst::Vid { vm, .. } => {
-            if !vm {
-                set.add_v_group(VReg::V0, 1);
-            }
-        }
-        Inst::VMaskCmp { vs2, src, vm, .. } => {
-            set.add_v_group(vs2, g);
-            match src {
-                VScalar::Vector(v1) => set.add_v_group(v1, g),
-                VScalar::Xreg(r1) => set.add_x(r1),
-            }
-            if !vm {
-                set.add_v_group(VReg::V0, 1);
-            }
-        }
-        Inst::VMaskCmpImm { vs2, vm, .. } => {
-            set.add_v_group(vs2, g);
-            if !vm {
-                set.add_v_group(VReg::V0, 1);
-            }
-        }
-        Inst::VFMaskCmp { vs2, src, vm, .. } => {
-            set.add_v_group(vs2, g);
-            match src {
-                VFScalar::Vector(v1) => set.add_v_group(v1, g),
-                VFScalar::Freg(r1) => set.add_f(r1),
-            }
             if !vm {
                 set.add_v_group(VReg::V0, 1);
             }
@@ -272,23 +220,6 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
         Inst::VMaskLogical { vs2, vs1, .. } => {
             set.add_v_group(vs2, 1);
             set.add_v_group(vs1, 1);
-        }
-        Inst::VMerge { vs2, src, .. } => {
-            set.add_v_group(vs2, g);
-            match src {
-                VScalar::Vector(v1) => set.add_v_group(v1, g),
-                VScalar::Xreg(r1) => set.add_x(r1),
-            }
-            set.add_v_group(VReg::V0, 1);
-        }
-        Inst::VMergeImm { vs2, .. } => {
-            set.add_v_group(vs2, g);
-            set.add_v_group(VReg::V0, 1);
-        }
-        Inst::VFMerge { vs2, rs1, .. } => {
-            set.add_v_group(vs2, g);
-            set.add_f(rs1);
-            set.add_v_group(VReg::V0, 1);
         }
         Inst::Vcpop { vs2, vm, .. } | Inst::Vfirst { vs2, vm, .. } => {
             set.add_v_group(vs2, 1);
@@ -298,6 +229,15 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
         }
     }
     set
+}
+
+fn add_src(set: &mut RegSet, src: VSrc, g: u8) {
+    match src {
+        VSrc::V(vs1) => set.add_v_group(vs1, g),
+        VSrc::X(rs1) => set.add_x(rs1),
+        VSrc::F(rs1) => set.add_f(rs1),
+        VSrc::I(_) => {}
+    }
 }
 
 fn add_mode_uses(set: &mut RegSet, mode: VAddrMode, g: u8) {
@@ -342,25 +282,16 @@ pub fn defs_with_group(inst: &Inst, g: u8) -> RegSet {
         }
         Inst::VLoad { vd, .. } => set.add_v_group(vd, g),
         Inst::VIntOp { vd, .. }
-        | Inst::VIntOpImm { vd, .. }
         | Inst::VMulOp { vd, .. }
         | Inst::VFpOp { vd, .. }
-        | Inst::VMvVV { vd, .. }
-        | Inst::VMvVX { vd, .. }
-        | Inst::VMvVI { vd, .. }
-        | Inst::VFMvVF { vd, .. } => set.add_v_group(vd, g),
+        | Inst::VMerge { vd, .. }
+        | Inst::Vid { vd, .. } => set.add_v_group(vd, g),
         Inst::VRedSum { vd, .. }
         | Inst::VFRedSum { vd, .. }
-        | Inst::VMvSX { vd, .. }
-        | Inst::VFMvSF { vd, .. } => set.add_v_group(vd, 1),
-        Inst::Vid { vd, .. } => set.add_v_group(vd, g),
-        Inst::VMaskCmp { vd, .. }
-        | Inst::VMaskCmpImm { vd, .. }
+        | Inst::VMvS { vd, .. }
+        | Inst::VMaskCmp { vd, .. }
         | Inst::VFMaskCmp { vd, .. }
         | Inst::VMaskLogical { vd, .. } => set.add_v_group(vd, 1),
-        Inst::VMerge { vd, .. } | Inst::VMergeImm { vd, .. } | Inst::VFMerge { vd, .. } => {
-            set.add_v_group(vd, g);
-        }
         Inst::Vcpop { rd, .. } | Inst::Vfirst { rd, .. } => set.add_x(rd),
         Inst::Branch { .. }
         | Inst::Store { .. }

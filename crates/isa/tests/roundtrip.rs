@@ -4,8 +4,8 @@
 
 use coyote_isa::decode::decode;
 use coyote_isa::encode::encode;
-use coyote_isa::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VFScalar, VScalar};
-use coyote_isa::ops::{self, Row, Table, UIMM, VF, VI, VV, VX};
+use coyote_isa::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VSrc};
+use coyote_isa::ops::{self, Row, Table, UIMM};
 use coyote_isa::{Csr, FReg, Lmul, Sew, VReg, VType, XReg};
 use proptest::prelude::*;
 
@@ -23,14 +23,6 @@ fn rows<T: Copy + std::fmt::Debug + 'static>(
 /// Every operation of `table`.
 fn all<T: Copy + std::fmt::Debug + 'static>(table: &Table<T>) -> impl Strategy<Value = T> {
     rows(table, |_| true)
-}
-
-/// The operations of `table` that have every form in `forms`.
-fn with<T: Copy + std::fmt::Debug + 'static>(
-    table: &Table<T>,
-    forms: u8,
-) -> impl Strategy<Value = T> {
-    rows(table, move |r| r.forms & forms == forms)
 }
 
 /// The operations with an immediate form that does (`shift`) or does
@@ -75,6 +67,128 @@ fn vtype() -> impl Strategy<Value = VType> {
         ta,
         ma,
     })
+}
+
+/// A vector operand of every form, with immediates drawn from `imm`.
+fn vsrc(imm: std::ops::RangeInclusive<i8>) -> impl Strategy<Value = VSrc> {
+    prop_oneof![
+        vreg().prop_map(VSrc::V),
+        xreg().prop_map(VSrc::X),
+        freg().prop_map(VSrc::F),
+        imm.prop_map(VSrc::I),
+    ]
+}
+
+/// Whether `row` encodes operand `src`: a form the row has and, for an
+/// immediate, a value its 5-bit field holds.
+fn encodable<T>(row: &Row<T>, src: VSrc) -> bool {
+    let fits = match src {
+        VSrc::I(imm) if row.has(UIMM) => (0..=31).contains(&imm),
+        VSrc::I(imm) => (-16..=15).contains(&imm),
+        _ => true,
+    };
+    row.has(src.form()) && fits
+}
+
+/// An operation of `table` with an operand its row encodes; immediates
+/// cover both the signed and the shift-amount ranges.
+fn op_src<T: Copy + PartialEq + std::fmt::Debug + 'static>(
+    table: &'static Table<T>,
+) -> impl Strategy<Value = (T, VSrc)> {
+    (all(table), vsrc(-16..=31)).prop_filter("a form the row has", move |&(op, src)| {
+        encodable(table.row(op), src)
+    })
+}
+
+/// A vector instruction with any operand, paired with whether it has an
+/// encoding: its row has the operand's form, a splat's `vs2` is `v0`.
+fn any_vector_op() -> impl Strategy<Value = (Inst, bool)> {
+    let src = || vsrc(i8::MIN..=i8::MAX);
+    prop_oneof![
+        (all(&ops::VINT), vreg(), vreg(), src(), any::<bool>()).prop_map(
+            |(op, vd, vs2, src, vm)| {
+                let ok = encodable(ops::VINT.row(op), src);
+                (
+                    Inst::VIntOp {
+                        op,
+                        vd,
+                        vs2,
+                        src,
+                        vm,
+                    },
+                    ok,
+                )
+            }
+        ),
+        (all(&ops::VMUL), vreg(), vreg(), src(), any::<bool>()).prop_map(
+            |(op, vd, vs2, src, vm)| {
+                let ok = encodable(ops::VMUL.row(op), src);
+                (
+                    Inst::VMulOp {
+                        op,
+                        vd,
+                        vs2,
+                        src,
+                        vm,
+                    },
+                    ok,
+                )
+            }
+        ),
+        (all(&ops::VFP), vreg(), vreg(), src(), any::<bool>()).prop_map(
+            |(op, vd, vs2, src, vm)| {
+                let ok = encodable(ops::VFP.row(op), src);
+                (
+                    Inst::VFpOp {
+                        op,
+                        vd,
+                        vs2,
+                        src,
+                        vm,
+                    },
+                    ok,
+                )
+            }
+        ),
+        (all(&ops::VCMP), vreg(), vreg(), src(), any::<bool>()).prop_map(
+            |(op, vd, vs2, src, vm)| {
+                let ok = encodable(ops::VCMP.row(op), src);
+                (
+                    Inst::VMaskCmp {
+                        op,
+                        vd,
+                        vs2,
+                        src,
+                        vm,
+                    },
+                    ok,
+                )
+            }
+        ),
+        (all(&ops::VFCMP), vreg(), vreg(), src(), any::<bool>()).prop_map(
+            |(op, vd, vs2, src, vm)| {
+                let ok = encodable(ops::VFCMP.row(op), src);
+                (
+                    Inst::VFMaskCmp {
+                        op,
+                        vd,
+                        vs2,
+                        src,
+                        vm,
+                    },
+                    ok,
+                )
+            }
+        ),
+        // Half the splats get `vs2` = v0, the only one they encode with.
+        (vreg(), vreg(), src(), any::<bool>(), any::<bool>()).prop_map(|(vd, vs2, src, vm, v0)| {
+            let vs2 = if v0 { VReg::V0 } else { vs2 };
+            let ok = encodable(&ops::VMERGE, src) && (!vm || vs2 == VReg::V0);
+            (Inst::VMerge { vd, vs2, src, vm }, ok)
+        }),
+        (vreg(), src())
+            .prop_map(|(vd, src)| { (Inst::VMvS { vd, src }, encodable(&ops::VMV_S, src)) }),
+    ]
 }
 
 fn vaddr_mode() -> impl Strategy<Value = VAddrMode> {
@@ -234,88 +348,33 @@ fn inst() -> impl Strategy<Value = Inst> {
                 vm
             }
         ),
-        (with(&ops::VINT, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, vs1, vm)| Inst::VIntOp {
+        (op_src(&ops::VINT), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
+            Inst::VIntOp {
                 op,
                 vd,
                 vs2,
-                src: VScalar::Vector(vs1),
+                src,
                 vm,
             }
-        ),
-        (with(&ops::VINT, VX), vreg(), vreg(), xreg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, rs1, vm)| Inst::VIntOp {
+        }),
+        (op_src(&ops::VMUL), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
+            Inst::VMulOp {
                 op,
                 vd,
                 vs2,
-                src: VScalar::Xreg(rs1),
-                vm
+                src,
+                vm,
             }
-        ),
-        (
-            rows(&ops::VINT, |r| r.has(VI) && !r.has(UIMM)),
-            vreg(),
-            vreg(),
-            -16i8..=15,
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, imm, vm)| Inst::VIntOpImm {
+        }),
+        (op_src(&ops::VFP), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
+            Inst::VFpOp {
                 op,
                 vd,
                 vs2,
-                imm,
-                vm
-            }),
-        (
-            with(&ops::VINT, VI | UIMM),
-            vreg(),
-            vreg(),
-            0i8..=31,
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, imm, vm)| Inst::VIntOpImm {
-                op,
-                vd,
-                vs2,
-                imm,
-                vm
-            }),
-        (with(&ops::VMUL, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, vs1, vm)| Inst::VMulOp {
-                op,
-                vd,
-                vs2,
-                src: VScalar::Vector(vs1),
-                vm
+                src,
+                vm,
             }
-        ),
-        (with(&ops::VMUL, VX), vreg(), vreg(), xreg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, rs1, vm)| Inst::VMulOp {
-                op,
-                vd,
-                vs2,
-                src: VScalar::Xreg(rs1),
-                vm
-            }
-        ),
-        (with(&ops::VFP, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, vs1, vm)| Inst::VFpOp {
-                op,
-                vd,
-                vs2,
-                src: VFScalar::Vector(vs1),
-                vm
-            }
-        ),
-        (with(&ops::VFP, VF), vreg(), vreg(), freg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, rs1, vm)| Inst::VFpOp {
-                op,
-                vd,
-                vs2,
-                src: VFScalar::Freg(rs1),
-                vm
-            }
-        ),
+        }),
         (vreg(), vreg(), vreg(), any::<bool>()).prop_map(|(vd, vs2, vs1, vm)| Inst::VRedSum {
             vd,
             vs2,
@@ -328,79 +387,34 @@ fn inst() -> impl Strategy<Value = Inst> {
             vs1,
             vm
         }),
-        (vreg(), vreg()).prop_map(|(vd, vs1)| Inst::VMvVV { vd, vs1 }),
-        (vreg(), xreg()).prop_map(|(vd, rs1)| Inst::VMvVX { vd, rs1 }),
-        (vreg(), -16i8..=15).prop_map(|(vd, imm)| Inst::VMvVI { vd, imm }),
-        (vreg(), freg()).prop_map(|(vd, rs1)| Inst::VFMvVF { vd, rs1 }),
         (xreg(), vreg()).prop_map(|(rd, vs2)| Inst::VMvXS { rd, vs2 }),
-        (vreg(), xreg()).prop_map(|(vd, rs1)| Inst::VMvSX { vd, rs1 }),
         (freg(), vreg()).prop_map(|(rd, vs2)| Inst::VFMvFS { rd, vs2 }),
-        (vreg(), freg()).prop_map(|(vd, rs1)| Inst::VFMvSF { vd, rs1 }),
         (vreg(), any::<bool>()).prop_map(|(vd, vm)| Inst::Vid { vd, vm }),
         // Mask subset.
-        (with(&ops::VCMP, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, vs1, vm)| Inst::VMaskCmp {
+        (op_src(&ops::VCMP), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
+            Inst::VMaskCmp {
                 op,
                 vd,
                 vs2,
-                src: VScalar::Vector(vs1),
-                vm
+                src,
+                vm,
             }
-        ),
-        (with(&ops::VCMP, VX), vreg(), vreg(), xreg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, rs1, vm)| Inst::VMaskCmp {
+        }),
+        (op_src(&ops::VFCMP), vreg(), vreg(), any::<bool>()).prop_map(
+            |((op, src), vd, vs2, vm)| Inst::VFMaskCmp {
                 op,
                 vd,
                 vs2,
-                src: VScalar::Xreg(rs1),
-                vm
-            }
-        ),
-        (
-            with(&ops::VCMP, VI),
-            vreg(),
-            vreg(),
-            -16i8..=15,
-            any::<bool>()
-        )
-            .prop_map(|(op, vd, vs2, imm, vm)| Inst::VMaskCmpImm {
-                op,
-                vd,
-                vs2,
-                imm,
-                vm
-            }),
-        (with(&ops::VFCMP, VV), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, vs1, vm)| Inst::VFMaskCmp {
-                op,
-                vd,
-                vs2,
-                src: VFScalar::Vector(vs1),
-                vm
-            }
-        ),
-        (with(&ops::VFCMP, VF), vreg(), vreg(), freg(), any::<bool>()).prop_map(
-            |(op, vd, vs2, rs1, vm)| Inst::VFMaskCmp {
-                op,
-                vd,
-                vs2,
-                src: VFScalar::Freg(rs1),
+                src,
                 vm
             }
         ),
         (all(&ops::VMASK), vreg(), vreg(), vreg())
             .prop_map(|(op, vd, vs2, vs1)| Inst::VMaskLogical { op, vd, vs2, vs1 }),
-        (
-            vreg(),
-            vreg(),
-            prop_oneof![
-                vreg().prop_map(VScalar::Vector),
-                xreg().prop_map(VScalar::Xreg)
-            ]
-        )
-            .prop_map(|(vd, vs2, src)| Inst::VMerge { vd, vs2, src }),
-        (vreg(), vreg(), -16i8..=15).prop_map(|(vd, vs2, imm)| Inst::VMergeImm { vd, vs2, imm }),
-        (vreg(), vreg(), freg()).prop_map(|(vd, vs2, rs1)| Inst::VFMerge { vd, vs2, rs1 }),
+        // A merge takes any `vs2`; a splat (`vm` set) only v0.
+        any_vector_op()
+            .prop_filter("encodable", |&(_, ok)| ok)
+            .prop_map(|(inst, _)| inst),
         (xreg(), vreg(), any::<bool>()).prop_map(|(rd, vs2, vm)| Inst::Vcpop { rd, vs2, vm }),
         (xreg(), vreg(), any::<bool>()).prop_map(|(rd, vs2, vm)| Inst::Vfirst { rd, vs2, vm }),
     ]
@@ -413,6 +427,22 @@ proptest! {
         let word = encode(&inst).expect("strategy only yields encodable forms");
         let back = decode(word).expect("every encoded word decodes");
         prop_assert_eq!(back, inst);
+    }
+
+    /// The vector shapes `Inst` can hold without an encoding — a form the
+    /// row lacks, an immediate its field cannot hold, a splat whose `vs2`
+    /// is not v0, an element-0 move from a vector or an immediate — are
+    /// encode errors, never a word that decodes to something else.
+    #[test]
+    fn vector_shapes_encode_exactly_when_they_exist(case in any_vector_op()) {
+        let (inst, ok) = case;
+        match encode(&inst) {
+            Ok(word) => {
+                prop_assert!(ok, "{inst:?} encoded as {word:#010x}");
+                prop_assert_eq!(decode(word), Ok(inst));
+            }
+            Err(e) => prop_assert!(!ok, "{inst:?}: {e}"),
+        }
     }
 
     /// decode never panics and, when it succeeds, re-encoding reproduces

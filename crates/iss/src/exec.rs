@@ -17,7 +17,7 @@ use std::fmt;
 
 use coyote_isa::inst::{
     AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCmpOp, FpCvtOp, FpOp, Inst, MemWidth,
-    VAddrMode, VCmpOp, VFCmpOp, VFScalar, VFpOp, VIntOp, VMaskOp, VMulOp, VScalar,
+    VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VSrc,
 };
 use coyote_isa::{FReg, Sew, VReg, XReg};
 
@@ -77,25 +77,24 @@ pub struct Effects {
 /// Error from executing an instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// A vector operation ran with a SEW the unit does not support.
-    UnsupportedSew {
-        /// The current SEW.
-        sew: Sew,
-        /// The operation family that rejected it.
-        what: &'static str,
-    },
     /// A vector FP operation needs SEW=64.
     FpVectorNeedsE64,
+    /// The register group starting at `reg` holds fewer than `vl`
+    /// elements before the register file ends at `v31`.
+    GroupPastV31 {
+        /// First register of the group.
+        reg: VReg,
+    },
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::UnsupportedSew { sew, what } => {
-                write!(f, "unsupported element width {sew} for {what}")
-            }
             ExecError::FpVectorNeedsE64 => {
                 write!(f, "vector floating-point requires e64 elements")
+            }
+            ExecError::GroupPastV31 { reg } => {
+                write!(f, "vector register group at {reg} runs past v31")
             }
         }
     }
@@ -245,8 +244,9 @@ fn store_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, value: u64) {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] for vector operations at unsupported element
-/// widths. The instruction is not retired in that case.
+/// Returns [`ExecError`] for a vector floating-point operation at an
+/// element width other than 64 bits, or a vector register group that
+/// runs past `v31`. The instruction is not retired in that case.
 pub fn execute(
     hart: &mut Hart,
     mem: &mut SparseMemory,
@@ -577,6 +577,7 @@ pub fn execute(
         } => {
             let base = hart.x(rs1);
             let bytes = eew.bytes();
+            in_file(hart, bytes, &[Some(vd), index_reg(mode)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
@@ -603,6 +604,7 @@ pub fn execute(
         } => {
             let base = hart.x(rs1);
             let bytes = eew.bytes();
+            in_file(hart, bytes, &[Some(vs3), index_reg(mode)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
@@ -625,18 +627,9 @@ pub fn execute(
             src,
             vm,
         } => {
-            let src = VIntSrc::from_scalar(hart, src);
-            vint_loop(hart, op, vd, vs2, src, vm)?;
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VIntOpImm {
-            op,
-            vd,
-            vs2,
-            imm,
-            vm,
-        } => {
-            vint_loop(hart, op, vd, vs2, VIntSrc::Imm(imm), vm)?;
+            let bytes = hart.vtype.sew.bytes();
+            in_file(hart, bytes, &[Some(vd), Some(vs2), vector(src)])?;
+            vint_loop(hart, op, (vd, vs2, src), vm);
             fx.dest = Some(Dest::V(vd, group_len(hart)));
         }
         Inst::VMulOp {
@@ -648,15 +641,19 @@ pub fn execute(
         } => {
             let sew = hart.vtype.sew;
             let bytes = sew.bytes();
+            in_file(hart, bytes, &[Some(vd), Some(vs2), vector(src)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
                 }
                 let a = sext(hart.v_elem(vd, i, bytes), sew);
                 let b2 = sext(hart.v_elem(vs2, i, bytes), sew);
-                let b1 = match src {
-                    VScalar::Vector(v1) => sext(hart.v_elem(v1, i, bytes), sew),
-                    VScalar::Xreg(r1) => hart.x(r1) as i64,
+                // An `x` operand takes part with all 64 bits.
+                let b1 = src_elem(hart, src, i, bytes);
+                let b1 = if let VSrc::V(_) = src {
+                    sext(b1, sew)
+                } else {
+                    b1 as i64
                 };
                 let result = vmul_op(op, a, b1, b2, sew);
                 hart.set_v_elem(vd, i, bytes, result as u64);
@@ -673,16 +670,14 @@ pub fn execute(
             if hart.vtype.sew != Sew::E64 {
                 return Err(ExecError::FpVectorNeedsE64);
             }
+            in_file(hart, 8, &[Some(vd), Some(vs2), vector(src)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
                 }
                 let acc = f64::from_bits(hart.v_elem(vd, i, 8));
                 let b2 = f64::from_bits(hart.v_elem(vs2, i, 8));
-                let b1 = match src {
-                    VFScalar::Vector(v1) => f64::from_bits(hart.v_elem(v1, i, 8)),
-                    VFScalar::Freg(r1) => hart.f(r1),
-                };
+                let b1 = f64::from_bits(src_elem(hart, src, i, 8));
                 let result = match op {
                     VFpOp::Add => b2 + b1,
                     VFpOp::Sub => b2 - b1,
@@ -700,6 +695,7 @@ pub fn execute(
         Inst::VRedSum { vd, vs2, vs1, vm } => {
             let sew = hart.vtype.sew;
             let bytes = sew.bytes();
+            in_file(hart, bytes, &[Some(vs2)])?;
             let mut acc = hart.v_elem(vs1, 0, bytes);
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
@@ -715,6 +711,7 @@ pub fn execute(
             if hart.vtype.sew != Sew::E64 {
                 return Err(ExecError::FpVectorNeedsE64);
             }
+            in_file(hart, 8, &[Some(vs2)])?;
             let mut acc = f64::from_bits(hart.v_elem(vs1, 0, 8));
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
@@ -725,36 +722,19 @@ pub fn execute(
             hart.set_v_elem(vd, 0, 8, acc.to_bits());
             fx.dest = Some(Dest::V(vd, 1));
         }
-        Inst::VMvVV { vd, vs1 } => {
-            let bytes = hart.vtype.sew.bytes();
-            for i in 0..hart.vl {
-                let v = hart.v_elem(vs1, i, bytes);
-                hart.set_v_elem(vd, i, bytes, v);
-            }
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VMvVX { vd, rs1 } => {
-            let bytes = hart.vtype.sew.bytes();
-            let v = hart.x(rs1);
-            for i in 0..hart.vl {
-                hart.set_v_elem(vd, i, bytes, v);
-            }
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VMvVI { vd, imm } => {
-            let bytes = hart.vtype.sew.bytes();
-            for i in 0..hart.vl {
-                hart.set_v_elem(vd, i, bytes, imm as i64 as u64);
-            }
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VFMvVF { vd, rs1 } => {
-            if hart.vtype.sew != Sew::E64 {
+        Inst::VMerge { vd, vs2, src, vm } => {
+            if matches!(src, VSrc::F(_)) && hart.vtype.sew != Sew::E64 {
                 return Err(ExecError::FpVectorNeedsE64);
             }
-            let bits = hart.f_bits(rs1);
+            let bytes = hart.vtype.sew.bytes();
+            in_file(hart, bytes, &[Some(vd), Some(vs2), vector(src)])?;
             for i in 0..hart.vl {
-                hart.set_v_elem(vd, i, 8, bits);
+                let value = if vm || hart.v0_mask_bit(i) {
+                    src_elem(hart, src, i, bytes)
+                } else {
+                    hart.v_elem(vs2, i, bytes)
+                };
+                hart.set_v_elem(vd, i, bytes, value);
             }
             fx.dest = Some(Dest::V(vd, group_len(hart)));
         }
@@ -764,21 +744,22 @@ pub fn execute(
             hart.set_x(rd, value);
             fx.dest = Some(Dest::X(rd));
         }
-        Inst::VMvSX { vd, rs1 } => {
-            let bytes = hart.vtype.sew.bytes();
-            hart.set_v_elem(vd, 0, bytes, hart.x(rs1));
+        Inst::VMvS { vd, src } => {
+            // An `f` register fills a whole 64-bit element whatever SEW is.
+            let bytes = match src {
+                VSrc::F(_) => 8,
+                _ => hart.vtype.sew.bytes(),
+            };
+            hart.set_v_elem(vd, 0, bytes, src_elem(hart, src, 0, bytes));
             fx.dest = Some(Dest::V(vd, 1));
         }
         Inst::VFMvFS { rd, vs2 } => {
             hart.set_f_bits(rd, hart.v_elem(vs2, 0, 8));
             fx.dest = Some(Dest::F(rd));
         }
-        Inst::VFMvSF { vd, rs1 } => {
-            hart.set_v_elem(vd, 0, 8, hart.f_bits(rs1));
-            fx.dest = Some(Dest::V(vd, 1));
-        }
         Inst::Vid { vd, vm } => {
             let bytes = hart.vtype.sew.bytes();
+            in_file(hart, bytes, &[Some(vd)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
@@ -796,34 +777,13 @@ pub fn execute(
         } => {
             let sew = hart.vtype.sew;
             let bytes = sew.bytes();
+            in_file(hart, bytes, &[Some(vs2), vector(src)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
                 }
                 let a = hart.v_elem(vs2, i, bytes);
-                let b = match src {
-                    VScalar::Vector(v1) => hart.v_elem(v1, i, bytes),
-                    VScalar::Xreg(r1) => hart.x(r1) & mask_for(sew),
-                };
-                hart.set_v_bit(vd, i, vint_compare(op, a, b, sew));
-            }
-            fx.dest = Some(Dest::V(vd, 1));
-        }
-        Inst::VMaskCmpImm {
-            op,
-            vd,
-            vs2,
-            imm,
-            vm,
-        } => {
-            let sew = hart.vtype.sew;
-            let bytes = sew.bytes();
-            let b = (imm as i64 as u64) & mask_for(sew);
-            for i in 0..hart.vl {
-                if !vm && !hart.v0_mask_bit(i) {
-                    continue;
-                }
-                let a = hart.v_elem(vs2, i, bytes);
+                let b = src_elem(hart, src, i, bytes) & mask_for(sew);
                 hart.set_v_bit(vd, i, vint_compare(op, a, b, sew));
             }
             fx.dest = Some(Dest::V(vd, 1));
@@ -838,15 +798,13 @@ pub fn execute(
             if hart.vtype.sew != Sew::E64 {
                 return Err(ExecError::FpVectorNeedsE64);
             }
+            in_file(hart, 8, &[Some(vs2), vector(src)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
                 }
                 let a = f64::from_bits(hart.v_elem(vs2, i, 8));
-                let b = match src {
-                    VFScalar::Vector(v1) => f64::from_bits(hart.v_elem(v1, i, 8)),
-                    VFScalar::Freg(r1) => hart.f(r1),
-                };
+                let b = f64::from_bits(src_elem(hart, src, i, 8));
                 let result = match op {
                     VFCmpOp::Eq => a == b,
                     VFCmpOp::Le => a <= b,
@@ -876,50 +834,6 @@ pub fn execute(
                 hart.set_v_bit(vd, i, result);
             }
             fx.dest = Some(Dest::V(vd, 1));
-        }
-        Inst::VMerge { vd, vs2, src } => {
-            let bytes = hart.vtype.sew.bytes();
-            for i in 0..hart.vl {
-                let value = if hart.v0_mask_bit(i) {
-                    match src {
-                        VScalar::Vector(v1) => hart.v_elem(v1, i, bytes),
-                        VScalar::Xreg(r1) => hart.x(r1) & mask_for(hart.vtype.sew),
-                    }
-                } else {
-                    hart.v_elem(vs2, i, bytes)
-                };
-                hart.set_v_elem(vd, i, bytes, value);
-            }
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VMergeImm { vd, vs2, imm } => {
-            let sew = hart.vtype.sew;
-            let bytes = sew.bytes();
-            let set_value = (imm as i64 as u64) & mask_for(sew);
-            for i in 0..hart.vl {
-                let value = if hart.v0_mask_bit(i) {
-                    set_value
-                } else {
-                    hart.v_elem(vs2, i, bytes)
-                };
-                hart.set_v_elem(vd, i, bytes, value);
-            }
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VFMerge { vd, vs2, rs1 } => {
-            if hart.vtype.sew != Sew::E64 {
-                return Err(ExecError::FpVectorNeedsE64);
-            }
-            let scalar = hart.f_bits(rs1);
-            for i in 0..hart.vl {
-                let value = if hart.v0_mask_bit(i) {
-                    scalar
-                } else {
-                    hart.v_elem(vs2, i, 8)
-                };
-                hart.set_v_elem(vd, i, 8, value);
-            }
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
         }
         Inst::Vcpop { rd, vs2, vm } => {
             let mut count = 0u64;
@@ -958,25 +872,49 @@ fn vmem_group_len(hart: &Hart, eew: Sew) -> u8 {
 
 fn vector_elem_addr(hart: &Hart, base: u64, mode: VAddrMode, eew: Sew, i: u64) -> u64 {
     match mode {
-        VAddrMode::Unit => base + i * eew.bytes(),
+        VAddrMode::Unit => base.wrapping_add(i * eew.bytes()),
         VAddrMode::Strided(rs2) => base.wrapping_add(hart.x(rs2).wrapping_mul(i)),
         VAddrMode::Indexed(vs2) => base.wrapping_add(hart.v_elem(vs2, i, eew.bytes())),
     }
 }
 
-#[derive(Clone, Copy)]
-enum VIntSrc {
-    Vector(VReg),
-    Scalar(u64),
-    Imm(i8),
+/// The index register of an indexed access.
+fn index_reg(mode: VAddrMode) -> Option<VReg> {
+    match mode {
+        VAddrMode::Indexed(vs2) => Some(vs2),
+        VAddrMode::Unit | VAddrMode::Strided(_) => None,
+    }
 }
 
-impl VIntSrc {
-    fn from_scalar(hart: &Hart, src: VScalar) -> VIntSrc {
-        match src {
-            VScalar::Vector(v1) => VIntSrc::Vector(v1),
-            VScalar::Xreg(r1) => VIntSrc::Scalar(hart.x(r1)),
-        }
+/// The register of a `.vv` operand.
+fn vector(src: VSrc) -> Option<VReg> {
+    match src {
+        VSrc::V(vs1) => Some(vs1),
+        VSrc::X(_) | VSrc::F(_) | VSrc::I(_) => None,
+    }
+}
+
+/// Checks that each group in `regs`, `vl` elements of `bytes` each, ends
+/// within the register file; a group that runs past `v31` is an error
+/// raised before any element is written.
+fn in_file(hart: &Hart, bytes: u64, regs: &[Option<VReg>]) -> Result<(), ExecError> {
+    let vlenb = hart.vlen_bits() / 8;
+    let past = |reg: &VReg| reg.index() as u64 * vlenb + hart.vl * bytes > 32 * vlenb;
+    match regs.iter().flatten().find(|reg| past(reg)) {
+        Some(&reg) => Err(ExecError::GroupPastV31 { reg }),
+        None => Ok(()),
+    }
+}
+
+/// Element `i` (`bytes` wide) of the second operand: an element of the
+/// `.vv` register, or the raw bits every element shares — the `x` or `f`
+/// register, or the sign-extended immediate.
+fn src_elem(hart: &Hart, src: VSrc, i: u64, bytes: u64) -> u64 {
+    match src {
+        VSrc::V(vs1) => hart.v_elem(vs1, i, bytes),
+        VSrc::X(rs1) => hart.x(rs1),
+        VSrc::F(rs1) => hart.f_bits(rs1),
+        VSrc::I(imm) => imm as i64 as u64,
     }
 }
 
@@ -998,14 +936,7 @@ fn sext(value: u64, sew: Sew) -> i64 {
     }
 }
 
-fn vint_loop(
-    hart: &mut Hart,
-    op: VIntOp,
-    vd: VReg,
-    vs2: VReg,
-    src: VIntSrc,
-    vm: bool,
-) -> Result<(), ExecError> {
+fn vint_loop(hart: &mut Hart, op: VIntOp, (vd, vs2, src): (VReg, VReg, VSrc), vm: bool) {
     let sew = hart.vtype.sew;
     let bytes = sew.bytes();
     let sh_mask = u64::from(sew.bits()) - 1;
@@ -1014,11 +945,7 @@ fn vint_loop(
             continue;
         }
         let b2 = hart.v_elem(vs2, i, bytes);
-        let b1 = match src {
-            VIntSrc::Vector(v1) => hart.v_elem(v1, i, bytes),
-            VIntSrc::Scalar(x) => x & mask_for(sew),
-            VIntSrc::Imm(v) => (v as i64 as u64) & mask_for(sew),
-        };
+        let b1 = src_elem(hart, src, i, bytes) & mask_for(sew);
         let result = match op {
             VIntOp::Add => b2.wrapping_add(b1),
             VIntOp::Sub => b2.wrapping_sub(b1),
@@ -1048,7 +975,6 @@ fn vint_loop(
         } & mask_for(sew);
         hart.set_v_elem(vd, i, bytes, result);
     }
-    Ok(())
 }
 
 /// Element compare for the `vmseq` family. `a` is the `vs2` element,

@@ -2,13 +2,15 @@
 //! an ideal memory below the L1s, and the architectural results are
 //! checked against host-computed oracles.
 
-use coyote_iss::core::{Core, CoreConfig, CoreState, DecodedText};
+use coyote_isa::VReg;
+use coyote_iss::core::{Core, CoreConfig, CoreState, DecodedText, SimError};
 use coyote_iss::mem::SparseMemory;
+use coyote_iss::ExecError;
 use proptest::prelude::*;
 
-/// Runs `src` to completion with immediate miss servicing; returns the
-/// halted core and memory.
-fn run(src: &str) -> (Core, SparseMemory) {
+/// Runs `src` to completion, or to the first step error, with immediate
+/// miss servicing; returns the halted core and memory.
+fn try_run(src: &str) -> Result<(Core, SparseMemory), SimError> {
     let program = coyote_asm::assemble(src).unwrap_or_else(|e| panic!("asm: {e}"));
     let mut mem = SparseMemory::new();
     mem.load_program(&program);
@@ -17,17 +19,20 @@ fn run(src: &str) -> (Core, SparseMemory) {
     let mut misses = Vec::new();
     for cycle in 0..2_000_000u64 {
         if matches!(core.state(), CoreState::Halted(_)) {
-            return (core, mem);
+            return Ok((core, mem));
         }
         if core.state() == CoreState::Active {
-            core.step(&mut mem, &text, cycle, &mut misses)
-                .unwrap_or_else(|e| panic!("step: {e}"));
+            core.step(&mut mem, &text, cycle, &mut misses)?;
         }
         for miss in misses.drain(..) {
             core.complete_fill(miss.line_addr, miss.kind, cycle);
         }
     }
     panic!("program did not halt");
+}
+
+fn run(src: &str) -> (Core, SparseMemory) {
+    try_run(src).unwrap_or_else(|e| panic!("step: {e}"))
 }
 
 fn exit_code(src: &str) -> i64 {
@@ -106,6 +111,62 @@ fn load_store_straddling_the_address_space_wraps() {
     let low: Vec<u8> = (0..4).map(|addr| mem.read_u8(addr)).collect();
     assert_eq!(low, [0x44, 0x33, 0x22, 0x11]);
     assert_eq!(mem.read_u64(u64::MAX - 3), 0x1122_3344_5566_7788);
+
+    // A unit-stride vector wraps the same way: element 1 of a
+    // two-element access based at -8 is at address 0.
+    let src = "
+        _start:
+            li t0, 2
+            vsetvli t1, t0, e64,m1,ta,ma
+            vid.v v1
+            vadd.vi v1, v1, 5        # 5, 6
+            li t2, -8
+            vse64.v v1, (t2)
+            vle64.v v2, (t2)
+            vmv.v.i v3, 0
+            vredsum.vs v3, v2, v3
+            vmv.x.s a0, v3
+            li a7, 93
+            ecall";
+    let (core, mem) = run(src);
+    assert_eq!(core.state(), CoreState::Halted(11), "load saw the store");
+    assert_eq!(mem.read_u64(u64::MAX - 7), 5);
+    assert_eq!(mem.read_u64(0), 6);
+}
+
+/// A register group that would run past `v31` is an error naming the
+/// register and the pc, raised before any element is written — not a
+/// panic. At e64/m8 with VLEN 1024, `vl` = 128 spans eight registers.
+#[test]
+fn vector_group_past_v31_is_an_exec_error() {
+    for (inst, reg) in [
+        ("vadd.vv v31, v31, v31", "v31"),
+        ("vmv.v.i v25, 3", "v25"),
+        ("vle64.v v30, (zero)", "v30"),
+        ("vmsle.vv v1, v24, v29", "v29"),
+    ] {
+        let src = format!(
+            "_start:\n li a0, 1024\n vsetvli t0, a0, e64,m8,ta,ma\n {inst}\n li a7, 93\n ecall"
+        );
+        let source = ExecError::GroupPastV31 {
+            reg: VReg::parse(reg).unwrap(),
+        };
+        let err = try_run(&src).err();
+        assert_eq!(
+            err,
+            Some(SimError::Exec {
+                pc: 0x8000_0008,
+                source
+            }),
+            "{inst}"
+        );
+    }
+    // The last group that fits, and a group past v31 at a `vl` that
+    // stays inside its first register, run as before.
+    let fits = "_start:\n li a0, 1024\n vsetvli t0, a0, e64,m8,ta,ma\n vmv.v.i v24, 3\n vmv.x.s a0, v31\n li a7, 93\n ecall";
+    assert_eq!(run(fits).0.state(), CoreState::Halted(3));
+    let short = "_start:\n li a0, 4\n vsetvli t0, a0, e64,m8,ta,ma\n vmv.v.i v31, 7\n vmv.x.s a0, v31\n li a7, 93\n ecall";
+    assert_eq!(run(short).0.state(), CoreState::Halted(7));
 }
 
 #[test]
