@@ -11,7 +11,10 @@
 //! dynamic rounding the encoder emits); float→int conversions use
 //! round-toward-zero with saturation, matching RISC-V `rtz` semantics
 //! for in-range values. `fmin`/`fmax` follow IEEE `minNum`/`maxNum` for
-//! non-NaN inputs.
+//! non-NaN inputs. Arithmetic that produces a NaN returns the canonical
+//! NaN `0x7ff8_0000_0000_0000`, as RISC-V requires, so no result depends on
+//! which input payload the host's operand order propagates; sign
+//! injection and moves stay bit-exact.
 
 use std::fmt;
 
@@ -449,15 +452,15 @@ pub fn execute(
         Inst::FpOp { op, rd, rs1, rs2 } => {
             let (a, b) = (hart.f(rs1), hart.f(rs2));
             let result = match op {
-                FpOp::Add => a + b,
-                FpOp::Sub => a - b,
-                FpOp::Mul => a * b,
-                FpOp::Div => a / b,
+                FpOp::Add => canonical(a + b),
+                FpOp::Sub => canonical(a - b),
+                FpOp::Mul => canonical(a * b),
+                FpOp::Div => canonical(a / b),
                 FpOp::Sgnj => a.copysign(b),
                 FpOp::Sgnjn => a.copysign(-b),
                 FpOp::Sgnjx => f64::from_bits(a.to_bits() ^ (b.to_bits() & (1 << 63))),
-                FpOp::Min => a.min(b),
-                FpOp::Max => a.max(b),
+                FpOp::Min => canonical(a.min(b)),
+                FpOp::Max => canonical(a.max(b)),
             };
             hart.set_f(rd, result);
             fx.dest = Some(Dest::F(rd));
@@ -476,7 +479,7 @@ pub fn execute(
                 FmaOp::Nmsub => (-a).mul_add(b, c),
                 FmaOp::Nmadd => (-a).mul_add(b, -c),
             };
-            hart.set_f(rd, result);
+            hart.set_f(rd, canonical(result));
             fx.dest = Some(Dest::F(rd));
         }
         Inst::FpCmp { op, rd, rs1, rs2 } => {
@@ -679,14 +682,14 @@ pub fn execute(
                 let b2 = f64::from_bits(hart.v_elem(vs2, i, 8));
                 let b1 = f64::from_bits(src_elem(hart, src, i, 8));
                 let result = match op {
-                    VFpOp::Add => b2 + b1,
-                    VFpOp::Sub => b2 - b1,
-                    VFpOp::Mul => b2 * b1,
-                    VFpOp::Div => b2 / b1,
-                    VFpOp::Min => b2.min(b1),
-                    VFpOp::Max => b2.max(b1),
+                    VFpOp::Add => canonical(b2 + b1),
+                    VFpOp::Sub => canonical(b2 - b1),
+                    VFpOp::Mul => canonical(b2 * b1),
+                    VFpOp::Div => canonical(b2 / b1),
+                    VFpOp::Min => canonical(b2.min(b1)),
+                    VFpOp::Max => canonical(b2.max(b1)),
                     VFpOp::Sgnj => b2.copysign(b1),
-                    VFpOp::Macc => b1.mul_add(b2, acc),
+                    VFpOp::Macc => canonical(b1.mul_add(b2, acc)),
                 };
                 hart.set_v_elem(vd, i, 8, result.to_bits());
             }
@@ -719,7 +722,9 @@ pub fn execute(
                 }
                 acc += f64::from_bits(hart.v_elem(vs2, i, 8));
             }
-            hart.set_v_elem(vd, 0, 8, acc.to_bits());
+            // A NaN, once in the sum, stays: canonicalizing the total is
+            // canonicalizing every step.
+            hart.set_v_elem(vd, 0, 8, canonical(acc).to_bits());
             fx.dest = Some(Dest::V(vd, 1));
         }
         Inst::VMerge { vd, vs2, src, vm } => {
@@ -915,6 +920,19 @@ fn src_elem(hart: &Hart, src: VSrc, i: u64, bytes: u64) -> u64 {
         VSrc::X(rs1) => hart.x(rs1),
         VSrc::F(rs1) => hart.f_bits(rs1),
         VSrc::I(imm) => imm as i64 as u64,
+    }
+}
+
+/// The NaN RISC-V arithmetic returns whenever its result is a NaN,
+/// whatever the inputs' payloads.
+const CANONICAL_NAN: u64 = 0x7ff8_0000_0000_0000;
+
+/// `x`, or the canonical NaN if `x` is any NaN.
+fn canonical(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::from_bits(CANONICAL_NAN)
+    } else {
+        x
     }
 }
 

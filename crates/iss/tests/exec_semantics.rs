@@ -192,6 +192,37 @@ fn fp_arithmetic_matches_host() {
     assert_eq!(out, 1.5f64.mul_add(2.25, 1.5 * 2.25));
 }
 
+/// FP arithmetic returns RISC-V's canonical NaN whatever the inputs'
+/// payloads — the host's choice of which payload to propagate depends on
+/// operand order, and so on the build profile. Sign injection is a bit
+/// operation and keeps the payload.
+#[test]
+fn fp_nan_results_are_canonical() {
+    let src = "
+        .data
+        a: .dword 0x7ff8000000000abc
+        b: .dword 0xfff8000000000def
+        out: .dword 0, 0, 0
+        .text
+        _start:
+            la t0, a
+            fld fa0, 0(t0)
+            fld fa1, 8(t0)
+            fadd.d fa2, fa0, fa1
+            fadd.d fa3, fa1, fa0
+            fsgnj.d fa4, fa1, fa0
+            fsd fa2, 16(t0)
+            fsd fa3, 24(t0)
+            fsd fa4, 32(t0)
+            li a0, 0
+            li a7, 93
+            ecall";
+    let (_, mem) = run(src);
+    assert_eq!(mem.read_u64(0x8100_0000 + 16), 0x7ff8_0000_0000_0000);
+    assert_eq!(mem.read_u64(0x8100_0000 + 24), 0x7ff8_0000_0000_0000);
+    assert_eq!(mem.read_u64(0x8100_0000 + 32), 0x7ff8_0000_0000_0def);
+}
+
 #[test]
 fn fp_compare_and_convert() {
     assert_eq!(compute("li t0, 7\n fcvt.d.l fa0, t0\n fcvt.l.d a0, fa0"), 7);

@@ -26,6 +26,32 @@
 //!
 //! [`EventQueue::schedule`] (no domain) keeps the historical contract:
 //! same-time events fire in insertion order, unaffected by perturbation.
+//!
+//! # Order and storage
+//!
+//! Every event carries one key, `(time, domain group, content rank,
+//! seq)` — `seq` is the scheduling sequence number, the last tiebreak
+//! (and the only one for plain `schedule`, whose group and rank are 0) —
+//! and events fire in key order. The store is a timing wheel sized from
+//! the longest delay a handler adds to the cycle it runs in (see
+//! [`EventQueue::with_max_delay`]):
+//!
+//! * the *due list* holds every event at or before the *cursor*, the
+//!   cycle being drained, sorted by key; an event scheduled into that
+//!   cycle (or, legal if unusual, before it) is inserted at its key's
+//!   place;
+//! * `span` buckets, indexed by `time & (span - 1)`, hold the events of
+//!   the next `span` cycles unsorted, chained through one node arena, so
+//!   storage grows with the peak number of pending events, not with
+//!   span times burst;
+//! * an overflow heap holds events further out (a memory controller's
+//!   channel queueing has no bound) and drains into the buckets as the
+//!   cursor passes.
+//!
+//! Reaching a cycle sorts its bucket's few events into the due list, so
+//! push and pop are O(1) apart from that small sort, and the pop order
+//! is exactly that of a binary heap over the same key, perturbation
+//! seeds included.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -116,6 +142,30 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// A bucket event in the node arena, or a free node.
+#[derive(Debug, Clone)]
+struct Node<T> {
+    key: Key,
+    /// The next node of the same bucket (or of the free chain).
+    next: u32,
+    /// `None` while the node is free.
+    payload: Option<T>,
+}
+
+/// End of a node chain.
+const NIL: u32 = u32::MAX;
+
+/// The wheel span bounds, in cycles. The floor keeps the occupancy
+/// bitmap in whole words; the cap bounds the empty buckets a config
+/// with very long latencies would allocate (its later events wait in
+/// the overflow heap instead).
+const MIN_SPAN: u64 = 64;
+const MAX_SPAN: u64 = 1 << 12;
+
+/// The delay [`EventQueue::new`] sizes its wheel for: 128 cycles, the
+/// span the memory hierarchy gets at its default configuration.
+const DEFAULT_MAX_DELAY: u64 = 128;
+
 /// A deterministic time-ordered event queue.
 ///
 /// # Examples
@@ -134,7 +184,28 @@ impl<T> Ord for Entry<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+    /// Every event at or before `cursor`, sorted by key, latest first:
+    /// the next event to fire is the last element.
+    due: Vec<Entry<T>>,
+    /// The cycle the due list was loaded for. Bucket events lie in
+    /// `(cursor, cursor + span]`, overflow events beyond.
+    cursor: u64,
+    /// `span - 1`: the bucket of time `t` is `t & mask`.
+    mask: u64,
+    /// Per-bucket head of its node chain.
+    heads: Vec<u32>,
+    /// One bit per non-empty bucket.
+    occupied: Vec<u64>,
+    /// Node arena of the bucket chains.
+    nodes: Vec<Node<T>>,
+    /// Head of the free-node chain.
+    free: u32,
+    /// Events more than a span past the cursor.
+    overflow: BinaryHeap<Reverse<Entry<T>>>,
+    /// The earliest scheduled time, kept current by every push and pop
+    /// (the orchestrator asks for it every cycle).
+    next: Option<u64>,
+    len: usize,
     seq: u64,
     /// 0 = canonical order; nonzero permutes cross-domain group order.
     perturb_seed: u64,
@@ -154,12 +225,7 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue with canonical (unperturbed) ordering.
     #[must_use]
     pub fn new() -> EventQueue<T> {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            perturb_seed: 0,
-            pops: 0,
-        }
+        EventQueue::with_max_delay(DEFAULT_MAX_DELAY, 0)
     }
 
     /// Creates an empty queue whose same-cycle cross-domain order is
@@ -168,8 +234,30 @@ impl<T> EventQueue<T> {
     /// under the [`Domain`] contract.
     #[must_use]
     pub fn with_perturbation(seed: u64) -> EventQueue<T> {
+        EventQueue::with_max_delay(DEFAULT_MAX_DELAY, seed)
+    }
+
+    /// Creates an empty queue (perturbed by `seed`, 0 for canonical
+    /// order) whose wheel spans `max_delay` cycles past the cycle being
+    /// drained, rounded up to a power of two within 64..=4096. Size it
+    /// by the longest delay one handler adds to the cycle it runs in.
+    /// The span is a speed knob only: an event scheduled further out
+    /// waits in the overflow heap, and the pop order never depends on
+    /// it.
+    #[must_use]
+    pub fn with_max_delay(max_delay: u64, seed: u64) -> EventQueue<T> {
+        let span = max_delay.clamp(MIN_SPAN, MAX_SPAN).next_power_of_two();
         EventQueue {
-            heap: BinaryHeap::new(),
+            due: Vec::new(),
+            cursor: 0,
+            mask: span - 1,
+            heads: vec![NIL; span as usize],
+            occupied: vec![0; (span / 64) as usize],
+            nodes: Vec::new(),
+            free: NIL,
+            overflow: BinaryHeap::new(),
+            next: None,
+            len: 0,
             seq: 0,
             perturb_seed: seed,
             pops: 0,
@@ -186,14 +274,7 @@ impl<T> EventQueue<T> {
     /// for the same time fire in scheduling order, regardless of any
     /// perturbation seed.
     pub fn schedule(&mut self, time: u64, payload: T) {
-        let key = Key {
-            time,
-            group: 0,
-            rank: 0,
-            seq: self.seq,
-        };
-        self.seq += 1;
-        self.heap.push(Reverse(Entry { key, payload }));
+        self.push(time, 0, 0, payload);
     }
 
     /// Schedules `payload` at `time` under the arbitration contract:
@@ -207,6 +288,10 @@ impl<T> EventQueue<T> {
         } else {
             mix64(self.perturb_seed ^ code)
         };
+        self.push(time, group, rank, payload);
+    }
+
+    fn push(&mut self, time: u64, group: u64, rank: u64, payload: T) {
         let key = Key {
             time,
             group,
@@ -214,25 +299,143 @@ impl<T> EventQueue<T> {
             seq: self.seq,
         };
         self.seq += 1;
-        self.heap.push(Reverse(Entry { key, payload }));
+        self.len += 1;
+        if self.next.is_none_or(|next| time < next) {
+            self.next = Some(time);
+        }
+        self.place(Entry { key, payload });
+    }
+
+    /// Files an event by its distance from the cursor.
+    fn place(&mut self, entry: Entry<T>) {
+        let time = entry.key.time;
+        if time <= self.cursor {
+            let at = self.due.partition_point(|e| e.key > entry.key);
+            self.due.insert(at, entry);
+        } else if time - self.cursor <= self.mask + 1 {
+            let bucket = (time & self.mask) as usize;
+            let node = Node {
+                key: entry.key,
+                next: self.heads[bucket],
+                payload: Some(entry.payload),
+            };
+            let index = if self.free == NIL {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            } else {
+                let index = self.free;
+                self.free = std::mem::replace(&mut self.nodes[index as usize], node).next;
+                index
+            };
+            self.heads[bucket] = index;
+            self.occupied[bucket / 64] |= 1 << (bucket % 64);
+        } else {
+            self.overflow.push(Reverse(entry));
+        }
     }
 
     /// Pops the next event whose time is `<= now`, if any.
+    // Inlined: the orchestrator asks every cycle, and most cycles have
+    // nothing due.
+    #[inline]
     pub fn pop_due(&mut self, now: u64) -> Option<T> {
-        if self.heap.peek().is_some_and(|e| e.0.key.time <= now) {
-            self.pops += 1;
-            self.heap.pop().map(|e| e.0.payload)
-        } else {
-            None
+        if self.next.is_some_and(|next| next <= now) {
+            return Some(self.pop_first().1);
         }
+        // Nothing is due by `now`: move the cursor up to it, so what is
+        // scheduled from `now` on finds its bucket, not the overflow.
+        if self.due.is_empty() && now > self.cursor {
+            self.cursor = now;
+            if !self.overflow.is_empty() {
+                self.refill();
+            }
+        }
+        None
     }
 
     /// Pops the next event together with its scheduled time, regardless
     /// of the current cycle (used for fast-forwarding an idle system).
     pub fn pop_next(&mut self) -> Option<(u64, T)> {
-        let popped = self.heap.pop().map(|e| (e.0.key.time, e.0.payload));
-        self.pops += u64::from(popped.is_some());
-        popped
+        self.next.is_some().then(|| self.pop_first())
+    }
+
+    /// Pops the earliest event; the queue must not be empty.
+    fn pop_first(&mut self) -> (u64, T) {
+        if self.due.is_empty() {
+            let time = self.next.expect("a non-empty queue has a next time");
+            self.load(time);
+        }
+        let entry = self
+            .due
+            .pop()
+            .expect("the loaded cycle holds the earliest event");
+        self.len -= 1;
+        self.pops += 1;
+        self.next = match self.due.last() {
+            Some(e) => Some(e.key.time),
+            None => self.scan_next(),
+        };
+        (entry.key.time, entry.payload)
+    }
+
+    /// Moves the cursor to `time`, the earliest pending time, and sorts
+    /// that cycle's events into the (empty) due list.
+    fn load(&mut self, time: u64) {
+        self.cursor = time;
+        let bucket = (time & self.mask) as usize;
+        let mut index = std::mem::replace(&mut self.heads[bucket], NIL);
+        self.occupied[bucket / 64] &= !(1 << (bucket % 64));
+        while index != NIL {
+            let node = &mut self.nodes[index as usize];
+            let payload = node.payload.take().expect("a chained node holds an event");
+            self.due.push(Entry {
+                key: node.key,
+                payload,
+            });
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = index;
+            index = next;
+        }
+        self.refill();
+        self.due.sort_unstable_by_key(|e| Reverse(e.key));
+    }
+
+    /// Moves the overflow events now within a span of the cursor into
+    /// the wheel.
+    fn refill(&mut self) {
+        let horizon = self.cursor.saturating_add(self.mask + 1);
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|e| e.0.key.time <= horizon)
+        {
+            if let Some(Reverse(entry)) = self.overflow.pop() {
+                self.place(entry);
+            }
+        }
+    }
+
+    /// The earliest pending time once the due list is empty: the first
+    /// occupied bucket after the cursor, else the overflow's minimum.
+    fn scan_next(&self) -> Option<u64> {
+        let start = (self.cursor.wrapping_add(1) & self.mask) as usize;
+        let (first, bit) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        // The start word from `bit` up, then every word in wheel order
+        // (`words` is a power of two), ending on the start word again,
+        // whose bits at or above `bit` are already known to be clear.
+        let (mut word, mut bits) = (first, self.occupied[first] & (u64::MAX << bit));
+        let mut step = 0;
+        while bits == 0 {
+            if step == words {
+                return self.overflow.peek().map(|e| e.0.key.time);
+            }
+            step += 1;
+            word = (first + step) & (words - 1);
+            bits = self.occupied[word];
+        }
+        let bucket = word * 64 + bits.trailing_zeros() as usize;
+        Some(self.cursor + 1 + ((bucket.wrapping_sub(start) as u64) & self.mask))
     }
 
     /// Total events ever popped from this queue.
@@ -244,19 +447,19 @@ impl<T> EventQueue<T> {
     /// The time of the earliest scheduled event.
     #[must_use]
     pub fn next_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.0.key.time)
+        self.next
     }
 
     /// Number of scheduled events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 }
 
@@ -360,6 +563,28 @@ mod tests {
         q.schedule_arb(2, Domain::Mc(3), u64::MAX, "sooner");
         assert_eq!(q.pop_next(), Some((2, "sooner")));
         assert_eq!(q.pop_next(), Some((5, "later")));
+    }
+
+    #[test]
+    fn events_past_the_span_wait_in_the_overflow() {
+        // A 64-cycle wheel: 70, 197 and 1,000 start in the overflow; 70
+        // moves into the bucket 6 leaves once the cursor reaches 6. All
+        // fire in time order, and a same-cycle insert during the drain
+        // takes its key's place.
+        let mut q = EventQueue::with_max_delay(1, 0);
+        for t in [1_000u64, 6, 70, 197] {
+            q.schedule(t, t);
+        }
+        assert_eq!(q.pop_due(6), Some(6));
+        q.schedule(6, 600);
+        assert_eq!(q.next_time(), Some(6));
+        assert_eq!(q.pop_due(6), Some(600));
+        assert_eq!(q.next_time(), Some(70));
+        assert_eq!(q.pop_next(), Some((70, 70)));
+        assert_eq!(q.pop_next(), Some((197, 197)));
+        assert_eq!(q.pop_next(), Some((1_000, 1_000)));
+        assert!(q.is_empty());
+        assert_eq!(q.pop_count(), 5);
     }
 
     #[test]

@@ -124,36 +124,21 @@ impl HierarchyConfig {
                 ));
             }
         }
-        // The worst traversal the NoC can charge; for a mesh, injection
-        // overhead plus one hop per row and column.
-        let noc_latency = match self.noc {
-            NocModel::IdealCrossbar {
-                request_latency,
-                response_latency,
-            } => request_latency.max(response_latency),
-            NocModel::Mesh {
-                width,
-                height,
-                hop_latency,
-                base_latency,
-            } => {
-                // `checked_mul`: a grid too large to count is refused
-                // too, not multiplied into an overflow.
-                if width
-                    .checked_mul(height)
-                    .is_none_or(|nodes| nodes < self.tiles)
-                {
-                    return Err(format!(
-                        "mesh {width}x{height} cannot hold {} tiles",
-                        self.tiles
-                    ));
-                }
-                let hops = (width as u64).saturating_add(height as u64);
-                base_latency.saturating_add(hop_latency.saturating_mul(hops))
+        if let NocModel::Mesh { width, height, .. } = self.noc {
+            // `checked_mul`: a grid too large to count is refused too,
+            // not multiplied into an overflow.
+            if width
+                .checked_mul(height)
+                .is_none_or(|nodes| nodes < self.tiles)
+            {
+                return Err(format!(
+                    "mesh {width}x{height} cannot hold {} tiles",
+                    self.tiles
+                ));
             }
-        };
+        }
         for (field, cycles) in [
-            ("NoC traversal latency", noc_latency),
+            ("NoC traversal latency", self.worst_noc_latency()),
             ("L2 hit_latency", self.l2.hit_latency),
             ("L2 miss_latency", self.l2.miss_latency),
             ("MC access_latency", self.mc.access_latency),
@@ -168,6 +153,52 @@ impl HierarchyConfig {
             }
         }
         Ok(())
+    }
+
+    /// The worst traversal the NoC can charge; for a mesh, injection
+    /// overhead plus one hop per row and column.
+    fn worst_noc_latency(&self) -> u64 {
+        match self.noc {
+            NocModel::IdealCrossbar {
+                request_latency,
+                response_latency,
+            } => request_latency.max(response_latency),
+            NocModel::Mesh {
+                width,
+                height,
+                hop_latency,
+                base_latency,
+            } => {
+                let hops = (width as u64).saturating_add(height as u64);
+                base_latency.saturating_add(hop_latency.saturating_mul(hops))
+            }
+        }
+    }
+
+    /// The longest delay one event handler adds to the cycle it runs in
+    /// when no memory channel queues — what the event wheel is sized
+    /// by: a hit's lookup plus its response hop, a miss's lookup plus
+    /// miss latency, the hop to a controller plus one line's transfer
+    /// and the slowest device access, a prefetch's one cycle (112 at the
+    /// defaults, a 128-cycle wheel). Channel queueing has no bound;
+    /// those events wait in the wheel's overflow.
+    fn max_event_delay(&self) -> u64 {
+        let noc = self.worst_noc_latency();
+        let device = if self.mc.row_bytes == 0 {
+            self.mc.access_latency
+        } else {
+            self.mc.row_hit_latency.max(self.mc.row_miss_latency)
+        };
+        [
+            noc.saturating_add(self.l2.hit_latency),
+            self.l2.hit_latency.saturating_add(self.l2.miss_latency),
+            noc.saturating_add(self.mc.cycles_per_line)
+                .saturating_add(device),
+            1,
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(1)
     }
 
     /// Total bank count (at most [`MAX_BANKS`] once validated).
@@ -208,18 +239,19 @@ pub struct Completion {
     pub cause: Option<coyote_telemetry::RequestCause>,
 }
 
+/// A pipeline event, naming its request by slot in the request slab.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Request `id` arrives at its bank.
-    BankArrive(u64),
-    /// Request `id` leaves its bank toward the MC.
-    McSend(u64),
-    /// Request `id`'s data leaves the MC back toward the bank.
-    McRespond(u64),
-    /// Request `id`'s line is installed in the bank.
-    BankFill(u64),
-    /// Request `id`'s response reaches the requesting tile.
-    Complete(u64),
+    /// The request arrives at its bank.
+    BankArrive(u32),
+    /// The request leaves its bank toward the MC.
+    McSend(u32),
+    /// The request's data leaves the MC back toward the bank.
+    McRespond(u32),
+    /// The request's line is installed in the bank.
+    BankFill(u32),
+    /// The request's response reaches the requesting tile.
+    Complete(u32),
 }
 
 impl Ev {
@@ -233,13 +265,13 @@ impl Ev {
         }
     }
 
-    fn id(self) -> u64 {
+    fn slot(self) -> u32 {
         match self {
-            Ev::BankArrive(id)
-            | Ev::McSend(id)
-            | Ev::McRespond(id)
-            | Ev::BankFill(id)
-            | Ev::Complete(id) => id,
+            Ev::BankArrive(slot)
+            | Ev::McSend(slot)
+            | Ev::McRespond(slot)
+            | Ev::BankFill(slot)
+            | Ev::Complete(slot) => slot,
         }
     }
 }
@@ -285,8 +317,12 @@ fn ev_rank(kind_priority: u64, kind_code: u64, state: &ReqState) -> u64 {
     (kind_priority << 61) | (content_rank(flags, state.req.line_addr, state.req.tag) >> 3)
 }
 
+/// One in-flight request: a slot of the hierarchy's request slab.
 #[derive(Debug, Clone)]
 struct ReqState {
+    /// Submission order, unique over the run (slots are reused): keys
+    /// the telemetry stamps and names the oldest request of a line.
+    seq: u64,
     req: Request,
     bank: usize,
     local_idx: u64,
@@ -294,6 +330,35 @@ struct ReqState {
     is_l2_writeback: bool,
     /// Speculative next-line prefetch: fills quietly, never responds.
     is_prefetch: bool,
+    /// The next request merged onto the same in-flight fill, or
+    /// [`NO_SLOT`].
+    next_waiter: u32,
+}
+
+/// End of a waiter chain.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The requests merged onto one in-flight fill, in arrival order: a
+/// chain through [`ReqState::next_waiter`].
+#[derive(Debug, Clone, Copy)]
+struct Waiters {
+    first: u32,
+    last: u32,
+}
+
+impl Waiters {
+    /// A prefetch's fill: nobody waits for it yet.
+    const NONE: Waiters = Waiters {
+        first: NO_SLOT,
+        last: NO_SLOT,
+    };
+
+    fn one(slot: u32) -> Waiters {
+        Waiters {
+            first: slot,
+            last: slot,
+        }
+    }
 }
 
 /// Aggregated hierarchy statistics.
@@ -339,17 +404,25 @@ impl HierarchyStats {
 }
 
 /// The event-driven hierarchy.
+///
+/// In-flight requests live in a slab: a `Vec` of slots reused through a
+/// free list. Events carry the slot, so a handler reaches its request by
+/// index, and requests merged onto one fill chain through their slots.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     config: HierarchyConfig,
     banks: Vec<L2Bank>,
-    /// Per-bank: line → request ids merged onto one in-flight fill.
-    bank_pending: Vec<FastMap<Vec<u64>>>,
+    /// Per-bank: line → the requests merged onto its in-flight fill.
+    bank_pending: Vec<FastMap<Waiters>>,
     noc: Noc,
     mcs: Vec<MemoryController>,
     events: EventQueue<Ev>,
-    states: FastMap<ReqState>,
-    next_id: u64,
+    /// The request slab; `None` marks a free slot.
+    states: Vec<Option<ReqState>>,
+    free_states: Vec<u32>,
+    /// Live slots of `states`.
+    live: usize,
+    next_seq: u64,
     completions_out: Vec<Completion>,
     submitted: u64,
     completed: u64,
@@ -384,9 +457,11 @@ impl Hierarchy {
             mcs: (0..config.mc.count)
                 .map(|_| MemoryController::new(config.mc))
                 .collect(),
-            events: EventQueue::with_perturbation(config.perturb_seed),
-            states: FastMap::default(),
-            next_id: 0,
+            events: EventQueue::with_max_delay(config.max_event_delay(), config.perturb_seed),
+            states: Vec::new(),
+            free_states: Vec::new(),
+            live: 0,
+            next_seq: 0,
             completions_out: Vec::new(),
             submitted: 0,
             completed: 0,
@@ -436,7 +511,7 @@ impl Hierarchy {
     /// prefetches and writebacks).
     #[must_use]
     pub fn in_flight_requests(&self) -> usize {
-        self.states.len()
+        self.live
     }
 
     /// Memory-controller channels busy at `now`, summed over
@@ -448,16 +523,17 @@ impl Hierarchy {
 
     /// Diagnostic lookup: the home bank and issuing PC of the oldest
     /// in-flight request for `line_addr`, if any. Deterministic — the
-    /// map scan feeds a minimum over request ids, so hash order cannot
-    /// show through. Deadlock reports use this to name the MSHR a
-    /// stalled core's waiting line is parked in.
+    /// oldest is the lowest submission number, whichever slot holds it.
+    /// Deadlock reports use this to name the MSHR a stalled core's
+    /// waiting line is parked in.
     #[must_use]
     pub fn in_flight_line_info(&self, line_addr: u64) -> Option<(usize, u64)> {
         self.states
             .iter()
-            .filter(|(_, state)| state.req.line_addr == line_addr)
-            .min_by_key(|(&id, _)| id)
-            .map(|(_, state)| (state.bank, state.req.pc))
+            .flatten()
+            .filter(|state| state.req.line_addr == line_addr)
+            .min_by_key(|state| state.seq)
+            .map(|state| (state.bank, state.req.pc))
     }
 
     /// Which tile hosts a global bank index.
@@ -482,38 +558,93 @@ impl Hierarchy {
         }
     }
 
+    /// Files a request in a free slab slot, numbered in submission
+    /// order.
+    fn alloc(
+        &mut self,
+        req: Request,
+        (bank, local_idx): (usize, u64),
+        is_l2_writeback: bool,
+        is_prefetch: bool,
+    ) -> u32 {
+        let state = ReqState {
+            seq: self.next_seq,
+            req,
+            bank,
+            local_idx,
+            is_l2_writeback,
+            is_prefetch,
+            next_waiter: NO_SLOT,
+        };
+        self.next_seq += 1;
+        self.live += 1;
+        match self.free_states.pop() {
+            Some(slot) => {
+                self.states[slot as usize] = Some(state);
+                slot
+            }
+            None => {
+                self.states.push(Some(state));
+                (self.states.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Frees a request's slot, returning its state.
+    fn release(&mut self, slot: u32) -> ReqState {
+        self.live -= 1;
+        self.free_states.push(slot);
+        self.states[slot as usize]
+            .take()
+            .expect("a live request slot")
+    }
+
+    fn state(&self, slot: u32) -> &ReqState {
+        self.states[slot as usize]
+            .as_ref()
+            .expect("a live request slot")
+    }
+
+    /// Appends request `slot` to the waiters of `line`'s in-flight fill
+    /// at `bank`; `false` when no fill of the line is pending there.
+    fn merge(&mut self, bank: usize, line: u64, slot: u32) -> bool {
+        let Some(waiters) = self.bank_pending[bank].get_mut(&line) else {
+            return false;
+        };
+        match std::mem::replace(&mut waiters.last, slot) {
+            NO_SLOT => waiters.first = slot,
+            last => {
+                self.states[last as usize]
+                    .as_mut()
+                    .expect("a waiting request is live")
+                    .next_waiter = slot;
+            }
+        }
+        true
+    }
+
     /// Submits an L1 miss at the current cycle.
     pub fn submit(&mut self, now: u64, req: Request) {
         self.submitted += 1;
-        let (bank, local_idx) = self.route(&req);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.states.insert(
-            id,
-            ReqState {
-                req,
-                bank,
-                local_idx,
-                is_l2_writeback: false,
-                is_prefetch: false,
-            },
-        );
+        let route = self.route(&req);
+        let slot = self.alloc(req, route, false, false);
+        let (seq, bank) = (self.state(slot).seq, route.0);
         if req.needs_response {
             if let Some(t) = &mut self.telemetry {
-                t.on_submit(id, now, req.line_addr, req.tile, bank, req.tag, req.pc);
+                t.on_submit(seq, now, req.line_addr, req.tile, bank, req.tag, req.pc);
             }
         }
         let latency = self
             .noc
             .traverse_request(NocNode::Tile(req.tile), NocNode::Tile(self.bank_tile(bank)));
-        self.schedule_ev(now + latency, Ev::BankArrive(id));
+        self.schedule_ev(now + latency, Ev::BankArrive(slot));
     }
 
     /// Schedules a pipeline event under the arbitration contract: the
     /// domain names the component the handler mutates, and the rank is
     /// derived from the request content (see [`ev_rank`]).
     fn schedule_ev(&mut self, time: u64, ev: Ev) {
-        let state = &self.states[&ev.id()];
+        let state = self.state(ev.slot());
         let (domain, rank) = match ev {
             // Within a bank, fills (priority 0) drain before arrivals
             // (priority 1): a same-cycle fill+arrival to one line is a
@@ -570,6 +701,7 @@ impl Hierarchy {
     /// are measured from `now`, so skipping past several distinct event
     /// times in one call would stretch modelled latencies.
     pub fn advance(&mut self, now: u64, completions: &mut Vec<Completion>) {
+        let pops = self.events.pop_count();
         if self.inject_unordered_drain {
             self.advance_unordered(now);
         } else {
@@ -578,7 +710,36 @@ impl Hierarchy {
                 self.handle(now, ev);
             }
         }
+        if cfg!(debug_assertions) && self.events.pop_count() != pops {
+            self.check_conservation();
+        }
         completions.append(&mut self.completions_out);
+    }
+
+    /// Debug-build conservation checks after an advance that fired
+    /// events: a bank holds an MSHR exactly while a fill of one of its
+    /// lines is pending, and once no event is left nothing is in flight
+    /// — no live slot, no queued request, no MSHR held.
+    fn check_conservation(&self) {
+        for (i, (bank, pending)) in self.banks.iter().zip(&self.bank_pending).enumerate() {
+            assert_eq!(
+                bank.in_flight(),
+                pending.len(),
+                "bank {i}: MSHRs held != lines with a pending fill"
+            );
+        }
+        if self.events.is_empty() {
+            assert!(
+                self.live == 0 && self.states.iter().all(Option::is_none),
+                "no event is pending but {} requests are in flight",
+                self.live
+            );
+            assert_eq!(
+                self.queued_requests(),
+                0,
+                "requests queued with no event pending"
+            );
+        }
     }
 
     /// The injected schedule race (see
@@ -609,19 +770,18 @@ impl Hierarchy {
     }
 
     fn log_event(&mut self, now: u64, ev: Ev) {
-        if self.event_log.is_none() {
+        let Some(log) = &mut self.event_log else {
             return;
-        }
-        let record = self.states.get(&ev.id()).map(|state| EventRecord {
-            cycle: now,
-            kind: ev.name(),
-            line_addr: state.req.line_addr,
-            tag: state.req.tag,
-            bank: state.bank,
-            tile: state.req.tile,
-        });
-        if let (Some(log), Some(record)) = (&mut self.event_log, record) {
-            log.push(record);
+        };
+        if let Some(state) = &self.states[ev.slot() as usize] {
+            log.push(EventRecord {
+                cycle: now,
+                kind: ev.name(),
+                line_addr: state.req.line_addr,
+                tag: state.req.tag,
+                bank: state.bank,
+                tile: state.req.tile,
+            });
         }
     }
 
@@ -643,7 +803,7 @@ impl Hierarchy {
     /// Whether any request is still in flight.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.states.is_empty() && self.events.is_empty()
+        self.live == 0 && self.events.is_empty()
     }
 
     /// Snapshot of all counters.
@@ -665,243 +825,219 @@ impl Hierarchy {
 
     fn handle(&mut self, now: u64, ev: Ev) {
         match ev {
-            Ev::BankArrive(id) => self.on_bank_arrive(now, id),
-            Ev::McSend(id) => self.on_mc_send(now, id),
-            Ev::McRespond(id) => self.on_mc_respond(now, id),
-            Ev::BankFill(id) => self.on_bank_fill(now, id),
-            Ev::Complete(id) => self.on_complete(now, id),
+            Ev::BankArrive(slot) => self.on_bank_arrive(now, slot),
+            Ev::McSend(slot) => self.on_mc_send(now, slot),
+            Ev::McRespond(slot) => self.on_mc_respond(now, slot),
+            Ev::BankFill(slot) => self.on_bank_fill(now, slot),
+            Ev::Complete(slot) => self.on_complete(now, slot),
         }
     }
 
-    fn on_bank_arrive(&mut self, now: u64, id: u64) {
+    fn on_bank_arrive(&mut self, now: u64, slot: u32) {
+        let state = self.state(slot);
+        let (seq, bank, local_idx) = (state.seq, state.bank, state.local_idx);
+        let Request {
+            line_addr,
+            tile,
+            needs_response,
+            ..
+        } = state.req;
+        let is_prefetch = state.is_prefetch;
         if let Some(t) = &mut self.telemetry {
-            t.on_bank_arrive(id, now);
+            t.on_bank_arrive(seq, now);
         }
-        let state = self.states.get(&id).expect("state").clone();
-        if state.is_prefetch {
+        if is_prefetch {
             // Prefetches are best-effort: drop if the line is resident,
             // already being fetched, or no MSHR is free.
-            let resident = self.banks[state.bank].probe_quiet(state.req.line_addr, state.local_idx);
-            let in_flight = self.bank_pending[state.bank].contains_key(&state.req.line_addr);
-            if resident || in_flight || !self.banks[state.bank].mshr_available() {
-                self.states.remove(&id);
+            let resident = self.banks[bank].probe_quiet(line_addr, local_idx);
+            let in_flight = self.bank_pending[bank].contains_key(&line_addr);
+            if resident || in_flight || !self.banks[bank].mshr_available() {
+                self.release(slot);
                 return;
             }
-            self.banks[state.bank].mshr_acquire();
-            self.bank_pending[state.bank].insert(state.req.line_addr, Vec::new());
-            self.schedule_ev(now + self.config.l2.miss_latency, Ev::McSend(id));
+            self.banks[bank].mshr_acquire();
+            self.bank_pending[bank].insert(line_addr, Waiters::NONE);
+            self.schedule_ev(now + self.config.l2.miss_latency, Ev::McSend(slot));
             return;
         }
-        let bank = &mut self.banks[state.bank];
-        let write = !state.req.needs_response;
-        match bank.lookup(state.req.line_addr, state.local_idx, write) {
+        match self.banks[bank].lookup(line_addr, local_idx, !needs_response) {
             Lookup::Hit => {
-                if state.req.needs_response {
+                if needs_response {
                     let hit_latency = self.config.l2.hit_latency;
-                    self.schedule_response(now + hit_latency, id);
+                    self.schedule_response(now + hit_latency, slot);
                 } else {
                     // Writeback absorbed by the bank (line marked dirty).
-                    self.states.remove(&id);
+                    self.release(slot);
                 }
             }
             Lookup::Miss => {
                 let lookup_done = now + self.config.l2.hit_latency;
-                if state.req.needs_response {
+                if needs_response {
                     // Merge with an in-flight fill of the same line.
-                    if let Some(waiters) =
-                        self.bank_pending[state.bank].get_mut(&state.req.line_addr)
-                    {
-                        waiters.push(id);
+                    if self.merge(bank, line_addr, slot) {
                         self.merged += 1;
                         if let Some(t) = &mut self.telemetry {
-                            t.on_merge(id);
+                            t.on_merge(seq);
                         }
                         return;
                     }
-                    if self.banks[state.bank].mshr_available() {
-                        self.banks[state.bank].mshr_acquire();
-                        self.bank_pending[state.bank].insert(state.req.line_addr, vec![id]);
-                        self.schedule_ev(lookup_done + self.config.l2.miss_latency, Ev::McSend(id));
+                    if self.banks[bank].mshr_available() {
+                        self.banks[bank].mshr_acquire();
+                        self.bank_pending[bank].insert(line_addr, Waiters::one(slot));
+                        self.schedule_ev(
+                            lookup_done + self.config.l2.miss_latency,
+                            Ev::McSend(slot),
+                        );
                     } else {
-                        self.banks[state.bank].enqueue_waiting(id);
+                        self.banks[bank].enqueue_waiting(u64::from(slot));
                     }
-                    self.issue_prefetches(now, &state);
+                    self.issue_prefetches(now, line_addr, tile);
                 } else {
                     // Writeback missing in L2: forward to memory.
-                    self.schedule_ev(lookup_done, Ev::McSend(id));
+                    self.schedule_ev(lookup_done, Ev::McSend(slot));
                 }
             }
         }
     }
 
-    /// Issues next-line prefetches triggered by a demand miss. Each
-    /// candidate is routed through the normal mapping (it may land on a
-    /// different bank) and enters that bank one cycle later.
-    fn issue_prefetches(&mut self, now: u64, demand: &ReqState) {
+    /// Issues next-line prefetches triggered by a demand miss to
+    /// `line_addr` from `tile`. Each candidate is routed through the
+    /// normal mapping (it may land on a different bank) and enters that
+    /// bank one cycle later.
+    fn issue_prefetches(&mut self, now: u64, line_addr: u64, tile: usize) {
         for i in 1..=self.config.prefetch_degree as u64 {
-            let line_addr = demand
-                .req
-                .line_addr
-                .wrapping_add(i * self.config.l2.line_bytes);
             let req = Request {
-                line_addr,
-                tile: demand.req.tile,
+                line_addr: line_addr.wrapping_add(i * self.config.l2.line_bytes),
+                tile,
                 needs_response: false,
                 tag: 0,
                 pc: 0,
             };
-            let (bank, local_idx) = self.route(&req);
-            let id = self.next_id;
-            self.next_id += 1;
-            self.states.insert(
-                id,
-                ReqState {
-                    req,
-                    bank,
-                    local_idx,
-                    is_l2_writeback: false,
-                    is_prefetch: true,
-                },
-            );
-            self.schedule_ev(now + 1, Ev::BankArrive(id));
+            let route = self.route(&req);
+            let slot = self.alloc(req, route, false, true);
+            self.schedule_ev(now + 1, Ev::BankArrive(slot));
         }
     }
 
-    fn on_mc_send(&mut self, now: u64, id: u64) {
-        let state = self.states.get(&id).expect("state").clone();
-        let mc_index = self
-            .config
-            .mc
-            .mc_for(state.req.line_addr, self.config.l2.line_bytes);
+    fn on_mc_send(&mut self, now: u64, slot: u32) {
+        let state = self.state(slot);
+        let (seq, bank, line_addr) = (state.seq, state.bank, state.req.line_addr);
+        let write = !state.req.needs_response && !state.is_prefetch;
+        let mc_index = self.config.mc.mc_for(line_addr, self.config.l2.line_bytes);
         if let Some(t) = &mut self.telemetry {
-            t.on_mc_send(id, now, mc_index);
+            t.on_mc_send(seq, now, mc_index);
         }
-        let bank_tile = self.bank_tile(state.bank);
+        let bank_tile = self.bank_tile(bank);
         let latency = self
             .noc
             .traverse_request(NocNode::Tile(bank_tile), NocNode::Mc(mc_index));
-        let write = !state.req.needs_response && !state.is_prefetch;
-        let done = self.mcs[mc_index].service(
-            now + latency,
-            state.req.line_addr,
-            self.config.l2.line_bytes,
-            write,
-        );
+        let done =
+            self.mcs[mc_index].service(now + latency, line_addr, self.config.l2.line_bytes, write);
         if write {
             // Writebacks (L1-originated or L2 victims) are absorbed.
-            self.states.remove(&id);
+            self.release(slot);
         } else {
-            self.schedule_ev(done, Ev::McRespond(id));
+            self.schedule_ev(done, Ev::McRespond(slot));
         }
     }
 
-    fn on_mc_respond(&mut self, now: u64, id: u64) {
+    fn on_mc_respond(&mut self, now: u64, slot: u32) {
+        let state = self.state(slot);
+        let (seq, bank, line_addr) = (state.seq, state.bank, state.req.line_addr);
         if let Some(t) = &mut self.telemetry {
-            t.on_mc_respond(id, now);
+            t.on_mc_respond(seq, now);
         }
-        let state = self.states.get(&id).expect("state").clone();
-        let mc_index = self
-            .config
-            .mc
-            .mc_for(state.req.line_addr, self.config.l2.line_bytes);
-        let bank_tile = self.bank_tile(state.bank);
+        let mc_index = self.config.mc.mc_for(line_addr, self.config.l2.line_bytes);
+        let bank_tile = self.bank_tile(bank);
         let latency = self
             .noc
             .traverse_response(NocNode::Mc(mc_index), NocNode::Tile(bank_tile));
-        self.schedule_ev(now + latency, Ev::BankFill(id));
+        self.schedule_ev(now + latency, Ev::BankFill(slot));
     }
 
-    fn on_bank_fill(&mut self, now: u64, id: u64) {
+    fn on_bank_fill(&mut self, now: u64, slot: u32) {
+        let state = self.state(slot);
+        let (seq, bank, local_idx) = (state.seq, state.bank, state.local_idx);
+        let (line_addr, tile, is_prefetch) =
+            (state.req.line_addr, state.req.tile, state.is_prefetch);
         if let Some(t) = &mut self.telemetry {
-            t.on_bank_fill(id, now);
+            t.on_bank_fill(seq, now);
         }
-        let state = self.states.get(&id).expect("state").clone();
         // Install the line; a dirty victim becomes a synthesized
         // writeback to memory.
-        if let Some(victim) = self.banks[state.bank].fill(
-            state.req.line_addr,
-            state.local_idx,
-            false,
-            state.is_prefetch,
-        ) {
-            let wb_id = self.next_id;
-            self.next_id += 1;
-            self.states.insert(
-                wb_id,
-                ReqState {
-                    req: Request {
-                        line_addr: victim,
-                        tile: state.req.tile,
-                        needs_response: false,
-                        tag: 0,
-                        pc: 0,
-                    },
-                    bank: state.bank,
-                    local_idx: 0,
-                    is_l2_writeback: true,
-                    is_prefetch: false,
-                },
-            );
-            self.schedule_ev(now, Ev::McSend(wb_id));
+        if let Some(victim) = self.banks[bank].fill(line_addr, local_idx, false, is_prefetch) {
+            let req = Request {
+                line_addr: victim,
+                tile,
+                needs_response: false,
+                tag: 0,
+                pc: 0,
+            };
+            let wb = self.alloc(req, (bank, 0), true, false);
+            self.schedule_ev(now, Ev::McSend(wb));
         }
-        self.banks[state.bank].mshr_release();
+        self.banks[bank].mshr_release();
         // Respond to every request merged onto this line (before waking
         // queued requests, so a same-line waiter is not answered twice).
-        let waiters = self.bank_pending[state.bank]
-            .remove(&state.req.line_addr)
-            .unwrap_or_default();
-        for waiter in waiters {
-            if self.states[&waiter].is_prefetch {
-                self.states.remove(&waiter);
-            } else {
-                self.schedule_response(now, waiter);
-            }
+        // Waiters are demand misses: a prefetch never merges or queues.
+        let waiters = self.bank_pending[bank]
+            .remove(&line_addr)
+            .unwrap_or(Waiters::NONE);
+        let mut waiter = waiters.first;
+        while waiter != NO_SLOT {
+            let next = self.state(waiter).next_waiter;
+            self.schedule_response(now, waiter);
+            waiter = next;
         }
-        if state.is_prefetch {
-            self.states.remove(&id);
+        if is_prefetch {
+            self.release(slot);
         }
         // Wake one queued request now that an MSHR is free.
-        if let Some(waiting_id) = self.banks[state.bank].pop_waiting() {
-            let wbank = self.states[&waiting_id].bank;
-            let line = self.states[&waiting_id].req.line_addr;
+        if let Some(waiting) = self.banks[bank].pop_waiting() {
+            let waiting = waiting as u32;
+            let state = self.state(waiting);
+            let (wseq, wbank, line) = (state.seq, state.bank, state.req.line_addr);
             // A fetch for this line may have started while the request
             // sat in the queue; merge instead of fetching twice.
-            if let Some(same_line) = self.bank_pending[wbank].get_mut(&line) {
-                same_line.push(waiting_id);
+            if self.merge(wbank, line, waiting) {
                 self.merged += 1;
                 if let Some(t) = &mut self.telemetry {
-                    t.on_mshr_grant(waiting_id, now);
-                    t.on_merge(waiting_id);
+                    t.on_mshr_grant(wseq, now);
+                    t.on_merge(wseq);
                 }
             } else {
                 self.banks[wbank].mshr_acquire();
-                self.bank_pending[wbank].insert(line, vec![waiting_id]);
+                self.bank_pending[wbank].insert(line, Waiters::one(waiting));
                 if let Some(t) = &mut self.telemetry {
-                    t.on_mshr_grant(waiting_id, now);
+                    t.on_mshr_grant(wseq, now);
                 }
                 // Lookup was already paid on arrival; only the miss path
                 // remains.
-                self.schedule_ev(now + self.config.l2.miss_latency, Ev::McSend(waiting_id));
+                self.schedule_ev(now + self.config.l2.miss_latency, Ev::McSend(waiting));
             }
         }
     }
 
-    fn schedule_response(&mut self, now: u64, id: u64) {
+    fn schedule_response(&mut self, now: u64, slot: u32) {
+        let state = self.state(slot);
+        let (seq, bank, tile) = (state.seq, state.bank, state.req.tile);
         if let Some(t) = &mut self.telemetry {
-            t.on_respond(id, now);
+            t.on_respond(seq, now);
         }
-        let state = self.states.get(&id).expect("state");
-        let bank_tile = self.bank_tile(state.bank);
+        let bank_tile = self.bank_tile(bank);
         let latency = self
             .noc
-            .traverse_response(NocNode::Tile(bank_tile), NocNode::Tile(state.req.tile));
-        self.schedule_ev(now + latency, Ev::Complete(id));
+            .traverse_response(NocNode::Tile(bank_tile), NocNode::Tile(tile));
+        self.schedule_ev(now + latency, Ev::Complete(slot));
     }
 
-    fn on_complete(&mut self, now: u64, id: u64) {
-        let state = self.states.remove(&id).expect("state");
+    fn on_complete(&mut self, now: u64, slot: u32) {
+        let state = self.release(slot);
         debug_assert!(!state.is_l2_writeback);
-        let cause = self.telemetry.as_mut().and_then(|t| t.on_complete(id, now));
+        let cause = self
+            .telemetry
+            .as_mut()
+            .and_then(|t| t.on_complete(state.seq, now));
         self.completed += 1;
         self.completions_out.push(Completion {
             tag: state.req.tag,
@@ -955,6 +1091,23 @@ mod tests {
             h.advance(now, &mut out);
         }
         (now, out)
+    }
+
+    #[test]
+    fn event_wheel_spans_the_longest_handler_delay() {
+        // At the defaults the controller leg is the longest: an 8-cycle
+        // hop, a 4-cycle line transfer, a 100-cycle DRAM access.
+        assert_eq!(HierarchyConfig::default().max_event_delay(), 112);
+        // A slow bank and a fast DRAM make a hit's lookup plus its
+        // response hop the longest.
+        let mut cfg = config();
+        cfg.l2.hit_latency = 300;
+        cfg.mc.access_latency = 1;
+        assert_eq!(cfg.max_event_delay(), 308);
+        // With the open-page model the slower device latency counts.
+        let mut cfg = HierarchyConfig::default();
+        cfg.mc.row_bytes = 2048;
+        assert_eq!(cfg.max_event_delay(), 8 + 4 + 160);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! component". This crate rebuilds that layer from scratch:
 //!
 //! * [`event::EventQueue`] — the cycle-ordered, deterministic event
-//!   kernel;
+//!   kernel: a timing wheel with O(1) push and pop whose pop order is
+//!   one key, `(time, domain group, content rank, seq)`;
 //! * [`l2::L2Bank`] — banked L2 with MSHR-limited outstanding misses;
 //! * [`mapping::MappingPolicy`] — the paper's two data-mapping policies
 //!   (page-to-bank and set-interleaving);
@@ -16,7 +17,8 @@
 //! * [`mc::MemoryController`] — HBM-style multi-channel controllers with
 //!   bandwidth and latency;
 //! * [`hierarchy::Hierarchy`] — the wiring: submit L1 misses, advance
-//!   the clock, collect completions.
+//!   the clock, collect completions; in-flight requests live in a slab
+//!   whose slot each event carries.
 //!
 //! # Examples
 //!
