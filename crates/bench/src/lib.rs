@@ -7,6 +7,7 @@
 //! axes. Experiment ids match the DESIGN.md per-experiment index.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -23,7 +23,7 @@
 //! # Schedule insensitivity
 //!
 //! Attribution must not depend on event pop order inside a cycle (the
-//! race detector byte-compares metrics JSON across perturbed
+//! equivalence tests byte-compare metrics JSON across perturbed
 //! schedules).  A core woken this cycle may have received several
 //! fills in the same cycle, and their drain order is not part of the
 //! simulation contract.  We therefore never attribute to "the

@@ -102,12 +102,11 @@ pub struct SimConfig {
     /// `telemetry`; bounded memory, see
     /// [`coyote_mem::telemetry::SLICE_CAP`]).
     pub chrome_trace: bool,
-    /// Schedule-perturbation seed for the `coyote-audit --race`
-    /// detector. 0 (the default) is the canonical schedule; any other
-    /// value permutes the pop order of same-cycle events from
-    /// *different* arbitration domains in the hierarchy event queue — a
-    /// legal reordering that must not change any architectural result
-    /// or statistic.
+    /// Schedule-perturbation seed. 0 (the default) is the canonical
+    /// schedule; any other value permutes the pop order of same-cycle
+    /// events from *different* arbitration domains in the hierarchy
+    /// event queue — a legal reordering that must not change any
+    /// architectural result or statistic.
     pub perturb_seed: u64,
     /// How many critical PCs the stall-attribution top-K table keeps
     /// (must be at least 1). Attribution itself is always on — it costs
@@ -484,8 +483,7 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the schedule-perturbation seed (0 = canonical order; used
-    /// by `coyote-audit --race`).
+    /// Sets the schedule-perturbation seed (0 = canonical order).
     #[must_use]
     pub fn perturb_seed(mut self, seed: u64) -> Self {
         self.config.perturb_seed = seed;

@@ -39,6 +39,7 @@
 //! that regenerates the paper's evaluation.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod attr;

@@ -272,7 +272,7 @@ impl Simulation {
         self.obs.chrome_states()
     }
 
-    /// Logs one record per handled hierarchy event (`coyote-audit --race`).
+    /// Logs one record per handled hierarchy event.
     pub fn set_event_log(&mut self, enabled: bool) {
         self.hierarchy.set_event_log(enabled);
     }
@@ -281,13 +281,6 @@ impl Simulation {
     #[must_use]
     pub fn take_event_log(&mut self) -> Vec<coyote_mem::hierarchy::EventRecord> {
         self.hierarchy.take_event_log()
-    }
-
-    /// Test hook: arms the deliberate `HashMap`-ordered event drain
-    /// that proves `coyote-audit --race` fires on a genuine race.
-    #[doc(hidden)]
-    pub fn debug_inject_unordered_drain(&mut self) {
-        self.hierarchy.debug_inject_unordered_drain();
     }
 
     /// Test hook: the next data-load completion is swallowed before
@@ -344,7 +337,7 @@ impl Simulation {
         // Wall time feeds only the report's host-MIPS diagnostics,
         // never the model; exports that must be byte-stable zero it.
         // The clock lives behind `coyote_telemetry::hostprof` — the
-        // workspace's one path-pinned wall-clock exception.
+        // workspace's one wall-clock exception (see `clippy.toml`).
         let started = WallClock::start();
         let cut_short = loop {
             if self.step_cycle()? {

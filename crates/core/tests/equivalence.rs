@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use coyote::{JsonValue, L2Sharing, ProfMode, SimConfig, Simulation};
+use coyote::{JsonValue, L2Config, L2Sharing, ProfMode, SimConfig, Simulation};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -31,6 +31,10 @@ struct Machine {
     interleave: usize,
     iterations: u64,
     stride: u64,
+    /// One 16 KiB L2 bank per tile with two MSHRs instead of the default
+    /// banks: every request of a tile contends for one arbitration
+    /// domain.
+    one_bank: bool,
 }
 
 fn machine_strategy() -> impl Strategy<Value = Machine> {
@@ -47,6 +51,7 @@ fn machine_strategy() -> impl Strategy<Value = Machine> {
             interleave,
             iterations,
             stride,
+            one_bank: false,
         })
 }
 
@@ -184,7 +189,15 @@ fn strip_knob_sections(doc: JsonValue) -> String {
 
 fn run(src: &str, machine: &Machine, knobs: Knobs) -> Outcome {
     let program = coyote_asm::assemble(src).expect("assemble");
-    let config = SimConfig::builder()
+    let mut builder = SimConfig::builder();
+    if machine.one_bank {
+        builder = builder.banks_per_tile(1).l2(L2Config {
+            bank_size_bytes: 16 * 1024,
+            mshrs: 2,
+            ..L2Config::default()
+        });
+    }
+    let config = builder
         .cores(machine.cores)
         .sharing(machine.sharing)
         .interleave(machine.interleave)
@@ -258,10 +271,11 @@ proptest! {
 /// that once made a fused window diverge from per-instruction stepping
 /// (formerly the stored seed in `parallel_props.proptest-regressions`),
 /// the same smoke machine batching four instructions per cycle, a
-/// single core (whose windows take the same loop as everyone's), and
-/// the two 16-core two-tile machines `coyote-audit --race` perturbs
-/// (`shared-l2`, `private-l2`): crossing seed x profiling on them here
-/// is what that detector's `--profile` flag did.
+/// single core (whose windows take the same loop as everyone's), the
+/// two 16-core two-tile machines (shared and private L2), and the
+/// 8-core machine whose one bank has two MSHRs, the configuration that
+/// stresses arbitration hardest (it runs the partitioned walk too:
+/// distinct lines from eight harts keep its MSHR queue full).
 #[test]
 fn fixed_shapes_reproduce_the_plain_baseline() {
     let smoke = Machine {
@@ -270,6 +284,7 @@ fn fixed_shapes_reproduce_the_plain_baseline() {
         interleave: 1,
         iterations: 24,
         stride: 64,
+        one_bank: false,
     };
     let regression = Machine {
         cores: 8,
@@ -288,10 +303,20 @@ fn fixed_shapes_reproduce_the_plain_baseline() {
         sharing: L2Sharing::Private,
         ..smoke
     };
-    for machine in [smoke, regression, batched, solo, shared_l2, private_l2] {
+    let one_bank = Machine {
+        cores: 8,
+        one_bank: true,
+        ..smoke
+    };
+    for machine in [
+        smoke, regression, batched, solo, shared_l2, private_l2, one_bank,
+    ] {
         for perturb in [0, 0x00C0_707E_5EED] {
             assert_table_matches_baseline(&machine, true, perturb);
         }
+    }
+    for perturb in [0, 0x00C0_707E_5EED] {
+        assert_table_matches_baseline(&one_bank, false, perturb);
     }
 }
 
@@ -309,6 +334,7 @@ fn counter_profiles_aggregate_by_core_order() {
         interleave: 1,
         iterations: 24,
         stride: 64,
+        one_bank: false,
     };
     for contended in [false, true] {
         let src = kernel(&machine, contended);

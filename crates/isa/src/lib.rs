@@ -23,6 +23,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod csr;

@@ -53,6 +53,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -6,6 +6,10 @@
 //! matching the zero-initialized DRAM the paper's baremetal kernels
 //! assume.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fixed hasher keeps iteration order the same in every process; only the default hasher is banned"
+)]
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -39,6 +43,10 @@ impl Hasher for AddrHasher {
 }
 
 /// `HashMap` keyed by addresses/pages using [`AddrHasher`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fixed hasher keeps iteration order the same in every process; only the default hasher is banned"
+)]
 pub type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 
 /// Cap on the dense page-table window span (pages). 1 << 16 pages is a
@@ -275,9 +283,8 @@ impl SparseMemory {
     /// Two memories with identical contents produce identical digests
     /// regardless of page-map iteration order: each page contributes a
     /// per-page hash (seeded by its page number) and the contributions
-    /// are combined with a commutative wrapping sum. Used by
-    /// `coyote-audit --race` to compare final architectural state
-    /// between schedule-perturbed runs.
+    /// are combined with a commutative wrapping sum, so runs under
+    /// different schedule perturbations can compare final state.
     #[must_use]
     pub fn digest(&self) -> u64 {
         fn mix(mut x: u64) -> u64 {
@@ -300,8 +307,8 @@ impl SparseMemory {
                 acc = acc.wrapping_add(page_hash(self.base_page + i as u64, page));
             }
         }
-        // audit:allow(hashmap-iter): the wrapping sum is commutative,
-        // so iteration order cannot leak into the digest.
+        // The wrapping sum is commutative, so the map's iteration order
+        // cannot leak into the digest.
         for (page_no, page) in &self.far {
             acc = acc.wrapping_add(page_hash(*page_no, page));
         }

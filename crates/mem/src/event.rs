@@ -2,8 +2,7 @@
 //!
 //! The Sparta framework's essential service to Coyote is a cycle-ordered
 //! event queue driving modular components. [`EventQueue`] reproduces
-//! that, with one addition motivated by the determinism audit
-//! (`coyote-audit --race`): same-cycle ties are not broken by incidental
+//! that, with one addition: same-cycle ties are not broken by incidental
 //! insertion order but by an explicit arbitration contract.
 //!
 //! Every event scheduled through [`EventQueue::schedule_arb`] carries
@@ -19,10 +18,11 @@
 //! channel assignment) a deterministic function of the colliding
 //! requests themselves. Across *different* domains the order is
 //! irrelevant by design — handlers of distinct domains must touch
-//! disjoint state — and the schedule-race detector enforces exactly
-//! that: under a nonzero perturbation seed the cross-domain group order
-//! is permuted (a legal reordering), and any observable difference
-//! versus the unperturbed run is a latent event-ordering race.
+//! disjoint state. A nonzero perturbation seed permutes the
+//! cross-domain group order (a legal reordering); any observable
+//! difference versus the unperturbed run is a latent event-ordering
+//! race, and the repository's event-log and equivalence tests check for
+//! exactly that.
 //!
 //! [`EventQueue::schedule`] (no domain) keeps the historical contract:
 //! same-time events fire in insertion order, unaffected by perturbation.
@@ -229,9 +229,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Creates an empty queue whose same-cycle cross-domain order is
-    /// permuted by `seed` (0 means canonical order). Used by the
-    /// schedule-race detector; all permutations are legal orderings
-    /// under the [`Domain`] contract.
+    /// permuted by `seed` (0 means canonical order); all permutations
+    /// are legal orderings under the [`Domain`] contract.
     #[must_use]
     pub fn with_perturbation(seed: u64) -> EventQueue<T> {
         EventQueue::with_max_delay(DEFAULT_MAX_DELAY, seed)
@@ -262,12 +261,6 @@ impl<T> EventQueue<T> {
             perturb_seed: seed,
             pops: 0,
         }
-    }
-
-    /// The perturbation seed (0 when running canonically).
-    #[must_use]
-    pub fn perturb_seed(&self) -> u64 {
-        self.perturb_seed
     }
 
     /// Schedules `payload` to fire at absolute `time`. Events scheduled

@@ -6,6 +6,10 @@
 //! multiplicative hasher is cheap and fixed-seed, keeping the simulator
 //! deterministic. Shared by the event pipeline and the telemetry layer.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fixed hasher keeps iteration order the same in every process; only the default hasher is banned"
+)]
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -31,4 +35,8 @@ impl Hasher for FastHasher {
 }
 
 /// `HashMap<u64, V>` with the deterministic [`FastHasher`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fixed hasher keeps iteration order the same in every process; only the default hasher is banned"
+)]
 pub type FastMap<V> = HashMap<u64, V, BuildHasherDefault<FastHasher>>;

@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use crate::event::{content_rank, mix64, Domain, EventQueue};
+use crate::event::{content_rank, Domain, EventQueue};
 use crate::fastmap::FastMap;
 use crate::l2::{BankStats, L2Bank, L2Config, Lookup};
 use crate::mapping::MappingPolicy;
@@ -69,12 +69,12 @@ pub struct HierarchyConfig {
     /// speculatively fetch this many sequential lines (0 = off, the
     /// paper's baseline; prefetching is the paper's named future work).
     pub prefetch_degree: usize,
-    /// Schedule-perturbation seed for the determinism audit (0 = the
-    /// canonical order). A nonzero seed permutes the firing order of
-    /// same-cycle events in *different* arbitration domains — a legal
-    /// reordering under the event contract (see [`crate::event`]) that
-    /// must not change any simulation observable. `coyote-audit --race`
-    /// runs a workload under several seeds and diffs the results.
+    /// Schedule-perturbation seed (0 = the canonical order). A nonzero
+    /// seed permutes the firing order of same-cycle events in
+    /// *different* arbitration domains — a legal reordering under the
+    /// event contract (see [`crate::event`]) that must not change any
+    /// simulation observable; the equivalence tests run workloads under
+    /// several seeds and diff the results.
     pub perturb_seed: u64,
 }
 
@@ -276,9 +276,8 @@ impl Ev {
     }
 }
 
-/// One fired event, captured when the event log is enabled (the
-/// schedule-race detector uses the log to name the first divergent
-/// event pair between two runs).
+/// One fired event, captured when the event log is enabled (tests
+/// compare two runs' logs and name the first divergent record).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRecord {
     /// Cycle the event fired at.
@@ -430,13 +429,9 @@ pub struct Hierarchy {
     /// Lifecycle stamping, boxed so the disabled path costs one
     /// null-check per event and no per-request allocation.
     telemetry: Option<Box<MemTelemetry>>,
-    /// Fired-event capture for the schedule-race detector (off by
-    /// default; see [`Hierarchy::set_event_log`]).
+    /// Fired-event capture (off by default; see
+    /// [`Hierarchy::set_event_log`]).
     event_log: Option<Vec<EventRecord>>,
-    /// Deliberately drain same-cycle events in hash-map order — an
-    /// injected schedule race used to prove the race detector fires
-    /// (see [`Hierarchy::debug_inject_unordered_drain`]).
-    inject_unordered_drain: bool,
 }
 
 impl Hierarchy {
@@ -468,7 +463,6 @@ impl Hierarchy {
             merged: 0,
             telemetry: None,
             event_log: None,
-            inject_unordered_drain: false,
         })
     }
 
@@ -668,8 +662,7 @@ impl Hierarchy {
     }
 
     /// Enables or disables fired-event capture. The log is consumed
-    /// with [`Hierarchy::take_event_log`]; the race detector uses it to
-    /// report the first divergent event pair between two runs.
+    /// with [`Hierarchy::take_event_log`].
     pub fn set_event_log(&mut self, enabled: bool) {
         self.event_log = enabled.then(Vec::new);
     }
@@ -682,17 +675,6 @@ impl Hierarchy {
         }
     }
 
-    /// Test hook: deliberately drains same-cycle events in hash-map
-    /// iteration order instead of the arbitration order — the classic
-    /// schedule race this audit exists to catch (std's `HashMap` would
-    /// produce a different drain order per process; here the order
-    /// depends on the perturbation seed so the detector's self-test is
-    /// deterministic). Never enable outside tests.
-    #[doc(hidden)]
-    pub fn debug_inject_unordered_drain(&mut self) {
-        self.inject_unordered_drain = true;
-    }
-
     /// Advances the model to `now`, processing every event due at or
     /// before it; serviced requests are appended to `completions`.
     ///
@@ -702,13 +684,9 @@ impl Hierarchy {
     /// times in one call would stretch modelled latencies.
     pub fn advance(&mut self, now: u64, completions: &mut Vec<Completion>) {
         let pops = self.events.pop_count();
-        if self.inject_unordered_drain {
-            self.advance_unordered(now);
-        } else {
-            while let Some(ev) = self.events.pop_due(now) {
-                self.log_event(now, ev);
-                self.handle(now, ev);
-            }
+        while let Some(ev) = self.events.pop_due(now) {
+            self.log_event(now, ev);
+            self.handle(now, ev);
         }
         if cfg!(debug_assertions) && self.events.pop_count() != pops {
             self.check_conservation();
@@ -739,33 +717,6 @@ impl Hierarchy {
                 0,
                 "requests queued with no event pending"
             );
-        }
-    }
-
-    /// The injected schedule race (see
-    /// [`Hierarchy::debug_inject_unordered_drain`]): due events are
-    /// parked in a hash map and processed in its iteration order,
-    /// discarding the arbitration contract exactly the way an
-    /// accidental `HashMap`-keyed event buffer would.
-    fn advance_unordered(&mut self, now: u64) {
-        loop {
-            // audit:allow(hashmap-iter): this *is* the deliberate race.
-            let mut parked: FastMap<Ev> = FastMap::default();
-            let mut i = 0u64;
-            while let Some(ev) = self.events.pop_due(now) {
-                // Mixing the perturbation seed into the key models the
-                // per-process hasher randomization of std's HashMap
-                // while keeping the self-test deterministic.
-                parked.insert(mix64(self.events.perturb_seed() ^ i), ev);
-                i += 1;
-            }
-            if parked.is_empty() {
-                return;
-            }
-            for (_, ev) in parked {
-                self.log_event(now, ev);
-                self.handle(now, ev);
-            }
         }
     }
 

@@ -25,6 +25,7 @@
 //! interleaving would have produced other values.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 use std::fmt;

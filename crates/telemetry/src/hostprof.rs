@@ -10,9 +10,9 @@
 //!
 //! # The wall-clock exception
 //!
-//! This file alone is allowed to call [`Instant::now`]. The
-//! `wall-clock` lint in `crates/lint` pins the exception to this path;
-//! `Instant::now` anywhere else is a finding.
+//! This file alone is allowed to call [`Instant::now`]: the root
+//! `clippy.toml` disallows it everywhere, and the two calls below carry
+//! the workspace's only `#[expect(clippy::disallowed_methods)]`.
 //! Keeping every wall-clock read behind [`HostProf`] and [`WallClock`]
 //! makes the determinism argument local: host time can be *measured*
 //! here but never *returned into* simulated state, because nothing in
@@ -168,6 +168,10 @@ impl HostProf {
             }
         };
         self.stack.push(node);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the host profiler is the one place that reads the wall clock"
+        )]
         let start = match self.clock {
             ProfClock::Wall => Some(Instant::now()),
             ProfClock::Counter => None,
@@ -335,6 +339,10 @@ pub struct WallClock {
 impl WallClock {
     /// Starts the stopwatch.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the host profiler is the one place that reads the wall clock"
+    )]
     pub fn start() -> WallClock {
         WallClock {
             start: Instant::now(),

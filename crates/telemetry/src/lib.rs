@@ -28,6 +28,7 @@
 //! measure the host without ever feeding time back into the model.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod chrome;
