@@ -505,7 +505,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
 mod tests {
     use super::*;
     use coyote_isa::decode::decode;
-    use coyote_isa::inst::{AluOp, Inst};
+    use coyote_isa::inst::{AluOp, Inst, SysOp};
     use coyote_isa::XReg;
 
     #[test]
@@ -522,7 +522,10 @@ mod tests {
                 imm: 7
             }
         );
-        assert_eq!(decode(p.text()[1]).unwrap(), Inst::Ecall);
+        assert_eq!(
+            decode(p.text()[1]).unwrap(),
+            Inst::System { op: SysOp::Ecall }
+        );
     }
 
     #[test]

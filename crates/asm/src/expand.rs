@@ -1,9 +1,12 @@
 //! Mnemonic expansion: one source statement → one or more [`Inst`]s.
 //!
-//! Handles both real instructions and the standard pseudo-instructions
-//! (`li`, `la`, `mv`, `call`, `beqz`, …). Expansion lengths are fixed per
-//! mnemonic (and, for `li`, per immediate value), so the layout pass can
-//! size the text section before labels are resolved.
+//! A real instruction is found by its operand shape's table in
+//! [`coyote_isa::ops`]; a pseudo-instruction is a row of [`PSEUDO`], its
+//! base instruction with some operands fixed, and expands through the
+//! same lookup. Only `li`, `la` and `call` expand as code. Expansion
+//! lengths are fixed per mnemonic (and, for `li`, per immediate value),
+//! so the layout pass can size the text section before labels are
+//! resolved.
 //!
 //! Vector multiply-accumulate operands: the RVV specification writes
 //! `vmacc.vv vd, vs1, vs2` while every other vector op is
@@ -14,10 +17,8 @@
 
 use std::collections::BTreeMap;
 
-use coyote_isa::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FpOp, Inst, VAddrMode, VSrc,
-};
-use coyote_isa::ops::{self, TO_INT};
+use coyote_isa::inst::{AluOp, AluWOp, AmoOp, CsrSrc, Inst, UpperOp, VAddrMode, VSrc};
+use coyote_isa::ops;
 use coyote_isa::{Csr, FReg, Lmul, Sew, VReg, VType, XReg};
 
 use crate::operand::Operand;
@@ -26,6 +27,80 @@ use crate::operand::Operand;
 pub type Symbols = BTreeMap<String, u64>;
 
 type R<T> = Result<T, String>;
+
+/// An operand of a pseudo-instruction's base instruction.
+#[derive(Debug, Clone, Copy)]
+pub enum Arg {
+    /// The pseudo-instruction's own operand `i` (from 0).
+    Op(usize),
+    /// A fixed register.
+    Reg(XReg),
+    /// A fixed immediate.
+    Imm(i64),
+}
+
+impl Arg {
+    fn operand(self, ops: &[Operand]) -> R<Operand> {
+        match self {
+            Arg::Op(i) => get(ops, i).cloned(),
+            Arg::Reg(reg) => Ok(Operand::X(reg)),
+            Arg::Imm(value) => Ok(Operand::Imm(value)),
+        }
+    }
+}
+
+/// A pseudo-instruction: `name` is `base` with operands `args`.
+#[derive(Debug)]
+pub struct Pseudo {
+    /// The pseudo-instruction's mnemonic.
+    pub name: &'static str,
+    /// The mnemonic of the one instruction it stands for.
+    pub base: &'static str,
+    /// The base instruction's operands, in order.
+    pub args: &'static [Arg],
+}
+
+const fn pseudo(name: &'static str, base: &'static str, args: &'static [Arg]) -> Pseudo {
+    Pseudo { name, base, args }
+}
+
+const X0: Arg = Arg::Reg(XReg::ZERO);
+const RA: Arg = Arg::Reg(XReg::RA);
+const OP0: Arg = Arg::Op(0);
+const OP1: Arg = Arg::Op(1);
+const OP2: Arg = Arg::Op(2);
+
+/// The pseudo-instructions, each one row.
+pub static PSEUDO: &[Pseudo] = &[
+    pseudo("nop", "addi", &[X0, X0, Arg::Imm(0)]),
+    pseudo("mv", "addi", &[OP0, OP1, Arg::Imm(0)]),
+    pseudo("not", "xori", &[OP0, OP1, Arg::Imm(-1)]),
+    pseudo("neg", "sub", &[OP0, X0, OP1]),
+    pseudo("negw", "subw", &[OP0, X0, OP1]),
+    pseudo("sext.w", "addiw", &[OP0, OP1, Arg::Imm(0)]),
+    pseudo("seqz", "sltiu", &[OP0, OP1, Arg::Imm(1)]),
+    pseudo("snez", "sltu", &[OP0, X0, OP1]),
+    pseudo("sltz", "slt", &[OP0, OP1, X0]),
+    pseudo("sgtz", "slt", &[OP0, X0, OP1]),
+    pseudo("beqz", "beq", &[OP0, X0, OP1]),
+    pseudo("bnez", "bne", &[OP0, X0, OP1]),
+    pseudo("blez", "bge", &[X0, OP0, OP1]),
+    pseudo("bgez", "bge", &[OP0, X0, OP1]),
+    pseudo("bltz", "blt", &[OP0, X0, OP1]),
+    pseudo("bgtz", "blt", &[X0, OP0, OP1]),
+    pseudo("bgt", "blt", &[OP1, OP0, OP2]),
+    pseudo("ble", "bge", &[OP1, OP0, OP2]),
+    pseudo("bgtu", "bltu", &[OP1, OP0, OP2]),
+    pseudo("bleu", "bgeu", &[OP1, OP0, OP2]),
+    pseudo("j", "jal", &[X0, OP0]),
+    pseudo("jr", "jalr", &[X0, OP0, Arg::Imm(0)]),
+    pseudo("ret", "jalr", &[X0, RA, Arg::Imm(0)]),
+    pseudo("csrr", "csrrs", &[OP0, OP1, X0]),
+    pseudo("csrw", "csrrw", &[X0, OP0, OP1]),
+    pseudo("fmv.d", "fsgnj.d", &[OP0, OP1, OP1]),
+    pseudo("fneg.d", "fsgnjn.d", &[OP0, OP1, OP1]),
+    pseudo("fabs.d", "fsgnjx.d", &[OP0, OP1, OP1]),
+];
 
 fn get(ops: &[Operand], i: usize) -> R<&Operand> {
     ops.get(i)
@@ -171,7 +246,11 @@ pub fn li_sequence(rd: XReg, value: i64) -> Vec<Inst> {
         let hi20 = (value.wrapping_add(0x800)) >> 12;
         let lui_imm = ((hi20 << 12) as i32) as i64;
         let lo = value.wrapping_sub(lui_imm);
-        let mut seq = vec![Inst::Lui { rd, imm: lui_imm }];
+        let mut seq = vec![Inst::Upper {
+            op: UpperOp::Lui,
+            rd,
+            imm: lui_imm,
+        }];
         if lo != 0 {
             seq.push(Inst::OpImm32 {
                 op: AluWOp::Addw,
@@ -232,6 +311,13 @@ pub fn expansion_len(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<us
 ///
 /// Returns a message describing the malformed statement.
 pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<Vec<Inst>> {
+    if let Some(pseudo) = PSEUDO.iter().find(|p| p.name == mnemonic) {
+        // A missing operand is numbered as written; an operand of the
+        // wrong kind is numbered in the base instruction the message names.
+        let args = pseudo.args.iter().map(|arg| arg.operand(ops));
+        return expand(pseudo.base, &args.collect::<R<Vec<_>>>()?, pc, symbols)
+            .map_err(|e| format!("{e} (`{}` expands to `{}`)", pseudo.name, pseudo.base));
+    }
     // Vector mnemonics have systematic shapes; try those first, then
     // the scalar operation tables; what is left is one of a kind.
     if let Some(insts) = expand_vector(mnemonic, ops, symbols)? {
@@ -243,21 +329,6 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
 
     let one = |inst: Inst| Ok(vec![inst]);
     match mnemonic {
-        // ---- upper immediates ----
-        "lui" | "auipc" => {
-            let rd = xr(ops, 0)?;
-            let raw = imm(ops, 1, symbols)?;
-            if !(-0x8_0000..=0xf_ffff).contains(&raw) {
-                return Err(format!("20-bit immediate out of range: {raw}"));
-            }
-            let value = (((raw & 0xfffff) << 12) as i32) as i64;
-            one(if mnemonic == "lui" {
-                Inst::Lui { rd, imm: value }
-            } else {
-                Inst::Auipc { rd, imm: value }
-            })
-        }
-        // ---- jumps ----
         "jal" => {
             // `jal target` or `jal rd, target`.
             let (rd, idx) = if ops.len() == 1 {
@@ -273,48 +344,24 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
         }
         "jalr" => {
             // `jalr rs1` | `jalr rd, offset(rs1)` | `jalr rd, rs1, offset`.
-            match ops.len() {
-                1 => one(Inst::Jalr {
-                    rd: XReg::RA,
-                    rs1: xr(ops, 0)?,
-                    offset: 0,
-                }),
+            let (rd, offset, rs1) = match ops.len() {
+                1 => (XReg::RA, 0, xr(ops, 0)?),
                 2 => {
                     let rd = xr(ops, 0)?;
                     let (offset, rs1) = mem(ops, 1, symbols)?;
-                    one(Inst::Jalr {
-                        rd,
-                        rs1,
-                        offset: i32::try_from(offset).map_err(|_| "jalr offset too large")?,
-                    })
+                    (rd, offset, rs1)
                 }
                 _ => {
-                    let rd = xr(ops, 0)?;
-                    let rs1 = xr(ops, 1)?;
-                    let offset = imm(ops, 2, symbols)?;
-                    one(Inst::Jalr {
-                        rd,
-                        rs1,
-                        offset: i32::try_from(offset).map_err(|_| "jalr offset too large")?,
-                    })
+                    let (rd, rs1) = (xr(ops, 0)?, xr(ops, 1)?);
+                    (rd, imm(ops, 2, symbols)?, rs1)
                 }
-            }
+            };
+            one(Inst::Jalr {
+                rd,
+                rs1,
+                offset: i32::try_from(offset).map_err(|_| "jalr offset too large")?,
+            })
         }
-        "j" => one(Inst::Jal {
-            rd: XReg::ZERO,
-            offset: i32::try_from(target(ops, 0, pc, symbols)?)
-                .map_err(|_| "jump offset too large")?,
-        }),
-        "jr" => one(Inst::Jalr {
-            rd: XReg::ZERO,
-            rs1: xr(ops, 0)?,
-            offset: 0,
-        }),
-        "ret" => one(Inst::Jalr {
-            rd: XReg::ZERO,
-            rs1: XReg::RA,
-            offset: 0,
-        }),
         "call" => {
             let value = match get(ops, 0)? {
                 Operand::Sym(name) => *symbols
@@ -334,111 +381,10 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
             };
             Ok(pcrel_pair(rd, value, pc, PcrelKind::Address)?)
         }
-        // ---- branches ----
-        "bgt" | "ble" | "bgtu" | "bleu" => {
-            // Swapped-operand aliases.
-            let op = match mnemonic {
-                "bgt" => BranchOp::Lt,
-                "ble" => BranchOp::Ge,
-                "bgtu" => BranchOp::Ltu,
-                _ => BranchOp::Geu,
-            };
-            branch(op, xr(ops, 1)?, xr(ops, 0)?, target(ops, 2, pc, symbols)?)
-        }
-        "beqz" | "bnez" | "blez" | "bgez" | "bltz" | "bgtz" => {
-            let rs = xr(ops, 0)?;
-            let t = target(ops, 1, pc, symbols)?;
-            match mnemonic {
-                "beqz" => branch(BranchOp::Eq, rs, XReg::ZERO, t),
-                "bnez" => branch(BranchOp::Ne, rs, XReg::ZERO, t),
-                "blez" => branch(BranchOp::Ge, XReg::ZERO, rs, t),
-                "bgez" => branch(BranchOp::Ge, rs, XReg::ZERO, t),
-                "bltz" => branch(BranchOp::Lt, rs, XReg::ZERO, t),
-                _ => branch(BranchOp::Lt, XReg::ZERO, rs, t),
-            }
-        }
-        // ---- misc ----
-        "fence" => one(Inst::Fence),
-        "ecall" => one(Inst::Ecall),
-        "ebreak" => one(Inst::Ebreak),
-        "nop" => one(Inst::OpImm {
-            op: AluOp::Add,
-            rd: XReg::ZERO,
-            rs1: XReg::ZERO,
-            imm: 0,
-        }),
         "li" => {
             let rd = xr(ops, 0)?;
             Ok(li_sequence(rd, imm(ops, 1, symbols)?))
         }
-        "mv" => one(Inst::OpImm {
-            op: AluOp::Add,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            imm: 0,
-        }),
-        "not" => one(Inst::OpImm {
-            op: AluOp::Xor,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            imm: -1,
-        }),
-        "neg" => one(Inst::Op {
-            op: AluOp::Sub,
-            rd: xr(ops, 0)?,
-            rs1: XReg::ZERO,
-            rs2: xr(ops, 1)?,
-        }),
-        "negw" => one(Inst::Op32 {
-            op: AluWOp::Subw,
-            rd: xr(ops, 0)?,
-            rs1: XReg::ZERO,
-            rs2: xr(ops, 1)?,
-        }),
-        "sext.w" => one(Inst::OpImm32 {
-            op: AluWOp::Addw,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            imm: 0,
-        }),
-        "seqz" => one(Inst::OpImm {
-            op: AluOp::Sltu,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            imm: 1,
-        }),
-        "snez" => one(Inst::Op {
-            op: AluOp::Sltu,
-            rd: xr(ops, 0)?,
-            rs1: XReg::ZERO,
-            rs2: xr(ops, 1)?,
-        }),
-        "sltz" => one(Inst::Op {
-            op: AluOp::Slt,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            rs2: XReg::ZERO,
-        }),
-        "sgtz" => one(Inst::Op {
-            op: AluOp::Slt,
-            rd: xr(ops, 0)?,
-            rs1: XReg::ZERO,
-            rs2: xr(ops, 1)?,
-        }),
-        // ---- CSR ----
-        "csrr" => one(Inst::Csr {
-            op: CsrOp::Rs,
-            rd: xr(ops, 0)?,
-            csr: csr_operand(ops, 1)?,
-            src: CsrSrc::Reg(XReg::ZERO),
-        }),
-        "csrw" => one(Inst::Csr {
-            op: CsrOp::Rw,
-            rd: XReg::ZERO,
-            csr: csr_operand(ops, 0)?,
-            src: CsrSrc::Reg(xr(ops, 1)?),
-        }),
-        // ---- D extension ----
         "fld" => {
             let rd = fr(ops, 0)?;
             let (offset, rs1) = mem(ops, 1, symbols)?;
@@ -457,32 +403,6 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
                 offset: i32::try_from(offset).map_err(|_| "fsd offset too large")?,
             })
         }
-        "fmv.x.d" => one(Inst::FmvXD {
-            rd: xr(ops, 0)?,
-            rs1: fr(ops, 1)?,
-        }),
-        "fmv.d.x" => one(Inst::FmvDX {
-            rd: fr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-        }),
-        "fmv.d" => one(Inst::FpOp {
-            op: FpOp::Sgnj,
-            rd: fr(ops, 0)?,
-            rs1: fr(ops, 1)?,
-            rs2: fr(ops, 1)?,
-        }),
-        "fneg.d" => one(Inst::FpOp {
-            op: FpOp::Sgnjn,
-            rd: fr(ops, 0)?,
-            rs1: fr(ops, 1)?,
-            rs2: fr(ops, 1)?,
-        }),
-        "fabs.d" => one(Inst::FpOp {
-            op: FpOp::Sgnjx,
-            rd: fr(ops, 0)?,
-            rs1: fr(ops, 1)?,
-            rs2: fr(ops, 1)?,
-        }),
         _ => Err(format!("unknown mnemonic `{mnemonic}`")),
     }
 }
@@ -496,9 +416,31 @@ fn expand_family(
     symbols: &Symbols,
 ) -> R<Option<Vec<Inst>>> {
     let some = |inst: Inst| Ok(Some(vec![inst]));
+    if let Some(row) = ops::UPPER.from_name(mnemonic) {
+        let rd = xr(ops, 0)?;
+        let raw = imm(ops, 1, symbols)?;
+        if !(-0x8_0000..=0xf_ffff).contains(&raw) {
+            return Err(format!("20-bit immediate out of range: {raw}"));
+        }
+        let imm = (((raw & 0xfffff) << 12) as i32) as i64;
+        return some(Inst::Upper {
+            op: row.op,
+            rd,
+            imm,
+        });
+    }
+    if let Some(row) = ops::SYSTEM.from_name(mnemonic) {
+        return some(Inst::System { op: row.op });
+    }
     if let Some(row) = ops::BRANCH.from_name(mnemonic) {
         let (rs1, rs2) = (xr(ops, 0)?, xr(ops, 1)?);
-        return branch(row.op, rs1, rs2, target(ops, 2, pc, symbols)?).map(Some);
+        let offset = target(ops, 2, pc, symbols)?;
+        return some(Inst::Branch {
+            op: row.op,
+            rs1,
+            rs2,
+            offset: i32::try_from(offset).map_err(|_| "branch offset too large")?,
+        });
     }
     if let Some(row) = ops::LOAD.from_name(mnemonic) {
         let (width, signed) = row.op;
@@ -620,10 +562,10 @@ fn expand_family(
         });
     }
     if let Some(row) = ops::FP_CVT.from_name(mnemonic) {
-        let (rd, rs1) = if row.has(TO_INT) {
-            (xr(ops, 0)?.into(), fr(ops, 1)?.into())
-        } else {
+        let (rd, rs1) = if row.op.rd_is_f() {
             (fr(ops, 0)?.into(), xr(ops, 1)?.into())
+        } else {
+            (xr(ops, 0)?.into(), fr(ops, 1)?.into())
         };
         return some(Inst::FpCvt {
             op: row.op,
@@ -632,15 +574,6 @@ fn expand_family(
         });
     }
     Ok(None)
-}
-
-fn branch(op: BranchOp, rs1: XReg, rs2: XReg, offset: i64) -> R<Vec<Inst>> {
-    Ok(vec![Inst::Branch {
-        op,
-        rs1,
-        rs2,
-        offset: i32::try_from(offset).map_err(|_| "branch offset too large")?,
-    }])
 }
 
 #[derive(Clone, Copy)]
@@ -671,7 +604,12 @@ fn pcrel_pair(rd: XReg, value: u64, pc: u64, kind: PcrelKind) -> R<Vec<Inst>> {
             offset: lo as i32,
         },
     };
-    Ok(vec![Inst::Auipc { rd, imm: auipc_imm }, second])
+    let auipc = Inst::Upper {
+        op: UpperOp::Auipc,
+        rd,
+        imm: auipc_imm,
+    };
+    Ok(vec![auipc, second])
 }
 
 /// Vector mnemonic handling; returns `Ok(None)` when the mnemonic is not
@@ -699,36 +637,10 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
                 rs2: xr(ops, 2)?,
             });
         }
-        "vmv.x.s" => {
-            return some(Inst::VMvXS {
-                rd: xr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-            })
-        }
-        "vfmv.f.s" => {
-            return some(Inst::VFMvFS {
-                rd: fr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-            })
-        }
         "vid.v" => {
             return some(Inst::Vid {
                 vd: vr(ops, 0)?,
                 vm: !mask_at(ops, 1),
-            });
-        }
-        "vcpop.m" => {
-            return some(Inst::Vcpop {
-                rd: xr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-                vm: !mask_at(ops, 2),
-            });
-        }
-        "vfirst.m" => {
-            return some(Inst::Vfirst {
-                rd: xr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-                vm: !mask_at(ops, 2),
             });
         }
         // The merges, the splats they encode as (`vm` = 1, `vs2` = v0)
@@ -756,23 +668,21 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
                 src: vsrc(mnemonic, ops, 1, symbols)?,
             });
         }
-        "vredsum.vs" => {
-            return some(Inst::VRedSum {
-                vd: vr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-                vs1: vr(ops, 2)?,
-                vm: !mask_at(ops, 3),
-            });
-        }
-        "vfredusum.vs" | "vfredsum.vs" => {
-            return some(Inst::VFRedSum {
-                vd: vr(ops, 0)?,
-                vs2: vr(ops, 1)?,
-                vs1: vr(ops, 2)?,
-                vm: !mask_at(ops, 3),
-            });
-        }
         _ => {}
+    }
+    if let Some(row) = ops::VUNARY.from_name(mnemonic) {
+        let rd = if row.op.rd_is_f() {
+            fr(ops, 0)?.into()
+        } else {
+            xr(ops, 0)?.into()
+        };
+        let (vs2, vm) = (vr(ops, 1)?, !mask_at(ops, 2));
+        return some(Inst::VUnary {
+            op: row.op,
+            rd,
+            vs2,
+            vm,
+        });
     }
 
     // Vector memory: v{l,s}{e,se,uxei}<bits>.v
@@ -804,10 +714,19 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
         });
     }
 
-    // Vector arithmetic: <stem>.<form> where form ∈ {vv, vx, vi, vf, mm}.
+    // Vector arithmetic: <stem>.<form> where form ∈ {vv, vx, vi, vf, mm, vs}.
     let Some((stem, form)) = mnemonic.rsplit_once('.') else {
         return Ok(None);
     };
+    if let Some(row) = ops::VRED.from_name(stem).filter(|_| form == "vs") {
+        return some(Inst::VRed {
+            op: row.op,
+            vd: vr(ops, 0)?,
+            vs2: vr(ops, 1)?,
+            vs1: vr(ops, 2)?,
+            vm: !mask_at(ops, 3),
+        });
+    }
     if form == "mm" {
         let Some(row) = ops::VMASK.from_name(stem) else {
             return Ok(None);
@@ -953,7 +872,7 @@ fn parse_vtype(ops: &[Operand]) -> R<VType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coyote_isa::inst::{MemWidth, VFpOp, VIntOp, VMulOp};
+    use coyote_isa::inst::{BranchOp, CsrOp, MemWidth, VFpOp, VIntOp, VMulOp};
 
     fn parse_ops(text: &str) -> Vec<Operand> {
         crate::operand::split_operands(text)
@@ -995,7 +914,11 @@ mod tests {
                     imm,
                     ..
                 } => reg <<= imm,
-                Inst::Lui { imm, .. } => reg = imm,
+                Inst::Upper {
+                    op: UpperOp::Lui,
+                    imm,
+                    ..
+                } => reg = imm,
                 Inst::OpImm32 {
                     op: AluWOp::Addw,
                     imm,
@@ -1054,7 +977,12 @@ mod tests {
         let ops = parse_ops("a0, data");
         let insts = expand("la", &ops, 0x8000_0000, &symbols).unwrap();
         assert_eq!(insts.len(), 2);
-        let Inst::Auipc { imm: hi, .. } = insts[0] else {
+        let Inst::Upper {
+            op: UpperOp::Auipc,
+            imm: hi,
+            ..
+        } = insts[0]
+        else {
             panic!("expected auipc");
         };
         let Inst::OpImm { imm: lo, .. } = insts[1] else {
@@ -1186,6 +1114,18 @@ mod tests {
         let ops = parse_ops("a0, a1, nowhere");
         let err = expand("beq", &ops, 0, &Symbols::new()).unwrap_err();
         assert!(err.contains("nowhere"));
+        // A pseudo-instruction's error names the base it expands to.
+        for (mnemonic, ops_text, want) in [
+            ("bgt", "a0", "missing operand 2"),
+            (
+                "neg",
+                "a0, 5",
+                "operand 3 must be an x register, got Imm(5) (`neg` expands to `sub`)",
+            ),
+        ] {
+            let err = expand(mnemonic, &parse_ops(ops_text), 0, &Symbols::new()).unwrap_err();
+            assert_eq!(err, want, "{mnemonic} {ops_text}");
+        }
         let err = coyote_isa::encode(&expand1("vadd.vi", "v1, v2, 99")).unwrap_err();
         assert_eq!(
             err.to_string(),

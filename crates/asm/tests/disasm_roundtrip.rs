@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 
+use coyote_asm::expand::PSEUDO;
 use coyote_asm::Assembler;
 use coyote_isa::ops::{self, Row, Table, VF, VI, VV, VX};
 use coyote_isa::{decode, encode, Inst};
@@ -81,6 +82,8 @@ fn stems<T>(table: &Table<T>) -> impl Iterator<Item = Stem> {
 /// The rows whose `name` (and `imm`) are whole mnemonics.
 fn plain_stems() -> Vec<Stem> {
     let mut all: Vec<Stem> = Vec::new();
+    all.extend(stems(&ops::UPPER));
+    all.extend(stems(&ops::SYSTEM));
     all.extend(stems(&ops::BRANCH));
     all.extend(stems(&ops::LOAD));
     all.extend(stems(&ops::STORE));
@@ -91,6 +94,7 @@ fn plain_stems() -> Vec<Stem> {
     all.extend(stems(&ops::FMA));
     all.extend(stems(&ops::FP_CMP));
     all.extend(stems(&ops::FP_CVT));
+    all.extend(stems(&ops::VUNARY));
     all
 }
 
@@ -120,6 +124,7 @@ fn table_mnemonics() -> BTreeSet<String> {
         }
     }
     all.extend(stems(&ops::VMASK).map(|s| format!("{}.mm", s.name)));
+    all.extend(stems(&ops::VRED).map(|s| format!("{}.vs", s.name)));
     for op in ops::AMO.0 {
         all.extend(stems(&ops::AMO_WIDTH).map(|w| format!("{}.{}", op.name, w.name)));
     }
@@ -175,7 +180,8 @@ fn known_tricky_disassemblies_reassemble() {
 }
 
 /// `docs/ASSEMBLY.md` names every operation the tables define: each
-/// stem, immediate-form mnemonic and alias is a word of the document.
+/// stem, immediate-form mnemonic and alias is a word of the document,
+/// and each pseudo-instruction has a table row naming its base.
 #[test]
 fn assembly_reference_names_every_table_row() {
     let doc = include_str!(concat!(
@@ -191,6 +197,7 @@ fn assembly_reference_names_every_table_row() {
         .into_iter()
         .chain(vector_stems())
         .chain(stems(&ops::VMASK))
+        .chain(stems(&ops::VRED))
         .chain(stems(&ops::AMO))
         .chain(stems(&ops::AMO_WIDTH))
         .chain(stems(&ops::VMEM_EEW));
@@ -200,6 +207,17 @@ fn assembly_reference_names_every_table_row() {
     }
     for mode in ops::VMEM_MODE.0 {
         wanted.extend([format!("vl{}", mode.name), format!("vs{}", mode.name)]);
+    }
+    for pseudo in PSEUDO {
+        let head = format!("| `{}", pseudo.name);
+        let row = doc.lines().find(|line| {
+            let rest = line.strip_prefix(head.as_str());
+            rest.is_some_and(|rest| rest.starts_with([' ', '`']))
+        });
+        let base = format!("`{} ", pseudo.base);
+        if !row.is_some_and(|row| row.contains(base.as_str())) {
+            wanted.push(format!("{} (a row naming `{}`)", pseudo.name, pseudo.base));
+        }
     }
     let missing: Vec<_> = wanted
         .iter()

@@ -113,17 +113,9 @@ pub struct SimConfig {
     /// a few counters per core — and the table is O(K) regardless of
     /// run length.
     pub attribution_top_k: usize,
-    /// Whether the superblock fusion fast path may retire validated
-    /// straight-line runs through [`coyote_iss::Core`]'s fused
-    /// dispatch and the orchestrator's multi-cycle windows. A
-    /// host-execution knob: every cycle count, digest and
-    /// exported metric is bit-identical either way (property-tested),
-    /// only wall time changes. On by default; `false` forces the
-    /// per-instruction path everywhere (the A/B reference).
-    pub fusion: bool,
     /// Host-side self-profiling mode (see `coyote-inspect prof`). A
-    /// host-execution knob like `fusion`: it never appears in the
-    /// determinism digest or in `config_json`, and turning it on must
+    /// host-execution knob like [`CoreConfig::fusion`]: it never appears
+    /// in the determinism digest or in `config_json`, and turning it on must
     /// not change any simulated result — the only observable addition
     /// is the `host_profile` metrics section (property-tested).
     pub profiling: ProfMode,
@@ -131,7 +123,7 @@ pub struct SimConfig {
 
 /// How the host-side self-profiler observes the orchestrator.
 ///
-/// A host-execution knob like [`SimConfig::fusion`]: excluded from the
+/// A host-execution knob like [`CoreConfig::fusion`]: excluded from the
 /// determinism digest and from `config_json`, and forbidden from
 /// feeding back into simulated state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -174,7 +166,6 @@ impl Default for SimConfig {
             chrome_trace: false,
             perturb_seed: 0,
             attribution_top_k: 32,
-            fusion: true,
             profiling: ProfMode::Off,
         }
     }
@@ -366,7 +357,7 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the per-core configuration.
+    /// Sets the per-core configuration, its `fusion` knob included.
     #[must_use]
     pub fn core(mut self, core: CoreConfig) -> Self {
         self.config.core = core;
@@ -497,11 +488,12 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables or disables the superblock fusion fast path (on by
-    /// default; disabling forces the per-instruction reference path).
+    /// Enables or disables the superblock fusion fast path
+    /// ([`CoreConfig::fusion`]: on by default; disabling forces the
+    /// per-instruction reference path).
     #[must_use]
     pub fn fusion(mut self, fusion: bool) -> Self {
-        self.config.fusion = fusion;
+        self.config.core.fusion = fusion;
         self
     }
 

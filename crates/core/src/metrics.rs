@@ -73,7 +73,7 @@ fn config_json(config: &SimConfig) -> JsonValue {
         .with("mc_channels_per_mc", config.mc.channels_per_mc)
         .with("prefetch_degree", config.prefetch_degree)
         .with("interleave", config.interleave)
-        .with("fusion", config.fusion)
+        .with("fusion", config.core.fusion)
         .with("telemetry", config.telemetry)
         .with("metrics_interval", config.metrics_interval)
         .with("chrome_trace", config.chrome_trace)

@@ -119,12 +119,8 @@ impl Simulation {
         config.validate()?;
         let mut mem = SparseMemory::new();
         mem.load_program(program);
-        // `SimConfig::fusion` is authoritative for the per-core fused
-        // dispatch; mirror it into the core configuration.
-        let mut core_config = config.core;
-        core_config.fusion = config.fusion;
         let cores = (0..config.cores)
-            .map(|i| Core::new(i, program.entry(), &core_config))
+            .map(|i| Core::new(i, program.entry(), &config.core))
             .collect();
         let mut hierarchy = Hierarchy::new(config.hierarchy())
             .map_err(|m| RunError::Config(ConfigError::new(m)))?;

@@ -189,6 +189,30 @@ fn vector_group_past_v31_is_an_error_naming_the_pc() {
     }
 }
 
+/// `vsetvl` to an unsupported `vtype` is an execution error naming the
+/// pc and the value, with and without the oracle — not a run under the
+/// default `vtype` (which exits 16 here).
+#[test]
+fn vsetvl_to_an_unsupported_vtype_is_an_error_naming_the_pc() {
+    let path = write_temp_program(
+        "vsetvl_vill.s",
+        "_start:\n li a1, -1\n vsetvl a0, zero, a1\n li a7, 93\n ecall\n",
+    );
+    for oracle in [&[][..], &["--oracle"][..]] {
+        let output = Command::new(sim_binary())
+            .arg(&path)
+            .args(oracle)
+            .output()
+            .expect("spawn coyote-sim");
+        assert_eq!(output.status.code(), Some(1), "{oracle:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("pc 0x80000004") && stderr.contains("vtype 0xffffffffffffffff"),
+            "{oracle:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn every_documented_flag_parses() {
     let path = write_temp_program(

@@ -104,7 +104,7 @@ fn set_field(config: &mut SimConfig, field: usize, value: u64) {
             config.oracle = value & 2 != 0;
             config.telemetry = value & 4 != 0;
             config.chrome_trace = value & 8 != 0;
-            config.fusion = value & 16 != 0;
+            config.core.fusion = value & 16 != 0;
             config.perturb_seed = value >> 8;
             config.profiling =
                 [ProfMode::Off, ProfMode::Wall, ProfMode::Counter][(value >> 5) as usize % 3];

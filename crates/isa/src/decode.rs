@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::csr::Csr;
-use crate::inst::{AmoOp, CsrSrc, FmaOp, Inst, VAddrMode, VSrc};
+use crate::inst::{AmoOp, CsrSrc, FmaOp, Inst, SysOp, VAddrMode, VSrc};
 use crate::ops::{self, *};
 use crate::reg::{FReg, VReg, XReg};
 use crate::vtype::{Sew, VType};
@@ -126,11 +126,8 @@ pub fn decode(word: u32) -> Result<Inst, DecodeError> {
 
 fn decode_opt(word: u32) -> Option<Inst> {
     Some(match word & 0x7f {
-        OPC_LUI => Inst::Lui {
-            rd: rd_x(word),
-            imm: imm_u(word),
-        },
-        OPC_AUIPC => Inst::Auipc {
+        OPC_LUI | OPC_AUIPC => Inst::Upper {
+            op: ops::UPPER.from_bits(word & 0x7f)?.op,
             rd: rd_x(word),
             imm: imm_u(word),
         },
@@ -195,12 +192,10 @@ fn decode_opt(word: u32) -> Option<Inst> {
             rs1: rs1_x(word),
             rs2: rs2_x(word),
         },
-        OPC_MISC_MEM => Inst::Fence,
+        OPC_MISC_MEM => Inst::System { op: SysOp::Fence },
         OPC_SYSTEM => match funct3(word) {
-            0b000 => match word {
-                0x0000_0073 => Inst::Ecall,
-                0x0010_0073 => Inst::Ebreak,
-                _ => return None,
+            0b000 => Inst::System {
+                op: ops::SYSTEM.from_bits(word)?.op,
             },
             f3 => {
                 // funct3 bit 2 selects the immediate form.
@@ -318,24 +313,14 @@ fn decode_op_fp(word: u32) -> Option<Inst> {
             rs2: rs2_f(word),
         });
     }
-    if let Some(row) = ops::FP_CVT.from_bits(funct7(word) << 5 | f24_20(word)) {
-        return Some(Inst::FpCvt {
-            op: row.op,
-            rd: ((word >> 7) & 0x1f) as u8,
-            rs1: ((word >> 15) & 0x1f) as u8,
-        });
-    }
-    match (funct7(word), funct3(word), f24_20(word)) {
-        (0b1110001, 0, 0) => Some(Inst::FmvXD {
-            rd: rd_x(word),
-            rs1: rs1_f(word),
-        }),
-        (0b1111001, 0, 0) => Some(Inst::FmvDX {
-            rd: rd_f(word),
-            rs1: rs1_x(word),
-        }),
-        _ => None,
-    }
+    let row = ops::FP_CVT
+        .from_bits(funct7(word) << 5 | f24_20(word))
+        .filter(|r| r.has(RM) || funct3(word) == 0)?;
+    Some(Inst::FpCvt {
+        op: row.op,
+        rd: ((word >> 7) & 0x1f) as u8,
+        rs1: ((word >> 15) & 0x1f) as u8,
+    })
 }
 
 fn decode_fma(word: u32, op: FmaOp) -> Option<Inst> {
@@ -371,51 +356,28 @@ fn decode_op_v(word: u32) -> Option<Inst> {
     // The splats and scalar→element-0 moves fix `vm` = 1 and `vs2` = v0.
     let whole = vm && vs2 == VReg::V0;
 
-    match (f3, funct6, f19_15) {
-        (F3_OPMVV, F6_VREDSUM, _) => {
-            return Some(Inst::VRedSum {
-                vd,
-                vs2,
-                vs1: vs1(word),
-                vm,
-            })
-        }
-        (F3_OPFVV, F6_VFREDUSUM, _) => {
-            return Some(Inst::VFRedSum {
-                vd,
-                vs2,
-                vs1: vs1(word),
-                vm,
-            })
-        }
-        (F3_OPMVV, F6_VUNARY0, 0) => {
-            return Some(Inst::VMvXS {
-                rd: rd_x(word),
-                vs2,
-            })
-        }
-        (F3_OPMVV, F6_VUNARY0, VS1_VCPOP) => {
-            return Some(Inst::Vcpop {
-                rd: rd_x(word),
-                vs2,
-                vm,
-            })
-        }
-        (F3_OPMVV, F6_VUNARY0, VS1_VFIRST) => {
-            return Some(Inst::Vfirst {
-                rd: rd_x(word),
-                vs2,
-                vm,
-            })
-        }
-        (F3_OPFVV, F6_VUNARY0, 0) => {
-            return Some(Inst::VFMvFS {
-                rd: rd_f(word),
-                vs2,
-            })
-        }
-        (F3_OPMVV, F6_VMUNARY0, VS1_VID) if vs2 == VReg::V0 => return Some(Inst::Vid { vd, vm }),
-        _ => {}
+    if let Some(row) = ops::VRED.from_bits(f3 << 6 | funct6) {
+        return Some(Inst::VRed {
+            op: row.op,
+            vd,
+            vs2,
+            vs1: vs1(word),
+            vm,
+        });
+    }
+    if let Some(row) = ops::VUNARY
+        .from_bits(f3 << 5 | f19_15)
+        .filter(|_| funct6 == F6_VUNARY0)
+    {
+        return Some(Inst::VUnary {
+            op: row.op,
+            rd: ((word >> 7) & 0x1f) as u8,
+            vs2,
+            vm: vm || !row.has(VM),
+        });
+    }
+    if (f3, funct6, f19_15) == (F3_OPMVV, F6_VMUNARY0, VS1_VID) && vs2 == VReg::V0 {
+        return Some(Inst::Vid { vd, vm });
     }
     if funct6 == ops::VMV_S.bits && whole && fits(ops::VMV_S.forms, F3_OPMVV) {
         return Some(Inst::VMvS { vd, src });
@@ -533,7 +495,8 @@ mod tests {
     use super::*;
     use crate::encode::encode;
     use crate::inst::{
-        AluOp, AluWOp, BranchOp, CsrOp, FpCmpOp, FpCvtOp, FpOp, MemWidth, VFpOp, VIntOp, VMulOp,
+        AluOp, AluWOp, BranchOp, CsrOp, FpCmpOp, FpCvtOp, FpOp, MemWidth, UpperOp, VFpOp, VIntOp,
+        VMulOp, VRedOp, VUnaryOp,
     };
     use crate::vtype::Lmul;
 
@@ -567,8 +530,11 @@ mod tests {
                 imm: -16
             }
         );
-        assert_eq!(decode(0x0000_0073).unwrap(), Inst::Ecall);
-        assert_eq!(decode(0x0010_0073).unwrap(), Inst::Ebreak);
+        let system = |op| Inst::System { op };
+        assert_eq!(decode(0x0000_0073).unwrap(), system(SysOp::Ecall));
+        assert_eq!(decode(0x0010_0073).unwrap(), system(SysOp::Ebreak));
+        // Any MISC-MEM word (here `fence.i`) is a fence.
+        assert_eq!(decode(0x0000_100f).unwrap(), system(SysOp::Fence));
     }
 
     #[test]
@@ -583,11 +549,13 @@ mod tests {
     #[test]
     fn round_trip_representative_sample() {
         let sample: Vec<Inst> = vec![
-            Inst::Lui {
+            Inst::Upper {
+                op: UpperOp::Lui,
                 rd: x(7),
                 imm: -4096,
             },
-            Inst::Auipc {
+            Inst::Upper {
+                op: UpperOp::Auipc,
                 rd: x(3),
                 imm: 0x7ffff000,
             },
@@ -643,7 +611,9 @@ mod tests {
                 rs1: x(2),
                 rs2: x(3),
             },
-            Inst::Fence,
+            Inst::System { op: SysOp::Fence },
+            Inst::System { op: SysOp::Ecall },
+            Inst::System { op: SysOp::Ebreak },
             Inst::Csr {
                 op: CsrOp::Rs,
                 rd: x(10),
@@ -697,13 +667,15 @@ mod tests {
                 rd: 3,
                 rs1: 4,
             },
-            Inst::FmvXD {
-                rd: x(5),
-                rs1: f(6),
+            Inst::FpCvt {
+                op: FpCvtOp::MvXD,
+                rd: 5,
+                rs1: 6,
             },
-            Inst::FmvDX {
-                rd: f(6),
-                rs1: x(5),
+            Inst::FpCvt {
+                op: FpCvtOp::MvDX,
+                rd: 6,
+                rs1: 5,
             },
             Inst::Vsetvli {
                 rd: x(5),
@@ -790,13 +762,15 @@ mod tests {
                 src: VSrc::F(f(3)),
                 vm: true,
             },
-            Inst::VRedSum {
+            Inst::VRed {
+                op: VRedOp::Sum,
                 vd: v(1),
                 vs2: v(2),
                 vs1: v(3),
                 vm: true,
             },
-            Inst::VFRedSum {
+            Inst::VRed {
+                op: VRedOp::FUSum,
                 vd: v(1),
                 vs2: v(2),
                 vs1: v(3),
@@ -814,21 +788,37 @@ mod tests {
                 src: VSrc::F(f(2)),
                 vm: true,
             },
-            Inst::VMvXS {
-                rd: x(1),
+            Inst::VUnary {
+                op: VUnaryOp::MvXS,
+                rd: 1,
                 vs2: v(2),
+                vm: true,
             },
             Inst::VMvS {
                 vd: v(1),
                 src: VSrc::X(x(2)),
             },
-            Inst::VFMvFS {
-                rd: f(1),
+            Inst::VUnary {
+                op: VUnaryOp::FMvFS,
+                rd: 1,
                 vs2: v(2),
+                vm: true,
             },
             Inst::VMvS {
                 vd: v(1),
                 src: VSrc::F(f(2)),
+            },
+            Inst::VUnary {
+                op: VUnaryOp::Cpop,
+                rd: 10,
+                vs2: v(4),
+                vm: false,
+            },
+            Inst::VUnary {
+                op: VUnaryOp::First,
+                rd: 11,
+                vs2: v(4),
+                vm: true,
             },
             Inst::Vid { vd: v(1), vm: true },
         ];

@@ -7,7 +7,7 @@
 use std::fmt;
 
 use crate::inst::{AmoOp, CsrSrc, Inst, MemWidth, VAddrMode, VSrc};
-use crate::ops::{self, TO_INT};
+use crate::ops;
 use crate::reg::{FReg, VReg, XReg};
 use crate::vtype::Sew;
 
@@ -86,8 +86,10 @@ fn raw_reg(index: u8, float: bool) -> String {
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Inst::Lui { rd, imm } => write!(f, "lui {rd}, {:#x}", (imm >> 12) & 0xfffff),
-            Inst::Auipc { rd, imm } => write!(f, "auipc {rd}, {:#x}", (imm >> 12) & 0xfffff),
+            Inst::Upper { op, rd, imm } => {
+                let name = ops::UPPER.row(op).name;
+                write!(f, "{name} {rd}, {:#x}", (imm >> 12) & 0xfffff)
+            }
             Inst::Jal { rd, offset } => write!(f, "jal {rd}, {offset}"),
             Inst::Jalr { rd, rs1, offset } => write!(f, "jalr {rd}, {offset}({rs1})"),
             Inst::Branch {
@@ -127,9 +129,7 @@ impl fmt::Display for Inst {
             Inst::Op32 { op, rd, rs1, rs2 } => {
                 write!(f, "{} {rd}, {rs1}, {rs2}", ops::ALU_W.row(op).name)
             }
-            Inst::Fence => f.write_str("fence"),
-            Inst::Ecall => f.write_str("ecall"),
-            Inst::Ebreak => f.write_str("ebreak"),
+            Inst::System { op } => f.write_str(ops::SYSTEM.row(op).name),
             Inst::Csr { op, rd, csr, src } => {
                 let row = ops::CSR.row(op);
                 match src {
@@ -170,13 +170,10 @@ impl fmt::Display for Inst {
             Inst::FpCvt { op, rd, rs1 } => {
                 // rd/rs1 are raw indices; render with the class each side
                 // of the conversion uses.
-                let row = ops::FP_CVT.row(op);
-                let to_int = row.has(TO_INT);
-                let (rd, rs1) = (raw_reg(rd, !to_int), raw_reg(rs1, to_int));
-                write!(f, "{} {rd}, {rs1}", row.name)
+                let f_rd = op.rd_is_f();
+                let (rd, rs1) = (raw_reg(rd, f_rd), raw_reg(rs1, !f_rd));
+                write!(f, "{} {rd}, {rs1}", ops::FP_CVT.row(op).name)
             }
-            Inst::FmvXD { rd, rs1 } => write!(f, "fmv.x.d {rd}, {rs1}"),
-            Inst::FmvDX { rd, rs1 } => write!(f, "fmv.d.x {rd}, {rs1}"),
             Inst::Vsetvli { rd, rs1, vtype } => write!(f, "vsetvli {rd}, {rs1}, {vtype}"),
             Inst::Vsetivli { rd, avl, vtype } => write!(f, "vsetivli {rd}, {avl}, {vtype}"),
             Inst::Vsetvl { rd, rs1, rs2 } => write!(f, "vsetvl {rd}, {rs1}, {rs2}"),
@@ -215,11 +212,15 @@ impl fmt::Display for Inst {
                 src,
                 vm,
             } => varith(f, ops::VFP.row(op).name, src, (vd, vs2), vm),
-            Inst::VRedSum { vd, vs2, vs1, vm } => {
-                write!(f, "vredsum.vs {vd}, {vs2}, {vs1}{}", mask_suffix(vm))
-            }
-            Inst::VFRedSum { vd, vs2, vs1, vm } => {
-                write!(f, "vfredusum.vs {vd}, {vs2}, {vs1}{}", mask_suffix(vm))
+            Inst::VRed {
+                op,
+                vd,
+                vs2,
+                vs1,
+                vm,
+            } => {
+                let name = ops::VRED.row(op).name;
+                write!(f, "{name}.vs {vd}, {vs2}, {vs1}{}", mask_suffix(vm))
             }
             // `vfmerge.vfm`, `vmv.v.x`, …: an `f` source prefixes `vf`,
             // the splat prints the form's last letter only.
@@ -231,12 +232,14 @@ impl fmt::Display for Inst {
                     write!(f, "{v}merge{form}m {vd}, {vs2}, {src}, v0")
                 }
             }
-            Inst::VMvXS { rd, vs2 } => write!(f, "vmv.x.s {rd}, {vs2}"),
+            Inst::VUnary { op, rd, vs2, vm } => {
+                let (name, rd) = (ops::VUNARY.row(op).name, raw_reg(rd, op.rd_is_f()));
+                write!(f, "{name} {rd}, {vs2}{}", mask_suffix(vm))
+            }
             Inst::VMvS { vd, src } => {
                 let (v, form) = (fp_prefix(src), src.suffix());
                 write!(f, "{v}mv.s.{} {vd}, {src}", &form[2..])
             }
-            Inst::VFMvFS { rd, vs2 } => write!(f, "vfmv.f.s {rd}, {vs2}"),
             Inst::Vid { vd, vm } => write!(f, "vid.v {vd}{}", mask_suffix(vm)),
             Inst::VMaskCmp {
                 op,
@@ -254,12 +257,6 @@ impl fmt::Display for Inst {
             } => varith(f, ops::VFCMP.row(op).name, src, (vd, vs2), vm),
             Inst::VMaskLogical { op, vd, vs2, vs1 } => {
                 write!(f, "{}.mm {vd}, {vs2}, {vs1}", ops::VMASK.row(op).name)
-            }
-            Inst::Vcpop { rd, vs2, vm } => {
-                write!(f, "vcpop.m {rd}, {vs2}{}", mask_suffix(vm))
-            }
-            Inst::Vfirst { rd, vs2, vm } => {
-                write!(f, "vfirst.m {rd}, {vs2}{}", mask_suffix(vm))
             }
         }
     }

@@ -34,11 +34,12 @@ pub enum EncodeError {
         value: i64,
     },
     /// The operation exists but not in this operand form (`sub` has no
-    /// immediate form, `vmsgtu` no `.vv` form).
+    /// immediate form, `vmsgtu` no `.vv` form, `vmv.x.s` no masked one).
     NoSuchForm {
         /// Mnemonic stem of the operation.
         name: &'static str,
-        /// The missing form: `.vv`, `.vx`, `.vi`, `.vf` or `immediate`.
+        /// The missing form: `.vv`, `.vx`, `.vi`, `.vf`, `immediate` or
+        /// `masked`.
         form: &'static str,
     },
     /// The instruction variant cannot be expressed (e.g. an unsigned
@@ -149,6 +150,18 @@ fn j_type(offset: i64, rd: u32, what: &'static str) -> Result32 {
         | ((imm >> 12 & 0xff) << 12)
         | (rd << 7)
         | OPC_JAL)
+}
+
+/// A raw register index, which must name one of the 32 registers.
+fn raw_index(index: u8, what: &'static str) -> Result32 {
+    if index < 32 {
+        Ok(u32::from(index))
+    } else {
+        Err(EncodeError::ImmOutOfRange {
+            what,
+            value: i64::from(index),
+        })
+    }
 }
 
 /// R-type word of a row keyed `funct7_funct3`.
@@ -269,8 +282,10 @@ fn vmem(mode: VAddrMode, eew: Sew, vm: bool, rs1: XReg, reg: VReg, opcode: u32) 
 /// ```
 pub fn encode(inst: &Inst) -> Result32 {
     match *inst {
-        Inst::Lui { rd, imm } => u_type(imm, rd.bits(), OPC_LUI, "lui"),
-        Inst::Auipc { rd, imm } => u_type(imm, rd.bits(), OPC_AUIPC, "auipc"),
+        Inst::Upper { op, rd, imm } => {
+            let row = ops::UPPER.row(op);
+            u_type(imm, rd.bits(), row.bits, row.name)
+        }
         Inst::Jal { rd, offset } => j_type(i64::from(offset), rd.bits(), "jal"),
         Inst::Jalr { rd, rs1, offset } => i_type(
             i64::from(offset),
@@ -352,9 +367,7 @@ pub fn encode(inst: &Inst) -> Result32 {
             rd.bits(),
             OPC_OP32,
         )),
-        Inst::Fence => Ok(0x0ff0_000f),
-        Inst::Ecall => Ok(0x0000_0073),
-        Inst::Ebreak => Ok(0x0010_0073),
+        Inst::System { op } => Ok(ops::SYSTEM.row(op).bits),
         Inst::Csr { op, rd, csr, src } => {
             let base = ops::CSR.row(op).bits;
             let (funct3, field) = match src {
@@ -439,38 +452,22 @@ pub fn encode(inst: &Inst) -> Result32 {
         )),
         Inst::FpCvt { op, rd, rs1 } => {
             let row = ops::FP_CVT.row(op);
-            if rd >= 32 || rs1 >= 32 {
-                return Err(EncodeError::ImmOutOfRange {
-                    what: "fcvt register index",
-                    value: i64::from(rd.max(rs1)),
-                });
-            }
-            let rm = if row.has(TO_INT) { RM_RTZ } else { 0b000 };
+            let what = "fcvt register index";
+            let (rd, rs1) = (raw_index(rd, what)?, raw_index(rs1, what)?);
+            let rm = if !op.rd_is_f() && row.has(RM) {
+                RM_RTZ
+            } else {
+                0b000
+            };
             Ok(r_type(
                 row.bits >> 5,
                 row.bits & 0x1f,
-                u32::from(rs1),
+                rs1,
                 rm,
-                u32::from(rd),
+                rd,
                 OPC_OP_FP,
             ))
         }
-        Inst::FmvXD { rd, rs1 } => Ok(r_type(
-            0b1110001,
-            0,
-            rs1.bits(),
-            0b000,
-            rd.bits(),
-            OPC_OP_FP,
-        )),
-        Inst::FmvDX { rd, rs1 } => Ok(r_type(
-            0b1111001,
-            0,
-            rs1.bits(),
-            0b000,
-            rd.bits(),
-            OPC_OP_FP,
-        )),
         Inst::Vsetvli { rd, rs1, vtype } => {
             let zimm = (vtype.to_bits() as u32) & 0x7ff;
             Ok((zimm << 20) | (rs1.bits() << 15) | (F3_OPCFG << 12) | (rd.bits() << 7) | OPC_OP_V)
@@ -531,29 +528,34 @@ pub fn encode(inst: &Inst) -> Result32 {
             src,
             vm,
         } => op_v_row(ops::VFP.row(op), F3_OPFVV, (src, vm), vs2, vd),
-        Inst::VRedSum { vd, vs2, vs1, vm } => Ok(op_v(
-            F6_VREDSUM,
+        Inst::VRed {
+            op,
+            vd,
+            vs2,
+            vs1,
             vm,
-            vs1.bits(),
-            vs2.bits(),
-            F3_OPMVV,
-            vd.bits(),
-        )),
-        Inst::VFRedSum { vd, vs2, vs1, vm } => Ok(op_v(
-            F6_VFREDUSUM,
-            vm,
-            vs1.bits(),
-            vs2.bits(),
-            F3_OPFVV,
-            vd.bits(),
-        )),
+        } => {
+            let row = ops::VRED.row(op);
+            let (funct3, funct6) = (row.bits >> 6, row.bits & 0x3f);
+            Ok(op_v(funct6, vm, vs1.bits(), vs2.bits(), funct3, vd.bits()))
+        }
         Inst::VMerge { vs2, vm: true, .. } if vs2 != VReg::V0 => {
             Err(EncodeError::InvalidForm("vmv.v with vs2 other than v0"))
         }
         Inst::VMerge { vd, vs2, src, vm } => op_v_row(&ops::VMERGE, F3_OPIVV, (src, vm), vs2, vd),
-        Inst::VMvXS { rd, vs2 } => Ok(op_v(F6_VUNARY0, true, 0, vs2.bits(), F3_OPMVV, rd.bits())),
+        Inst::VUnary { op, rd, vs2, vm } => {
+            let row = ops::VUNARY.row(op);
+            if !vm && !row.has(VM) {
+                return Err(EncodeError::NoSuchForm {
+                    name: row.name,
+                    form: "masked",
+                });
+            }
+            let (funct3, vs1) = (row.bits >> 5, row.bits & 0x1f);
+            let rd = raw_index(rd, "vector unary register index")?;
+            Ok(op_v(F6_VUNARY0, vm, vs1, vs2.bits(), funct3, rd))
+        }
         Inst::VMvS { vd, src } => op_v_row(&ops::VMV_S, F3_OPMVV, (src, true), VReg::V0, vd),
-        Inst::VFMvFS { rd, vs2 } => Ok(op_v(F6_VUNARY0, true, 0, vs2.bits(), F3_OPFVV, rd.bits())),
         Inst::Vid { vd, vm } => Ok(op_v(F6_VMUNARY0, vm, VS1_VID, 0, F3_OPMVV, vd.bits())),
         Inst::VMaskCmp {
             op,
@@ -577,29 +579,13 @@ pub fn encode(inst: &Inst) -> Result32 {
             F3_OPMVV,
             vd.bits(),
         )),
-        Inst::Vcpop { rd, vs2, vm } => Ok(op_v(
-            F6_VUNARY0,
-            vm,
-            VS1_VCPOP,
-            vs2.bits(),
-            F3_OPMVV,
-            rd.bits(),
-        )),
-        Inst::Vfirst { rd, vs2, vm } => Ok(op_v(
-            F6_VUNARY0,
-            vm,
-            VS1_VFIRST,
-            vs2.bits(),
-            F3_OPMVV,
-            rd.bits(),
-        )),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AluOp, BranchOp, MemWidth, VIntOp};
+    use crate::inst::{AluOp, BranchOp, MemWidth, SysOp, UpperOp, VIntOp, VUnaryOp};
     use crate::vtype::{Lmul, VType};
 
     fn x(n: u8) -> XReg {
@@ -629,7 +615,8 @@ mod tests {
                 0x0031_00b3, // add ra, sp, gp
             ),
             (
-                Inst::Lui {
+                Inst::Upper {
+                    op: UpperOp::Lui,
                     rd: x(10),
                     imm: 0x12345 << 12,
                 },
@@ -661,8 +648,8 @@ mod tests {
                 },
                 0x00a1_3423, // sd a0, 8(sp)
             ),
-            (Inst::Ecall, 0x0000_0073),
-            (Inst::Ebreak, 0x0010_0073),
+            (Inst::System { op: SysOp::Ecall }, 0x0000_0073),
+            (Inst::System { op: SysOp::Ebreak }, 0x0010_0073),
         ];
         for (inst, want) in cases {
             assert_eq!(encode(&inst).unwrap(), want, "encoding {inst:?}");
@@ -774,6 +761,24 @@ mod tests {
         // but is a legal shift.
         assert!(encode(&sll(17)).is_ok());
         assert!(encode(&sll(-1)).is_err());
+    }
+
+    #[test]
+    fn unmaskable_unary_rejects_a_mask() {
+        let mv = |vm| Inst::VUnary {
+            op: VUnaryOp::MvXS,
+            rd: 10,
+            vs2: VReg::V0,
+            vm,
+        };
+        assert!(encode(&mv(true)).is_ok());
+        assert_eq!(
+            encode(&mv(false)),
+            Err(EncodeError::NoSuchForm {
+                name: "vmv.x.s",
+                form: "masked"
+            })
+        );
     }
 
     #[test]

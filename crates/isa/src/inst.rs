@@ -245,6 +245,43 @@ pub enum FpCvtOp {
     DFromW,
     /// `fcvt.w.d`: double to signed 32-bit integer (round toward zero).
     WFromD,
+    /// `fmv.x.d`: the raw bits of a double into an integer register.
+    MvXD,
+    /// `fmv.d.x`: the raw bits of an integer register into a double.
+    MvDX,
+}
+
+impl FpCvtOp {
+    /// Whether `rd` names an `f` register; `rs1` then names an `x`
+    /// register, and the other way round.
+    #[must_use]
+    pub fn rd_is_f(self) -> bool {
+        use FpCvtOp::*;
+        match self {
+            DFromL | DFromLu | DFromW | MvDX => true,
+            LFromD | LuFromD | WFromD | MvXD => false,
+        }
+    }
+}
+
+/// Upper-immediate operation: what the shifted immediate is added to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum UpperOp {
+    /// `lui`: zero.
+    Lui,
+    /// `auipc`: the instruction's own pc.
+    Auipc,
+}
+
+/// Operand-less system instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SysOp {
+    /// Memory fence (a timing no-op in Coyote's in-order model).
+    Fence,
+    /// Environment call; Coyote's baremetal HTIF intercepts it.
+    Ecall,
+    /// Breakpoint.
+    Ebreak,
 }
 
 /// Vector memory addressing mode.
@@ -371,6 +408,40 @@ pub enum VMaskOp {
     Xnor,
 }
 
+/// Vector reduction into element 0 (`.vs`): `vd[0] = vs1[0] + Σ vs2[*]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VRedOp {
+    /// `vredsum`: integer sum.
+    Sum,
+    /// `vfredusum`: floating-point sum (unordered; computed in order).
+    FUSum,
+}
+
+/// Vector operation reading `vs2` into a scalar register (the funct6
+/// `010000` unary family, selected by funct3 and the `vs1` field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VUnaryOp {
+    /// `vmv.x.s`: element 0, sign-extended from SEW, into an `x` register.
+    MvXS,
+    /// `vfmv.f.s`: element 0's 64 bits into an `f` register.
+    FMvFS,
+    /// `vcpop.m`: the number of set mask bits in `vs2[0..vl]`.
+    Cpop,
+    /// `vfirst.m`: the index of the first set mask bit, or -1.
+    First,
+}
+
+impl VUnaryOp {
+    /// Whether `rd` names an `f` register (`vfmv.f.s`), not an `x` one.
+    #[must_use]
+    pub fn rd_is_f(self) -> bool {
+        match self {
+            VUnaryOp::FMvFS => true,
+            VUnaryOp::MvXS | VUnaryOp::Cpop | VUnaryOp::First => false,
+        }
+    }
+}
+
 /// Floating-point vector operation (the OPFVV/OPFVF funct3 space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VFpOp {
@@ -439,16 +510,10 @@ impl VSrc {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     // ---- RV64I ----
-    /// Load upper immediate. `imm` is the full sign-extended value
-    /// (already shifted left by 12).
-    Lui {
-        /// Destination register.
-        rd: XReg,
-        /// Sign-extended, pre-shifted immediate (multiple of 4096).
-        imm: i64,
-    },
-    /// Add upper immediate to PC.
-    Auipc {
+    /// `lui` / `auipc`.
+    Upper {
+        /// Operation.
+        op: UpperOp,
         /// Destination register.
         rd: XReg,
         /// Sign-extended, pre-shifted immediate (multiple of 4096).
@@ -550,12 +615,11 @@ pub enum Inst {
         /// Second source register.
         rs2: XReg,
     },
-    /// Memory fence (a timing no-op in Coyote's in-order model).
-    Fence,
-    /// Environment call; Coyote's baremetal HTIF intercepts it.
-    Ecall,
-    /// Breakpoint.
-    Ebreak,
+    /// `fence` / `ecall` / `ebreak`.
+    System {
+        /// Operation.
+        op: SysOp,
+    },
     /// CSR access.
     Csr {
         /// Operation.
@@ -635,28 +699,15 @@ pub enum Inst {
         /// Second source.
         rs2: FReg,
     },
-    /// Conversion between double and integer registers.
+    /// Conversion or bit move between double and integer registers.
     FpCvt {
         /// Conversion performed.
         op: FpCvtOp,
-        /// Destination register index (interpreted per `op`).
+        /// Destination register index: `f` where
+        /// [`FpCvtOp::rd_is_f`], `x` otherwise.
         rd: u8,
-        /// Source register index (interpreted per `op`).
+        /// Source register index, of the other file.
         rs1: u8,
-    },
-    /// `fmv.x.d`: move raw bits FP → integer register.
-    FmvXD {
-        /// Integer destination.
-        rd: XReg,
-        /// FP source.
-        rs1: FReg,
-    },
-    /// `fmv.d.x`: move raw bits integer → FP register.
-    FmvDX {
-        /// FP destination.
-        rd: FReg,
-        /// Integer source.
-        rs1: XReg,
     },
 
     // ---- V extension ----
@@ -752,22 +803,13 @@ pub enum Inst {
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
-    /// `vredsum.vs`: `vd[0] = sum(vs2[*]) + vs1[0]`.
-    VRedSum {
+    /// Reduction into element 0.
+    VRed {
+        /// Operation.
+        op: VRedOp,
         /// Destination.
         vd: VReg,
-        /// Summed vector.
-        vs2: VReg,
-        /// Scalar seed in element 0.
-        vs1: VReg,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
-    /// `vfredusum.vs` (unordered FP reduction).
-    VFRedSum {
-        /// Destination.
-        vd: VReg,
-        /// Summed vector.
+        /// Reduced vector.
         vs2: VReg,
         /// Scalar seed in element 0.
         vs1: VReg,
@@ -787,12 +829,18 @@ pub enum Inst {
         /// `true` = the splat.
         vm: bool,
     },
-    /// `vmv.x.s`: element 0 → integer register.
-    VMvXS {
-        /// Integer destination.
-        rd: XReg,
+    /// `vs2` into a scalar register.
+    VUnary {
+        /// Operation.
+        op: VUnaryOp,
+        /// Destination register index: `f` where
+        /// [`VUnaryOp::rd_is_f`], `x` otherwise.
+        rd: u8,
         /// Vector source.
         vs2: VReg,
+        /// Mask bit: `true` = unmasked; always set where the row lacks
+        /// [`ops::VM`].
+        vm: bool,
     },
     /// `vmv.s.x` / `vfmv.s.f`: scalar register → element 0.
     VMvS {
@@ -800,13 +848,6 @@ pub enum Inst {
         vd: VReg,
         /// The `x` or `f` source.
         src: VSrc,
-    },
-    /// `vfmv.f.s`: element 0 → FP register.
-    VFMvFS {
-        /// FP destination.
-        rd: FReg,
-        /// Vector source.
-        vs2: VReg,
     },
     /// `vid.v`: write element indices 0,1,2,… .
     Vid {
@@ -852,51 +893,9 @@ pub enum Inst {
         /// Second source mask (`vs1`).
         vs1: VReg,
     },
-    /// `vcpop.m`: count set mask bits in `vs2[0..vl]`.
-    Vcpop {
-        /// Integer destination.
-        rd: XReg,
-        /// Source mask.
-        vs2: VReg,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
-    /// `vfirst.m`: index of the first set mask bit, or -1.
-    Vfirst {
-        /// Integer destination.
-        rd: XReg,
-        /// Source mask.
-        vs2: VReg,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
 }
 
 impl Inst {
-    /// Whether this instruction may redirect control flow.
-    #[must_use]
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. }
-        )
-    }
-
-    /// Whether this instruction accesses data memory.
-    #[must_use]
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Inst::Load { .. }
-                | Inst::Store { .. }
-                | Inst::Amo { .. }
-                | Inst::Fld { .. }
-                | Inst::Fsd { .. }
-                | Inst::VLoad { .. }
-                | Inst::VStore { .. }
-        )
-    }
-
     /// Whether this instruction belongs to the V extension.
     #[must_use]
     pub fn is_vector(&self) -> bool {
@@ -910,18 +909,14 @@ impl Inst {
                 | Inst::VIntOp { .. }
                 | Inst::VMulOp { .. }
                 | Inst::VFpOp { .. }
-                | Inst::VRedSum { .. }
-                | Inst::VFRedSum { .. }
+                | Inst::VRed { .. }
                 | Inst::VMerge { .. }
-                | Inst::VMvXS { .. }
+                | Inst::VUnary { .. }
                 | Inst::VMvS { .. }
-                | Inst::VFMvFS { .. }
                 | Inst::Vid { .. }
                 | Inst::VMaskCmp { .. }
                 | Inst::VFMaskCmp { .. }
                 | Inst::VMaskLogical { .. }
-                | Inst::Vcpop { .. }
-                | Inst::Vfirst { .. }
         )
     }
 }
@@ -938,25 +933,7 @@ mod tests {
     }
 
     #[test]
-    fn classification_predicates() {
-        let ld = Inst::Load {
-            width: MemWidth::D,
-            signed: true,
-            rd: XReg::A0,
-            rs1: XReg::SP,
-            offset: 8,
-        };
-        assert!(ld.is_memory());
-        assert!(!ld.is_control_flow());
-        assert!(!ld.is_vector());
-
-        let j = Inst::Jal {
-            rd: XReg::RA,
-            offset: 16,
-        };
-        assert!(j.is_control_flow());
-        assert!(!j.is_memory());
-
+    fn vector_predicate() {
         let vl = Inst::VLoad {
             vd: VReg::V0,
             rs1: XReg::A0,
@@ -964,7 +941,11 @@ mod tests {
             eew: Sew::E64,
             vm: true,
         };
-        assert!(vl.is_memory());
         assert!(vl.is_vector());
+        let j = Inst::Jal {
+            rd: XReg::RA,
+            offset: 16,
+        };
+        assert!(!j.is_vector());
     }
 }

@@ -7,18 +7,20 @@
 //! those four files is per *format*, not per operation: field
 //! extraction and packing, immediate ranges, operand syntax.
 //!
-//! Adding an instruction to an existing family is one row here plus its
-//! semantics in the ISS. The major opcodes, the OP-V funct3 spaces and
-//! the funct6 values of the one-off vector encodings are also defined
-//! here, because `decode` and `encode` must agree on them.
+//! Every `Inst` variant is an operand *shape*, and each shape with more
+//! than one operation has a table here. Adding an instruction of an
+//! existing shape is one row plus its semantics in the ISS. The major
+//! opcodes, the OP-V funct3 spaces and the funct6 values of the vector
+//! encodings with no table of their own are also defined here, because
+//! `decode` and `encode` must agree on them.
 
 // Multi-field keys are written field by field (`funct7_funct3`), the
 // way the specification's encoding tables print them.
 #![allow(clippy::unusual_byte_groupings)]
 
 use crate::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, FmaOp, FpCmpOp, FpCvtOp, FpOp, MemWidth, VAddrMode,
-    VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VSrc,
+    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, FmaOp, FpCmpOp, FpCvtOp, FpOp, MemWidth, SysOp, UpperOp,
+    VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
 };
 use crate::reg::{VReg, XReg};
 use crate::vtype::Sew;
@@ -37,9 +39,10 @@ pub const UIMM: u8 = 1 << 4;
 /// Form flag: funct3 is a rounding mode, not a selector — the decoder
 /// ignores it and the encoder writes the row's value.
 pub const RM: u8 = 1 << 5;
-/// Form flag: a conversion whose destination is an integer register
-/// (and whose source is a float register); it rounds toward zero.
-pub const TO_INT: u8 = 1 << 6;
+/// Form flag: the vector operation takes a `v0.t` mask. Without it the
+/// decoder ignores the `vm` bit, and encoding a masked one is
+/// `EncodeError::NoSuchForm`.
+pub const VM: u8 = 1 << 6;
 
 /// One operation of a family.
 #[derive(Debug)]
@@ -150,6 +153,20 @@ impl Table<VAddrMode> {
         self.0.iter().find(same).expect("every mode has a row")
     }
 }
+
+/// Upper immediates; `bits` is the major opcode.
+pub static UPPER: Table<UpperOp> = Table(&[
+    row(UpperOp::Lui, "lui", OPC_LUI),
+    row(UpperOp::Auipc, "auipc", OPC_AUIPC),
+]);
+
+/// Operand-less system instructions; `bits` is the whole word. Every
+/// MISC-MEM word decodes as `fence`, whose row holds the word encoded.
+pub static SYSTEM: Table<SysOp> = Table(&[
+    row(SysOp::Fence, "fence", 0x0ff0_000f),
+    row(SysOp::Ecall, "ecall", 0x0000_0073),
+    row(SysOp::Ebreak, "ebreak", 0x0010_0073),
+]);
 
 /// Conditional branches; `bits` is funct3.
 pub static BRANCH: Table<BranchOp> = Table(&[
@@ -276,14 +293,20 @@ pub static FP_CMP: Table<FpCmpOp> = Table(&[
     row(FpCmpOp::Eq, "feq.d", 0b1010001_010),
 ]);
 
-/// Float/integer conversions; `bits` is `funct7_rs2`.
+/// Float/integer conversions and bit moves; `bits` is `funct7_rs2`.
+/// Under [`RM`] funct3 is a rounding mode the decoder ignores (the
+/// encoder writes round-toward-zero into an integer, 000 otherwise); a
+/// bit move has funct3 = 000. Which side is the `f` register is
+/// [`FpCvtOp::rd_is_f`].
 pub static FP_CVT: Table<FpCvtOp> = Table(&[
-    row(FpCvtOp::WFromD, "fcvt.w.d", 0b1100001_00000).forms(TO_INT),
-    row(FpCvtOp::LFromD, "fcvt.l.d", 0b1100001_00010).forms(TO_INT),
-    row(FpCvtOp::LuFromD, "fcvt.lu.d", 0b1100001_00011).forms(TO_INT),
-    row(FpCvtOp::DFromW, "fcvt.d.w", 0b1101001_00000),
-    row(FpCvtOp::DFromL, "fcvt.d.l", 0b1101001_00010),
-    row(FpCvtOp::DFromLu, "fcvt.d.lu", 0b1101001_00011),
+    row(FpCvtOp::WFromD, "fcvt.w.d", 0b1100001_00000).forms(RM),
+    row(FpCvtOp::LFromD, "fcvt.l.d", 0b1100001_00010).forms(RM),
+    row(FpCvtOp::LuFromD, "fcvt.lu.d", 0b1100001_00011).forms(RM),
+    row(FpCvtOp::DFromW, "fcvt.d.w", 0b1101001_00000).forms(RM),
+    row(FpCvtOp::DFromL, "fcvt.d.l", 0b1101001_00010).forms(RM),
+    row(FpCvtOp::DFromLu, "fcvt.d.lu", 0b1101001_00011).forms(RM),
+    row(FpCvtOp::MvXD, "fmv.x.d", 0b1110001_00000),
+    row(FpCvtOp::MvDX, "fmv.d.x", 0b1111001_00000),
 ]);
 
 /// Vector integer ALU (OPIVV/OPIVX/OPIVI); `bits` is funct6.
@@ -325,6 +348,24 @@ pub static VFP: Table<VFpOp> = Table(&[
     row(VFpOp::Div, "vfdiv", 0b100000).forms(VV | VF),
     row(VFpOp::Mul, "vfmul", 0b100100).forms(VV | VF),
     row(VFpOp::Macc, "vfmacc", 0b101100).forms(VV | VF),
+]);
+
+/// Reductions (`name.vs vd, vs2, vs1`); `bits` is `funct3_funct6`.
+#[rustfmt::skip]
+pub static VRED: Table<VRedOp> = Table(&[
+    row(VRedOp::Sum, "vredsum", F3_OPMVV << 6),
+    row(VRedOp::FUSum, "vfredusum", F3_OPFVV << 6 | 0b000001).alias("vfredsum"),
+]);
+
+/// The funct6 [`F6_VUNARY0`] operations writing a scalar register, whole
+/// mnemonics; `bits` is `funct3_vs1`. Which register file `rd` names is
+/// [`VUnaryOp::rd_is_f`].
+#[rustfmt::skip]
+pub static VUNARY: Table<VUnaryOp> = Table(&[
+    row(VUnaryOp::MvXS, "vmv.x.s", F3_OPMVV << 5),
+    row(VUnaryOp::FMvFS, "vfmv.f.s", F3_OPFVV << 5),
+    row(VUnaryOp::Cpop, "vcpop.m", F3_OPMVV << 5 | 0b10000).forms(VM),
+    row(VUnaryOp::First, "vfirst.m", F3_OPMVV << 5 | 0b10001).forms(VM),
 ]);
 
 /// Vector integer compares into a mask; `bits` is funct6.
@@ -435,17 +476,8 @@ pub const F3_OPCFG: u32 = 0b111;
 /// LOAD-FP / STORE-FP funct3 of the scalar doubleword access.
 pub const F3_FP_D: u32 = 0b011;
 
-/// funct6 of `vredsum.vs` (OPMVV).
-pub const F6_VREDSUM: u32 = 0b000000;
-/// funct6 of `vfredusum.vs` (OPFVV).
-pub const F6_VFREDUSUM: u32 = 0b000001;
-/// funct6 of the scalar↔element-0 moves and, on OPMVV with `vs1` as
-/// the selector, `vcpop.m` / `vfirst.m`.
+/// funct6 of the [`VUNARY`] operations and of [`VMV_S`].
 pub const F6_VUNARY0: u32 = 0b010000;
-/// `vs1` selector of `vcpop.m` under [`F6_VUNARY0`].
-pub const VS1_VCPOP: u32 = 0b10000;
-/// `vs1` selector of `vfirst.m` under [`F6_VUNARY0`].
-pub const VS1_VFIRST: u32 = 0b10001;
 /// funct6 of `vid.v` (OPMVV).
 pub const F6_VMUNARY0: u32 = 0b010100;
 /// `vs1` selector of `vid.v` under [`F6_VMUNARY0`].
@@ -494,6 +526,8 @@ mod tests {
     /// No key, name or bit pattern is used twice and every lookup inverts.
     #[test]
     fn tables_are_bijections() {
+        well_formed(&UPPER);
+        well_formed(&SYSTEM);
         well_formed(&BRANCH);
         well_formed(&LOAD);
         well_formed(&STORE);
@@ -509,6 +543,8 @@ mod tests {
         well_formed(&VINT);
         well_formed(&VMUL);
         well_formed(&VFP);
+        well_formed(&VRED);
+        well_formed(&VUNARY);
         well_formed(&VCMP);
         well_formed(&VFCMP);
         well_formed(&VMASK);

@@ -15,7 +15,6 @@
 //! [`defs_with_group`] under the current group length.
 
 use crate::inst::{CsrSrc, Inst, VAddrMode, VFpOp, VMulOp, VSrc};
-use crate::ops;
 use crate::reg::{FReg, VReg, XReg};
 
 /// A set of registers, used for hazard detection (bit per register).
@@ -94,8 +93,7 @@ impl RegSet {
 pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
     let mut set = RegSet::new();
     match *inst {
-        Inst::Lui { .. } | Inst::Fence | Inst::Ecall | Inst::Ebreak | Inst::Auipc { .. } => {}
-        Inst::Jal { .. } => {}
+        Inst::Upper { .. } | Inst::System { .. } | Inst::Jal { .. } => {}
         Inst::Jalr { rs1, .. } => set.add_x(rs1),
         Inst::Branch { rs1, rs2, .. } => {
             set.add_x(rs1);
@@ -138,15 +136,7 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
             set.add_f(rs1);
             set.add_f(rs2);
         }
-        Inst::FpCvt { op, rs1, .. } => {
-            if !ops::FP_CVT.row(op).has(ops::TO_INT) {
-                set.add_x(XReg::new(rs1).unwrap_or(XReg::ZERO));
-            } else {
-                set.add_f(FReg::new(rs1).unwrap_or_default());
-            }
-        }
-        Inst::FmvXD { rs1, .. } => set.add_f(rs1),
-        Inst::FmvDX { rs1, .. } => set.add_x(rs1),
+        Inst::FpCvt { op, rs1, .. } => add_raw(&mut set, rs1, !op.rd_is_f()),
         Inst::Vsetvli { rs1, .. } => set.add_x(rs1),
         Inst::Vsetivli { .. } => {}
         Inst::Vsetvl { rs1, rs2, .. } => {
@@ -195,7 +185,7 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
                 set.add_v_group(vd, g);
             }
         }
-        Inst::VRedSum { vs2, vs1, vm, .. } | Inst::VFRedSum { vs2, vs1, vm, .. } => {
+        Inst::VRed { vs2, vs1, vm, .. } => {
             set.add_v_group(vs2, g);
             set.add_v_group(vs1, 1);
             if !vm {
@@ -211,7 +201,6 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
             }
         }
         Inst::VMvS { src, .. } => add_src(&mut set, src, 1),
-        Inst::VMvXS { vs2, .. } | Inst::VFMvFS { vs2, .. } => set.add_v_group(vs2, 1),
         Inst::Vid { vm, .. } => {
             if !vm {
                 set.add_v_group(VReg::V0, 1);
@@ -221,7 +210,7 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
             set.add_v_group(vs2, 1);
             set.add_v_group(vs1, 1);
         }
-        Inst::Vcpop { vs2, vm, .. } | Inst::Vfirst { vs2, vm, .. } => {
+        Inst::VUnary { vs2, vm, .. } => {
             set.add_v_group(vs2, 1);
             if !vm {
                 set.add_v_group(VReg::V0, 1);
@@ -240,6 +229,15 @@ fn add_src(set: &mut RegSet, src: VSrc, g: u8) {
     }
 }
 
+/// Adds register `index` of the `f` file when `float`, else of `x`.
+fn add_raw(set: &mut RegSet, index: u8, float: bool) {
+    if float {
+        set.add_f(FReg::new(index).unwrap_or_default());
+    } else {
+        set.add_x(XReg::new(index).unwrap_or(XReg::ZERO));
+    }
+}
+
 fn add_mode_uses(set: &mut RegSet, mode: VAddrMode, g: u8) {
     match mode {
         VAddrMode::Unit => {}
@@ -254,8 +252,7 @@ fn add_mode_uses(set: &mut RegSet, mode: VAddrMode, g: u8) {
 pub fn defs_with_group(inst: &Inst, g: u8) -> RegSet {
     let mut set = RegSet::new();
     match *inst {
-        Inst::Lui { rd, .. }
-        | Inst::Auipc { rd, .. }
+        Inst::Upper { rd, .. }
         | Inst::Jal { rd, .. }
         | Inst::Jalr { rd, .. }
         | Inst::Load { rd, .. }
@@ -266,40 +263,28 @@ pub fn defs_with_group(inst: &Inst, g: u8) -> RegSet {
         | Inst::Csr { rd, .. }
         | Inst::Amo { rd, .. }
         | Inst::FpCmp { rd, .. }
-        | Inst::FmvXD { rd, .. }
         | Inst::Vsetvli { rd, .. }
         | Inst::Vsetivli { rd, .. }
-        | Inst::Vsetvl { rd, .. }
-        | Inst::VMvXS { rd, .. } => set.add_x(rd),
-        Inst::Fld { rd, .. } | Inst::FmvDX { rd, .. } | Inst::VFMvFS { rd, .. } => set.add_f(rd),
-        Inst::FpOp { rd, .. } | Inst::FpFma { rd, .. } => set.add_f(rd),
-        Inst::FpCvt { op, rd, .. } => {
-            if !ops::FP_CVT.row(op).has(ops::TO_INT) {
-                set.add_f(FReg::new(rd).unwrap_or_default());
-            } else {
-                set.add_x(XReg::new(rd).unwrap_or(XReg::ZERO));
-            }
-        }
+        | Inst::Vsetvl { rd, .. } => set.add_x(rd),
+        Inst::Fld { rd, .. } | Inst::FpOp { rd, .. } | Inst::FpFma { rd, .. } => set.add_f(rd),
+        Inst::FpCvt { op, rd, .. } => add_raw(&mut set, rd, op.rd_is_f()),
+        Inst::VUnary { op, rd, .. } => add_raw(&mut set, rd, op.rd_is_f()),
         Inst::VLoad { vd, .. } => set.add_v_group(vd, g),
         Inst::VIntOp { vd, .. }
         | Inst::VMulOp { vd, .. }
         | Inst::VFpOp { vd, .. }
         | Inst::VMerge { vd, .. }
         | Inst::Vid { vd, .. } => set.add_v_group(vd, g),
-        Inst::VRedSum { vd, .. }
-        | Inst::VFRedSum { vd, .. }
+        Inst::VRed { vd, .. }
         | Inst::VMvS { vd, .. }
         | Inst::VMaskCmp { vd, .. }
         | Inst::VFMaskCmp { vd, .. }
         | Inst::VMaskLogical { vd, .. } => set.add_v_group(vd, 1),
-        Inst::Vcpop { rd, .. } | Inst::Vfirst { rd, .. } => set.add_x(rd),
         Inst::Branch { .. }
         | Inst::Store { .. }
         | Inst::Fsd { .. }
         | Inst::VStore { .. }
-        | Inst::Fence
-        | Inst::Ecall
-        | Inst::Ebreak => {}
+        | Inst::System { .. } => {}
     }
     set
 }
@@ -399,6 +384,13 @@ mod tests {
         assert!(!d.lmul_sensitive);
         assert!(!d.vector);
         assert_eq!(d.defs.x, 1 << 1); // ra
+    }
+
+    /// The micro-op table is walked on every retirement; folding a shape
+    /// must not grow its entries.
+    #[test]
+    fn micro_op_fits_in_48_bytes() {
+        assert!(std::mem::size_of::<DecodedInst>() <= 48);
     }
 
     #[test]

@@ -115,8 +115,7 @@ pub fn classify(slot: Option<&DecodedInst>) -> FuseClass {
         return FuseClass::Excluded;
     }
     match entry.inst {
-        Inst::Lui { .. }
-        | Inst::Auipc { .. }
+        Inst::Upper { .. }
         | Inst::OpImm { .. }
         | Inst::Op { .. }
         | Inst::OpImm32 { .. }
@@ -124,9 +123,7 @@ pub fn classify(slot: Option<&DecodedInst>) -> FuseClass {
         | Inst::FpOp { .. }
         | Inst::FpFma { .. }
         | Inst::FpCmp { .. }
-        | Inst::FpCvt { .. }
-        | Inst::FmvXD { .. }
-        | Inst::FmvDX { .. } => FuseClass::Plain,
+        | Inst::FpCvt { .. } => FuseClass::Plain,
         Inst::Load {
             width, rs1, offset, ..
         } => FuseClass::Mem(MemPlan {
@@ -156,8 +153,8 @@ pub fn classify(slot: Option<&DecodedInst>) -> FuseClass {
             write: true,
         }),
         Inst::Branch { .. } | Inst::Jal { .. } | Inst::Jalr { .. } => FuseClass::Terminator,
-        // Ecall/Ebreak (traps), Fence, Csr (side effects / counters),
-        // Amo (read-modify-write ordering), and everything vector.
+        // System (traps, fences), Csr (side effects / counters), Amo
+        // (read-modify-write ordering), and everything vector.
         _ => FuseClass::Excluded,
     }
 }

@@ -5,7 +5,7 @@
 use coyote_isa::decode::decode;
 use coyote_isa::encode::encode;
 use coyote_isa::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VSrc};
-use coyote_isa::ops::{self, Row, Table, UIMM};
+use coyote_isa::ops::{self, Row, Table, UIMM, VM};
 use coyote_isa::{Csr, FReg, Lmul, Sew, VReg, VType, XReg};
 use proptest::prelude::*;
 
@@ -101,7 +101,8 @@ fn op_src<T: Copy + PartialEq + std::fmt::Debug + 'static>(
 }
 
 /// A vector instruction with any operand, paired with whether it has an
-/// encoding: its row has the operand's form, a splat's `vs2` is `v0`.
+/// encoding: its row has the operand's form, a splat's `vs2` is `v0`, a
+/// mask is on an operation that takes one.
 fn any_vector_op() -> impl Strategy<Value = (Inst, bool)> {
     let src = || vsrc(i8::MIN..=i8::MAX);
     prop_oneof![
@@ -188,6 +189,10 @@ fn any_vector_op() -> impl Strategy<Value = (Inst, bool)> {
         }),
         (vreg(), src())
             .prop_map(|(vd, src)| { (Inst::VMvS { vd, src }, encodable(&ops::VMV_S, src)) }),
+        (all(&ops::VUNARY), 0u8..32, vreg(), any::<bool>()).prop_map(|(op, rd, vs2, vm)| {
+            let ok = vm || ops::VUNARY.row(op).has(VM);
+            (Inst::VUnary { op, rd, vs2, vm }, ok)
+        }),
     ]
 }
 
@@ -212,8 +217,7 @@ prop_compose! {
 /// A strategy over every encodable instruction form.
 fn inst() -> impl Strategy<Value = Inst> {
     prop_oneof![
-        (xreg(), u_imm()).prop_map(|(rd, imm)| Inst::Lui { rd, imm }),
-        (xreg(), u_imm()).prop_map(|(rd, imm)| Inst::Auipc { rd, imm }),
+        (all(&ops::UPPER), xreg(), u_imm()).prop_map(|(op, rd, imm)| Inst::Upper { op, rd, imm }),
         (xreg(), j_offset()).prop_map(|(rd, offset)| Inst::Jal { rd, offset }),
         (xreg(), xreg(), -2048i32..=2047).prop_map(|(rd, rs1, offset)| Inst::Jalr {
             rd,
@@ -270,9 +274,7 @@ fn inst() -> impl Strategy<Value = Inst> {
             rs1,
             rs2
         }),
-        Just(Inst::Fence),
-        Just(Inst::Ecall),
-        Just(Inst::Ebreak),
+        all(&ops::SYSTEM).prop_map(|op| Inst::System { op }),
         (
             all(&ops::CSR),
             xreg(),
@@ -325,8 +327,6 @@ fn inst() -> impl Strategy<Value = Inst> {
             rs2
         }),
         (all(&ops::FP_CVT), 0u8..32, 0u8..32).prop_map(|(op, rd, rs1)| Inst::FpCvt { op, rd, rs1 }),
-        (xreg(), freg()).prop_map(|(rd, rs1)| Inst::FmvXD { rd, rs1 }),
-        (freg(), xreg()).prop_map(|(rd, rs1)| Inst::FmvDX { rd, rs1 }),
         (xreg(), xreg(), vtype()).prop_map(|(rd, rs1, vtype)| Inst::Vsetvli { rd, rs1, vtype }),
         (xreg(), 0u8..32, vtype()).prop_map(|(rd, avl, vtype)| Inst::Vsetivli { rd, avl, vtype }),
         (xreg(), xreg(), xreg()).prop_map(|(rd, rs1, rs2)| Inst::Vsetvl { rd, rs1, rs2 }),
@@ -375,20 +375,15 @@ fn inst() -> impl Strategy<Value = Inst> {
                 vm,
             }
         }),
-        (vreg(), vreg(), vreg(), any::<bool>()).prop_map(|(vd, vs2, vs1, vm)| Inst::VRedSum {
-            vd,
-            vs2,
-            vs1,
-            vm
-        }),
-        (vreg(), vreg(), vreg(), any::<bool>()).prop_map(|(vd, vs2, vs1, vm)| Inst::VFRedSum {
-            vd,
-            vs2,
-            vs1,
-            vm
-        }),
-        (xreg(), vreg()).prop_map(|(rd, vs2)| Inst::VMvXS { rd, vs2 }),
-        (freg(), vreg()).prop_map(|(rd, vs2)| Inst::VFMvFS { rd, vs2 }),
+        (all(&ops::VRED), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
+            |(op, vd, vs2, vs1, vm)| Inst::VRed {
+                op,
+                vd,
+                vs2,
+                vs1,
+                vm
+            }
+        ),
         (vreg(), any::<bool>()).prop_map(|(vd, vm)| Inst::Vid { vd, vm }),
         // Mask subset.
         (op_src(&ops::VCMP), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
@@ -411,12 +406,11 @@ fn inst() -> impl Strategy<Value = Inst> {
         ),
         (all(&ops::VMASK), vreg(), vreg(), vreg())
             .prop_map(|(op, vd, vs2, vs1)| Inst::VMaskLogical { op, vd, vs2, vs1 }),
-        // A merge takes any `vs2`; a splat (`vm` set) only v0.
+        // A merge takes any `vs2`, a splat (`vm` set) only v0; `vmv.x.s`
+        // takes no mask.
         any_vector_op()
             .prop_filter("encodable", |&(_, ok)| ok)
             .prop_map(|(inst, _)| inst),
-        (xreg(), vreg(), any::<bool>()).prop_map(|(rd, vs2, vm)| Inst::Vcpop { rd, vs2, vm }),
-        (xreg(), vreg(), any::<bool>()).prop_map(|(rd, vs2, vm)| Inst::Vfirst { rd, vs2, vm }),
     ]
 }
 
@@ -431,8 +425,9 @@ proptest! {
 
     /// The vector shapes `Inst` can hold without an encoding — a form the
     /// row lacks, an immediate its field cannot hold, a splat whose `vs2`
-    /// is not v0, an element-0 move from a vector or an immediate — are
-    /// encode errors, never a word that decodes to something else.
+    /// is not v0, an element-0 move from a vector or an immediate, a mask
+    /// on an operation that takes none — are encode errors, never a word
+    /// that decodes to something else.
     #[test]
     fn vector_shapes_encode_exactly_when_they_exist(case in any_vector_op()) {
         let (inst, ok) = case;

@@ -34,8 +34,11 @@ pub struct CoreConfig {
     /// Vector register length in bits.
     pub vlen_bits: u64,
     /// Whether [`Core::step`] may retire validated superblock runs
-    /// through the fused dispatch. A host-speed knob: observable
-    /// behaviour is bit-identical either way.
+    /// through the fused dispatch (and so the orchestrator may step
+    /// multi-cycle windows). A host-speed knob: every cycle count,
+    /// digest and exported metric is bit-identical either way
+    /// (property-tested). On by default; `false` forces the
+    /// per-instruction path everywhere (the A/B reference).
     pub fusion: bool,
 }
 

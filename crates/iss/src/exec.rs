@@ -20,9 +20,10 @@ use std::fmt;
 
 use coyote_isa::inst::{
     AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCmpOp, FpCvtOp, FpOp, Inst, MemWidth,
-    VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VSrc,
+    SysOp, UpperOp, VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc,
+    VUnaryOp,
 };
-use coyote_isa::{FReg, Sew, VReg, XReg};
+use coyote_isa::{FReg, Sew, VReg, VType, XReg};
 
 use crate::hart::Hart;
 use crate::mem::SparseMemory;
@@ -88,6 +89,14 @@ pub enum ExecError {
         /// First register of the group.
         reg: VReg,
     },
+    /// `vsetvl` asked for a `vtype` the model does not implement: a
+    /// reserved SEW or LMUL, or any bit above bit 7 set (`vill`
+    /// included). The hardware would set `vill`; the model has no such
+    /// state.
+    UnsupportedVtype {
+        /// The requested `vtype` register value.
+        value: u64,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -98,6 +107,9 @@ impl fmt::Display for ExecError {
             }
             ExecError::GroupPastV31 { reg } => {
                 write!(f, "vector register group at {reg} runs past v31")
+            }
+            ExecError::UnsupportedVtype { value } => {
+                write!(f, "vsetvl: unsupported vtype {value:#x}")
             }
         }
     }
@@ -248,8 +260,9 @@ fn store_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, value: u64) {
 /// # Errors
 ///
 /// Returns [`ExecError`] for a vector floating-point operation at an
-/// element width other than 64 bits, or a vector register group that
-/// runs past `v31`. The instruction is not retired in that case.
+/// element width other than 64 bits, a vector register group that runs
+/// past `v31`, or a `vsetvl` to an unsupported `vtype`. The instruction
+/// is not retired in that case.
 pub fn execute(
     hart: &mut Hart,
     mem: &mut SparseMemory,
@@ -263,12 +276,12 @@ pub fn execute(
     let mut next_pc = hart.pc.wrapping_add(4);
 
     match *inst {
-        Inst::Lui { rd, imm } => {
-            hart.set_x(rd, imm as u64);
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::Auipc { rd, imm } => {
-            hart.set_x(rd, hart.pc.wrapping_add(imm as u64));
+        Inst::Upper { op, rd, imm } => {
+            let base = match op {
+                UpperOp::Lui => 0,
+                UpperOp::Auipc => hart.pc,
+            };
+            hart.set_x(rd, base.wrapping_add(imm as u64));
             fx.dest = Some(Dest::X(rd));
         }
         Inst::Jal { rd, offset } => {
@@ -352,18 +365,19 @@ pub fn execute(
             hart.set_x(rd, alu_w(op, hart.x(rs1), hart.x(rs2)));
             fx.dest = Some(Dest::X(rd));
         }
-        Inst::Fence => {}
-        Inst::Ecall => {
-            let number = hart.x(XReg::new(17).expect("a7"));
-            let arg = hart.x(XReg::A0);
-            fx.ecall = Some(match number {
-                93 => Ecall::Exit(arg as i64),
-                64 => Ecall::PutChar(arg as u8),
-                other => Ecall::Unknown(other),
-            });
-        }
-        Inst::Ebreak => {
-            fx.ecall = Some(Ecall::Exit(-1));
+        Inst::System { op } => {
+            fx.ecall = match op {
+                SysOp::Fence => None,
+                SysOp::Ecall => {
+                    let arg = hart.x(XReg::A0);
+                    Some(match hart.x(XReg::new(17).expect("a7")) {
+                        93 => Ecall::Exit(arg as i64),
+                        64 => Ecall::PutChar(arg as u8),
+                        other => Ecall::Unknown(other),
+                    })
+                }
+                SysOp::Ebreak => Some(Ecall::Exit(-1)),
+            };
         }
         Inst::Csr { op, rd, csr, src } => {
             let old = hart.read_csr(csr, cycle, instret);
@@ -492,51 +506,21 @@ pub fn execute(
             hart.set_x(rd, u64::from(result));
             fx.dest = Some(Dest::X(rd));
         }
-        Inst::FpCvt { op, rd, rs1 } => match op {
-            FpCvtOp::DFromL => {
-                let x = XReg::new(rs1).unwrap_or(XReg::ZERO);
-                let f = FReg::new(rd).unwrap_or_default();
-                hart.set_f(f, hart.x(x) as i64 as f64);
-                fx.dest = Some(Dest::F(f));
-            }
-            FpCvtOp::DFromLu => {
-                let x = XReg::new(rs1).unwrap_or(XReg::ZERO);
-                let f = FReg::new(rd).unwrap_or_default();
-                hart.set_f(f, hart.x(x) as f64);
-                fx.dest = Some(Dest::F(f));
-            }
-            FpCvtOp::DFromW => {
-                let x = XReg::new(rs1).unwrap_or(XReg::ZERO);
-                let f = FReg::new(rd).unwrap_or_default();
-                hart.set_f(f, hart.x(x) as i32 as f64);
-                fx.dest = Some(Dest::F(f));
-            }
-            FpCvtOp::LFromD => {
-                let f = FReg::new(rs1).unwrap_or_default();
-                let x = XReg::new(rd).unwrap_or(XReg::ZERO);
-                hart.set_x(x, hart.f(f) as i64 as u64);
-                fx.dest = Some(Dest::X(x));
-            }
-            FpCvtOp::LuFromD => {
-                let f = FReg::new(rs1).unwrap_or_default();
-                let x = XReg::new(rd).unwrap_or(XReg::ZERO);
-                hart.set_x(x, hart.f(f) as u64);
-                fx.dest = Some(Dest::X(x));
-            }
-            FpCvtOp::WFromD => {
-                let f = FReg::new(rs1).unwrap_or_default();
-                let x = XReg::new(rd).unwrap_or(XReg::ZERO);
-                hart.set_x(x, hart.f(f) as i32 as i64 as u64);
-                fx.dest = Some(Dest::X(x));
-            }
-        },
-        Inst::FmvXD { rd, rs1 } => {
-            hart.set_x(rd, hart.f_bits(rs1));
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::FmvDX { rd, rs1 } => {
-            hart.set_f_bits(rd, hart.x(rs1));
-            fx.dest = Some(Dest::F(rd));
+        Inst::FpCvt { op, rd, rs1 } => {
+            let x = hart.x(XReg::new(rs1).unwrap_or(XReg::ZERO));
+            let bits = hart.f_bits(FReg::new(rs1).unwrap_or_default());
+            let d = f64::from_bits(bits);
+            let value = match op {
+                FpCvtOp::DFromL => (x as i64 as f64).to_bits(),
+                FpCvtOp::DFromLu => (x as f64).to_bits(),
+                FpCvtOp::DFromW => (x as i32 as f64).to_bits(),
+                FpCvtOp::MvDX => x,
+                FpCvtOp::LFromD => d as i64 as u64,
+                FpCvtOp::LuFromD => d as u64,
+                FpCvtOp::WFromD => d as i32 as i64 as u64,
+                FpCvtOp::MvXD => bits,
+            };
+            fx.dest = Some(write_raw(hart, rd, op.rd_is_f(), value));
         }
         Inst::Vsetvli { rd, rs1, vtype } => {
             let avl = if rs1 == XReg::ZERO {
@@ -560,7 +544,10 @@ pub fn execute(
             fx.dest = Some(Dest::X(rd));
         }
         Inst::Vsetvl { rd, rs1, rs2 } => {
-            let vtype = coyote_isa::VType::from_bits(hart.x(rs2)).unwrap_or_default();
+            let value = hart.x(rs2);
+            let vtype = VType::from_bits(value)
+                .filter(|_| value >> 8 == 0)
+                .ok_or(ExecError::UnsupportedVtype { value })?;
             let avl = if rs1 == XReg::ZERO {
                 u64::MAX
             } else {
@@ -695,36 +682,32 @@ pub fn execute(
             }
             fx.dest = Some(Dest::V(vd, group_len(hart)));
         }
-        Inst::VRedSum { vd, vs2, vs1, vm } => {
+        Inst::VRed {
+            op,
+            vd,
+            vs2,
+            vs1,
+            vm,
+        } => {
             let sew = hart.vtype.sew;
-            let bytes = sew.bytes();
-            in_file(hart, bytes, &[Some(vs2)])?;
-            let mut acc = hart.v_elem(vs1, 0, bytes);
-            for i in 0..hart.vl {
-                if !vm && !hart.v0_mask_bit(i) {
-                    continue;
-                }
-                acc = acc.wrapping_add(hart.v_elem(vs2, i, bytes));
-            }
-            acc &= mask_for(sew);
-            hart.set_v_elem(vd, 0, bytes, acc);
-            fx.dest = Some(Dest::V(vd, 1));
-        }
-        Inst::VFRedSum { vd, vs2, vs1, vm } => {
-            if hart.vtype.sew != Sew::E64 {
+            if op == VRedOp::FUSum && sew != Sew::E64 {
                 return Err(ExecError::FpVectorNeedsE64);
             }
-            in_file(hart, 8, &[Some(vs2)])?;
-            let mut acc = f64::from_bits(hart.v_elem(vs1, 0, 8));
-            for i in 0..hart.vl {
-                if !vm && !hart.v0_mask_bit(i) {
-                    continue;
+            let bytes = sew.bytes();
+            in_file(hart, bytes, &[Some(vs2)])?;
+            let seed = hart.v_elem(vs1, 0, bytes);
+            let active = (0..hart.vl).filter(|&i| vm || hart.v0_mask_bit(i));
+            let elems = active.map(|i| hart.v_elem(vs2, i, bytes));
+            let sum = match op {
+                VRedOp::Sum => elems.fold(seed, u64::wrapping_add) & mask_for(sew),
+                // A NaN, once in the sum, stays: canonicalizing the total
+                // is canonicalizing every step.
+                VRedOp::FUSum => {
+                    let add = |acc: f64, e: u64| acc + f64::from_bits(e);
+                    canonical(elems.fold(f64::from_bits(seed), add)).to_bits()
                 }
-                acc += f64::from_bits(hart.v_elem(vs2, i, 8));
-            }
-            // A NaN, once in the sum, stays: canonicalizing the total is
-            // canonicalizing every step.
-            hart.set_v_elem(vd, 0, 8, canonical(acc).to_bits());
+            };
+            hart.set_v_elem(vd, 0, bytes, sum);
             fx.dest = Some(Dest::V(vd, 1));
         }
         Inst::VMerge { vd, vs2, src, vm } => {
@@ -743,11 +726,17 @@ pub fn execute(
             }
             fx.dest = Some(Dest::V(vd, group_len(hart)));
         }
-        Inst::VMvXS { rd, vs2 } => {
+        Inst::VUnary { op, rd, vs2, vm } => {
             let sew = hart.vtype.sew;
-            let value = sext(hart.v_elem(vs2, 0, sew.bytes()), sew) as u64;
-            hart.set_x(rd, value);
-            fx.dest = Some(Dest::X(rd));
+            let active = |i: &u64| (vm || hart.v0_mask_bit(*i)) && hart.v_bit(vs2, *i);
+            let value = match op {
+                VUnaryOp::MvXS => sext(hart.v_elem(vs2, 0, sew.bytes()), sew) as u64,
+                VUnaryOp::FMvFS => hart.v_elem(vs2, 0, 8),
+                VUnaryOp::Cpop => (0..hart.vl).filter(active).count() as u64,
+                // -1 when no bit is set.
+                VUnaryOp::First => (0..hart.vl).find(active).unwrap_or(u64::MAX),
+            };
+            fx.dest = Some(write_raw(hart, rd, op.rd_is_f(), value));
         }
         Inst::VMvS { vd, src } => {
             // An `f` register fills a whole 64-bit element whatever SEW is.
@@ -757,10 +746,6 @@ pub fn execute(
             };
             hart.set_v_elem(vd, 0, bytes, src_elem(hart, src, 0, bytes));
             fx.dest = Some(Dest::V(vd, 1));
-        }
-        Inst::VFMvFS { rd, vs2 } => {
-            hart.set_f_bits(rd, hart.v_elem(vs2, 0, 8));
-            fx.dest = Some(Dest::F(rd));
         }
         Inst::Vid { vd, vm } => {
             let bytes = hart.vtype.sew.bytes();
@@ -840,31 +825,25 @@ pub fn execute(
             }
             fx.dest = Some(Dest::V(vd, 1));
         }
-        Inst::Vcpop { rd, vs2, vm } => {
-            let mut count = 0u64;
-            for i in 0..hart.vl {
-                if (vm || hart.v0_mask_bit(i)) && hart.v_bit(vs2, i) {
-                    count += 1;
-                }
-            }
-            hart.set_x(rd, count);
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::Vfirst { rd, vs2, vm } => {
-            let mut first = u64::MAX; // -1 when no bit is set
-            for i in 0..hart.vl {
-                if (vm || hart.v0_mask_bit(i)) && hart.v_bit(vs2, i) {
-                    first = i;
-                    break;
-                }
-            }
-            hart.set_x(rd, first);
-            fx.dest = Some(Dest::X(rd));
-        }
     }
 
     hart.pc = next_pc;
     Ok(fx)
+}
+
+/// Writes `value` to register `index` of the `f` file when `float`, else
+/// of the `x` file: the destination of an op whose register class the
+/// op's `rd_is_f`, not the variant, decides.
+fn write_raw(hart: &mut Hart, index: u8, float: bool, value: u64) -> Dest {
+    if float {
+        let rd = FReg::new(index).unwrap_or_default();
+        hart.set_f_bits(rd, value);
+        Dest::F(rd)
+    } else {
+        let rd = XReg::new(index).unwrap_or(XReg::ZERO);
+        hart.set_x(rd, value);
+        Dest::X(rd)
+    }
 }
 
 /// Register-group length for a vector memory op whose EEW may differ

@@ -169,6 +169,30 @@ fn vector_group_past_v31_is_an_exec_error() {
     assert_eq!(run(short).0.state(), CoreState::Halted(7));
 }
 
+/// `vsetvl` to a `vtype` the model does not implement — a reserved SEW
+/// or LMUL, or any bit above bit 7 set, `vill` included — is an error
+/// naming the value, not a run under some other `vtype`.
+#[test]
+fn vsetvl_to_an_unsupported_vtype_is_an_exec_error() {
+    for value in [-1i64, -2048, 1 << 8, 0b100, 0b100_000] {
+        let src = format!("_start:\n li a1, {value}\n vsetvl a0, zero, a1\n li a7, 93\n ecall");
+        let source = ExecError::UnsupportedVtype {
+            value: value as u64,
+        };
+        let err = try_run(&src).err();
+        assert_eq!(
+            err,
+            Some(SimError::Exec {
+                pc: 0x8000_0004,
+                source
+            }),
+            "{value:#x}"
+        );
+    }
+    // e64, m1, ta, ma is implemented: `vl` is VLMAX.
+    assert_eq!(compute("li a1, 0xd8\n vsetvl a0, zero, a1"), 16);
+}
+
 #[test]
 fn fp_arithmetic_matches_host() {
     let src = "
