@@ -273,7 +273,9 @@ fn run(options: &Options) -> Result<i64, String> {
     let mut sim = Simulation::new(options.config, &program).map_err(|e| e.to_string())?;
 
     if let Some(stop_path) = &options.stop_file {
-        let flag = Arc::new(AtomicBool::new(false));
+        // A stop file present at launch stops the run after its first
+        // cycle, whatever the watchdog's timing.
+        let flag = Arc::new(AtomicBool::new(Path::new(stop_path).exists()));
         sim.set_stop_handle(Arc::clone(&flag));
         let path = stop_path.clone();
         // Watchdog: polls for the stop file and flips the stop token the

@@ -611,7 +611,10 @@ fn stop_file_truncates_the_run_with_a_crash_dump() {
 /// A stopped run is written out like a finished one: every artifact the
 /// command line asked for exists, reaches the stop cycle, and passes the
 /// repo's own readers (before, only the metrics were written and their
-/// CPI stacks stopped at each core's last transition).
+/// CPI stacks stopped at each core's last transition). The stop file
+/// exists at launch, so the run stops after its first cycle, before any
+/// stall has closed — the same cycle as the library's
+/// `stop_before_the_first_cycle_passes_the_check`.
 #[test]
 fn stopped_run_writes_every_requested_artifact_and_passes_the_check() {
     let path = write_temp_program("spin.s", "_start:\n    j _start\n");
@@ -655,6 +658,11 @@ fn stopped_run_writes_every_requested_artifact_and_passes_the_check() {
         .and_then(|r| r.get("cycles"))
         .and_then(coyote_telemetry::JsonValue::as_u64)
         .expect("report.cycles");
+    assert_eq!(
+        cycles,
+        library_stop_cycle(),
+        "the stop lands where the library's does"
+    );
     let summary = inspect("trace")
         .arg(trace.with_extension("prv"))
         .arg("--json")
@@ -681,7 +689,7 @@ fn stopped_run_writes_every_requested_artifact_and_passes_the_check() {
         .and_then(|v| v.as_array())
         .expect("traceEvents")
         .iter()
-        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("running"))
+        .filter(|e| e.get("cat").and_then(|n| n.as_str()) == Some("core-state"))
         .filter(|e| {
             field(e, "ts")
                 .zip(field(e, "dur"))
@@ -689,7 +697,64 @@ fn stopped_run_writes_every_requested_artifact_and_passes_the_check() {
                 == Some(cycles)
         })
         .count();
-    assert_eq!(open_at_the_stop, 2, "each spinning hart's running slice");
+    assert_eq!(open_at_the_stop, 2, "each spinning hart's state slice");
+}
+
+/// The machine `stopped_run_writes_every_requested_artifact_and_passes_the_check`
+/// runs, stopped through the library with the token set before the
+/// first cycle. Returns the stop cycle.
+fn library_stop_cycle() -> u64 {
+    use coyote::{RunError, SimConfig, Simulation};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let program = coyote_asm::assemble("_start:\n    j _start\n").expect("assemble");
+    let config = SimConfig::builder()
+        .cores(2)
+        .trace(true)
+        .chrome_trace(true)
+        .build()
+        .expect("config");
+    let mut sim = Simulation::new(config, &program).expect("create sim");
+    sim.set_stop_handle(Arc::new(AtomicBool::new(true)));
+    let Err(RunError::Stopped { cycle }) = sim.run() else {
+        panic!("a set stop token must stop the run");
+    };
+    let report = sim.partial_report();
+    assert_eq!(report.cycles, cycle);
+    // Two tests call this concurrently: one file per test thread.
+    let path = std::env::temp_dir().join("coyote-sim-tests").join(format!(
+        "stop-at-once-{:?}.json",
+        std::thread::current().id()
+    ));
+    std::fs::create_dir_all(path.parent().expect("temp dir")).expect("create temp dir");
+    std::fs::write(
+        &path,
+        coyote::metrics_json(&sim, &report).to_string_pretty(),
+    )
+    .expect("write metrics");
+    let check = inspect("explain")
+        .arg(&path)
+        .arg("--check")
+        .output()
+        .expect("spawn coyote-inspect explain");
+    let stdout = String::from_utf8_lossy(&check.stdout);
+    assert_eq!(
+        check.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+    assert!(
+        stdout.contains("0 critical PCs"),
+        "no stall has closed yet: {stdout}"
+    );
+    cycle
+}
+
+#[test]
+fn stop_before_the_first_cycle_passes_the_check() {
+    assert!(library_stop_cycle() >= 1, "the first cycle completes");
 }
 
 /// `coyote-inspect … | head`: the reader hangs up before the report is

@@ -933,6 +933,7 @@ impl Core {
 
         // ---- probe the D-cache for every access ----
         let dest_regs = fx.dest.map(dest_set).unwrap_or_default();
+        let mut prev_line = None;
         for access in &accesses {
             // Self-modifying code: a store landing in the text segment
             // stales the predecoded table. Record it; the orchestrator
@@ -949,6 +950,15 @@ impl Core {
                     kind: MissKind::Writeback,
                     pc,
                 });
+            }
+            // The same line as this instruction's previous access: that
+            // access installed or hit it, so the line's pending entry,
+            // if any, already holds `dest_regs`, and no new miss can
+            // arise. (An instruction's accesses are all loads or all
+            // stores, so `waiting` below is the same for both.) Only an
+            // immediate repeat qualifies: lines A, B, A visit A twice.
+            if prev_line.replace(line) == Some(line) {
+                continue;
             }
             // A destination register must wait for the fill when the
             // access reads memory: plain loads, but also read-modify-

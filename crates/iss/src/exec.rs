@@ -251,6 +251,16 @@ fn store_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, value: u64) {
     }
 }
 
+/// The memory access width of one vector element of width `eew`.
+fn elem_width(eew: Sew) -> MemWidth {
+    match eew {
+        Sew::E8 => MemWidth::B,
+        Sew::E16 => MemWidth::H,
+        Sew::E32 => MemWidth::W,
+        Sew::E64 => MemWidth::D,
+    }
+}
+
 /// Executes one instruction on `hart`, mutating `mem`.
 ///
 /// `accesses` is cleared and refilled with the data-memory accesses the
@@ -567,15 +577,14 @@ pub fn execute(
         } => {
             let base = hart.x(rs1);
             let bytes = eew.bytes();
+            let width = elem_width(eew);
             in_file(hart, bytes, &[Some(vd), index_reg(mode)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
                 }
                 let addr = vector_elem_addr(hart, base, mode, eew, i);
-                let mut buf = [0u8; 8];
-                mem.read_bytes(addr, &mut buf[..bytes as usize]);
-                hart.set_v_elem(vd, i, bytes, u64::from_le_bytes(buf));
+                hart.set_v_elem(vd, i, bytes, load_value(mem, addr, width, false));
                 accesses.push(MemAccess {
                     addr,
                     size: bytes as u8,
@@ -594,14 +603,14 @@ pub fn execute(
         } => {
             let base = hart.x(rs1);
             let bytes = eew.bytes();
+            let width = elem_width(eew);
             in_file(hart, bytes, &[Some(vs3), index_reg(mode)])?;
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
                     continue;
                 }
                 let addr = vector_elem_addr(hart, base, mode, eew, i);
-                let value = hart.v_elem(vs3, i, bytes);
-                mem.write_bytes(addr, &value.to_le_bytes()[..bytes as usize]);
+                store_value(mem, addr, width, hart.v_elem(vs3, i, bytes));
                 accesses.push(MemAccess {
                     addr,
                     size: bytes as u8,

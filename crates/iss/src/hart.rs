@@ -28,6 +28,13 @@ pub struct Hart {
 /// Default VLEN in bits: 16 lanes × 64 bits, the paper's VPU shape.
 pub const DEFAULT_VLEN_BITS: u64 = 1024;
 
+/// The first `N` bytes of `bytes` as an array (a fixed-width copy).
+fn fixed<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&bytes[..N]);
+    out
+}
+
 /// The architectural mask register (`v0`).
 #[must_use]
 pub fn mask_reg() -> VReg {
@@ -111,13 +118,19 @@ impl Hart {
     ///
     /// # Panics
     ///
-    /// Panics if the element lies outside the register.
+    /// Panics if the element lies outside the register or `elem_bytes`
+    /// is not 1, 2, 4 or 8.
     #[must_use]
     pub fn v_elem(&self, reg: VReg, idx: u64, elem_bytes: u64) -> u64 {
-        let offset = self.v_offset(reg, idx, elem_bytes);
-        let mut buf = [0u8; 8];
-        buf[..elem_bytes as usize].copy_from_slice(&self.v[offset..offset + elem_bytes as usize]);
-        u64::from_le_bytes(buf)
+        let o = self.v_offset(reg, idx, elem_bytes);
+        let v = &self.v;
+        match elem_bytes {
+            1 => u64::from(v[o]),
+            2 => u64::from(u16::from_le_bytes(fixed(&v[o..]))),
+            4 => u64::from(u32::from_le_bytes(fixed(&v[o..]))),
+            8 => u64::from_le_bytes(fixed(&v[o..])),
+            _ => panic!("vector element width {elem_bytes} is not 1, 2, 4 or 8"),
+        }
     }
 
     /// Writes vector element `idx` of `reg` (truncating to the element
@@ -125,11 +138,18 @@ impl Hart {
     ///
     /// # Panics
     ///
-    /// Panics if the element lies outside the register.
+    /// Panics if the element lies outside the register or `elem_bytes`
+    /// is not 1, 2, 4 or 8.
     pub fn set_v_elem(&mut self, reg: VReg, idx: u64, elem_bytes: u64, value: u64) {
-        let offset = self.v_offset(reg, idx, elem_bytes);
-        self.v[offset..offset + elem_bytes as usize]
-            .copy_from_slice(&value.to_le_bytes()[..elem_bytes as usize]);
+        let o = self.v_offset(reg, idx, elem_bytes);
+        let v = &mut self.v;
+        match elem_bytes {
+            1 => v[o] = value as u8,
+            2 => v[o..o + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+            4 => v[o..o + 4].copy_from_slice(&(value as u32).to_le_bytes()),
+            8 => v[o..o + 8].copy_from_slice(&value.to_le_bytes()),
+            _ => panic!("vector element width {elem_bytes} is not 1, 2, 4 or 8"),
+        }
     }
 
     /// Element index into the flat vector file. Element indices past the

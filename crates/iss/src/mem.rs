@@ -12,6 +12,7 @@
 )]
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use coyote_asm::Program;
 
@@ -54,6 +55,24 @@ pub type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 /// than any paper kernel's footprint, small enough that the slot vector
 /// stays cheap. Pages outside the window fall back to the hash map.
 const MAX_DENSE_PAGES: u64 = 1 << 16;
+
+/// Splits the `len` bytes at `addr` into per-page pieces: `(page
+/// number, offset in that page, range of the caller's buffer)`.
+/// Addresses wrap modulo 2^64 like the guest's own arithmetic
+/// (`ld a1, -4(zero)` is legal).
+fn page_segments(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr.wrapping_add(done as u64);
+            let offset = (at as usize) & (PAGE_SIZE - 1);
+            let n = (len - done).min(PAGE_SIZE - offset);
+            let segment = (at >> PAGE_SHIFT, offset, done..done + n);
+            done += n;
+            segment
+        })
+    })
+}
 
 /// Sparse byte-addressable memory with 4 KiB page granularity.
 ///
@@ -200,10 +219,13 @@ impl SparseMemory {
             }
             return;
         }
-        // Page-straddling slow path; addresses wrap modulo 2^64 like
-        // the guest's own arithmetic (`ld a1, -4(zero)` is legal).
-        for (i, byte) in buf.iter_mut().enumerate() {
-            *byte = self.read_u8(addr.wrapping_add(i as u64));
+        // Page-straddling path: one page lookup per page segment.
+        for (page_no, offset, range) in page_segments(addr, buf.len()) {
+            let seg = &mut buf[range];
+            match self.page(page_no) {
+                Some(page) => seg.copy_from_slice(&page[offset..offset + seg.len()]),
+                None => seg.fill(0),
+            }
         }
     }
 
@@ -215,48 +237,69 @@ impl SparseMemory {
             page[offset..offset + bytes.len()].copy_from_slice(bytes);
             return;
         }
-        for (i, byte) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *byte);
+        for (page_no, offset, range) in page_segments(addr, bytes.len()) {
+            let seg = &bytes[range];
+            self.page_mut(page_no)[offset..offset + seg.len()].copy_from_slice(seg);
+        }
+    }
+
+    /// Reads `N` bytes at `addr`: a fixed-width copy when they share a
+    /// page, whether or not the caller inlines [`Self::read_bytes`].
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let mut bytes = [0; N];
+        let offset = (addr as usize) & (PAGE_SIZE - 1);
+        if offset + N > PAGE_SIZE {
+            self.read_bytes(addr, &mut bytes);
+        } else if let Some(page) = self.page(addr >> PAGE_SHIFT) {
+            bytes.copy_from_slice(&page[offset..offset + N]);
+        }
+        bytes
+    }
+
+    /// Writes `N` bytes at `addr`; the write-side twin of
+    /// [`Self::read_array`].
+    #[inline]
+    fn write_array<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let offset = (addr as usize) & (PAGE_SIZE - 1);
+        if offset + N > PAGE_SIZE {
+            self.write_bytes(addr, &bytes);
+        } else {
+            self.page_mut(addr >> PAGE_SHIFT)[offset..offset + N].copy_from_slice(&bytes);
         }
     }
 
     /// Reads a little-endian `u16`.
     #[must_use]
     pub fn read_u16(&self, addr: u64) -> u16 {
-        let mut b = [0u8; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.read_array(addr))
     }
 
     /// Reads a little-endian `u32`.
     #[must_use]
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_array(addr))
     }
 
     /// Reads a little-endian `u64`.
     #[must_use]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian `u16`.
     pub fn write_u16(&mut self, addr: u64, value: u16) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Writes a little-endian `u32`.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Reads an `f64` (IEEE-754 bits).
@@ -347,6 +390,52 @@ mod tests {
         let mut buf = [0u8; 16];
         mem.read_bytes(0x1ff8, &mut buf);
         assert_eq!(&buf[4..12], &0x1122_3344_5566_7788u64.to_le_bytes());
+    }
+
+    /// Page-segment copies against a byte-at-a-time reference over
+    /// random ranges, some crossing several pages and some straddling
+    /// `u64::MAX`: same bytes, same pages allocated, same digest, and a
+    /// read never allocates.
+    #[test]
+    fn segment_copies_match_a_bytewise_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let page = PAGE_SIZE as u64;
+        let mut mem = SparseMemory::new();
+        let mut reference = SparseMemory::new();
+        for round in 0..300 {
+            let anchor = match round % 4 {
+                0 => u64::MAX - next() % (3 * page),
+                1 => 0x8100_0000 + next() % (16 * page),
+                2 => ((next() % 64) * page).wrapping_sub(next() % 8),
+                _ => next(),
+            };
+            let len = 1 + (next() % (3 * page + 5)) as usize;
+            if round % 3 == 2 {
+                let mut got = vec![0xa5; len];
+                let pages = mem.resident_pages();
+                mem.read_bytes(anchor, &mut got);
+                assert_eq!(mem.resident_pages(), pages, "a read allocated");
+                let want: Vec<u8> = (0..len as u64)
+                    .map(|i| reference.read_u8(anchor.wrapping_add(i)))
+                    .collect();
+                assert_eq!(got, want, "read {len} bytes at {anchor:#x}");
+            } else {
+                let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                mem.write_bytes(anchor, &bytes);
+                for (i, byte) in bytes.iter().enumerate() {
+                    reference.write_u8(anchor.wrapping_add(i as u64), *byte);
+                }
+            }
+            assert_eq!(mem.resident_pages(), reference.resident_pages());
+        }
+        assert!(mem.resident_pages() > 100);
+        assert_eq!(mem.digest(), reference.digest());
     }
 
     #[test]

@@ -36,17 +36,15 @@ impl Scoreboard {
     }
 
     /// Adds one pending-fill reference to every register in `regs`.
+    /// Costs one step per register in the set; an empty set costs
+    /// nothing.
     pub fn acquire(&mut self, regs: &RegSet) {
-        for i in 0..32 {
-            if regs.x >> i & 1 == 1 {
-                self.x[i] += 1;
-            }
-            if regs.f >> i & 1 == 1 {
-                self.f[i] += 1;
-            }
-            if regs.v >> i & 1 == 1 {
-                self.v[i] += 1;
-            }
+        for (counts, bits) in [
+            (&mut self.x, regs.x),
+            (&mut self.f, regs.f),
+            (&mut self.v, regs.v),
+        ] {
+            for_each_bit(bits, |i| counts[i] += 1);
         }
         self.mask.insert_all(regs);
     }
@@ -54,25 +52,17 @@ impl Scoreboard {
     /// Drops one reference from every register in `regs`; registers
     /// whose count reaches zero become available again.
     pub fn release(&mut self, regs: &RegSet) {
-        for i in 0..32 {
-            if regs.x >> i & 1 == 1 {
-                self.x[i] = self.x[i].saturating_sub(1);
-                if self.x[i] == 0 {
-                    self.mask.x &= !(1 << i);
+        for (counts, mask, bits) in [
+            (&mut self.x, &mut self.mask.x, regs.x),
+            (&mut self.f, &mut self.mask.f, regs.f),
+            (&mut self.v, &mut self.mask.v, regs.v),
+        ] {
+            for_each_bit(bits, |i| {
+                counts[i] = counts[i].saturating_sub(1);
+                if counts[i] == 0 {
+                    *mask &= !(1 << i);
                 }
-            }
-            if regs.f >> i & 1 == 1 {
-                self.f[i] = self.f[i].saturating_sub(1);
-                if self.f[i] == 0 {
-                    self.mask.f &= !(1 << i);
-                }
-            }
-            if regs.v >> i & 1 == 1 {
-                self.v[i] = self.v[i].saturating_sub(1);
-                if self.v[i] == 0 {
-                    self.mask.v &= !(1 << i);
-                }
-            }
+            });
         }
     }
 
@@ -86,6 +76,15 @@ impl Scoreboard {
     #[must_use]
     pub fn pending(&self) -> RegSet {
         self.mask
+    }
+}
+
+/// Calls `f` with the index of every set bit of `bits`, lowest first.
+#[inline]
+fn for_each_bit(mut bits: u32, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
     }
 }
 
