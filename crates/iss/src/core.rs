@@ -18,7 +18,7 @@ use coyote_isa::superblock::{build_plans, rebuild_runs, FuseClass, FusePlan};
 use coyote_isa::{Access, DecodedInst, Inst, OwnerAccesses, PredecodeStats, XReg};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
-use crate::exec::{defs, execute, uses, Ecall, ExecError, MemAccess, RegSet};
+use crate::exec::{defs, execute, execute_scalar, uses, Ecall, ExecError, MemAccess, RegSet};
 use crate::hart::{Hart, DEFAULT_VLEN_BITS};
 use crate::mem::{AddrMap, SparseMemory};
 use crate::scoreboard::{dest_set, Scoreboard};
@@ -348,6 +348,11 @@ pub struct Core {
     corrupt_fill: Option<XReg>,
     /// Whether the fused dispatch is enabled ([`CoreConfig::fusion`]).
     fusion: bool,
+    /// Text slot of the validated run's first instruction. The run's
+    /// slots stay in range and decoded while it is armed: they were
+    /// validated against this text, and text invalidation aborts every
+    /// run ([`Core::abort_fused_run`]).
+    fused_start: usize,
     /// Length of the currently validated superblock run (0 = none).
     fused_len: u32,
     /// Instructions remaining in the validated run; while non-zero,
@@ -372,6 +377,11 @@ pub struct Core {
     /// Arm/validate outcome counters for the host profiler (same
     /// digest-exclusion contract as `fused_retired`).
     fuse_diag: FuseDiag,
+    /// `Some(r)`: the last arm attempt failed with `r` instructions
+    /// retired. While `stats.retired` is still `r` and nothing cleared
+    /// this, every input of the arm is unchanged, so the attempt would
+    /// fail again the same way and is not repeated (DESIGN §13).
+    arm_failed_at: Option<u64>,
     /// Stores this core made into the text segment this cycle; the
     /// orchestrator drains them into [`DecodedText::invalidate`] at
     /// end of cycle.
@@ -403,6 +413,7 @@ impl Core {
             access_buf: Vec::new(),
             corrupt_fill: None,
             fusion: config.fusion,
+            fused_start: 0,
             fused_len: 0,
             fused_left: 0,
             fused_accesses: Vec::new(),
@@ -410,6 +421,7 @@ impl Core {
             fused_next_store: 0,
             fused_retired: 0,
             fuse_diag: FuseDiag::default(),
+            arm_failed_at: None,
             text_writes: Vec::new(),
         }
     }
@@ -527,6 +539,7 @@ impl Core {
         // A corrupted register would invalidate the pre-computed
         // access addresses of a validated run.
         self.fused_left = 0;
+        self.arm_failed_at = None;
     }
 
     /// Instructions retired through the fused superblock path.
@@ -580,6 +593,7 @@ impl Core {
     /// patched instructions inside the run.
     pub fn abort_fused_run(&mut self) {
         self.fused_left = 0;
+        self.arm_failed_at = None;
     }
 
     /// Stores into the text segment recorded this cycle (drained by
@@ -603,9 +617,39 @@ impl Core {
     #[inline]
     pub fn ensure_fused_run(&mut self, text: &DecodedText) -> u32 {
         if self.fused_left == 0 {
-            self.try_begin_fused_run(text);
+            self.arm(text);
         }
         self.fused_left
+    }
+
+    /// Attempts to arm a run at the current PC unless the same attempt
+    /// already failed in the same state (`arm_failed_at`); returns the
+    /// armed length (0 = none). A window that ends on a failed arm is
+    /// followed by [`Core::step`] at the same PC, which would otherwise
+    /// repeat it.
+    #[inline]
+    fn arm(&mut self, text: &DecodedText) -> u32 {
+        if self.arm_failed_at == Some(self.stats.retired) {
+            if cfg!(debug_assertions) {
+                self.check_arm_memo(text);
+            }
+            return 0;
+        }
+        self.try_begin_fused_run(text)
+    }
+
+    /// Debug check of the arm memo: validation, re-run without being
+    /// recorded, must fail again and stop for the same reason. An arm
+    /// input that changes without a retirement and without clearing the
+    /// memo fails it.
+    fn check_arm_memo(&mut self, text: &DecodedText) {
+        let (_, len, stop) = self.validate_run(text);
+        debug_assert!(
+            len == 0 && stop == self.fuse_diag.last_stop,
+            "core {}: the arm memo skipped an attempt that now arms {len} ({stop:?}, was {:?})",
+            self.index,
+            self.fuse_diag.last_stop
+        );
     }
 
     /// Moves `fused_next_store` to the first store the retirement
@@ -637,6 +681,24 @@ impl Core {
         if !self.fusion || self.corrupt_fill.is_some() {
             return 0;
         }
+        let (start, len, stop) = self.validate_run(text);
+        self.fuse_diag.record_arm(len, stop);
+        if len == 0 {
+            self.arm_failed_at = Some(self.stats.retired);
+        }
+        self.fused_start = start;
+        self.fused_len = len;
+        self.fused_left = len;
+        self.fused_cursor = 0;
+        self.fused_next_store = 0;
+        len
+    }
+
+    /// The checks of an arm attempt, recording nothing: returns the
+    /// run's start slot, the length it may arm (0 = none) and why it
+    /// stopped there, and leaves that run's accesses in
+    /// `fused_accesses`.
+    fn validate_run(&mut self, text: &DecodedText) -> (usize, u32, FuseStop) {
         self.fused_accesses.clear();
         let pc = self.hart.pc;
         let (start, mut len, mut stop) = match text.index_of(pc) {
@@ -715,16 +777,11 @@ impl Core {
             self.fused_accesses.clear();
             len = 0;
         }
-        self.fuse_diag.record_arm(len, stop);
-        self.fused_len = len;
-        self.fused_left = len;
-        self.fused_cursor = 0;
-        self.fused_next_store = 0;
-        len
+        (start, len, stop)
     }
 
     /// Retires exactly `n` pre-validated instructions over the cycles
-    /// `[cycle, cycle + n)` — the one fused retire routine: a window
+    /// `[_cycle, _cycle + n)` — the one fused retire routine: a window
     /// chunk of the orchestrator, or `n = 1` from [`Core::step`]. The
     /// caller must have proved `n` is at most what
     /// [`Core::ensure_fused_run`] last returned.
@@ -742,15 +799,18 @@ impl Core {
     /// replays the pre-validated access list directly (identical
     /// counter/LRU/stats evolution, no associative scan), predecoded
     /// entries are read by consecutive slot index instead of per-PC
-    /// lookup, and the retirement counters are bumped once. Only
-    /// per-cache *final* state is observable at the chunk boundary, and
-    /// each cache's own access sequence is preserved exactly, so the
-    /// evolution is bit-identical.
+    /// lookup, each instruction runs through the scalar kernel
+    /// ([`crate::exec::execute_scalar`]) with no [`crate::Effects`] or
+    /// access list built, and the retirement counters are bumped once.
+    /// Only per-cache *final* state is observable at the chunk boundary,
+    /// and each cache's own access sequence is preserved exactly, so
+    /// the evolution is bit-identical. No instruction a run holds reads
+    /// the cycle counter, so `_cycle` only names where the run retires.
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from execution (unreachable for
-    /// validated runs; kept for defense in depth).
+    /// None: no shape a run holds can fail. The `Result` is the retire
+    /// routines' common signature.
     // `#[inline]`: `Core::step` calls this with the constant `n = 1`;
     // inlined there the chunk loops fold away, which is what lets one
     // source routine serve the width-1 dispatch at the speed of a
@@ -761,7 +821,7 @@ impl Core {
         &mut self,
         mem: &mut SparseMemory,
         text: &DecodedText,
-        cycle: u64,
+        _cycle: u64,
         n: u32,
     ) -> Result<(), SimError> {
         debug_assert!(n <= self.fused_left, "window exceeds validated run");
@@ -782,33 +842,25 @@ impl Core {
             self.dcache.touch(fa.way, fa.write);
             self.fused_cursor += 1;
         }
-        let start_idx = text
-            .index_of(start_pc)
-            .expect("validated run left the predecoded text");
+        // In range by construction (see `fused_start`).
+        let first = self.fused_start + pos0 as usize;
+        let slots = &text.insts[first..first + n as usize];
         let mut branches = 0u64;
-        for i in 0..n {
+        for (i, slot) in (0..n).zip(slots) {
             debug_assert_eq!(
                 self.hart.pc,
                 start_pc + u64::from(i) * 4,
                 "fused run left the straight line"
             );
-            let entry = text
-                .slot(start_idx + i as usize)
-                .expect("validated run slot decoded");
-            let fx = execute(
-                &mut self.hart,
-                mem,
-                &entry.inst,
-                cycle + u64::from(i),
-                self.stats.retired,
-                &mut self.access_buf,
-            )
-            .map_err(|source| SimError::Exec {
-                pc: start_pc + u64::from(i) * 4,
-                source,
-            })?;
+            let done = slot
+                .as_ref()
+                .and_then(|entry| execute_scalar(&mut self.hart, mem, &entry.inst));
+            // A plan admits only decoded slots of the kernel's shapes.
+            let Some(done) = done else {
+                unreachable!("validated run slot {} is not scalar", first + i as usize);
+            };
             if cfg!(debug_assertions) {
-                for access in &self.access_buf {
+                if let Some(access) = done.access {
                     debug_assert_eq!(
                         self.fused_accesses
                             .get(checked)
@@ -821,10 +873,9 @@ impl Core {
                 }
             }
             self.stats.retired += 1;
-            branches += u64::from(fx.branched);
+            branches += u64::from(done.branched);
         }
         debug_assert_eq!(checked, self.fused_cursor, "replayed an unexecuted access");
-        self.access_buf.clear();
         self.stats.branches += branches;
         self.fused_retired += u64::from(n);
         self.fused_left -= n;
@@ -867,7 +918,7 @@ impl Core {
         // completing release registers; nothing evicts a probed line).
         // At a run boundary, try to validate a fresh run; on success
         // this very step takes the fast path too.
-        if self.fused_left > 0 || self.try_begin_fused_run(text) > 0 {
+        if self.fused_left > 0 || self.arm(text) > 0 {
             self.step_block(mem, text, cycle, 1)?;
             return Ok(StepEvent::Retired);
         }
@@ -1034,6 +1085,9 @@ impl Core {
     /// (the orchestrator should resume stepping it). Writeback
     /// completions never arrive here — they are fire-and-forget.
     pub fn complete_fill(&mut self, line_addr: u64, kind: MissKind, cycle: u64) -> bool {
+        // A fill changes what an arm reads: the fetch line it waited on,
+        // the scoreboard, the pending-fill table.
+        self.arm_failed_at = None;
         match kind {
             MissKind::Ifetch => {
                 if self.pending_fetch == Some(line_addr) {

@@ -4,7 +4,9 @@
 //! shared [`SparseMemory`], reporting the data-memory accesses
 //! performed and the destination register written, which the timing
 //! layer (L1 caches + RAW scoreboard + event-driven hierarchy) uses to
-//! drive the Coyote cycle loop.
+//! drive the Coyote cycle loop. The scalar shapes a fused run can hold
+//! execute in [`execute_scalar`], which `execute` delegates to and the
+//! fused retirement calls directly.
 //!
 //! Floating-point notes: the simulator computes with host `f64`
 //! arithmetic. Arithmetic uses round-to-nearest-even (the canonical
@@ -261,6 +263,215 @@ fn elem_width(eew: Sew) -> MemWidth {
     }
 }
 
+/// What [`execute_scalar`] did: the [`Effects`] of a scalar
+/// instruction, which never raises an environment call, plus the one
+/// data access it may make.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scalar {
+    /// Destination register, if any.
+    pub dest: Option<Dest>,
+    /// The data-memory access, for `Load`, `Store`, `Fld` and `Fsd`.
+    pub access: Option<MemAccess>,
+    /// Whether control flow was redirected (taken branch or jump).
+    pub branched: bool,
+}
+
+/// The scalar kernel: executes `inst` if it has one of the shapes a
+/// fused run can hold (`coyote_isa::superblock::classify` admits
+/// exactly these), else returns `None` and touches nothing.
+///
+/// The shapes are `Upper`, `Op`, `OpImm`, `Op32`, `OpImm32`, `Load`,
+/// `Store`, `Fld`, `Fsd`, `FpOp`, `FpFma`, `FpCmp`, `FpCvt`, `Branch`,
+/// `Jal` and `Jalr`. None of them can fail, and none reads the counter
+/// CSRs. Their semantics are spelled here only: [`execute`] delegates
+/// them, and the fused retirement (`Core::step_block`) calls this
+/// directly, so a fused instruction neither enters the function that
+/// also implements every vector, CSR and AMO op nor builds [`Effects`]
+/// or pushes a [`MemAccess`] it would not read.
+#[inline]
+pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, inst: &Inst) -> Option<Scalar> {
+    let mut done = Scalar {
+        dest: None,
+        access: None,
+        branched: false,
+    };
+    let mut next_pc = hart.pc.wrapping_add(4);
+    match *inst {
+        Inst::Upper { op, rd, imm } => {
+            let base = match op {
+                UpperOp::Lui => 0,
+                UpperOp::Auipc => hart.pc,
+            };
+            hart.set_x(rd, base.wrapping_add(imm as u64));
+            done.dest = Some(Dest::X(rd));
+        }
+        Inst::Jal { rd, offset } => {
+            hart.set_x(rd, next_pc);
+            next_pc = hart.pc.wrapping_add(offset as i64 as u64);
+            done.dest = Some(Dest::X(rd));
+            done.branched = true;
+        }
+        Inst::Jalr { rd, rs1, offset } => {
+            let target = hart.x(rs1).wrapping_add(offset as i64 as u64) & !1;
+            hart.set_x(rd, next_pc);
+            next_pc = target;
+            done.dest = Some(Dest::X(rd));
+            done.branched = true;
+        }
+        Inst::Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        } => {
+            let (a, b) = (hart.x(rs1), hart.x(rs2));
+            let taken = match op {
+                BranchOp::Eq => a == b,
+                BranchOp::Ne => a != b,
+                BranchOp::Lt => (a as i64) < (b as i64),
+                BranchOp::Ge => (a as i64) >= (b as i64),
+                BranchOp::Ltu => a < b,
+                BranchOp::Geu => a >= b,
+            };
+            if taken {
+                next_pc = hart.pc.wrapping_add(offset as i64 as u64);
+                done.branched = true;
+            }
+        }
+        Inst::Load {
+            width,
+            signed,
+            rd,
+            rs1,
+            offset,
+        } => {
+            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            hart.set_x(rd, load_value(mem, addr, width, signed));
+            done.access = Some(MemAccess {
+                addr,
+                size: width.bytes() as u8,
+                write: false,
+                rmw: false,
+            });
+            done.dest = Some(Dest::X(rd));
+        }
+        Inst::Store {
+            width,
+            rs2,
+            rs1,
+            offset,
+        } => {
+            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            store_value(mem, addr, width, hart.x(rs2));
+            done.access = Some(MemAccess {
+                addr,
+                size: width.bytes() as u8,
+                write: true,
+                rmw: false,
+            });
+        }
+        Inst::OpImm { op, rd, rs1, imm } => {
+            hart.set_x(rd, alu(op, hart.x(rs1), imm as u64));
+            done.dest = Some(Dest::X(rd));
+        }
+        Inst::Op { op, rd, rs1, rs2 } => {
+            hart.set_x(rd, alu(op, hart.x(rs1), hart.x(rs2)));
+            done.dest = Some(Dest::X(rd));
+        }
+        Inst::OpImm32 { op, rd, rs1, imm } => {
+            hart.set_x(rd, alu_w(op, hart.x(rs1), imm as u64));
+            done.dest = Some(Dest::X(rd));
+        }
+        Inst::Op32 { op, rd, rs1, rs2 } => {
+            hart.set_x(rd, alu_w(op, hart.x(rs1), hart.x(rs2)));
+            done.dest = Some(Dest::X(rd));
+        }
+        Inst::Fld { rd, rs1, offset } => {
+            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            hart.set_f_bits(rd, mem.read_u64(addr));
+            done.access = Some(MemAccess {
+                addr,
+                size: 8,
+                write: false,
+                rmw: false,
+            });
+            done.dest = Some(Dest::F(rd));
+        }
+        Inst::Fsd { rs2, rs1, offset } => {
+            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            mem.write_u64(addr, hart.f_bits(rs2));
+            done.access = Some(MemAccess {
+                addr,
+                size: 8,
+                write: true,
+                rmw: false,
+            });
+        }
+        Inst::FpOp { op, rd, rs1, rs2 } => {
+            let (a, b) = (hart.f(rs1), hart.f(rs2));
+            let result = match op {
+                FpOp::Add => canonical(a + b),
+                FpOp::Sub => canonical(a - b),
+                FpOp::Mul => canonical(a * b),
+                FpOp::Div => canonical(a / b),
+                FpOp::Sgnj => a.copysign(b),
+                FpOp::Sgnjn => a.copysign(-b),
+                FpOp::Sgnjx => f64::from_bits(a.to_bits() ^ (b.to_bits() & (1 << 63))),
+                FpOp::Min => canonical(a.min(b)),
+                FpOp::Max => canonical(a.max(b)),
+            };
+            hart.set_f(rd, result);
+            done.dest = Some(Dest::F(rd));
+        }
+        Inst::FpFma {
+            op,
+            rd,
+            rs1,
+            rs2,
+            rs3,
+        } => {
+            let (a, b, c) = (hart.f(rs1), hart.f(rs2), hart.f(rs3));
+            let result = match op {
+                FmaOp::Madd => a.mul_add(b, c),
+                FmaOp::Msub => a.mul_add(b, -c),
+                FmaOp::Nmsub => (-a).mul_add(b, c),
+                FmaOp::Nmadd => (-a).mul_add(b, -c),
+            };
+            hart.set_f(rd, canonical(result));
+            done.dest = Some(Dest::F(rd));
+        }
+        Inst::FpCmp { op, rd, rs1, rs2 } => {
+            let (a, b) = (hart.f(rs1), hart.f(rs2));
+            let result = match op {
+                FpCmpOp::Eq => a == b,
+                FpCmpOp::Lt => a < b,
+                FpCmpOp::Le => a <= b,
+            };
+            hart.set_x(rd, u64::from(result));
+            done.dest = Some(Dest::X(rd));
+        }
+        Inst::FpCvt { op, rd, rs1 } => {
+            let x = hart.x(XReg::new(rs1).unwrap_or(XReg::ZERO));
+            let bits = hart.f_bits(FReg::new(rs1).unwrap_or_default());
+            let d = f64::from_bits(bits);
+            let value = match op {
+                FpCvtOp::DFromL => (x as i64 as f64).to_bits(),
+                FpCvtOp::DFromLu => (x as f64).to_bits(),
+                FpCvtOp::DFromW => (x as i32 as f64).to_bits(),
+                FpCvtOp::MvDX => x,
+                FpCvtOp::LFromD => d as i64 as u64,
+                FpCvtOp::LuFromD => d as u64,
+                FpCvtOp::WFromD => d as i32 as i64 as u64,
+                FpCvtOp::MvXD => bits,
+            };
+            done.dest = Some(write_raw(hart, rd, op.rd_is_f(), value));
+        }
+        _ => return None,
+    }
+    hart.pc = next_pc;
+    Some(done)
+}
+
 /// Executes one instruction on `hart`, mutating `mem`.
 ///
 /// `accesses` is cleared and refilled with the data-memory accesses the
@@ -282,99 +493,33 @@ pub fn execute(
     accesses: &mut Vec<MemAccess>,
 ) -> Result<Effects, ExecError> {
     accesses.clear();
+    if let Some(done) = execute_scalar(hart, mem, inst) {
+        accesses.extend(done.access);
+        return Ok(Effects {
+            dest: done.dest,
+            ecall: None,
+            branched: done.branched,
+        });
+    }
     let mut fx = Effects::default();
-    let mut next_pc = hart.pc.wrapping_add(4);
-
     match *inst {
-        Inst::Upper { op, rd, imm } => {
-            let base = match op {
-                UpperOp::Lui => 0,
-                UpperOp::Auipc => hart.pc,
-            };
-            hart.set_x(rd, base.wrapping_add(imm as u64));
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::Jal { rd, offset } => {
-            hart.set_x(rd, next_pc);
-            next_pc = hart.pc.wrapping_add(offset as i64 as u64);
-            fx.dest = Some(Dest::X(rd));
-            fx.branched = true;
-        }
-        Inst::Jalr { rd, rs1, offset } => {
-            let target = hart.x(rs1).wrapping_add(offset as i64 as u64) & !1;
-            hart.set_x(rd, next_pc);
-            next_pc = target;
-            fx.dest = Some(Dest::X(rd));
-            fx.branched = true;
-        }
-        Inst::Branch {
-            op,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            let (a, b) = (hart.x(rs1), hart.x(rs2));
-            let taken = match op {
-                BranchOp::Eq => a == b,
-                BranchOp::Ne => a != b,
-                BranchOp::Lt => (a as i64) < (b as i64),
-                BranchOp::Ge => (a as i64) >= (b as i64),
-                BranchOp::Ltu => a < b,
-                BranchOp::Geu => a >= b,
-            };
-            if taken {
-                next_pc = hart.pc.wrapping_add(offset as i64 as u64);
-                fx.branched = true;
-            }
-        }
-        Inst::Load {
-            width,
-            signed,
-            rd,
-            rs1,
-            offset,
-        } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            hart.set_x(rd, load_value(mem, addr, width, signed));
-            accesses.push(MemAccess {
-                addr,
-                size: width.bytes() as u8,
-                write: false,
-                rmw: false,
-            });
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::Store {
-            width,
-            rs2,
-            rs1,
-            offset,
-        } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            store_value(mem, addr, width, hart.x(rs2));
-            accesses.push(MemAccess {
-                addr,
-                size: width.bytes() as u8,
-                write: true,
-                rmw: false,
-            });
-        }
-        Inst::OpImm { op, rd, rs1, imm } => {
-            hart.set_x(rd, alu(op, hart.x(rs1), imm as u64));
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::Op { op, rd, rs1, rs2 } => {
-            hart.set_x(rd, alu(op, hart.x(rs1), hart.x(rs2)));
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::OpImm32 { op, rd, rs1, imm } => {
-            hart.set_x(rd, alu_w(op, hart.x(rs1), imm as u64));
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::Op32 { op, rd, rs1, rs2 } => {
-            hart.set_x(rd, alu_w(op, hart.x(rs1), hart.x(rs2)));
-            fx.dest = Some(Dest::X(rd));
-        }
+        // Executed by the scalar kernel above.
+        Inst::Upper { .. }
+        | Inst::Jal { .. }
+        | Inst::Jalr { .. }
+        | Inst::Branch { .. }
+        | Inst::Load { .. }
+        | Inst::Store { .. }
+        | Inst::OpImm { .. }
+        | Inst::Op { .. }
+        | Inst::OpImm32 { .. }
+        | Inst::Op32 { .. }
+        | Inst::Fld { .. }
+        | Inst::Fsd { .. }
+        | Inst::FpOp { .. }
+        | Inst::FpFma { .. }
+        | Inst::FpCmp { .. }
+        | Inst::FpCvt { .. } => {}
         Inst::System { op } => {
             fx.ecall = match op {
                 SysOp::Fence => None,
@@ -451,86 +596,6 @@ pub fn execute(
                 rmw: is_write,
             });
             fx.dest = Some(Dest::X(rd));
-        }
-        Inst::Fld { rd, rs1, offset } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            hart.set_f_bits(rd, mem.read_u64(addr));
-            accesses.push(MemAccess {
-                addr,
-                size: 8,
-                write: false,
-                rmw: false,
-            });
-            fx.dest = Some(Dest::F(rd));
-        }
-        Inst::Fsd { rs2, rs1, offset } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            mem.write_u64(addr, hart.f_bits(rs2));
-            accesses.push(MemAccess {
-                addr,
-                size: 8,
-                write: true,
-                rmw: false,
-            });
-        }
-        Inst::FpOp { op, rd, rs1, rs2 } => {
-            let (a, b) = (hart.f(rs1), hart.f(rs2));
-            let result = match op {
-                FpOp::Add => canonical(a + b),
-                FpOp::Sub => canonical(a - b),
-                FpOp::Mul => canonical(a * b),
-                FpOp::Div => canonical(a / b),
-                FpOp::Sgnj => a.copysign(b),
-                FpOp::Sgnjn => a.copysign(-b),
-                FpOp::Sgnjx => f64::from_bits(a.to_bits() ^ (b.to_bits() & (1 << 63))),
-                FpOp::Min => canonical(a.min(b)),
-                FpOp::Max => canonical(a.max(b)),
-            };
-            hart.set_f(rd, result);
-            fx.dest = Some(Dest::F(rd));
-        }
-        Inst::FpFma {
-            op,
-            rd,
-            rs1,
-            rs2,
-            rs3,
-        } => {
-            let (a, b, c) = (hart.f(rs1), hart.f(rs2), hart.f(rs3));
-            let result = match op {
-                FmaOp::Madd => a.mul_add(b, c),
-                FmaOp::Msub => a.mul_add(b, -c),
-                FmaOp::Nmsub => (-a).mul_add(b, c),
-                FmaOp::Nmadd => (-a).mul_add(b, -c),
-            };
-            hart.set_f(rd, canonical(result));
-            fx.dest = Some(Dest::F(rd));
-        }
-        Inst::FpCmp { op, rd, rs1, rs2 } => {
-            let (a, b) = (hart.f(rs1), hart.f(rs2));
-            let result = match op {
-                FpCmpOp::Eq => a == b,
-                FpCmpOp::Lt => a < b,
-                FpCmpOp::Le => a <= b,
-            };
-            hart.set_x(rd, u64::from(result));
-            fx.dest = Some(Dest::X(rd));
-        }
-        Inst::FpCvt { op, rd, rs1 } => {
-            let x = hart.x(XReg::new(rs1).unwrap_or(XReg::ZERO));
-            let bits = hart.f_bits(FReg::new(rs1).unwrap_or_default());
-            let d = f64::from_bits(bits);
-            let value = match op {
-                FpCvtOp::DFromL => (x as i64 as f64).to_bits(),
-                FpCvtOp::DFromLu => (x as f64).to_bits(),
-                FpCvtOp::DFromW => (x as i32 as f64).to_bits(),
-                FpCvtOp::MvDX => x,
-                FpCvtOp::LFromD => d as i64 as u64,
-                FpCvtOp::LuFromD => d as u64,
-                FpCvtOp::WFromD => d as i32 as i64 as u64,
-                FpCvtOp::MvXD => bits,
-            };
-            fx.dest = Some(write_raw(hart, rd, op.rd_is_f(), value));
         }
         Inst::Vsetvli { rd, rs1, vtype } => {
             let avl = if rs1 == XReg::ZERO {
@@ -836,7 +901,7 @@ pub fn execute(
         }
     }
 
-    hart.pc = next_pc;
+    hart.pc = hart.pc.wrapping_add(4);
     Ok(fx)
 }
 

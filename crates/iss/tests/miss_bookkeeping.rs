@@ -6,11 +6,13 @@
 //! two lines and for gathers whose elements touch lines A, A, B and
 //! A, B, A: a repeat of the line just touched and a return to a line
 //! touched earlier must both leave the bookkeeping as if each line had
-//! been seen once.
+//! been seen once. A last row pins that a fill landing on a core that
+//! is still active lets its next arm attempt see the line arrive.
 
 use coyote_asm::assemble;
 use coyote_iss::{
-    Core, CoreConfig, CoreState, DecodedText, MissKind, MissRequest, SparseMemory, StepEvent,
+    Core, CoreConfig, CoreState, DecodedText, FuseStop, MissKind, MissRequest, SparseMemory,
+    StepEvent,
 };
 
 /// Runs `body` (which must define the label `probe` on the vector load
@@ -147,5 +149,65 @@ fn gather_over_lines_a_b_a() {
          vle64.v v1, (t1)
          probe: vluxei64.v v2, (t0), v1
          vadd.vv v3, v2, v2",
+    );
+}
+
+/// A fill that lands on a still-active core changes what an arm reads
+/// without a retirement, so it must clear the "arm failed at this retire
+/// count" memo: here a store miss leaves its line in flight, the run
+/// after it fails to arm on a load from that line, the fill lands, and
+/// the next attempt at the same PC and retire count must arm.
+#[test]
+fn a_fill_between_a_failed_arm_and_the_next_lets_it_arm() {
+    let program = assemble(
+        ".data
+         buf: .zero 128
+         .text
+         _start:
+            la t0, buf
+            sd zero, 0(t0)
+         probe:
+            addi t1, zero, 1
+            ld t2, 8(t0)
+            addi t3, t2, 1
+            addi t4, zero, 2
+            li a7, 93
+            li a0, 0
+            ecall",
+    )
+    .expect("assemble");
+    let mut mem = SparseMemory::new();
+    mem.load_program(&program);
+    let text = DecodedText::from_program(&program);
+    let mut core = Core::new(0, program.entry(), &CoreConfig::default());
+    let probe = program.symbol("probe").expect("probe label");
+    let mut misses = Vec::new();
+    let mut store = None;
+    let mut cycle = 0;
+    while core.hart().pc != probe {
+        cycle += 1;
+        core.step(&mut mem, &text, cycle, &mut misses)
+            .expect("step");
+        for miss in misses.drain(..) {
+            if miss.kind == MissKind::Store {
+                store = Some(miss.line_addr);
+            } else {
+                core.complete_fill(miss.line_addr, miss.kind, cycle);
+            }
+        }
+        assert!(cycle < 1000, "never reached the probe");
+    }
+    let line = store.expect("the store missed");
+    assert_eq!(core.ensure_fused_run(&text), 0, "armed over a pending line");
+    assert_eq!(core.fuse_diag().last_stop, FuseStop::PendingFill);
+    let retired = core.stats().retired;
+
+    assert!(!core.complete_fill(line, MissKind::Store, cycle + 1));
+    assert_eq!(core.state(), CoreState::Active);
+    assert_eq!(core.stats().retired, retired);
+    assert_eq!(
+        core.ensure_fused_run(&text),
+        6,
+        "the fill cleared the pending line, so the whole run arms"
     );
 }
