@@ -505,7 +505,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
 mod tests {
     use super::*;
     use coyote_isa::decode::decode;
-    use coyote_isa::inst::{AluOp, Inst, SysOp};
+    use coyote_isa::inst::{AluOp, Inst, SysOp, XSrc};
     use coyote_isa::XReg;
 
     #[test]
@@ -515,11 +515,11 @@ mod tests {
         assert_eq!(p.entry(), p.text_base());
         assert_eq!(
             decode(p.text()[0]).unwrap(),
-            Inst::OpImm {
+            Inst::Op {
                 op: AluOp::Add,
                 rd: XReg::A0,
                 rs1: XReg::ZERO,
-                imm: 7
+                src: XSrc::I(7)
             }
         );
         assert_eq!(
@@ -607,7 +607,10 @@ mod tests {
                 ecall",
         )
         .unwrap();
-        let Inst::OpImm { imm, .. } = decode(p.text()[0]).unwrap() else {
+        let Inst::Op {
+            src: XSrc::I(imm), ..
+        } = decode(p.text()[0]).unwrap()
+        else {
             panic!();
         };
         assert_eq!(imm, 64);

@@ -17,8 +17,9 @@
 
 use std::collections::BTreeMap;
 
-use coyote_isa::inst::{AluOp, AluWOp, AmoOp, CsrSrc, Inst, UpperOp, VAddrMode, VSrc};
-use coyote_isa::ops;
+use coyote_isa::encode::{alu_imm_what, EncodeError};
+use coyote_isa::inst::{AluOp, AluWOp, AmoOp, CsrSrc, Inst, UpperOp, VAddrMode, VSrc, XSrc};
+use coyote_isa::ops::{self, Table};
 use coyote_isa::{Csr, FReg, Lmul, Sew, VReg, VType, XReg};
 
 use crate::operand::Operand;
@@ -127,6 +128,16 @@ fn fr(ops: &[Operand], i: usize) -> R<FReg> {
     }
 }
 
+/// Operand `i` as a raw index: an `f` register when `float`, else an `x`
+/// one, for the shapes whose row picks the register file.
+fn xfr(ops: &[Operand], i: usize, float: bool) -> R<u8> {
+    Ok(if float {
+        fr(ops, i)?.into()
+    } else {
+        xr(ops, i)?.into()
+    })
+}
+
 fn vr(ops: &[Operand], i: usize) -> R<VReg> {
     match get(ops, i)? {
         Operand::V(r) => Ok(*r),
@@ -231,32 +242,39 @@ fn mask_at(ops: &[Operand], i: usize) -> bool {
     matches!(ops.get(i), Some(Operand::VMask))
 }
 
+/// `rd = rs1 + imm` for an `imm` the 12-bit field holds.
+fn addi(rd: XReg, rs1: XReg, imm: i32) -> Inst {
+    Inst::Op {
+        op: AluOp::Add,
+        rd,
+        rs1,
+        src: XSrc::I(imm),
+    }
+}
+
 /// The `li` expansion for an arbitrary 64-bit immediate.
 #[must_use]
 pub fn li_sequence(rd: XReg, value: i64) -> Vec<Inst> {
     if (-2048..=2047).contains(&value) {
-        return vec![Inst::OpImm {
-            op: AluOp::Add,
-            rd,
-            rs1: XReg::ZERO,
-            imm: value,
-        }];
+        return vec![addi(rd, XReg::ZERO, value as i32)];
     }
     if i32::try_from(value).is_ok() {
         let hi20 = (value.wrapping_add(0x800)) >> 12;
         let lui_imm = ((hi20 << 12) as i32) as i64;
-        let lo = value.wrapping_sub(lui_imm);
+        // `addiw` adds in 32 bits: where `hi20` rounds up past
+        // `i32::MAX`, the wrapped difference is the small negative one.
+        let lo = value.wrapping_sub(lui_imm) as i32;
         let mut seq = vec![Inst::Upper {
             op: UpperOp::Lui,
             rd,
             imm: lui_imm,
         }];
         if lo != 0 {
-            seq.push(Inst::OpImm32 {
+            seq.push(Inst::Op32 {
                 op: AluWOp::Addw,
                 rd,
                 rs1: rd,
-                imm: lo,
+                src: XSrc::I(lo),
             });
         }
         return seq;
@@ -266,19 +284,14 @@ pub fn li_sequence(rd: XReg, value: i64) -> Vec<Inst> {
     let lo12 = (value << 52) >> 52;
     let hi = (value.wrapping_sub(lo12)) >> 12;
     let mut seq = li_sequence(rd, hi);
-    seq.push(Inst::OpImm {
+    seq.push(Inst::Op {
         op: AluOp::Sll,
         rd,
         rs1: rd,
-        imm: 12,
+        src: XSrc::I(12),
     });
     if lo12 != 0 {
-        seq.push(Inst::OpImm {
-            op: AluOp::Add,
-            rd,
-            rs1: rd,
-            imm: lo12,
-        });
+        seq.push(addi(rd, rd, lo12 as i32));
     }
     seq
 }
@@ -385,24 +398,6 @@ pub fn expand(mnemonic: &str, ops: &[Operand], pc: u64, symbols: &Symbols) -> R<
             let rd = xr(ops, 0)?;
             Ok(li_sequence(rd, imm(ops, 1, symbols)?))
         }
-        "fld" => {
-            let rd = fr(ops, 0)?;
-            let (offset, rs1) = mem(ops, 1, symbols)?;
-            one(Inst::Fld {
-                rd,
-                rs1,
-                offset: i32::try_from(offset).map_err(|_| "fld offset too large")?,
-            })
-        }
-        "fsd" => {
-            let rs2 = fr(ops, 0)?;
-            let (offset, rs1) = mem(ops, 1, symbols)?;
-            one(Inst::Fsd {
-                rs2,
-                rs1,
-                offset: i32::try_from(offset).map_err(|_| "fsd offset too large")?,
-            })
-        }
         _ => Err(format!("unknown mnemonic `{mnemonic}`")),
     }
 }
@@ -443,58 +438,30 @@ fn expand_family(
         });
     }
     if let Some(row) = ops::LOAD.from_name(mnemonic) {
-        let (width, signed) = row.op;
-        let rd = xr(ops, 0)?;
+        let rd = xfr(ops, 0, row.op.rd_is_f())?;
         let (offset, rs1) = mem(ops, 1, symbols)?;
         return some(Inst::Load {
-            width,
-            signed,
+            op: row.op,
             rd,
             rs1,
             offset: i32::try_from(offset).map_err(|_| "load offset too large")?,
         });
     }
     if let Some(row) = ops::STORE.from_name(mnemonic) {
-        let rs2 = xr(ops, 0)?;
+        let rs2 = xfr(ops, 0, row.op.rs2_is_f())?;
         let (offset, rs1) = mem(ops, 1, symbols)?;
         return some(Inst::Store {
-            width: row.op,
+            op: row.op,
             rs2,
             rs1,
             offset: i32::try_from(offset).map_err(|_| "store offset too large")?,
         });
     }
-    if let Some(row) = ops::ALU.from_imm(mnemonic) {
-        return some(Inst::OpImm {
-            op: row.op,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            imm: imm(ops, 2, symbols)?,
-        });
+    if let Some((op, rd, rs1, src)) = alu_form(&ops::ALU, mnemonic, false, ops, symbols)? {
+        return some(Inst::Op { op, rd, rs1, src });
     }
-    if let Some(row) = ops::ALU_W.from_imm(mnemonic) {
-        return some(Inst::OpImm32 {
-            op: row.op,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            imm: imm(ops, 2, symbols)?,
-        });
-    }
-    if let Some(row) = ops::ALU.from_name(mnemonic) {
-        return some(Inst::Op {
-            op: row.op,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            rs2: xr(ops, 2)?,
-        });
-    }
-    if let Some(row) = ops::ALU_W.from_name(mnemonic) {
-        return some(Inst::Op32 {
-            op: row.op,
-            rd: xr(ops, 0)?,
-            rs1: xr(ops, 1)?,
-            rs2: xr(ops, 2)?,
-        });
+    if let Some((op, rd, rs1, src)) = alu_form(&ops::ALU_W, mnemonic, true, ops, symbols)? {
+        return some(Inst::Op32 { op, rd, rs1, src });
     }
     if let Some(row) = ops::CSR.from_name(mnemonic) {
         return some(Inst::Csr {
@@ -539,7 +506,7 @@ fn expand_family(
     if let Some(row) = ops::FP.from_name(mnemonic) {
         return some(Inst::FpOp {
             op: row.op,
-            rd: fr(ops, 0)?,
+            rd: xfr(ops, 0, row.op.rd_is_f())?,
             rs1: fr(ops, 1)?,
             rs2: fr(ops, 2)?,
         });
@@ -553,27 +520,48 @@ fn expand_family(
             rs3: fr(ops, 3)?,
         });
     }
-    if let Some(row) = ops::FP_CMP.from_name(mnemonic) {
-        return some(Inst::FpCmp {
-            op: row.op,
-            rd: xr(ops, 0)?,
-            rs1: fr(ops, 1)?,
-            rs2: fr(ops, 2)?,
-        });
-    }
     if let Some(row) = ops::FP_CVT.from_name(mnemonic) {
-        let (rd, rs1) = if row.op.rd_is_f() {
-            (fr(ops, 0)?.into(), xr(ops, 1)?.into())
-        } else {
-            (xr(ops, 0)?.into(), fr(ops, 1)?.into())
-        };
+        let f_rd = row.op.rd_is_f();
         return some(Inst::FpCvt {
             op: row.op,
-            rd,
-            rs1,
+            rd: xfr(ops, 0, f_rd)?,
+            rs1: xfr(ops, 1, !f_rd)?,
         });
     }
     Ok(None)
+}
+
+/// `(op, rd, rs1, src)` of the operation of `table` that `mnemonic`
+/// names in its register form (`add`) or its immediate form (`addi`);
+/// `None` if it names neither. An immediate no `i32` holds is out of
+/// range for every field, and is reported as the encoder reports one
+/// (`word`: an `Op32` row).
+fn alu_form<T: Copy + PartialEq>(
+    table: &Table<T>,
+    mnemonic: &str,
+    word: bool,
+    ops: &[Operand],
+    symbols: &Symbols,
+) -> R<Option<(T, XReg, XReg, XSrc)>> {
+    let (row, is_imm) = match table.from_name(mnemonic) {
+        Some(row) => (row, false),
+        None => match table.from_imm(mnemonic) {
+            Some(row) => (row, true),
+            None => return Ok(None),
+        },
+    };
+    let (rd, rs1) = (xr(ops, 0)?, xr(ops, 1)?);
+    let src = if is_imm {
+        let value = imm(ops, 2, symbols)?;
+        let range = EncodeError::ImmOutOfRange {
+            what: alu_imm_what(row, word),
+            value,
+        };
+        XSrc::I(i32::try_from(value).map_err(|_| range.to_string())?)
+    } else {
+        XSrc::X(xr(ops, 2)?)
+    };
+    Ok(Some((row.op, rd, rs1, src)))
 }
 
 #[derive(Clone, Copy)]
@@ -588,16 +576,13 @@ fn pcrel_pair(rd: XReg, value: u64, pc: u64, kind: PcrelKind) -> R<Vec<Inst>> {
     let hi20 = (delta.wrapping_add(0x800)) >> 12;
     let auipc_imm = ((hi20 << 12) as i32) as i64;
     let lo = delta.wrapping_sub(auipc_imm);
-    if i32::try_from(delta).is_err() {
+    // Within 2 KiB below `i32::MAX` the rounded-up upper part wraps
+    // negative, and no 12-bit `lo` makes up the difference.
+    if i32::try_from(delta).is_err() || !(-2048..=2047).contains(&lo) {
         return Err(format!("pc-relative target {delta:#x} out of ±2 GiB range"));
     }
     let second = match kind {
-        PcrelKind::Address => Inst::OpImm {
-            op: AluOp::Add,
-            rd,
-            rs1: rd,
-            imm: lo,
-        },
+        PcrelKind::Address => addi(rd, rd, lo as i32),
         PcrelKind::Call => Inst::Jalr {
             rd,
             rs1: rd,
@@ -671,11 +656,7 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
         _ => {}
     }
     if let Some(row) = ops::VUNARY.from_name(mnemonic) {
-        let rd = if row.op.rd_is_f() {
-            fr(ops, 0)?.into()
-        } else {
-            xr(ops, 0)?.into()
-        };
+        let rd = xfr(ops, 0, row.op.rd_is_f())?;
         let (vs2, vm) = (vr(ops, 1)?, !mask_at(ops, 2));
         return some(Inst::VUnary {
             op: row.op,
@@ -898,20 +879,22 @@ mod tests {
         assert!(li_sequence(rd, 0x1234_5678_9abc_def0).len() >= 5);
     }
 
-    /// Interpret an li sequence to verify it materializes the value.
+    /// Interpret an li sequence to verify it materializes the value;
+    /// every instruction of it must encode.
     fn run_li(value: i64) -> i64 {
         let seq = li_sequence(XReg::A0, value);
         let mut reg: i64 = 0;
         for inst in seq {
+            coyote_isa::encode(&inst).unwrap_or_else(|e| panic!("li {value:#x}: {inst}: {e}"));
             match inst {
-                Inst::OpImm {
+                Inst::Op {
                     op: AluOp::Add,
-                    imm,
+                    src: XSrc::I(imm),
                     ..
-                } => reg = reg.wrapping_add(imm),
-                Inst::OpImm {
+                } => reg = reg.wrapping_add(i64::from(imm)),
+                Inst::Op {
                     op: AluOp::Sll,
-                    imm,
+                    src: XSrc::I(imm),
                     ..
                 } => reg <<= imm,
                 Inst::Upper {
@@ -919,11 +902,11 @@ mod tests {
                     imm,
                     ..
                 } => reg = imm,
-                Inst::OpImm32 {
+                Inst::Op32 {
                     op: AluWOp::Addw,
-                    imm,
+                    src: XSrc::I(imm),
                     ..
-                } => reg = i64::from((reg.wrapping_add(imm)) as i32),
+                } => reg = i64::from((reg.wrapping_add(i64::from(imm))) as i32),
                 other => panic!("unexpected inst in li sequence: {other:?}"),
             }
         }
@@ -940,6 +923,7 @@ mod tests {
             -2048,
             2048,
             0x7fff_ffff,
+            0x7fff_f800,
             -0x8000_0000,
             0x8000_0000,
             0x1234_5678,
@@ -985,30 +969,33 @@ mod tests {
         else {
             panic!("expected auipc");
         };
-        let Inst::OpImm { imm: lo, .. } = insts[1] else {
+        let Inst::Op {
+            src: XSrc::I(lo), ..
+        } = insts[1]
+        else {
             panic!("expected addi");
         };
-        assert_eq!(0x8000_0000i64 + hi + lo, 0x8100_0008);
+        assert_eq!(0x8000_0000i64 + hi + i64::from(lo), 0x8100_0008);
     }
 
     #[test]
     fn pseudo_expansions() {
         assert_eq!(
             expand1("mv", "a0, a1"),
-            Inst::OpImm {
+            Inst::Op {
                 op: AluOp::Add,
                 rd: XReg::A0,
                 rs1: XReg::A1,
-                imm: 0
+                src: XSrc::I(0)
             }
         );
         assert_eq!(
             expand1("nop", ""),
-            Inst::OpImm {
+            Inst::Op {
                 op: AluOp::Add,
                 rd: XReg::ZERO,
                 rs1: XReg::ZERO,
-                imm: 0
+                src: XSrc::I(0)
             }
         );
         assert!(matches!(expand1("ret", ""), Inst::Jalr { .. }));
@@ -1125,6 +1112,32 @@ mod tests {
         ] {
             let err = expand(mnemonic, &parse_ops(ops_text), 0, &Symbols::new()).unwrap_err();
             assert_eq!(err, want, "{mnemonic} {ops_text}");
+        }
+        // An immediate no field holds is reported with its value as
+        // written, whether `i32` holds it or not.
+        let err = coyote_isa::encode(&expand1("addi", "a0, a0, 5000")).unwrap_err();
+        assert_eq!(err.to_string(), "immediate 5000 out of range for op-imm");
+        for (mnemonic, ops_text, want) in [
+            (
+                "addi",
+                "a0, a0, 0x100000000",
+                "immediate 4294967296 out of range for op-imm",
+            ),
+            (
+                "slliw",
+                "a0, a0, -4294967296",
+                "immediate -4294967296 out of range for word shift amount",
+            ),
+        ] {
+            let err = expand(mnemonic, &parse_ops(ops_text), 0, &Symbols::new()).unwrap_err();
+            assert_eq!(err, want, "{mnemonic} {ops_text}");
+        }
+        // Where `auipc`'s rounded-up part overshoots, no 12-bit `lo` is
+        // left: an error, not a truncated offset.
+        let far = Symbols::from([("far".to_owned(), 0x7fff_ffff)]);
+        for (mnemonic, ops_text) in [("call", "far"), ("la", "a0, far")] {
+            let err = expand(mnemonic, &parse_ops(ops_text), 0, &far).unwrap_err();
+            assert_eq!(err, "pc-relative target 0x7fffffff out of ±2 GiB range");
         }
         let err = coyote_isa::encode(&expand1("vadd.vi", "v1, v2, 99")).unwrap_err();
         assert_eq!(

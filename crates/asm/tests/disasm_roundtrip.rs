@@ -92,7 +92,6 @@ fn plain_stems() -> Vec<Stem> {
     all.extend(stems(&ops::CSR));
     all.extend(stems(&ops::FP));
     all.extend(stems(&ops::FMA));
-    all.extend(stems(&ops::FP_CMP));
     all.extend(stems(&ops::FP_CVT));
     all.extend(stems(&ops::VUNARY));
     all

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::csr::Csr;
-use crate::inst::{AmoOp, CsrSrc, FmaOp, Inst, SysOp, VAddrMode, VSrc};
+use crate::inst::{AmoOp, CsrSrc, FmaOp, Inst, SysOp, VAddrMode, VSrc, XSrc};
 use crate::ops::{self, *};
 use crate::reg::{FReg, VReg, XReg};
 use crate::vtype::{Sew, VType};
@@ -41,6 +41,10 @@ fn rs2_x(word: u32) -> XReg {
 fn rd_f(word: u32) -> FReg {
     FReg::from_bits(word >> 7)
 }
+/// The `rd` field as a raw index, for a shape whose row picks the file.
+fn rd_raw(word: u32) -> u8 {
+    ((word >> 7) & 0x1f) as u8
+}
 fn rs1_f(word: u32) -> FReg {
     FReg::from_bits(word >> 15)
 }
@@ -62,6 +66,10 @@ fn funct3(word: u32) -> u32 {
 fn funct7(word: u32) -> u32 {
     word >> 25
 }
+/// `funct3_opcode`, the key of the scalar memory tables.
+fn funct3_opcode(word: u32) -> u32 {
+    funct3(word) << 7 | (word & 0x7f)
+}
 /// `funct7_funct3`, the key of the R-type tables.
 fn funct7_3(word: u32) -> u32 {
     funct7(word) << 3 | funct3(word)
@@ -70,14 +78,14 @@ fn f24_20(word: u32) -> u32 {
     (word >> 20) & 0x1f
 }
 
-fn imm_i(word: u32) -> i64 {
-    i64::from((word as i32) >> 20)
+fn imm_i(word: u32) -> i32 {
+    (word as i32) >> 20
 }
 
-fn imm_s(word: u32) -> i64 {
+fn imm_s(word: u32) -> i32 {
     let hi = ((word as i32) >> 25) << 5;
     let lo = ((word >> 7) & 0x1f) as i32;
-    i64::from(hi | lo)
+    hi | lo
 }
 
 fn imm_b(word: u32) -> i32 {
@@ -110,12 +118,12 @@ fn imm_j(word: u32) -> i32 {
 /// # Examples
 ///
 /// ```
-/// # use coyote_isa::{decode::decode, inst::{Inst, AluOp}, reg::XReg};
+/// # use coyote_isa::{decode::decode, inst::{AluOp, Inst, XSrc}, reg::XReg};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let inst = decode(0x0010_0093)?; // addi ra, zero, 1
 /// assert_eq!(
 ///     inst,
-///     Inst::OpImm { op: AluOp::Add, rd: XReg::RA, rs1: XReg::ZERO, imm: 1 }
+///     Inst::Op { op: AluOp::Add, rd: XReg::RA, rs1: XReg::ZERO, src: XSrc::I(1) }
 /// );
 /// # Ok(())
 /// # }
@@ -138,7 +146,7 @@ fn decode_opt(word: u32) -> Option<Inst> {
         OPC_JALR if funct3(word) == 0 => Inst::Jalr {
             rd: rd_x(word),
             rs1: rs1_x(word),
-            offset: imm_i(word) as i32,
+            offset: imm_i(word),
         },
         OPC_BRANCH => Inst::Branch {
             op: ops::BRANCH.from_bits(funct3(word))?.op,
@@ -146,52 +154,24 @@ fn decode_opt(word: u32) -> Option<Inst> {
             rs2: rs2_x(word),
             offset: imm_b(word),
         },
-        OPC_LOAD => {
-            let (width, signed) = ops::LOAD.from_bits(funct3(word))?.op;
-            Inst::Load {
-                width,
-                signed,
-                rd: rd_x(word),
-                rs1: rs1_x(word),
-                offset: imm_i(word) as i32,
-            }
-        }
-        OPC_STORE => Inst::Store {
-            width: ops::STORE.from_bits(funct3(word))?.op,
-            rs2: rs2_x(word),
-            rs1: rs1_x(word),
-            offset: imm_s(word) as i32,
-        },
-        OPC_OP_IMM => {
-            let (op, imm) = op_imm(word, &ops::ALU, 6)?;
-            Inst::OpImm {
+        OPC_OP | OPC_OP_IMM => {
+            let (op, src) = alu(word, &ops::ALU, 6)?;
+            Inst::Op {
                 op,
                 rd: rd_x(word),
                 rs1: rs1_x(word),
-                imm,
+                src,
             }
         }
-        OPC_OP => Inst::Op {
-            op: ops::ALU.from_bits(funct7_3(word))?.op,
-            rd: rd_x(word),
-            rs1: rs1_x(word),
-            rs2: rs2_x(word),
-        },
-        OPC_OP_IMM32 => {
-            let (op, imm) = op_imm(word, &ops::ALU_W, 5)?;
-            Inst::OpImm32 {
+        OPC_OP32 | OPC_OP_IMM32 => {
+            let (op, src) = alu(word, &ops::ALU_W, 5)?;
+            Inst::Op32 {
                 op,
                 rd: rd_x(word),
                 rs1: rs1_x(word),
-                imm,
+                src,
             }
         }
-        OPC_OP32 => Inst::Op32 {
-            op: ops::ALU_W.from_bits(funct7_3(word))?.op,
-            rd: rd_x(word),
-            rs1: rs1_x(word),
-            rs2: rs2_x(word),
-        },
         OPC_MISC_MEM => Inst::System { op: SysOp::Fence },
         OPC_SYSTEM => match funct3(word) {
             0b000 => Inst::System {
@@ -226,14 +206,9 @@ fn decode_opt(word: u32) -> Option<Inst> {
                 rs2: rs2_x(word),
             }
         }
-        // The width field discriminates the scalar FP access from the
-        // vector ones on the shared LOAD-FP / STORE-FP opcodes.
-        OPC_LOAD_FP if funct3(word) == F3_FP_D => Inst::Fld {
-            rd: rd_f(word),
-            rs1: rs1_x(word),
-            offset: imm_i(word) as i32,
-        },
-        OPC_LOAD_FP => {
+        // The width field discriminates the vector accesses from `fld`
+        // and `fsd` on the shared LOAD-FP / STORE-FP opcodes.
+        OPC_LOAD_FP if funct3(word) != F3_FP_D => {
             let (mode, eew, vm) = vmem(word)?;
             Inst::VLoad {
                 vd: rd_v(word),
@@ -243,12 +218,7 @@ fn decode_opt(word: u32) -> Option<Inst> {
                 vm,
             }
         }
-        OPC_STORE_FP if funct3(word) == F3_FP_D => Inst::Fsd {
-            rs2: rs2_f(word),
-            rs1: rs1_x(word),
-            offset: imm_s(word) as i32,
-        },
-        OPC_STORE_FP => {
+        OPC_STORE_FP if funct3(word) != F3_FP_D => {
             let (mode, eew, vm) = vmem(word)?;
             Inst::VStore {
                 vs3: rd_v(word),
@@ -258,6 +228,18 @@ fn decode_opt(word: u32) -> Option<Inst> {
                 vm,
             }
         }
+        OPC_LOAD | OPC_LOAD_FP => Inst::Load {
+            op: ops::LOAD.from_bits(funct3_opcode(word))?.op,
+            rd: rd_raw(word),
+            rs1: rs1_x(word),
+            offset: imm_i(word),
+        },
+        OPC_STORE | OPC_STORE_FP => Inst::Store {
+            op: ops::STORE.from_bits(funct3_opcode(word))?.op,
+            rs2: ((word >> 20) & 0x1f) as u8,
+            rs1: rs1_x(word),
+            offset: imm_s(word),
+        },
         OPC_OP_FP => return decode_op_fp(word),
         OPC_OP_V if funct3(word) == F3_OPCFG => return decode_vset(word),
         OPC_OP_V => return decode_op_v(word),
@@ -265,18 +247,23 @@ fn decode_opt(word: u32) -> Option<Inst> {
     })
 }
 
-/// `(op, imm)` of OP-IMM and OP-IMM-32: a shift keeps the upper bits of
-/// funct7 above a `shamt_bits`-wide shift amount, everything else
-/// carries a 12-bit immediate and selects on funct3 alone.
-fn op_imm<T: Copy + PartialEq>(word: u32, table: &Table<T>, shamt_bits: u32) -> Option<(T, i64)> {
+/// `(op, src)` of OP / OP-IMM and their 32-bit twins. Opcode bit 5 sets
+/// the register form, which selects on `funct7_funct3`. An immediate
+/// form selects on funct3 and carries a 12-bit immediate, except a shift
+/// ([`UIMM`]), which keeps the upper bits of funct7 above a
+/// `shamt_bits`-wide shift amount.
+fn alu<T: Copy + PartialEq>(word: u32, table: &Table<T>, shamt_bits: u32) -> Option<(T, XSrc)> {
+    if word & 0b010_0000 != 0 {
+        return Some((table.from_bits(funct7_3(word))?.op, XSrc::X(rs2_x(word))));
+    }
     let mut row = table.from_bits(funct3(word))?;
     let mut imm = imm_i(word);
     if row.has(UIMM) {
         let shamt_mask = (1 << shamt_bits) - 1;
         row = table.from_bits((funct7(word) & !(shamt_mask >> 5)) << 3 | funct3(word))?;
-        imm = i64::from((word >> 20) & shamt_mask);
+        imm = ((word >> 20) & shamt_mask) as i32;
     }
-    row.imm.map(|_| (row.op, imm))
+    row.imm.map(|_| (row.op, XSrc::I(imm)))
 }
 
 /// `(mode, eew, vm)` of a vector load or store.
@@ -300,15 +287,7 @@ fn decode_op_fp(word: u32) -> Option<Inst> {
     if let Some(row) = ops::FP.0.iter().find(arith) {
         return Some(Inst::FpOp {
             op: row.op,
-            rd: rd_f(word),
-            rs1: rs1_f(word),
-            rs2: rs2_f(word),
-        });
-    }
-    if let Some(row) = ops::FP_CMP.from_bits(key) {
-        return Some(Inst::FpCmp {
-            op: row.op,
-            rd: rd_x(word),
+            rd: rd_raw(word),
             rs1: rs1_f(word),
             rs2: rs2_f(word),
         });
@@ -318,7 +297,7 @@ fn decode_op_fp(word: u32) -> Option<Inst> {
         .filter(|r| r.has(RM) || funct3(word) == 0)?;
     Some(Inst::FpCvt {
         op: row.op,
-        rd: ((word >> 7) & 0x1f) as u8,
+        rd: rd_raw(word),
         rs1: ((word >> 15) & 0x1f) as u8,
     })
 }
@@ -371,7 +350,7 @@ fn decode_op_v(word: u32) -> Option<Inst> {
     {
         return Some(Inst::VUnary {
             op: row.op,
-            rd: ((word >> 7) & 0x1f) as u8,
+            rd: rd_raw(word),
             vs2,
             vm: vm || !row.has(VM),
         });
@@ -495,8 +474,8 @@ mod tests {
     use super::*;
     use crate::encode::encode;
     use crate::inst::{
-        AluOp, AluWOp, BranchOp, CsrOp, FpCmpOp, FpCvtOp, FpOp, MemWidth, UpperOp, VFpOp, VIntOp,
-        VMulOp, VRedOp, VUnaryOp,
+        AluOp, AluWOp, BranchOp, CsrOp, FpCvtOp, FpOp, LoadOp, MemWidth, StoreOp, UpperOp, VFpOp,
+        VIntOp, VMulOp, VRedOp, VUnaryOp,
     };
     use crate::vtype::Lmul;
 
@@ -514,20 +493,20 @@ mod tests {
     fn decode_golden_words() {
         assert_eq!(
             decode(0x0010_0093).unwrap(),
-            Inst::OpImm {
+            Inst::Op {
                 op: AluOp::Add,
                 rd: x(1),
                 rs1: x(0),
-                imm: 1
+                src: XSrc::I(1)
             }
         );
         assert_eq!(
             decode(0xff01_0113).unwrap(),
-            Inst::OpImm {
+            Inst::Op {
                 op: AluOp::Add,
                 rd: x(2),
                 rs1: x(2),
-                imm: -16
+                src: XSrc::I(-16)
             }
         );
         let system = |op| Inst::System { op };
@@ -575,41 +554,40 @@ mod tests {
                 offset: 4094,
             },
             Inst::Load {
-                width: MemWidth::W,
-                signed: false,
-                rd: x(9),
+                op: LoadOp::Lwu,
+                rd: 9,
                 rs1: x(8),
                 offset: -2048,
             },
             Inst::Store {
-                width: MemWidth::B,
-                rs2: x(6),
+                op: StoreOp::Sb,
+                rs2: 6,
                 rs1: x(7),
                 offset: 2047,
             },
-            Inst::OpImm {
+            Inst::Op {
                 op: AluOp::Sra,
                 rd: x(1),
                 rs1: x(2),
-                imm: 63,
+                src: XSrc::I(63),
             },
             Inst::Op {
                 op: AluOp::Mulhsu,
                 rd: x(1),
                 rs1: x(2),
-                rs2: x(3),
+                src: XSrc::X(x(3)),
             },
-            Inst::OpImm32 {
+            Inst::Op32 {
                 op: AluWOp::Sraw,
                 rd: x(1),
                 rs1: x(2),
-                imm: 31,
+                src: XSrc::I(31),
             },
             Inst::Op32 {
                 op: AluWOp::Remuw,
                 rd: x(1),
                 rs1: x(2),
-                rs2: x(3),
+                src: XSrc::X(x(3)),
             },
             Inst::System { op: SysOp::Fence },
             Inst::System { op: SysOp::Ecall },
@@ -633,19 +611,21 @@ mod tests {
                 rs1: x(11),
                 rs2: x(12),
             },
-            Inst::Fld {
-                rd: f(5),
+            Inst::Load {
+                op: LoadOp::Fld,
+                rd: 5,
                 rs1: x(10),
                 offset: 16,
             },
-            Inst::Fsd {
-                rs2: f(5),
+            Inst::Store {
+                op: StoreOp::Fsd,
+                rs2: 5,
                 rs1: x(10),
                 offset: -8,
             },
             Inst::FpOp {
                 op: FpOp::Max,
-                rd: f(1),
+                rd: 1,
                 rs1: f(2),
                 rs2: f(3),
             },
@@ -656,9 +636,9 @@ mod tests {
                 rs2: f(3),
                 rs3: f(4),
             },
-            Inst::FpCmp {
-                op: FpCmpOp::Le,
-                rd: x(5),
+            Inst::FpOp {
+                op: FpOp::Le,
+                rd: 5,
                 rs1: f(6),
                 rs2: f(7),
             },

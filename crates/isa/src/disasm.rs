@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::inst::{AmoOp, CsrSrc, Inst, MemWidth, VAddrMode, VSrc};
+use crate::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VSrc, XSrc};
 use crate::ops;
 use crate::reg::{FReg, VReg, XReg};
 use crate::vtype::Sew;
@@ -83,6 +83,24 @@ fn raw_reg(index: u8, float: bool) -> String {
     .unwrap_or_else(|_| format!("?{index}"))
 }
 
+impl fmt::Display for XSrc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            XSrc::X(rs2) => write!(f, "{rs2}"),
+            XSrc::I(imm) => write!(f, "{imm}"),
+        }
+    }
+}
+
+/// The mnemonic of `row` in operand form `src`: the register form's
+/// name, or the immediate form's.
+fn alu_name<T>(row: &ops::Row<T>, src: XSrc) -> &'static str {
+    match src {
+        XSrc::X(_) => row.name,
+        XSrc::I(_) => row.imm.unwrap_or("op-imm?"),
+    }
+}
+
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -99,35 +117,30 @@ impl fmt::Display for Inst {
                 offset,
             } => write!(f, "{} {rs1}, {rs2}, {offset}", ops::BRANCH.row(op).name),
             Inst::Load {
-                width,
-                signed,
+                op,
                 rd,
                 rs1,
                 offset,
             } => {
-                // There is no `ldu`: a doubleword load is `ld` either way.
-                let row = ops::LOAD.row((width, signed || width == MemWidth::D));
-                write!(f, "{} {rd}, {offset}({rs1})", row.name)
+                let rd = raw_reg(rd, op.rd_is_f());
+                write!(f, "{} {rd}, {offset}({rs1})", ops::LOAD.row(op).name)
             }
             Inst::Store {
-                width,
+                op,
                 rs2,
                 rs1,
                 offset,
-            } => write!(f, "{} {rs2}, {offset}({rs1})", ops::STORE.row(width).name),
-            Inst::OpImm { op, rd, rs1, imm } => {
-                let name = ops::ALU.row(op).imm.unwrap_or("op-imm?");
-                write!(f, "{name} {rd}, {rs1}, {imm}")
+            } => {
+                let rs2 = raw_reg(rs2, op.rs2_is_f());
+                write!(f, "{} {rs2}, {offset}({rs1})", ops::STORE.row(op).name)
             }
-            Inst::Op { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", ops::ALU.row(op).name)
+            Inst::Op { op, rd, rs1, src } => {
+                let name = alu_name(ops::ALU.row(op), src);
+                write!(f, "{name} {rd}, {rs1}, {src}")
             }
-            Inst::OpImm32 { op, rd, rs1, imm } => {
-                let name = ops::ALU_W.row(op).imm.unwrap_or("op-imm-32?");
-                write!(f, "{name} {rd}, {rs1}, {imm}")
-            }
-            Inst::Op32 { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", ops::ALU_W.row(op).name)
+            Inst::Op32 { op, rd, rs1, src } => {
+                let name = alu_name(ops::ALU_W.row(op), src);
+                write!(f, "{name} {rd}, {rs1}, {src}")
             }
             Inst::System { op } => f.write_str(ops::SYSTEM.row(op).name),
             Inst::Csr { op, rd, csr, src } => {
@@ -152,9 +165,8 @@ impl fmt::Display for Inst {
                     write!(f, "{name}.{suffix} {rd}, {rs2}, ({rs1})")
                 }
             }
-            Inst::Fld { rd, rs1, offset } => write!(f, "fld {rd}, {offset}({rs1})"),
-            Inst::Fsd { rs2, rs1, offset } => write!(f, "fsd {rs2}, {offset}({rs1})"),
             Inst::FpOp { op, rd, rs1, rs2 } => {
+                let rd = raw_reg(rd, op.rd_is_f());
                 write!(f, "{} {rd}, {rs1}, {rs2}", ops::FP.row(op).name)
             }
             Inst::FpFma {
@@ -164,9 +176,6 @@ impl fmt::Display for Inst {
                 rs2,
                 rs3,
             } => write!(f, "{} {rd}, {rs1}, {rs2}, {rs3}", ops::FMA.row(op).name),
-            Inst::FpCmp { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", ops::FP_CMP.row(op).name)
-            }
             Inst::FpCvt { op, rd, rs1 } => {
                 // rd/rs1 are raw indices; render with the class each side
                 // of the conversion uses.
@@ -265,7 +274,7 @@ impl fmt::Display for Inst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AluOp, FmaOp, FpCvtOp, VIntOp};
+    use crate::inst::{AluOp, FmaOp, FpCvtOp, FpOp, LoadOp, VIntOp};
     use crate::vtype::{Lmul, VType};
 
     fn x(n: u8) -> XReg {
@@ -277,22 +286,29 @@ mod tests {
 
     #[test]
     fn scalar_disassembly() {
-        let inst = Inst::OpImm {
+        let inst = Inst::Op {
             op: AluOp::Add,
             rd: x(2),
             rs1: x(2),
-            imm: -16,
+            src: XSrc::I(-16),
         };
         assert_eq!(inst.to_string(), "addi sp, sp, -16");
 
         let inst = Inst::Load {
-            width: MemWidth::D,
-            signed: true,
-            rd: x(10),
+            op: LoadOp::Ld,
+            rd: 10,
             rs1: x(2),
             offset: 8,
         };
         assert_eq!(inst.to_string(), "ld a0, 8(sp)");
+
+        let inst = Inst::FpOp {
+            op: FpOp::Eq,
+            rd: 10,
+            rs1: FReg::new(1).unwrap(),
+            rs2: FReg::new(2).unwrap(),
+        };
+        assert_eq!(inst.to_string(), "feq.d a0, ft1, ft2");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use crate::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VSrc};
+use crate::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VSrc, XSrc};
 use crate::ops::{self, *};
 use crate::reg::{VReg, XReg};
 use crate::vtype::Sew;
@@ -42,8 +42,8 @@ pub enum EncodeError {
         /// `masked`.
         form: &'static str,
     },
-    /// The instruction variant cannot be expressed (e.g. an unsigned
-    /// doubleword load).
+    /// The instruction variant cannot be expressed (e.g. an atomic of
+    /// byte width).
     InvalidForm(&'static str),
 }
 
@@ -169,33 +169,45 @@ fn r_row<T>(row: &Row<T>, rs2: u32, rs1: u32, rd: u32, opcode: u32) -> u32 {
     r_type(row.bits >> 3, rs2, rs1, row.bits & 0x7, rd, opcode)
 }
 
-/// OP-IMM / OP-IMM-32: a shift packs its amount (at most `max_shamt`)
-/// under funct7, everything else is an I-type. `what` names the shift
-/// amount and the immediate in range errors.
-fn op_imm<T>(
-    row: &Row<T>,
-    imm: i64,
-    max_shamt: i64,
-    what: [&'static str; 2],
-    (rs1, rd): (XReg, XReg),
-    opcode: u32,
-) -> Result32 {
+/// The context [`EncodeError::ImmOutOfRange`] names for the immediate of
+/// an `Op` (`word` false) or `Op32` row.
+#[must_use]
+pub fn alu_imm_what<T>(row: &Row<T>, word: bool) -> &'static str {
+    match (word, row.has(UIMM)) {
+        (false, false) => "op-imm",
+        (false, true) => "shift amount",
+        (true, false) => "addiw",
+        (true, true) => "word shift amount",
+    }
+}
+
+/// OP / OP-IMM and their 32-bit (`word`) twins: a register operand is an
+/// R-type; an immediate shift packs its amount under funct7, any other
+/// immediate is an I-type.
+fn alu<T>(row: &Row<T>, src: XSrc, (rs1, rd): (XReg, XReg), word: bool) -> Result32 {
+    let (opcode, opcode_imm, max_shamt) = if word {
+        (OPC_OP32, OPC_OP_IMM32, 31)
+    } else {
+        (OPC_OP, OPC_OP_IMM, 63)
+    };
+    let imm = match src {
+        XSrc::X(rs2) => return Ok(r_row(row, rs2.bits(), rs1.bits(), rd.bits(), opcode)),
+        XSrc::I(imm) => i64::from(imm),
+    };
     if row.imm.is_none() {
         return Err(EncodeError::NoSuchForm {
             name: row.name,
             form: "immediate",
         });
     }
+    let what = alu_imm_what(row, word);
     if !row.has(UIMM) {
-        return i_type(imm, rs1.bits(), row.bits & 0x7, rd.bits(), opcode, what[1]);
+        return i_type(imm, rs1.bits(), row.bits & 0x7, rd.bits(), opcode_imm, what);
     }
     if !(0..=max_shamt).contains(&imm) {
-        return Err(EncodeError::ImmOutOfRange {
-            what: what[0],
-            value: imm,
-        });
+        return Err(EncodeError::ImmOutOfRange { what, value: imm });
     }
-    Ok(r_row(row, 0, rs1.bits(), rd.bits(), opcode) | (imm as u32) << 20)
+    Ok(r_row(row, 0, rs1.bits(), rd.bits(), opcode_imm) | (imm as u32) << 20)
 }
 
 /// OP-V arithmetic encoding: `funct6 | vm | vs2 | vs1/rs1/imm | funct3 | vd`.
@@ -268,13 +280,13 @@ fn vmem(mode: VAddrMode, eew: Sew, vm: bool, rs1: XReg, reg: VReg, opcode: u32) 
 /// # Examples
 ///
 /// ```
-/// # use coyote_isa::{encode::encode, inst::{Inst, AluOp}, reg::XReg};
+/// # use coyote_isa::{encode::encode, inst::{AluOp, Inst, XSrc}, reg::XReg};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let inst = Inst::OpImm {
+/// let inst = Inst::Op {
 ///     op: AluOp::Add,
 ///     rd: XReg::RA,
 ///     rs1: XReg::ZERO,
-///     imm: 1,
+///     src: XSrc::I(1),
 /// };
 /// assert_eq!(encode(&inst)?, 0x0010_0093); // addi ra, zero, 1
 /// # Ok(())
@@ -308,65 +320,29 @@ pub fn encode(inst: &Inst) -> Result32 {
             "branch",
         ),
         Inst::Load {
-            width,
-            signed,
+            op,
             rd,
             rs1,
             offset,
-        } => i_type(
-            i64::from(offset),
-            rs1.bits(),
-            ops::LOAD
-                .get((width, signed))
-                .ok_or(EncodeError::InvalidForm("ldu does not exist"))?
-                .bits,
-            rd.bits(),
-            OPC_LOAD,
-            "load",
-        ),
+        } => {
+            let bits = ops::LOAD.row(op).bits;
+            let rd = raw_index(rd, "load register index")?;
+            let offset = i64::from(offset);
+            i_type(offset, rs1.bits(), bits >> 7, rd, bits & 0x7f, "load")
+        }
         Inst::Store {
-            width,
+            op,
             rs2,
             rs1,
             offset,
-        } => s_type(
-            i64::from(offset),
-            rs2.bits(),
-            rs1.bits(),
-            ops::STORE.row(width).bits,
-            OPC_STORE,
-            "store",
-        ),
-        Inst::OpImm { op, rd, rs1, imm } => op_imm(
-            ops::ALU.row(op),
-            imm,
-            63,
-            ["shift amount", "op-imm"],
-            (rs1, rd),
-            OPC_OP_IMM,
-        ),
-        Inst::Op { op, rd, rs1, rs2 } => Ok(r_row(
-            ops::ALU.row(op),
-            rs2.bits(),
-            rs1.bits(),
-            rd.bits(),
-            OPC_OP,
-        )),
-        Inst::OpImm32 { op, rd, rs1, imm } => op_imm(
-            ops::ALU_W.row(op),
-            imm,
-            31,
-            ["word shift amount", "addiw"],
-            (rs1, rd),
-            OPC_OP_IMM32,
-        ),
-        Inst::Op32 { op, rd, rs1, rs2 } => Ok(r_row(
-            ops::ALU_W.row(op),
-            rs2.bits(),
-            rs1.bits(),
-            rd.bits(),
-            OPC_OP32,
-        )),
+        } => {
+            let bits = ops::STORE.row(op).bits;
+            let rs2 = raw_index(rs2, "store register index")?;
+            let offset = i64::from(offset);
+            s_type(offset, rs2, rs1.bits(), bits >> 7, bits & 0x7f, "store")
+        }
+        Inst::Op { op, rd, rs1, src } => alu(ops::ALU.row(op), src, (rs1, rd), false),
+        Inst::Op32 { op, rd, rs1, src } => alu(ops::ALU_W.row(op), src, (rs1, rd), true),
         Inst::System { op } => Ok(ops::SYSTEM.row(op).bits),
         Inst::Csr { op, rd, csr, src } => {
             let base = ops::CSR.row(op).bits;
@@ -407,27 +383,11 @@ pub fn encode(inst: &Inst) -> Result32 {
                 OPC_AMO,
             ))
         }
-        Inst::Fld { rd, rs1, offset } => i_type(
-            i64::from(offset),
-            rs1.bits(),
-            F3_FP_D,
-            rd.bits(),
-            OPC_LOAD_FP,
-            "fld",
-        ),
-        Inst::Fsd { rs2, rs1, offset } => s_type(
-            i64::from(offset),
-            rs2.bits(),
-            rs1.bits(),
-            F3_FP_D,
-            OPC_STORE_FP,
-            "fsd",
-        ),
         Inst::FpOp { op, rd, rs1, rs2 } => Ok(r_row(
             ops::FP.row(op),
             rs2.bits(),
             rs1.bits(),
-            rd.bits(),
+            raw_index(rd, "fp register index")?,
             OPC_OP_FP,
         )),
         Inst::FpFma {
@@ -443,13 +403,6 @@ pub fn encode(inst: &Inst) -> Result32 {
             | (RM_DYN << 12)
             | (rd.bits() << 7)
             | ops::FMA.row(op).bits),
-        Inst::FpCmp { op, rd, rs1, rs2 } => Ok(r_row(
-            ops::FP_CMP.row(op),
-            rs2.bits(),
-            rs1.bits(),
-            rd.bits(),
-            OPC_OP_FP,
-        )),
         Inst::FpCvt { op, rd, rs1 } => {
             let row = ops::FP_CVT.row(op);
             let what = "fcvt register index";
@@ -585,7 +538,9 @@ pub fn encode(inst: &Inst) -> Result32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AluOp, BranchOp, MemWidth, SysOp, UpperOp, VIntOp, VUnaryOp};
+    use crate::inst::{
+        AluOp, AluWOp, BranchOp, LoadOp, MemWidth, StoreOp, SysOp, UpperOp, VIntOp, VUnaryOp,
+    };
     use crate::vtype::{Lmul, VType};
 
     fn x(n: u8) -> XReg {
@@ -597,11 +552,11 @@ mod tests {
         // Cross-checked against the RISC-V spec / GNU as output.
         let cases: Vec<(Inst, u32)> = vec![
             (
-                Inst::OpImm {
+                Inst::Op {
                     op: AluOp::Add,
                     rd: x(1),
                     rs1: x(0),
-                    imm: 1,
+                    src: XSrc::I(1),
                 },
                 0x0010_0093, // addi ra, zero, 1
             ),
@@ -610,7 +565,7 @@ mod tests {
                     op: AluOp::Add,
                     rd: x(1),
                     rs1: x(2),
-                    rs2: x(3),
+                    src: XSrc::X(x(3)),
                 },
                 0x0031_00b3, // add ra, sp, gp
             ),
@@ -631,9 +586,8 @@ mod tests {
             ),
             (
                 Inst::Load {
-                    width: MemWidth::D,
-                    signed: true,
-                    rd: x(10),
+                    op: LoadOp::Ld,
+                    rd: 10,
                     rs1: x(2),
                     offset: 8,
                 },
@@ -641,8 +595,8 @@ mod tests {
             ),
             (
                 Inst::Store {
-                    width: MemWidth::D,
-                    rs2: x(10),
+                    op: StoreOp::Sd,
+                    rs2: 10,
                     rs1: x(2),
                     offset: 8,
                 },
@@ -659,11 +613,11 @@ mod tests {
     #[test]
     fn negative_immediates() {
         // addi sp, sp, -16 = 0xff010113
-        let inst = Inst::OpImm {
+        let inst = Inst::Op {
             op: AluOp::Add,
             rd: x(2),
             rs1: x(2),
-            imm: -16,
+            src: XSrc::I(-16),
         };
         assert_eq!(encode(&inst).unwrap(), 0xff01_0113);
     }
@@ -682,11 +636,11 @@ mod tests {
 
     #[test]
     fn out_of_range_rejected() {
-        let inst = Inst::OpImm {
+        let inst = Inst::Op {
             op: AluOp::Add,
             rd: x(1),
             rs1: x(1),
-            imm: 5000,
+            src: XSrc::I(5000),
         };
         assert!(matches!(
             encode(&inst),
@@ -705,11 +659,11 @@ mod tests {
 
     #[test]
     fn invalid_forms_rejected() {
-        let inst = Inst::OpImm {
+        let inst = Inst::Op {
             op: AluOp::Sub,
             rd: x(1),
             rs1: x(1),
-            imm: 0,
+            src: XSrc::I(0),
         };
         assert_eq!(
             encode(&inst),
@@ -719,13 +673,41 @@ mod tests {
             })
         );
 
-        let inst = Inst::OpImm {
+        let inst = Inst::Op {
             op: AluOp::Mul,
             rd: x(1),
             rs1: x(1),
-            imm: 0,
+            src: XSrc::I(0),
         };
         assert!(encode(&inst).is_err());
+
+        let inst = Inst::Op32 {
+            op: AluWOp::Sraw,
+            rd: x(1),
+            rs1: x(1),
+            src: XSrc::I(32),
+        };
+        assert_eq!(
+            encode(&inst),
+            Err(EncodeError::ImmOutOfRange {
+                what: "word shift amount",
+                value: 32
+            })
+        );
+
+        let inst = Inst::Load {
+            op: LoadOp::Fld,
+            rd: 32,
+            rs1: x(1),
+            offset: 0,
+        };
+        assert_eq!(
+            encode(&inst),
+            Err(EncodeError::ImmOutOfRange {
+                what: "load register index",
+                value: 32
+            })
+        );
     }
 
     #[test]

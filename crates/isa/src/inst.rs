@@ -70,6 +70,100 @@ impl MemWidth {
     }
 }
 
+/// Scalar load: the integer widths, zero- or sign-extending, and `fld`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LoadOp {
+    /// `lb`.
+    Lb,
+    /// `lh`.
+    Lh,
+    /// `lw`.
+    Lw,
+    /// `ld`.
+    Ld,
+    /// `lbu`.
+    Lbu,
+    /// `lhu`.
+    Lhu,
+    /// `lwu`.
+    Lwu,
+    /// `fld`: a doubleword into an `f` register.
+    Fld,
+}
+
+impl LoadOp {
+    /// Access width.
+    #[must_use]
+    pub fn width(self) -> MemWidth {
+        use LoadOp::*;
+        match self {
+            Lb | Lbu => MemWidth::B,
+            Lh | Lhu => MemWidth::H,
+            Lw | Lwu => MemWidth::W,
+            Ld | Fld => MemWidth::D,
+        }
+    }
+
+    /// Whether a value narrower than 64 bits is sign-extended.
+    #[must_use]
+    pub fn signed(self) -> bool {
+        use LoadOp::*;
+        match self {
+            Lb | Lh | Lw | Ld | Fld => true,
+            Lbu | Lhu | Lwu => false,
+        }
+    }
+
+    /// Whether `rd` names an `f` register, not an `x` one.
+    #[must_use]
+    pub fn rd_is_f(self) -> bool {
+        use LoadOp::*;
+        match self {
+            Fld => true,
+            Lb | Lh | Lw | Ld | Lbu | Lhu | Lwu => false,
+        }
+    }
+}
+
+/// Scalar store: the integer widths and `fsd`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StoreOp {
+    /// `sb`.
+    Sb,
+    /// `sh`.
+    Sh,
+    /// `sw`.
+    Sw,
+    /// `sd`.
+    Sd,
+    /// `fsd`: a doubleword from an `f` register.
+    Fsd,
+}
+
+impl StoreOp {
+    /// Access width.
+    #[must_use]
+    pub fn width(self) -> MemWidth {
+        use StoreOp::*;
+        match self {
+            Sb => MemWidth::B,
+            Sh => MemWidth::H,
+            Sw => MemWidth::W,
+            Sd | Fsd => MemWidth::D,
+        }
+    }
+
+    /// Whether `rs2` names an `f` register, not an `x` one.
+    #[must_use]
+    pub fn rs2_is_f(self) -> bool {
+        use StoreOp::*;
+        match self {
+            Fsd => true,
+            Sb | Sh | Sw | Sd => false,
+        }
+    }
+}
+
 /// Integer register-register / register-immediate operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
@@ -183,7 +277,7 @@ pub enum CsrSrc {
     Imm(u8),
 }
 
-/// Two-operand double-precision floating-point operation.
+/// Two-operand double-precision floating-point operation or compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpOp {
     /// `fadd.d`.
@@ -204,6 +298,24 @@ pub enum FpOp {
     Min,
     /// `fmax.d`.
     Max,
+    /// `feq.d`: 1 in an `x` register if equal.
+    Eq,
+    /// `flt.d`: 1 in an `x` register if less.
+    Lt,
+    /// `fle.d`: 1 in an `x` register if less or equal.
+    Le,
+}
+
+impl FpOp {
+    /// Whether `rd` names an `f` register; a compare writes an `x` one.
+    #[must_use]
+    pub fn rd_is_f(self) -> bool {
+        use FpOp::*;
+        match self {
+            Add | Sub | Mul | Div | Sgnj | Sgnjn | Sgnjx | Min | Max => true,
+            Eq | Lt | Le => false,
+        }
+    }
 }
 
 /// Fused multiply-add family.
@@ -217,17 +329,6 @@ pub enum FmaOp {
     Nmsub,
     /// `fnmadd.d`: `rd = -(rs1*rs2) - rs3`.
     Nmadd,
-}
-
-/// Floating-point comparison writing an integer register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FpCmpOp {
-    /// `feq.d`.
-    Eq,
-    /// `flt.d`.
-    Lt,
-    /// `fle.d`.
-    Le,
 }
 
 /// Conversions between `f64` and integer registers.
@@ -502,6 +603,17 @@ impl VSrc {
     }
 }
 
+/// Second source operand of an integer ALU instruction, the scalar twin
+/// of [`VSrc`]: the variant is the operand form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum XSrc {
+    /// A register (`add`, OP / OP-32), naming `rs2`.
+    X(XReg),
+    /// An immediate (`addi`, OP-IMM / OP-IMM-32): sign-extended 12-bit,
+    /// or a shift amount where the operation's row has [`ops::UIMM`].
+    I(i32),
+}
+
 /// A decoded instruction.
 ///
 /// Construct values directly, via [`crate::decode::decode`], or by
@@ -546,43 +658,32 @@ pub enum Inst {
         /// PC-relative byte offset (multiple of 2).
         offset: i32,
     },
-    /// Scalar integer load.
+    /// Scalar load.
     Load {
-        /// Access width.
-        width: MemWidth,
-        /// Whether the loaded value is sign-extended.
-        signed: bool,
-        /// Destination register.
-        rd: XReg,
+        /// Operation: width, extension and register file.
+        op: LoadOp,
+        /// Destination register index: `f` where [`LoadOp::rd_is_f`],
+        /// `x` otherwise.
+        rd: u8,
         /// Base address register.
         rs1: XReg,
         /// Byte offset.
         offset: i32,
     },
-    /// Scalar integer store.
+    /// Scalar store.
     Store {
-        /// Access width.
-        width: MemWidth,
-        /// Source data register.
-        rs2: XReg,
+        /// Operation: width and register file.
+        op: StoreOp,
+        /// Source data register index: `f` where [`StoreOp::rs2_is_f`],
+        /// `x` otherwise.
+        rs2: u8,
         /// Base address register.
         rs1: XReg,
         /// Byte offset.
         offset: i32,
     },
-    /// Register-immediate ALU operation. For shifts, `imm` holds the
-    /// 6-bit shift amount. `Sub` and M-extension ops are invalid here.
-    OpImm {
-        /// Operation.
-        op: AluOp,
-        /// Destination register.
-        rd: XReg,
-        /// Source register.
-        rs1: XReg,
-        /// Sign-extended 12-bit immediate (or shift amount).
-        imm: i64,
-    },
-    /// Register-register ALU operation (including M extension).
+    /// Integer ALU operation (including the M extension), register or
+    /// immediate form. `Sub` and the M-extension ops have no immediate.
     Op {
         /// Operation.
         op: AluOp,
@@ -590,21 +691,11 @@ pub enum Inst {
         rd: XReg,
         /// First source register.
         rs1: XReg,
-        /// Second source register.
-        rs2: XReg,
+        /// Second operand: `rs2` or the immediate.
+        src: XSrc,
     },
-    /// 32-bit register-immediate operation (`addiw`, `slliw`, …).
-    OpImm32 {
-        /// Operation (`Addw`, `Sllw`, `Srlw`, `Sraw` only).
-        op: AluWOp,
-        /// Destination register.
-        rd: XReg,
-        /// Source register.
-        rs1: XReg,
-        /// Sign-extended 12-bit immediate (or 5-bit shift amount).
-        imm: i64,
-    },
-    /// 32-bit register-register operation (including M-extension `*w`).
+    /// 32-bit (`*w`) ALU operation, register or immediate form; only
+    /// `Addw`, `Sllw`, `Srlw` and `Sraw` have an immediate.
     Op32 {
         /// Operation.
         op: AluWOp,
@@ -612,8 +703,8 @@ pub enum Inst {
         rd: XReg,
         /// First source register.
         rs1: XReg,
-        /// Second source register.
-        rs2: XReg,
+        /// Second operand: `rs2` or the immediate.
+        src: XSrc,
     },
     /// `fence` / `ecall` / `ebreak`.
     System {
@@ -646,30 +737,13 @@ pub enum Inst {
     },
 
     // ---- D extension ----
-    /// `fld`.
-    Fld {
-        /// Destination FP register.
-        rd: FReg,
-        /// Base address register.
-        rs1: XReg,
-        /// Byte offset.
-        offset: i32,
-    },
-    /// `fsd`.
-    Fsd {
-        /// Source FP register.
-        rs2: FReg,
-        /// Base address register.
-        rs1: XReg,
-        /// Byte offset.
-        offset: i32,
-    },
-    /// Two-operand double-precision operation.
+    /// Two-operand double-precision operation or compare.
     FpOp {
         /// Operation.
         op: FpOp,
-        /// Destination FP register.
-        rd: FReg,
+        /// Destination register index: `f` where [`FpOp::rd_is_f`], `x`
+        /// for a compare.
+        rd: u8,
         /// First source.
         rs1: FReg,
         /// Second source.
@@ -687,17 +761,6 @@ pub enum Inst {
         rs2: FReg,
         /// Addend.
         rs3: FReg,
-    },
-    /// Floating-point compare into an integer register.
-    FpCmp {
-        /// Comparison.
-        op: FpCmpOp,
-        /// Integer destination (1 if true).
-        rd: XReg,
-        /// First source.
-        rs1: FReg,
-        /// Second source.
-        rs2: FReg,
     },
     /// Conversion or bit move between double and integer registers.
     FpCvt {

@@ -1,10 +1,8 @@
-//! Shared byte-interval primitives.
+//! The cross-owner byte-conflict predicate.
 //!
 //! The fused-window chunk check (`crates/core/src/sim.rs`) and the
 //! superblock pairwise checker (`crates/iss/src/superblock.rs`) share
-//! one predicate, [`cross_owner_conflict`], and [`ByteIntervalSet`] is the sorted,
-//! coalesced byte-range container the static analysis crate builds
-//! footprints and text-overlap queries on.
+//! one predicate, [`cross_owner_conflict`].
 //!
 //! Conflict semantics are exactly the ones the orchestrator relies on:
 //! two accesses conflict when they share a byte, belong to *different*
@@ -197,99 +195,6 @@ where
     false
 }
 
-/// A sorted, coalesced set of half-open byte ranges.
-///
-/// Ranges are kept non-empty, non-overlapping, non-adjacent and in
-/// ascending order, so membership and intersection queries are linear
-/// two-pointer walks and the representation is canonical (two sets
-/// are equal iff their range vectors are equal).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ByteIntervalSet {
-    ranges: Vec<(u64, u64)>,
-}
-
-impl ByteIntervalSet {
-    /// The empty set.
-    #[must_use]
-    pub fn new() -> ByteIntervalSet {
-        ByteIntervalSet::default()
-    }
-
-    /// True when no bytes are in the set.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// The coalesced ranges, ascending.
-    #[must_use]
-    pub fn ranges(&self) -> &[(u64, u64)] {
-        &self.ranges
-    }
-
-    /// Total number of bytes covered.
-    #[must_use]
-    pub fn byte_count(&self) -> u64 {
-        self.ranges.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// Inserts `[start, end)`, merging with any ranges it touches.
-    /// Empty input ranges are ignored.
-    pub fn insert(&mut self, start: u64, end: u64) {
-        if start >= end {
-            return;
-        }
-        // First range whose end could touch the new one.
-        let lo = self.ranges.partition_point(|&(_, e)| e < start);
-        // One past the last range whose start touches the new one.
-        let hi = self.ranges.partition_point(|&(s, _)| s <= end);
-        if lo == hi {
-            self.ranges.insert(lo, (start, end));
-            return;
-        }
-        let merged_start = start.min(self.ranges[lo].0);
-        let merged_end = end.max(self.ranges[hi - 1].1);
-        self.ranges.drain(lo..hi);
-        self.ranges.insert(lo, (merged_start, merged_end));
-    }
-
-    /// True when `addr` is in the set.
-    #[must_use]
-    pub fn contains(&self, addr: u64) -> bool {
-        let idx = self.ranges.partition_point(|&(_, e)| e <= addr);
-        self.ranges.get(idx).is_some_and(|&(s, _)| s <= addr)
-    }
-
-    /// True when `[start, end)` shares at least one byte with the set.
-    #[must_use]
-    pub fn overlaps_range(&self, start: u64, end: u64) -> bool {
-        if start >= end {
-            return false;
-        }
-        let idx = self.ranges.partition_point(|&(_, e)| e <= start);
-        self.ranges.get(idx).is_some_and(|&(s, _)| s < end)
-    }
-
-    /// True when the two sets share at least one byte.
-    #[must_use]
-    pub fn intersects(&self, other: &ByteIntervalSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.ranges.len() && j < other.ranges.len() {
-            let (a_s, a_e) = self.ranges[i];
-            let (b_s, b_e) = other.ranges[j];
-            if a_s < b_e && b_s < a_e {
-                return true;
-            }
-            if a_e <= b_e {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,35 +274,5 @@ mod tests {
         });
         assert!(!cross_owner_conflict(&mut map, owners));
         assert_eq!(map.examined(), 0);
-    }
-
-    #[test]
-    fn interval_set_coalesces_and_queries() {
-        let mut set = ByteIntervalSet::new();
-        set.insert(16, 24);
-        set.insert(0, 8);
-        set.insert(8, 16); // bridges the gap
-        assert_eq!(set.ranges(), &[(0, 24)]);
-        assert_eq!(set.byte_count(), 24);
-        set.insert(40, 48);
-        assert!(set.contains(23));
-        assert!(!set.contains(24));
-        assert!(set.overlaps_range(20, 30));
-        assert!(!set.overlaps_range(24, 40));
-
-        let mut other = ByteIntervalSet::new();
-        other.insert(30, 41);
-        assert!(set.intersects(&other));
-        let mut disjoint = ByteIntervalSet::new();
-        disjoint.insert(24, 40);
-        assert!(!set.intersects(&disjoint));
-    }
-
-    #[test]
-    fn empty_inserts_are_ignored() {
-        let mut set = ByteIntervalSet::new();
-        set.insert(8, 8);
-        assert!(set.is_empty());
-        assert!(!set.overlaps_range(0, 0));
     }
 }

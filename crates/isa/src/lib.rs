@@ -42,7 +42,7 @@ pub use csr::Csr;
 pub use decode::{decode, DecodeError};
 pub use encode::{encode, EncodeError};
 pub use inst::Inst;
-pub use interval::{cross_owner_conflict, Access, ByteIntervalSet, OwnerAccesses, StoreMap};
+pub use interval::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
 pub use predecode::{predecode, predecode_with_stats, DecodedInst, PredecodeStats, RegSet};
 pub use reg::{FReg, VReg, XReg};
 pub use superblock::{build_plans, BlockSummary, FuseClass, FusePlan, MemPlan};

@@ -19,8 +19,8 @@
 #![allow(clippy::unusual_byte_groupings)]
 
 use crate::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, FmaOp, FpCmpOp, FpCvtOp, FpOp, MemWidth, SysOp, UpperOp,
-    VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
+    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, FmaOp, FpCvtOp, FpOp, LoadOp, MemWidth, StoreOp, SysOp,
+    UpperOp, VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
 };
 use crate::reg::{VReg, XReg};
 use crate::vtype::Sew;
@@ -178,23 +178,27 @@ pub static BRANCH: Table<BranchOp> = Table(&[
     row(BranchOp::Geu, "bgeu", 0b111),
 ]);
 
-/// Integer loads, keyed by `(width, sign-extends)`; `bits` is funct3.
-pub static LOAD: Table<(MemWidth, bool)> = Table(&[
-    row((MemWidth::B, true), "lb", 0b000),
-    row((MemWidth::H, true), "lh", 0b001),
-    row((MemWidth::W, true), "lw", 0b010),
-    row((MemWidth::D, true), "ld", 0b011),
-    row((MemWidth::B, false), "lbu", 0b100),
-    row((MemWidth::H, false), "lhu", 0b101),
-    row((MemWidth::W, false), "lwu", 0b110),
+/// Scalar loads; `bits` is `funct3_opcode`. Which register file `rd`
+/// names is [`LoadOp::rd_is_f`].
+pub static LOAD: Table<LoadOp> = Table(&[
+    row(LoadOp::Lb, "lb", 0b000_0000011),
+    row(LoadOp::Lh, "lh", 0b001_0000011),
+    row(LoadOp::Lw, "lw", 0b010_0000011),
+    row(LoadOp::Ld, "ld", 0b011_0000011),
+    row(LoadOp::Lbu, "lbu", 0b100_0000011),
+    row(LoadOp::Lhu, "lhu", 0b101_0000011),
+    row(LoadOp::Lwu, "lwu", 0b110_0000011),
+    row(LoadOp::Fld, "fld", 0b011_0000111),
 ]);
 
-/// Integer stores; `bits` is funct3.
-pub static STORE: Table<MemWidth> = Table(&[
-    row(MemWidth::B, "sb", 0b000),
-    row(MemWidth::H, "sh", 0b001),
-    row(MemWidth::W, "sw", 0b010),
-    row(MemWidth::D, "sd", 0b011),
+/// Scalar stores; `bits` is `funct3_opcode`. Which register file `rs2`
+/// names is [`StoreOp::rs2_is_f`].
+pub static STORE: Table<StoreOp> = Table(&[
+    row(StoreOp::Sb, "sb", 0b000_0100011),
+    row(StoreOp::Sh, "sh", 0b001_0100011),
+    row(StoreOp::Sw, "sw", 0b010_0100011),
+    row(StoreOp::Sd, "sd", 0b011_0100011),
+    row(StoreOp::Fsd, "fsd", 0b011_0100111),
 ]);
 
 /// OP / OP-IMM; `bits` is `funct7_funct3` of the register form. The
@@ -264,8 +268,9 @@ pub static AMO: Table<AmoOp> = Table(&[
 pub static AMO_WIDTH: Table<MemWidth> =
     Table(&[row(MemWidth::W, "w", 0b010), row(MemWidth::D, "d", 0b011)]);
 
-/// Two-operand double-precision arithmetic; `bits` is `funct7_funct3`,
-/// where funct3 is the emitted (dynamic) rounding mode under [`RM`].
+/// Two-operand double-precision arithmetic and compares; `bits` is
+/// `funct7_funct3`, where funct3 is the emitted (dynamic) rounding mode
+/// under [`RM`]. Which register file `rd` names is [`FpOp::rd_is_f`].
 pub static FP: Table<FpOp> = Table(&[
     row(FpOp::Add, "fadd.d", 0b0000001_111).forms(RM),
     row(FpOp::Sub, "fsub.d", 0b0000101_111).forms(RM),
@@ -276,6 +281,9 @@ pub static FP: Table<FpOp> = Table(&[
     row(FpOp::Sgnjx, "fsgnjx.d", 0b0010001_010),
     row(FpOp::Min, "fmin.d", 0b0010101_000),
     row(FpOp::Max, "fmax.d", 0b0010101_001),
+    row(FpOp::Le, "fle.d", 0b1010001_000),
+    row(FpOp::Lt, "flt.d", 0b1010001_001),
+    row(FpOp::Eq, "feq.d", 0b1010001_010),
 ]);
 
 /// Fused multiply-adds; `bits` is the major opcode.
@@ -284,13 +292,6 @@ pub static FMA: Table<FmaOp> = Table(&[
     row(FmaOp::Msub, "fmsub.d", 0b1000111),
     row(FmaOp::Nmsub, "fnmsub.d", 0b1001011),
     row(FmaOp::Nmadd, "fnmadd.d", 0b1001111),
-]);
-
-/// Double-precision compares; `bits` is `funct7_funct3`.
-pub static FP_CMP: Table<FpCmpOp> = Table(&[
-    row(FpCmpOp::Le, "fle.d", 0b1010001_000),
-    row(FpCmpOp::Lt, "flt.d", 0b1010001_001),
-    row(FpCmpOp::Eq, "feq.d", 0b1010001_010),
 ]);
 
 /// Float/integer conversions and bit moves; `bits` is `funct7_rs2`.
@@ -473,7 +474,8 @@ pub const F3_OPFVF: u32 = 0b101;
 pub const F3_OPMVX: u32 = 0b110;
 /// OP-V funct3: `vset*` configuration.
 pub const F3_OPCFG: u32 = 0b111;
-/// LOAD-FP / STORE-FP funct3 of the scalar doubleword access.
+/// LOAD-FP / STORE-FP funct3 of `fld` / `fsd`; the vector accesses
+/// use the others.
 pub const F3_FP_D: u32 = 0b011;
 
 /// funct6 of the [`VUNARY`] operations and of [`VMV_S`].
@@ -538,7 +540,6 @@ mod tests {
         well_formed(&AMO_WIDTH);
         well_formed(&FP);
         well_formed(&FMA);
-        well_formed(&FP_CMP);
         well_formed(&FP_CVT);
         well_formed(&VINT);
         well_formed(&VMUL);
@@ -559,7 +560,7 @@ mod tests {
         assert!(ALU.from_imm("sub").is_none());
         assert!(ALU.from_name("addi").is_none());
         assert_eq!(VMASK.from_name("vmornot").unwrap().op, VMaskOp::OrNot);
-        assert!(LOAD.get((MemWidth::D, false)).is_none());
+        assert_eq!(LOAD.row(LoadOp::Fld).bits >> 7, F3_FP_D);
         assert!(VMASK.from_name("").is_none());
     }
 }

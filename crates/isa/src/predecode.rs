@@ -14,7 +14,7 @@
 //! and the stepper recomputes their sets with [`uses_with_group`] /
 //! [`defs_with_group`] under the current group length.
 
-use crate::inst::{CsrSrc, Inst, VAddrMode, VFpOp, VMulOp, VSrc};
+use crate::inst::{CsrSrc, Inst, VAddrMode, VFpOp, VMulOp, VSrc, XSrc};
 use crate::reg::{FReg, VReg, XReg};
 
 /// A set of registers, used for hazard detection (bit per register).
@@ -100,14 +100,15 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
             set.add_x(rs2);
         }
         Inst::Load { rs1, .. } => set.add_x(rs1),
-        Inst::Store { rs2, rs1, .. } => {
+        Inst::Store { op, rs2, rs1, .. } => {
             set.add_x(rs1);
-            set.add_x(rs2);
+            add_raw(&mut set, rs2, op.rs2_is_f());
         }
-        Inst::OpImm { rs1, .. } | Inst::OpImm32 { rs1, .. } => set.add_x(rs1),
-        Inst::Op { rs1, rs2, .. } | Inst::Op32 { rs1, rs2, .. } => {
+        Inst::Op { rs1, src, .. } | Inst::Op32 { rs1, src, .. } => {
             set.add_x(rs1);
-            set.add_x(rs2);
+            if let XSrc::X(rs2) = src {
+                set.add_x(rs2);
+            }
         }
         Inst::Csr { src, .. } => {
             if let CsrSrc::Reg(rs1) = src {
@@ -118,11 +119,6 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
             set.add_x(rs1);
             set.add_x(rs2);
         }
-        Inst::Fld { rs1, .. } => set.add_x(rs1),
-        Inst::Fsd { rs2, rs1, .. } => {
-            set.add_x(rs1);
-            set.add_f(rs2);
-        }
         Inst::FpOp { rs1, rs2, .. } => {
             set.add_f(rs1);
             set.add_f(rs2);
@@ -131,10 +127,6 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
             set.add_f(rs1);
             set.add_f(rs2);
             set.add_f(rs3);
-        }
-        Inst::FpCmp { rs1, rs2, .. } => {
-            set.add_f(rs1);
-            set.add_f(rs2);
         }
         Inst::FpCvt { op, rs1, .. } => add_raw(&mut set, rs1, !op.rd_is_f()),
         Inst::Vsetvli { rs1, .. } => set.add_x(rs1),
@@ -255,18 +247,16 @@ pub fn defs_with_group(inst: &Inst, g: u8) -> RegSet {
         Inst::Upper { rd, .. }
         | Inst::Jal { rd, .. }
         | Inst::Jalr { rd, .. }
-        | Inst::Load { rd, .. }
-        | Inst::OpImm { rd, .. }
         | Inst::Op { rd, .. }
-        | Inst::OpImm32 { rd, .. }
         | Inst::Op32 { rd, .. }
         | Inst::Csr { rd, .. }
         | Inst::Amo { rd, .. }
-        | Inst::FpCmp { rd, .. }
         | Inst::Vsetvli { rd, .. }
         | Inst::Vsetivli { rd, .. }
         | Inst::Vsetvl { rd, .. } => set.add_x(rd),
-        Inst::Fld { rd, .. } | Inst::FpOp { rd, .. } | Inst::FpFma { rd, .. } => set.add_f(rd),
+        Inst::FpFma { rd, .. } => set.add_f(rd),
+        Inst::Load { op, rd, .. } => add_raw(&mut set, rd, op.rd_is_f()),
+        Inst::FpOp { op, rd, .. } => add_raw(&mut set, rd, op.rd_is_f()),
         Inst::FpCvt { op, rd, .. } => add_raw(&mut set, rd, op.rd_is_f()),
         Inst::VUnary { op, rd, .. } => add_raw(&mut set, rd, op.rd_is_f()),
         Inst::VLoad { vd, .. } => set.add_v_group(vd, g),
@@ -280,11 +270,7 @@ pub fn defs_with_group(inst: &Inst, g: u8) -> RegSet {
         | Inst::VMaskCmp { vd, .. }
         | Inst::VFMaskCmp { vd, .. }
         | Inst::VMaskLogical { vd, .. } => set.add_v_group(vd, 1),
-        Inst::Branch { .. }
-        | Inst::Store { .. }
-        | Inst::Fsd { .. }
-        | Inst::VStore { .. }
-        | Inst::System { .. } => {}
+        Inst::Branch { .. } | Inst::Store { .. } | Inst::VStore { .. } | Inst::System { .. } => {}
     }
     set
 }

@@ -121,6 +121,8 @@ impl XReg {
     pub const A0: XReg = XReg(10);
     /// Second argument register `x11` (`a1`).
     pub const A1: XReg = XReg(11);
+    /// Syscall-number register `x17` (`a7`).
+    pub const A7: XReg = XReg(17);
 
     /// ABI mnemonic for this register (e.g. `"a0"` for `x10`).
     #[must_use]

@@ -116,40 +116,25 @@ pub fn classify(slot: Option<&DecodedInst>) -> FuseClass {
     }
     match entry.inst {
         Inst::Upper { .. }
-        | Inst::OpImm { .. }
         | Inst::Op { .. }
-        | Inst::OpImm32 { .. }
         | Inst::Op32 { .. }
         | Inst::FpOp { .. }
         | Inst::FpFma { .. }
-        | Inst::FpCmp { .. }
         | Inst::FpCvt { .. } => FuseClass::Plain,
         Inst::Load {
-            width, rs1, offset, ..
+            op, rs1, offset, ..
         } => FuseClass::Mem(MemPlan {
             base: rs1,
             offset,
-            size: width.bytes() as u8,
+            size: op.width().bytes() as u8,
             write: false,
         }),
         Inst::Store {
-            width, rs1, offset, ..
+            op, rs1, offset, ..
         } => FuseClass::Mem(MemPlan {
             base: rs1,
             offset,
-            size: width.bytes() as u8,
-            write: true,
-        }),
-        Inst::Fld { rs1, offset, .. } => FuseClass::Mem(MemPlan {
-            base: rs1,
-            offset,
-            size: 8,
-            write: false,
-        }),
-        Inst::Fsd { rs1, offset, .. } => FuseClass::Mem(MemPlan {
-            base: rs1,
-            offset,
-            size: 8,
+            size: op.width().bytes() as u8,
             write: true,
         }),
         Inst::Branch { .. } | Inst::Jal { .. } | Inst::Jalr { .. } => FuseClass::Terminator,

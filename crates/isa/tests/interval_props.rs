@@ -2,12 +2,11 @@
 //! predicate is checked *exhaustively* over a small universe against a
 //! naive pairwise byte-set oracle (abstract-domain code needs more than
 //! random sampling — see ROADMAP item 4c), plus one proptest for large
-//! random inputs; the interval set must answer queries exactly like a
-//! byte-level reference.
+//! random inputs.
 
 use proptest::prelude::*;
 
-use coyote_isa::{cross_owner_conflict, Access, ByteIntervalSet, OwnerAccesses, StoreMap};
+use coyote_isa::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
 
 const OWNERS: usize = 3;
 
@@ -166,44 +165,5 @@ proptest! {
         let mut map = StoreMap::new();
         prop_assert_eq!(case.conflicts(&mut map, true), expected);
         prop_assert_eq!(case.conflicts(&mut map, false), expected);
-    }
-
-    #[test]
-    fn interval_set_matches_byte_level_reference(
-        ranges in proptest::collection::vec((0_u64..64, 0_u64..16), 0..12),
-        probe in 0_u64..80,
-        other_ranges in proptest::collection::vec((0_u64..64, 0_u64..16), 0..12),
-    ) {
-        let mut set = ByteIntervalSet::new();
-        let mut bytes = [false; 96];
-        for &(start, len) in &ranges {
-            set.insert(start, start + len);
-            for b in start..start + len {
-                bytes[b as usize] = true;
-            }
-        }
-        // Canonical form: sorted, coalesced, non-empty, non-adjacent.
-        for pair in set.ranges().windows(2) {
-            prop_assert!(pair[0].1 < pair[1].0);
-        }
-        for &(s, e) in set.ranges() {
-            prop_assert!(s < e);
-        }
-        prop_assert_eq!(set.byte_count(), bytes.iter().filter(|&&b| b).count() as u64);
-        prop_assert_eq!(set.contains(probe), bytes.get(probe as usize).copied().unwrap_or(false));
-
-        let mut other = ByteIntervalSet::new();
-        let mut other_bytes = vec![false; 96];
-        for &(start, len) in &other_ranges {
-            other.insert(start, start + len);
-            for b in start..start + len {
-                other_bytes[b as usize] = true;
-            }
-        }
-        let expected_intersect = bytes.iter().zip(&other_bytes).any(|(&a, &b)| a && b);
-        prop_assert_eq!(set.intersects(&other), expected_intersect);
-        let expected_overlap = (0..bytes.len() as u64)
-            .any(|b| b >= probe && b < probe + 8 && bytes[b as usize]);
-        prop_assert_eq!(set.overlaps_range(probe, probe + 8), expected_overlap);
     }
 }

@@ -4,7 +4,7 @@
 
 use coyote_isa::decode::decode;
 use coyote_isa::encode::encode;
-use coyote_isa::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VSrc};
+use coyote_isa::inst::{AmoOp, CsrSrc, Inst, VAddrMode, VSrc, XSrc};
 use coyote_isa::ops::{self, Row, Table, UIMM, VM};
 use coyote_isa::{Csr, FReg, Lmul, Sew, VReg, VType, XReg};
 use proptest::prelude::*;
@@ -232,48 +232,56 @@ fn inst() -> impl Strategy<Value = Inst> {
                 offset,
             }
         }),
-        (all(&ops::LOAD), xreg(), xreg(), -2048i32..=2047).prop_map(
-            |((width, signed), rd, rs1, offset)| Inst::Load {
-                width,
-                signed,
+        // A raw data register names an `x` or an `f` register by the
+        // row, so every row, `fld` and `fsd` included, takes any index.
+        (all(&ops::LOAD), 0u8..32, xreg(), -2048i32..=2047).prop_map(|(op, rd, rs1, offset)| {
+            Inst::Load {
+                op,
                 rd,
                 rs1,
-                offset
+                offset,
             }
-        ),
-        (all(&ops::STORE), xreg(), xreg(), -2048i32..=2047).prop_map(
-            |(width, rs2, rs1, offset)| Inst::Store {
-                width,
+        }),
+        (all(&ops::STORE), 0u8..32, xreg(), -2048i32..=2047).prop_map(|(op, rs2, rs1, offset)| {
+            Inst::Store {
+                op,
                 rs2,
                 rs1,
-                offset
+                offset,
             }
-        ),
-        (imm_form(&ops::ALU, false), xreg(), xreg(), -2048i64..=2047)
-            .prop_map(|(op, rd, rs1, imm)| Inst::OpImm { op, rd, rs1, imm }),
-        (imm_form(&ops::ALU, true), xreg(), xreg(), 0i64..=63)
-            .prop_map(|(op, rd, rs1, imm)| Inst::OpImm { op, rd, rs1, imm }),
-        (all(&ops::ALU), xreg(), xreg(), xreg()).prop_map(|(op, rd, rs1, rs2)| Inst::Op {
-            op,
-            rd,
-            rs1,
-            rs2
         }),
+        (all(&ops::ALU), xreg(), xreg(), xreg().prop_map(XSrc::X))
+            .prop_map(|(op, rd, rs1, src)| Inst::Op { op, rd, rs1, src }),
+        (
+            imm_form(&ops::ALU, false),
+            xreg(),
+            xreg(),
+            (-2048i32..=2047).prop_map(XSrc::I)
+        )
+            .prop_map(|(op, rd, rs1, src)| Inst::Op { op, rd, rs1, src }),
+        (
+            imm_form(&ops::ALU, true),
+            xreg(),
+            xreg(),
+            (0i32..=63).prop_map(XSrc::I)
+        )
+            .prop_map(|(op, rd, rs1, src)| Inst::Op { op, rd, rs1, src }),
+        (all(&ops::ALU_W), xreg(), xreg(), xreg().prop_map(XSrc::X))
+            .prop_map(|(op, rd, rs1, src)| { Inst::Op32 { op, rd, rs1, src } }),
         (
             imm_form(&ops::ALU_W, false),
             xreg(),
             xreg(),
-            -2048i64..=2047
+            (-2048i32..=2047).prop_map(XSrc::I)
         )
-            .prop_map(|(op, rd, rs1, imm)| Inst::OpImm32 { op, rd, rs1, imm }),
-        (imm_form(&ops::ALU_W, true), xreg(), xreg(), 0i64..=31)
-            .prop_map(|(op, rd, rs1, imm)| Inst::OpImm32 { op, rd, rs1, imm }),
-        (all(&ops::ALU_W), xreg(), xreg(), xreg()).prop_map(|(op, rd, rs1, rs2)| Inst::Op32 {
-            op,
-            rd,
-            rs1,
-            rs2
-        }),
+            .prop_map(|(op, rd, rs1, src)| Inst::Op32 { op, rd, rs1, src }),
+        (
+            imm_form(&ops::ALU_W, true),
+            xreg(),
+            xreg(),
+            (0i32..=31).prop_map(XSrc::I)
+        )
+            .prop_map(|(op, rd, rs1, src)| Inst::Op32 { op, rd, rs1, src }),
         all(&ops::SYSTEM).prop_map(|op| Inst::System { op }),
         (
             all(&ops::CSR),
@@ -295,17 +303,8 @@ fn inst() -> impl Strategy<Value = Inst> {
                 rs2: if op == AmoOp::Lr { XReg::ZERO } else { rs2 }
             }
         ),
-        (freg(), xreg(), -2048i32..=2047).prop_map(|(rd, rs1, offset)| Inst::Fld {
-            rd,
-            rs1,
-            offset
-        }),
-        (freg(), xreg(), -2048i32..=2047).prop_map(|(rs2, rs1, offset)| Inst::Fsd {
-            rs2,
-            rs1,
-            offset
-        }),
-        (all(&ops::FP), freg(), freg(), freg()).prop_map(|(op, rd, rs1, rs2)| Inst::FpOp {
+        // The compares are `FP` rows whose raw `rd` is an `x` register.
+        (all(&ops::FP), 0u8..32, freg(), freg()).prop_map(|(op, rd, rs1, rs2)| Inst::FpOp {
             op,
             rd,
             rs1,
@@ -319,12 +318,6 @@ fn inst() -> impl Strategy<Value = Inst> {
                 rs2,
                 rs3,
             }
-        }),
-        (all(&ops::FP_CMP), xreg(), freg(), freg()).prop_map(|(op, rd, rs1, rs2)| Inst::FpCmp {
-            op,
-            rd,
-            rs1,
-            rs2
         }),
         (all(&ops::FP_CVT), 0u8..32, 0u8..32).prop_map(|(op, rd, rs1)| Inst::FpCvt { op, rd, rs1 }),
         (xreg(), xreg(), vtype()).prop_map(|(rd, rs1, vtype)| Inst::Vsetvli { rd, rs1, vtype }),

@@ -21,9 +21,9 @@
 use std::fmt;
 
 use coyote_isa::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCmpOp, FpCvtOp, FpOp, Inst, MemWidth,
-    SysOp, UpperOp, VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc,
-    VUnaryOp,
+    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCvtOp, FpOp, Inst, MemWidth, SysOp,
+    UpperOp, VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
+    XSrc,
 };
 use coyote_isa::{FReg, Sew, VReg, VType, XReg};
 
@@ -232,6 +232,7 @@ fn alu_w(op: AluWOp, a: u64, b: u64) -> u64 {
     result as i64 as u64
 }
 
+#[inline]
 fn load_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, signed: bool) -> u64 {
     match (width, signed) {
         (MemWidth::B, true) => mem.read_u8(addr) as i8 as i64 as u64,
@@ -244,6 +245,7 @@ fn load_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, signed: bool) 
     }
 }
 
+#[inline]
 fn store_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, value: u64) {
     match width {
         MemWidth::B => mem.write_u8(addr, value as u8),
@@ -270,7 +272,7 @@ fn elem_width(eew: Sew) -> MemWidth {
 pub struct Scalar {
     /// Destination register, if any.
     pub dest: Option<Dest>,
-    /// The data-memory access, for `Load`, `Store`, `Fld` and `Fsd`.
+    /// The data-memory access, for `Load` and `Store`.
     pub access: Option<MemAccess>,
     /// Whether control flow was redirected (taken branch or jump).
     pub branched: bool,
@@ -280,10 +282,9 @@ pub struct Scalar {
 /// fused run can hold (`coyote_isa::superblock::classify` admits
 /// exactly these), else returns `None` and touches nothing.
 ///
-/// The shapes are `Upper`, `Op`, `OpImm`, `Op32`, `OpImm32`, `Load`,
-/// `Store`, `Fld`, `Fsd`, `FpOp`, `FpFma`, `FpCmp`, `FpCvt`, `Branch`,
-/// `Jal` and `Jalr`. None of them can fail, and none reads the counter
-/// CSRs. Their semantics are spelled here only: [`execute`] delegates
+/// The shapes are `Upper`, `Jal`, `Jalr`, `Branch`, `Load`, `Store`,
+/// `Op`, `Op32`, `FpOp`, `FpFma` and `FpCvt`. None of them can fail, and
+/// none reads the counter CSRs. Their semantics are spelled here only: [`execute`] delegates
 /// them, and the fused retirement (`Core::step_block`) calls this
 /// directly, so a fused instruction neither enters the function that
 /// also implements every vector, CSR and AMO op nor builds [`Effects`]
@@ -339,30 +340,31 @@ pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, inst: &Inst) -> O
             }
         }
         Inst::Load {
-            width,
-            signed,
+            op,
             rd,
             rs1,
             offset,
         } => {
             let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            hart.set_x(rd, load_value(mem, addr, width, signed));
+            let width = op.width();
+            let value = load_value(mem, addr, width, op.signed());
+            done.dest = Some(write_raw(hart, rd, op.rd_is_f(), value));
             done.access = Some(MemAccess {
                 addr,
                 size: width.bytes() as u8,
                 write: false,
                 rmw: false,
             });
-            done.dest = Some(Dest::X(rd));
         }
         Inst::Store {
-            width,
+            op,
             rs2,
             rs1,
             offset,
         } => {
             let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            store_value(mem, addr, width, hart.x(rs2));
+            let width = op.width();
+            store_value(mem, addr, width, read_raw(hart, rs2, op.rs2_is_f()));
             done.access = Some(MemAccess {
                 addr,
                 size: width.bytes() as u8,
@@ -370,58 +372,31 @@ pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, inst: &Inst) -> O
                 rmw: false,
             });
         }
-        Inst::OpImm { op, rd, rs1, imm } => {
-            hart.set_x(rd, alu(op, hart.x(rs1), imm as u64));
+        Inst::Op { op, rd, rs1, src } => {
+            hart.set_x(rd, alu(op, hart.x(rs1), x_src(hart, src)));
             done.dest = Some(Dest::X(rd));
         }
-        Inst::Op { op, rd, rs1, rs2 } => {
-            hart.set_x(rd, alu(op, hart.x(rs1), hart.x(rs2)));
+        Inst::Op32 { op, rd, rs1, src } => {
+            hart.set_x(rd, alu_w(op, hart.x(rs1), x_src(hart, src)));
             done.dest = Some(Dest::X(rd));
-        }
-        Inst::OpImm32 { op, rd, rs1, imm } => {
-            hart.set_x(rd, alu_w(op, hart.x(rs1), imm as u64));
-            done.dest = Some(Dest::X(rd));
-        }
-        Inst::Op32 { op, rd, rs1, rs2 } => {
-            hart.set_x(rd, alu_w(op, hart.x(rs1), hart.x(rs2)));
-            done.dest = Some(Dest::X(rd));
-        }
-        Inst::Fld { rd, rs1, offset } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            hart.set_f_bits(rd, mem.read_u64(addr));
-            done.access = Some(MemAccess {
-                addr,
-                size: 8,
-                write: false,
-                rmw: false,
-            });
-            done.dest = Some(Dest::F(rd));
-        }
-        Inst::Fsd { rs2, rs1, offset } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            mem.write_u64(addr, hart.f_bits(rs2));
-            done.access = Some(MemAccess {
-                addr,
-                size: 8,
-                write: true,
-                rmw: false,
-            });
         }
         Inst::FpOp { op, rd, rs1, rs2 } => {
             let (a, b) = (hart.f(rs1), hart.f(rs2));
-            let result = match op {
-                FpOp::Add => canonical(a + b),
-                FpOp::Sub => canonical(a - b),
-                FpOp::Mul => canonical(a * b),
-                FpOp::Div => canonical(a / b),
-                FpOp::Sgnj => a.copysign(b),
-                FpOp::Sgnjn => a.copysign(-b),
-                FpOp::Sgnjx => f64::from_bits(a.to_bits() ^ (b.to_bits() & (1 << 63))),
-                FpOp::Min => canonical(a.min(b)),
-                FpOp::Max => canonical(a.max(b)),
+            let bits = match op {
+                FpOp::Add => canonical(a + b).to_bits(),
+                FpOp::Sub => canonical(a - b).to_bits(),
+                FpOp::Mul => canonical(a * b).to_bits(),
+                FpOp::Div => canonical(a / b).to_bits(),
+                FpOp::Sgnj => a.copysign(b).to_bits(),
+                FpOp::Sgnjn => a.copysign(-b).to_bits(),
+                FpOp::Sgnjx => a.to_bits() ^ (b.to_bits() & (1 << 63)),
+                FpOp::Min => canonical(a.min(b)).to_bits(),
+                FpOp::Max => canonical(a.max(b)).to_bits(),
+                FpOp::Eq => u64::from(a == b),
+                FpOp::Lt => u64::from(a < b),
+                FpOp::Le => u64::from(a <= b),
             };
-            hart.set_f(rd, result);
-            done.dest = Some(Dest::F(rd));
+            done.dest = Some(write_raw(hart, rd, op.rd_is_f(), bits));
         }
         Inst::FpFma {
             op,
@@ -439,16 +414,6 @@ pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, inst: &Inst) -> O
             };
             hart.set_f(rd, canonical(result));
             done.dest = Some(Dest::F(rd));
-        }
-        Inst::FpCmp { op, rd, rs1, rs2 } => {
-            let (a, b) = (hart.f(rs1), hart.f(rs2));
-            let result = match op {
-                FpCmpOp::Eq => a == b,
-                FpCmpOp::Lt => a < b,
-                FpCmpOp::Le => a <= b,
-            };
-            hart.set_x(rd, u64::from(result));
-            done.dest = Some(Dest::X(rd));
         }
         Inst::FpCvt { op, rd, rs1 } => {
             let x = hart.x(XReg::new(rs1).unwrap_or(XReg::ZERO));
@@ -510,22 +475,17 @@ pub fn execute(
         | Inst::Branch { .. }
         | Inst::Load { .. }
         | Inst::Store { .. }
-        | Inst::OpImm { .. }
         | Inst::Op { .. }
-        | Inst::OpImm32 { .. }
         | Inst::Op32 { .. }
-        | Inst::Fld { .. }
-        | Inst::Fsd { .. }
         | Inst::FpOp { .. }
         | Inst::FpFma { .. }
-        | Inst::FpCmp { .. }
         | Inst::FpCvt { .. } => {}
         Inst::System { op } => {
             fx.ecall = match op {
                 SysOp::Fence => None,
                 SysOp::Ecall => {
                     let arg = hart.x(XReg::A0);
-                    Some(match hart.x(XReg::new(17).expect("a7")) {
+                    Some(match hart.x(XReg::A7) {
                         93 => Ecall::Exit(arg as i64),
                         64 => Ecall::PutChar(arg as u8),
                         other => Ecall::Unknown(other),
@@ -908,6 +868,7 @@ pub fn execute(
 /// Writes `value` to register `index` of the `f` file when `float`, else
 /// of the `x` file: the destination of an op whose register class the
 /// op's `rd_is_f`, not the variant, decides.
+#[inline]
 fn write_raw(hart: &mut Hart, index: u8, float: bool, value: u64) -> Dest {
     if float {
         let rd = FReg::new(index).unwrap_or_default();
@@ -917,6 +878,27 @@ fn write_raw(hart: &mut Hart, index: u8, float: bool, value: u64) -> Dest {
         let rd = XReg::new(index).unwrap_or(XReg::ZERO);
         hart.set_x(rd, value);
         Dest::X(rd)
+    }
+}
+
+/// Register `index` of the `f` file when `float`, else of the `x` file:
+/// the source of an op whose register class its row decides.
+#[inline]
+fn read_raw(hart: &Hart, index: u8, float: bool) -> u64 {
+    if float {
+        hart.f_bits(FReg::new(index).unwrap_or_default())
+    } else {
+        hart.x(XReg::new(index).unwrap_or(XReg::ZERO))
+    }
+}
+
+/// The second operand of an integer ALU op: `rs2`, or the immediate
+/// sign-extended to 64 bits.
+#[inline]
+fn x_src(hart: &Hart, src: XSrc) -> u64 {
+    match src {
+        XSrc::X(rs2) => hart.x(rs2),
+        XSrc::I(imm) => imm as i64 as u64,
     }
 }
 

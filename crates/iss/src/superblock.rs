@@ -32,8 +32,7 @@
 //! file holds the vocabulary of that decision — why a run stopped
 //! ([`FuseStop`]), the per-core tallies ([`FuseDiag`]) and the armed
 //! accesses the orchestrator's cross-core test reads
-//! ([`FusedAccess`]); it is pinned by the `predecode-bypass` lint so
-//! the dispatch/fallback boundary cannot be silently bypassed.
+//! ([`FusedAccess`]).
 
 use coyote_isa::superblock::MAX_RUN;
 use coyote_isa::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};

@@ -2,9 +2,9 @@
 //! the scalar twin of `vector_sweep.rs`.
 //!
 //! The universe is every row of the scalar op tables (`UPPER`, `BRANCH`,
-//! `LOAD`, `STORE`, `ALU` with its immediate forms, `ALU_W` likewise,
-//! `FP`, `FMA`, `FP_CMP`, `FP_CVT`) plus `jal`, `jalr`, `fld` and `fsd`,
-//! each at a few destinations (a fresh register, one aliasing the first
+//! `LOAD` and `STORE` with `fld` and `fsd`, `ALU` with its immediate
+//! forms, `ALU_W` likewise, `FP` with its compares, `FMA`, `FP_CVT`) plus
+//! `jal` and `jalr`, each at a few destinations (a fresh register, one aliasing the first
 //! source, and `x0`) and a few immediates or offsets. Every instruction
 //! runs through [`execute`] once per operand tuple from a grid — `0, 1,
 //! -1, i64::MIN, i64::MAX, 0x8000_0000` in the `x` sources, `±0.0,
@@ -15,6 +15,7 @@
 //! before the fused-run shapes moved out of `execute` into their own
 //! kernel, so that move is pinned to the semantics it had.
 
+use coyote_isa::inst::XSrc;
 use coyote_isa::{ops, FReg, Inst, XReg};
 use coyote_iss::exec::execute;
 use coyote_iss::{Hart, SparseMemory};
@@ -44,7 +45,7 @@ const F_GRID: [f64; 6] = [
     f64::from_bits(0xfff8_0000_0000_0bad),
     1e-310,
 ];
-const IMMS: [i64; 7] = [0, 1, -1, 31, 63, 2047, -2048];
+const IMMS: [i32; 7] = [0, 1, -1, 31, 63, 2047, -2048];
 const OFFSETS: [i32; 4] = [0, -1, 7, 2047];
 
 /// Source registers: operand `n` of a grid tuple is loaded into `x(6+n)`
@@ -100,14 +101,12 @@ fn universe() -> Vec<Case> {
                 1,
             );
         }
-        for row in ops::LOAD.0 {
-            let (width, signed) = row.op;
+        for row in ops::LOAD.0.iter().filter(|r| !r.op.rd_is_f()) {
             for offset in OFFSETS {
                 add(
                     Inst::Load {
-                        width,
-                        signed,
-                        rd,
+                        op: row.op,
+                        rd: rd.into(),
                         rs1: x(rs1),
                         offset,
                     },
@@ -121,18 +120,18 @@ fn universe() -> Vec<Case> {
                     op: row.op,
                     rd,
                     rs1: x(rs1),
-                    rs2: x(rs2),
+                    src: XSrc::X(x(rs2)),
                 },
                 2,
             );
             if row.imm.is_some() {
                 for imm in IMMS {
                     add(
-                        Inst::OpImm {
+                        Inst::Op {
                             op: row.op,
                             rd,
                             rs1: x(rs1),
-                            imm,
+                            src: XSrc::I(imm),
                         },
                         1,
                     );
@@ -145,29 +144,29 @@ fn universe() -> Vec<Case> {
                     op: row.op,
                     rd,
                     rs1: x(rs1),
-                    rs2: x(rs2),
+                    src: XSrc::X(x(rs2)),
                 },
                 2,
             );
             if row.imm.is_some() {
                 for imm in IMMS {
                     add(
-                        Inst::OpImm32 {
+                        Inst::Op32 {
                             op: row.op,
                             rd,
                             rs1: x(rs1),
-                            imm,
+                            src: XSrc::I(imm),
                         },
                         1,
                     );
                 }
             }
         }
-        for row in ops::FP_CMP.0 {
+        for row in ops::FP.0.iter().filter(|r| !r.op.rd_is_f()) {
             add(
-                Inst::FpCmp {
+                Inst::FpOp {
                     op: row.op,
-                    rd,
+                    rd: rd.into(),
                     rs1: f(rs1),
                     rs2: f(rs2),
                 },
@@ -192,8 +191,8 @@ fn universe() -> Vec<Case> {
         for offset in OFFSETS {
             add(
                 Inst::Store {
-                    width: row.op,
-                    rs2: x(rs2),
+                    op: row.op,
+                    rs2,
                     rs1: x(rs1),
                     offset,
                 },
@@ -201,32 +200,25 @@ fn universe() -> Vec<Case> {
             );
         }
     }
-    for offset in OFFSETS {
-        add(
-            Inst::Fsd {
-                rs2: f(rs2),
-                rs1: x(rs1),
-                offset,
-            },
-            2,
-        );
-    }
     for &rd in &F_DEST {
-        for offset in OFFSETS {
-            add(
-                Inst::Fld {
-                    rd: f(rd),
-                    rs1: x(rs1),
-                    offset,
-                },
-                1,
-            );
+        for row in ops::LOAD.0.iter().filter(|r| r.op.rd_is_f()) {
+            for offset in OFFSETS {
+                add(
+                    Inst::Load {
+                        op: row.op,
+                        rd,
+                        rs1: x(rs1),
+                        offset,
+                    },
+                    1,
+                );
+            }
         }
-        for row in ops::FP.0 {
+        for row in ops::FP.0.iter().filter(|r| r.op.rd_is_f()) {
             add(
                 Inst::FpOp {
                     op: row.op,
-                    rd: f(rd),
+                    rd,
                     rs1: f(rs1),
                     rs2: f(rs2),
                 },
@@ -288,11 +280,7 @@ fn seeded_hart(tuple: [usize; 3]) -> Hart {
 
 /// The address a memory instruction accesses, if it is one.
 fn access_addr(inst: &Inst, hart: &Hart) -> Option<u64> {
-    let (Inst::Load { rs1, offset, .. }
-    | Inst::Store { rs1, offset, .. }
-    | Inst::Fld { rs1, offset, .. }
-    | Inst::Fsd { rs1, offset, .. }) = *inst
-    else {
+    let (Inst::Load { rs1, offset, .. } | Inst::Store { rs1, offset, .. }) = *inst else {
         return None;
     };
     Some(hart.x(rs1).wrapping_add(offset as i64 as u64))

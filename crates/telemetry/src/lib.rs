@@ -24,8 +24,9 @@
 //! Everything that describes the simulated machine is deterministic:
 //! no hashing with random seeds, so identical simulations produce
 //! byte-identical exports. Wall-clock reads exist in exactly one
-//! place — [`hostprof`], path-pinned by the `wall-clock` lint — and
-//! measure the host without ever feeding time back into the model.
+//! place — [`hostprof`], the only `#[expect]` of the root `clippy.toml`'s
+//! `disallowed-methods` — and measure the host without ever feeding time
+//! back into the model.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
