@@ -45,5 +45,5 @@ pub use inst::Inst;
 pub use interval::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
 pub use predecode::{predecode, predecode_with_stats, DecodedInst, PredecodeStats, RegSet};
 pub use reg::{FReg, VReg, XReg};
-pub use superblock::{build_plans, BlockSummary, FuseClass, FusePlan, MemPlan};
+pub use superblock::{build_plans, MemOp, Run, RunTable, Uop};
 pub use vtype::{Lmul, Sew, VType};

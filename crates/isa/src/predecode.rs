@@ -379,6 +379,13 @@ mod tests {
         assert!(std::mem::size_of::<DecodedInst>() <= 48);
     }
 
+    /// A fused run dispatches one pre-resolved uop per instruction; a
+    /// new variant or operand must not grow it past 16 bytes.
+    #[test]
+    fn run_uop_fits_in_16_bytes() {
+        assert!(std::mem::size_of::<crate::superblock::Uop>() <= 16);
+    }
+
     #[test]
     fn undecodable_word_leaves_hole() {
         let table = predecode(&[0x0010_0093, 0xffff_ffff]);

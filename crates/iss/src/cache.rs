@@ -84,13 +84,32 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// One way, in 16 bytes: a set of eight spans two or three host cache
+/// lines.
+#[derive(Debug, Clone, Copy)]
 struct Line {
+    /// The resident line's tag, or [`Line::EMPTY`]'s.
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Higher = more recently used.
-    lru: u64,
+    /// LRU stamp (higher = more recently used) in the low 63 bits, the
+    /// dirty flag in the top bit.
+    stamp: u64,
+}
+
+/// The dirty flag's bit of [`Line::stamp`]; no stamp reaches it.
+const DIRTY: u64 = 1 << 63;
+
+impl Line {
+    /// An invalid way. A real tag is an address shifted right by at
+    /// least three bits, so it never equals this one.
+    const EMPTY: Line = Line {
+        tag: u64::MAX,
+        stamp: 0,
+    };
+
+    /// Stamps the way used at `counter`, dirty if `write` or already so.
+    fn use_at(&mut self, counter: u64, write: bool) {
+        self.stamp = counter | (self.stamp & DIRTY) | if write { DIRTY } else { 0 };
+    }
 }
 
 /// Counters exposed by a cache.
@@ -163,7 +182,7 @@ impl Cache {
         let sets = config.sets();
         Cache {
             config,
-            lines: vec![Line::default(); (sets * config.ways) as usize],
+            lines: vec![Line::EMPTY; (sets * config.ways) as usize],
             set_mask: sets - 1,
             line_shift: config.line_bytes.trailing_zeros(),
             counter: 0,
@@ -201,9 +220,7 @@ impl Cache {
         // set (identical stats and LRU effect to the full probe).
         if let Some((last_tag, last_idx)) = self.last {
             if last_tag == tag {
-                let line = &mut self.lines[last_idx as usize];
-                line.lru = self.counter;
-                line.dirty |= write;
+                self.lines[last_idx as usize].use_at(self.counter, write);
                 self.stats.hits += 1;
                 return Probe {
                     hit: true,
@@ -212,16 +229,10 @@ impl Cache {
             }
         }
 
-        let set = (tag & self.set_mask) as usize;
-        let ways = self.config.ways as usize;
-        let set_lines = &mut self.lines[set * ways..(set + 1) * ways];
-
-        if let Some(way) = set_lines.iter().position(|l| l.valid && l.tag == tag) {
-            let line = &mut set_lines[way];
-            line.lru = self.counter;
-            line.dirty |= write;
+        if let Some(idx) = self.find(tag) {
+            self.lines[idx as usize].use_at(self.counter, write);
             self.stats.hits += 1;
-            self.last = Some((tag, (set * ways + way) as u32));
+            self.last = Some((tag, idx));
             return Probe {
                 hit: true,
                 writeback: None,
@@ -230,22 +241,28 @@ impl Cache {
 
         self.stats.misses += 1;
         // Choose victim: an invalid way, else the least recently used.
-        let (way, victim) = set_lines
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
+        let ways = self.config.ways as usize;
+        let first = (tag & self.set_mask) as usize * ways;
+        let (idx, victim) = (first..)
+            .zip(&mut self.lines[first..first + ways])
+            .min_by_key(|(_, l)| {
+                if l.tag == Line::EMPTY.tag {
+                    0
+                } else {
+                    (l.stamp & !DIRTY) + 1
+                }
+            })
             .expect("at least one way");
-        let writeback = (victim.valid && victim.dirty).then(|| victim.tag << self.line_shift);
+        let dirty = victim.tag != Line::EMPTY.tag && victim.stamp & DIRTY != 0;
+        let writeback = dirty.then(|| victim.tag << self.line_shift);
         if writeback.is_some() {
             self.stats.writebacks += 1;
         }
         *victim = Line {
             tag,
-            valid: true,
-            dirty: write,
-            lru: self.counter,
+            stamp: self.counter | if write { DIRTY } else { 0 },
         };
-        self.last = Some((tag, (set * ways + way) as u32));
+        self.last = Some((tag, idx as u32));
         Probe {
             hit: false,
             writeback,
@@ -258,6 +275,7 @@ impl Cache {
     /// lines, and a resident line is only displaced by an eviction
     /// (which the pre-validated run contract excludes).
     #[must_use]
+    #[inline]
     pub fn probe_way(&self, addr: u64) -> Option<u32> {
         let tag = addr >> self.line_shift;
         if let Some((last_tag, last_idx)) = self.last {
@@ -265,75 +283,69 @@ impl Cache {
                 return Some(last_idx);
             }
         }
-        let set = (tag & self.set_mask) as usize;
+        self.find(tag)
+    }
+
+    /// Flat index of the way holding `tag`, if resident: a scan of its
+    /// set with no early exit (a tag is resident in at most one way), so
+    /// it costs no mispredicted branch.
+    #[inline]
+    fn find(&self, tag: u64) -> Option<u32> {
         let ways = self.config.ways as usize;
-        self.lines[set * ways..(set + 1) * ways]
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
-            .map(|way| (set * ways + way) as u32)
+        let first = (tag & self.set_mask) as usize * ways;
+        let mut found = None;
+        for (idx, line) in (first..).zip(&self.lines[first..first + ways]) {
+            if line.tag == tag {
+                found = Some(idx as u32);
+            }
+        }
+        found
     }
 
     /// Replays a guaranteed hit on the resident line at flat index
     /// `idx` (obtained from [`Cache::probe_way`]): counter, LRU, stats
     /// and dirty evolution identical to [`Cache::access`] hitting that
-    /// line, without the associative scan.
+    /// line, without the lookup.
     pub fn touch(&mut self, idx: u32, write: bool) {
         self.counter += 1;
         let line = &mut self.lines[idx as usize];
-        line.lru = self.counter;
-        line.dirty |= write;
+        line.use_at(self.counter, write);
         self.stats.hits += 1;
         self.last = Some((line.tag, idx));
     }
 
-    /// Replays `count` straight-line guaranteed-hit fetches at
-    /// `start, start + 4, …`, batched per line: identical counter, LRU,
-    /// stats and memo evolution to `count` individual hitting
-    /// [`Cache::access`]`(pc, false)` calls (only the final LRU stamp
-    /// per line is observable), without the per-access probe. Every
-    /// touched line must be resident — the superblock validation
-    /// contract.
+    /// Replays `count` straight-line fetches at `start, start + 4, …`,
+    /// batched per line: identical counter, LRU, stats and memo
+    /// evolution to `count` individual [`Cache::access`]`(pc, false)`
+    /// calls (only the final LRU stamp per line is observable), with one
+    /// lookup per line instead of one per fetch. A fused run's lines are
+    /// resident by its validation; a line that is not takes its first
+    /// fetch through [`Cache::access`], so the replay stays exact.
     pub fn touch_run(&mut self, start: u64, count: u32) {
         let line_bytes = 1u64 << self.line_shift;
         let mut pc = start;
         let mut left = u64::from(count);
         while left > 0 {
-            let line = self.line_addr(pc);
-            let in_line = ((line + line_bytes - pc) / 4).min(left);
-            let idx = self.probe_way(pc).expect("validated run line resident");
+            let Some(idx) = self.probe_way(pc) else {
+                self.access(pc, false);
+                pc += 4;
+                left -= 1;
+                continue;
+            };
+            let in_line = ((self.line_addr(pc) + line_bytes - pc) / 4).min(left);
             self.counter += in_line;
-            let l = &mut self.lines[idx as usize];
-            l.lru = self.counter;
+            let line = &mut self.lines[idx as usize];
+            line.use_at(self.counter, false);
             self.stats.hits += in_line;
-            self.last = Some((l.tag, idx));
+            self.last = Some((line.tag, idx));
             pc += in_line * 4;
             left -= in_line;
         }
     }
 
-    /// Whether `addr`'s line is currently resident (no LRU update, no
-    /// stats) — the superblock validation probe.
-    #[must_use]
-    pub fn contains(&self, addr: u64) -> bool {
-        let tag = addr >> self.line_shift;
-        // The memo always names a resident line (see `last`).
-        if let Some((last_tag, _)) = self.last {
-            if last_tag == tag {
-                return true;
-            }
-        }
-        let set = (tag & self.set_mask) as usize;
-        let ways = self.config.ways as usize;
-        self.lines[set * ways..(set + 1) * ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
-    }
-
     /// Invalidates everything (used between benchmark repetitions).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.lines.fill(Line::EMPTY);
         self.last = None;
     }
 }
@@ -414,9 +426,9 @@ mod tests {
         c.access(0x0000, false);
         // Fill a third line in set 0: evicts 0x0080.
         c.access(0x0100, false);
-        assert!(c.contains(0x0000));
-        assert!(!c.contains(0x0080));
-        assert!(c.contains(0x0100));
+        assert!(c.probe_way(0x0000).is_some());
+        assert!(c.probe_way(0x0080).is_none());
+        assert!(c.probe_way(0x0100).is_some());
     }
 
     #[test]
@@ -462,7 +474,7 @@ mod tests {
         let mut c = tiny();
         c.access(0x0000, true);
         c.flush();
-        assert!(!c.contains(0x0000));
+        assert!(c.probe_way(0x0000).is_none());
         assert!(!c.access(0x0000, false).hit);
     }
 

@@ -14,7 +14,7 @@
 use std::fmt;
 
 use coyote_asm::Program;
-use coyote_isa::superblock::{build_plans, rebuild_runs, FuseClass, FusePlan};
+use coyote_isa::superblock::{build_plans, RunTable};
 use coyote_isa::{Access, DecodedInst, Inst, OwnerAccesses, PredecodeStats, XReg};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
@@ -22,7 +22,7 @@ use crate::exec::{defs, execute, execute_scalar, uses, Ecall, ExecError, MemAcce
 use crate::hart::{Hart, DEFAULT_VLEN_BITS};
 use crate::mem::{AddrMap, SparseMemory};
 use crate::scoreboard::{dest_set, Scoreboard};
-use crate::superblock::{FuseDiag, FuseStop, FusedAccess};
+use crate::superblock::{ArmState, ArmedRun, FuseDiag, FusedAccess};
 
 /// Configuration of one core.
 #[derive(Debug, Clone, Copy)]
@@ -186,25 +186,25 @@ impl std::error::Error for SimError {
 pub struct DecodedText {
     base: u64,
     insts: Vec<Option<DecodedInst>>,
-    /// Per-slot superblock fuse plans (same indexing as `insts`): the
-    /// static structure of every run, derived here once for all cores
-    /// and re-derived by [`DecodedText::invalidate`].
-    plans: Vec<FusePlan>,
+    /// The superblock run table (rows indexed like `insts`): the static
+    /// structure of every run and its pre-resolved uops, built here once
+    /// for all cores and rebuilt only by [`DecodedText::invalidate`].
+    runs: RunTable,
     /// Volume counters from the initial predecode pass.
     predecode_stats: PredecodeStats,
 }
 
 impl DecodedText {
     /// Pre-decodes a program's text section and builds its superblock
-    /// fuse plans.
+    /// run table.
     #[must_use]
     pub fn from_program(program: &Program) -> DecodedText {
         let (insts, predecode_stats) = coyote_isa::predecode_with_stats(program.text());
-        let plans = build_plans(&insts);
+        let runs = build_plans(&insts);
         DecodedText {
             base: program.text_base(),
             insts,
-            plans,
+            runs,
             predecode_stats,
         }
     }
@@ -240,20 +240,15 @@ impl DecodedText {
         (idx < self.insts.len()).then_some(idx)
     }
 
-    /// The micro-op at table index `idx` (bounds-checked).
-    #[must_use]
-    pub fn slot(&self, idx: usize) -> Option<&DecodedInst> {
-        self.insts.get(idx).and_then(Option::as_ref)
+    /// The predecoded entries, by table index (`None` = a hole).
+    pub(crate) fn entries(&self) -> &[Option<DecodedInst>] {
+        &self.insts
     }
 
-    /// The fuse plan at table index `idx`; out-of-range indices read
-    /// as excluded.
+    /// The superblock run table.
     #[must_use]
-    pub fn plan(&self, idx: usize) -> FusePlan {
-        self.plans
-            .get(idx)
-            .copied()
-            .unwrap_or_else(FusePlan::excluded)
+    pub fn runs(&self) -> &RunTable {
+        &self.runs
     }
 
     /// Whether the byte range `[addr, addr + len)` intersects the text
@@ -268,8 +263,9 @@ impl DecodedText {
     /// Invalidates every predecoded entry the byte range
     /// `[addr, addr + len)` touches: the slots become holes (so the
     /// stepper falls back to fetching and decoding the patched words
-    /// from memory) and upstream superblock runs are shortened to stop
-    /// before them.
+    /// from memory) and the run table is rebuilt, so every run stops
+    /// before them. The one path that changes the table; a rebuild is
+    /// linear in the text and only self-modifying code pays it.
     pub fn invalidate(&mut self, addr: u64, len: u64) {
         if !self.overlaps(addr, len) || len == 0 {
             return;
@@ -279,11 +275,10 @@ impl DecodedText {
         let hi = addr.saturating_add(len).min(end);
         let first = ((lo - self.base) / 4) as usize;
         let last = ((hi - 1 - self.base) / 4) as usize;
-        for idx in first..=last {
-            self.insts[idx] = None;
-            self.plans[idx] = FusePlan::excluded();
+        for slot in &mut self.insts[first..=last] {
+            *slot = None;
         }
-        rebuild_runs(&self.insts, &mut self.plans, first, last);
+        self.runs = build_plans(&self.insts);
     }
 }
 
@@ -348,22 +343,18 @@ pub struct Core {
     corrupt_fill: Option<XReg>,
     /// Whether the fused dispatch is enabled ([`CoreConfig::fusion`]).
     fusion: bool,
-    /// Text slot of the validated run's first instruction. The run's
-    /// slots stay in range and decoded while it is armed: they were
-    /// validated against this text, and text invalidation aborts every
-    /// run ([`Core::abort_fused_run`]).
-    fused_start: usize,
-    /// Length of the currently validated superblock run (0 = none).
-    fused_len: u32,
+    /// The last arm attempt's outcome: while `fused_left` is non-zero,
+    /// the validated run. Its uops stay in range while it is armed: they
+    /// were validated against this text, and text invalidation aborts
+    /// every run ([`Core::abort_fused_run`]).
+    armed: ArmedRun,
     /// Instructions remaining in the validated run; while non-zero,
     /// [`Core::step`] dispatches through the fused fast path.
     fused_left: u32,
-    /// Pre-computed memory accesses of the validated run.
-    fused_accesses: Vec<FusedAccess>,
-    /// Index into `fused_accesses` of the next access to retire (the
+    /// Index into `armed.accesses` of the next access to retire (the
     /// run's accesses retire strictly in order).
     fused_cursor: usize,
-    /// Index into `fused_accesses` below which no store is left to
+    /// Index into `armed.accesses` below which no store is left to
     /// retire: nothing in `[fused_cursor, fused_next_store)` writes.
     /// Arming resets it to 0 and only [`Core::seek_next_store`]
     /// advances it, so runs that only ever retire alone never pay for
@@ -413,10 +404,8 @@ impl Core {
             access_buf: Vec::new(),
             corrupt_fill: None,
             fusion: config.fusion,
-            fused_start: 0,
-            fused_len: 0,
+            armed: ArmedRun::default(),
             fused_left: 0,
-            fused_accesses: Vec::new(),
             fused_cursor: 0,
             fused_next_store: 0,
             fused_retired: 0,
@@ -558,7 +547,7 @@ impl Core {
     /// Position of the next instruction within the validated run.
     #[must_use]
     pub fn fused_pos(&self) -> u32 {
-        self.fused_len - self.fused_left
+        self.armed.len - self.fused_left
     }
 
     /// The validated accesses of the next `n` run positions for the
@@ -571,10 +560,11 @@ impl Core {
         OwnerAccesses {
             owner: self.index,
             has_stores: self
-                .fused_accesses
+                .armed
+                .accesses
                 .get(self.fused_next_store)
                 .is_some_and(|next| next.pos < end),
-            accesses: self.fused_accesses[self.fused_cursor..]
+            accesses: self.armed.accesses[self.fused_cursor..]
                 .iter()
                 .take_while(move |access| access.pos < end)
                 .map(FusedAccess::access),
@@ -585,7 +575,7 @@ impl Core {
     /// are run-relative; compare against [`Core::fused_pos`]).
     #[must_use]
     pub fn fused_accesses(&self) -> &[FusedAccess] {
-        &self.fused_accesses
+        &self.armed.accesses
     }
 
     /// Abandons the validated run; the next step revalidates from
@@ -643,7 +633,8 @@ impl Core {
     /// input that changes without a retirement and without clearing the
     /// memo fails it.
     fn check_arm_memo(&mut self, text: &DecodedText) {
-        let (_, len, stop) = self.validate_run(text);
+        self.validate_run(text);
+        let (len, stop) = (self.armed.len, self.armed.stop);
         debug_assert!(
             len == 0 && stop == self.fuse_diag.last_stop,
             "core {}: the arm memo skipped an attempt that now arms {len} ({stop:?}, was {:?})",
@@ -659,125 +650,44 @@ impl Core {
     /// test; the scan is amortised over the run.
     pub fn seek_next_store(&mut self) {
         let from = self.fused_next_store.max(self.fused_cursor);
-        self.fused_next_store = self.fused_accesses[from..]
+        let accesses = &self.armed.accesses;
+        self.fused_next_store = accesses[from..]
             .iter()
             .position(|access| access.write)
-            .map_or(self.fused_accesses.len(), |ahead| from + ahead);
+            .map_or(accesses.len(), |ahead| from + ahead);
     }
 
     /// The one arm routine: arms the longest run at the current PC that
     /// may retire through the fused path and returns its length (0 =
     /// per-instruction path), for every PC, scoreboard state and core.
-    ///
-    /// What depends only on the text was decided at predecode time and
-    /// is one load here (`FusePlan::run_len`: straight line, `MAX_RUN`
-    /// clamp, no memory op whose base the run writes). What depends on
-    /// machine state is rechecked now, one fact at a time, each check
-    /// truncating the run at its first failure (prefixes of a valid run
-    /// are valid runs). The checks commute: the armed length is the
-    /// smallest failing position, and a later check only renames the
-    /// stop reason when it fails strictly earlier.
+    /// The checks are [`ArmState::validate`]'s.
     fn try_begin_fused_run(&mut self, text: &DecodedText) -> u32 {
         if !self.fusion || self.corrupt_fill.is_some() {
             return 0;
         }
-        let (start, len, stop) = self.validate_run(text);
-        self.fuse_diag.record_arm(len, stop);
+        self.validate_run(text);
+        let len = self.armed.len;
+        self.fuse_diag.record_arm(len, self.armed.stop);
         if len == 0 {
             self.arm_failed_at = Some(self.stats.retired);
         }
-        self.fused_start = start;
-        self.fused_len = len;
         self.fused_left = len;
         self.fused_cursor = 0;
         self.fused_next_store = 0;
         len
     }
 
-    /// The checks of an arm attempt, recording nothing: returns the
-    /// run's start slot, the length it may arm (0 = none) and why it
-    /// stopped there, and leaves that run's accesses in
-    /// `fused_accesses`.
-    fn validate_run(&mut self, text: &DecodedText) -> (usize, u32, FuseStop) {
-        self.fused_accesses.clear();
-        let pc = self.hart.pc;
-        let (start, mut len, mut stop) = match text.index_of(pc) {
-            // Fewer than two instructions gain nothing over the
-            // per-instruction path.
-            Some(start) if text.plan(start).run_len >= 2 => {
-                (start, text.plan(start).run_len, FuseStop::RunEnd)
-            }
-            _ => (0, 0, FuseStop::TooShort),
+    /// Runs the arm checks against this core's state into `armed`,
+    /// recording nothing.
+    fn validate_run(&mut self, text: &DecodedText) {
+        let state = ArmState {
+            hart: &self.hart,
+            icache: &self.icache,
+            dcache: &self.dcache,
+            scoreboard: &self.scoreboard,
+            pending_data: &self.pending_data,
         };
-
-        // I-line residency is line-granular: one probe vouches for
-        // every slot sharing the line.
-        let line_bytes = self.icache.config().line_bytes;
-        let mut slot_pc = pc;
-        while slot_pc < pc + u64::from(len) * 4 {
-            if !self.icache.contains(slot_pc) {
-                (len, stop) = (((slot_pc - pc) / 4) as u32, FuseStop::LineNotResident);
-                break;
-            }
-            slot_pc = self.icache.line_addr(slot_pc) + line_bytes;
-        }
-
-        // Per-instruction hazard check against the *current* mask.
-        // Exact: fused runs never acquire, so the mask only shrinks
-        // while the run retires. An idle scoreboard blocks nothing.
-        if !self.scoreboard.is_clear() {
-            let busy = (0..len).find(|&i| {
-                let entry = text
-                    .slot(start + i as usize)
-                    .expect("run slots are decoded by construction");
-                self.scoreboard.blocks(&entry.uses, &entry.defs)
-            });
-            if let Some(i) = busy {
-                (len, stop) = (i, FuseStop::ScoreboardBusy);
-            }
-        }
-
-        // Every memory op must be a guaranteed hit at an address known
-        // now (the static run never writes a base before using it).
-        let no_pending_data = self.pending_data.is_empty();
-        let mut blocked = None;
-        for i in 0..len {
-            let FuseClass::Mem(op) = text.plan(start + i as usize).class else {
-                continue;
-            };
-            let addr = self.hart.x(op.base).wrapping_add(op.offset as i64 as u64);
-            let Some(way) = self.dcache.probe_way(addr) else {
-                blocked = Some((i, FuseStop::LineNotResident));
-                break;
-            };
-            // A hit on an in-flight line must wait for the data.
-            if !no_pending_data && self.pending_data.contains_key(&self.dcache.line_addr(addr)) {
-                blocked = Some((i, FuseStop::PendingFill));
-                break;
-            }
-            // Self-modifying stores go through the per-instruction
-            // path so invalidation fires.
-            if op.write && text.overlaps(addr, u64::from(op.size)) {
-                blocked = Some((i, FuseStop::TextStore));
-                break;
-            }
-            self.fused_accesses.push(FusedAccess {
-                pos: i,
-                addr,
-                size: op.size,
-                write: op.write,
-                way,
-            });
-        }
-        if let Some(cut) = blocked {
-            (len, stop) = cut;
-        }
-
-        if len < 2 {
-            self.fused_accesses.clear();
-            len = 0;
-        }
-        (start, len, stop)
+        state.validate(text, &mut self.armed);
     }
 
     /// Retires exactly `n` pre-validated instructions over the cycles
@@ -795,13 +705,13 @@ impl Core {
     /// every counter the skipped branches would have touched is still
     /// updated identically, with the bookkeeping hoisted to run
     /// granularity: the I-cache evolution for the straight-line fetch
-    /// sequence is applied as one batch per line, the D-cache evolution
-    /// replays the pre-validated access list directly (identical
-    /// counter/LRU/stats evolution, no associative scan), predecoded
-    /// entries are read by consecutive slot index instead of per-PC
-    /// lookup, each instruction runs through the scalar kernel
-    /// ([`crate::exec::execute_scalar`]) with no [`crate::Effects`] or
-    /// access list built, and the retirement counters are bumped once.
+    /// sequence is applied as one batch per line, the D-cache evolution replays the pre-validated access
+    /// list directly (identical counter/LRU/stats evolution, no
+    /// associative scan), the run table's pre-resolved uops are read
+    /// consecutively instead of per-PC lookup, each runs through the
+    /// scalar kernel ([`crate::exec::execute_scalar`]) with no
+    /// [`crate::Effects`] or access list built, and the retirement
+    /// counters are bumped once.
     /// Only per-cache *final* state is observable at the chunk boundary,
     /// and each cache's own access sequence is preserved exactly, so
     /// the evolution is bit-identical. No instruction a run holds reads
@@ -830,39 +740,35 @@ impl Core {
         }
         let start_pc = self.hart.pc;
         self.icache.touch_run(start_pc, n);
+        let pos0 = self.armed.len - self.fused_left;
+        let end = pos0 + n;
         // Replay the pre-validated data accesses of the next `n`
         // positions (validation proved them guaranteed hits; the
         // executed accesses are checked against them below).
-        let pos0 = self.fused_len - self.fused_left;
         let mut checked = self.fused_cursor;
-        while let Some(fa) = self.fused_accesses.get(self.fused_cursor) {
-            if fa.pos >= pos0 + n {
+        while let Some(fa) = self.armed.accesses.get(self.fused_cursor) {
+            if fa.pos >= end {
                 break;
             }
             self.dcache.touch(fa.way, fa.write);
             self.fused_cursor += 1;
         }
-        // In range by construction (see `fused_start`).
-        let first = self.fused_start + pos0 as usize;
-        let slots = &text.insts[first..first + n as usize];
+        // In range by construction (see `armed`).
+        let first = self.armed.uop + pos0 as usize;
+        let uops = &text.runs().uops()[first..first + n as usize];
         let mut branches = 0u64;
-        for (i, slot) in (0..n).zip(slots) {
+        for (i, &uop) in (0..n).zip(uops) {
             debug_assert_eq!(
                 self.hart.pc,
                 start_pc + u64::from(i) * 4,
                 "fused run left the straight line"
             );
-            let done = slot
-                .as_ref()
-                .and_then(|entry| execute_scalar(&mut self.hart, mem, &entry.inst));
-            // A plan admits only decoded slots of the kernel's shapes.
-            let Some(done) = done else {
-                unreachable!("validated run slot {} is not scalar", first + i as usize);
-            };
+            let done = execute_scalar(&mut self.hart, mem, uop);
             if cfg!(debug_assertions) {
                 if let Some(access) = done.access {
                     debug_assert_eq!(
-                        self.fused_accesses
+                        self.armed
+                            .accesses
                             .get(checked)
                             .map(|fa| (fa.pos, fa.addr, fa.size, fa.write)),
                         Some((pos0 + i, access.addr, access.size, access.write)),

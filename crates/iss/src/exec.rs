@@ -5,8 +5,9 @@
 //! performed and the destination register written, which the timing
 //! layer (L1 caches + RAW scoreboard + event-driven hierarchy) uses to
 //! drive the Coyote cycle loop. The scalar shapes a fused run can hold
-//! execute in [`execute_scalar`], which `execute` delegates to and the
-//! fused retirement calls directly.
+//! execute in [`execute_scalar`] as pre-resolved uops: `execute` lowers
+//! them with [`Uop::from_inst`], and the fused retirement runs the run
+//! table's uops directly.
 //!
 //! Floating-point notes: the simulator computes with host `f64`
 //! arithmetic. Arithmetic uses round-to-nearest-even (the canonical
@@ -22,10 +23,9 @@ use std::fmt;
 
 use coyote_isa::inst::{
     AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCvtOp, FpOp, Inst, MemWidth, SysOp,
-    UpperOp, VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
-    XSrc,
+    VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
 };
-use coyote_isa::{FReg, Sew, VReg, VType, XReg};
+use coyote_isa::{FReg, Sew, Uop, VReg, VType, XReg};
 
 use crate::hart::Hart;
 use crate::mem::SparseMemory;
@@ -272,54 +272,48 @@ fn elem_width(eew: Sew) -> MemWidth {
 pub struct Scalar {
     /// Destination register, if any.
     pub dest: Option<Dest>,
-    /// The data-memory access, for `Load` and `Store`.
+    /// The data-memory access, for loads and stores.
     pub access: Option<MemAccess>,
     /// Whether control flow was redirected (taken branch or jump).
     pub branched: bool,
 }
 
-/// The scalar kernel: executes `inst` if it has one of the shapes a
-/// fused run can hold (`coyote_isa::superblock::classify` admits
-/// exactly these), else returns `None` and touches nothing.
+/// The scalar kernel: executes one pre-resolved [`Uop`] — the shapes a
+/// fused run can hold, with the operand form and every register file
+/// decided at predecode time, so nothing here branches on them.
 ///
-/// The shapes are `Upper`, `Jal`, `Jalr`, `Branch`, `Load`, `Store`,
-/// `Op`, `Op32`, `FpOp`, `FpFma` and `FpCvt`. None of them can fail, and
-/// none reads the counter CSRs. Their semantics are spelled here only: [`execute`] delegates
-/// them, and the fused retirement (`Core::step_block`) calls this
-/// directly, so a fused instruction neither enters the function that
-/// also implements every vector, CSR and AMO op nor builds [`Effects`]
-/// or pushes a [`MemAccess`] it would not read.
+/// None of the shapes can fail, and none reads the counter CSRs. Their
+/// semantics are spelled here only: [`execute`] lowers a scalar
+/// instruction to its uop and runs it here, and the fused retirement
+/// (`Core::step_block`) runs the run table's uops directly, so a fused
+/// instruction neither enters the function that also implements every
+/// vector, CSR and AMO op nor builds [`Effects`] or pushes a
+/// [`MemAccess`] it would not read.
 #[inline]
-pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, inst: &Inst) -> Option<Scalar> {
+pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, uop: Uop) -> Scalar {
     let mut done = Scalar {
         dest: None,
         access: None,
         branched: false,
     };
     let mut next_pc = hart.pc.wrapping_add(4);
-    match *inst {
-        Inst::Upper { op, rd, imm } => {
-            let base = match op {
-                UpperOp::Lui => 0,
-                UpperOp::Auipc => hart.pc,
-            };
-            hart.set_x(rd, base.wrapping_add(imm as u64));
-            done.dest = Some(Dest::X(rd));
+    match uop {
+        Uop::Lui { rd, imm } => done.dest = Some(set_x(hart, rd, imm as u64)),
+        Uop::Auipc { rd, imm } => {
+            done.dest = Some(set_x(hart, rd, hart.pc.wrapping_add(imm as u64)));
         }
-        Inst::Jal { rd, offset } => {
-            hart.set_x(rd, next_pc);
+        Uop::Jal { rd, offset } => {
+            done.dest = Some(set_x(hart, rd, next_pc));
             next_pc = hart.pc.wrapping_add(offset as i64 as u64);
-            done.dest = Some(Dest::X(rd));
             done.branched = true;
         }
-        Inst::Jalr { rd, rs1, offset } => {
+        Uop::Jalr { rd, rs1, offset } => {
             let target = hart.x(rs1).wrapping_add(offset as i64 as u64) & !1;
-            hart.set_x(rd, next_pc);
+            done.dest = Some(set_x(hart, rd, next_pc));
             next_pc = target;
-            done.dest = Some(Dest::X(rd));
             done.branched = true;
         }
-        Inst::Branch {
+        Uop::Branch {
             op,
             rs1,
             rs2,
@@ -339,66 +333,67 @@ pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, inst: &Inst) -> O
                 done.branched = true;
             }
         }
-        Inst::Load {
+        Uop::LoadX {
             op,
             rd,
             rs1,
             offset,
         } => {
             let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            let width = op.width();
-            let value = load_value(mem, addr, width, op.signed());
-            done.dest = Some(write_raw(hart, rd, op.rd_is_f(), value));
-            done.access = Some(MemAccess {
-                addr,
-                size: width.bytes() as u8,
-                write: false,
-                rmw: false,
-            });
+            let value = load_value(mem, addr, op.width(), op.signed());
+            done.dest = Some(set_x(hart, rd, value));
+            done.access = Some(data_access(addr, op.width(), false));
         }
-        Inst::Store {
+        Uop::LoadF {
+            op,
+            rd,
+            rs1,
+            offset,
+        } => {
+            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            let value = load_value(mem, addr, op.width(), op.signed());
+            done.dest = Some(set_f_bits(hart, rd, value));
+            done.access = Some(data_access(addr, op.width(), false));
+        }
+        Uop::StoreX {
             op,
             rs2,
             rs1,
             offset,
         } => {
             let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
-            let width = op.width();
-            store_value(mem, addr, width, read_raw(hart, rs2, op.rs2_is_f()));
-            done.access = Some(MemAccess {
-                addr,
-                size: width.bytes() as u8,
-                write: true,
-                rmw: false,
-            });
+            store_value(mem, addr, op.width(), hart.x(rs2));
+            done.access = Some(data_access(addr, op.width(), true));
         }
-        Inst::Op { op, rd, rs1, src } => {
-            hart.set_x(rd, alu(op, hart.x(rs1), x_src(hart, src)));
-            done.dest = Some(Dest::X(rd));
+        Uop::StoreF {
+            op,
+            rs2,
+            rs1,
+            offset,
+        } => {
+            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            store_value(mem, addr, op.width(), hart.f_bits(rs2));
+            done.access = Some(data_access(addr, op.width(), true));
         }
-        Inst::Op32 { op, rd, rs1, src } => {
-            hart.set_x(rd, alu_w(op, hart.x(rs1), x_src(hart, src)));
-            done.dest = Some(Dest::X(rd));
+        Uop::OpX { op, rd, rs1, rs2 } => {
+            done.dest = Some(set_x(hart, rd, alu(op, hart.x(rs1), hart.x(rs2))));
         }
-        Inst::FpOp { op, rd, rs1, rs2 } => {
-            let (a, b) = (hart.f(rs1), hart.f(rs2));
-            let bits = match op {
-                FpOp::Add => canonical(a + b).to_bits(),
-                FpOp::Sub => canonical(a - b).to_bits(),
-                FpOp::Mul => canonical(a * b).to_bits(),
-                FpOp::Div => canonical(a / b).to_bits(),
-                FpOp::Sgnj => a.copysign(b).to_bits(),
-                FpOp::Sgnjn => a.copysign(-b).to_bits(),
-                FpOp::Sgnjx => a.to_bits() ^ (b.to_bits() & (1 << 63)),
-                FpOp::Min => canonical(a.min(b)).to_bits(),
-                FpOp::Max => canonical(a.max(b)).to_bits(),
-                FpOp::Eq => u64::from(a == b),
-                FpOp::Lt => u64::from(a < b),
-                FpOp::Le => u64::from(a <= b),
-            };
-            done.dest = Some(write_raw(hart, rd, op.rd_is_f(), bits));
+        Uop::OpI { op, rd, rs1, imm } => {
+            done.dest = Some(set_x(hart, rd, alu(op, hart.x(rs1), imm as i64 as u64)));
         }
-        Inst::FpFma {
+        Uop::Op32X { op, rd, rs1, rs2 } => {
+            done.dest = Some(set_x(hart, rd, alu_w(op, hart.x(rs1), hart.x(rs2))));
+        }
+        Uop::Op32I { op, rd, rs1, imm } => {
+            done.dest = Some(set_x(hart, rd, alu_w(op, hart.x(rs1), imm as i64 as u64)));
+        }
+        Uop::FpF { op, rd, rs1, rs2 } => {
+            done.dest = Some(set_f_bits(hart, rd, fp_op(op, hart.f(rs1), hart.f(rs2))));
+        }
+        Uop::FpX { op, rd, rs1, rs2 } => {
+            done.dest = Some(set_x(hart, rd, fp_op(op, hart.f(rs1), hart.f(rs2))));
+        }
+        Uop::Fma {
             op,
             rd,
             rs1,
@@ -415,26 +410,75 @@ pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, inst: &Inst) -> O
             hart.set_f(rd, canonical(result));
             done.dest = Some(Dest::F(rd));
         }
-        Inst::FpCvt { op, rd, rs1 } => {
-            let x = hart.x(XReg::new(rs1).unwrap_or(XReg::ZERO));
-            let bits = hart.f_bits(FReg::new(rs1).unwrap_or_default());
-            let d = f64::from_bits(bits);
-            let value = match op {
-                FpCvtOp::DFromL => (x as i64 as f64).to_bits(),
-                FpCvtOp::DFromLu => (x as f64).to_bits(),
-                FpCvtOp::DFromW => (x as i32 as f64).to_bits(),
-                FpCvtOp::MvDX => x,
-                FpCvtOp::LFromD => d as i64 as u64,
-                FpCvtOp::LuFromD => d as u64,
-                FpCvtOp::WFromD => d as i32 as i64 as u64,
-                FpCvtOp::MvXD => bits,
-            };
-            done.dest = Some(write_raw(hart, rd, op.rd_is_f(), value));
+        Uop::CvtF { op, rd, rs1 } => {
+            done.dest = Some(set_f_bits(hart, rd, fp_cvt(op, hart.x(rs1))));
         }
-        _ => return None,
+        Uop::CvtX { op, rd, rs1 } => {
+            done.dest = Some(set_x(hart, rd, fp_cvt(op, hart.f_bits(rs1))));
+        }
     }
     hart.pc = next_pc;
-    Some(done)
+    done
+}
+
+/// Writes `x[rd]` and names it as the destination.
+#[inline]
+fn set_x(hart: &mut Hart, rd: XReg, value: u64) -> Dest {
+    hart.set_x(rd, value);
+    Dest::X(rd)
+}
+
+/// Writes `f[rd]`'s bits and names it as the destination.
+#[inline]
+fn set_f_bits(hart: &mut Hart, rd: FReg, bits: u64) -> Dest {
+    hart.set_f_bits(rd, bits);
+    Dest::F(rd)
+}
+
+/// The access of a scalar load or store.
+#[inline]
+fn data_access(addr: u64, width: MemWidth, write: bool) -> MemAccess {
+    MemAccess {
+        addr,
+        size: width.bytes() as u8,
+        write,
+        rmw: false,
+    }
+}
+
+/// A two-operand double op's result bits: a double, or 0/1 for a compare.
+#[inline]
+fn fp_op(op: FpOp, a: f64, b: f64) -> u64 {
+    match op {
+        FpOp::Add => canonical(a + b).to_bits(),
+        FpOp::Sub => canonical(a - b).to_bits(),
+        FpOp::Mul => canonical(a * b).to_bits(),
+        FpOp::Div => canonical(a / b).to_bits(),
+        FpOp::Sgnj => a.copysign(b).to_bits(),
+        FpOp::Sgnjn => a.copysign(-b).to_bits(),
+        FpOp::Sgnjx => a.to_bits() ^ (b.to_bits() & (1 << 63)),
+        FpOp::Min => canonical(a.min(b)).to_bits(),
+        FpOp::Max => canonical(a.max(b)).to_bits(),
+        FpOp::Eq => u64::from(a == b),
+        FpOp::Lt => u64::from(a < b),
+        FpOp::Le => u64::from(a <= b),
+    }
+}
+
+/// A conversion's result bits from its source register's bits (an
+/// integer, or a double's bits).
+#[inline]
+fn fp_cvt(op: FpCvtOp, src: u64) -> u64 {
+    let d = f64::from_bits(src);
+    match op {
+        FpCvtOp::DFromL => (src as i64 as f64).to_bits(),
+        FpCvtOp::DFromLu => (src as f64).to_bits(),
+        FpCvtOp::DFromW => (src as i32 as f64).to_bits(),
+        FpCvtOp::MvDX | FpCvtOp::MvXD => src,
+        FpCvtOp::LFromD => d as i64 as u64,
+        FpCvtOp::LuFromD => d as u64,
+        FpCvtOp::WFromD => d as i32 as i64 as u64,
+    }
 }
 
 /// Executes one instruction on `hart`, mutating `mem`.
@@ -458,7 +502,8 @@ pub fn execute(
     accesses: &mut Vec<MemAccess>,
 ) -> Result<Effects, ExecError> {
     accesses.clear();
-    if let Some(done) = execute_scalar(hart, mem, inst) {
+    if let Some(uop) = Uop::from_inst(inst) {
+        let done = execute_scalar(hart, mem, uop);
         accesses.extend(done.access);
         return Ok(Effects {
             dest: done.dest,
@@ -468,7 +513,7 @@ pub fn execute(
     }
     let mut fx = Effects::default();
     match *inst {
-        // Executed by the scalar kernel above.
+        // Lowered to a uop and executed by the scalar kernel above.
         Inst::Upper { .. }
         | Inst::Jal { .. }
         | Inst::Jalr { .. }
@@ -878,27 +923,6 @@ fn write_raw(hart: &mut Hart, index: u8, float: bool, value: u64) -> Dest {
         let rd = XReg::new(index).unwrap_or(XReg::ZERO);
         hart.set_x(rd, value);
         Dest::X(rd)
-    }
-}
-
-/// Register `index` of the `f` file when `float`, else of the `x` file:
-/// the source of an op whose register class its row decides.
-#[inline]
-fn read_raw(hart: &Hart, index: u8, float: bool) -> u64 {
-    if float {
-        hart.f_bits(FReg::new(index).unwrap_or_default())
-    } else {
-        hart.x(XReg::new(index).unwrap_or(XReg::ZERO))
-    }
-}
-
-/// The second operand of an integer ALU op: `rs2`, or the immediate
-/// sign-extended to 64 bits.
-#[inline]
-fn x_src(hart: &Hart, src: XSrc) -> u64 {
-    match src {
-        XSrc::X(rs2) => hart.x(rs2),
-        XSrc::I(imm) => imm as i64 as u64,
     }
 }
 

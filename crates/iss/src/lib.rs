@@ -73,4 +73,4 @@ pub use exec::{Dest, Ecall, Effects, ExecError, MemAccess, RegSet};
 pub use hart::{Hart, DEFAULT_VLEN_BITS};
 pub use mem::SparseMemory;
 pub use scoreboard::Scoreboard;
-pub use superblock::{accesses_conflict, FuseDiag, FuseStop, FusedAccess};
+pub use superblock::{accesses_conflict, ArmState, ArmedRun, FuseDiag, FuseStop, FusedAccess};

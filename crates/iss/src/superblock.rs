@@ -1,12 +1,12 @@
-//! Dynamic half of the superblock translation engine: what an arm
-//! attempt reports and records.
+//! Dynamic half of the superblock translation engine: the arm check
+//! and what it reports and records.
 //!
-//! The static half (`coyote_isa::superblock`) classifies every text
-//! slot and precomputes `run_len`: how far a straight-line run starting
-//! there can ever fuse. [`crate::core::Core::ensure_fused_run`] arms
-//! the longest prefix of that run for which, against the *live* machine
-//! state, the stripped-down fused path is bit-identical to the
-//! per-instruction one:
+//! The static half (`coyote_isa::superblock`) gives every text slot a
+//! run-table row: how far a straight-line run starting there can ever
+//! fuse, its memory ops as one slice, and the union of the registers it
+//! names. [`ArmState::validate`] arms the longest prefix of that run for
+//! which, against the *live* machine state, the stripped-down fused
+//! path is bit-identical to the per-instruction one:
 //!
 //! * every instruction line of the run is resident in the L1I (probing
 //!   a resident line never evicts, so residency is stable for the
@@ -23,19 +23,25 @@
 //!   register the run writes;
 //! * no store lands in the text segment (self-modifying code takes
 //!   the per-instruction path, which detects and invalidates);
-//! * no fill-corruption fault is armed (the oracle's mutation hook
-//!   rewrites a register mid-flight, which would invalidate the
-//!   addresses computed at arm time).
+//! * no fill-corruption fault is armed (checked by the core: the
+//!   oracle's mutation hook rewrites a register mid-flight, which would
+//!   invalidate the addresses computed at arm time).
 //!
 //! A run that fails any check is simply truncated at the first
 //! uncertain instruction; prefixes of a valid run are valid runs. This
-//! file holds the vocabulary of that decision — why a run stopped
+//! file also holds the vocabulary of that decision — why a run stopped
 //! ([`FuseStop`]), the per-core tallies ([`FuseDiag`]) and the armed
-//! accesses the orchestrator's cross-core test reads
-//! ([`FusedAccess`]).
+//! accesses the orchestrator's cross-core test reads ([`FusedAccess`]).
 
 use coyote_isa::superblock::MAX_RUN;
+use coyote_isa::RegSet;
 use coyote_isa::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
+
+use crate::cache::Cache;
+use crate::core::DecodedText;
+use crate::hart::Hart;
+use crate::mem::AddrMap;
+use crate::scoreboard::Scoreboard;
 
 /// Why an arm attempt stopped where it did — the
 /// window-abort and re-arm reason taxonomy the host profiler reports.
@@ -189,6 +195,145 @@ impl FusedAccess {
             size: u64::from(self.size),
             write: self.write,
         }
+    }
+}
+
+/// The machine state an arm attempt reads, borrowed from one core (or
+/// built by a test that wants to validate against a chosen state).
+#[derive(Debug, Clone, Copy)]
+pub struct ArmState<'a> {
+    /// Registers and pc.
+    pub hart: &'a Hart,
+    /// L1 instruction cache.
+    pub icache: &'a Cache,
+    /// L1 data cache.
+    pub dcache: &'a Cache,
+    /// Pending-register scoreboard.
+    pub scoreboard: &'a Scoreboard,
+    /// In-flight data lines.
+    pub pending_data: &'a AddrMap<RegSet>,
+}
+
+/// What one arm attempt found: the run it may arm, why it stopped
+/// there, and what the fused retirement replays.
+#[derive(Debug, Clone)]
+pub struct ArmedRun {
+    /// Length it may arm (0 = none).
+    pub len: u32,
+    /// Why it stopped there.
+    pub stop: FuseStop,
+    /// The run's memory accesses, in order (empty when `len` is 0).
+    pub accesses: Vec<FusedAccess>,
+    /// Index of the start slot's uop in the run table.
+    pub(crate) uop: usize,
+}
+
+impl Default for ArmedRun {
+    fn default() -> ArmedRun {
+        ArmedRun {
+            len: 0,
+            stop: FuseStop::RunEnd,
+            accesses: Vec::new(),
+            uop: 0,
+        }
+    }
+}
+
+impl ArmState<'_> {
+    /// The checks of an arm attempt at the hart's pc, recording nothing:
+    /// fills `run` with the length it may arm from the pc's text slot,
+    /// why it stopped there, and that run's accesses.
+    ///
+    /// What depends only on the text is one row of the run table. What
+    /// depends on machine state is rechecked now, one fact at a time,
+    /// each check truncating the run at its first failure. The checks
+    /// commute: the armed length is the smallest failing position, and a
+    /// later check only renames the stop reason when it fails strictly
+    /// earlier.
+    pub fn validate(&self, text: &DecodedText, run: &mut ArmedRun) {
+        run.accesses.clear();
+        let pc = self.hart.pc;
+        let row = text
+            .index_of(pc)
+            .and_then(|start| Some((start, text.runs().run(start)?)))
+            // Fewer than two instructions gain nothing over the
+            // per-instruction path.
+            .filter(|(_, row)| row.len >= 2);
+        let Some((start, row)) = row else {
+            (run.len, run.stop) = (0, FuseStop::TooShort);
+            return;
+        };
+        let (mut len, mut stop) = (row.len, FuseStop::RunEnd);
+
+        // I-line residency is line-granular: one probe vouches for
+        // every slot sharing the line.
+        let line_bytes = self.icache.config().line_bytes;
+        let mut slot_pc = pc;
+        while slot_pc < pc + u64::from(len) * 4 {
+            if self.icache.probe_way(slot_pc).is_none() {
+                (len, stop) = (((slot_pc - pc) / 4) as u32, FuseStop::LineNotResident);
+                break;
+            }
+            slot_pc = self.icache.line_addr(slot_pc) + line_bytes;
+        }
+
+        // Hazard check against the *current* mask: one test against the
+        // run's register union, a per-slot scan only when it hits.
+        // Exact: fused runs never acquire, so the mask only shrinks
+        // while the run retires.
+        if self.scoreboard.pending().intersects(&row.regs) {
+            let slots = &text.entries()[start..start + len as usize];
+            let busy = slots.iter().position(|slot| {
+                slot.as_ref()
+                    .is_some_and(|entry| self.scoreboard.blocks(&entry.uses, &entry.defs))
+            });
+            if let Some(i) = busy {
+                (len, stop) = (i as u32, FuseStop::ScoreboardBusy);
+            }
+        }
+
+        // Every memory op must be a guaranteed hit at an address known
+        // now (the static run never writes a base before using it).
+        let no_pending_data = self.pending_data.is_empty();
+        let mut blocked = None;
+        for op in text.runs().mem_ops(row) {
+            let pos = op.slot - start as u32;
+            if pos >= len {
+                break;
+            }
+            let addr = self.hart.x(op.base).wrapping_add(op.offset as i64 as u64);
+            let Some(way) = self.dcache.probe_way(addr) else {
+                blocked = Some((pos, FuseStop::LineNotResident));
+                break;
+            };
+            // A hit on an in-flight line must wait for the data.
+            if !no_pending_data && self.pending_data.contains_key(&self.dcache.line_addr(addr)) {
+                blocked = Some((pos, FuseStop::PendingFill));
+                break;
+            }
+            // Self-modifying stores go through the per-instruction
+            // path so invalidation fires.
+            if op.write && text.overlaps(addr, u64::from(op.size)) {
+                blocked = Some((pos, FuseStop::TextStore));
+                break;
+            }
+            run.accesses.push(FusedAccess {
+                pos,
+                addr,
+                size: op.size,
+                write: op.write,
+                way,
+            });
+        }
+        if let Some(cut) = blocked {
+            (len, stop) = cut;
+        }
+
+        if len < 2 {
+            run.accesses.clear();
+            len = 0;
+        }
+        (run.len, run.stop, run.uop) = (len, stop, row.uop as usize);
     }
 }
 

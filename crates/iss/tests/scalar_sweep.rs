@@ -16,7 +16,7 @@
 //! kernel, so that move is pinned to the semantics it had.
 
 use coyote_isa::inst::XSrc;
-use coyote_isa::{ops, FReg, Inst, XReg};
+use coyote_isa::{ops, FReg, Inst, Uop, XReg};
 use coyote_iss::exec::execute;
 use coyote_iss::{Hart, SparseMemory};
 
@@ -350,9 +350,9 @@ fn every_scalar_instruction_executes_as_recorded() {
 }
 
 /// The fused path's half: every run of the universe through the scalar
-/// kernel leaves the registers, pc and memory `execute` leaves and
-/// reports the same destination, branch and access. Any other shape is
-/// not the kernel's: it returns `None` and touches nothing.
+/// kernel, reached through the instruction's pre-resolved uop, leaves
+/// the registers, pc and memory `execute` leaves and reports the same
+/// destination, branch and access. Any other shape has no uop.
 #[test]
 fn the_scalar_kernel_leaves_the_state_execute_leaves() {
     let (mut mem, mut twin) = (SparseMemory::new(), SparseMemory::new());
@@ -369,8 +369,8 @@ fn the_scalar_kernel_leaves_the_state_execute_leaves() {
             }
             let fx = execute(&mut hart, &mut mem, &case.inst, 0, 0, &mut accesses)
                 .expect("a scalar instruction cannot fail");
-            let done = kernel(&mut fused, &mut twin, &case.inst)
-                .expect("the universe holds only kernel shapes");
+            let uop = Uop::from_inst(&case.inst).expect("the universe holds only kernel shapes");
+            let done = kernel(&mut fused, &mut twin, uop);
             let inst = &case.inst;
             assert_eq!(fx.ecall, None, "{inst:?}");
             assert_eq!(
@@ -386,10 +386,8 @@ fn the_scalar_kernel_leaves_the_state_execute_leaves() {
         }
     }
 
-    let mut hart = seeded_hart([0; 3]);
     let ecall = Inst::System {
         op: coyote_isa::inst::SysOp::Ecall,
     };
-    assert_eq!(kernel(&mut hart, &mut mem, &ecall), None);
-    assert_eq!(hart.pc, PC, "a shape the kernel does not take moved the pc");
+    assert_eq!(Uop::from_inst(&ecall), None, "ecall is not a kernel shape");
 }
