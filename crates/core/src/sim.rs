@@ -396,12 +396,13 @@ impl Simulation {
     ///
     /// The window is bounded so every observable event (hierarchy
     /// completion, telemetry sample, cycle limit) still lands on exactly
-    /// the cycle it would have per-cycle. Inside the bound the fused
-    /// path retires validated superblock runs for as long as every
-    /// active core holds one ([`Simulation::fused_window`]); when it
-    /// retires nothing — the bound is one cycle, or some core cannot
-    /// arm — the width-1 window is the paper's plain cycle: one
-    /// [`Core::step`] attempt per active core, after which stalled and
+    /// the cycle it would have per-cycle. Inside a bound above one cycle
+    /// the fused path retires validated superblock runs for as long as
+    /// every active core holds one ([`Simulation::fused_window`], the
+    /// only place a run is armed); when it retires nothing — the bound
+    /// is one cycle, or some core cannot arm — the width-1 window is the
+    /// paper's plain cycle: one per-instruction [`Core::step`] attempt
+    /// per active core, which never fuses, after which stalled and
     /// halted cores leave the active list.
     fn execute(&mut self, cycle: u64) -> Result<u32, RunError> {
         let span = self.obs.enter("execute");
@@ -441,7 +442,9 @@ impl Simulation {
     /// not shorten it. The oracle checks the canonical per-cycle
     /// retirement interleaving and `interleave > 1` retires several
     /// instructions per core per cycle: both pin the bound to one cycle,
-    /// as does an empty active list (nothing to retire).
+    /// so runs under them never fuse, as does an empty active list
+    /// (nothing to retire). A bound of one cycle skips the fused path,
+    /// and the plain cycle never arms.
     fn window_bound(&self, cycle: u64) -> u32 {
         if self.oracle.is_some() || self.config.interleave != 1 || self.active_list.is_empty() {
             return 1;
@@ -524,10 +527,12 @@ impl Simulation {
         Ok(consumed)
     }
 
-    /// The plain cycle of [`Simulation::execute`]: one [`Core::step`]
-    /// attempt per active core in index order, directly against shared
-    /// memory (the interleave factor reproduces Spike's back-to-back
-    /// batching; Coyote proper uses 1). The oracle replays each
+    /// The plain cycle of [`Simulation::execute`]: one per-instruction
+    /// [`Core::step`] attempt per active core in index order, directly
+    /// against shared memory (the interleave factor reproduces Spike's
+    /// back-to-back batching; Coyote proper uses 1). No instruction
+    /// here retires through a fused run: a step drops any run the
+    /// core's last window left armed. The oracle replays each
     /// retirement in this same global order, so its reference memory
     /// reproduces the timed machine's exact interleaving.
     fn step_cores(&mut self, cycle: u64) -> Result<(), RunError> {

@@ -155,6 +155,8 @@ struct Outcome {
     /// The `host_profile` member [`strip_knob_sections`] removed from
     /// `metrics` (null when unprofiled).
     host_profile: JsonValue,
+    /// Instructions each core retired through the fused path.
+    fused_retired: Vec<u64>,
 }
 
 /// The metrics document with everything that legitimately describes a
@@ -225,6 +227,7 @@ fn run(src: &str, machine: &Machine, knobs: Knobs) -> Outcome {
         cycles: report.cycles,
         metrics: strip_knob_sections(doc),
         host_profile,
+        fused_retired: report.cores.iter().map(|c| c.fused_retired).collect(),
     }
 }
 
@@ -326,6 +329,8 @@ fn fixed_shapes_reproduce_the_plain_baseline() {
 /// the abort-reason taxonomy, the chunk-/run-length distributions, the
 /// event-pop total — is byte-stable across legal schedule
 /// perturbations, and the per-core rows are aggregated in core order.
+/// Every fused retirement is a window chunk: a core's chunk lengths sum
+/// to its fused retirements.
 #[test]
 fn counter_profiles_aggregate_by_core_order() {
     let machine = Machine {
@@ -377,5 +382,26 @@ fn counter_profiles_aggregate_by_core_order() {
             .map(|row| row.get("core").and_then(JsonValue::as_u64).expect("core"))
             .collect();
         assert_eq!(order, vec![0, 1, 2, 3], "per-core rows out of core order");
+        let chunk_sums: Vec<u64> = canon
+            .host_profile
+            .get("per_core")
+            .and_then(JsonValue::as_array)
+            .expect("per_core array")
+            .iter()
+            .map(|row| {
+                row.get("chunk_lengths")
+                    .and_then(|hist| hist.get("sum"))
+                    .and_then(JsonValue::as_u64)
+                    .expect("chunk_lengths.sum")
+            })
+            .collect();
+        assert!(
+            canon.fused_retired.iter().any(|&n| n > 0),
+            "the kernel must exercise the fused path (contended={contended})"
+        );
+        assert_eq!(
+            chunk_sums, canon.fused_retired,
+            "a fused retirement outside a window chunk (contended={contended})"
+        );
     }
 }

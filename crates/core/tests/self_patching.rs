@@ -63,6 +63,13 @@ fn patched_instruction_reexecutes_with_new_semantics_under_oracle() {
         vec![30],
         "patched addi must add 2 in phase 2"
     );
+    // The oracle pins every window to one cycle, and a plain cycle
+    // never fuses, so fusion being on retires nothing fused.
+    assert_eq!(
+        report.block_hit_rate(),
+        0.0,
+        "a one-cycle window retired through the fused path"
+    );
 }
 
 #[test]

@@ -33,10 +33,10 @@ pub struct CoreConfig {
     pub l1d: CacheConfig,
     /// Vector register length in bits.
     pub vlen_bits: u64,
-    /// Whether [`Core::step`] may retire validated superblock runs
-    /// through the fused dispatch (and so the orchestrator may step
-    /// multi-cycle windows). A host-speed knob: every cycle count,
-    /// digest and exported metric is bit-identical either way
+    /// Whether the orchestrator may retire validated superblock runs
+    /// through [`Core::step_block`] in multi-cycle windows (armed only
+    /// by [`Core::ensure_fused_run`]). A host-speed knob: every cycle
+    /// count, digest and exported metric is bit-identical either way
     /// (property-tested). On by default; `false` forces the
     /// per-instruction path everywhere (the A/B reference).
     pub fusion: bool,
@@ -341,15 +341,17 @@ pub struct Core {
     /// serviced data fill "delivers" into the wrong register,
     /// corrupting this register's architectural value.
     corrupt_fill: Option<XReg>,
-    /// Whether the fused dispatch is enabled ([`CoreConfig::fusion`]).
+    /// Whether runs may be armed ([`CoreConfig::fusion`]).
     fusion: bool,
     /// The last arm attempt's outcome: while `fused_left` is non-zero,
     /// the validated run. Its uops stay in range while it is armed: they
     /// were validated against this text, and text invalidation aborts
     /// every run ([`Core::abort_fused_run`]).
     armed: ArmedRun,
-    /// Instructions remaining in the validated run; while non-zero,
-    /// [`Core::step`] dispatches through the fused fast path.
+    /// Instructions remaining in the validated run; while non-zero, a
+    /// window chunk may retire them through [`Core::step_block`].
+    /// [`Core::step`] drops the run: a plain retirement moves the PC off
+    /// it.
     fused_left: u32,
     /// Index into `armed.accesses` of the next access to retire (the
     /// run's accesses retire strictly in order).
@@ -357,8 +359,8 @@ pub struct Core {
     /// Index into `armed.accesses` below which no store is left to
     /// retire: nothing in `[fused_cursor, fused_next_store)` writes.
     /// Arming resets it to 0 and only [`Core::seek_next_store`]
-    /// advances it, so runs that only ever retire alone never pay for
-    /// the scan; a value behind the cursor merely reads as "may store".
+    /// advances it, so a lone core's runs never pay for the scan; a
+    /// value behind the cursor merely reads as "may store".
     fused_next_store: usize,
     /// Instructions retired through the fused path. A host-diagnostic
     /// counter: deliberately outside
@@ -371,7 +373,9 @@ pub struct Core {
     /// `Some(r)`: the last arm attempt failed with `r` instructions
     /// retired. While `stats.retired` is still `r` and nothing cleared
     /// this, every input of the arm is unchanged, so the attempt would
-    /// fail again the same way and is not repeated (DESIGN §13).
+    /// fail again the same way and is not repeated. Its one case: a
+    /// window that ended on this core's failed re-arm is followed by a
+    /// window that retries it in the same state (DESIGN §13).
     arm_failed_at: Option<u64>,
     /// Stores this core made into the text segment this cycle; the
     /// orchestrator drains them into [`DecodedText::invalidate`] at
@@ -598,34 +602,36 @@ impl Core {
         std::mem::take(&mut self.text_writes)
     }
 
-    /// Ensures a validated run is armed at the current PC, attempting
-    /// validation when none is. Returns the instructions left in the
-    /// run (0 = this core cannot fuse from here).
+    /// The one arm routine: ensures a validated run is armed at the
+    /// current PC, arming the longest run that may retire through
+    /// [`Core::step_block`] when none is. Returns the instructions left
+    /// in the run (0 = this core cannot fuse from here). The checks are
+    /// [`ArmState::validate`]'s; an attempt that already failed in the
+    /// same state (`arm_failed_at`) is not repeated.
     // `#[inline]`: the orchestrator's window loop calls this once per
     // core per chunk from another crate; inlined, an armed core costs
-    // one field load and only a run boundary pays a call.
+    // one field load and only a run boundary pays the validation call.
     #[inline]
     pub fn ensure_fused_run(&mut self, text: &DecodedText) -> u32 {
-        if self.fused_left == 0 {
-            self.arm(text);
+        if self.fused_left > 0 || !self.fusion || self.corrupt_fill.is_some() {
+            return self.fused_left;
         }
-        self.fused_left
-    }
-
-    /// Attempts to arm a run at the current PC unless the same attempt
-    /// already failed in the same state (`arm_failed_at`); returns the
-    /// armed length (0 = none). A window that ends on a failed arm is
-    /// followed by [`Core::step`] at the same PC, which would otherwise
-    /// repeat it.
-    #[inline]
-    fn arm(&mut self, text: &DecodedText) -> u32 {
         if self.arm_failed_at == Some(self.stats.retired) {
             if cfg!(debug_assertions) {
                 self.check_arm_memo(text);
             }
             return 0;
         }
-        self.try_begin_fused_run(text)
+        self.validate_run(text);
+        let len = self.armed.len;
+        self.fuse_diag.record_arm(len, self.armed.stop);
+        if len == 0 {
+            self.arm_failed_at = Some(self.stats.retired);
+        }
+        self.fused_left = len;
+        self.fused_cursor = 0;
+        self.fused_next_store = 0;
+        len
     }
 
     /// Debug check of the arm memo: validation, re-run without being
@@ -657,26 +663,6 @@ impl Core {
             .map_or(accesses.len(), |ahead| from + ahead);
     }
 
-    /// The one arm routine: arms the longest run at the current PC that
-    /// may retire through the fused path and returns its length (0 =
-    /// per-instruction path), for every PC, scoreboard state and core.
-    /// The checks are [`ArmState::validate`]'s.
-    fn try_begin_fused_run(&mut self, text: &DecodedText) -> u32 {
-        if !self.fusion || self.corrupt_fill.is_some() {
-            return 0;
-        }
-        self.validate_run(text);
-        let len = self.armed.len;
-        self.fuse_diag.record_arm(len, self.armed.stop);
-        if len == 0 {
-            self.arm_failed_at = Some(self.stats.retired);
-        }
-        self.fused_left = len;
-        self.fused_cursor = 0;
-        self.fused_next_store = 0;
-        len
-    }
-
     /// Runs the arm checks against this core's state into `armed`,
     /// recording nothing.
     fn validate_run(&mut self, text: &DecodedText) {
@@ -691,10 +677,10 @@ impl Core {
     }
 
     /// Retires exactly `n` pre-validated instructions over the cycles
-    /// `[_cycle, _cycle + n)` — the one fused retire routine: a window
-    /// chunk of the orchestrator, or `n = 1` from [`Core::step`]. The
-    /// caller must have proved `n` is at most what
-    /// [`Core::ensure_fused_run`] last returned.
+    /// `[_cycle, _cycle + n)` — the one fused retire routine, called
+    /// only for the orchestrator's window chunks. The caller must have
+    /// proved `n` is at most what [`Core::ensure_fused_run`] last
+    /// returned.
     ///
     /// Validation proved: I-line and every accessed D-line resident
     /// (probing resident lines never evicts, so residency holds for
@@ -721,11 +707,10 @@ impl Core {
     ///
     /// None: no shape a run holds can fail. The `Result` is the retire
     /// routines' common signature.
-    // `#[inline]`: `Core::step` calls this with the constant `n = 1`;
-    // inlined there the chunk loops fold away, which is what lets one
-    // source routine serve the width-1 dispatch at the speed of a
-    // hand-written single-instruction copy (EXPERIMENTS.md
-    // `one-engine`: 2.7 % of `spmv_128c` without it).
+    // `#[inline]`: the orchestrator's window loop calls this once per
+    // core per chunk from another crate, where without the hint it
+    // stays an out-of-line call: `matmul_1c` and `matmul_128c` ran ~4 %
+    // slower without it (EXPERIMENTS.md `plain-step`).
     #[inline]
     pub fn step_block(
         &mut self,
@@ -788,7 +773,11 @@ impl Core {
         Ok(())
     }
 
-    /// Attempts to execute one instruction at the current cycle.
+    /// Attempts to execute one instruction at the current cycle: the
+    /// paper's per-instruction step (fetch probe, hazard check,
+    /// [`execute`], D-cache probes, retire). It never arms a run and
+    /// drops any armed one; fused retirement happens only in window
+    /// chunks ([`Core::step_block`]).
     ///
     /// Misses that must travel to the hierarchy are appended to
     /// `misses`. Returns the step outcome; on `DepStall`/`FetchStall`
@@ -818,16 +807,9 @@ impl Core {
             self.state
         );
 
-        // ---- fused dispatch ----
-        // Mid-run: the remaining instructions were validated against
-        // machine state that can only have relaxed since (fills
-        // completing release registers; nothing evicts a probed line).
-        // At a run boundary, try to validate a fresh run; on success
-        // this very step takes the fast path too.
-        if self.fused_left > 0 || self.arm(text) > 0 {
-            self.step_block(mem, text, cycle, 1)?;
-            return Ok(StepEvent::Retired);
-        }
+        // A plain retirement moves the PC off any armed run; the next
+        // window re-arms from wherever this step leaves the core.
+        self.fused_left = 0;
 
         // ---- fetch ----
         let pc = self.hart.pc;
@@ -1100,6 +1082,9 @@ mod tests {
         let addr = 0x8100_0000; // default data base
         assert_eq!(mem.read_u64(addr), 55);
         assert_eq!(core.state(), CoreState::Halted(0));
+        // Fusion is on by default, but `Core::step` alone never arms.
+        assert_eq!(core.fused_retired(), 0);
+        assert_eq!(core.fuse_diag().template_arms, 0);
     }
 
     #[test]

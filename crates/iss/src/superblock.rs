@@ -106,7 +106,7 @@ impl FuseStop {
     }
 }
 
-/// Host-diagnostic counters for one core's fused dispatch: how often
+/// Host-diagnostic counters for one core's arms: how often
 /// runs were armed and why arm attempts stopped. Like
 /// `fused_retired`, deliberately outside `CoreStats` so the
 /// determinism digest cannot vary with profiling; the orchestrator
