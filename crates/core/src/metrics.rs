@@ -432,13 +432,13 @@ impl ChromeTraceDoc<'_> {
     /// Serializes compactly (no whitespace).
     #[must_use]
     pub fn to_string_compact(&self) -> String {
-        self.emit(false, None).expect("no sink, no I/O")
+        self.text(false)
     }
 
     /// Serializes with two-space indentation.
     #[must_use]
     pub fn to_string_pretty(&self) -> String {
-        self.emit(true, None).expect("no sink, no I/O")
+        self.text(true)
     }
 
     /// Streams the compact form into `out`.
@@ -448,7 +448,7 @@ impl ChromeTraceDoc<'_> {
     /// Propagates I/O errors from `out`.
     pub fn write_compact<W: Write>(&self, mut out: W) -> io::Result<()> {
         let tail = self.emit(false, Some(&mut out))?;
-        out.write_all(tail.as_bytes())
+        out.write_all(&tail)
     }
 
     /// Streams the pretty form into `out`: the bytes of
@@ -459,13 +459,20 @@ impl ChromeTraceDoc<'_> {
     /// Propagates I/O errors from `out`.
     pub fn write_pretty<W: Write>(&self, mut out: W) -> io::Result<()> {
         let tail = self.emit(true, Some(&mut out))?;
-        out.write_all(tail.as_bytes())
+        out.write_all(&tail)
+    }
+
+    /// The whole document as one `String`: the writer's buffer, taken
+    /// over without a copy.
+    fn text(&self, pretty: bool) -> String {
+        let text = self.emit(pretty, None).expect("no sink, no I/O");
+        String::from_utf8(text).expect("the Chrome writer writes only whole UTF-8 strings")
     }
 
     /// Emits the document. With a `sink` the text moves there a chunk
     /// at a time and only the unwritten tail is returned; without one
     /// the whole document is.
-    fn emit(&self, pretty: bool, mut sink: Option<&mut dyn Write>) -> io::Result<String> {
+    fn emit(&self, pretty: bool, mut sink: Option<&mut dyn Write>) -> io::Result<Vec<u8>> {
         /// Text buffered between writes to the sink.
         const CHUNK: usize = 64 << 10;
         let sim = self.sim;
@@ -498,10 +505,9 @@ impl ChromeTraceDoc<'_> {
         };
         let mut spill = |out: &mut ChromeWriter| -> io::Result<()> {
             if let Some(sink) = &mut sink {
-                let text = out.buffer_mut();
-                if text.len() >= CHUNK {
-                    sink.write_all(text.as_bytes())?;
-                    text.clear();
+                if out.text().len() >= CHUNK {
+                    sink.write_all(out.text())?;
+                    out.clear();
                 }
             }
             Ok(())

@@ -10,7 +10,7 @@ use std::io::{self, Write};
 
 use coyote_iss::core::CoreState;
 use coyote_iss::MissKind;
-use coyote_telemetry::push_u64;
+use coyote_telemetry::{Record, RECORD_BYTES};
 
 use crate::config::MAX_CORES;
 
@@ -21,6 +21,12 @@ pub const EVENT_LINE_ADDR: u64 = 42_000_002;
 /// Paraver event type carrying the PC of the missing instruction (the
 /// causal anchor used by stall attribution; 0 for synthetic traffic).
 pub const EVENT_PC: u64 = 42_000_003;
+
+/// The event types as a record spells them, between a value and the
+/// next; a test ties each to its constant.
+const MISS_KIND_FIELD: &[u8] = b":42000001:";
+const LINE_ADDR_FIELD: &[u8] = b":42000002:";
+const PC_FIELD: &[u8] = b":42000003:";
 
 /// Paraver state value: the core is executing.
 pub const STATE_RUNNING: u64 = 1;
@@ -182,60 +188,65 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `out`. Every record is one `write_all`,
-    /// so hand a `File` over inside a `BufWriter` (and `flush` it); a
-    /// `&mut Vec<u8>` works as is.
+    /// Propagates I/O errors from `out`. The records reach it in 64 KiB
+    /// `write_all`s, so a `File` needs no `BufWriter`.
     pub fn write_prv<W: Write>(&self, mut out: W) -> io::Result<()> {
+        /// Text buffered between writes to `out`.
+        const CHUNK: usize = 64 << 10;
         let cores = self.cores.max(1);
-        // Header: #Paraver (date):duration:nodes(cpus):apps:app1(tasks)
-        write!(
-            out,
-            "#Paraver (01/01/2021 at 00:00):{}:1({}):1:{}(",
-            self.final_cycle + 1,
-            cores,
-            cores
-        )?;
-        for task in 0..cores {
-            if task > 0 {
-                write!(out, ",")?;
+        // Header: #Paraver (date):duration:nodes(cpus):apps:app1(tasks).
+        // The duration saturates: a parsed interval may end at u64::MAX.
+        let mut header = format!(
+            "#Paraver (01/01/2021 at 00:00):{}:1({cores}):1:{cores}(",
+            self.final_cycle.saturating_add(1)
+        );
+        header.push_str(&vec!["1:1"; cores].join(","));
+        header.push_str(")\n");
+        out.write_all(header.as_bytes())?;
+        // Every record starts `type:cpu:appl:task:thread:` — one
+        // application, and a task of one thread per core, 1-based — so
+        // each core's `:cpu:appl:task:thread:` is formatted once.
+        let task = |core: usize| format!(":{t}:1:{t}:1:", t = core as u64 + 1);
+        let tasks: Vec<String> = (0..cores).map(task).collect();
+        // Records are written into `chunk` at `len`, which goes out
+        // whenever it holds CHUNK bytes. A record is its type, its task
+        // and each field followed by its separator.
+        let mut chunk = vec![0; CHUNK + RECORD_BYTES];
+        let mut len = 0;
+        let mut write = |kind: &[u8], core: usize, fields: &[(u64, &[u8])]| {
+            let mut record = Record::new(&mut chunk[len..]);
+            record.bytes(kind);
+            match tasks.get(core) {
+                Some(task) => record.bytes(task.as_bytes()),
+                None => record.bytes(task(core).as_bytes()),
             }
-            write!(out, "1:1")?;
-        }
-        writeln!(out, ")")?;
-        // One line buffer, filled by the JSON emitter's integer routine:
-        // a record is one `write_all`, not a dozen `fmt` fragments.
-        // Every record starts `type:cpu:appl:task:thread` — one
-        // application, and a task of one thread per core, 1-based.
-        let mut line = String::new();
-        let mut record = |kind: char, core: usize, fields: &[u64]| {
-            line.clear();
-            line.push(kind);
-            let task = core as u64 + 1;
-            for field in [task, 1, task, 1].iter().chain(fields) {
-                line.push(':');
-                push_u64(&mut line, *field);
+            for &(value, separator) in fields {
+                record.uint(value);
+                record.bytes(separator);
             }
-            line.push('\n');
-            out.write_all(line.as_bytes())
+            len += record.end();
+            if len >= CHUNK {
+                out.write_all(&chunk[..len])?;
+                len = 0;
+            }
+            io::Result::Ok(())
         };
         for st in &self.states {
             // Record type 1 (state): …:begin:end:state
-            record('1', st.core, &[st.start, st.end, st.state])?;
+            let fields = [(st.start, &b":"[..]), (st.end, b":"), (st.state, b"\n")];
+            write(b"1", st.core, &fields)?;
         }
         for ev in &self.events {
             // Record type 2 (event): …:time:type:value[:type:value]
             let fields = [
-                ev.cycle,
-                EVENT_MISS_KIND,
-                kind_code(ev.kind),
-                EVENT_LINE_ADDR,
-                ev.line_addr,
-                EVENT_PC,
-                ev.pc,
+                (ev.cycle, MISS_KIND_FIELD),
+                (kind_code(ev.kind), LINE_ADDR_FIELD),
+                (ev.line_addr, PC_FIELD),
+                (ev.pc, b"\n"),
             ];
-            record('2', ev.core, &fields)?;
+            write(b"2", ev.core, &fields)?;
         }
-        Ok(())
+        out.write_all(&chunk[..len])
     }
 
     /// Writes the Paraver `.pcf` configuration naming the event types.
@@ -567,6 +578,63 @@ mod tests {
 9:1:1:1:1:0:1:1
 ";
         assert!(Trace::parse_prv(bad_record).is_err());
+    }
+
+    /// A state interval its parser accepts may end at `u64::MAX`; the
+    /// header's duration (one past the last cycle) saturates there
+    /// instead of overflowing.
+    #[test]
+    fn an_interval_ending_at_u64_max_round_trips() {
+        let text = "#Paraver (01/01/2021 at 00:00):18446744073709551615:1(1):1:1(1:1)
+1:1:1:1:1:0:18446744073709551615:1
+";
+        let parsed = Trace::parse_prv(text).unwrap();
+        let mut buf = Vec::new();
+        parsed.write_prv(&mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), text);
+    }
+
+    /// The event-type fields a record spells as literal bytes are the
+    /// published constants.
+    #[test]
+    fn event_type_fields_spell_the_constants() {
+        for (field, event) in [
+            (MISS_KIND_FIELD, EVENT_MISS_KIND),
+            (LINE_ADDR_FIELD, EVENT_LINE_ADDR),
+            (PC_FIELD, EVENT_PC),
+        ] {
+            assert_eq!(field, format!(":{event}:").as_bytes());
+        }
+    }
+
+    /// Records are handed to the sink in chunks; the text is the same
+    /// whichever core a record names, the header's or not.
+    #[test]
+    fn many_records_across_chunks_keep_their_text() {
+        let mut t = Trace::new(2);
+        for i in 0..5_000u64 {
+            t.record(TraceEvent {
+                cycle: i,
+                core: (i % 3) as usize,
+                kind: MissKind::Store,
+                line_addr: i << 6,
+                pc: u64::MAX - i,
+            });
+        }
+        let mut buf = Vec::new();
+        t.write_prv(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5_001);
+        for (i, line) in lines[1..].iter().enumerate() {
+            let (i, task) = (i as u64, i as u64 % 3 + 1);
+            let expected = format!(
+                "2:{task}:1:{task}:1:{i}:{EVENT_MISS_KIND}:3:{EVENT_LINE_ADDR}:{}:{EVENT_PC}:{}",
+                i << 6,
+                u64::MAX - i
+            );
+            assert_eq!(*line, expected);
+        }
     }
 
     #[test]

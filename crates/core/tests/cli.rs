@@ -345,9 +345,12 @@ fn chrome_trace_flag_writes_trace_event_json() {
 /// The streamed file is the in-memory pretty document byte for byte,
 /// and the compact form still equals the golden recorded from the tree
 /// serialiser this path replaced (commit 79160f9, same program and
-/// flags), so identity with the old exporter outlives it. Likewise the
-/// `.prv`, recorded at 4b772b8 from the per-core interval scan the
-/// observer's transition lists replaced.
+/// flags), so identity with the old exporter outlives it. The pretty
+/// form is also checked against the golden re-serialised through the
+/// tree path (`JsonValue` → `JsonEmitter`), an oracle that shares no
+/// code with the Chrome writer's templates. Likewise the `.prv`,
+/// recorded at 4b772b8 from the per-core interval scan the observer's
+/// transition lists replaced.
 #[test]
 fn streamed_chrome_trace_equals_the_library_document_and_the_golden() {
     let program = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/asm/dotprod.s");
@@ -380,11 +383,23 @@ fn streamed_chrome_trace_equals_the_library_document_and_the_golden() {
     let mut sim = coyote::Simulation::new(config, &coyote_asm::assemble(&source).unwrap()).unwrap();
     sim.run().expect("dotprod runs");
     let doc = coyote::chrome_trace_json(&sim);
+    let golden = include_str!("golden/chrome_dotprod_8c.json");
     let streamed = std::fs::read_to_string(&chrome).expect("chrome trace");
     assert!(streamed == doc.to_string_pretty(), "streamed file differs");
     assert!(
-        doc.to_string_compact() == include_str!("golden/chrome_dotprod_8c.json"),
+        doc.to_string_compact() == golden,
         "compact document differs from the golden of the old tree exporter"
+    );
+    let tree = coyote::parse_json(golden).expect("the golden parses");
+    assert!(
+        doc.to_string_pretty() == tree.to_string_pretty(),
+        "pretty document differs from the golden re-serialised through the tree"
+    );
+    let mut compact = Vec::new();
+    doc.write_compact(&mut compact).expect("a Vec sink");
+    assert!(
+        compact == doc.to_string_compact().as_bytes(),
+        "streamed compact document differs"
     );
     let prv = std::fs::read(dir.join("dotprod-trace.prv")).expect("paraver trace");
     assert!(

@@ -1,14 +1,21 @@
-//! A hand-rolled JSON layer: a tree model, one streaming emitter that
-//! all text comes out of, and a minimal parser.
+//! A hand-rolled JSON layer: a tree model, the streaming emitter that
+//! serialises it, a minimal parser, and the byte-level integer routine
+//! and [`Record`] that every record writer shares.
 //!
 //! The build environment is offline (no serde), and the metrics schema
 //! is small and stable, so a tiny tree model is the whole dependency.
 //! Objects preserve insertion order, which keeps exports byte-stable
 //! across runs — downstream golden files and CI diffs rely on that.
-//! Documents too large to hold as a tree (the Chrome trace) drive
-//! [`JsonEmitter`] directly.
+//! The tree documents (metrics, `crash.json`, host profile) are a few KB
+//! and go through [`JsonEmitter`], one token at a time. The large
+//! exports are written record by record into a [`Record`]: the Chrome
+//! trace from event templates the emitter's own output supplies
+//! ([`crate::chrome`]), and the `.prv` lines in the core crate. All
+//! three write integers with `write_u64`, and output is bytes until a
+//! document is finished, when a `String` is made once with
+//! `String::from_utf8`, which takes the buffer over without a copy.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,22 +130,15 @@ impl JsonValue {
     }
 }
 
-/// Streaming JSON emitter: the one formatter of this crate.
+/// Streaming JSON emitter: the formatter of every tree document.
 ///
 /// Callers announce structure (`begin_*` / `key` / `end_*`) and scalars
 /// in document order and the text is appended to an owned buffer at
-/// once, so a document never exists as a tree. [`JsonValue`]
-/// serialization is a walk over this type, which is what keeps tree
-/// documents and streamed ones byte-compatible. Misnested calls are a
-/// caller bug and produce malformed text, not a panic.
-///
-/// The per-token methods are `#[inline(always)]`: an event writer makes
-/// ~20 of these calls per event and LLVM otherwise leaves each one out
-/// of line, which measured 0.15 s against 0.12 s on the 66 MB trace of
-/// the 128-core matmul (EXPERIMENTS.md `chrome-stream`).
+/// once. [`JsonValue`] serialization is a walk over this type. Misnested
+/// calls are a caller bug and produce malformed text, not a panic.
 #[derive(Debug)]
 pub struct JsonEmitter {
-    out: String,
+    out: Vec<u8>,
     pretty: bool,
     depth: usize,
     /// The innermost open container has no item yet.
@@ -153,7 +153,7 @@ impl JsonEmitter {
     #[must_use]
     pub fn new(pretty: bool, capacity: usize) -> JsonEmitter {
         JsonEmitter {
-            out: String::with_capacity(capacity),
+            out: Vec::with_capacity(capacity),
             pretty,
             depth: 0,
             first: true,
@@ -161,31 +161,24 @@ impl JsonEmitter {
         }
     }
 
-    /// The text emitted so far. A streaming caller may write it out and
-    /// `clear()` it between items; the emitter keeps no offsets into it.
-    pub fn buffer_mut(&mut self) -> &mut String {
-        &mut self.out
-    }
-
     /// Ends the document (pretty text ends in a newline) and returns
-    /// the buffer.
+    /// the text.
     #[must_use]
     pub fn finish(mut self) -> String {
         if self.pretty {
-            self.out.push('\n');
+            self.out.push(b'\n');
         }
-        self.out
+        String::from_utf8(self.out).expect("the emitter writes only whole UTF-8 strings")
     }
 
     /// Separator and indentation in front of an item of the open
     /// container; nothing in front of a keyed or top-level value.
-    #[inline(always)]
     fn item(&mut self) {
         if self.after_key {
             self.after_key = false;
         } else if self.depth > 0 {
             if !self.first {
-                self.out.push(',');
+                self.out.push(b',');
             }
             self.newline();
         }
@@ -194,21 +187,21 @@ impl JsonEmitter {
 
     fn newline(&mut self) {
         if self.pretty {
-            self.out.push('\n');
+            self.out.push(b'\n');
             for _ in 0..self.depth {
-                self.out.push_str("  ");
+                self.out.extend_from_slice(b"  ");
             }
         }
     }
 
-    fn open(&mut self, bracket: char) {
+    fn open(&mut self, bracket: u8) {
         self.item();
         self.out.push(bracket);
         self.depth += 1;
         self.first = true;
     }
 
-    fn close(&mut self, bracket: char) {
+    fn close(&mut self, bracket: u8) {
         self.depth -= 1;
         if !self.first {
             self.newline();
@@ -219,59 +212,43 @@ impl JsonEmitter {
 
     /// Opens an object.
     pub fn begin_object(&mut self) {
-        self.open('{');
+        self.open(b'{');
     }
 
     /// Closes the innermost object.
     pub fn end_object(&mut self) {
-        self.close('}');
+        self.close(b'}');
     }
 
     /// Opens an array.
     pub fn begin_array(&mut self) {
-        self.open('[');
+        self.open(b'[');
     }
 
     /// Closes the innermost array.
     pub fn end_array(&mut self) {
-        self.close(']');
+        self.close(b']');
     }
 
     /// Writes an object key; the next call supplies its value.
-    #[inline(always)]
     pub fn key(&mut self, key: &str) {
         self.item();
         push_escaped(&mut self.out, key);
-        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.out
+            .extend_from_slice(if self.pretty { b": " } else { b":" });
         self.after_key = true;
     }
 
     /// Writes a string value.
-    #[inline(always)]
     pub fn string(&mut self, s: &str) {
         self.item();
         push_escaped(&mut self.out, s);
     }
 
     /// Writes an unsigned integer value.
-    #[inline(always)]
     pub fn uint(&mut self, v: u64) {
         self.item();
         push_u64(&mut self.out, v);
-    }
-
-    /// [`key`](Self::key) then [`string`](Self::string).
-    #[inline(always)]
-    pub fn field_str(&mut self, key: &str, s: &str) {
-        self.key(key);
-        self.string(s);
-    }
-
-    /// [`key`](Self::key) then [`uint`](Self::uint).
-    #[inline(always)]
-    pub fn field_uint(&mut self, key: &str, v: u64) {
-        self.key(key);
-        self.uint(v);
     }
 
     /// Writes any [`JsonValue`] tree.
@@ -283,7 +260,7 @@ impl JsonEmitter {
             JsonValue::Int(v) => {
                 self.item();
                 if *v < 0 {
-                    self.out.push('-');
+                    self.out.push(b'-');
                 }
                 push_u64(&mut self.out, v.unsigned_abs());
             }
@@ -291,7 +268,7 @@ impl JsonEmitter {
                 self.item();
                 // Rust's shortest-roundtrip Display is deterministic;
                 // force a trailing `.0` so integers stay floats on
-                // re-parse.
+                // re-parse. Writing into a `Vec` cannot fail.
                 if v.fract() == 0.0 && v.abs() < 1e15 {
                     let _ = write!(self.out, "{v:.1}");
                 } else {
@@ -320,53 +297,167 @@ impl JsonEmitter {
 
     fn literal(&mut self, text: &str) {
         self.item();
-        self.out.push_str(text);
+        self.out.extend_from_slice(text.as_bytes());
     }
 }
 
-/// Appends `v` in decimal — the emitter's integer routine, shared with
-/// the line-oriented exporters (`.prv` records) so no record goes
-/// through `fmt`.
+/// `"00"`, `"01"`, …, `"99"`: two decimal digits per table lookup.
+const DECIMAL_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `v` in decimal, as `v.to_string()` spells it, at the start of
+/// `out` and returns the byte count (at most 20): the integer routine
+/// of the emitter, the Chrome writer and the `.prv` writer. The digits
+/// go straight to their place, two per table lookup, right to left.
+///
+/// # Panics
+///
+/// If `out` is shorter than the digits.
 #[inline(always)]
-pub fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+pub(crate) fn write_u64(out: &mut [u8], mut v: u64) -> usize {
+    let len = v.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let digits = &mut out[..len];
+    let mut end = len;
+    while end > 1 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        end -= 2;
+        digits[end..end + 2].copy_from_slice(&DECIMAL_PAIRS[pair..pair + 2]);
+    }
+    if end == 1 {
+        digits[0] = b'0' + v as u8;
+    }
+    len
+}
+
+/// Writes `v` as `format!("{v:#x}")` spells it (`0x`, lower-case
+/// digits, no padding) at the start of `out`, as [`write_u64`] writes
+/// decimal, and returns the byte count (at most 18).
+///
+/// # Panics
+///
+/// If `out` is shorter than the text.
+#[inline(always)]
+pub(crate) fn write_hex(out: &mut [u8], mut v: u64) -> usize {
+    let len = 3 + v.checked_ilog2().map_or(0, |log| log as usize / 4);
+    let digits = &mut out[..len];
+    digits[..2].copy_from_slice(b"0x");
+    for digit in digits[2..].iter_mut().rev() {
+        *digit = b"0123456789abcdef"[(v & 0xf) as usize];
+        v >>= 4;
+    }
+    len
+}
+
+/// Room a writer leaves for one record's fixed pieces and integers
+/// before starting it: the longest (a pretty Chrome slice with `args`)
+/// is under 400 bytes, and a `.prv` line under 200.
+pub const RECORD_BYTES: usize = 512;
+
+/// One record of a line- or event-oriented export (a `.prv` line, a
+/// Chrome event), written at a cursor straight into its document's
+/// buffer. Filling it is a store per piece with the cursor in a
+/// register, where a `Vec` reloads and updates its length and capacity
+/// around each one. The writer hands it an initialised window with room
+/// for the whole record and advances its own length by what
+/// [`end`](Self::end) returns.
+#[derive(Debug)]
+pub struct Record<'a> {
+    bytes: &'a mut [u8],
+    len: usize,
+}
+
+impl<'a> Record<'a> {
+    /// An empty record written into the start of `window`.
+    #[inline(always)]
+    pub fn new(window: &'a mut [u8]) -> Record<'a> {
+        Record {
+            bytes: window,
+            len: 0,
         }
     }
-    for &digit in &digits[at..] {
-        out.push(char::from(digit));
+
+    /// Ends the record and returns its length, by which the writer
+    /// advances its own.
+    #[inline(always)]
+    #[must_use]
+    pub fn end(self) -> usize {
+        self.len
+    }
+
+    /// Appends `bytes`.
+    ///
+    /// # Panics
+    ///
+    /// If the record outgrows its window (likewise below).
+    #[inline(always)]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// Appends `v` in decimal, as `v.to_string()` spells it.
+    #[inline(always)]
+    pub fn uint(&mut self, v: u64) {
+        self.len += write_u64(&mut self.bytes[self.len..], v);
+    }
+
+    /// Appends `v` as `format!("{v:#x}")` spells it.
+    #[inline(always)]
+    pub(crate) fn hex(&mut self, v: u64) {
+        self.len += write_hex(&mut self.bytes[self.len..], v);
+    }
+
+    /// Appends the first `len` bytes of `padded`: one fixed-size copy,
+    /// which the compiler does in a few vector moves, where a copy of
+    /// the exact length of a piece chosen at run time is a `memcpy`
+    /// call.
+    #[inline(always)]
+    pub(crate) fn padded(&mut self, padded: &[u8; 64], len: usize) {
+        self.bytes[self.len..self.len + 64].copy_from_slice(padded);
+        self.len += len;
     }
 }
 
-#[inline(always)]
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    // Nearly every string (all keys, event names, hex addresses) needs
-    // no escape: one scan, one copy.
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push_str(s);
+/// Whether `s` is its own JSON string body, without escapes.
+pub(crate) fn is_plain(s: &str) -> bool {
+    s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\')
+}
+
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    let mut digits = [0; 20];
+    let len = write_u64(&mut digits, v);
+    out.extend_from_slice(&digits[..len]);
+}
+
+/// Appends `s` as a quoted JSON string. The escapes are all ASCII, so
+/// the bytes of any other character are copied as they are.
+pub(crate) fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    // Nearly every string (all keys, event names) needs no escape: one
+    // scan, one copy.
+    if is_plain(s) {
+        out.extend_from_slice(s.as_bytes());
     } else {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
+        for b in s.bytes() {
+            match b {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                b if b < 0x20 => {
+                    let _ = write!(out, "\\u{b:04x}");
                 }
-                c => out.push(c),
+                b => out.push(b),
             }
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 impl From<bool> for JsonValue {
@@ -683,6 +774,53 @@ mod tests {
         assert_eq!(items[1], JsonValue::UInt(u64::MAX));
         assert_eq!(items[2], JsonValue::Int(-3));
         assert_eq!(items[3], JsonValue::Float(2.5));
+    }
+
+    fn decimal(v: u64) -> String {
+        let mut out = [0; 20];
+        let len = write_u64(&mut out, v);
+        String::from_utf8(out[..len].to_vec()).unwrap()
+    }
+
+    fn hex(v: u64) -> String {
+        let mut out = [0; 18];
+        let len = write_hex(&mut out, v);
+        String::from_utf8(out[..len].to_vec()).unwrap()
+    }
+
+    #[test]
+    fn decimal_matches_to_string() {
+        for v in 0..=100_000 {
+            assert_eq!(decimal(v), v.to_string());
+        }
+        for k in 0..=19 {
+            let p = 10u64.pow(k);
+            for v in [p - 1, p, p + 1] {
+                assert_eq!(decimal(v), v.to_string());
+            }
+        }
+        assert_eq!(decimal(u64::MAX), u64::MAX.to_string());
+    }
+
+    #[test]
+    fn hex_matches_the_fmt_alternate_form() {
+        for k in 0..16 {
+            let p = 16u64.pow(k);
+            for v in [p - 1, p, p + 1] {
+                assert_eq!(hex(v), format!("{v:#x}"));
+            }
+        }
+        for v in [0xabc, 0x8000_0010, u64::MAX] {
+            assert_eq!(hex(v), format!("{v:#x}"));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn random_integers_match_fmt(v in proptest::prelude::any::<u64>()) {
+            proptest::prop_assert_eq!(decimal(v), v.to_string());
+            proptest::prop_assert_eq!(hex(v), format!("{v:#x}"));
+        }
     }
 
     #[test]

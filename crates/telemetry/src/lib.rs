@@ -11,10 +11,11 @@
 //!   bounded-memory pair-merge compaction, serializing to CSV;
 //! - [`JsonValue`] — a hand-rolled, dependency-free JSON tree and
 //!   parser used for the stable `schema_version`ed metrics document,
-//!   serialized by [`JsonEmitter`], the one streaming formatter;
+//!   serialized by [`JsonEmitter`];
 //! - [`ChromeWriter`] — Chrome trace-event JSON (Perfetto-loadable) for
 //!   request lifecycles and core-state intervals, streamed event by
-//!   event through the same emitter;
+//!   event from templates taken from the emitter's text, each event a
+//!   [`Record`] (as each `.prv` line is);
 //! - [`TelemetrySink`] — the epoch bookkeeping the simulation loop
 //!   drives, deliberately typed on plain numbers so this crate stays a
 //!   leaf dependency;
@@ -42,7 +43,7 @@ pub mod topk;
 pub use chrome::{ChromeWriter, SliceArgs};
 pub use hist::{Histogram, BUCKETS};
 pub use hostprof::{HostProf, ProfClock, SpanToken, WallClock};
-pub use json::{parse as parse_json, push_u64, JsonEmitter, JsonParseError, JsonValue};
+pub use json::{parse as parse_json, JsonEmitter, JsonParseError, JsonValue, Record, RECORD_BYTES};
 pub use series::{Sample, TimeSeries};
 pub use topk::{PcEntry, TopK};
 
