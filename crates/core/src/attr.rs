@@ -38,6 +38,8 @@ use coyote_iss::core::CoreState;
 use coyote_mem::hierarchy::Completion;
 use coyote_telemetry::{Blame, RequestCause, TopK, BLAME_COLS};
 
+use crate::chunks::Chunks;
+
 /// Index of the catch-all `other` column in a dep-stall blame row
 /// (used when memory telemetry is disabled and no [`RequestCause`]
 /// accompanies the waking fill).
@@ -48,15 +50,17 @@ pub const BLAME_OTHER: usize = BLAME_COLS - 1;
 /// [`StallAttribution::dropped_links`].
 pub const LINK_CAP: usize = 100_000;
 
+/// Links per chunk of a core's store (7 KiB).
+const LINK_CHUNK: usize = 128;
+
 /// One closed stall interval tied to the memory request that ended it.
 ///
 /// Links are only recorded when Chrome tracing is enabled; they become
 /// flow events binding the core's stall slice to the causing request
-/// slice in the trace viewer.
+/// slice in the trace viewer. 56 bytes: the core is a `u32` (at most
+/// [`crate::config::MAX_CORES`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallLink {
-    /// Core that stalled.
-    pub core: usize,
     /// Cycle the stall interval opened.
     pub start: u64,
     /// Cycle the stall interval closed (wakeup).
@@ -70,9 +74,13 @@ pub struct StallLink {
     pub tag: u64,
     /// Cycle the critical request entered the hierarchy.
     pub submit: u64,
+    /// Core that stalled.
+    pub core: u32,
     /// Stage that dominated the critical request's latency.
     pub blame: Blame,
 }
+
+const _: () = assert!(std::mem::size_of::<StallLink>() <= 56);
 
 /// A completion delivered to a still-stalled core this cycle; one of
 /// these per woken core is elected the interval's cause.
@@ -99,7 +107,11 @@ pub struct StallAttribution {
     fetch: Vec<u64>,
     drained: Vec<u64>,
     top: TopK,
-    links: Vec<StallLink>,
+    /// Per core, in the order its stalls closed, which is the order of
+    /// their starts: the links are in their canonical order (core, then
+    /// start) as they are collected.
+    links: Vec<Chunks<StallLink, LINK_CHUNK>>,
+    kept_links: usize,
     collect_links: bool,
     dropped_links: u64,
     candidates: Vec<Candidate>,
@@ -118,7 +130,8 @@ impl StallAttribution {
             fetch: vec![0; cores],
             drained: vec![0; cores],
             top: TopK::new(top_k),
-            links: Vec::new(),
+            links: (0..cores).map(|_| Chunks::default()).collect(),
+            kept_links: 0,
             collect_links,
             dropped_links: 0,
             candidates: Vec::new(),
@@ -230,9 +243,10 @@ impl StallAttribution {
         let Some(cause) = candidate.cause else { return };
         self.top.add(cause.pc, span, cause.dominant(), regs);
         if self.collect_links {
-            if self.links.len() < LINK_CAP {
-                self.links.push(StallLink {
-                    core,
+            if self.kept_links < LINK_CAP {
+                self.kept_links += 1;
+                self.links[core].push(StallLink {
+                    core: core as u32,
                     start,
                     end,
                     pc: cause.pc,
@@ -278,10 +292,10 @@ impl StallAttribution {
         &self.top
     }
 
-    /// Closed stall intervals retained for Chrome flow events.
-    #[must_use]
-    pub fn links(&self) -> &[StallLink] {
-        &self.links
+    /// Closed stall intervals retained for Chrome flow events, by core
+    /// and, within a core, by start.
+    pub fn links(&self) -> impl Iterator<Item = &StallLink> {
+        self.links.iter().flat_map(Chunks::iter)
     }
 
     /// Links discarded after [`LINK_CAP`] was reached.

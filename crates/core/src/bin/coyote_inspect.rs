@@ -512,7 +512,7 @@ fn summarize(trace: &Trace, top: usize) -> Summary {
         .events()
         .iter()
         .map(|e| e.cycle)
-        .chain(trace.states().iter().map(|s| s.end))
+        .chain(trace.states().map(|s| s.end))
         .max()
         .unwrap_or(0)
         .max(1);
@@ -523,8 +523,7 @@ fn summarize(trace: &Trace, top: usize) -> Summary {
     // kept as a lower bound for traces from older writers.
     let derived = trace
         .states()
-        .iter()
-        .map(|s| s.core)
+        .map(|s| s.core as usize)
         .chain(trace.events().iter().map(|e| e.core))
         .max()
         .map_or(0, |c| c + 1);
@@ -537,12 +536,12 @@ fn summarize(trace: &Trace, top: usize) -> Summary {
                 dep: 0,
                 fetch: 0,
             };
-            for interval in trace.states().iter().filter(|s| s.core == core) {
+            for interval in trace.states().filter(|s| s.core as usize == core) {
                 let span = interval.end - interval.start;
                 match interval.state {
-                    s if s == STATE_RUNNING => breakdown.running += span,
-                    s if s == STATE_DEP_STALL => breakdown.dep += span,
-                    s if s == STATE_FETCH_STALL => breakdown.fetch += span,
+                    STATE_RUNNING => breakdown.running += span,
+                    STATE_DEP_STALL => breakdown.dep += span,
+                    STATE_FETCH_STALL => breakdown.fetch += span,
                     _ => {}
                 }
             }

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod attr;
+mod chunks;
 pub mod config;
 mod crash;
 mod error;

@@ -14,10 +14,12 @@
 //!   or <https://ui.perfetto.dev>. One trace `ts` microsecond equals
 //!   one simulated cycle.
 
+use std::borrow::Cow;
 use std::io::{self, Write};
 
 use coyote_iss::{FuseDiag, FuseStop};
 use coyote_mem::hierarchy::HierarchyStats;
+use coyote_mem::RequestSlice;
 use coyote_telemetry::hostprof::HostProf;
 use coyote_telemetry::{Blame, ChromeWriter, Histogram, JsonValue, SliceArgs, Stage};
 
@@ -476,21 +478,16 @@ impl ChromeTraceDoc<'_> {
         /// Text buffered between writes to the sink.
         const CHUNK: usize = 64 << 10;
         let sim = self.sim;
-        let states = sim.chrome_states();
-        // Slices accumulate in completion pop order, which same-cycle
-        // completions leave unspecified; sort canonically so the
-        // exported trace is byte-stable across legal schedules.
-        let mut slices: Vec<_> = sim
-            .mem_telemetry()
-            .map_or(&[][..], |mem| mem.slices())
-            .iter()
-            .collect();
-        slices.sort_by_key(|s| (s.submit, s.complete, s.line_addr, s.tag));
-        // Links accumulate in wakeup order, which is already canonical
-        // per core, but sort anyway so the export never depends on
-        // collection order.
-        let mut links: Vec<_> = sim.attribution().links().iter().collect();
-        links.sort_by_key(|l| (l.core, l.start, l.line_addr, l.tag));
+        let states = sim.chrome_states().count();
+        // Slices are in canonical order once the run has finished, and
+        // links always are, so the trace is byte-stable across legal
+        // schedules.
+        let mut slices = Cow::Borrowed(sim.mem_telemetry().map_or(&[][..], |mem| mem.slices()));
+        if !slices.is_sorted_by_key(RequestSlice::order_key) {
+            // Mid-run: a sorted copy, so the document is the same.
+            slices.to_mut().sort_by_key(RequestSlice::order_key);
+        }
+        let links = sim.attribution().links().count();
 
         // A whole document is sized up front so it is never regrown:
         // compact bytes per state slice / request (up to three slices
@@ -499,8 +496,7 @@ impl ChromeTraceDoc<'_> {
         let capacity = match sink {
             Some(_) => 2 * CHUNK,
             None => {
-                (states.len() * 96 + slices.len() * 448 + links.len() * 224 + 4096)
-                    * if pretty { 2 } else { 1 }
+                (states * 96 + slices.len() * 448 + links * 224 + 4096) * if pretty { 2 } else { 1 }
             }
         };
         let mut spill = |out: &mut ChromeWriter| -> io::Result<()> {
@@ -526,20 +522,20 @@ impl ChromeTraceDoc<'_> {
             out.metadata("thread_name", PID_CORES, core as u32, &name);
         }
 
-        for s in states {
+        for s in sim.chrome_states() {
             // Trailing halted intervals add nothing but timeline width.
             if s.state == trace::STATE_HALTED {
                 continue;
             }
-            let name = trace::STATES[s.state as usize].chrome;
-            let (dur, tid) = (s.end - s.start, s.core as u32);
+            let name = trace::STATES[usize::from(s.state)].chrome;
+            let (dur, tid) = (s.end - s.start, s.core);
             out.slice(name, "core-state", s.start, dur, PID_CORES, tid, None);
             spill(&mut out)?;
         }
 
-        for s in slices {
+        for s in slices.iter() {
             let (core, kind) = crate::sim::decode_tag(s.tag);
-            let (name, tid, bank) = (kind.name(), core as u32, s.bank as u32);
+            let (name, tid, bank) = (kind.name(), core as u32, u32::from(s.bank));
             let args = Some(SliceArgs {
                 line_addr: s.line_addr,
                 core: core as u64,
@@ -547,12 +543,13 @@ impl ChromeTraceDoc<'_> {
             });
             let dur = s.complete - s.submit;
             out.slice(name, "request", s.submit, dur, PID_REQUESTS, tid, args);
-            if let (Some(arrive), Some(done)) = (s.bank_arrive, s.mc_send.or(s.respond)) {
+            if let (Some(arrive), Some(done)) = (s.bank_arrive(), s.mc_send().or(s.respond())) {
                 let dur = done.saturating_sub(arrive);
                 out.slice(name, "bank", arrive, dur, PID_BANKS, bank, args);
             }
-            if let (Some(mc), Some(send), Some(respond)) = (s.mc, s.mc_send, s.mc_respond) {
-                out.slice(name, "mc", send, respond - send, PID_MCS, mc as u32, args);
+            if let (Some(mc), Some(send), Some(respond)) = (s.mc, s.mc_send(), s.mc_respond()) {
+                let (dur, mc) = (respond - send, u32::from(mc));
+                out.slice(name, "mc", send, dur, PID_MCS, mc, args);
             }
             spill(&mut out)?;
         }
@@ -560,8 +557,8 @@ impl ChromeTraceDoc<'_> {
         // Flow events bind each closed stall interval to the request that
         // ended it: the flow starts on the causing request's slice and
         // finishes on the core's stall slice.
-        for (idx, link) in links.into_iter().enumerate() {
-            let (id, tid) = (idx as u64 + 1, link.core as u32);
+        for (idx, link) in sim.attribution().links().enumerate() {
+            let (id, tid) = (idx as u64 + 1, link.core);
             out.flow(link.pc, id, link.submit, PID_REQUESTS, tid, true);
             out.flow(link.pc, id, link.start, PID_CORES, tid, false);
             spill(&mut out)?;
@@ -846,12 +843,12 @@ mod tests {
     #[test]
     fn flow_events_agree_with_critical_pc_table() {
         let (sim, report) = run_telemetry_sim();
-        let links = sim.attribution().links();
+        let links: Vec<_> = sim.attribution().links().collect();
         assert!(!links.is_empty(), "chrome run must record stall links");
         // No eviction in this small run: per-PC sums over the links
         // must equal the exported top_pcs cycles exactly.
         let mut by_pc = std::collections::BTreeMap::new();
-        for link in links {
+        for link in &links {
             *by_pc.entry(format!("{:#x}", link.pc)).or_insert(0u64) += link.end - link.start;
         }
         let doc = metrics_json(&sim, &report);

@@ -52,7 +52,7 @@ const REARM_FAIL_COUNTERS: [&str; FuseStop::COUNT] = [
 /// The interval `core` spent in `state`, as the trace stores it.
 fn interval(core: usize, state: CoreState, start: u64, end: u64) -> StateInterval {
     StateInterval {
-        core,
+        core: core as u32,
         start,
         end,
         state: state_names(state).code,
@@ -125,14 +125,11 @@ impl Observer {
         self.trace.as_ref().filter(|_| self.paraver)
     }
 
-    /// Core-state intervals for the Chrome trace (empty unless it was
+    /// Core-state intervals for the Chrome trace (none unless it was
     /// enabled).
-    #[must_use]
-    pub fn chrome_states(&self) -> &[StateInterval] {
-        match &self.trace {
-            Some(trace) if self.chrome => trace.states(),
-            _ => &[],
-        }
+    pub fn chrome_states(&self) -> impl Iterator<Item = &StateInterval> {
+        let trace = self.trace.as_ref().filter(|_| self.chrome);
+        trace.into_iter().flat_map(Trace::states)
     }
 
     /// The epoch-sampling telemetry sink, if telemetry was enabled.
@@ -248,13 +245,14 @@ impl Observer {
     /// An L1 miss entered the event model.
     pub fn miss(&mut self, cycle: u64, miss: &MissRequest) {
         if let Some(trace) = self.trace.as_mut().filter(|_| self.paraver) {
-            trace.record(TraceEvent {
+            let event = TraceEvent {
                 cycle,
                 core: miss.core,
                 kind: miss.kind,
                 line_addr: miss.line_addr,
                 pc: miss.pc,
-            });
+            };
+            trace.record(event).expect("a core of the run");
         }
     }
 
@@ -294,7 +292,7 @@ impl Observer {
             // A stall that opened in this very cycle took no time: the
             // running interval it would have split carries on.
             let resumed = if since == cycle {
-                self.closing.iter().position(|iv| iv.core == idx)
+                self.closing.iter().position(|iv| iv.core as usize == idx)
             } else {
                 None
             };
@@ -322,10 +320,10 @@ impl Observer {
         for iv in self.closing.drain(..) {
             if iv.state == STATE_RUNNING {
                 self.attr
-                    .close(iv.core, CoreState::Active, iv.start, iv.end);
+                    .close(iv.core as usize, CoreState::Active, iv.start, iv.end);
             }
             if let Some(trace) = &mut self.trace {
-                trace.record_state(iv);
+                trace.record_state(iv).expect("a core of the run");
             }
         }
     }
@@ -358,18 +356,22 @@ impl Observer {
 
     /// The run is over at `cycle`, however it ended: every core's open
     /// interval closes (so each CPI stack sums to `cycle` and the
-    /// traces reach it) and the final partial epoch is sampled.
+    /// traces reach it), the final partial epoch is sampled, and the
+    /// request slices are put in their canonical order once, for every
+    /// export to read as they are.
     #[cold]
-    pub fn finish(&mut self, cores: &[Core], hierarchy: &Hierarchy, cycle: u64) {
+    pub fn finish(&mut self, cores: &[Core], hierarchy: &mut Hierarchy, cycle: u64) {
         self.settle();
         for (idx, core) in cores.iter().enumerate() {
             let (prev, since) = std::mem::replace(&mut self.state[idx], (core.state(), cycle));
             self.attr.close(idx, prev, since, cycle);
             if let Some(trace) = &mut self.trace {
-                trace.record_state(interval(idx, prev, since, cycle));
+                let iv = interval(idx, prev, since, cycle);
+                trace.record_state(iv).expect("a core of the run");
             }
         }
         self.sample_epoch(cores, hierarchy, cycle);
+        hierarchy.order_slices();
     }
 }
 
@@ -399,7 +401,7 @@ mod tests {
         )
         .unwrap();
         let config = SimConfig::builder().cores(1).trace(true).build().unwrap();
-        let hierarchy = Hierarchy::new(config.hierarchy()).unwrap();
+        let mut hierarchy = Hierarchy::new(config.hierarchy()).unwrap();
         let mut mem = SparseMemory::new();
         mem.load_program(&program);
         let text = DecodedText::from_program(&program);
@@ -438,7 +440,7 @@ mod tests {
         assert_eq!(cores[0].state(), CoreState::Active);
         assert_eq!(cores[0].stats().dep_stalls, 1, "the consumer did stall");
         turn(&mut cores, &mut obs, 10, false); // addi retires
-        obs.finish(&cores, &hierarchy, 10);
+        obs.finish(&cores, &mut hierarchy, 10);
 
         // Running, the fetch stall, running on through cycle 9.
         let mut prv = Vec::new();

@@ -261,10 +261,9 @@ impl Simulation {
         self.obs.attribution()
     }
 
-    /// Core-state intervals collected for Chrome-trace export (empty
+    /// Core-state intervals collected for Chrome-trace export (none
     /// unless [`SimConfig::chrome_trace`] was set).
-    #[must_use]
-    pub fn chrome_states(&self) -> &[StateInterval] {
+    pub fn chrome_states(&self) -> impl Iterator<Item = &StateInterval> {
         self.obs.chrome_states()
     }
 
@@ -350,7 +349,8 @@ impl Simulation {
                 break RunError::CycleLimit { cycles };
             }
         };
-        self.obs.finish(&self.cores, &self.hierarchy, self.cycle);
+        self.obs
+            .finish(&self.cores, &mut self.hierarchy, self.cycle);
         Err(cut_short)
     }
 
@@ -369,7 +369,8 @@ impl Simulation {
     pub fn step_cycle(&mut self) -> Result<bool, RunError> {
         let outcome = self.five_steps();
         if !matches!(outcome, Ok(false)) {
-            self.obs.finish(&self.cores, &self.hierarchy, self.cycle);
+            self.obs
+                .finish(&self.cores, &mut self.hierarchy, self.cycle);
         }
         outcome
     }
@@ -964,7 +965,7 @@ mod tests {
         let mut sim = Simulation::new(config, &program).unwrap();
         sim.run().unwrap();
         let trace = sim.trace().unwrap();
-        let states = trace.states();
+        let states: Vec<_> = trace.states().collect();
         assert!(!states.is_empty());
         assert!(states
             .iter()
@@ -1061,5 +1062,54 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
+    }
+
+    /// `dotprod.s` on 8 cores with every observation plane on.
+    fn observed_dotprod() -> Simulation {
+        let program = assemble(include_str!("../../../examples/asm/dotprod.s")).unwrap();
+        let config = SimConfig::builder()
+            .cores(8)
+            .telemetry(true)
+            .trace(true)
+            .chrome_trace(true)
+            .build()
+            .unwrap();
+        Simulation::new(config, &program).unwrap()
+    }
+
+    /// Request slices are sorted once, when the run ends. A document
+    /// exported before that has the bytes of the same records in that
+    /// order.
+    #[test]
+    fn a_chrome_document_exported_mid_run_is_in_canonical_order() {
+        use coyote_mem::RequestSlice;
+        let mut sim = observed_dotprod();
+        while sim.cycle < 1_000 {
+            assert!(!sim.step_cycle().unwrap(), "still running");
+        }
+        let sorted = |sim: &Simulation| {
+            let slices = sim.mem_telemetry().unwrap().slices();
+            slices.is_sorted_by_key(RequestSlice::order_key)
+        };
+        assert!(!sorted(&sim), "collected out of order");
+        let mid_run = crate::chrome_trace_json(&sim).to_string_compact();
+        sim.hierarchy.order_slices();
+        assert!(sorted(&sim));
+        assert_eq!(crate::chrome_trace_json(&sim).to_string_compact(), mid_run);
+    }
+
+    /// Exporting sorts nothing: compact, pretty and compact again give
+    /// the same compact bytes, and stall links are in canonical order
+    /// as collected.
+    #[test]
+    fn chrome_exports_repeat_byte_for_byte() {
+        let mut sim = observed_dotprod();
+        sim.run().unwrap();
+        let key = |l: &crate::StallLink| (l.core, l.start, l.line_addr, l.tag);
+        assert!(sim.attribution().links().is_sorted_by_key(key));
+        let doc = crate::chrome_trace_json(&sim);
+        let compact = doc.to_string_compact();
+        assert!(doc.to_string_pretty().len() > compact.len());
+        assert_eq!(doc.to_string_compact(), compact);
     }
 }

@@ -12,6 +12,7 @@ use coyote_iss::core::CoreState;
 use coyote_iss::MissKind;
 use coyote_telemetry::{Record, RECORD_BYTES};
 
+use crate::chunks::Chunks;
 use crate::config::MAX_CORES;
 
 /// Paraver event type for L1 miss kind (value = [`kind_code`]).
@@ -29,19 +30,19 @@ const LINE_ADDR_FIELD: &[u8] = b":42000002:";
 const PC_FIELD: &[u8] = b":42000003:";
 
 /// Paraver state value: the core is executing.
-pub const STATE_RUNNING: u64 = 1;
+pub const STATE_RUNNING: u8 = 1;
 /// Paraver state value: stalled on a register dependency.
-pub const STATE_DEP_STALL: u64 = 2;
+pub const STATE_DEP_STALL: u8 = 2;
 /// Paraver state value: stalled on an instruction fetch.
-pub const STATE_FETCH_STALL: u64 = 3;
+pub const STATE_FETCH_STALL: u8 = 3;
 /// Paraver state value: halted.
-pub const STATE_HALTED: u64 = 0;
+pub const STATE_HALTED: u8 = 0;
 
 /// One core state as every artifact spells it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StateNames {
     /// Paraver state value (`.prv` state records, [`StateInterval::state`]).
-    pub code: u64,
+    pub code: u8,
     /// `crash.json` and flight-recorder name.
     pub name: &'static str,
     /// Chrome-trace slice label.
@@ -98,24 +99,50 @@ pub struct TraceEvent {
     pub pc: u64,
 }
 
-/// One recorded core-state interval (Paraver record type 1).
+/// One recorded core-state interval (Paraver record type 1), 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateInterval {
-    /// Core the interval belongs to.
-    pub core: usize,
     /// First cycle of the interval.
     pub start: u64,
     /// One past the last cycle of the interval.
     pub end: u64,
+    /// Core the interval belongs to.
+    pub core: u32,
     /// State value (`STATE_RUNNING`, `STATE_DEP_STALL`, …).
-    pub state: u64,
+    pub state: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<StateInterval>() <= 24);
+
+/// A record for a core the trace has no task for, which
+/// [`Trace::record`] and [`Trace::record_state`] refuse: the `.prv`
+/// header declares one task per core, so [`Trace::parse_prv`] could not
+/// read the record back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreOutOfRange {
+    /// The record's core.
+    pub core: usize,
+    /// The trace's core count.
+    pub cores: usize,
+}
+
+impl std::fmt::Display for CoreOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let CoreOutOfRange { core, cores } = self;
+        write!(f, "core {core} outside a trace of {cores} cores")
+    }
+}
+
+impl std::error::Error for CoreOutOfRange {}
+
+/// State intervals per chunk of a trace's store (384 KiB).
+const STATE_CHUNK: usize = 1 << 14;
+
 /// In-memory collector of miss events.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
-    states: Vec<StateInterval>,
+    states: Chunks<StateInterval, STATE_CHUNK>,
     cores: usize,
     final_cycle: u64,
 }
@@ -126,25 +153,44 @@ impl Trace {
     pub fn new(cores: usize) -> Trace {
         Trace {
             events: Vec::new(),
-            states: Vec::new(),
+            states: Chunks::default(),
             cores,
             final_cycle: 0,
         }
     }
 
+    /// Whether the trace has a task for `core`.
+    fn check(&self, core: usize) -> Result<(), CoreOutOfRange> {
+        let cores = self.cores;
+        let refused = CoreOutOfRange { core, cores };
+        (core < cores).then_some(()).ok_or(refused)
+    }
+
     /// Records one miss.
-    pub fn record(&mut self, event: TraceEvent) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses a miss on a core at or above [`Trace::cores`].
+    pub fn record(&mut self, event: TraceEvent) -> Result<(), CoreOutOfRange> {
+        self.check(event.core)?;
         self.final_cycle = self.final_cycle.max(event.cycle);
         self.events.push(event);
+        Ok(())
     }
 
     /// Records a core-state interval (emitted as a Paraver state
     /// record). Zero-length intervals are dropped.
-    pub fn record_state(&mut self, interval: StateInterval) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses an interval of a core at or above [`Trace::cores`].
+    pub fn record_state(&mut self, interval: StateInterval) -> Result<(), CoreOutOfRange> {
+        self.check(interval.core as usize)?;
         if interval.end > interval.start {
             self.final_cycle = self.final_cycle.max(interval.end);
             self.states.push(interval);
         }
+        Ok(())
     }
 
     /// Number of cores in the traced system (from the constructor, or
@@ -155,10 +201,9 @@ impl Trace {
         self.cores
     }
 
-    /// Recorded state intervals.
-    #[must_use]
-    pub fn states(&self) -> &[StateInterval] {
-        &self.states
+    /// Recorded state intervals, in recording order.
+    pub fn states(&self) -> impl Iterator<Item = &StateInterval> {
+        self.states.iter()
     }
 
     /// Recorded events in emission order.
@@ -205,9 +250,9 @@ impl Trace {
         out.write_all(header.as_bytes())?;
         // Every record starts `type:cpu:appl:task:thread:` — one
         // application, and a task of one thread per core, 1-based — so
-        // each core's `:cpu:appl:task:thread:` is formatted once.
-        let task = |core: usize| format!(":{t}:1:{t}:1:", t = core as u64 + 1);
-        let tasks: Vec<String> = (0..cores).map(task).collect();
+        // each core's `:cpu:appl:task:thread:` is formatted once (no
+        // record names a core beyond them: `record` refuses it).
+        let tasks: Vec<String> = (1..=cores).map(|t| format!(":{t}:1:{t}:1:")).collect();
         // Records are written into `chunk` at `len`, which goes out
         // whenever it holds CHUNK bytes. A record is its type, its task
         // and each field followed by its separator.
@@ -216,10 +261,7 @@ impl Trace {
         let mut write = |kind: &[u8], core: usize, fields: &[(u64, &[u8])]| {
             let mut record = Record::new(&mut chunk[len..]);
             record.bytes(kind);
-            match tasks.get(core) {
-                Some(task) => record.bytes(task.as_bytes()),
-                None => record.bytes(task(core).as_bytes()),
-            }
+            record.bytes(tasks[core].as_bytes());
             for &(value, separator) in fields {
                 record.uint(value);
                 record.bytes(separator);
@@ -231,10 +273,11 @@ impl Trace {
             }
             io::Result::Ok(())
         };
-        for st in &self.states {
+        for st in self.states() {
             // Record type 1 (state): …:begin:end:state
-            let fields = [(st.start, &b":"[..]), (st.end, b":"), (st.state, b"\n")];
-            write(b"1", st.core, &fields)?;
+            let state = u64::from(st.state);
+            let fields = [(st.start, &b":"[..]), (st.end, b":"), (state, b"\n")];
+            write(b"1", st.core as usize, &fields)?;
         }
         for ev in &self.events {
             // Record type 2 (event): …:time:type:value[:type:value]
@@ -350,12 +393,18 @@ impl Trace {
                     if start > end {
                         return Err(err(format!("state interval ends at {end}, before {start}")));
                     }
-                    trace.record_state(StateInterval {
-                        core: core_of(fields[3])?,
+                    let state = parse(fields[7])?;
+                    let state =
+                        u8::try_from(state).map_err(|_| err(format!("state {state} above 255")))?;
+                    let interval = StateInterval {
+                        core: core_of(fields[3])? as u32,
                         start,
                         end,
-                        state: parse(fields[7])?,
-                    });
+                        state,
+                    };
+                    trace
+                        .record_state(interval)
+                        .expect("core_of checked the task");
                 }
                 Some(&"2") => {
                     // 10 fields: the pre-PC format (kind + line address);
@@ -381,13 +430,14 @@ impl Trace {
                     } else {
                         0
                     };
-                    trace.record(TraceEvent {
+                    let event = TraceEvent {
                         cycle: parse(fields[5])?,
                         core: core_of(fields[3])?,
                         kind,
                         line_addr: parse(fields[9])?,
                         pc,
-                    });
+                    };
+                    trace.record(event).expect("core_of checked the task");
                 }
                 Some(other) => {
                     return Err(err(format!("unsupported record type `{other}`")));
@@ -411,14 +461,16 @@ mod tests {
             kind: MissKind::Load,
             line_addr: 0x1000,
             pc: 0x8000_0010,
-        });
+        })
+        .unwrap();
         t.record(TraceEvent {
             cycle: 12,
             core: 1,
             kind: MissKind::Ifetch,
             line_addr: 0x2000,
             pc: 0x8000_0024,
-        });
+        })
+        .unwrap();
         t
     }
 
@@ -469,21 +521,24 @@ mod tests {
             start: 0,
             end: 10,
             state: STATE_RUNNING,
-        });
+        })
+        .unwrap();
         t.record_state(StateInterval {
             core: 0,
             start: 10,
             end: 20,
             state: STATE_DEP_STALL,
-        });
+        })
+        .unwrap();
         // Zero-length intervals are dropped.
         t.record_state(StateInterval {
             core: 1,
             start: 5,
             end: 5,
             state: STATE_RUNNING,
-        });
-        assert_eq!(t.states().len(), 2);
+        })
+        .unwrap();
+        assert_eq!(t.states().count(), 2);
         let mut buf = Vec::new();
         t.write_prv(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -547,12 +602,13 @@ mod tests {
             start: 0,
             end: 12,
             state: STATE_RUNNING,
-        });
+        })
+        .unwrap();
         let mut buf = Vec::new();
         t.write_prv(&mut buf).unwrap();
         let parsed = Trace::parse_prv(&String::from_utf8(buf).unwrap()).unwrap();
         assert_eq!(parsed.events(), t.events());
-        assert_eq!(parsed.states(), t.states());
+        assert_eq!(parsed, t);
     }
 
     #[test]
@@ -608,10 +664,10 @@ mod tests {
     }
 
     /// Records are handed to the sink in chunks; the text is the same
-    /// whichever core a record names, the header's or not.
+    /// whichever of the header's cores a record names.
     #[test]
     fn many_records_across_chunks_keep_their_text() {
-        let mut t = Trace::new(2);
+        let mut t = Trace::new(3);
         for i in 0..5_000u64 {
             t.record(TraceEvent {
                 cycle: i,
@@ -619,7 +675,8 @@ mod tests {
                 kind: MissKind::Store,
                 line_addr: i << 6,
                 pc: u64::MAX - i,
-            });
+            })
+            .unwrap();
         }
         let mut buf = Vec::new();
         t.write_prv(&mut buf).unwrap();
@@ -634,6 +691,91 @@ mod tests {
                 u64::MAX - i
             );
             assert_eq!(*line, expected);
+        }
+    }
+
+    /// A record for a core without a task is refused and leaves the
+    /// trace as it was, up to `usize::MAX`.
+    #[test]
+    fn records_for_cores_without_a_task_are_refused() {
+        let mut t = Trace::new(2);
+        for core in [2, 3, usize::MAX] {
+            let event = TraceEvent {
+                cycle: 1,
+                core,
+                kind: MissKind::Load,
+                line_addr: 0x40,
+                pc: 0,
+            };
+            assert_eq!(t.record(event), Err(CoreOutOfRange { core, cores: 2 }));
+        }
+        let interval = StateInterval {
+            core: 2,
+            start: 0,
+            end: 10,
+            state: STATE_RUNNING,
+        };
+        let refused = Err(CoreOutOfRange { core: 2, cores: 2 });
+        assert_eq!(t.record_state(interval), refused);
+        assert_eq!(t, Trace::new(2));
+    }
+
+    /// The state store grows a chunk at a time and reads back in
+    /// recording order across chunk boundaries.
+    #[test]
+    fn states_across_store_chunks_keep_their_order() {
+        let mut t = Trace::new(2);
+        let n = 2 * STATE_CHUNK as u64 + 1;
+        for i in 0..n {
+            let interval = StateInterval {
+                core: (i % 2) as u32,
+                start: i,
+                end: i + 1,
+                state: (i % 4) as u8,
+            };
+            t.record_state(interval).unwrap();
+        }
+        assert_eq!(t.states.chunks(), 3);
+        assert!(t.states().map(|s| s.start).eq(0..n));
+        let mut buf = Vec::new();
+        t.write_prv(&mut buf).unwrap();
+        assert_eq!(Trace::parse_prv(&String::from_utf8(buf).unwrap()), Ok(t));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every trace the writer accepts reads back equal. (A trace of
+        /// zero cores is written with one empty task, so it reads back
+        /// as a trace of one.)
+        #[test]
+        fn prv_round_trips_every_accepted_trace(
+            cores in 1usize..6,
+            events in proptest::collection::vec(
+                (0usize..8, proptest::prelude::any::<u64>(), 0usize..4,
+                 proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                0..40,
+            ),
+            states in proptest::collection::vec(
+                (0u32..8, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(),
+                 proptest::prelude::any::<u8>()),
+                0..40,
+            ),
+        ) {
+            let mut t = Trace::new(cores);
+            let kinds = [MissKind::Ifetch, MissKind::Load, MissKind::Store, MissKind::Writeback];
+            for (core, cycle, kind, line_addr, pc) in events {
+                let event = TraceEvent { cycle, core, kind: kinds[kind], line_addr, pc };
+                proptest::prop_assert_eq!(t.record(event).is_ok(), core < cores);
+            }
+            for (core, start, end, state) in states {
+                let interval = StateInterval { core, start, end, state };
+                proptest::prop_assert_eq!(t.record_state(interval).is_ok(), (core as usize) < cores);
+            }
+            let mut buf = Vec::new();
+            t.write_prv(&mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            proptest::prop_assert_eq!(Trace::parse_prv(&text), Ok(t));
         }
     }
 

@@ -205,7 +205,7 @@ fn stop_token_truncates_the_run() {
         "the halted hart drains until the stop"
     );
     // Both traces reach the stop cycle too.
-    let last = sim.trace().expect("tracing on").states().iter();
+    let last = sim.trace().expect("tracing on").states();
     assert_eq!(last.map(|s| s.end).max(), Some(report.cycles));
     let dump = self_sufficient_crash_dump(&sim, "stopped");
     let core = &dump

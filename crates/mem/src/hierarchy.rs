@@ -319,8 +319,8 @@ fn ev_rank(kind_priority: u64, kind_code: u64, state: &ReqState) -> u64 {
 /// One in-flight request: a slot of the hierarchy's request slab.
 #[derive(Debug, Clone)]
 struct ReqState {
-    /// Submission order, unique over the run (slots are reused): keys
-    /// the telemetry stamps and names the oldest request of a line.
+    /// Submission order, unique over the run (slots are reused): names
+    /// the oldest request of a line.
     seq: u64,
     req: Request,
     bank: usize,
@@ -489,6 +489,14 @@ impl Hierarchy {
         self.telemetry.as_deref()
     }
 
+    /// The run is over: puts the retained request slices in their
+    /// canonical order ([`MemTelemetry::order_slices`]).
+    pub fn order_slices(&mut self) {
+        if let Some(t) = &mut self.telemetry {
+            t.order_slices();
+        }
+    }
+
     /// Outstanding MSHR entries per bank (instantaneous gauge).
     #[must_use]
     pub fn mshr_occupancy(&self) -> Vec<usize> {
@@ -622,10 +630,10 @@ impl Hierarchy {
         self.submitted += 1;
         let route = self.route(&req);
         let slot = self.alloc(req, route, false, false);
-        let (seq, bank) = (self.state(slot).seq, route.0);
+        let bank = route.0;
         if req.needs_response {
             if let Some(t) = &mut self.telemetry {
-                t.on_submit(seq, now, req.line_addr, req.tile, bank, req.tag, req.pc);
+                t.on_submit(slot, now, req.line_addr, bank, req.tag, req.pc);
             }
         }
         let latency = self
@@ -786,7 +794,7 @@ impl Hierarchy {
 
     fn on_bank_arrive(&mut self, now: u64, slot: u32) {
         let state = self.state(slot);
-        let (seq, bank, local_idx) = (state.seq, state.bank, state.local_idx);
+        let (bank, local_idx) = (state.bank, state.local_idx);
         let Request {
             line_addr,
             tile,
@@ -795,7 +803,7 @@ impl Hierarchy {
         } = state.req;
         let is_prefetch = state.is_prefetch;
         if let Some(t) = &mut self.telemetry {
-            t.on_bank_arrive(seq, now);
+            t.on_bank_arrive(slot, now);
         }
         if is_prefetch {
             // Prefetches are best-effort: drop if the line is resident,
@@ -828,7 +836,7 @@ impl Hierarchy {
                     if self.merge(bank, line_addr, slot) {
                         self.merged += 1;
                         if let Some(t) = &mut self.telemetry {
-                            t.on_merge(seq);
+                            t.on_merge(slot);
                         }
                         return;
                     }
@@ -872,11 +880,11 @@ impl Hierarchy {
 
     fn on_mc_send(&mut self, now: u64, slot: u32) {
         let state = self.state(slot);
-        let (seq, bank, line_addr) = (state.seq, state.bank, state.req.line_addr);
+        let (bank, line_addr) = (state.bank, state.req.line_addr);
         let write = !state.req.needs_response && !state.is_prefetch;
         let mc_index = self.config.mc.mc_for(line_addr, self.config.l2.line_bytes);
         if let Some(t) = &mut self.telemetry {
-            t.on_mc_send(seq, now, mc_index);
+            t.on_mc_send(slot, now, mc_index);
         }
         let bank_tile = self.bank_tile(bank);
         let latency = self
@@ -894,9 +902,9 @@ impl Hierarchy {
 
     fn on_mc_respond(&mut self, now: u64, slot: u32) {
         let state = self.state(slot);
-        let (seq, bank, line_addr) = (state.seq, state.bank, state.req.line_addr);
+        let (bank, line_addr) = (state.bank, state.req.line_addr);
         if let Some(t) = &mut self.telemetry {
-            t.on_mc_respond(seq, now);
+            t.on_mc_respond(slot, now);
         }
         let mc_index = self.config.mc.mc_for(line_addr, self.config.l2.line_bytes);
         let bank_tile = self.bank_tile(bank);
@@ -908,11 +916,11 @@ impl Hierarchy {
 
     fn on_bank_fill(&mut self, now: u64, slot: u32) {
         let state = self.state(slot);
-        let (seq, bank, local_idx) = (state.seq, state.bank, state.local_idx);
+        let (bank, local_idx) = (state.bank, state.local_idx);
         let (line_addr, tile, is_prefetch) =
             (state.req.line_addr, state.req.tile, state.is_prefetch);
         if let Some(t) = &mut self.telemetry {
-            t.on_bank_fill(seq, now);
+            t.on_bank_fill(slot, now);
         }
         // Install the line; a dirty victim becomes a synthesized
         // writeback to memory.
@@ -947,20 +955,20 @@ impl Hierarchy {
         if let Some(waiting) = self.banks[bank].pop_waiting() {
             let waiting = waiting as u32;
             let state = self.state(waiting);
-            let (wseq, wbank, line) = (state.seq, state.bank, state.req.line_addr);
+            let (wbank, line) = (state.bank, state.req.line_addr);
             // A fetch for this line may have started while the request
             // sat in the queue; merge instead of fetching twice.
             if self.merge(wbank, line, waiting) {
                 self.merged += 1;
                 if let Some(t) = &mut self.telemetry {
-                    t.on_mshr_grant(wseq, now);
-                    t.on_merge(wseq);
+                    t.on_mshr_grant(waiting, now);
+                    t.on_merge(waiting);
                 }
             } else {
                 self.banks[wbank].mshr_acquire();
                 self.bank_pending[wbank].insert(line, Waiters::one(waiting));
                 if let Some(t) = &mut self.telemetry {
-                    t.on_mshr_grant(wseq, now);
+                    t.on_mshr_grant(waiting, now);
                 }
                 // Lookup was already paid on arrival; only the miss path
                 // remains.
@@ -971,9 +979,9 @@ impl Hierarchy {
 
     fn schedule_response(&mut self, now: u64, slot: u32) {
         let state = self.state(slot);
-        let (seq, bank, tile) = (state.seq, state.bank, state.req.tile);
+        let (bank, tile) = (state.bank, state.req.tile);
         if let Some(t) = &mut self.telemetry {
-            t.on_respond(seq, now);
+            t.on_respond(slot, now);
         }
         let bank_tile = self.bank_tile(bank);
         let latency = self
@@ -988,7 +996,7 @@ impl Hierarchy {
         let cause = self
             .telemetry
             .as_mut()
-            .and_then(|t| t.on_complete(state.seq, now));
+            .and_then(|t| t.on_complete(slot, now));
         self.completed += 1;
         self.completions_out.push(Completion {
             tag: state.req.tag,
@@ -1337,7 +1345,7 @@ mod tests {
         let mc_total: u64 = t.per_mc().iter().map(Histogram::count).sum();
         assert_eq!(mc_total, t.stage(Stage::Mc).count());
         // Only MC round trips (one per miss owner) visit the MC stage.
-        let owners = t.slices().iter().filter(|s| s.mc_send.is_some()).count() as u64;
+        let owners = t.slices().iter().filter(|s| s.mc_send().is_some()).count() as u64;
         assert_eq!(t.stage(Stage::Mc).count(), owners);
         assert_eq!(t.stage(Stage::NocFill).count(), owners);
         assert!(owners < stats.completed, "merges and hits skip the MC");
@@ -1346,7 +1354,7 @@ mod tests {
         assert_eq!(t.dropped_slices(), 0);
         for s in t.slices() {
             assert!(s.submit <= s.complete);
-            if let (Some(send), Some(resp)) = (s.mc_send, s.mc_respond) {
+            if let (Some(send), Some(resp)) = (s.mc_send(), s.mc_respond()) {
                 assert!(send <= resp);
             }
         }
@@ -1405,13 +1413,71 @@ mod tests {
                 .iter()
                 .find(|s| s.tag == c.tag)
                 .expect("slice retained");
-            assert_eq!(cause.pc, slice.pc);
+            // The cause carries this request's own stamps, not another's.
+            let pc = if c.tag == 100 {
+                0x2000
+            } else {
+                0x1000 + 4 * c.tag
+            };
+            assert_eq!(cause.pc, pc);
+            assert_eq!(cause.submit, slice.submit);
             assert_eq!(cause.total(), slice.complete - slice.submit);
             cause_total += cause.total();
             mshr_blame += cause.blame[Blame::Mshr as usize];
         }
         assert_eq!(cause_total, t.stage(Stage::EndToEnd).sum());
         assert!(mshr_blame > 0, "queued requests must blame MSHR pressure");
+    }
+
+    /// Stamps live in the slot of the request's slab entry: a request
+    /// submitted into a slot another request freed gets a cause with
+    /// its own pc and submit cycle, wave after wave.
+    #[test]
+    fn causes_keep_their_request_when_slab_slots_are_reused() {
+        let mut h = Hierarchy::new(config()).unwrap();
+        h.enable_telemetry(true);
+        let pc_of = |tag: u64| 0x4000 + 8 * tag;
+        let mut submitted_at = Vec::new();
+        let mut out: Vec<Completion> = Vec::new();
+        let mut now = 0;
+        for wave in 0..8u64 {
+            // Each wave rereads half the previous wave's lines (hits and
+            // merges) and misses on the rest, while that wave drains.
+            for i in 0..6u64 {
+                let tag = wave * 6 + i;
+                let line = if wave > 0 && i % 2 == 0 { tag - 6 } else { tag };
+                h.submit(
+                    now,
+                    Request {
+                        line_addr: line * 64,
+                        tile: (i % 2) as usize,
+                        needs_response: true,
+                        tag,
+                        pc: pc_of(tag),
+                    },
+                );
+                submitted_at.push(now);
+            }
+            for _ in 0..60 {
+                now += 1;
+                h.advance(now, &mut out);
+            }
+        }
+        let (_, rest) = drain(&mut h, now);
+        out.extend(rest);
+        assert_eq!(out.len(), submitted_at.len());
+        assert!(
+            h.states.len() <= submitted_at.len() / 2,
+            "slots were reused"
+        );
+        let t = h.telemetry().unwrap();
+        assert_eq!(t.stamp_errors(), 0);
+        assert_eq!(t.tracked_in_flight(), 0);
+        for c in &out {
+            let cause = c.cause.expect("telemetry enabled");
+            assert_eq!(cause.pc, pc_of(c.tag), "tag {}", c.tag);
+            assert_eq!(cause.submit, submitted_at[c.tag as usize], "tag {}", c.tag);
+        }
     }
 
     use coyote_telemetry::Histogram;
