@@ -31,7 +31,9 @@
 //! delivered to a still-stalled core this cycle becomes a *candidate*,
 //! and the interval is attributed to the canonical winner: maximum
 //! end-to-end latency, ties broken by smallest PC, then smallest line
-//! address, then smallest tag — all schedule-invariant quantities.
+//! address, then smallest tag — all schedule-invariant quantities. Each
+//! core keeps only its best candidate so far, so a wake elects its cause
+//! in O(1).
 
 use coyote_isa::RegSet;
 use coyote_iss::core::CoreState;
@@ -84,9 +86,8 @@ const _: () = assert!(std::mem::size_of::<StallLink>() <= 56);
 
 /// A completion delivered to a still-stalled core this cycle; one of
 /// these per woken core is elected the interval's cause.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Candidate {
-    core: usize,
     line_addr: u64,
     tag: u64,
     cause: Option<RequestCause>,
@@ -114,7 +115,10 @@ pub struct StallAttribution {
     kept_links: usize,
     collect_links: bool,
     dropped_links: u64,
-    candidates: Vec<Candidate>,
+    /// Per core, the best candidate of the current drain.
+    best: Vec<Option<Candidate>>,
+    /// The cores with a candidate in the current drain.
+    touched: Vec<usize>,
 }
 
 impl StallAttribution {
@@ -134,7 +138,8 @@ impl StallAttribution {
             kept_links: 0,
             collect_links,
             dropped_links: 0,
-            candidates: Vec::new(),
+            best: vec![None; cores],
+            touched: Vec::new(),
         }
     }
 
@@ -162,13 +167,22 @@ impl StallAttribution {
             CoreState::StalledFetch => fetch,
             CoreState::Active | CoreState::Halted(_) => false,
         };
-        if eligible {
-            self.candidates.push(Candidate {
-                core,
-                line_addr: completion.line_addr,
-                tag: completion.tag,
-                cause: completion.cause,
-            });
+        if !eligible {
+            return;
+        }
+        let candidate = Candidate {
+            line_addr: completion.line_addr,
+            tag: completion.tag,
+            cause: completion.cause,
+        };
+        match &mut self.best[core] {
+            // On an exact tie the later candidate wins.
+            Some(best) if Self::order(&candidate, best).is_lt() => {}
+            Some(best) => *best = candidate,
+            slot @ None => {
+                *slot = Some(candidate);
+                self.touched.push(core);
+            }
         }
     }
 
@@ -201,25 +215,27 @@ impl StallAttribution {
     /// wake. Must follow every drain that delivered a fill, even one
     /// that woke nobody.
     pub fn end_drain(&mut self) {
-        self.candidates.clear();
+        for core in self.touched.drain(..) {
+            self.best[core] = None;
+        }
     }
 
-    /// Elect the canonical wake cause for `core`: maximum end-to-end
-    /// latency, ties to smallest PC, then line address, then tag. (A
-    /// core's candidates are all of the kind it was stalled on.)
+    /// The canonical wake cause for `core`: its best candidate of this
+    /// drain. (A core's candidates are all of the kind it was stalled
+    /// on.)
     fn elect(&self, core: usize) -> Option<Candidate> {
-        self.candidates
-            .iter()
-            .filter(|c| c.core == core)
-            .max_by(|a, b| {
-                let ka = Self::rank(a);
-                let kb = Self::rank(b);
-                ka.0.cmp(&kb.0)
-                    .then(kb.1.cmp(&ka.1))
-                    .then(kb.2.cmp(&ka.2))
-                    .then(kb.3.cmp(&ka.3))
-            })
-            .copied()
+        self.best[core]
+    }
+
+    /// The election order: maximum end-to-end latency, ties to smallest
+    /// PC, then line address, then tag.
+    fn order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+        let ka = Self::rank(a);
+        let kb = Self::rank(b);
+        ka.0.cmp(&kb.0)
+            .then(kb.1.cmp(&ka.1))
+            .then(kb.2.cmp(&ka.2))
+            .then(kb.3.cmp(&ka.3))
     }
 
     /// Ordering key: latency (maximized), then pc/line/tag (minimized).
@@ -302,5 +318,71 @@ impl StallAttribution {
     #[must_use]
     pub fn dropped_links(&self) -> u64 {
         self.dropped_links
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The election it replaced: the canonical winner among every
+    /// candidate of the drain delivered to `core`, by a linear scan.
+    fn linear_scan(candidates: &[(usize, Candidate)], core: usize) -> Option<Candidate> {
+        candidates
+            .iter()
+            .filter(|(c, _)| *c == core)
+            .map(|(_, candidate)| *candidate)
+            .max_by(StallAttribution::order)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Over random drains of completions with duplicates and exact
+        /// ties (equal rank, different cause), every core's elected
+        /// cause is the linear scan's, before and after each drain ends.
+        #[test]
+        fn the_kept_best_candidate_is_the_linear_scans_winner(
+            ops in proptest::collection::vec(
+                (0u8..8, 0usize..3, 0u8..4, 0u64..3, 0u64..3, 0u64..3, 0u64..3, 0u64..3),
+                0..80,
+            ),
+        ) {
+            let states = [
+                CoreState::StalledDep,
+                CoreState::StalledFetch,
+                CoreState::Active,
+                CoreState::Halted(0),
+            ];
+            let mut attr = StallAttribution::new(3, 4, false);
+            let mut reference = Vec::new();
+            for (kind, core, state, line_addr, tag, pc, latency, submit) in ops {
+                if kind == 0 {
+                    attr.end_drain();
+                    reference.clear();
+                } else {
+                    let fetch = kind % 2 == 0;
+                    let state = states[state as usize];
+                    // Equal totals split differently tie on rank but
+                    // differ in cause.
+                    let mut blame = [0; Blame::ALL.len()];
+                    blame[(submit % 2) as usize] = latency;
+                    let cause = (kind != 1).then_some(RequestCause { pc, submit, blame });
+                    let completion = Completion { tag, line_addr, tile: 0, cause };
+                    attr.note_completion(core, state, fetch, &completion);
+                    let eligible = match state {
+                        CoreState::StalledDep => !fetch,
+                        CoreState::StalledFetch => fetch,
+                        CoreState::Active | CoreState::Halted(_) => false,
+                    };
+                    if eligible {
+                        reference.push((core, Candidate { line_addr, tag, cause }));
+                    }
+                }
+                for c in 0..3 {
+                    proptest::prop_assert_eq!(attr.elect(c), linear_scan(&reference, c));
+                }
+            }
+        }
     }
 }

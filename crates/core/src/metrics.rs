@@ -401,8 +401,8 @@ fn phase_json(prof: &HostProf, id: usize) -> JsonValue {
 /// histogram (bulk inserts — no per-sample replay).
 fn run_length_hist(diag: &FuseDiag) -> Histogram {
     let mut hist = Histogram::new();
-    for (len, &count) in diag.run_len_counts.iter().enumerate() {
-        hist.record_n(len as u64, count);
+    for (len, count) in diag.run_lengths() {
+        hist.record_n(u64::from(len), count);
     }
     hist
 }

@@ -238,7 +238,7 @@ impl Trace {
     pub fn write_prv<W: Write>(&self, mut out: W) -> io::Result<()> {
         /// Text buffered between writes to `out`.
         const CHUNK: usize = 64 << 10;
-        let cores = self.cores.max(1);
+        let cores = self.cores;
         // Header: #Paraver (date):duration:nodes(cpus):apps:app1(tasks).
         // The duration saturates: a parsed interval may end at u64::MAX.
         let mut header = format!(
@@ -745,12 +745,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Every trace the writer accepts reads back equal. (A trace of
-        /// zero cores is written with one empty task, so it reads back
-        /// as a trace of one.)
+        /// Every trace the writer accepts reads back equal, a trace of
+        /// zero cores (zero tasks) included.
         #[test]
         fn prv_round_trips_every_accepted_trace(
-            cores in 1usize..6,
+            cores in 0usize..6,
             events in proptest::collection::vec(
                 (0usize..8, proptest::prelude::any::<u64>(), 0usize..4,
                  proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),

@@ -33,6 +33,23 @@ pub enum BranchOp {
     Geu,
 }
 
+impl BranchOp {
+    /// Whether the branch is taken on operand values `a` (`rs1`) and `b`
+    /// (`rs2`): the one comparison both the scalar kernel and the arm's
+    /// back-edge evaluation use.
+    #[must_use]
+    pub fn taken(self, a: u64, b: u64) -> bool {
+        match self {
+            BranchOp::Eq => a == b,
+            BranchOp::Ne => a != b,
+            BranchOp::Lt => (a as i64) < (b as i64),
+            BranchOp::Ge => (a as i64) >= (b as i64),
+            BranchOp::Ltu => a < b,
+            BranchOp::Geu => a >= b,
+        }
+    }
+}
+
 /// Memory access width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemWidth {

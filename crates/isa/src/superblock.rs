@@ -27,7 +27,11 @@
 //!   most [`MAX_RUN`] long, and stops before a memory op whose base
 //!   register an earlier instruction of the run writes;
 //! * every memory op of the text once, in slot order ([`MemOp`]): a
-//!   run's memory ops are one contiguous slice of it.
+//!   run's memory ops are one contiguous slice of it;
+//! * a side table of *loop rows* ([`LoopRow`]): rows whose run is a
+//!   whole counted self-loop body that advances each integer register
+//!   it writes by a loop-invariant stride, so the arm can validate many
+//!   iterations of it at once (up to [`MAX_LOOP_RUN`] instructions).
 //!
 //! The table is built once per text segment and shared by every core;
 //! a text-segment store rebuilds it (`DecodedText::invalidate` in
@@ -47,6 +51,14 @@ use crate::reg::{FReg, XReg};
 /// Cap on fused run length: bounds the cost of one arm attempt and the
 /// staleness window of the residency facts it relies on.
 pub const MAX_RUN: u32 = 64;
+
+/// Cap on the length of a run armed over a loop row: the most
+/// instructions (whole bodies, plus a cut one) one arm validates. It
+/// bounds an arm's cost and its access list (at most this ÷ the body
+/// length × the body's memory ops entries). 1,024 covers the whole
+/// 96-iteration trip of the paper matmul's 7-instruction inner loop;
+/// EXPERIMENTS.md `loop-runs` compares it with 128 and 512.
+pub const MAX_LOOP_RUN: u32 = 1024;
 
 /// A pre-resolved scalar micro-op: one of the shapes a fused run can
 /// hold, with every choice that depends only on the instruction word
@@ -451,12 +463,40 @@ pub struct Run {
     pub regs: RegSet,
 }
 
+/// How a loop body advances an integer register once per iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stride {
+    /// `addi r, r, imm`: by the sign-extended immediate.
+    Imm(i64),
+    /// `add r, r, q`: by `q`, which the body does not write.
+    Reg(XReg),
+}
+
+/// A loop row: a row whose run is a whole counted self-loop. The run
+/// ends at a conditional branch back to the row's own first slot, and
+/// every integer register the body writes it writes exactly once, by
+/// `addi r, r, imm` or by `add r, r, q` with `q` not written in the
+/// body. Every iteration then runs the same uops, and each memory
+/// address and branch operand of iteration `k` is its iteration-0 value
+/// plus `k` strides, so an arm can validate many iterations at once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoopRow {
+    /// Text slot of the loop head (the row's slot).
+    pub slot: u32,
+    /// Each integer register the body writes, with its stride.
+    pub updates: Vec<(XReg, Stride)>,
+    /// The back edge's comparison and its `rs1`, `rs2`.
+    pub branch: (BranchOp, XReg, XReg),
+}
+
 /// The run table of a text segment (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunTable {
     runs: Vec<Run>,
     uops: Vec<Uop>,
     mem: Vec<MemOp>,
+    /// The loop rows, by slot.
+    loops: Vec<LoopRow>,
 }
 
 impl RunTable {
@@ -484,6 +524,73 @@ impl RunTable {
     pub fn mem_ops(&self, run: &Run) -> &[MemOp] {
         &self.mem[run.mem as usize..run.mem_end as usize]
     }
+
+    /// The loop row of text slot `slot`, if its row is one.
+    #[must_use]
+    pub fn loop_row(&self, slot: usize) -> Option<&LoopRow> {
+        let at = self
+            .loops
+            .binary_search_by_key(&slot, |row| row.slot as usize)
+            .ok()?;
+        self.loops.get(at)
+    }
+
+    /// Every loop row, by slot.
+    #[must_use]
+    pub fn loop_rows(&self) -> &[LoopRow] {
+        &self.loops
+    }
+}
+
+/// The loop row of the run at slot `s`, whose uops are `uops`, if it is
+/// one (see [`LoopRow`]).
+fn loop_row(insts: &[Option<DecodedInst>], uops: &[Uop], s: usize) -> Option<LoopRow> {
+    let (&last, body) = uops.split_last()?;
+    let Uop::Branch {
+        op,
+        rs1,
+        rs2,
+        offset,
+    } = last
+    else {
+        return None;
+    };
+    if i64::from(offset) != -4 * body.len() as i64 || body.is_empty() {
+        return None;
+    }
+    let (mut written, mut updates) = (0u32, Vec::new());
+    for (entry, &uop) in insts[s..].iter().flatten().zip(body) {
+        if entry.defs.x == 0 {
+            continue;
+        }
+        let update = match uop {
+            Uop::OpI {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                imm,
+            } if rd == rs1 => (rd, Stride::Imm(i64::from(imm))),
+            Uop::OpX {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                rs2,
+            } if rd == rs1 && rs2 != rd => (rd, Stride::Reg(rs2)),
+            _ => return None,
+        };
+        if written & entry.defs.x != 0 {
+            return None;
+        }
+        written |= entry.defs.x;
+        updates.push(update);
+    }
+    let varies = |by| matches!(by, Stride::Reg(q) if written & (1 << q.index()) != 0);
+    let invariant = !updates.iter().any(|&(_, by)| varies(by));
+    invariant.then_some(LoopRow {
+        slot: s as u32,
+        updates,
+        branch: (op, rs1, rs2),
+    })
 }
 
 /// Builds the run table of a predecoded text segment: one pass collects
@@ -554,6 +661,13 @@ pub fn build_plans(insts: &[Option<DecodedInst>]) -> RunTable {
                 mem_end: mem_before[end],
                 regs,
             }
+        })
+        .collect();
+    table.loops = (0..n)
+        .filter_map(|s| {
+            let run = table.runs[s];
+            let uops = &table.uops[run.uop as usize..][..run.len as usize];
+            loop_row(insts, uops, s)
         })
         .collect();
     table

@@ -690,9 +690,11 @@ impl Core {
     /// this skips are therefore exactly the ones that cannot fire, and
     /// every counter the skipped branches would have touched is still
     /// updated identically, with the bookkeeping hoisted to run
-    /// granularity: the I-cache evolution for the straight-line fetch
-    /// sequence is applied as one batch per line, the D-cache evolution replays the pre-validated access
-    /// list directly (identical counter/LRU/stats evolution, no
+    /// granularity: the I-cache evolution of each straight segment (a
+    /// loop run wraps to its body's head after each taken back edge) is
+    /// applied as one batch per line, the D-cache evolution replays the
+    /// pre-validated access list directly (identical counter/LRU/stats
+    /// evolution, no
     /// associative scan), the run table's pre-resolved uops are read
     /// consecutively instead of per-PC lookup, each runs through the
     /// scalar kernel ([`crate::exec::execute_scalar`]) with no
@@ -723,8 +725,6 @@ impl Core {
         if n == 0 {
             return Ok(());
         }
-        let start_pc = self.hart.pc;
-        self.icache.touch_run(start_pc, n);
         let pos0 = self.armed.len - self.fused_left;
         let end = pos0 + n;
         // Replay the pre-validated data accesses of the next `n`
@@ -738,35 +738,53 @@ impl Core {
             self.dcache.touch(fa.way, fa.write);
             self.fused_cursor += 1;
         }
-        // In range by construction (see `armed`).
-        let first = self.armed.uop + pos0 as usize;
-        let uops = &text.runs().uops()[first..first + n as usize];
+        // One straight segment per pass: the rest of the row's body, or
+        // of the chunk. A loop run wraps to the body's head after each
+        // taken back edge. In range by construction (see `armed`).
+        let body = self.armed.body;
+        // Only a loop run's later iterations need the division.
+        let mut at = if pos0 < body { pos0 } else { pos0 % body };
         let mut branches = 0u64;
-        for (i, &uop) in (0..n).zip(uops) {
+        let mut pos = pos0;
+        while pos < end {
+            let seg = (body - at).min(end - pos);
+            let seg_pc = self.hart.pc;
             debug_assert_eq!(
-                self.hart.pc,
-                start_pc + u64::from(i) * 4,
-                "fused run left the straight line"
+                seg_pc,
+                self.armed.head + u64::from(at) * 4,
+                "fused run left its body"
             );
-            let done = execute_scalar(&mut self.hart, mem, uop);
-            if cfg!(debug_assertions) {
-                if let Some(access) = done.access {
-                    debug_assert_eq!(
-                        self.armed
-                            .accesses
-                            .get(checked)
-                            .map(|fa| (fa.pos, fa.addr, fa.size, fa.write)),
-                        Some((pos0 + i, access.addr, access.size, access.write)),
-                        "fused access diverged from validation at {:#x}",
-                        start_pc + u64::from(i) * 4
-                    );
-                    checked += 1;
+            self.icache.touch_run(seg_pc, seg);
+            let first = self.armed.uop + at as usize;
+            let uops = &text.runs().uops()[first..first + seg as usize];
+            for (i, &uop) in (0..seg).zip(uops) {
+                debug_assert_eq!(
+                    self.hart.pc,
+                    seg_pc + u64::from(i) * 4,
+                    "fused run left the straight line"
+                );
+                let done = execute_scalar(&mut self.hart, mem, uop);
+                if cfg!(debug_assertions) {
+                    if let Some(access) = done.access {
+                        debug_assert_eq!(
+                            self.armed
+                                .accesses
+                                .get(checked)
+                                .map(|fa| (fa.pos, fa.addr, fa.size, fa.write)),
+                            Some((pos + i, access.addr, access.size, access.write)),
+                            "fused access diverged from validation at {:#x}",
+                            seg_pc + u64::from(i) * 4
+                        );
+                        checked += 1;
+                    }
                 }
+                branches += u64::from(done.branched);
             }
-            self.stats.retired += 1;
-            branches += u64::from(done.branched);
+            pos += seg;
+            at = 0;
         }
         debug_assert_eq!(checked, self.fused_cursor, "replayed an unexecuted access");
+        self.stats.retired += u64::from(n);
         self.stats.branches += branches;
         self.fused_retired += u64::from(n);
         self.fused_left -= n;

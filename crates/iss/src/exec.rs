@@ -22,8 +22,8 @@
 use std::fmt;
 
 use coyote_isa::inst::{
-    AluOp, AluWOp, AmoOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpCvtOp, FpOp, Inst, MemWidth, SysOp,
-    VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
+    AluOp, AluWOp, AmoOp, CsrOp, CsrSrc, FmaOp, FpCvtOp, FpOp, Inst, MemWidth, SysOp, VAddrMode,
+    VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
 };
 use coyote_isa::{FReg, Sew, Uop, VReg, VType, XReg};
 
@@ -319,16 +319,7 @@ pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, uop: Uop) -> Scal
             rs2,
             offset,
         } => {
-            let (a, b) = (hart.x(rs1), hart.x(rs2));
-            let taken = match op {
-                BranchOp::Eq => a == b,
-                BranchOp::Ne => a != b,
-                BranchOp::Lt => (a as i64) < (b as i64),
-                BranchOp::Ge => (a as i64) >= (b as i64),
-                BranchOp::Ltu => a < b,
-                BranchOp::Geu => a >= b,
-            };
-            if taken {
+            if op.taken(hart.x(rs1), hart.x(rs2)) {
                 next_pc = hart.pc.wrapping_add(offset as i64 as u64);
                 done.branched = true;
             }

@@ -28,14 +28,25 @@
 //!   invalidate the addresses computed at arm time).
 //!
 //! A run that fails any check is simply truncated at the first
-//! uncertain instruction; prefixes of a valid run are valid runs. This
+//! uncertain instruction; prefixes of a valid run are valid runs.
+//!
+//! A loop row (`coyote_isa::superblock::LoopRow`) whose first body arms
+//! whole extends over the iterations that follow, up to
+//! [`MAX_LOOP_RUN`] instructions: each later iteration runs the same
+//! slots (so the I-line and scoreboard checks hold for all of them) and
+//! reaches its memory ops at addresses one stride on, which are checked
+//! like the first body's. The same argument makes it exact: a fused run
+//! only touches lines it proved resident and never installs, evicts or
+//! acquires, fills only shrink the pending table and the scoreboard, and
+//! a plain step or a text store drops the run, so every fact the arm
+//! relied on holds until the run retires. This
 //! file also holds the vocabulary of that decision — why a run stopped
 //! ([`FuseStop`]), the per-core tallies ([`FuseDiag`]) and the armed
 //! accesses the orchestrator's cross-core test reads ([`FusedAccess`]).
 
-use coyote_isa::superblock::MAX_RUN;
-use coyote_isa::RegSet;
+use coyote_isa::superblock::{LoopRow, Stride, MAX_LOOP_RUN, MAX_RUN};
 use coyote_isa::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
+use coyote_isa::{MemOp, RegSet};
 
 use crate::cache::Cache;
 use crate::core::DecodedText;
@@ -128,9 +139,13 @@ pub struct FuseDiag {
     /// Reason the most recent attempt stopped (what the orchestrator
     /// reports when a multi-core window dies on a failed re-arm).
     pub last_stop: FuseStop,
-    /// Exact armed-run-length distribution: `run_len_counts[n]` counts
-    /// runs armed at length `n` (lengths are `2..=MAX_RUN`).
+    /// Exact armed-run-length distribution up to [`MAX_RUN`]:
+    /// `run_len_counts[n]` counts runs armed at length `n`.
     pub run_len_counts: [u64; MAX_RUN as usize + 1],
+    /// The same above [`MAX_RUN`] (runs armed over loop rows, up to
+    /// [`MAX_LOOP_RUN`]), as `(length, count)` by length: a core arms few
+    /// distinct lengths there, and a dense table would add 8 KiB a core.
+    pub loop_len_counts: Vec<(u32, u64)>,
 }
 
 impl Default for FuseDiag {
@@ -142,6 +157,7 @@ impl Default for FuseDiag {
             stops: [0; FuseStop::COUNT],
             last_stop: FuseStop::RunEnd,
             run_len_counts: [0; MAX_RUN as usize + 1],
+            loop_len_counts: Vec::new(),
         }
     }
 }
@@ -157,8 +173,21 @@ impl FuseDiag {
             self.armed_runs += 1;
             if let Some(slot) = self.run_len_counts.get_mut(len as usize) {
                 *slot += 1;
+            } else {
+                match self.loop_len_counts.binary_search_by_key(&len, |&(n, _)| n) {
+                    Ok(at) => self.loop_len_counts[at].1 += 1,
+                    Err(at) => self.loop_len_counts.insert(at, (len, 1)),
+                }
             }
         }
+    }
+
+    /// Every armed length with its count, by length.
+    pub fn run_lengths(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (0..)
+            .zip(self.run_len_counts.iter().copied())
+            .filter(|&(_, count)| count > 0)
+            .chain(self.loop_len_counts.iter().copied())
     }
 }
 
@@ -172,7 +201,8 @@ pub struct FusedAccess {
     /// Position within the validated run.
     pub pos: u32,
     /// Byte address (computed from pre-run register values, exact
-    /// because the base register is not written earlier in the run).
+    /// because the base register is not written earlier in the run's
+    /// body, and a loop run's body advances it by a known stride).
     pub addr: u64,
     /// Access size in bytes.
     pub size: u8,
@@ -226,6 +256,12 @@ pub struct ArmedRun {
     pub accesses: Vec<FusedAccess>,
     /// Index of the start slot's uop in the run table.
     pub(crate) uop: usize,
+    /// Length of the start slot's row: position `p` of the run is slot
+    /// `p % body` of it (a run longer than its row wraps over a loop
+    /// body).
+    pub(crate) body: u32,
+    /// Address of the start slot.
+    pub(crate) head: u64,
 }
 
 impl Default for ArmedRun {
@@ -235,6 +271,8 @@ impl Default for ArmedRun {
             stop: FuseStop::RunEnd,
             accesses: Vec::new(),
             uop: 0,
+            body: 1,
+            head: 0,
         }
     }
 }
@@ -329,11 +367,91 @@ impl ArmState<'_> {
             (len, stop) = cut;
         }
 
+        // A loop row whose first body armed whole extends over the
+        // iterations that follow.
+        if (len, stop) == (row.len, FuseStop::RunEnd) {
+            if let Some(lp) = text.runs().loop_row(start) {
+                let ops = text.runs().mem_ops(row);
+                (len, stop) = self.extend_loop(text, lp, ops, row.len, &mut run.accesses);
+            }
+        }
+
         if len < 2 {
             run.accesses.clear();
             len = 0;
         }
-        (run.len, run.stop, run.uop) = (len, stop, row.uop as usize);
+        (run.len, run.stop, run.uop, run.body, run.head) =
+            (len, stop, row.uop as usize, row.len, pc);
+    }
+
+    /// Extends a loop row's armed first body of `body` instructions, one
+    /// iteration at a time, and returns the run's length and stop. Each
+    /// back edge is evaluated from the affine operand values, and each
+    /// next iteration's memory op `ops[j]` sits at the previous one's
+    /// address plus its base's stride. It is checked as the first body's
+    /// were, but its line is probed only when it differs from the one
+    /// that op touched in the previous iteration: a line this arm proved
+    /// resident and not in flight stays so until the run retires. I-lines
+    /// and the scoreboard need no recheck, every iteration running the
+    /// same slots. Stops at [`MAX_LOOP_RUN`], at the first back edge not
+    /// taken (the run ends on the exit branch) or at the first failing
+    /// access (mid-body, with that check's reason).
+    fn extend_loop(
+        &self,
+        text: &DecodedText,
+        lp: &LoopRow,
+        ops: &[MemOp],
+        body: u32,
+        accesses: &mut Vec<FusedAccess>,
+    ) -> (u32, FuseStop) {
+        let mut stride = [0u64; 32];
+        for &(reg, by) in &lp.updates {
+            stride[reg.index()] = match by {
+                Stride::Imm(imm) => imm as u64,
+                Stride::Reg(q) => self.hart.x(q),
+            };
+        }
+        let (op, rs1, rs2) = lp.branch;
+        let (mut a, mut b) = (self.hart.x(rs1), self.hart.x(rs2));
+        let head = lp.slot;
+        let no_pending_data = self.pending_data.is_empty();
+        let mut len = body;
+        while len + body <= MAX_LOOP_RUN {
+            a = a.wrapping_add(stride[rs1.index()]);
+            b = b.wrapping_add(stride[rs2.index()]);
+            if !op.taken(a, b) {
+                break;
+            }
+            let prev = accesses.len() - ops.len();
+            for (j, mem) in ops.iter().enumerate() {
+                let last = accesses[prev + j];
+                let addr = last.addr.wrapping_add(stride[mem.base.index()]);
+                let pos = len + (mem.slot - head);
+                let line = self.dcache.line_addr(addr);
+                let way = if line == self.dcache.line_addr(last.addr) {
+                    last.way
+                } else {
+                    let Some(way) = self.dcache.probe_way(addr) else {
+                        return (pos, FuseStop::LineNotResident);
+                    };
+                    if !no_pending_data && self.pending_data.contains_key(&line) {
+                        return (pos, FuseStop::PendingFill);
+                    }
+                    way
+                };
+                if mem.write && text.overlaps(addr, u64::from(mem.size)) {
+                    return (pos, FuseStop::TextStore);
+                }
+                accesses.push(FusedAccess {
+                    pos,
+                    addr,
+                    way,
+                    ..last
+                });
+            }
+            len += body;
+        }
+        (len, FuseStop::RunEnd)
     }
 }
 

@@ -13,6 +13,18 @@
 //! both must return the same `(len, stop)` and the same accesses (both
 //! start at the pc's slot, `DecodedText::index_of`).
 //!
+//! A loop head's arm extends its first body over the iterations that
+//! follow (`coyote_isa::superblock::LoopRow`). Its reference executes
+//! rather than computes: it runs the body through `execute_scalar` on a
+//! clone of the machine and re-arms the straight-line reference there,
+//! once per iteration, until the back edge falls through, a re-arm stops
+//! short or the run would pass `MAX_LOOP_RUN`. Besides the universe
+//! above, each loop head is armed with the lines of every iteration up
+//! to the cap resident, and with one later iteration's line absent or in
+//! flight, under three register files: the universe's, one whose back
+//! edge falls through after five iterations, and one with small register
+//! strides.
+//!
 //! The second gate patches text through `DecodedText::invalidate` (every
 //! single word, then seeded random byte ranges accumulating on one text)
 //! and requires the table to equal one built from scratch over the
@@ -20,11 +32,13 @@
 //! backwards pass over them.
 
 use coyote_asm::{assemble, Program};
-use coyote_isa::superblock::MAX_RUN;
+use coyote_isa::superblock::{Stride, MAX_LOOP_RUN, MAX_RUN};
 use coyote_isa::{build_plans, predecode, DecodedInst, FReg, Inst, RegSet, XReg};
+use coyote_iss::exec::execute_scalar;
 use coyote_iss::mem::AddrMap;
 use coyote_iss::{
     ArmState, ArmedRun, Cache, CacheConfig, DecodedText, FuseStop, FusedAccess, Hart, Scoreboard,
+    SparseMemory,
 };
 use coyote_kernels::{
     FftRadix2, MatmulScalar, MatmulVector, MlpInference, SpmvScalar, SpmvVectorAdaptive,
@@ -163,6 +177,20 @@ fn reference_arm(
     text: &DecodedText,
     state: &ArmState,
 ) -> (u32, FuseStop, Vec<FusedAccess>) {
+    let (len, stop, accesses) = reference_walk(insts, plans, text, state);
+    if len < 2 {
+        return (0, stop, Vec::new());
+    }
+    (len, stop, accesses)
+}
+
+/// [`reference_arm`] before it drops a run shorter than two.
+fn reference_walk(
+    insts: &[Option<DecodedInst>],
+    plans: &[(Class, u32)],
+    text: &DecodedText,
+    state: &ArmState,
+) -> (u32, FuseStop, Vec<FusedAccess>) {
     let mut accesses = Vec::new();
     let pc = state.hart.pc;
     let (start, mut len, mut stop) = match text.index_of(pc) {
@@ -221,11 +249,53 @@ fn reference_arm(
     if let Some(cut) = blocked {
         (len, stop) = cut;
     }
-    if len < 2 {
-        accesses.clear();
-        len = 0;
-    }
     (len, stop, accesses)
+}
+
+/// The arm of a loop head whose straight-line arm `first` armed its
+/// whole body, by execution: runs the body through `execute_scalar` on
+/// a clone of the hart and re-walks the straight-line reference from
+/// there, once per iteration. Any other arm is `first` itself.
+fn executing_reference(
+    insts: &[Option<DecodedInst>],
+    plans: &[(Class, u32)],
+    text: &DecodedText,
+    state: &ArmState,
+    first: (u32, FuseStop, Vec<FusedAccess>),
+) -> (u32, FuseStop, Vec<FusedAccess>) {
+    let pc = state.hart.pc;
+    let Some(start) = text.index_of(pc) else {
+        return first;
+    };
+    let body = plans[start].1;
+    if text.runs().loop_row(start).is_none() || (first.0, first.1) != (body, FuseStop::RunEnd) {
+        return first;
+    }
+    let row = text.runs().run(start).expect("row in range");
+    let uops = &text.runs().uops()[row.uop as usize..][..body as usize];
+    let (mut hart, mut mem) = (state.hart.clone(), SparseMemory::new());
+    let (mut len, mut accesses) = (body, first.2);
+    loop {
+        for &uop in uops {
+            execute_scalar(&mut hart, &mut mem, uop);
+        }
+        if hart.pc != pc || len + body > MAX_LOOP_RUN {
+            return (len, FuseStop::RunEnd, accesses);
+        }
+        let next = ArmState {
+            hart: &hart,
+            ..*state
+        };
+        let (cut, stop, more) = reference_walk(insts, plans, text, &next);
+        accesses.extend(more.into_iter().map(|access| FusedAccess {
+            pos: access.pos + len,
+            ..access
+        }));
+        if (cut, stop) != (body, FuseStop::RunEnd) {
+            return (len + cut, stop, accesses);
+        }
+        len += body;
+    }
 }
 
 // ---- machine states ----
@@ -473,7 +543,8 @@ fn the_table_arm_equals_the_plan_walking_arm_in_every_state() {
                 states += 1;
                 let machine = build(&empty, pc, &fp, &shape);
                 let state = machine.state();
-                let want = reference_arm(&insts, &plans, &text, &state);
+                let first = reference_arm(&insts, &plans, &text, &state);
+                let want = executing_reference(&insts, &plans, &text, &state, first);
                 state.validate(&text, &mut run);
                 let got = (run.len, run.stop, run.accesses.clone());
                 assert_eq!(got, want, "{name}: slot {start} ({pc:#x}) in {shape:?}");
@@ -492,6 +563,123 @@ fn the_table_arm_equals_the_plan_walking_arm_in_every_state() {
         armed > 0 && starts > 1_000 && states > 10 * starts,
         "{starts} slots, {states} states, {armed} armed"
     );
+}
+
+/// The data lines each iteration of the loop at `hart`'s pc touches, by
+/// execution, for as many iterations as a run may hold or the loop runs.
+fn iteration_lines(text: &DecodedText, start: usize, hart: &Hart, dcache: &Cache) -> Vec<Vec<u64>> {
+    let row = text.runs().run(start).expect("row in range");
+    let uops = &text.runs().uops()[row.uop as usize..][..row.len as usize];
+    let (mut hart, mut mem) = (hart.clone(), SparseMemory::new());
+    let head = hart.pc;
+    let mut lines = Vec::new();
+    while lines.len() < (MAX_LOOP_RUN / row.len) as usize {
+        let iteration = uops
+            .iter()
+            .filter_map(|&uop| execute_scalar(&mut hart, &mut mem, uop).access)
+            .map(|access| dcache.line_addr(access.addr))
+            .collect();
+        lines.push(iteration);
+        if hart.pc != head {
+            break;
+        }
+    }
+    lines
+}
+
+#[test]
+fn loop_heads_arm_as_their_executed_iterations() {
+    let empty = empty_machine();
+    let mut run = ArmedRun::default();
+    let (mut heads, mut machines, mut longest, mut stops) = (0u64, 0u64, 0u32, [0u64; 7]);
+    for (name, program) in programs() {
+        let text = DecodedText::from_program(&program);
+        let insts = predecode(program.text());
+        let plans = plans(&insts);
+        let base = program.text_base();
+        for lp in text.runs().loop_rows() {
+            heads += 1;
+            let start = lp.slot as usize;
+            let pc = base + 4 * start as u64;
+            let fp = footprint(&insts, &plans, start, pc, &empty);
+            let idle = build(&empty, pc, &fp, &Shape::default());
+            // The registers as `build` sets them (trips past the cap),
+            // with the back edge's operands five iterations apart, and
+            // with each register stride a small one with low bits set.
+            let mut short = idle.hart.clone();
+            let mut small = idle.hart.clone();
+            for &(_, by) in &lp.updates {
+                if let Stride::Reg(q) = by {
+                    small.set_x(q, 24);
+                }
+            }
+            let (_, rs1, rs2) = lp.branch;
+            let step = lp.updates.iter().find_map(|&(reg, by)| match by {
+                Stride::Imm(imm) if reg == rs1 => Some(imm as u64),
+                _ => None,
+            });
+            if let Some(step) = step {
+                let trip = step.wrapping_mul(5);
+                if rs2 == XReg::ZERO {
+                    short.set_x(rs1, trip.wrapping_neg());
+                } else if lp.updates.iter().all(|&(reg, _)| reg != rs2) {
+                    short.set_x(rs2, short.x(rs1).wrapping_add(trip));
+                }
+            }
+            for hart in [idle.hart.clone(), short, small] {
+                let lines = iteration_lines(&text, start, &hart, &empty.dcache);
+                let n = lines.len();
+                // Every line resident; then one later iteration's last
+                // line left out, or in flight.
+                let mut variants = vec![(None, None)];
+                for k in [1, 2, n / 2, n.saturating_sub(1)] {
+                    if let Some(&line) = lines.get(k).filter(|_| k > 0).and_then(|l| l.last()) {
+                        variants.extend([(Some(line), None), (None, Some(line))]);
+                    }
+                }
+                for (absent, pending) in variants {
+                    let mut machine = Machine {
+                        hart: hart.clone(),
+                        icache: idle.icache.clone(),
+                        dcache: empty.dcache.clone(),
+                        scoreboard: Scoreboard::new(),
+                        pending: AddrMap::default(),
+                    };
+                    for &line in lines.iter().flatten() {
+                        if Some(line) != absent {
+                            machine.dcache.access(line, false);
+                        }
+                    }
+                    if let Some(line) = pending {
+                        machine.pending.insert(line, RegSet::new());
+                    }
+                    let state = machine.state();
+                    let first = reference_arm(&insts, &plans, &text, &state);
+                    let want = executing_reference(&insts, &plans, &text, &state, first);
+                    state.validate(&text, &mut run);
+                    let got = (run.len, run.stop, run.accesses.clone());
+                    assert_eq!(got, want, "{name}: loop head {start} ({pc:#x}), absent {absent:x?}, pending {pending:x?}");
+                    machines += 1;
+                    longest = longest.max(run.len);
+                    stops[run.stop as usize] += 1;
+                }
+            }
+        }
+    }
+    // The loop heads reach runs past one body, the cap, and cuts in a
+    // later iteration for each data-line reason.
+    assert!(
+        heads > 0 && machines > 4 * heads,
+        "{heads} heads, {machines} machines"
+    );
+    assert!(longest > MAX_LOOP_RUN - MAX_RUN, "longest run {longest}");
+    for stop in [
+        FuseStop::RunEnd,
+        FuseStop::LineNotResident,
+        FuseStop::PendingFill,
+    ] {
+        assert!(stops[stop as usize] > 0, "no loop arm stopped at {stop:?}");
+    }
 }
 
 /// The slots the byte range `[addr, addr + len)` touches.

@@ -12,6 +12,7 @@
 
 use std::collections::VecDeque;
 
+use coyote_isa::superblock::{MAX_LOOP_RUN, MAX_RUN};
 use coyote_iss::{
     Core, CoreConfig, CoreState, DecodedText, FuseDiag, FuseStop, MissRequest, SparseMemory,
 };
@@ -319,4 +320,283 @@ fn the_lru_program_hits_line_zero_after_the_eviction() {
     // base), the program no longer discriminates LRU order.
     let l1d = run(LRU, None, 0).0.dcache_stats();
     assert_eq!((l1d.misses, l1d.writebacks), (9, 0), "{l1d:?}");
+}
+
+/// A counted loop whose pointer advances by `addi` (`fld … fsd` over a
+/// 16-byte stride), run over one buffer for 60 iterations and then for
+/// 40: the first pass misses a new line every fourth iteration, so a run
+/// armed at the head stops at a line not resident in a later iteration;
+/// the second arms its trip whole and exits inside the cap while the
+/// lines of the first pass's later iterations are still resident, so
+/// only the back edge ends its run.
+const ADDI_STRIDE: &str = "
+    .data
+    buf: .zero 1024
+    .text
+    _start:
+        li s3, 2
+        li s4, 60
+    pass:
+        la s0, buf
+        li s1, 0
+        mv s2, s4
+    loop:
+        fld fa0, 0(s0)
+        fadd.d fa1, fa1, fa0
+        fsd fa1, 8(s0)
+        addi s0, s0, 16
+        addi s1, s1, 1
+        blt s1, s2, loop
+        li s4, 40
+        addi s3, s3, -1
+        bnez s3, pass
+        fcvt.l.d a0, fa1
+        li a7, 93
+        ecall";
+
+/// A counted loop whose pointer advances by `add` of a register the
+/// body does not write, 600 iterations over 4,800 bytes, run twice: the
+/// second pass is resident throughout, so its runs stop at the cap.
+const ADD_STRIDE: &str = "
+    .data
+    buf: .zero 4800
+    .text
+    _start:
+        li t1, 8
+        li s3, 2
+    pass:
+        la s5, buf
+        li s4, 0
+        li s6, 600
+    loop:
+        fld fa0, 0(s5)
+        fmadd.d fa1, fa0, fa0, fa1
+        add s5, s5, t1
+        addi s4, s4, 1
+        bne s4, s6, loop
+        addi s3, s3, -1
+        bnez s3, pass
+        fcvt.l.d a0, fa1
+        li a7, 93
+        ecall";
+
+/// A line in flight in a later iteration (run with a fill delay): a
+/// first loop warms lines 0–4 of `buf`, a store misses line 5 (the core
+/// does not wait for a store's fill), and the second loop, armed at once,
+/// meets line 5 still in flight at its 40th iteration.
+const PENDING_LATER: &str = "
+    .data
+    buf: .zero 1024
+    .text
+    _start:
+        la s0, buf
+        li s1, 5
+    warm:
+        fld fa0, 0(s0)
+        addi s0, s0, 64
+        addi s1, s1, -1
+        bnez s1, warm
+        fsd fa0, 0(s0)
+        la s0, buf
+        li s1, 48
+    loop:
+        fld fa0, 0(s0)
+        fadd.d fa1, fa1, fa0
+        addi s0, s0, 8
+        addi s1, s1, -1
+        bnez s1, loop
+        fcvt.l.d a0, fa1
+        li a7, 93
+        ecall";
+
+/// A store that walks into the text in a later iteration: the loop
+/// stores downwards from 32 bytes past the end of the text, whose line
+/// it warmed first, and its sixth store lands in the padding at the
+/// text's end (never executed). The first store retires in the straight
+/// run that enters the loop, so the run armed at the head is cut at its
+/// fifth iteration.
+const TEXT_LATER: &str = "
+    .text
+    _start:
+        la s0, tail
+        addi s0, s0, 32
+        fld fa0, 0(s0)
+        fld fa0, -40(s0)
+        li s1, 8
+    loop:
+        fsd fa0, 0(s0)
+        addi s0, s0, -8
+        addi s1, s1, -1
+        bnez s1, loop
+        li a0, 0
+        li a7, 93
+        ecall
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+    tail:";
+
+/// Shapes that must not form a loop row: a pointer chase (a load into
+/// an `x` register), `addiw`, a stride register the body writes, and
+/// two writes to one register.
+const NOT_LOOPS: [&str; 4] = [
+    "
+    .data
+    buf: .zero 64
+    .text
+    _start:
+        la t0, buf
+        sd t0, 0(t0)
+        li s1, 50
+    chase:
+        ld t0, 0(t0)
+        addi s1, s1, -1
+        bnez s1, chase
+        li a0, 0
+        li a7, 93
+        ecall",
+    "
+    .data
+    buf: .zero 512
+    .text
+    _start:
+        la s0, buf
+        li s1, 50
+    count:
+        fld fa0, 0(s0)
+        addi s0, s0, 8
+        addiw s1, s1, -1
+        bnez s1, count
+        li a0, 0
+        li a7, 93
+        ecall",
+    "
+    .data
+    buf: .zero 4096
+    .text
+    _start:
+        la s0, buf
+        li t1, 0
+        li s1, 30
+    grow:
+        fld fa0, 0(s0)
+        add s0, s0, t1
+        addi t1, t1, 8
+        addi s1, s1, -1
+        bnez s1, grow
+        li a0, 0
+        li a7, 93
+        ecall",
+    "
+    .data
+    buf: .zero 1024
+    .text
+    _start:
+        la s0, buf
+        li s1, 50
+    twice:
+        fld fa0, 0(s0)
+        addi s0, s0, 8
+        addi s0, s0, 8
+        addi s1, s1, -1
+        bnez s1, twice
+        li a0, 0
+        li a7, 93
+        ecall",
+];
+
+/// The longest run the core armed.
+fn longest(diag: &FuseDiag) -> u32 {
+    diag.run_lengths().last().map_or(0, |(len, _)| len)
+}
+
+/// Runs the core armed at length `len`.
+fn armed_at(diag: &FuseDiag, len: u32) -> u64 {
+    diag.run_lengths()
+        .find(|&(n, _)| n == len)
+        .map_or(0, |(_, count)| count)
+}
+
+/// Runs `src` fused under every cut of `cuts` and as the reference, and
+/// requires equal outcomes and `premise` of each fused core's tallies.
+fn matches_step(
+    name: &str,
+    src: &str,
+    fill_delay: u64,
+    cuts: &[Cut],
+    premise: fn(&FuseDiag) -> bool,
+) {
+    let (reference, reference_mem) = run(src, None, fill_delay);
+    for &cut in cuts {
+        let (fused, fused_mem) = run(src, Some(cut), fill_delay);
+        let diag = fused.fuse_diag();
+        let armed: Vec<(u32, u64)> = diag.run_lengths().collect();
+        assert!(
+            premise(diag),
+            "{name} {cut:?}: lengths {armed:?}, stops {:?}",
+            diag.stops
+        );
+        for (got, want) in outcome(&fused, &fused_mem)
+            .iter()
+            .zip(&outcome(&reference, &reference_mem))
+        {
+            assert_eq!(got, want, "{name} {cut:?}");
+        }
+    }
+}
+
+#[test]
+fn loop_runs_match_step_however_they_are_cut() {
+    type Premise = fn(&FuseDiag) -> bool;
+    let loop_rows = |src: &str| {
+        let program = coyote_asm::assemble(src).expect("assemble");
+        DecodedText::from_program(&program).runs().loop_rows().len()
+    };
+    // Every cut of the first bodies and around the body boundaries of
+    // the 6-, 5- and 4-instruction loops, and deep inside long runs.
+    let mut cuts = vec![Cut::Single, Cut::Whole];
+    cuts.extend(
+        [
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 19, 20, 21, 100, 239, 500, 1023,
+        ]
+        .map(|at| Cut::Split { at }),
+    );
+    let programs: [(&str, &str, u64, Premise); 4] = [
+        ("addi-stride", ADDI_STRIDE, 0, |diag| {
+            // A whole trip of 40 × 6 on the second pass. On the first,
+            // each line's first load misses and its `fadd` stalls; the
+            // arm at the next head runs three iterations and is cut by
+            // the next line, not resident, at the fourth.
+            armed_at(diag, 240) >= 1
+                && armed_at(diag, 18) >= 9
+                && diag.stops[FuseStop::LineNotResident as usize] >= 9
+        }),
+        ("add-stride", ADD_STRIDE, 0, |diag| {
+            // As many bodies of 5 as the cap holds.
+            armed_at(diag, MAX_LOOP_RUN / 5 * 5) >= 2
+        }),
+        ("pending-later", PENDING_LATER, 30, |diag| {
+            // Cut at the fld of iteration 40: 40 bodies of 5.
+            armed_at(diag, 200) >= 1 && diag.stops[FuseStop::PendingFill as usize] >= 1
+        }),
+        ("text-later", TEXT_LATER, 0, |diag| {
+            // Cut at the fsd of its fifth iteration: 4 bodies of 4.
+            armed_at(diag, 16) >= 1 && diag.stops[FuseStop::TextStore as usize] >= 1
+        }),
+    ];
+    for (name, src, fill_delay, premise) in programs {
+        assert!(loop_rows(src) >= 1, "{name}");
+        matches_step(name, src, fill_delay, &cuts, premise);
+    }
+    for (i, src) in NOT_LOOPS.iter().enumerate() {
+        assert_eq!(loop_rows(src), 0, "shape {i} formed a loop row");
+        matches_step(&format!("not-loop {i}"), src, 0, &cuts, |diag| {
+            longest(diag) <= MAX_RUN
+        });
+    }
 }
