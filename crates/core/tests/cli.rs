@@ -189,6 +189,32 @@ fn vector_group_past_v31_is_an_error_naming_the_pc() {
     }
 }
 
+/// A jump to a PC that is not 4-byte aligned is an error naming that
+/// PC, with and without the oracle. Without the C extension such a
+/// fetch faults; decoding the bytes there instead runs the halves that
+/// straddle the data words below (`nop; li a7, 93; ecall`) and exits 42.
+#[test]
+fn misaligned_jump_target_is_an_error_naming_the_pc() {
+    let path = write_temp_program(
+        "misaligned_jump.s",
+        ".data\ntarget:\n .word 0x00130000, 0x08930000, 0x007305D0, 0\n.text\n\
+         _start:\n li a0, 42\n la t0, target\n jalr x0, 2(t0)\n",
+    );
+    for oracle in [&[][..], &["--oracle"][..]] {
+        let output = Command::new(sim_binary())
+            .arg(&path)
+            .args(oracle)
+            .output()
+            .expect("spawn coyote-sim");
+        assert_eq!(output.status.code(), Some(1), "{oracle:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("pc 0x81000002") && stderr.contains("misaligned"),
+            "{oracle:?}: {stderr}"
+        );
+    }
+}
+
 /// `vsetvl` to an unsupported `vtype` is an execution error naming the
 /// pc and the value, with and without the oracle — not a run under the
 /// default `vtype` (which exits 16 here).

@@ -163,9 +163,9 @@ pub struct Cache {
     /// Memo of the most recently touched line `(tag, index into
     /// `lines`)`: sequential code re-probes the same line many times in
     /// a row, and the memo answers those hits without the associative
-    /// scan. Every access (hit or install) refreshes it, so it always
-    /// names a valid resident line and stays exactly equivalent to the
-    /// full probe (same stats, same LRU update).
+    /// scan ([`Cache::probe_way`] is its one test). Every hit
+    /// ([`Cache::touch`]) and install refreshes it, so it always names a
+    /// valid resident line.
     last: Option<(u64, u32)>,
 }
 
@@ -211,34 +211,19 @@ impl Cache {
 
     /// Probes for `addr`; on a miss the line is installed immediately
     /// (the timing of the fill is the hierarchy's business, tracked by
-    /// the core's pending-miss table). `write` marks the line dirty.
+    /// the core's pending-miss table). `write` marks the line dirty. A
+    /// hit is [`Cache::probe_way`] then [`Cache::touch`], the routine
+    /// every replayed hit uses too.
     pub fn access(&mut self, addr: u64, write: bool) -> Probe {
-        self.counter += 1;
-        let tag = addr >> self.line_shift;
-
-        // Same-line repeat: answer from the memo without scanning the
-        // set (identical stats and LRU effect to the full probe).
-        if let Some((last_tag, last_idx)) = self.last {
-            if last_tag == tag {
-                self.lines[last_idx as usize].use_at(self.counter, write);
-                self.stats.hits += 1;
-                return Probe {
-                    hit: true,
-                    writeback: None,
-                };
-            }
-        }
-
-        if let Some(idx) = self.find(tag) {
-            self.lines[idx as usize].use_at(self.counter, write);
-            self.stats.hits += 1;
-            self.last = Some((tag, idx));
+        if let Some(idx) = self.probe_way(addr) {
+            self.touch(idx, 1, write);
             return Probe {
                 hit: true,
                 writeback: None,
             };
         }
-
+        self.counter += 1;
+        let tag = addr >> self.line_shift;
         self.stats.misses += 1;
         // Choose victim: an invalid way, else the least recently used.
         let ways = self.config.ways as usize;
@@ -270,10 +255,11 @@ impl Cache {
     }
 
     /// Flat index of `addr`'s resident line, if resident (no LRU
-    /// update, no stats) — the superblock validation probe. The index
-    /// stays valid while the line stays resident: hits never relocate
-    /// lines, and a resident line is only displaced by an eviction
-    /// (which the pre-validated run contract excludes).
+    /// update, no stats): the one lookup, answering a repeat of the most
+    /// recently used line from the memo without scanning its set. The
+    /// index stays valid while the line stays resident: hits never
+    /// relocate lines, and a resident line is only displaced by an
+    /// eviction (which the pre-validated run contract excludes).
     #[must_use]
     #[inline]
     pub fn probe_way(&self, addr: u64) -> Option<u32> {
@@ -283,14 +269,8 @@ impl Cache {
                 return Some(last_idx);
             }
         }
-        self.find(tag)
-    }
-
-    /// Flat index of the way holding `tag`, if resident: a scan of its
-    /// set with no early exit (a tag is resident in at most one way), so
-    /// it costs no mispredicted branch.
-    #[inline]
-    fn find(&self, tag: u64) -> Option<u32> {
+        // The set scan has no early exit (a tag is resident in at most
+        // one way), so it costs no mispredicted branch.
         let ways = self.config.ways as usize;
         let first = (tag & self.set_mask) as usize * ways;
         let mut found = None;
@@ -302,44 +282,38 @@ impl Cache {
         found
     }
 
-    /// Replays a guaranteed hit on the resident line at flat index
-    /// `idx` (obtained from [`Cache::probe_way`]): counter, LRU, stats
-    /// and dirty evolution identical to [`Cache::access`] hitting that
-    /// line, without the lookup.
-    pub fn touch(&mut self, idx: u32, write: bool) {
-        self.counter += 1;
+    /// Records `count` hits on the resident line at flat index `idx`
+    /// (obtained from [`Cache::probe_way`]): the one hit routine. The
+    /// counter advances by `count` and the line takes the last stamp,
+    /// the same counter, LRU, stats, dirty and memo evolution as `count`
+    /// [`Cache::access`] calls hitting that line back to back (only the
+    /// final stamp is observable).
+    pub fn touch(&mut self, idx: u32, count: u64, write: bool) {
+        self.counter += count;
         let line = &mut self.lines[idx as usize];
         line.use_at(self.counter, write);
-        self.stats.hits += 1;
+        self.stats.hits += count;
         self.last = Some((line.tag, idx));
     }
 
-    /// Replays `count` straight-line fetches at `start, start + 4, …`,
-    /// batched per line: identical counter, LRU, stats and memo
-    /// evolution to `count` individual [`Cache::access`]`(pc, false)`
-    /// calls (only the final LRU stamp per line is observable), with one
-    /// lookup per line instead of one per fetch. A fused run's lines are
-    /// resident by its validation; a line that is not takes its first
-    /// fetch through [`Cache::access`], so the replay stays exact.
+    /// Replays `count` straight-line fetches at `start, start + 4, …`:
+    /// one [`Cache::touch`] per line, identical to `count` individual
+    /// [`Cache::access`]`(pc, false)` calls with one lookup per line
+    /// instead of one per fetch. A fused run's lines are resident by its
+    /// validation; a line that is not takes its first fetch through
+    /// [`Cache::access`], so the replay stays exact.
     pub fn touch_run(&mut self, start: u64, count: u32) {
-        let line_bytes = 1u64 << self.line_shift;
+        let end = start + 4 * u64::from(count);
         let mut pc = start;
-        let mut left = u64::from(count);
-        while left > 0 {
-            let Some(idx) = self.probe_way(pc) else {
+        while pc < end {
+            if let Some(idx) = self.probe_way(pc) {
+                let next = (self.line_addr(pc) + (1 << self.line_shift)).min(end);
+                self.touch(idx, (next - pc) / 4, false);
+                pc = next;
+            } else {
                 self.access(pc, false);
                 pc += 4;
-                left -= 1;
-                continue;
-            };
-            let in_line = ((self.line_addr(pc) + line_bytes - pc) / 4).min(left);
-            self.counter += in_line;
-            let line = &mut self.lines[idx as usize];
-            line.use_at(self.counter, false);
-            self.stats.hits += in_line;
-            self.last = Some((line.tag, idx));
-            pc += in_line * 4;
-            left -= in_line;
+            }
         }
     }
 

@@ -147,6 +147,12 @@ pub enum SimError {
         /// The word fetched.
         word: u32,
     },
+    /// The PC is not 4-byte aligned (instruction-address-misaligned:
+    /// without the C extension every instruction starts on a word).
+    MisalignedPc {
+        /// Faulting PC.
+        pc: u64,
+    },
     /// The instruction executed but hit an unsupported configuration.
     Exec {
         /// Faulting PC.
@@ -162,6 +168,9 @@ impl fmt::Display for SimError {
             SimError::Decode { pc, word } => {
                 write!(f, "illegal instruction {word:#010x} at pc {pc:#x}")
             }
+            SimError::MisalignedPc { pc } => {
+                write!(f, "misaligned instruction address at pc {pc:#x}")
+            }
             SimError::Exec { pc, source } => write!(f, "at pc {pc:#x}: {source}"),
         }
     }
@@ -171,7 +180,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Exec { source, .. } => Some(source),
-            SimError::Decode { .. } => None,
+            SimError::Decode { .. } | SimError::MisalignedPc { .. } => None,
         }
     }
 }
@@ -220,14 +229,8 @@ impl DecodedText {
     /// and decodes.
     #[must_use]
     pub fn get(&self, pc: u64) -> Option<&Inst> {
-        self.entry(pc).map(|entry| &entry.inst)
-    }
-
-    /// The predecoded micro-op at `pc`, if it lies in the text section
-    /// and decodes. The hot-path lookup: one bounds check + one index.
-    #[must_use]
-    pub fn entry(&self, pc: u64) -> Option<&DecodedInst> {
-        self.index_of(pc).and_then(|idx| self.insts[idx].as_ref())
+        let entry = self.index_of(pc).and_then(|idx| self.insts[idx].as_ref());
+        entry.map(|entry| &entry.inst)
     }
 
     /// The table index of `pc`, if it lies in the text section.
@@ -735,7 +738,7 @@ impl Core {
             if fa.pos >= end {
                 break;
             }
-            self.dcache.touch(fa.way, fa.write);
+            self.dcache.touch(fa.way, 1, fa.write);
             self.fused_cursor += 1;
         }
         // One straight segment per pass: the rest of the row's body, or
@@ -792,10 +795,15 @@ impl Core {
     }
 
     /// Attempts to execute one instruction at the current cycle: the
-    /// paper's per-instruction step (fetch probe, hazard check,
-    /// [`execute`], D-cache probes, retire). It never arms a run and
-    /// drops any armed one; fused retirement happens only in window
-    /// chunks ([`Core::step_block`]).
+    /// paper's per-instruction step (fetch probe, hazard check, execute,
+    /// D-cache probes, retire). A slot whose run-table row has a uop
+    /// (`Run::len > 0`) executes that [`coyote_isa::Uop`] through
+    /// [`execute_scalar`], the kernel [`Core::step_block`] runs, and
+    /// probes the D-cache with its one access; only the cold shapes
+    /// (system, CSR, AMO, vector) and words decoded on the spot (holes
+    /// after a text store, PCs outside the text) go through [`execute`].
+    /// It never arms a run and drops any armed one; fused retirement
+    /// happens only in window chunks ([`Core::step_block`]).
     ///
     /// Misses that must travel to the hierarchy are appended to
     /// `misses`. Returns the step outcome; on `DepStall`/`FetchStall`
@@ -804,8 +812,8 @@ impl Core {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on undecodable instructions or unsupported
-    /// vector configurations.
+    /// Returns [`SimError`] on a PC that is not 4-byte aligned,
+    /// undecodable instructions or unsupported vector configurations.
     ///
     /// # Panics
     ///
@@ -831,6 +839,11 @@ impl Core {
 
         // ---- fetch ----
         let pc = self.hart.pc;
+        // Without the C extension instructions are 4-byte aligned: a
+        // jump anywhere else faults instead of fetching the bytes there.
+        if !pc.is_multiple_of(4) {
+            return Err(SimError::MisalignedPc { pc });
+        }
         let iline = self.icache.line_addr(pc);
         let iprobe = self.icache.access(pc, false);
         if !iprobe.hit {
@@ -846,11 +859,13 @@ impl Core {
             return Ok(StepEvent::FetchStall);
         }
 
-        // Fast path: predecoded micro-op. Slow path (PC outside the
-        // predecoded text segment, e.g. trampolines materialized in
-        // data memory): decode the fetched word on the spot.
+        // Fast path: the predecoded entry and its run-table row. Slow
+        // path (a hole, or a PC outside the predecoded text segment,
+        // e.g. a trampoline materialized in data memory): decode the
+        // fetched word on the spot.
+        let slot = text.index_of(pc);
         let slow;
-        let entry = match text.entry(pc) {
+        let entry = match slot.and_then(|idx| text.entries()[idx].as_ref()) {
             Some(entry) => entry,
             None => {
                 let word = mem.read_u32(pc);
@@ -877,21 +892,36 @@ impl Core {
         }
 
         // ---- execute ----
-        let mut accesses = std::mem::take(&mut self.access_buf);
-        let fx = execute(
-            &mut self.hart,
-            mem,
-            &entry.inst,
-            cycle,
-            self.stats.retired,
-            &mut accesses,
-        )
-        .map_err(|source| SimError::Exec { pc, source })?;
+        // A slot with a uop (`Run::len > 0`) runs it through the scalar
+        // kernel; the cold shapes and words decoded on the spot take
+        // `execute`, which reports its accesses in `access_buf`.
+        let runs = text.runs();
+        let row = slot.and_then(|idx| runs.run(idx)).filter(|run| run.len > 0);
+        let scalar;
+        let (dest, branched, ecall, accesses) = match row {
+            Some(run) => {
+                let done = execute_scalar(&mut self.hart, mem, runs.uops()[run.uop as usize]);
+                scalar = done.access;
+                (done.dest, done.branched, None, scalar.as_slice())
+            }
+            None => {
+                let fx = execute(
+                    &mut self.hart,
+                    mem,
+                    &entry.inst,
+                    cycle,
+                    self.stats.retired,
+                    &mut self.access_buf,
+                )
+                .map_err(|source| SimError::Exec { pc, source })?;
+                (fx.dest, fx.branched, fx.ecall, self.access_buf.as_slice())
+            }
+        };
 
         // ---- probe the D-cache for every access ----
-        let dest_regs = fx.dest.map(dest_set).unwrap_or_default();
+        let dest_regs = dest.map(dest_set).unwrap_or_default();
         let mut prev_line = None;
-        for access in &accesses {
+        for access in accesses {
             // Self-modifying code: a store landing in the text segment
             // stales the predecoded table. Record it; the orchestrator
             // invalidates the patched entries at end of cycle.
@@ -963,18 +993,16 @@ impl Core {
                 }
             }
         }
-        accesses.clear();
-        self.access_buf = accesses;
 
         // ---- retire ----
         self.stats.retired += 1;
         if entry.vector {
             self.stats.vector_retired += 1;
         }
-        if fx.branched {
+        if branched {
             self.stats.branches += 1;
         }
-        match fx.ecall {
+        match ecall {
             Some(Ecall::Exit(code)) => {
                 self.state = CoreState::Halted(code);
                 return Ok(StepEvent::Halted(code));

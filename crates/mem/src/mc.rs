@@ -139,16 +139,6 @@ impl McStats {
     pub fn requests(&self) -> u64 {
         self.reads + self.writes
     }
-
-    /// Mean queueing delay per request.
-    #[must_use]
-    pub fn mean_queue_delay(&self) -> f64 {
-        if self.requests() == 0 {
-            0.0
-        } else {
-            self.queue_cycles as f64 / self.requests() as f64
-        }
-    }
 }
 
 /// One memory controller.
@@ -217,12 +207,6 @@ impl MemoryController {
             }
         };
         start + self.config.cycles_per_line + device_latency
-    }
-
-    /// Earliest cycle any channel is free (diagnostics).
-    #[must_use]
-    pub fn earliest_free(&self) -> u64 {
-        self.channel_free.iter().copied().min().unwrap_or(0)
     }
 
     /// How many channels are still occupied at `now` (telemetry gauge).
