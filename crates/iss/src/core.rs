@@ -229,8 +229,14 @@ impl DecodedText {
     /// and decodes.
     #[must_use]
     pub fn get(&self, pc: u64) -> Option<&Inst> {
-        let entry = self.index_of(pc).and_then(|idx| self.insts[idx].as_ref());
-        entry.map(|entry| &entry.inst)
+        self.entry(pc).map(|entry| &entry.inst)
+    }
+
+    /// The predecoded micro-op at `pc`, if it lies in the text section
+    /// and decodes. The hot-path lookup: one bounds check + one index.
+    #[must_use]
+    pub fn entry(&self, pc: u64) -> Option<&DecodedInst> {
+        self.index_of(pc).and_then(|idx| self.insts[idx].as_ref())
     }
 
     /// The table index of `pc`, if it lies in the text section.
@@ -795,15 +801,10 @@ impl Core {
     }
 
     /// Attempts to execute one instruction at the current cycle: the
-    /// paper's per-instruction step (fetch probe, hazard check, execute,
-    /// D-cache probes, retire). A slot whose run-table row has a uop
-    /// (`Run::len > 0`) executes that [`coyote_isa::Uop`] through
-    /// [`execute_scalar`], the kernel [`Core::step_block`] runs, and
-    /// probes the D-cache with its one access; only the cold shapes
-    /// (system, CSR, AMO, vector) and words decoded on the spot (holes
-    /// after a text store, PCs outside the text) go through [`execute`].
-    /// It never arms a run and drops any armed one; fused retirement
-    /// happens only in window chunks ([`Core::step_block`]).
+    /// paper's per-instruction step (fetch probe, hazard check,
+    /// [`execute`], D-cache probes, retire). It never arms a run and
+    /// drops any armed one; fused retirement happens only in window
+    /// chunks ([`Core::step_block`]).
     ///
     /// Misses that must travel to the hierarchy are appended to
     /// `misses`. Returns the step outcome; on `DepStall`/`FetchStall`
@@ -859,13 +860,11 @@ impl Core {
             return Ok(StepEvent::FetchStall);
         }
 
-        // Fast path: the predecoded entry and its run-table row. Slow
-        // path (a hole, or a PC outside the predecoded text segment,
-        // e.g. a trampoline materialized in data memory): decode the
-        // fetched word on the spot.
-        let slot = text.index_of(pc);
+        // Fast path: predecoded micro-op. Slow path (PC outside the
+        // predecoded text segment, e.g. trampolines materialized in
+        // data memory): decode the fetched word on the spot.
         let slow;
-        let entry = match slot.and_then(|idx| text.entries()[idx].as_ref()) {
+        let entry = match text.entry(pc) {
             Some(entry) => entry,
             None => {
                 let word = mem.read_u32(pc);
@@ -892,36 +891,20 @@ impl Core {
         }
 
         // ---- execute ----
-        // A slot with a uop (`Run::len > 0`) runs it through the scalar
-        // kernel; the cold shapes and words decoded on the spot take
-        // `execute`, which reports its accesses in `access_buf`.
-        let runs = text.runs();
-        let row = slot.and_then(|idx| runs.run(idx)).filter(|run| run.len > 0);
-        let scalar;
-        let (dest, branched, ecall, accesses) = match row {
-            Some(run) => {
-                let done = execute_scalar(&mut self.hart, mem, runs.uops()[run.uop as usize]);
-                scalar = done.access;
-                (done.dest, done.branched, None, scalar.as_slice())
-            }
-            None => {
-                let fx = execute(
-                    &mut self.hart,
-                    mem,
-                    &entry.inst,
-                    cycle,
-                    self.stats.retired,
-                    &mut self.access_buf,
-                )
-                .map_err(|source| SimError::Exec { pc, source })?;
-                (fx.dest, fx.branched, fx.ecall, self.access_buf.as_slice())
-            }
-        };
+        let fx = execute(
+            &mut self.hart,
+            mem,
+            &entry.inst,
+            cycle,
+            self.stats.retired,
+            &mut self.access_buf,
+        )
+        .map_err(|source| SimError::Exec { pc, source })?;
 
         // ---- probe the D-cache for every access ----
-        let dest_regs = dest.map(dest_set).unwrap_or_default();
+        let dest_regs = fx.dest.map(dest_set).unwrap_or_default();
         let mut prev_line = None;
-        for access in accesses {
+        for access in &self.access_buf {
             // Self-modifying code: a store landing in the text segment
             // stales the predecoded table. Record it; the orchestrator
             // invalidates the patched entries at end of cycle.
@@ -999,10 +982,10 @@ impl Core {
         if entry.vector {
             self.stats.vector_retired += 1;
         }
-        if branched {
+        if fx.branched {
             self.stats.branches += 1;
         }
-        match ecall {
+        match fx.ecall {
             Some(Ecall::Exit(code)) => {
                 self.state = CoreState::Halted(code);
                 return Ok(StepEvent::Halted(code));

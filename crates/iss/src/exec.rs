@@ -5,11 +5,9 @@
 //! performed and the destination register written, which the timing
 //! layer (L1 caches + RAW scoreboard + event-driven hierarchy) uses to
 //! drive the Coyote cycle loop. The scalar shapes a fused run can hold
-//! execute in [`execute_scalar`] as pre-resolved uops. The timed core
-//! reads them from the run table on both of its retire paths, the plain
-//! step and the fused one; only `execute` lowers an instruction with
-//! [`Uop::from_inst`], as the table-free reference the oracle and the
-//! sweeps run.
+//! execute in [`execute_scalar`] as pre-resolved uops: `execute` lowers
+//! them with [`Uop::from_inst`], and the fused retirement runs the run
+//! table's uops directly.
 //!
 //! Floating-point notes: the simulator computes with host `f64`
 //! arithmetic. Arithmetic uses round-to-nearest-even (the canonical
@@ -285,12 +283,12 @@ pub struct Scalar {
 /// decided at predecode time, so nothing here branches on them.
 ///
 /// None of the shapes can fail, and none reads the counter CSRs. Their
-/// semantics are spelled here only. The timed core runs the run table's
-/// uops here on every scalar retirement, plain (`Core::step`) or fused
-/// (`Core::step_block`), so such an instruction neither enters the
-/// function that also implements every vector, CSR and AMO op nor
-/// pushes its access into a list; [`execute`] lowers a scalar
-/// instruction to its uop and runs it here too, without the table.
+/// semantics are spelled here only: [`execute`] lowers a scalar
+/// instruction to its uop and runs it here, and the fused retirement
+/// (`Core::step_block`) runs the run table's uops directly, so a fused
+/// instruction neither enters the function that also implements every
+/// vector, CSR and AMO op nor builds [`Effects`] or pushes a
+/// [`MemAccess`] it would not read.
 #[inline]
 pub fn execute_scalar(hart: &mut Hart, mem: &mut SparseMemory, uop: Uop) -> Scalar {
     let mut done = Scalar {
@@ -474,12 +472,7 @@ fn fp_cvt(op: FpCvtOp, src: u64) -> u64 {
     }
 }
 
-/// Executes one instruction of any shape on `hart`, mutating `mem`:
-/// the functional reference. The oracle and the execution sweeps run
-/// it, and so does the timed core for the shapes without a uop and for
-/// words it decodes on the spot. A scalar instruction is lowered with
-/// [`Uop::from_inst`] and runs through [`execute_scalar`], so this path
-/// checks the run table without reading it.
+/// Executes one instruction on `hart`, mutating `mem`.
 ///
 /// `accesses` is cleared and refilled with the data-memory accesses the
 /// instruction performed (an out-buffer so the hot simulation loop does
