@@ -8,6 +8,10 @@
 //! from the binary-heap event queue the timing wheel replaced; a lost,
 //! extra or reordered event changes them.
 //!
+//! One more row pins the bytes of a contended machine's metrics
+//! document with telemetry on: the stage histograms and the per-request
+//! blame that the hierarchy's stamps fold into.
+//!
 //! The last row checks the perturbation seed itself: on a contended
 //! machine it must really reorder same-cycle events of different
 //! arbitration domains, and that reordering must change nothing else.
@@ -126,6 +130,26 @@ fn contended_run(perturb_seed: u64) -> Observed {
         digest: sim.determinism_digest(),
         metrics: coyote::metrics_json(&sim, &report).to_string_pretty(),
     }
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+#[test]
+fn contended_machine_exports_the_recorded_telemetry() {
+    // One bank with two MSHRs: queueing, merged waiters, MSHR-wait
+    // blame, the stage histograms and the CPI stacks all reach the
+    // metrics document, so a changed stamp or a changed fold of the
+    // stamps moves its bytes.
+    let metrics = contended_run(0).metrics;
+    assert_eq!(
+        (metrics.len(), fnv1a(metrics.as_bytes())),
+        (12_608, 0x5a5c_156d_26b3_b082)
+    );
 }
 
 /// Sorts a log into canonical order: within a cycle, by record content,
