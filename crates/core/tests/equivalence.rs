@@ -110,6 +110,34 @@ fn kernel(machine: &Machine, contended: bool) -> String {
     }
 }
 
+/// `examples/asm/matmul.s` at `n`×`n`: its inner loop is the run-table
+/// row at text slot 21, a loop row that arms many iterations at once,
+/// so the fused rows of the table reach a slot past the walks' twenty.
+/// The file's matrices are zero-filled, where a load from the wrong
+/// address reads the same 0; here the rows the harts read hold nonzero
+/// doubles.
+fn matmul(n: usize) -> String {
+    // Rows are 96 doubles apart whatever N is (`li t1, 768`).
+    let rows = |step: usize| {
+        let values: Vec<String> = (0..96 * n).map(|i| format!("{}.5", i * step % 7)).collect();
+        format!(
+            ".double {}\n    .zero {}",
+            values.join(", "),
+            8 * 96 * (96 - n)
+        )
+    };
+    let mut src = include_str!("../../../examples/asm/matmul.s").to_owned();
+    for (from, to) in [
+        (".equ N, 96", format!(".equ N, {n}")),
+        ("a:  .zero 73728", format!("a:  {}", rows(3))),
+        ("b:  .zero 73728", format!("b:  {}", rows(5))),
+    ] {
+        assert!(src.contains(from), "matmul.s no longer has `{from}`");
+        src = src.replace(from, &to);
+    }
+    src
+}
+
 /// One row of the table: a setting of every host-side axis.
 #[derive(Debug, Clone, Copy)]
 struct Knobs {
@@ -232,11 +260,10 @@ fn run(src: &str, machine: &Machine, knobs: Knobs) -> Outcome {
 }
 
 /// The one assertion: every row of the table equals the baseline.
-fn assert_table_matches_baseline(machine: &Machine, contended: bool, perturb: u64) {
-    let src = kernel(machine, contended);
-    let baseline = run(&src, machine, BASELINE);
+fn assert_table_matches_baseline(src: &str, machine: &Machine, perturb: u64) {
+    let baseline = run(src, machine, BASELINE);
     for knobs in all_knobs(perturb) {
-        let outcome = run(&src, machine, knobs);
+        let outcome = run(src, machine, knobs);
         assert_eq!(
             (outcome.digest, outcome.cycles),
             (baseline.digest, baseline.cycles),
@@ -265,7 +292,7 @@ proptest! {
         contended in any::<bool>(),
         perturb in prop_oneof![Just(0u64), 1u64..u64::MAX],
     ) {
-        assert_table_matches_baseline(&machine, contended, perturb);
+        assert_table_matches_baseline(&kernel(&machine, contended), &machine, perturb);
     }
 }
 
@@ -278,7 +305,9 @@ proptest! {
 /// two 16-core two-tile machines (shared and private L2), and the
 /// 8-core machine whose one bank has two MSHRs, the configuration that
 /// stresses arbitration hardest (it runs the partitioned walk too:
-/// distinct lines from eight harts keep its MSHR queue full).
+/// distinct lines from eight harts keep its MSHR queue full). The smoke
+/// machine also runs a small `matmul.s`, whose loop row sits past the
+/// walks' text.
 #[test]
 fn fixed_shapes_reproduce_the_plain_baseline() {
     let smoke = Machine {
@@ -315,11 +344,12 @@ fn fixed_shapes_reproduce_the_plain_baseline() {
         smoke, regression, batched, solo, shared_l2, private_l2, one_bank,
     ] {
         for perturb in [0, 0x00C0_707E_5EED] {
-            assert_table_matches_baseline(&machine, true, perturb);
+            assert_table_matches_baseline(&kernel(&machine, true), &machine, perturb);
         }
     }
     for perturb in [0, 0x00C0_707E_5EED] {
-        assert_table_matches_baseline(&one_bank, false, perturb);
+        assert_table_matches_baseline(&kernel(&one_bank, false), &one_bank, perturb);
+        assert_table_matches_baseline(&matmul(12), &smoke, perturb);
     }
 }
 

@@ -576,10 +576,10 @@ impl Core {
                 .armed
                 .accesses
                 .get(self.fused_next_store)
-                .is_some_and(|next| next.pos < end),
+                .is_some_and(|next| u32::from(next.pos) < end),
             accesses: self.armed.accesses[self.fused_cursor..]
                 .iter()
-                .take_while(move |access| access.pos < end)
+                .take_while(move |access| u32::from(access.pos) < end)
                 .map(FusedAccess::access),
         }
     }
@@ -741,7 +741,7 @@ impl Core {
         // executed accesses are checked against them below).
         let mut checked = self.fused_cursor;
         while let Some(fa) = self.armed.accesses.get(self.fused_cursor) {
-            if fa.pos >= end {
+            if u32::from(fa.pos) >= end {
                 break;
             }
             self.dcache.touch(fa.way, 1, fa.write);
@@ -776,10 +776,12 @@ impl Core {
                 if cfg!(debug_assertions) {
                     if let Some(access) = done.access {
                         debug_assert_eq!(
-                            self.armed
-                                .accesses
-                                .get(checked)
-                                .map(|fa| (fa.pos, fa.addr, fa.size, fa.write)),
+                            self.armed.accesses.get(checked).map(|fa| (
+                                u32::from(fa.pos),
+                                fa.addr,
+                                fa.size,
+                                fa.write
+                            )),
                             Some((pos + i, access.addr, access.size, access.write)),
                             "fused access diverged from validation at {:#x}",
                             seg_pc + u64::from(i) * 4

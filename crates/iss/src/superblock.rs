@@ -195,11 +195,12 @@ impl FuseDiag {
 ///
 /// `pos` is the instruction's position within the validated run (0 =
 /// first). The orchestrator uses these to prove that a multi-cycle
-/// window's cross-core accesses are disjoint.
+/// window's cross-core accesses are disjoint. A loop run keeps a few
+/// hundred per core, so the record is kept to 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedAccess {
-    /// Position within the validated run.
-    pub pos: u32,
+    /// Position within the validated run: below [`MAX_LOOP_RUN`].
+    pub pos: u16,
     /// Byte address (computed from pre-run register values, exact
     /// because the base register is not written earlier in the run's
     /// body, and a loop run's body advances it by a known stride).
@@ -215,6 +216,8 @@ pub struct FusedAccess {
     /// associative scan.
     pub way: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<FusedAccess>() == 16 && MAX_LOOP_RUN <= 1 << 16);
 
 impl FusedAccess {
     /// The access as the cross-core conflict test sees it.
@@ -356,7 +359,7 @@ impl ArmState<'_> {
                 break;
             }
             run.accesses.push(FusedAccess {
-                pos,
+                pos: pos as u16,
                 addr,
                 size: op.size,
                 write: op.write,
@@ -443,7 +446,7 @@ impl ArmState<'_> {
                     return (pos, FuseStop::TextStore);
                 }
                 accesses.push(FusedAccess {
-                    pos,
+                    pos: pos as u16,
                     addr,
                     way,
                     ..last
@@ -479,7 +482,7 @@ pub fn accesses_conflict(
             has_stores: true,
             accesses: accesses
                 .iter()
-                .filter(move |x| x.pos >= skip && x.pos < skip + limit)
+                .filter(move |x| (skip..skip + limit).contains(&u32::from(x.pos)))
                 .map(FusedAccess::access),
         });
     cross_owner_conflict(&mut StoreMap::new(), owners)
@@ -489,7 +492,7 @@ pub fn accesses_conflict(
 mod tests {
     use super::*;
 
-    fn access(pos: u32, addr: u64, size: u8, write: bool) -> FusedAccess {
+    fn access(pos: u16, addr: u64, size: u8, write: bool) -> FusedAccess {
         FusedAccess {
             pos,
             addr,

@@ -239,7 +239,7 @@ fn reference_walk(
             break;
         }
         accesses.push(FusedAccess {
-            pos: i,
+            pos: i as u16,
             addr,
             size: op.size,
             write: op.write,
@@ -288,7 +288,7 @@ fn executing_reference(
         };
         let (cut, stop, more) = reference_walk(insts, plans, text, &next);
         accesses.extend(more.into_iter().map(|access| FusedAccess {
-            pos: access.pos + len,
+            pos: access.pos + len as u16,
             ..access
         }));
         if (cut, stop) != (body, FuseStop::RunEnd) {

@@ -24,14 +24,10 @@
 //! race, and the repository's event-log and equivalence tests check for
 //! exactly that.
 //!
-//! [`EventQueue::schedule`] (no domain) keeps the historical contract:
-//! same-time events fire in insertion order, unaffected by perturbation.
-//!
 //! # Order and storage
 //!
 //! Every event carries one key, `(time, domain group, content rank,
-//! seq)` — `seq` is the scheduling sequence number, the last tiebreak
-//! (and the only one for plain `schedule`, whose group and rank are 0) —
+//! seq)` — `seq` is the scheduling sequence number, the last tiebreak —
 //! and events fire in key order. The store is a timing wheel sized from
 //! the longest delay a handler adds to the cycle it runs in (see
 //! [`EventQueue::with_max_delay`]):
@@ -114,8 +110,7 @@ struct Key {
     group: u64,
     /// Canonical content rank within the domain group.
     rank: u64,
-    /// Insertion sequence, the final tiebreak (and the whole tiebreak
-    /// for plain `schedule`).
+    /// Insertion sequence, the final tiebreak.
     seq: u64,
 }
 
@@ -171,13 +166,13 @@ const DEFAULT_MAX_DELAY: u64 = 128;
 /// # Examples
 ///
 /// ```
-/// use coyote_mem::event::EventQueue;
+/// use coyote_mem::event::{Domain, EventQueue};
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule(5, "later");
-/// q.schedule(2, "sooner");
-/// q.schedule(2, "sooner-but-second");
-/// assert_eq!(q.pop_due(2), Some("sooner"));
+/// q.schedule_arb(5, Domain::Free, 0, "later");
+/// q.schedule_arb(2, Domain::Bank(0), 9, "sooner-but-second");
+/// q.schedule_arb(2, Domain::Bank(0), 1, "sooner");
+/// assert_eq!(q.pop_due(2), Some("sooner")); // the lower rank first
 /// assert_eq!(q.pop_due(2), Some("sooner-but-second"));
 /// assert_eq!(q.pop_due(2), None); // "later" is not due yet
 /// assert_eq!(q.next_time(), Some(5));
@@ -203,9 +198,8 @@ pub struct EventQueue<T> {
     /// Events more than a span past the cursor.
     overflow: BinaryHeap<Reverse<Entry<T>>>,
     /// The earliest scheduled time, kept current by every push and pop
-    /// (the orchestrator asks for it every cycle).
+    /// (the orchestrator asks for it every cycle); `None` when empty.
     next: Option<u64>,
-    len: usize,
     seq: u64,
     /// 0 = canonical order; nonzero permutes cross-domain group order.
     perturb_seed: u64,
@@ -228,18 +222,12 @@ impl<T> EventQueue<T> {
         EventQueue::with_max_delay(DEFAULT_MAX_DELAY, 0)
     }
 
-    /// Creates an empty queue whose same-cycle cross-domain order is
-    /// permuted by `seed` (0 means canonical order); all permutations
-    /// are legal orderings under the [`Domain`] contract.
-    #[must_use]
-    pub fn with_perturbation(seed: u64) -> EventQueue<T> {
-        EventQueue::with_max_delay(DEFAULT_MAX_DELAY, seed)
-    }
-
-    /// Creates an empty queue (perturbed by `seed`, 0 for canonical
-    /// order) whose wheel spans `max_delay` cycles past the cycle being
-    /// drained, rounded up to a power of two within 64..=4096. Size it
-    /// by the longest delay one handler adds to the cycle it runs in.
+    /// Creates an empty queue whose wheel spans `max_delay` cycles past the cycle being
+    /// drained, rounded up to a power of two within 64..=4096, and whose
+    /// same-cycle cross-domain order is permuted by `seed` (0 means
+    /// canonical order; every permutation is a legal ordering under the
+    /// [`Domain`] contract). Size the wheel by the longest delay one
+    /// handler adds to the cycle it runs in.
     /// The span is a speed knob only: an event scheduled further out
     /// waits in the overflow heap, and the pop order never depends on
     /// it.
@@ -256,24 +244,17 @@ impl<T> EventQueue<T> {
             free: NIL,
             overflow: BinaryHeap::new(),
             next: None,
-            len: 0,
             seq: 0,
             perturb_seed: seed,
             pops: 0,
         }
     }
 
-    /// Schedules `payload` to fire at absolute `time`. Events scheduled
-    /// for the same time fire in scheduling order, regardless of any
-    /// perturbation seed.
-    pub fn schedule(&mut self, time: u64, payload: T) {
-        self.push(time, 0, 0, payload);
-    }
-
     /// Schedules `payload` at `time` under the arbitration contract:
     /// same-cycle ties fire ordered by domain group, then by the
     /// canonical `rank` (see [`content_rank`]). The handler must touch
-    /// only the state of `domain` (plus commutative counters).
+    /// only the state of `domain` (plus commutative counters). Equal
+    /// keys fire in scheduling order.
     pub fn schedule_arb(&mut self, time: u64, domain: Domain, rank: u64, payload: T) {
         let code = domain.code();
         let group = if self.perturb_seed == 0 {
@@ -281,10 +262,6 @@ impl<T> EventQueue<T> {
         } else {
             mix64(self.perturb_seed ^ code)
         };
-        self.push(time, group, rank, payload);
-    }
-
-    fn push(&mut self, time: u64, group: u64, rank: u64, payload: T) {
         let key = Key {
             time,
             group,
@@ -292,7 +269,6 @@ impl<T> EventQueue<T> {
             seq: self.seq,
         };
         self.seq += 1;
-        self.len += 1;
         if self.next.is_none_or(|next| time < next) {
             self.next = Some(time);
         }
@@ -333,7 +309,7 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn pop_due(&mut self, now: u64) -> Option<T> {
         if self.next.is_some_and(|next| next <= now) {
-            return Some(self.pop_first().1);
+            return Some(self.pop_first());
         }
         // Nothing is due by `now`: move the cursor up to it, so what is
         // scheduled from `now` on finds its bucket, not the overflow.
@@ -346,14 +322,8 @@ impl<T> EventQueue<T> {
         None
     }
 
-    /// Pops the next event together with its scheduled time, regardless
-    /// of the current cycle (used for fast-forwarding an idle system).
-    pub fn pop_next(&mut self) -> Option<(u64, T)> {
-        self.next.is_some().then(|| self.pop_first())
-    }
-
     /// Pops the earliest event; the queue must not be empty.
-    fn pop_first(&mut self) -> (u64, T) {
+    fn pop_first(&mut self) -> T {
         if self.due.is_empty() {
             let time = self.next.expect("a non-empty queue has a next time");
             self.load(time);
@@ -362,13 +332,12 @@ impl<T> EventQueue<T> {
             .due
             .pop()
             .expect("the loaded cycle holds the earliest event");
-        self.len -= 1;
         self.pops += 1;
         self.next = match self.due.last() {
             Some(e) => Some(e.key.time),
             None => self.scan_next(),
         };
-        (entry.key.time, entry.payload)
+        entry.payload
     }
 
     /// Moves the cursor to `time`, the earliest pending time, and sorts
@@ -443,16 +412,10 @@ impl<T> EventQueue<T> {
         self.next
     }
 
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether no events are scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.next.is_none()
     }
 }
 
@@ -463,9 +426,9 @@ mod tests {
     #[test]
     fn fires_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(10, 'c');
-        q.schedule(1, 'a');
-        q.schedule(5, 'b');
+        q.schedule_arb(10, Domain::Free, 0, 'c');
+        q.schedule_arb(1, Domain::Bank(2), 0, 'a');
+        q.schedule_arb(5, Domain::Tile(0), 0, 'b');
         assert_eq!(q.pop_due(10), Some('a'));
         assert_eq!(q.pop_due(10), Some('b'));
         assert_eq!(q.pop_due(10), Some('c'));
@@ -473,10 +436,10 @@ mod tests {
     }
 
     #[test]
-    fn same_time_fires_in_insertion_order() {
+    fn equal_keys_fire_in_insertion_order() {
         let mut q = EventQueue::new();
         for i in 0..100 {
-            q.schedule(7, i);
+            q.schedule_arb(7, Domain::Bank(1), 3, i);
         }
         for i in 0..100 {
             assert_eq!(q.pop_due(7), Some(i));
@@ -486,21 +449,20 @@ mod tests {
     #[test]
     fn not_due_events_stay() {
         let mut q = EventQueue::new();
-        q.schedule(5, ());
+        q.schedule_arb(5, Domain::Free, 0, ());
         assert_eq!(q.pop_due(4), None);
-        assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         assert_eq!(q.pop_due(5), Some(()));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn pop_next_fast_forwards() {
+    fn next_time_fast_forwards() {
         let mut q = EventQueue::new();
-        q.schedule(100, "far");
+        q.schedule_arb(100, Domain::Free, 0, "far");
         assert_eq!(q.next_time(), Some(100));
-        assert_eq!(q.pop_next(), Some((100, "far")));
-        assert_eq!(q.pop_next(), None);
+        assert_eq!(q.pop_due(100), Some("far"));
+        assert_eq!(q.next_time(), None);
     }
 
     #[test]
@@ -515,7 +477,7 @@ mod tests {
     #[test]
     fn same_domain_order_survives_perturbation() {
         for seed in [0u64, 1, 0xdead_beef, u64::MAX] {
-            let mut q = EventQueue::with_perturbation(seed);
+            let mut q = EventQueue::with_max_delay(DEFAULT_MAX_DELAY, seed);
             q.schedule_arb(2, Domain::Mc(1), 40, 'b');
             q.schedule_arb(2, Domain::Mc(1), 30, 'a');
             q.schedule_arb(2, Domain::Mc(1), 50, 'c');
@@ -528,7 +490,7 @@ mod tests {
     #[test]
     fn perturbation_permutes_cross_domain_group_order() {
         let drain = |seed: u64| {
-            let mut q = EventQueue::with_perturbation(seed);
+            let mut q = EventQueue::with_max_delay(DEFAULT_MAX_DELAY, seed);
             for bank in 0..8usize {
                 q.schedule_arb(1, Domain::Bank(bank), 0, bank);
             }
@@ -551,11 +513,12 @@ mod tests {
 
     #[test]
     fn perturbation_never_reorders_across_time() {
-        let mut q = EventQueue::with_perturbation(42);
+        let mut q = EventQueue::with_max_delay(DEFAULT_MAX_DELAY, 42);
         q.schedule_arb(5, Domain::Bank(0), 0, "later");
         q.schedule_arb(2, Domain::Mc(3), u64::MAX, "sooner");
-        assert_eq!(q.pop_next(), Some((2, "sooner")));
-        assert_eq!(q.pop_next(), Some((5, "later")));
+        assert_eq!(q.next_time(), Some(2));
+        assert_eq!(q.pop_due(5), Some("sooner"));
+        assert_eq!(q.pop_due(5), Some("later"));
     }
 
     #[test]
@@ -566,16 +529,16 @@ mod tests {
         // takes its key's place.
         let mut q = EventQueue::with_max_delay(1, 0);
         for t in [1_000u64, 6, 70, 197] {
-            q.schedule(t, t);
+            q.schedule_arb(t, Domain::Free, 0, t);
         }
         assert_eq!(q.pop_due(6), Some(6));
-        q.schedule(6, 600);
+        q.schedule_arb(6, Domain::Free, 0, 600);
         assert_eq!(q.next_time(), Some(6));
         assert_eq!(q.pop_due(6), Some(600));
-        assert_eq!(q.next_time(), Some(70));
-        assert_eq!(q.pop_next(), Some((70, 70)));
-        assert_eq!(q.pop_next(), Some((197, 197)));
-        assert_eq!(q.pop_next(), Some((1_000, 1_000)));
+        for t in [70, 197, 1_000] {
+            assert_eq!(q.next_time(), Some(t));
+            assert_eq!(q.pop_due(t), Some(t));
+        }
         assert!(q.is_empty());
         assert_eq!(q.pop_count(), 5);
     }

@@ -22,7 +22,7 @@ use crate::l2::{BankStats, L2Bank, L2Config, Lookup};
 use crate::mapping::MappingPolicy;
 use crate::mc::{McConfig, McStats, MemoryController};
 use crate::noc::{Noc, NocModel, NocNode, NocStats};
-use crate::telemetry::MemTelemetry;
+use crate::telemetry::{MemTelemetry, Stamps};
 
 /// Largest value [`HierarchyConfig::validate`] accepts for any latency
 /// or occupancy that is added to an event time: 2^20 cycles, four
@@ -319,6 +319,9 @@ fn ev_rank(kind_priority: u64, kind_code: u64, state: &ReqState) -> u64 {
 /// One in-flight request: a slot of the hierarchy's request slab.
 #[derive(Debug, Clone)]
 struct ReqState {
+    /// Stage times, written by the event handlers and folded into the
+    /// telemetry once, on completion.
+    stamps: Stamps,
     /// Submission order, unique over the run (slots are reused): names
     /// the oldest request of a line.
     seq: u64,
@@ -333,6 +336,8 @@ struct ReqState {
     /// [`NO_SLOT`].
     next_waiter: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<ReqState>() <= 136);
 
 /// End of a waiter chain.
 const NO_SLOT: u32 = u32::MAX;
@@ -407,11 +412,14 @@ impl HierarchyStats {
 /// In-flight requests live in a slab: a `Vec` of slots reused through a
 /// free list. Events carry the slot, so a handler reaches its request by
 /// index, and requests merged onto one fill chain through their slots.
+/// Each fact about a request in flight is kept once: its stage times in
+/// its slot, a bank's MSHRs as that bank's map of pending fills.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     config: HierarchyConfig,
     banks: Vec<L2Bank>,
-    /// Per-bank: line → the requests merged onto its in-flight fill.
+    /// Per-bank MSHR file: line → the requests merged onto its
+    /// in-flight fill. One entry per MSHR held, at most `l2.mshrs`.
     bank_pending: Vec<FastMap<Waiters>>,
     noc: Noc,
     mcs: Vec<MemoryController>,
@@ -419,15 +427,13 @@ pub struct Hierarchy {
     /// The request slab; `None` marks a free slot.
     states: Vec<Option<ReqState>>,
     free_states: Vec<u32>,
-    /// Live slots of `states`.
-    live: usize,
     next_seq: u64,
     completions_out: Vec<Completion>,
     submitted: u64,
     completed: u64,
     merged: u64,
-    /// Lifecycle stamping, boxed so the disabled path costs one
-    /// null-check per event and no per-request allocation.
+    /// The fold of completed requests' stamps; checked once per
+    /// completion.
     telemetry: Option<Box<MemTelemetry>>,
     /// Fired-event capture (off by default; see
     /// [`Hierarchy::set_event_log`]).
@@ -455,7 +461,6 @@ impl Hierarchy {
             events: EventQueue::with_max_delay(config.max_event_delay(), config.perturb_seed),
             states: Vec::new(),
             free_states: Vec::new(),
-            live: 0,
             next_seq: 0,
             completions_out: Vec::new(),
             submitted: 0,
@@ -472,9 +477,10 @@ impl Hierarchy {
         &self.config
     }
 
-    /// Turns on request-lifecycle stamping. With `collect_slices`,
-    /// completed lifecycles are additionally retained (bounded) for
-    /// Chrome-trace export.
+    /// Turns on the request-lifecycle telemetry: each completion from
+    /// now on folds its stamps into it. With `collect_slices`, completed
+    /// lifecycles are additionally retained (bounded) for Chrome-trace
+    /// export.
     pub fn enable_telemetry(&mut self, collect_slices: bool) {
         self.telemetry = Some(Box::new(MemTelemetry::new(
             self.config.total_banks(),
@@ -500,7 +506,7 @@ impl Hierarchy {
     /// Outstanding MSHR entries per bank (instantaneous gauge).
     #[must_use]
     pub fn mshr_occupancy(&self) -> Vec<usize> {
-        self.banks.iter().map(L2Bank::in_flight).collect()
+        self.bank_pending.iter().map(FastMap::len).collect()
     }
 
     /// Requests parked waiting for an MSHR, summed over banks.
@@ -513,7 +519,7 @@ impl Hierarchy {
     /// prefetches and writebacks).
     #[must_use]
     pub fn in_flight_requests(&self) -> usize {
-        self.live
+        self.states.len() - self.free_states.len()
     }
 
     /// Memory-controller channels busy at `now`, summed over
@@ -560,16 +566,18 @@ impl Hierarchy {
         }
     }
 
-    /// Files a request in a free slab slot, numbered in submission
-    /// order.
+    /// Files a request submitted at `now` in a free slab slot, numbered
+    /// in submission order.
     fn alloc(
         &mut self,
+        now: u64,
         req: Request,
         (bank, local_idx): (usize, u64),
         is_l2_writeback: bool,
         is_prefetch: bool,
     ) -> u32 {
         let state = ReqState {
+            stamps: Stamps::new(now),
             seq: self.next_seq,
             req,
             bank,
@@ -579,7 +587,6 @@ impl Hierarchy {
             next_waiter: NO_SLOT,
         };
         self.next_seq += 1;
-        self.live += 1;
         match self.free_states.pop() {
             Some(slot) => {
                 self.states[slot as usize] = Some(state);
@@ -594,7 +601,6 @@ impl Hierarchy {
 
     /// Frees a request's slot, returning its state.
     fn release(&mut self, slot: u32) -> ReqState {
-        self.live -= 1;
         self.free_states.push(slot);
         self.states[slot as usize]
             .take()
@@ -607,8 +613,22 @@ impl Hierarchy {
             .expect("a live request slot")
     }
 
+    /// The stage times of a live request.
+    fn stamps(&mut self, slot: u32) -> &mut Stamps {
+        &mut self.states[slot as usize]
+            .as_mut()
+            .expect("a live request slot")
+            .stamps
+    }
+
+    /// Whether `bank` has an MSHR free.
+    fn mshr_free(&self, bank: usize) -> bool {
+        self.bank_pending[bank].len() < self.config.l2.mshrs
+    }
+
     /// Appends request `slot` to the waiters of `line`'s in-flight fill
-    /// at `bank`; `false` when no fill of the line is pending there.
+    /// at `bank` and counts the merge; `false` when no fill of the line
+    /// is pending there.
     fn merge(&mut self, bank: usize, line: u64, slot: u32) -> bool {
         let Some(waiters) = self.bank_pending[bank].get_mut(&line) else {
             return false;
@@ -622,6 +642,8 @@ impl Hierarchy {
                     .next_waiter = slot;
             }
         }
+        self.merged += 1;
+        self.stamps(slot).merged = true;
         true
     }
 
@@ -629,13 +651,8 @@ impl Hierarchy {
     pub fn submit(&mut self, now: u64, req: Request) {
         self.submitted += 1;
         let route = self.route(&req);
-        let slot = self.alloc(req, route, false, false);
+        let slot = self.alloc(now, req, route, false, false);
         let bank = route.0;
-        if req.needs_response {
-            if let Some(t) = &mut self.telemetry {
-                t.on_submit(slot, now, req.line_addr, bank, req.tag, req.pc);
-            }
-        }
         let latency = self
             .noc
             .traverse_request(NocNode::Tile(req.tile), NocNode::Tile(self.bank_tile(bank)));
@@ -703,27 +720,25 @@ impl Hierarchy {
     }
 
     /// Debug-build conservation checks after an advance that fired
-    /// events: a bank holds an MSHR exactly while a fill of one of its
-    /// lines is pending, and once no event is left nothing is in flight
-    /// — no live slot, no queued request, no MSHR held.
+    /// events: no bank holds more MSHRs than it has, and once no event
+    /// is left nothing is in flight — no live slot, no queued request,
+    /// no MSHR held.
     fn check_conservation(&self) {
-        for (i, (bank, pending)) in self.banks.iter().zip(&self.bank_pending).enumerate() {
-            assert_eq!(
-                bank.in_flight(),
-                pending.len(),
-                "bank {i}: MSHRs held != lines with a pending fill"
-            );
-        }
+        let held = self.mshr_occupancy();
+        assert!(
+            held.iter().all(|&n| n <= self.config.l2.mshrs),
+            "MSHR overflow: {held:?}"
+        );
         if self.events.is_empty() {
             assert!(
-                self.live == 0 && self.states.iter().all(Option::is_none),
+                self.states.iter().all(Option::is_none),
                 "no event is pending but {} requests are in flight",
-                self.live
+                self.in_flight_requests()
             );
             assert_eq!(
-                self.queued_requests(),
-                0,
-                "requests queued with no event pending"
+                (self.queued_requests(), held.iter().sum()),
+                (0, 0),
+                "requests queued or MSHRs held with no event pending"
             );
         }
     }
@@ -762,7 +777,7 @@ impl Hierarchy {
     /// Whether any request is still in flight.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.live == 0 && self.events.is_empty()
+        self.in_flight_requests() == 0 && self.events.is_empty()
     }
 
     /// Snapshot of all counters.
@@ -802,19 +817,16 @@ impl Hierarchy {
             ..
         } = state.req;
         let is_prefetch = state.is_prefetch;
-        if let Some(t) = &mut self.telemetry {
-            t.on_bank_arrive(slot, now);
-        }
+        self.stamps(slot).bank_arrive = now;
         if is_prefetch {
             // Prefetches are best-effort: drop if the line is resident,
             // already being fetched, or no MSHR is free.
             let resident = self.banks[bank].probe_quiet(line_addr, local_idx);
             let in_flight = self.bank_pending[bank].contains_key(&line_addr);
-            if resident || in_flight || !self.banks[bank].mshr_available() {
+            if resident || in_flight || !self.mshr_free(bank) {
                 self.release(slot);
                 return;
             }
-            self.banks[bank].mshr_acquire();
             self.bank_pending[bank].insert(line_addr, Waiters::NONE);
             self.schedule_ev(now + self.config.l2.miss_latency, Ev::McSend(slot));
             return;
@@ -834,14 +846,9 @@ impl Hierarchy {
                 if needs_response {
                     // Merge with an in-flight fill of the same line.
                     if self.merge(bank, line_addr, slot) {
-                        self.merged += 1;
-                        if let Some(t) = &mut self.telemetry {
-                            t.on_merge(slot);
-                        }
                         return;
                     }
-                    if self.banks[bank].mshr_available() {
-                        self.banks[bank].mshr_acquire();
+                    if self.mshr_free(bank) {
                         self.bank_pending[bank].insert(line_addr, Waiters::one(slot));
                         self.schedule_ev(
                             lookup_done + self.config.l2.miss_latency,
@@ -873,7 +880,7 @@ impl Hierarchy {
                 pc: 0,
             };
             let route = self.route(&req);
-            let slot = self.alloc(req, route, false, true);
+            let slot = self.alloc(now, req, route, false, true);
             self.schedule_ev(now + 1, Ev::BankArrive(slot));
         }
     }
@@ -883,9 +890,9 @@ impl Hierarchy {
         let (bank, line_addr) = (state.bank, state.req.line_addr);
         let write = !state.req.needs_response && !state.is_prefetch;
         let mc_index = self.config.mc.mc_for(line_addr, self.config.l2.line_bytes);
-        if let Some(t) = &mut self.telemetry {
-            t.on_mc_send(slot, now, mc_index);
-        }
+        let stamps = self.stamps(slot);
+        stamps.mc_send = now;
+        stamps.mc = mc_index as u16;
         let bank_tile = self.bank_tile(bank);
         let latency = self
             .noc
@@ -903,9 +910,7 @@ impl Hierarchy {
     fn on_mc_respond(&mut self, now: u64, slot: u32) {
         let state = self.state(slot);
         let (bank, line_addr) = (state.bank, state.req.line_addr);
-        if let Some(t) = &mut self.telemetry {
-            t.on_mc_respond(slot, now);
-        }
+        self.stamps(slot).mc_respond = now;
         let mc_index = self.config.mc.mc_for(line_addr, self.config.l2.line_bytes);
         let bank_tile = self.bank_tile(bank);
         let latency = self
@@ -919,9 +924,7 @@ impl Hierarchy {
         let (bank, local_idx) = (state.bank, state.local_idx);
         let (line_addr, tile, is_prefetch) =
             (state.req.line_addr, state.req.tile, state.is_prefetch);
-        if let Some(t) = &mut self.telemetry {
-            t.on_bank_fill(slot, now);
-        }
+        self.stamps(slot).bank_fill = now;
         // Install the line; a dirty victim becomes a synthesized
         // writeback to memory.
         if let Some(victim) = self.banks[bank].fill(line_addr, local_idx, false, is_prefetch) {
@@ -932,13 +935,13 @@ impl Hierarchy {
                 tag: 0,
                 pc: 0,
             };
-            let wb = self.alloc(req, (bank, 0), true, false);
+            let wb = self.alloc(now, req, (bank, 0), true, false);
             self.schedule_ev(now, Ev::McSend(wb));
         }
-        self.banks[bank].mshr_release();
-        // Respond to every request merged onto this line (before waking
-        // queued requests, so a same-line waiter is not answered twice).
-        // Waiters are demand misses: a prefetch never merges or queues.
+        // Free the line's MSHR and respond to every request merged onto
+        // it (before waking queued requests, so a same-line waiter is
+        // not answered twice). Waiters are demand misses: a prefetch
+        // never merges or queues.
         let waiters = self.bank_pending[bank]
             .remove(&line_addr)
             .unwrap_or(Waiters::NONE);
@@ -956,20 +959,11 @@ impl Hierarchy {
             let waiting = waiting as u32;
             let state = self.state(waiting);
             let (wbank, line) = (state.bank, state.req.line_addr);
+            self.stamps(waiting).mshr_grant = now;
             // A fetch for this line may have started while the request
             // sat in the queue; merge instead of fetching twice.
-            if self.merge(wbank, line, waiting) {
-                self.merged += 1;
-                if let Some(t) = &mut self.telemetry {
-                    t.on_mshr_grant(waiting, now);
-                    t.on_merge(waiting);
-                }
-            } else {
-                self.banks[wbank].mshr_acquire();
+            if !self.merge(wbank, line, waiting) {
                 self.bank_pending[wbank].insert(line, Waiters::one(waiting));
-                if let Some(t) = &mut self.telemetry {
-                    t.on_mshr_grant(waiting, now);
-                }
                 // Lookup was already paid on arrival; only the miss path
                 // remains.
                 self.schedule_ev(now + self.config.l2.miss_latency, Ev::McSend(waiting));
@@ -980,9 +974,7 @@ impl Hierarchy {
     fn schedule_response(&mut self, now: u64, slot: u32) {
         let state = self.state(slot);
         let (bank, tile) = (state.bank, state.req.tile);
-        if let Some(t) = &mut self.telemetry {
-            t.on_respond(slot, now);
-        }
+        self.stamps(slot).respond = now;
         let bank_tile = self.bank_tile(bank);
         let latency = self
             .noc
@@ -996,7 +988,7 @@ impl Hierarchy {
         let cause = self
             .telemetry
             .as_mut()
-            .and_then(|t| t.on_complete(slot, now));
+            .map(|t| t.on_complete(&state.stamps, &state.req, state.bank, now));
         self.completed += 1;
         self.completions_out.push(Completion {
             tag: state.req.tag,
@@ -1327,7 +1319,6 @@ mod tests {
         let t = h.telemetry().unwrap();
         // Every completed request is measured end to end; nothing else is.
         assert_eq!(t.stage(Stage::EndToEnd).count(), stats.completed);
-        assert_eq!(t.tracked_in_flight(), 0);
         // The stages partition each request's lifetime exactly, so the
         // per-stage sums add up to the end-to-end sum.
         let partition: u64 = [
@@ -1472,7 +1463,6 @@ mod tests {
         );
         let t = h.telemetry().unwrap();
         assert_eq!(t.stamp_errors(), 0);
-        assert_eq!(t.tracked_in_flight(), 0);
         for c in &out {
             let cause = c.cause.expect("telemetry enabled");
             assert_eq!(cause.pc, pc_of(c.tag), "tag {}", c.tag);

@@ -3,10 +3,12 @@
 //! Each bank is an independent component (the paper highlights that "the
 //! functionality of each element (e.g. an L2 Bank) is encapsulated as an
 //! independent component"). A bank owns a set-associative tag array over
-//! its *bank-local* line index space (see [`crate::mapping`]) and a
-//! bounded miss-status holding register (MSHR) file: when the MSHRs are
-//! exhausted, incoming misses queue at the bank — the back-pressure the
-//! paper's "maximum number of in-flight misses" knob controls.
+//! its *bank-local* line index space (see [`crate::mapping`]) and the
+//! queue of misses that found its miss-status holding registers (MSHRs)
+//! exhausted — the back-pressure the paper's "maximum number of
+//! in-flight misses" knob controls. The MSHR file itself is the
+//! hierarchy's per-bank map of lines with a fill in flight: one entry
+//! per MSHR held, at most [`L2Config::mshrs`].
 
 use std::collections::VecDeque;
 
@@ -124,14 +126,13 @@ pub enum Lookup {
     Miss,
 }
 
-/// One L2 bank: tag array + MSHR accounting.
+/// One L2 bank: tag array + MSHR-full waiting queue.
 #[derive(Debug, Clone)]
 pub struct L2Bank {
     config: L2Config,
     lines: Vec<TagLine>,
     set_mask: u64,
     counter: u64,
-    in_flight: usize,
     /// Requests queued because MSHRs were exhausted; drained by the
     /// hierarchy when an MSHR frees.
     waiting: VecDeque<u64>,
@@ -154,7 +155,6 @@ impl L2Bank {
             lines: vec![TagLine::default(); (sets * config.ways) as usize],
             set_mask: sets - 1,
             counter: 0,
-            in_flight: 0,
             waiting: VecDeque::new(),
             stats: BankStats::default(),
         }
@@ -253,34 +253,6 @@ impl L2Bank {
         writeback
     }
 
-    /// Whether an MSHR is available.
-    #[must_use]
-    pub fn mshr_available(&self) -> bool {
-        self.in_flight < self.config.mshrs
-    }
-
-    /// Claims an MSHR for an outgoing miss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if none is free (callers must check
-    /// [`L2Bank::mshr_available`] first).
-    pub fn mshr_acquire(&mut self) {
-        assert!(self.mshr_available(), "MSHR overflow");
-        self.in_flight += 1;
-    }
-
-    /// Releases an MSHR when a fill completes.
-    pub fn mshr_release(&mut self) {
-        self.in_flight = self.in_flight.saturating_sub(1);
-    }
-
-    /// Currently outstanding misses.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
     /// Queues a request id while the MSHRs are full.
     pub fn enqueue_waiting(&mut self, request_id: u64) {
         self.stats.mshr_stalls += 1;
@@ -356,30 +328,19 @@ mod tests {
     }
 
     #[test]
-    fn mshr_accounting_and_queueing() {
+    fn waiting_queue_is_fifo_and_counts_stalls() {
         let mut b = bank();
-        assert!(b.mshr_available());
-        b.mshr_acquire();
-        b.mshr_acquire();
-        assert!(!b.mshr_available());
         b.enqueue_waiting(42);
         b.enqueue_waiting(43);
+        assert_eq!(b.waiting_len(), 2);
         assert_eq!(b.stats().mshr_stalls, 2);
         assert_eq!(b.stats().max_queue_depth, 2);
-        b.mshr_release();
-        assert!(b.mshr_available());
         assert_eq!(b.pop_waiting(), Some(42));
+        b.enqueue_waiting(44);
+        assert_eq!(b.stats().max_queue_depth, 2);
         assert_eq!(b.pop_waiting(), Some(43));
+        assert_eq!(b.pop_waiting(), Some(44));
         assert_eq!(b.pop_waiting(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "MSHR overflow")]
-    fn mshr_overflow_panics() {
-        let mut b = bank();
-        b.mshr_acquire();
-        b.mshr_acquire();
-        b.mshr_acquire();
     }
 
     #[test]

@@ -1,39 +1,67 @@
 //! Request-lifecycle telemetry for the hierarchy.
 //!
-//! When enabled (see [`crate::hierarchy::Hierarchy::enable_telemetry`]),
-//! the event pipeline stamps each response-bearing request at every
-//! stage boundary. On completion the stamps collapse into per-stage
-//! latencies folded into log2 histograms — aggregate per
-//! [`Stage`], per bank (the `Bank` stage, which includes queueing and
-//! MSHR wait), and per memory controller (the `Mc` stage) — and,
-//! optionally, into bounded [`RequestSlice`] records for Chrome-trace
-//! export.
+//! Every request carries its stage times (`Stamps`) in its slab entry,
+//! written by the event handlers whether or not telemetry is on. When
+//! telemetry is enabled (see
+//! [`crate::hierarchy::Hierarchy::enable_telemetry`]), each completion
+//! folds its entry's stamps once into per-stage latencies in log2
+//! histograms — aggregate per [`Stage`], per bank (the `Bank` stage,
+//! which includes queueing and MSHR wait), and per memory controller
+//! (the `Mc` stage) — and, optionally, into bounded [`RequestSlice`]
+//! records for Chrome-trace export.
 //!
-//! Only requests with `needs_response` are tracked: prefetches and
-//! writebacks never complete, so the end-to-end histogram count equals
-//! the hierarchy's `completed` counter by construction.
+//! Only requests with `needs_response` complete: prefetches and
+//! writebacks never do, so the end-to-end histogram count equals the
+//! hierarchy's `completed` counter by construction.
 
 use coyote_telemetry::{Blame, Histogram, RequestCause, Stage};
 
-/// Per-request stage timestamps (cycles): the slice retained on
-/// completion, plus what only the blame split reads. `None` fields
-/// belong to stages the request skipped (hits and MSHR-merged requests
-/// never visit the memory controller).
-#[derive(Debug, Clone, Copy)]
-struct Stamps {
-    slice: RequestSlice,
-    bank_fill: Option<u64>,
-    mshr_grant: Option<u64>,
-    merged: bool,
-    pc: u64,
-}
+use crate::hierarchy::Request;
 
-/// A stage a retained request skipped.
+/// A stage a request skipped (hits and MSHR-merged requests never visit
+/// the memory controller; only a queued request is granted an MSHR).
 const UNSTAMPED: u64 = u64::MAX;
 
-/// A retained stamp, `None` for a skipped stage.
+/// A stamp, `None` for a skipped stage.
 fn stamped(cycle: u64) -> Option<u64> {
     (cycle != UNSTAMPED).then_some(cycle)
+}
+
+/// One request's stage times (cycles), [`UNSTAMPED`] for a stage it
+/// skipped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stamps {
+    pub(crate) submit: u64,
+    pub(crate) bank_arrive: u64,
+    /// The cycle a request parked behind full MSHRs was woken:
+    /// `bank_arrive → mshr_grant` is MSHR-full back-pressure.
+    pub(crate) mshr_grant: u64,
+    pub(crate) mc_send: u64,
+    pub(crate) mc_respond: u64,
+    pub(crate) bank_fill: u64,
+    pub(crate) respond: u64,
+    /// The serving memory controller, once `mc_send` is stamped.
+    pub(crate) mc: u16,
+    /// Merged into another in-flight miss to the same line: it never
+    /// owns an MC round trip, and its bank residency is miss wait.
+    pub(crate) merged: bool,
+}
+
+impl Stamps {
+    /// A request submitted at `submit`, no stage reached yet.
+    pub(crate) fn new(submit: u64) -> Stamps {
+        Stamps {
+            submit,
+            bank_arrive: UNSTAMPED,
+            mshr_grant: UNSTAMPED,
+            mc_send: UNSTAMPED,
+            mc_respond: UNSTAMPED,
+            bank_fill: UNSTAMPED,
+            respond: UNSTAMPED,
+            mc: 0,
+            merged: false,
+        }
+    }
 }
 
 /// One completed request's lifecycle, retained for Chrome-trace export:
@@ -98,12 +126,10 @@ impl RequestSlice {
     }
 }
 
-/// Lifecycle stamping state and the histograms it feeds.
+/// The histograms and retained slices that completed requests fold
+/// into.
 #[derive(Debug, Clone)]
 pub struct MemTelemetry {
-    /// In-flight stamps by request-slab slot: a slot is refilled only
-    /// after [`MemTelemetry::on_complete`] has taken its stamps.
-    stamps: Vec<Option<Stamps>>,
     stages: [Histogram; Stage::ALL.len()],
     per_bank: Vec<Histogram>,
     per_mc: Vec<Histogram>,
@@ -126,7 +152,6 @@ impl MemTelemetry {
     #[must_use]
     pub fn new(banks: usize, mcs: usize, collect_slices: bool) -> MemTelemetry {
         MemTelemetry {
-            stamps: Vec::new(),
             stages: std::array::from_fn(|_| Histogram::new()),
             per_bank: vec![Histogram::new(); banks],
             per_mc: vec![Histogram::new(); mcs],
@@ -134,88 +159,6 @@ impl MemTelemetry {
             collect_slices,
             dropped_slices: 0,
             stamp_errors: 0,
-        }
-    }
-
-    pub(crate) fn on_submit(
-        &mut self,
-        slot: u32,
-        now: u64,
-        line_addr: u64,
-        bank: usize,
-        tag: u64,
-        pc: u64,
-    ) {
-        let slot = slot as usize;
-        self.stamps.resize(self.stamps.len().max(slot + 1), None);
-        let slice = RequestSlice {
-            line_addr,
-            tag,
-            submit: now,
-            complete: UNSTAMPED,
-            bank_arrive: UNSTAMPED,
-            mc_send: UNSTAMPED,
-            mc_respond: UNSTAMPED,
-            respond: UNSTAMPED,
-            bank: bank as u16,
-            mc: None,
-        };
-        self.stamps[slot] = Some(Stamps {
-            slice,
-            bank_fill: None,
-            mshr_grant: None,
-            merged: false,
-            pc,
-        });
-    }
-
-    pub(crate) fn on_bank_arrive(&mut self, slot: u32, now: u64) {
-        if let Some(Some(s)) = self.stamps.get_mut(slot as usize) {
-            s.slice.bank_arrive = now;
-        }
-    }
-
-    pub(crate) fn on_mc_send(&mut self, slot: u32, now: u64, mc: usize) {
-        if let Some(Some(s)) = self.stamps.get_mut(slot as usize) {
-            s.slice.mc_send = now;
-            s.slice.mc = Some(mc as u16);
-        }
-    }
-
-    pub(crate) fn on_mc_respond(&mut self, slot: u32, now: u64) {
-        if let Some(Some(s)) = self.stamps.get_mut(slot as usize) {
-            s.slice.mc_respond = now;
-        }
-    }
-
-    pub(crate) fn on_bank_fill(&mut self, slot: u32, now: u64) {
-        if let Some(Some(s)) = self.stamps.get_mut(slot as usize) {
-            s.bank_fill = Some(now);
-        }
-    }
-
-    pub(crate) fn on_respond(&mut self, slot: u32, now: u64) {
-        if let Some(Some(s)) = self.stamps.get_mut(slot as usize) {
-            s.slice.respond = now;
-        }
-    }
-
-    /// Marks the request as MSHR-merged into another in-flight miss to
-    /// the same line: it never owns an MC round-trip, and its residency
-    /// at the bank counts as miss wait, not hit service.
-    pub(crate) fn on_merge(&mut self, slot: u32) {
-        if let Some(Some(s)) = self.stamps.get_mut(slot as usize) {
-            s.merged = true;
-        }
-    }
-
-    /// Marks the cycle an MSHR was finally acquired for (or a merge
-    /// slot granted to) a request that had been parked in the bank's
-    /// waiting queue; `bank_arrive → mshr_grant` is MSHR-full
-    /// back-pressure.
-    pub(crate) fn on_mshr_grant(&mut self, slot: u32, now: u64) {
-        if let Some(Some(s)) = self.stamps.get_mut(slot as usize) {
-            s.mshr_grant = Some(now);
         }
     }
 
@@ -233,11 +176,12 @@ impl MemTelemetry {
         }
     }
 
-    /// Folds the request's stamps into the stage histograms and returns
-    /// its causal record: the issuing PC plus the request's end-to-end
-    /// latency split across [`Blame`] categories. The split partitions
-    /// `complete - submit` exactly (misordered stamp pairs drop their
-    /// stage and are counted in [`MemTelemetry::stamp_errors`]):
+    /// Folds a request completing at `now`, served by `bank`, into the
+    /// stage histograms and returns its causal record: the issuing PC
+    /// plus the request's end-to-end latency split across [`Blame`]
+    /// categories. The split partitions `complete - submit` exactly
+    /// (misordered stamp pairs drop their stage and are counted in
+    /// [`MemTelemetry::stamp_errors`]):
     ///
     /// - `Noc`: request hop, fill hop (miss owners), and response hop;
     /// - `Mshr`: `bank_arrive → mshr_grant` back-pressure wait;
@@ -245,18 +189,28 @@ impl MemTelemetry {
     /// - `L2Miss`: bank residency of a miss owner up to the MC send, or
     ///   of a merged waiter up to its response;
     /// - `Mc`: the owner's DRAM round-trip.
-    pub(crate) fn on_complete(&mut self, slot: u32, now: u64) -> Option<RequestCause> {
-        let s = self.stamps.get_mut(slot as usize)?.take()?;
-        let (submit, bank_arrive) = (s.slice.submit, s.slice.bank_arrive());
-        let (mc_send, mc_respond, respond) =
-            (s.slice.mc_send(), s.slice.mc_respond(), s.slice.respond());
+    pub(crate) fn on_complete(
+        &mut self,
+        s: &Stamps,
+        req: &Request,
+        bank: usize,
+        now: u64,
+    ) -> RequestCause {
+        let (submit, bank_arrive, mshr_grant) =
+            (s.submit, stamped(s.bank_arrive), stamped(s.mshr_grant));
+        let (mc_send, mc_respond, bank_fill, respond) = (
+            stamped(s.mc_send),
+            stamped(s.mc_respond),
+            stamped(s.bank_fill),
+            stamped(s.respond),
+        );
         let mut blame = [0u64; Blame::ALL.len()];
         if let Some(arrive) = bank_arrive {
             if let Some(hop) = self.stage_delta(arrive, submit) {
                 blame[Blame::Noc as usize] += hop;
             }
-            let bank_start = s.mshr_grant.unwrap_or(arrive);
-            if let Some(grant) = s.mshr_grant {
+            let bank_start = mshr_grant.unwrap_or(arrive);
+            if let Some(grant) = mshr_grant {
                 if let Some(wait) = self.stage_delta(grant, arrive) {
                     blame[Blame::Mshr as usize] += wait;
                 }
@@ -285,7 +239,7 @@ impl MemTelemetry {
                 blame[Blame::Mc as usize] += dram;
             }
         }
-        if let (Some(resp), Some(fill)) = (mc_respond, s.bank_fill) {
+        if let (Some(resp), Some(fill)) = (mc_respond, bank_fill) {
             if let Some(hop) = self.stage_delta(fill, resp) {
                 blame[Blame::Noc as usize] += hop;
             }
@@ -298,11 +252,6 @@ impl MemTelemetry {
                 blame[Blame::Noc as usize] += hop;
             }
         }
-        let cause = RequestCause {
-            pc: s.pc,
-            submit,
-            blame,
-        };
         if let Some(e2e) = self.stage_delta(now, submit) {
             self.stages[Stage::EndToEnd as usize].record(e2e);
         }
@@ -316,7 +265,7 @@ impl MemTelemetry {
             if let Some(bank_done) = mc_send.or(respond) {
                 if let Some(bank_latency) = self.stage_delta(bank_done, arrive) {
                     self.stages[Stage::Bank as usize].record(bank_latency);
-                    if let Some(h) = self.per_bank.get_mut(usize::from(s.slice.bank)) {
+                    if let Some(h) = self.per_bank.get_mut(bank) {
                         h.record(bank_latency);
                     }
                 }
@@ -325,12 +274,12 @@ impl MemTelemetry {
         if let (Some(send), Some(resp)) = (mc_send, mc_respond) {
             if let Some(mc_latency) = self.stage_delta(resp, send) {
                 self.stages[Stage::Mc as usize].record(mc_latency);
-                if let Some(h) = s.slice.mc.and_then(|m| self.per_mc.get_mut(usize::from(m))) {
+                if let Some(h) = self.per_mc.get_mut(usize::from(s.mc)) {
                     h.record(mc_latency);
                 }
             }
         }
-        if let (Some(resp), Some(fill)) = (mc_respond, s.bank_fill) {
+        if let (Some(resp), Some(fill)) = (mc_respond, bank_fill) {
             if let Some(fill_latency) = self.stage_delta(fill, resp) {
                 self.stages[Stage::NocFill as usize].record(fill_latency);
             }
@@ -343,14 +292,26 @@ impl MemTelemetry {
         if self.collect_slices {
             if self.slices.len() < SLICE_CAP {
                 self.slices.push(RequestSlice {
+                    line_addr: req.line_addr,
+                    tag: req.tag,
+                    submit,
                     complete: now,
-                    ..s.slice
+                    bank_arrive: s.bank_arrive,
+                    mc_send: s.mc_send,
+                    mc_respond: s.mc_respond,
+                    respond: s.respond,
+                    bank: bank as u16,
+                    mc: mc_send.map(|_| s.mc),
                 });
             } else {
                 self.dropped_slices += 1;
             }
         }
-        Some(cause)
+        RequestCause {
+            pc: req.pc,
+            submit,
+            blame,
+        }
     }
 
     /// Aggregate histogram for a lifecycle stage.
@@ -399,25 +360,31 @@ impl MemTelemetry {
     pub fn stamp_errors(&self) -> u64 {
         self.stamp_errors
     }
-
-    /// Requests currently holding stamps (in flight).
-    #[must_use]
-    pub fn tracked_in_flight(&self) -> usize {
-        self.stamps.iter().flatten().count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn request(pc: u64) -> Request {
+        Request {
+            line_addr: 0x40,
+            tile: 0,
+            needs_response: true,
+            tag: 4,
+            pc,
+        }
+    }
+
     #[test]
     fn ordered_stamps_record_without_errors() {
         let mut t = MemTelemetry::new(1, 1, false);
-        t.on_submit(7, 100, 0x40, 0, 4, 0x8000);
-        t.on_bank_arrive(7, 110);
-        t.on_respond(7, 130);
-        let cause = t.on_complete(7, 140).expect("tracked request");
+        let s = Stamps {
+            bank_arrive: 110,
+            respond: 130,
+            ..Stamps::new(100)
+        };
+        let cause = t.on_complete(&s, &request(0x8000), 0, 140);
         assert_eq!(t.stamp_errors(), 0);
         assert_eq!(t.stage(Stage::EndToEnd).count(), 1);
         assert_eq!(t.stage(Stage::EndToEnd).sum(), 40);
@@ -432,14 +399,16 @@ mod tests {
 
     #[test]
     fn miss_owner_blame_partitions_end_to_end() {
-        let mut t = MemTelemetry::new(1, 1, false);
-        t.on_submit(3, 100, 0x40, 0, 4, 0x9000);
-        t.on_bank_arrive(3, 110);
-        t.on_mc_send(3, 114, 0);
-        t.on_mc_respond(3, 164);
-        t.on_bank_fill(3, 174);
-        t.on_respond(3, 174);
-        let cause = t.on_complete(3, 184).expect("tracked request");
+        let mut t = MemTelemetry::new(1, 1, true);
+        let s = Stamps {
+            bank_arrive: 110,
+            mc_send: 114,
+            mc_respond: 164,
+            bank_fill: 174,
+            respond: 174,
+            ..Stamps::new(100)
+        };
+        let cause = t.on_complete(&s, &request(0x9000), 0, 184);
         assert_eq!(t.stamp_errors(), 0);
         assert_eq!(cause.blame[Blame::Noc as usize], 30); // 10 + 10 + 10
         assert_eq!(cause.blame[Blame::L2Miss as usize], 4);
@@ -447,23 +416,38 @@ mod tests {
         assert_eq!(cause.blame[Blame::Mshr as usize], 0);
         assert_eq!(cause.total(), 84);
         assert_eq!(cause.dominant(), Blame::Mc);
+        // The retained slice is built from the entry: its request, its
+        // bank and controller, and the stages it reached.
+        let slice = t.slices()[0];
+        assert_eq!((slice.line_addr, slice.tag), (0x40, 4));
+        assert_eq!((slice.submit, slice.complete), (100, 184));
+        assert_eq!((slice.bank, slice.mc), (0, Some(0)));
+        assert_eq!((slice.mc_send(), slice.respond()), (Some(114), Some(174)));
+        assert_eq!(t.per_mc()[0].count(), 1);
     }
 
     #[test]
     fn queued_then_merged_waiter_blames_mshr_and_miss_wait() {
-        let mut t = MemTelemetry::new(1, 1, false);
-        t.on_submit(5, 100, 0x40, 0, 4, 0xa000);
-        t.on_bank_arrive(5, 110);
-        t.on_mshr_grant(5, 150); // parked 40 cycles behind full MSHRs
-        t.on_merge(5); // then merged into an in-flight miss
-        t.on_respond(5, 180);
-        let cause = t.on_complete(5, 190).expect("tracked request");
+        let mut t = MemTelemetry::new(1, 1, true);
+        let s = Stamps {
+            bank_arrive: 110,
+            // Parked 40 cycles behind full MSHRs, then merged into an
+            // in-flight miss.
+            mshr_grant: 150,
+            merged: true,
+            respond: 180,
+            ..Stamps::new(100)
+        };
+        let cause = t.on_complete(&s, &request(0xa000), 0, 190);
         assert_eq!(t.stamp_errors(), 0);
         assert_eq!(cause.blame[Blame::Mshr as usize], 40);
         assert_eq!(cause.blame[Blame::L2Miss as usize], 30);
         assert_eq!(cause.blame[Blame::L2Hit as usize], 0);
         assert_eq!(cause.blame[Blame::Noc as usize], 20);
         assert_eq!(cause.total(), 90);
+        // A request that never reached a controller names none.
+        assert_eq!(t.slices()[0].mc, None);
+        assert_eq!(t.per_mc()[0].count(), 0);
     }
 
     #[test]
@@ -471,18 +455,19 @@ mod tests {
         let mut t = MemTelemetry::new(1, 1, false);
         // Completion stamped *before* submission: an event-pipeline bug
         // that must surface as a counted error, not a ~u64::MAX sample.
-        t.on_submit(9, 200, 0x80, 0, 4, 0);
-        t.on_complete(9, 150);
+        t.on_complete(&Stamps::new(200), &request(0), 0, 150);
         assert_eq!(t.stamp_errors(), 1);
         assert_eq!(t.stage(Stage::EndToEnd).count(), 0);
 
         // A misordered interior pair only skips its own stage — once in
         // the blame split and once in the histogram fold.
         let mut t = MemTelemetry::new(1, 1, false);
-        t.on_submit(10, 100, 0xc0, 0, 4, 0);
-        t.on_bank_arrive(10, 110);
-        t.on_respond(10, 105); // before bank_arrive: bank stage invalid
-        t.on_complete(10, 140);
+        let s = Stamps {
+            bank_arrive: 110,
+            respond: 105, // before bank_arrive: bank stage invalid
+            ..Stamps::new(100)
+        };
+        t.on_complete(&s, &request(0), 0, 140);
         assert_eq!(t.stamp_errors(), 2);
         assert_eq!(t.stage(Stage::EndToEnd).count(), 1);
         assert_eq!(t.stage(Stage::Bank).count(), 0);

@@ -2,12 +2,13 @@
 //!
 //! `HeapQueue` below is that heap, kept here as the reference: one
 //! `BinaryHeap` over `(time, domain group, content rank, seq)`. Random
-//! sequences of `schedule` / `schedule_arb` / `pop_due` / `pop_next` /
-//! `next_time` run on both, and every answer must agree — which event
-//! pops, when, and what the queue reports between pops. The sequences
-//! cover same-cycle inserts during a drain, inserts before the cursor,
-//! times past the wheel's span (the overflow heap), idle fast-forward
-//! and the perturbation seeds 0, 1 and `u64::MAX`.
+//! sequences of `schedule_arb` / `pop_due` / `next_time` / `is_empty` run
+//! on both, and every answer must agree — which event pops, when, and
+//! what the queue reports between pops. The sequences cover same-cycle
+//! inserts during a drain, inserts before the cursor, times past the
+//! wheel's span (the overflow heap), idle fast-forward through
+//! `next_time` + `pop_due` (as the orchestrator skips idle cycles) and
+//! the perturbation seeds 0, 1 and `u64::MAX`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -35,16 +36,6 @@ impl HeapQueue {
         }
     }
 
-    fn push(&mut self, time: u64, group: u64, rank: u64, payload: u64) {
-        self.heap
-            .push(Reverse((time, group, rank, self.seq, payload)));
-        self.seq += 1;
-    }
-
-    fn schedule(&mut self, time: u64, payload: u64) {
-        self.push(time, 0, 0, payload);
-    }
-
     fn schedule_arb(&mut self, time: u64, domain: Domain, rank: u64, payload: u64) {
         let code = match domain {
             Domain::Free => 0,
@@ -57,21 +48,18 @@ impl HeapQueue {
         } else {
             mix64(self.perturb_seed ^ code)
         };
-        self.push(time, group, rank, payload);
+        self.heap
+            .push(Reverse((time, group, rank, self.seq, payload)));
+        self.seq += 1;
     }
 
     fn pop_due(&mut self, now: u64) -> Option<u64> {
         if self.heap.peek().is_some_and(|e| e.0 .0 <= now) {
-            self.pop_next().map(|(_, payload)| payload)
+            self.pops += 1;
+            self.heap.pop().map(|e| e.0 .4)
         } else {
             None
         }
-    }
-
-    fn pop_next(&mut self) -> Option<(u64, u64)> {
-        let popped = self.heap.pop().map(|e| (e.0 .0, e.0 .4));
-        self.pops += u64::from(popped.is_some());
-        popped
     }
 
     fn next_time(&self) -> Option<u64> {
@@ -111,23 +99,18 @@ fn compare(case: u64, perturb_seed: u64, max_delay: u64, ops: usize) {
                     _ => now + 1 + draws.below(max_delay),
                 };
                 payload += 1;
-                if draws.below(4) == 0 {
-                    wheel.schedule(time, payload);
-                    heap.schedule(time, payload);
-                } else {
-                    let index = draws.below(3) as usize;
-                    let domain = match draws.below(4) {
-                        0 => Domain::Bank(index),
-                        1 => Domain::Mc(index),
-                        2 => Domain::Tile(index),
-                        _ => Domain::Free,
-                    };
-                    // Few ranks, so equal (group, rank) pairs fall back
-                    // on the sequence number.
-                    let rank = draws.below(3) << 61;
-                    wheel.schedule_arb(time, domain, rank, payload);
-                    heap.schedule_arb(time, domain, rank, payload);
-                }
+                let index = draws.below(3) as usize;
+                let domain = match draws.below(4) {
+                    0 => Domain::Bank(index),
+                    1 => Domain::Mc(index),
+                    2 => Domain::Tile(index),
+                    _ => Domain::Free,
+                };
+                // Few ranks, so equal (group, rank) pairs fall back on
+                // the sequence number.
+                let rank = draws.below(3) << 61;
+                wheel.schedule_arb(time, domain, rank, payload);
+                heap.schedule_arb(time, domain, rank, payload);
             }
             // Drain the current cycle, the way `Hierarchy::advance` does;
             // half the drains schedule more events while they run.
@@ -152,21 +135,23 @@ fn compare(case: u64, perturb_seed: u64, max_delay: u64, ops: usize) {
                     _ => now + 1,
                 };
             }
-            // Idle fast-forward to the next event.
+            // Idle fast-forward: jump to the next event's time and pop
+            // there.
             14 => {
-                let popped = wheel.pop_next();
-                assert_eq!(popped, heap.pop_next(), "{at}");
-                if let Some((time, _)) = popped {
+                if let Some(time) = wheel.next_time() {
                     now = now.max(time);
+                    assert_eq!(wheel.pop_due(now), heap.pop_due(now), "{at}");
                 }
             }
             _ => assert_eq!(wheel.pop_due(now), heap.pop_due(now), "{at}"),
         }
         assert_eq!(wheel.next_time(), heap.next_time(), "{at}");
-        assert_eq!(wheel.len(), heap.heap.len(), "{at}");
+        assert_eq!(wheel.is_empty(), heap.heap.is_empty(), "{at}");
     }
-    while let Some(popped) = heap.pop_next() {
-        assert_eq!(wheel.pop_next(), Some(popped), "case {case} final drain");
+    while let Some(time) = heap.next_time() {
+        now = now.max(time);
+        let popped = heap.pop_due(now);
+        assert_eq!(wheel.pop_due(now), popped, "case {case} final drain");
     }
     assert!(wheel.is_empty());
     assert_eq!(wheel.pop_count(), heap.pops);
