@@ -722,64 +722,18 @@ fn expand_vector(mnemonic: &str, ops: &[Operand], symbols: &Symbols) -> R<Option
     if !matches!(form, "vv" | "vx" | "vi" | "vf") {
         return Ok(None);
     }
-    // The operand shapes every family shares; which forms an operation
-    // really has is the encoder's check, from the same table.
-    let head = || -> R<_> {
-        let (vd, vs2) = (vr(ops, 0)?, vr(ops, 1)?);
-        let src = vsrc(mnemonic, ops, 2, symbols)?;
-        Ok((vd, vs2, src, !mask_at(ops, 3)))
+    // Which forms an operation really has is the encoder's check, from
+    // the same table.
+    let Some(row) = ops::VARITH.from_name(stem) else {
+        return Ok(None);
     };
-    if let Some(row) = ops::VINT.from_name(stem) {
-        let (vd, vs2, src, vm) = head()?;
-        return some(Inst::VIntOp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    if let Some(row) = ops::VMUL.from_name(stem) {
-        let (vd, vs2, src, vm) = head()?;
-        return some(Inst::VMulOp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    if let Some(row) = ops::VFP.from_name(stem) {
-        let (vd, vs2, src, vm) = head()?;
-        return some(Inst::VFpOp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    if let Some(row) = ops::VCMP.from_name(stem) {
-        let (vd, vs2, src, vm) = head()?;
-        return some(Inst::VMaskCmp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    if let Some(row) = ops::VFCMP.from_name(stem) {
-        let (vd, vs2, src, vm) = head()?;
-        return some(Inst::VFMaskCmp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    Ok(None)
+    some(Inst::VArith {
+        op: row.op,
+        vd: vr(ops, 0)?,
+        vs2: vr(ops, 1)?,
+        src: vsrc(mnemonic, ops, 2, symbols)?,
+        vm: !mask_at(ops, 3),
+    })
 }
 
 /// The second operand of a vector instruction, by the form letter its
@@ -853,7 +807,7 @@ fn parse_vtype(ops: &[Operand]) -> R<VType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coyote_isa::inst::{BranchOp, CsrOp, MemWidth, VFpOp, VIntOp, VMulOp};
+    use coyote_isa::inst::{BranchOp, CsrOp, MemWidth, VArithOp, VFpOp, VIntOp, VMulOp};
 
     fn parse_ops(text: &str) -> Vec<Operand> {
         crate::operand::split_operands(text)
@@ -1048,8 +1002,8 @@ mod tests {
     fn vector_arith_forms() {
         assert!(matches!(
             expand1("vadd.vv", "v1, v2, v3"),
-            Inst::VIntOp {
-                op: VIntOp::Add,
+            Inst::VArith {
+                op: VArithOp::Int(VIntOp::Add),
                 src: VSrc::V(_),
                 vm: true,
                 ..
@@ -1057,24 +1011,24 @@ mod tests {
         ));
         assert!(matches!(
             expand1("vsll.vi", "v1, v2, 3"),
-            Inst::VIntOp {
-                op: VIntOp::Sll,
+            Inst::VArith {
+                op: VArithOp::Int(VIntOp::Sll),
                 src: VSrc::I(3),
                 ..
             }
         ));
         assert!(matches!(
             expand1("vfmacc.vf", "v1, v2, fa0"),
-            Inst::VFpOp {
-                op: VFpOp::Macc,
+            Inst::VArith {
+                op: VArithOp::Fp(VFpOp::Macc),
                 src: VSrc::F(_),
                 ..
             }
         ));
         assert!(matches!(
             expand1("vmacc.vx", "v1, v2, a0, v0.t"),
-            Inst::VMulOp {
-                op: VMulOp::Macc,
+            Inst::VArith {
+                op: VArithOp::Mul(VMulOp::Macc),
                 vm: false,
                 ..
             }

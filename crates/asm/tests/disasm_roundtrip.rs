@@ -98,14 +98,8 @@ fn plain_stems() -> Vec<Stem> {
 }
 
 /// The vector rows whose mnemonic is `name.form`.
-fn vector_stems() -> Vec<Stem> {
-    let mut all: Vec<Stem> = Vec::new();
-    all.extend(stems(&ops::VINT));
-    all.extend(stems(&ops::VMUL));
-    all.extend(stems(&ops::VFP));
-    all.extend(stems(&ops::VCMP));
-    all.extend(stems(&ops::VFCMP));
-    all
+fn vector_stems() -> impl Iterator<Item = Stem> {
+    stems(&ops::VARITH)
 }
 
 /// Every mnemonic the tables describe: each form of each row.

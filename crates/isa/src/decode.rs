@@ -375,63 +375,23 @@ fn decode_op_v(word: u32) -> Option<Inst> {
             vs1: vs1(word),
         });
     }
-    if let Some(row) = ops::VINT
-        .from_bits(funct6)
-        .filter(|r| fits(r.forms, F3_OPIVV))
-    {
-        // A shift's immediate is an unsigned amount.
-        let src = match src {
-            VSrc::I(_) if row.has(UIMM) => VSrc::I(f19_15 as i8),
-            src => src,
-        };
-        return Some(Inst::VIntOp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    if let Some(row) = ops::VMUL
-        .from_bits(funct6)
-        .filter(|r| fits(r.forms, F3_OPMVV))
-    {
-        return Some(Inst::VMulOp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    if let Some(row) = ops::VFP
-        .from_bits(funct6)
-        .filter(|r| fits(r.forms, F3_OPFVV))
-    {
-        return Some(Inst::VFpOp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    if let Some(row) = ops::VCMP
-        .from_bits(funct6)
-        .filter(|r| fits(r.forms, F3_OPIVV))
-    {
-        return Some(Inst::VMaskCmp {
-            op: row.op,
-            vd,
-            vs2,
-            src,
-            vm,
-        });
-    }
-    let row = ops::VFCMP
-        .from_bits(funct6)
-        .filter(|r| fits(r.forms, F3_OPFVV))?;
-    Some(Inst::VFMaskCmp {
+    // The arithmetic row's `.vv` space follows from funct3 and the form
+    // (`ops::VARITH`'s rows keep `.vi` in OPIVV and `.vf` in OPFVV).
+    let space = match src {
+        VSrc::V(_) => f3,
+        VSrc::X(_) => f3 & 0b011,
+        VSrc::F(_) => F3_OPFVV,
+        VSrc::I(_) => F3_OPIVV,
+    };
+    let row = ops::VARITH
+        .from_bits(space << 6 | funct6)
+        .filter(|r| fits(r.forms, space))?;
+    // A shift's immediate is an unsigned amount.
+    let src = match src {
+        VSrc::I(_) if row.has(UIMM) => VSrc::I(f19_15 as i8),
+        src => src,
+    };
+    Some(Inst::VArith {
         op: row.op,
         vd,
         vs2,
@@ -474,8 +434,8 @@ mod tests {
     use super::*;
     use crate::encode::encode;
     use crate::inst::{
-        AluOp, AluWOp, BranchOp, CsrOp, FpCvtOp, FpOp, LoadOp, MemWidth, StoreOp, UpperOp, VFpOp,
-        VIntOp, VMulOp, VRedOp, VUnaryOp,
+        AluOp, AluWOp, BranchOp, CsrOp, FpCvtOp, FpOp, LoadOp, MemWidth, StoreOp, UpperOp,
+        VArithOp, VFpOp, VIntOp, VMulOp, VRedOp, VUnaryOp,
     };
     use crate::vtype::Lmul;
 
@@ -700,43 +660,43 @@ mod tests {
                 eew: Sew::E64,
                 vm: true,
             },
-            Inst::VIntOp {
-                op: VIntOp::Add,
+            Inst::VArith {
+                op: VArithOp::Int(VIntOp::Add),
                 vd: v(1),
                 vs2: v(2),
                 src: VSrc::V(v(3)),
                 vm: true,
             },
-            Inst::VIntOp {
-                op: VIntOp::Rsub,
+            Inst::VArith {
+                op: VArithOp::Int(VIntOp::Rsub),
                 vd: v(1),
                 vs2: v(2),
                 src: VSrc::X(x(3)),
                 vm: false,
             },
-            Inst::VIntOp {
-                op: VIntOp::Sll,
+            Inst::VArith {
+                op: VArithOp::Int(VIntOp::Sll),
                 vd: v(1),
                 vs2: v(2),
                 src: VSrc::I(3),
                 vm: true,
             },
-            Inst::VIntOp {
-                op: VIntOp::Add,
+            Inst::VArith {
+                op: VArithOp::Int(VIntOp::Add),
                 vd: v(1),
                 vs2: v(2),
                 src: VSrc::I(-16),
                 vm: true,
             },
-            Inst::VMulOp {
-                op: VMulOp::Macc,
+            Inst::VArith {
+                op: VArithOp::Mul(VMulOp::Macc),
                 vd: v(1),
                 vs2: v(2),
                 src: VSrc::V(v(3)),
                 vm: true,
             },
-            Inst::VFpOp {
-                op: VFpOp::Macc,
+            Inst::VArith {
+                op: VArithOp::Fp(VFpOp::Macc),
                 vd: v(1),
                 vs2: v(2),
                 src: VSrc::F(f(3)),
@@ -811,8 +771,8 @@ mod tests {
 
     #[test]
     fn vector_shift_imm_decodes_unsigned() {
-        let inst = Inst::VIntOp {
-            op: VIntOp::Srl,
+        let inst = Inst::VArith {
+            op: VArithOp::Int(VIntOp::Srl),
             vd: v(4),
             vs2: v(5),
             src: VSrc::I(17),

@@ -200,27 +200,13 @@ impl fmt::Display for Inst {
                 eew,
                 vm,
             } => vmem(f, 's', (vs3, rs1), mode, eew, vm),
-            Inst::VIntOp {
+            Inst::VArith {
                 op,
                 vd,
                 vs2,
                 src,
                 vm,
-            } => varith(f, ops::VINT.row(op).name, src, (vd, vs2), vm),
-            Inst::VMulOp {
-                op,
-                vd,
-                vs2,
-                src,
-                vm,
-            } => varith(f, ops::VMUL.row(op).name, src, (vd, vs2), vm),
-            Inst::VFpOp {
-                op,
-                vd,
-                vs2,
-                src,
-                vm,
-            } => varith(f, ops::VFP.row(op).name, src, (vd, vs2), vm),
+            } => varith(f, ops::VARITH.row(op).name, src, (vd, vs2), vm),
             Inst::VRed {
                 op,
                 vd,
@@ -250,20 +236,6 @@ impl fmt::Display for Inst {
                 write!(f, "{v}mv.s.{} {vd}, {src}", &form[2..])
             }
             Inst::Vid { vd, vm } => write!(f, "vid.v {vd}{}", mask_suffix(vm)),
-            Inst::VMaskCmp {
-                op,
-                vd,
-                vs2,
-                src,
-                vm,
-            } => varith(f, ops::VCMP.row(op).name, src, (vd, vs2), vm),
-            Inst::VFMaskCmp {
-                op,
-                vd,
-                vs2,
-                src,
-                vm,
-            } => varith(f, ops::VFCMP.row(op).name, src, (vd, vs2), vm),
             Inst::VMaskLogical { op, vd, vs2, vs1 } => {
                 write!(f, "{}.mm {vd}, {vs2}, {vs1}", ops::VMASK.row(op).name)
             }
@@ -274,7 +246,7 @@ impl fmt::Display for Inst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AluOp, FmaOp, FpCvtOp, FpOp, LoadOp, VIntOp};
+    use crate::inst::{AluOp, FmaOp, FpCvtOp, FpOp, LoadOp, VArithOp, VIntOp};
     use crate::vtype::{Lmul, VType};
 
     fn x(n: u8) -> XReg {
@@ -341,8 +313,8 @@ mod tests {
 
     #[test]
     fn masked_op_gets_v0t_suffix() {
-        let inst = Inst::VIntOp {
-            op: VIntOp::Add,
+        let inst = Inst::VArith {
+            op: VArithOp::Int(VIntOp::Add),
             vd: v(1),
             vs2: v(2),
             src: VSrc::V(v(3)),

@@ -250,7 +250,9 @@ fn op_v_row<T>(row: &Row<T>, f3_vv: u32, (src, vm): (VSrc, bool), vs2: VReg, vd:
         }
     };
     let funct3 = vsrc_funct3(src, f3_vv);
-    Ok(op_v(row.bits, vm, f19_15, vs2.bits(), funct3, vd.bits()))
+    // A `VARITH` key holds the space above funct6.
+    let funct6 = row.bits & 0x3f;
+    Ok(op_v(funct6, vm, f19_15, vs2.bits(), funct3, vd.bits()))
 }
 
 /// Vector load/store word; `reg` is `vd` or `vs3`.
@@ -460,27 +462,16 @@ pub fn encode(inst: &Inst) -> Result32 {
             eew,
             vm,
         } => Ok(vmem(mode, eew, vm, rs1, vs3, OPC_STORE_FP)),
-        Inst::VIntOp {
+        Inst::VArith {
             op,
             vd,
             vs2,
             src,
             vm,
-        } => op_v_row(ops::VINT.row(op), F3_OPIVV, (src, vm), vs2, vd),
-        Inst::VMulOp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-        } => op_v_row(ops::VMUL.row(op), F3_OPMVV, (src, vm), vs2, vd),
-        Inst::VFpOp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-        } => op_v_row(ops::VFP.row(op), F3_OPFVV, (src, vm), vs2, vd),
+        } => {
+            let row = ops::VARITH.row(op);
+            op_v_row(row, row.bits >> 6, (src, vm), vs2, vd)
+        }
         Inst::VRed {
             op,
             vd,
@@ -510,20 +501,6 @@ pub fn encode(inst: &Inst) -> Result32 {
         }
         Inst::VMvS { vd, src } => op_v_row(&ops::VMV_S, F3_OPMVV, (src, true), VReg::V0, vd),
         Inst::Vid { vd, vm } => Ok(op_v(F6_VMUNARY0, vm, VS1_VID, 0, F3_OPMVV, vd.bits())),
-        Inst::VMaskCmp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-        } => op_v_row(ops::VCMP.row(op), F3_OPIVV, (src, vm), vs2, vd),
-        Inst::VFMaskCmp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-        } => op_v_row(ops::VFCMP.row(op), F3_OPFVV, (src, vm), vs2, vd),
         Inst::VMaskLogical { op, vd, vs2, vs1 } => Ok(op_v(
             ops::VMASK.row(op).bits,
             true,
@@ -539,7 +516,8 @@ pub fn encode(inst: &Inst) -> Result32 {
 mod tests {
     use super::*;
     use crate::inst::{
-        AluOp, AluWOp, BranchOp, LoadOp, MemWidth, StoreOp, SysOp, UpperOp, VIntOp, VUnaryOp,
+        AluOp, AluWOp, BranchOp, LoadOp, MemWidth, StoreOp, SysOp, UpperOp, VArithOp, VIntOp,
+        VUnaryOp,
     };
     use crate::vtype::{Lmul, VType};
 
@@ -731,8 +709,8 @@ mod tests {
     fn vector_shift_immediate_range() {
         use crate::reg::VReg;
         let v = |n| VReg::new(n).unwrap();
-        let sll = |imm| Inst::VIntOp {
-            op: VIntOp::Sll,
+        let sll = |imm| Inst::VArith {
+            op: VArithOp::Int(VIntOp::Sll),
             vd: v(1),
             vs2: v(2),
             src: VSrc::I(imm),

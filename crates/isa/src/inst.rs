@@ -581,6 +581,40 @@ pub enum VFpOp {
     Macc,
 }
 
+/// The operation of an [`Inst::VArith`]: the family, which decides the
+/// element loop and the `.vv` funct3 space, and the operation in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VArithOp {
+    /// Integer ALU (OPIVV/OPIVX/OPIVI).
+    Int(VIntOp),
+    /// Integer multiply/divide (OPMVV/OPMVX).
+    Mul(VMulOp),
+    /// Floating point (OPFVV/OPFVF).
+    Fp(VFpOp),
+    /// Integer compare into a mask (OPIVV/OPIVX/OPIVI).
+    Cmp(VCmpOp),
+    /// Floating-point compare into a mask (OPFVV/OPFVF).
+    FCmp(VFCmpOp),
+}
+
+impl VArithOp {
+    /// Whether `vd` is one mask register, not a register group: a
+    /// compare.
+    #[must_use]
+    pub fn writes_mask(self) -> bool {
+        matches!(self, VArithOp::Cmp(_) | VArithOp::FCmp(_))
+    }
+
+    /// Whether the operation also reads `vd`: a multiply-accumulate.
+    #[must_use]
+    pub fn reads_vd(self) -> bool {
+        matches!(
+            self,
+            VArithOp::Mul(VMulOp::Macc) | VArithOp::Fp(VFpOp::Macc)
+        )
+    }
+}
+
 /// Second source operand of a vector arithmetic instruction. The
 /// variant is the operand form: `.vv`, `.vx`, `.vf` or `.vi`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -844,41 +878,17 @@ pub enum Inst {
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
-    /// Integer vector ALU op.
-    VIntOp {
-        /// Operation.
-        op: VIntOp,
-        /// Destination.
+    /// Vector arithmetic or compare, `name.form vd, vs2, src[, v0.t]`.
+    VArith {
+        /// Operation, with its family.
+        op: VArithOp,
+        /// Destination: a register group, or one mask register where
+        /// [`VArithOp::writes_mask`]. Also the accumulator where
+        /// [`VArithOp::reads_vd`].
         vd: VReg,
         /// Vector source (`vs2`).
         vs2: VReg,
-        /// Second operand: `.vv`, `.vx` or `.vi`.
-        src: VSrc,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
-    /// Integer vector multiply/divide/MAC.
-    VMulOp {
-        /// Operation.
-        op: VMulOp,
-        /// Destination (also accumulator for `Macc`).
-        vd: VReg,
-        /// Vector source (`vs2`).
-        vs2: VReg,
-        /// Second operand: `.vv` or `.vx`.
-        src: VSrc,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
-    /// Floating-point vector op.
-    VFpOp {
-        /// Operation.
-        op: VFpOp,
-        /// Destination (also accumulator for `Macc`).
-        vd: VReg,
-        /// Vector source (`vs2`).
-        vs2: VReg,
-        /// Second operand: `.vv` or `.vf`.
+        /// Second operand; the row's forms say which it may be.
         src: VSrc,
         /// Mask bit: `true` = unmasked.
         vm: bool,
@@ -936,32 +946,6 @@ pub enum Inst {
         /// Mask bit: `true` = unmasked.
         vm: bool,
     },
-    /// Integer compare into a mask register.
-    VMaskCmp {
-        /// Comparison.
-        op: VCmpOp,
-        /// Mask destination.
-        vd: VReg,
-        /// Vector source.
-        vs2: VReg,
-        /// Second operand: `.vv`, `.vx` or `.vi`.
-        src: VSrc,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
-    /// Floating-point compare into a mask register.
-    VFMaskCmp {
-        /// Comparison.
-        op: VFCmpOp,
-        /// Mask destination.
-        vd: VReg,
-        /// Vector source.
-        vs2: VReg,
-        /// Second operand: `.vv` or `.vf`.
-        src: VSrc,
-        /// Mask bit: `true` = unmasked.
-        vm: bool,
-    },
     /// Mask-register logical, `.mm` form (always unmasked).
     VMaskLogical {
         /// Operation.
@@ -975,6 +959,10 @@ pub enum Inst {
     },
 }
 
+// 16 bytes before the vector arithmetic families became one variant;
+// the predecoded table holds one `Inst` per text word.
+const _: () = assert!(std::mem::size_of::<Inst>() == 16);
+
 impl Inst {
     /// Whether this instruction belongs to the V extension.
     #[must_use]
@@ -986,16 +974,12 @@ impl Inst {
                 | Inst::Vsetvl { .. }
                 | Inst::VLoad { .. }
                 | Inst::VStore { .. }
-                | Inst::VIntOp { .. }
-                | Inst::VMulOp { .. }
-                | Inst::VFpOp { .. }
+                | Inst::VArith { .. }
                 | Inst::VRed { .. }
                 | Inst::VMerge { .. }
                 | Inst::VUnary { .. }
                 | Inst::VMvS { .. }
                 | Inst::Vid { .. }
-                | Inst::VMaskCmp { .. }
-                | Inst::VFMaskCmp { .. }
                 | Inst::VMaskLogical { .. }
         )
     }

@@ -9,15 +9,21 @@
 //!
 //! Every `Inst` variant is an operand *shape*, and each shape with more
 //! than one operation has a table here. Adding an instruction of an
-//! existing shape is one row plus its semantics in the ISS. The major
-//! opcodes, the OP-V funct3 spaces and the funct6 values of the vector
-//! encodings with no table of their own are also defined here, because
-//! `decode` and `encode` must agree on them.
+//! existing shape is one row plus its semantics in the ISS. The five
+//! vector arithmetic families (integer, multiply, floating point and the
+//! two compares) are one shape, `Inst::VArith`, and one table,
+//! [`VARITH`], keyed by funct3 and funct6 together: the family is part of
+//! the operation ([`VArithOp`]), so every consumer has one arm or one
+//! lookup for all of them. The major opcodes, the OP-V funct3 spaces and
+//! the funct6 values of the vector encodings with no table of their own
+//! are also defined here, because `decode` and `encode` must agree on
+//! them.
 
 // Multi-field keys are written field by field (`funct7_funct3`), the
 // way the specification's encoding tables print them.
 #![allow(clippy::unusual_byte_groupings)]
 
+use crate::inst::VArithOp::{self, Cmp, FCmp, Fp, Int, Mul};
 use crate::inst::{
     AluOp, AluWOp, AmoOp, BranchOp, CsrOp, FmaOp, FpCvtOp, FpOp, LoadOp, MemWidth, StoreOp, SysOp,
     UpperOp, VAddrMode, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
@@ -310,45 +316,56 @@ pub static FP_CVT: Table<FpCvtOp> = Table(&[
     row(FpCvtOp::MvDX, "fmv.d.x", 0b1111001_00000),
 ]);
 
-/// Vector integer ALU (OPIVV/OPIVX/OPIVI); `bits` is funct6.
-pub static VINT: Table<VIntOp> = Table(&[
-    row(VIntOp::Add, "vadd", 0b000000).forms(VV | VX | VI),
-    row(VIntOp::Sub, "vsub", 0b000010).forms(VV | VX),
-    row(VIntOp::Rsub, "vrsub", 0b000011).forms(VX | VI),
-    row(VIntOp::Minu, "vminu", 0b000100).forms(VV | VX),
-    row(VIntOp::Min, "vmin", 0b000101).forms(VV | VX),
-    row(VIntOp::Maxu, "vmaxu", 0b000110).forms(VV | VX),
-    row(VIntOp::Max, "vmax", 0b000111).forms(VV | VX),
-    row(VIntOp::And, "vand", 0b001001).forms(VV | VX | VI),
-    row(VIntOp::Or, "vor", 0b001010).forms(VV | VX | VI),
-    row(VIntOp::Xor, "vxor", 0b001011).forms(VV | VX | VI),
-    row(VIntOp::Sll, "vsll", 0b100101).forms(VV | VX | VI | UIMM),
-    row(VIntOp::Srl, "vsrl", 0b101000).forms(VV | VX | VI | UIMM),
-    row(VIntOp::Sra, "vsra", 0b101001).forms(VV | VX | VI | UIMM),
-]);
-
-/// Vector integer multiply/divide (OPMVV/OPMVX); `bits` is funct6.
-pub static VMUL: Table<VMulOp> = Table(&[
-    row(VMulOp::Divu, "vdivu", 0b100000).forms(VV | VX),
-    row(VMulOp::Div, "vdiv", 0b100001).forms(VV | VX),
-    row(VMulOp::Remu, "vremu", 0b100010).forms(VV | VX),
-    row(VMulOp::Rem, "vrem", 0b100011).forms(VV | VX),
-    row(VMulOp::Mulhu, "vmulhu", 0b100100).forms(VV | VX),
-    row(VMulOp::Mul, "vmul", 0b100101).forms(VV | VX),
-    row(VMulOp::Mulh, "vmulh", 0b100111).forms(VV | VX),
-    row(VMulOp::Macc, "vmacc", 0b101101).forms(VV | VX),
-]);
-
-/// Vector floating point (OPFVV/OPFVF); `bits` is funct6.
-pub static VFP: Table<VFpOp> = Table(&[
-    row(VFpOp::Add, "vfadd", 0b000000).forms(VV | VF),
-    row(VFpOp::Sub, "vfsub", 0b000010).forms(VV | VF),
-    row(VFpOp::Min, "vfmin", 0b000100).forms(VV | VF),
-    row(VFpOp::Max, "vfmax", 0b000110).forms(VV | VF),
-    row(VFpOp::Sgnj, "vfsgnj", 0b001000).forms(VV | VF),
-    row(VFpOp::Div, "vfdiv", 0b100000).forms(VV | VF),
-    row(VFpOp::Mul, "vfmul", 0b100100).forms(VV | VF),
-    row(VFpOp::Macc, "vfmacc", 0b101100).forms(VV | VF),
+/// Vector arithmetic and compares, every family in one table; `bits` is
+/// `funct3_funct6`, where funct3 is the family's `.vv` space (OPIVV,
+/// OPMVV or OPFVV). A `.vx` form sets bit 2 of that funct3, and every
+/// `.vi` form is OPIVI and every `.vf` form OPFVF, so a decoded word
+/// names its row's space (see [`vsrc_funct3`]).
+#[rustfmt::skip]
+pub static VARITH: Table<VArithOp> = Table(&[
+    row(Int(VIntOp::Add), "vadd", F3_OPIVV << 6).forms(VV | VX | VI),
+    row(Int(VIntOp::Sub), "vsub", F3_OPIVV << 6 | 0b000010).forms(VV | VX),
+    row(Int(VIntOp::Rsub), "vrsub", F3_OPIVV << 6 | 0b000011).forms(VX | VI),
+    row(Int(VIntOp::Minu), "vminu", F3_OPIVV << 6 | 0b000100).forms(VV | VX),
+    row(Int(VIntOp::Min), "vmin", F3_OPIVV << 6 | 0b000101).forms(VV | VX),
+    row(Int(VIntOp::Maxu), "vmaxu", F3_OPIVV << 6 | 0b000110).forms(VV | VX),
+    row(Int(VIntOp::Max), "vmax", F3_OPIVV << 6 | 0b000111).forms(VV | VX),
+    row(Int(VIntOp::And), "vand", F3_OPIVV << 6 | 0b001001).forms(VV | VX | VI),
+    row(Int(VIntOp::Or), "vor", F3_OPIVV << 6 | 0b001010).forms(VV | VX | VI),
+    row(Int(VIntOp::Xor), "vxor", F3_OPIVV << 6 | 0b001011).forms(VV | VX | VI),
+    row(Int(VIntOp::Sll), "vsll", F3_OPIVV << 6 | 0b100101).forms(VV | VX | VI | UIMM),
+    row(Int(VIntOp::Srl), "vsrl", F3_OPIVV << 6 | 0b101000).forms(VV | VX | VI | UIMM),
+    row(Int(VIntOp::Sra), "vsra", F3_OPIVV << 6 | 0b101001).forms(VV | VX | VI | UIMM),
+    row(Mul(VMulOp::Divu), "vdivu", F3_OPMVV << 6 | 0b100000).forms(VV | VX),
+    row(Mul(VMulOp::Div), "vdiv", F3_OPMVV << 6 | 0b100001).forms(VV | VX),
+    row(Mul(VMulOp::Remu), "vremu", F3_OPMVV << 6 | 0b100010).forms(VV | VX),
+    row(Mul(VMulOp::Rem), "vrem", F3_OPMVV << 6 | 0b100011).forms(VV | VX),
+    row(Mul(VMulOp::Mulhu), "vmulhu", F3_OPMVV << 6 | 0b100100).forms(VV | VX),
+    row(Mul(VMulOp::Mul), "vmul", F3_OPMVV << 6 | 0b100101).forms(VV | VX),
+    row(Mul(VMulOp::Mulh), "vmulh", F3_OPMVV << 6 | 0b100111).forms(VV | VX),
+    row(Mul(VMulOp::Macc), "vmacc", F3_OPMVV << 6 | 0b101101).forms(VV | VX),
+    row(Fp(VFpOp::Add), "vfadd", F3_OPFVV << 6).forms(VV | VF),
+    row(Fp(VFpOp::Sub), "vfsub", F3_OPFVV << 6 | 0b000010).forms(VV | VF),
+    row(Fp(VFpOp::Min), "vfmin", F3_OPFVV << 6 | 0b000100).forms(VV | VF),
+    row(Fp(VFpOp::Max), "vfmax", F3_OPFVV << 6 | 0b000110).forms(VV | VF),
+    row(Fp(VFpOp::Sgnj), "vfsgnj", F3_OPFVV << 6 | 0b001000).forms(VV | VF),
+    row(Fp(VFpOp::Div), "vfdiv", F3_OPFVV << 6 | 0b100000).forms(VV | VF),
+    row(Fp(VFpOp::Mul), "vfmul", F3_OPFVV << 6 | 0b100100).forms(VV | VF),
+    row(Fp(VFpOp::Macc), "vfmacc", F3_OPFVV << 6 | 0b101100).forms(VV | VF),
+    row(Cmp(VCmpOp::Eq), "vmseq", F3_OPIVV << 6 | 0b011000).forms(VV | VX | VI),
+    row(Cmp(VCmpOp::Ne), "vmsne", F3_OPIVV << 6 | 0b011001).forms(VV | VX | VI),
+    row(Cmp(VCmpOp::Ltu), "vmsltu", F3_OPIVV << 6 | 0b011010).forms(VV | VX),
+    row(Cmp(VCmpOp::Lt), "vmslt", F3_OPIVV << 6 | 0b011011).forms(VV | VX),
+    row(Cmp(VCmpOp::Leu), "vmsleu", F3_OPIVV << 6 | 0b011100).forms(VV | VX | VI),
+    row(Cmp(VCmpOp::Le), "vmsle", F3_OPIVV << 6 | 0b011101).forms(VV | VX | VI),
+    row(Cmp(VCmpOp::Gtu), "vmsgtu", F3_OPIVV << 6 | 0b011110).forms(VX | VI),
+    row(Cmp(VCmpOp::Gt), "vmsgt", F3_OPIVV << 6 | 0b011111).forms(VX | VI),
+    row(FCmp(VFCmpOp::Eq), "vmfeq", F3_OPFVV << 6 | 0b011000).forms(VV | VF),
+    row(FCmp(VFCmpOp::Le), "vmfle", F3_OPFVV << 6 | 0b011001).forms(VV | VF),
+    row(FCmp(VFCmpOp::Lt), "vmflt", F3_OPFVV << 6 | 0b011011).forms(VV | VF),
+    row(FCmp(VFCmpOp::Ne), "vmfne", F3_OPFVV << 6 | 0b011100).forms(VV | VF),
+    row(FCmp(VFCmpOp::Gt), "vmfgt", F3_OPFVV << 6 | 0b011101).forms(VF),
+    row(FCmp(VFCmpOp::Ge), "vmfge", F3_OPFVV << 6 | 0b011111).forms(VF),
 ]);
 
 /// Reductions (`name.vs vd, vs2, vs1`); `bits` is `funct3_funct6`.
@@ -367,28 +384,6 @@ pub static VUNARY: Table<VUnaryOp> = Table(&[
     row(VUnaryOp::FMvFS, "vfmv.f.s", F3_OPFVV << 5),
     row(VUnaryOp::Cpop, "vcpop.m", F3_OPMVV << 5 | 0b10000).forms(VM),
     row(VUnaryOp::First, "vfirst.m", F3_OPMVV << 5 | 0b10001).forms(VM),
-]);
-
-/// Vector integer compares into a mask; `bits` is funct6.
-pub static VCMP: Table<VCmpOp> = Table(&[
-    row(VCmpOp::Eq, "vmseq", 0b011000).forms(VV | VX | VI),
-    row(VCmpOp::Ne, "vmsne", 0b011001).forms(VV | VX | VI),
-    row(VCmpOp::Ltu, "vmsltu", 0b011010).forms(VV | VX),
-    row(VCmpOp::Lt, "vmslt", 0b011011).forms(VV | VX),
-    row(VCmpOp::Leu, "vmsleu", 0b011100).forms(VV | VX | VI),
-    row(VCmpOp::Le, "vmsle", 0b011101).forms(VV | VX | VI),
-    row(VCmpOp::Gtu, "vmsgtu", 0b011110).forms(VX | VI),
-    row(VCmpOp::Gt, "vmsgt", 0b011111).forms(VX | VI),
-]);
-
-/// Vector floating-point compares into a mask; `bits` is funct6.
-pub static VFCMP: Table<VFCmpOp> = Table(&[
-    row(VFCmpOp::Eq, "vmfeq", 0b011000).forms(VV | VF),
-    row(VFCmpOp::Le, "vmfle", 0b011001).forms(VV | VF),
-    row(VFCmpOp::Lt, "vmflt", 0b011011).forms(VV | VF),
-    row(VFCmpOp::Ne, "vmfne", 0b011100).forms(VV | VF),
-    row(VFCmpOp::Gt, "vmfgt", 0b011101).forms(VF),
-    row(VFCmpOp::Ge, "vmfge", 0b011111).forms(VF),
 ]);
 
 /// Mask-register logicals (`.mm`, OPMVV, always unmasked); `bits` is
@@ -541,17 +536,40 @@ mod tests {
         well_formed(&FP);
         well_formed(&FMA);
         well_formed(&FP_CVT);
-        well_formed(&VINT);
-        well_formed(&VMUL);
-        well_formed(&VFP);
+        well_formed(&VARITH);
         well_formed(&VRED);
         well_formed(&VUNARY);
-        well_formed(&VCMP);
-        well_formed(&VFCMP);
         well_formed(&VMASK);
         well_formed(&VMEM_EEW);
         assert_eq!(VMEM_MODE.mode(VAddrMode::Strided(XReg::RA)).name, "se");
         assert_eq!(VMEM_MODE.from_name("uxei").unwrap().bits, 0b01);
+    }
+
+    /// `decode` finds a word's `VARITH` row with one lookup, keyed by the
+    /// `.vv` space its funct3 implies: keys and names are unique, each
+    /// family lives in one space, and a form appears only in the spaces
+    /// where that implication holds.
+    #[test]
+    fn varith_rows_are_unique_and_their_forms_legal_in_their_space() {
+        for (i, r) in VARITH.0.iter().enumerate() {
+            let (name, space) = (r.name, r.bits >> 6);
+            let family = match r.op {
+                Int(_) | Cmp(_) => F3_OPIVV,
+                Mul(_) => F3_OPMVV,
+                Fp(_) | FCmp(_) => F3_OPFVV,
+            };
+            assert_eq!(space, family, "{name}: space");
+            for other in &VARITH.0[..i] {
+                assert_ne!(other.bits, r.bits, "{name}: key of {}", other.name);
+                assert_ne!(other.name, name, "name");
+            }
+            let forms = VV | VX | VI | VF | UIMM;
+            assert!(r.forms != 0 && r.forms & !forms == 0, "{name}: forms");
+            assert!(!r.has(VI) || space == F3_OPIVV, "{name}.vi outside OPIVV");
+            assert!(!r.has(VF) || space == F3_OPFVV, "{name}.vf outside OPFVV");
+            assert!(!r.has(VX) || space != F3_OPFVV, "{name}.vx in OPFVV");
+            assert!(!r.has(UIMM) || r.has(VI), "{name}: UIMM without .vi");
+        }
     }
 
     #[test]

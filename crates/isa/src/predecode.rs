@@ -14,7 +14,7 @@
 //! and the stepper recomputes their sets with [`uses_with_group`] /
 //! [`defs_with_group`] under the current group length.
 
-use crate::inst::{CsrSrc, Inst, VAddrMode, VFpOp, VMulOp, VSrc, XSrc};
+use crate::inst::{CsrSrc, Inst, VAddrMode, VSrc, XSrc};
 use crate::reg::{FReg, VReg, XReg};
 
 /// A set of registers, used for hazard detection (bit per register).
@@ -152,28 +152,19 @@ pub fn uses_with_group(inst: &Inst, g: u8) -> RegSet {
                 set.add_v_group(VReg::V0, 1);
             }
         }
-        Inst::VIntOp { vs2, src, vm, .. }
-        | Inst::VMulOp { vs2, src, vm, .. }
-        | Inst::VFpOp { vs2, src, vm, .. }
-        | Inst::VMaskCmp { vs2, src, vm, .. }
-        | Inst::VFMaskCmp { vs2, src, vm, .. } => {
+        Inst::VArith {
+            op,
+            vd,
+            vs2,
+            src,
+            vm,
+        } => {
             set.add_v_group(vs2, g);
             add_src(&mut set, src, g);
             if !vm {
                 set.add_v_group(VReg::V0, 1);
             }
-            // A multiply-accumulate also reads its destination.
-            if let Inst::VMulOp {
-                op: VMulOp::Macc,
-                vd,
-                ..
-            }
-            | Inst::VFpOp {
-                op: VFpOp::Macc,
-                vd,
-                ..
-            } = *inst
-            {
+            if op.reads_vd() {
                 set.add_v_group(vd, g);
             }
         }
@@ -260,16 +251,11 @@ pub fn defs_with_group(inst: &Inst, g: u8) -> RegSet {
         Inst::FpCvt { op, rd, .. } => add_raw(&mut set, rd, op.rd_is_f()),
         Inst::VUnary { op, rd, .. } => add_raw(&mut set, rd, op.rd_is_f()),
         Inst::VLoad { vd, .. } => set.add_v_group(vd, g),
-        Inst::VIntOp { vd, .. }
-        | Inst::VMulOp { vd, .. }
-        | Inst::VFpOp { vd, .. }
-        | Inst::VMerge { vd, .. }
-        | Inst::Vid { vd, .. } => set.add_v_group(vd, g),
-        Inst::VRed { vd, .. }
-        | Inst::VMvS { vd, .. }
-        | Inst::VMaskCmp { vd, .. }
-        | Inst::VFMaskCmp { vd, .. }
-        | Inst::VMaskLogical { vd, .. } => set.add_v_group(vd, 1),
+        Inst::VArith { op, vd, .. } => set.add_v_group(vd, if op.writes_mask() { 1 } else { g }),
+        Inst::VMerge { vd, .. } | Inst::Vid { vd, .. } => set.add_v_group(vd, g),
+        Inst::VRed { vd, .. } | Inst::VMvS { vd, .. } | Inst::VMaskLogical { vd, .. } => {
+            set.add_v_group(vd, 1);
+        }
         Inst::Branch { .. } | Inst::Store { .. } | Inst::VStore { .. } | Inst::System { .. } => {}
     }
     set

@@ -106,71 +106,11 @@ fn op_src<T: Copy + PartialEq + std::fmt::Debug + 'static>(
 fn any_vector_op() -> impl Strategy<Value = (Inst, bool)> {
     let src = || vsrc(i8::MIN..=i8::MAX);
     prop_oneof![
-        (all(&ops::VINT), vreg(), vreg(), src(), any::<bool>()).prop_map(
+        (all(&ops::VARITH), vreg(), vreg(), src(), any::<bool>()).prop_map(
             |(op, vd, vs2, src, vm)| {
-                let ok = encodable(ops::VINT.row(op), src);
+                let ok = encodable(ops::VARITH.row(op), src);
                 (
-                    Inst::VIntOp {
-                        op,
-                        vd,
-                        vs2,
-                        src,
-                        vm,
-                    },
-                    ok,
-                )
-            }
-        ),
-        (all(&ops::VMUL), vreg(), vreg(), src(), any::<bool>()).prop_map(
-            |(op, vd, vs2, src, vm)| {
-                let ok = encodable(ops::VMUL.row(op), src);
-                (
-                    Inst::VMulOp {
-                        op,
-                        vd,
-                        vs2,
-                        src,
-                        vm,
-                    },
-                    ok,
-                )
-            }
-        ),
-        (all(&ops::VFP), vreg(), vreg(), src(), any::<bool>()).prop_map(
-            |(op, vd, vs2, src, vm)| {
-                let ok = encodable(ops::VFP.row(op), src);
-                (
-                    Inst::VFpOp {
-                        op,
-                        vd,
-                        vs2,
-                        src,
-                        vm,
-                    },
-                    ok,
-                )
-            }
-        ),
-        (all(&ops::VCMP), vreg(), vreg(), src(), any::<bool>()).prop_map(
-            |(op, vd, vs2, src, vm)| {
-                let ok = encodable(ops::VCMP.row(op), src);
-                (
-                    Inst::VMaskCmp {
-                        op,
-                        vd,
-                        vs2,
-                        src,
-                        vm,
-                    },
-                    ok,
-                )
-            }
-        ),
-        (all(&ops::VFCMP), vreg(), vreg(), src(), any::<bool>()).prop_map(
-            |(op, vd, vs2, src, vm)| {
-                let ok = encodable(ops::VFCMP.row(op), src);
-                (
-                    Inst::VFMaskCmp {
+                    Inst::VArith {
                         op,
                         vd,
                         vs2,
@@ -341,33 +281,15 @@ fn inst() -> impl Strategy<Value = Inst> {
                 vm
             }
         ),
-        (op_src(&ops::VINT), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
-            Inst::VIntOp {
+        (op_src(&ops::VARITH), vreg(), vreg(), any::<bool>()).prop_map(
+            |((op, src), vd, vs2, vm)| Inst::VArith {
                 op,
                 vd,
                 vs2,
                 src,
-                vm,
+                vm
             }
-        }),
-        (op_src(&ops::VMUL), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
-            Inst::VMulOp {
-                op,
-                vd,
-                vs2,
-                src,
-                vm,
-            }
-        }),
-        (op_src(&ops::VFP), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
-            Inst::VFpOp {
-                op,
-                vd,
-                vs2,
-                src,
-                vm,
-            }
-        }),
+        ),
         (all(&ops::VRED), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
             |(op, vd, vs2, vs1, vm)| Inst::VRed {
                 op,
@@ -378,25 +300,6 @@ fn inst() -> impl Strategy<Value = Inst> {
             }
         ),
         (vreg(), any::<bool>()).prop_map(|(vd, vm)| Inst::Vid { vd, vm }),
-        // Mask subset.
-        (op_src(&ops::VCMP), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
-            Inst::VMaskCmp {
-                op,
-                vd,
-                vs2,
-                src,
-                vm,
-            }
-        }),
-        (op_src(&ops::VFCMP), vreg(), vreg(), any::<bool>()).prop_map(
-            |((op, src), vd, vs2, vm)| Inst::VFMaskCmp {
-                op,
-                vd,
-                vs2,
-                src,
-                vm
-            }
-        ),
         (all(&ops::VMASK), vreg(), vreg(), vreg())
             .prop_map(|(op, vd, vs2, vs1)| Inst::VMaskLogical { op, vd, vs2, vs1 }),
         // A merge takes any `vs2`, a splat (`vm` set) only v0; `vmv.x.s`

@@ -23,7 +23,7 @@ use std::fmt;
 
 use coyote_isa::inst::{
     AluOp, AluWOp, AmoOp, CsrOp, CsrSrc, FmaOp, FpCvtOp, FpOp, Inst, MemWidth, SysOp, VAddrMode,
-    VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
+    VArithOp, VCmpOp, VFCmpOp, VFpOp, VIntOp, VMaskOp, VMulOp, VRedOp, VSrc, VUnaryOp,
 };
 use coyote_isa::{FReg, Sew, Uop, VReg, VType, XReg};
 
@@ -680,19 +680,7 @@ pub fn execute(
                 });
             }
         }
-        Inst::VIntOp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-        } => {
-            let bytes = hart.vtype.sew.bytes();
-            in_file(hart, bytes, &[Some(vd), Some(vs2), vector(src)])?;
-            vint_loop(hart, op, (vd, vs2, src), vm);
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VMulOp {
+        Inst::VArith {
             op,
             vd,
             vs2,
@@ -700,57 +688,36 @@ pub fn execute(
             vm,
         } => {
             let sew = hart.vtype.sew;
-            let bytes = sew.bytes();
-            in_file(hart, bytes, &[Some(vd), Some(vs2), vector(src)])?;
-            for i in 0..hart.vl {
-                if !vm && !hart.v0_mask_bit(i) {
-                    continue;
-                }
-                let a = sext(hart.v_elem(vd, i, bytes), sew);
-                let b2 = sext(hart.v_elem(vs2, i, bytes), sew);
-                // An `x` operand takes part with all 64 bits.
-                let b1 = src_elem(hart, src, i, bytes);
-                let b1 = if let VSrc::V(_) = src {
-                    sext(b1, sew)
-                } else {
-                    b1 as i64
-                };
-                let result = vmul_op(op, a, b1, b2, sew);
-                hart.set_v_elem(vd, i, bytes, result as u64);
-            }
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VFpOp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-        } => {
-            if hart.vtype.sew != Sew::E64 {
+            if matches!(op, VArithOp::Fp(_) | VArithOp::FCmp(_)) && sew != Sew::E64 {
                 return Err(ExecError::FpVectorNeedsE64);
             }
-            in_file(hart, 8, &[Some(vd), Some(vs2), vector(src)])?;
-            for i in 0..hart.vl {
-                if !vm && !hart.v0_mask_bit(i) {
-                    continue;
-                }
-                let acc = f64::from_bits(hart.v_elem(vd, i, 8));
-                let b2 = f64::from_bits(hart.v_elem(vs2, i, 8));
-                let b1 = f64::from_bits(src_elem(hart, src, i, 8));
-                let result = match op {
-                    VFpOp::Add => canonical(b2 + b1),
-                    VFpOp::Sub => canonical(b2 - b1),
-                    VFpOp::Mul => canonical(b2 * b1),
-                    VFpOp::Div => canonical(b2 / b1),
-                    VFpOp::Min => canonical(b2.min(b1)),
-                    VFpOp::Max => canonical(b2.max(b1)),
-                    VFpOp::Sgnj => b2.copysign(b1),
-                    VFpOp::Macc => canonical(b1.mul_add(b2, acc)),
-                };
-                hart.set_v_elem(vd, i, 8, result.to_bits());
+            // A compare writes one mask register, whatever the group length.
+            let mask = op.writes_mask();
+            let dest = (!mask).then_some(vd);
+            in_file(hart, sew.bytes(), &[dest, Some(vs2), vector(src)])?;
+            let regs = (vd, vs2, src);
+            match op {
+                VArithOp::Int(op) => vint_loop(hart, op, regs, vm),
+                VArithOp::Mul(op) => vacc_loop(hart, regs, vm, |acc, b2, b1| {
+                    // An `x` operand takes part with all 64 bits.
+                    let b1 = match src {
+                        VSrc::V(_) => sext(b1, sew),
+                        _ => b1 as i64,
+                    };
+                    vmul_op(op, sext(acc, sew), b1, sext(b2, sew), sew) as u64
+                }),
+                VArithOp::Fp(op) => vacc_loop(hart, regs, vm, |acc, b2, b1| {
+                    let [acc, b2, b1] = [acc, b2, b1].map(f64::from_bits);
+                    vfp_op(op, acc, b2, b1).to_bits()
+                }),
+                VArithOp::Cmp(op) => vcmp_loop(hart, regs, vm, |a, b| {
+                    vint_compare(op, a, b & mask_for(sew), sew)
+                }),
+                VArithOp::FCmp(op) => vcmp_loop(hart, regs, vm, |a, b| {
+                    vfp_compare(op, f64::from_bits(a), f64::from_bits(b))
+                }),
             }
-            fx.dest = Some(Dest::V(vd, group_len(hart)));
+            fx.dest = Some(Dest::V(vd, if mask { 1 } else { group_len(hart) }));
         }
         Inst::VRed {
             op,
@@ -827,55 +794,6 @@ pub fn execute(
                 hart.set_v_elem(vd, i, bytes, i);
             }
             fx.dest = Some(Dest::V(vd, group_len(hart)));
-        }
-        Inst::VMaskCmp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-        } => {
-            let sew = hart.vtype.sew;
-            let bytes = sew.bytes();
-            in_file(hart, bytes, &[Some(vs2), vector(src)])?;
-            for i in 0..hart.vl {
-                if !vm && !hart.v0_mask_bit(i) {
-                    continue;
-                }
-                let a = hart.v_elem(vs2, i, bytes);
-                let b = src_elem(hart, src, i, bytes) & mask_for(sew);
-                hart.set_v_bit(vd, i, vint_compare(op, a, b, sew));
-            }
-            fx.dest = Some(Dest::V(vd, 1));
-        }
-        Inst::VFMaskCmp {
-            op,
-            vd,
-            vs2,
-            src,
-            vm,
-        } => {
-            if hart.vtype.sew != Sew::E64 {
-                return Err(ExecError::FpVectorNeedsE64);
-            }
-            in_file(hart, 8, &[Some(vs2), vector(src)])?;
-            for i in 0..hart.vl {
-                if !vm && !hart.v0_mask_bit(i) {
-                    continue;
-                }
-                let a = f64::from_bits(hart.v_elem(vs2, i, 8));
-                let b = f64::from_bits(src_elem(hart, src, i, 8));
-                let result = match op {
-                    VFCmpOp::Eq => a == b,
-                    VFCmpOp::Le => a <= b,
-                    VFCmpOp::Lt => a < b,
-                    VFCmpOp::Ne => a != b,
-                    VFCmpOp::Gt => a > b,
-                    VFCmpOp::Ge => a >= b,
-                };
-                hart.set_v_bit(vd, i, result);
-            }
-            fx.dest = Some(Dest::V(vd, 1));
         }
         Inst::VMaskLogical { op, vd, vs2, vs1 } => {
             for i in 0..hart.vl {
@@ -1042,6 +960,71 @@ fn vint_loop(hart: &mut Hart, op: VIntOp, (vd, vs2, src): (VReg, VReg, VSrc), vm
             VIntOp::Maxu => b2.max(b1),
         } & mask_for(sew);
         hart.set_v_elem(vd, i, bytes, result);
+    }
+}
+
+/// Writes `f(vd[i], vs2[i], src[i])` to element `i` of `vd` for every
+/// active element: the multiply and floating-point families, whose
+/// accumulators read `vd`.
+fn vacc_loop(
+    hart: &mut Hart,
+    (vd, vs2, src): (VReg, VReg, VSrc),
+    vm: bool,
+    f: impl Fn(u64, u64, u64) -> u64,
+) {
+    let bytes = hart.vtype.sew.bytes();
+    for i in 0..hart.vl {
+        if !vm && !hart.v0_mask_bit(i) {
+            continue;
+        }
+        let acc = hart.v_elem(vd, i, bytes);
+        let b2 = hart.v_elem(vs2, i, bytes);
+        let b1 = src_elem(hart, src, i, bytes);
+        hart.set_v_elem(vd, i, bytes, f(acc, b2, b1));
+    }
+}
+
+/// Sets mask bit `i` of `vd` to `f(vs2[i], src[i])` for every active
+/// element: the two compare families.
+fn vcmp_loop(
+    hart: &mut Hart,
+    (vd, vs2, src): (VReg, VReg, VSrc),
+    vm: bool,
+    f: impl Fn(u64, u64) -> bool,
+) {
+    let bytes = hart.vtype.sew.bytes();
+    for i in 0..hart.vl {
+        if !vm && !hart.v0_mask_bit(i) {
+            continue;
+        }
+        let a = hart.v_elem(vs2, i, bytes);
+        let b = src_elem(hart, src, i, bytes);
+        hart.set_v_bit(vd, i, f(a, b));
+    }
+}
+
+fn vfp_op(op: VFpOp, acc: f64, b2: f64, b1: f64) -> f64 {
+    match op {
+        VFpOp::Add => canonical(b2 + b1),
+        VFpOp::Sub => canonical(b2 - b1),
+        VFpOp::Mul => canonical(b2 * b1),
+        VFpOp::Div => canonical(b2 / b1),
+        VFpOp::Min => canonical(b2.min(b1)),
+        VFpOp::Max => canonical(b2.max(b1)),
+        VFpOp::Sgnj => b2.copysign(b1),
+        VFpOp::Macc => canonical(b1.mul_add(b2, acc)),
+    }
+}
+
+/// Element compare for the `vmf*` family, `vs2 OP src`.
+fn vfp_compare(op: VFCmpOp, a: f64, b: f64) -> bool {
+    match op {
+        VFCmpOp::Eq => a == b,
+        VFCmpOp::Le => a <= b,
+        VFCmpOp::Lt => a < b,
+        VFCmpOp::Ne => a != b,
+        VFCmpOp::Gt => a > b,
+        VFCmpOp::Ge => a >= b,
     }
 }
 

@@ -44,7 +44,7 @@
 //! ([`FuseStop`]), the per-core tallies ([`FuseDiag`]) and the armed
 //! accesses the orchestrator's cross-core test reads ([`FusedAccess`]).
 
-use coyote_isa::superblock::{LoopRow, Stride, MAX_LOOP_RUN, MAX_RUN};
+use coyote_isa::superblock::{LoopRow, Stride, MAX_LOOP_RUN};
 use coyote_isa::{cross_owner_conflict, Access, OwnerAccesses, StoreMap};
 use coyote_isa::{MemOp, RegSet};
 
@@ -139,13 +139,10 @@ pub struct FuseDiag {
     /// Reason the most recent attempt stopped (what the orchestrator
     /// reports when a multi-core window dies on a failed re-arm).
     pub last_stop: FuseStop,
-    /// Exact armed-run-length distribution up to [`MAX_RUN`]:
-    /// `run_len_counts[n]` counts runs armed at length `n`.
-    pub run_len_counts: [u64; MAX_RUN as usize + 1],
-    /// The same above [`MAX_RUN`] (runs armed over loop rows, up to
-    /// [`MAX_LOOP_RUN`]), as `(length, count)` by length: a core arms few
-    /// distinct lengths there, and a dense table would add 8 KiB a core.
-    pub loop_len_counts: Vec<(u32, u64)>,
+    /// Exact armed-run-length distribution, `(length, count)` sorted by
+    /// length; read it with [`FuseDiag::run_lengths`]. A core arms few
+    /// distinct lengths up to [`MAX_LOOP_RUN`], so it is kept sparse.
+    run_len_counts: Vec<(u32, u64)>,
 }
 
 impl Default for FuseDiag {
@@ -156,8 +153,7 @@ impl Default for FuseDiag {
             armed_runs: 0,
             stops: [0; FuseStop::COUNT],
             last_stop: FuseStop::RunEnd,
-            run_len_counts: [0; MAX_RUN as usize + 1],
-            loop_len_counts: Vec::new(),
+            run_len_counts: Vec::new(),
         }
     }
 }
@@ -171,23 +167,16 @@ impl FuseDiag {
         self.last_stop = stop;
         if len > 0 {
             self.armed_runs += 1;
-            if let Some(slot) = self.run_len_counts.get_mut(len as usize) {
-                *slot += 1;
-            } else {
-                match self.loop_len_counts.binary_search_by_key(&len, |&(n, _)| n) {
-                    Ok(at) => self.loop_len_counts[at].1 += 1,
-                    Err(at) => self.loop_len_counts.insert(at, (len, 1)),
-                }
+            match self.run_len_counts.binary_search_by_key(&len, |&(n, _)| n) {
+                Ok(at) => self.run_len_counts[at].1 += 1,
+                Err(at) => self.run_len_counts.insert(at, (len, 1)),
             }
         }
     }
 
     /// Every armed length with its count, by length.
     pub fn run_lengths(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        (0..)
-            .zip(self.run_len_counts.iter().copied())
-            .filter(|&(_, count)| count > 0)
-            .chain(self.loop_len_counts.iter().copied())
+        self.run_len_counts.iter().copied()
     }
 }
 

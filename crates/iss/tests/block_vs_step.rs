@@ -266,10 +266,10 @@ fn step_block_matches_step_however_the_run_is_cut() {
         ("lru", LRU.into(), 0, |_| true),
         ("alternating", ALTERNATING.into(), 0, |diag| {
             // Both runs are four long.
-            diag.run_len_counts[4] >= 2 * 199
+            armed_at(diag, 4) >= 2 * 199
         }),
         ("in-flight", IN_FLIGHT.into(), 30, |diag| {
-            diag.run_len_counts[2] >= 80
+            armed_at(diag, 2) >= 80
                 && diag.stops[FuseStop::ScoreboardBusy as usize] >= 120
                 && diag.stops[FuseStop::PendingFill as usize] >= 40
         }),
@@ -277,8 +277,8 @@ fn step_block_matches_step_however_the_run_is_cut() {
             // Warm iterations of `body` arm 64 + 64 + the rest; `bump`
             // arms `ld … bnez` whenever the load's line is resident and
             // never the `addi s0` before it.
-            diag.run_len_counts[64] >= 4
-                && diag.run_len_counts[4] >= 40
+            armed_at(diag, 64) >= 4
+                && armed_at(diag, 4) >= 40
                 && diag.stops[FuseStop::TooShort as usize] >= 50
         }),
     ];

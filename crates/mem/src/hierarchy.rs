@@ -670,12 +670,15 @@ impl Hierarchy {
             // hit, canonically.
             Ev::BankArrive(_) => (Domain::Bank(state.bank), ev_rank(1, 0, state)),
             Ev::BankFill(_) => (Domain::Bank(state.bank), ev_rank(0, 3, state)),
-            Ev::McSend(_) => {
+            // The route is computed once, here; both MC handlers read it.
+            Ev::McSend(slot) => {
                 let mc = self
                     .config
                     .mc
                     .mc_for(state.req.line_addr, self.config.l2.line_bytes);
-                (Domain::Mc(mc), ev_rank(0, 1, state))
+                let rank = ev_rank(0, 1, state);
+                self.stamps(slot).mc = mc as u16;
+                (Domain::Mc(mc), rank)
             }
             // The MC-response hop mutates no arbitrated component (its
             // side effects are commutative NoC counters), so it is free
@@ -889,10 +892,8 @@ impl Hierarchy {
         let state = self.state(slot);
         let (bank, line_addr) = (state.bank, state.req.line_addr);
         let write = !state.req.needs_response && !state.is_prefetch;
-        let mc_index = self.config.mc.mc_for(line_addr, self.config.l2.line_bytes);
-        let stamps = self.stamps(slot);
-        stamps.mc_send = now;
-        stamps.mc = mc_index as u16;
+        let mc_index = usize::from(state.stamps.mc);
+        self.stamps(slot).mc_send = now;
         let bank_tile = self.bank_tile(bank);
         let latency = self
             .noc
@@ -909,9 +910,8 @@ impl Hierarchy {
 
     fn on_mc_respond(&mut self, now: u64, slot: u32) {
         let state = self.state(slot);
-        let (bank, line_addr) = (state.bank, state.req.line_addr);
+        let (bank, mc_index) = (state.bank, usize::from(state.stamps.mc));
         self.stamps(slot).mc_respond = now;
-        let mc_index = self.config.mc.mc_for(line_addr, self.config.l2.line_bytes);
         let bank_tile = self.bank_tile(bank);
         let latency = self
             .noc

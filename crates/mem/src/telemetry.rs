@@ -40,7 +40,8 @@ pub(crate) struct Stamps {
     pub(crate) mc_respond: u64,
     pub(crate) bank_fill: u64,
     pub(crate) respond: u64,
-    /// The serving memory controller, once `mc_send` is stamped.
+    /// The serving memory controller, set when `McSend` is scheduled
+    /// (the one place a request is routed to a controller).
     pub(crate) mc: u16,
     /// Merged into another in-flight miss to the same line: it never
     /// owns an MC round trip, and its bank residency is miss wait.
