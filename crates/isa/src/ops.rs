@@ -318,9 +318,10 @@ pub static FP_CVT: Table<FpCvtOp> = Table(&[
 
 /// Vector arithmetic and compares, every family in one table; `bits` is
 /// `funct3_funct6`, where funct3 is the family's `.vv` space (OPIVV,
-/// OPMVV or OPFVV). A `.vx` form sets bit 2 of that funct3, and every
-/// `.vi` form is OPIVI and every `.vf` form OPFVF, so a decoded word
-/// names its row's space (see [`vsrc_funct3`]).
+/// OPMVV or OPFVV). A `.vx` word's funct3 is the space with bit 2 set
+/// ([`vsrc_funct3`]); `.vi` rows are all in OPIVV and `.vf` rows all in
+/// OPFVV, so a word's funct3 and form name its row's space and `decode`
+/// needs one lookup.
 #[rustfmt::skip]
 pub static VARITH: Table<VArithOp> = Table(&[
     row(Int(VIntOp::Add), "vadd", F3_OPIVV << 6).forms(VV | VX | VI),

@@ -100,27 +100,49 @@ fn op_src<T: Copy + PartialEq + std::fmt::Debug + 'static>(
     })
 }
 
+/// A `VARITH` instruction with any operand, paired with whether its row
+/// encodes that operand.
+fn varith() -> impl Strategy<Value = (Inst, bool)> {
+    let src = vsrc(i8::MIN..=i8::MAX);
+    (all(&ops::VARITH), vreg(), vreg(), src, any::<bool>()).prop_map(|(op, vd, vs2, src, vm)| {
+        let ok = encodable(ops::VARITH.row(op), src);
+        let inst = Inst::VArith {
+            op,
+            vd,
+            vs2,
+            src,
+            vm,
+        };
+        (inst, ok)
+    })
+}
+
+/// A `VARITH` instruction with an operand its row encodes.
+fn encodable_varith() -> impl Strategy<Value = Inst> {
+    (op_src(&ops::VARITH), vreg(), vreg(), any::<bool>()).prop_map(|((op, src), vd, vs2, vm)| {
+        Inst::VArith {
+            op,
+            vd,
+            vs2,
+            src,
+            vm,
+        }
+    })
+}
+
 /// A vector instruction with any operand, paired with whether it has an
 /// encoding: its row has the operand's form, a splat's `vs2` is `v0`, a
 /// mask is on an operation that takes one.
 fn any_vector_op() -> impl Strategy<Value = (Inst, bool)> {
     let src = || vsrc(i8::MIN..=i8::MAX);
     prop_oneof![
-        (all(&ops::VARITH), vreg(), vreg(), src(), any::<bool>()).prop_map(
-            |(op, vd, vs2, src, vm)| {
-                let ok = encodable(ops::VARITH.row(op), src);
-                (
-                    Inst::VArith {
-                        op,
-                        vd,
-                        vs2,
-                        src,
-                        vm,
-                    },
-                    ok,
-                )
-            }
-        ),
+        // `prop_oneof!` draws its arms evenly: one `VARITH` arm per
+        // family keeps the share the five families' variants had.
+        varith(),
+        varith(),
+        varith(),
+        varith(),
+        varith(),
         // Half the splats get `vs2` = v0, the only one they encode with.
         (vreg(), vreg(), src(), any::<bool>(), any::<bool>()).prop_map(|(vd, vs2, src, vm, v0)| {
             let vs2 = if v0 { VReg::V0 } else { vs2 };
@@ -281,15 +303,12 @@ fn inst() -> impl Strategy<Value = Inst> {
                 vm
             }
         ),
-        (op_src(&ops::VARITH), vreg(), vreg(), any::<bool>()).prop_map(
-            |((op, src), vd, vs2, vm)| Inst::VArith {
-                op,
-                vd,
-                vs2,
-                src,
-                vm
-            }
-        ),
+        // One arm per vector-arithmetic family, as in `any_vector_op`.
+        encodable_varith(),
+        encodable_varith(),
+        encodable_varith(),
+        encodable_varith(),
+        encodable_varith(),
         (all(&ops::VRED), vreg(), vreg(), vreg(), any::<bool>()).prop_map(
             |(op, vd, vs2, vs1, vm)| Inst::VRed {
                 op,
