@@ -959,8 +959,8 @@ pub enum Inst {
     },
 }
 
-// 16 bytes before the vector arithmetic families became one variant;
-// the predecoded table holds one `Inst` per text word.
+// The predecoded table holds one `Inst` per text word: folding shapes
+// into one variant must not grow it.
 const _: () = assert!(std::mem::size_of::<Inst>() == 16);
 
 impl Inst {
