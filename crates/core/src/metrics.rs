@@ -284,7 +284,7 @@ fn time_series_json(sim: &Simulation) -> JsonValue {
         return JsonValue::Null;
     };
     let series = sink.series();
-    let retired: u64 = series.samples().iter().map(|s| s.retired).sum();
+    let retired: u64 = series.samples().map(|s| s.cores()[0]).sum();
     JsonValue::object()
         .with("interval", sink.interval())
         .with("epochs", series.len())

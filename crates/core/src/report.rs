@@ -161,8 +161,8 @@ impl Report {
     }
 }
 
-/// The cumulative-counter snapshot the telemetry sink differences into
-/// one epoch sample; `blame` is the per-core dep-stall blame so far.
+/// The cumulative-counter snapshot the telemetry sink stores to end an
+/// epoch; `blame` is the per-core dep-stall blame so far.
 pub(crate) fn epoch_snapshot(
     cycle: u64,
     cores: &[Core],

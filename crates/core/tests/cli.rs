@@ -373,7 +373,7 @@ fn chrome_trace_flag_writes_trace_event_json() {
 /// serialiser this path replaced (commit 79160f9, same program and
 /// flags), so identity with the old exporter outlives it. The pretty
 /// form is also checked against the golden re-serialised through the
-/// tree path (`JsonValue` → `JsonEmitter`), an oracle that shares no
+/// tree path (`JsonValue::to_string_pretty`), an oracle that shares no
 /// code with the Chrome writer's templates. Likewise the `.prv`,
 /// recorded at 4b772b8 from the per-core interval scan the observer's
 /// transition lists replaced.

@@ -594,15 +594,7 @@ pub fn execute(
             fx.dest = Some(Dest::X(rd));
         }
         Inst::Vsetvli { rd, rs1, vtype } => {
-            let avl = if rs1 == XReg::ZERO {
-                if rd == XReg::ZERO {
-                    hart.vl // change vtype only, keep vl
-                } else {
-                    u64::MAX // request the maximum
-                }
-            } else {
-                hart.x(rs1)
-            };
+            let avl = avl(hart, rd, rs1);
             hart.vtype = vtype;
             hart.vl = avl.min(vtype.vlmax(hart.vlen_bits()));
             hart.set_x(rd, hart.vl);
@@ -619,11 +611,7 @@ pub fn execute(
             let vtype = VType::from_bits(value)
                 .filter(|_| value >> 8 == 0)
                 .ok_or(ExecError::UnsupportedVtype { value })?;
-            let avl = if rs1 == XReg::ZERO {
-                u64::MAX
-            } else {
-                hart.x(rs1)
-            };
+            let avl = avl(hart, rd, rs1);
             hart.vtype = vtype;
             hart.vl = avl.min(vtype.vlmax(hart.vlen_bits()));
             hart.set_x(rd, hart.vl);
@@ -832,6 +820,19 @@ fn write_raw(hart: &mut Hart, index: u8, float: bool, value: u64) -> Dest {
         let rd = XReg::new(index).unwrap_or(XReg::ZERO);
         hart.set_x(rd, value);
         Dest::X(rd)
+    }
+}
+
+/// The application vector length `vsetvli` and `vsetvl` request (RVV
+/// 1.0 §6.2): `rs1`'s value; with `rs1` = x0 the maximum, or, when
+/// `rd` is x0 too, the current `vl` (only `vtype` changes).
+fn avl(hart: &Hart, rd: XReg, rs1: XReg) -> u64 {
+    if rs1 != XReg::ZERO {
+        hart.x(rs1)
+    } else if rd == XReg::ZERO {
+        hart.vl
+    } else {
+        u64::MAX
     }
 }
 

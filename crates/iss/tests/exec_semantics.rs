@@ -193,6 +193,18 @@ fn vsetvl_to_an_unsupported_vtype_is_an_exec_error() {
     assert_eq!(compute("li a1, 0xd8\n vsetvl a0, zero, a1"), 16);
 }
 
+/// With `rd` = `rs1` = x0, `vsetvl` changes `vtype` only and keeps `vl`
+/// (RVV 1.0 §6.2), as `vsetvli` does.
+#[test]
+fn vsetvl_with_rd_and_rs1_zero_keeps_vl() {
+    let body =
+        "vsetivli zero, 3, e64, m1, ta, ma\n li a1, 0xd8\n vsetvl zero, zero, a1\n csrr a0, vl";
+    assert_eq!(compute(body), 3);
+    let body =
+        "vsetivli zero, 3, e64, m1, ta, ma\n vsetvli zero, zero, e64, m1, ta, ma\n csrr a0, vl";
+    assert_eq!(compute(body), 3);
+}
+
 #[test]
 fn fp_arithmetic_matches_host() {
     let src = "

@@ -121,8 +121,8 @@ impl BankStats {
 pub enum Lookup {
     /// Line present.
     Hit,
-    /// Line absent; fill required. Carries the dirty victim (if any)
-    /// that the later fill will evict.
+    /// Line absent; fill required. The victim is chosen when the fill
+    /// installs the line ([`L2Bank::fill`] returns it if dirty).
     Miss,
 }
 

@@ -8,15 +8,15 @@
 //! `tid` selects the row within it.
 //!
 //! A paper-scale trace has ~10^6 events, so nothing is accumulated and
-//! no event goes through the per-token [`JsonEmitter`](crate::JsonEmitter).
+//! no event is built as a [`JsonValue`](crate::JsonValue) tree.
 //! Every event sits at the same depth of one fixed document, so its text
 //! is a fixed template with a hole per value. The writer derives the
-//! templates of its mode once, from the emitter's own text of each event
-//! shape (compact JSON with `"$"` for each value), and then writes an
-//! event as that sequence of template pieces and values into a
+//! templates of its mode once, from the tree writer's own text of each
+//! event shape (compact JSON with `"$"` for each value), and then writes
+//! an event as that sequence of template pieces and values into a
 //! [`Record`] at the end of the document: integers through
 //! `json::write_u64`, strings copied when plain and
-//! through the emitter's escaper when not. Pretty and compact text are
+//! through the tree writer's escaper when not. Pretty and compact text are
 //! the same code with other templates, and the bytes are the tree
 //! serialiser's by construction. The caller may drain
 //! [`ChromeWriter::text`] between calls.
@@ -264,7 +264,7 @@ impl Event<'_> {
         self.text.bytes(b"\"");
     }
 
-    /// A string, through the emitter's escaper when it needs it.
+    /// A string, through the tree writer's escaper when it needs it.
     #[inline(always)]
     fn string(&mut self, value: &str) {
         self.piece();
@@ -353,7 +353,7 @@ mod tests {
     }
 
     /// Both layouts are the tree serialiser's text: parsed and written
-    /// again through `JsonEmitter`, each document comes back unchanged.
+    /// again by `JsonValue`'s writer, each document comes back unchanged.
     #[test]
     fn both_layouts_are_the_emitters_text() {
         for events in [false, true] {

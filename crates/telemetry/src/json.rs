@@ -1,16 +1,17 @@
-//! A hand-rolled JSON layer: a tree model, the streaming emitter that
-//! serialises it, a minimal parser, and the byte-level integer routine
-//! and [`Record`] that every record writer shares.
+//! A hand-rolled JSON layer: a tree model, the one function that
+//! writes it, a minimal parser, and the byte-level integer routine and
+//! [`Record`] that every record writer shares.
 //!
 //! The build environment is offline (no serde), and the metrics schema
 //! is small and stable, so a tiny tree model is the whole dependency.
 //! Objects preserve insertion order, which keeps exports byte-stable
 //! across runs — downstream golden files and CI diffs rely on that.
 //! The tree documents (metrics, `crash.json`, host profile) are a few KB
-//! and go through [`JsonEmitter`], one token at a time. The large
-//! exports are written record by record into a [`Record`]: the Chrome
-//! trace from event templates the emitter's own output supplies
-//! ([`crate::chrome`]), and the `.prv` lines in the core crate. All
+//! and are written by one recursive walk of the tree
+//! ([`JsonValue::to_string_compact`] / [`JsonValue::to_string_pretty`]).
+//! The large exports are written record by record into a [`Record`]:
+//! the Chrome trace from event templates the tree writer's own output
+//! supplies ([`crate::chrome`]), and the `.prv` lines in the core crate. All
 //! three write integers with `write_u64`, and output is bytes until a
 //! document is finished, when a `String` is made once with
 //! `String::from_utf8`, which takes the buffer over without a copy.
@@ -116,188 +117,89 @@ impl JsonValue {
     /// Serializes compactly (no whitespace).
     #[must_use]
     pub fn to_string_compact(&self) -> String {
-        let mut out = JsonEmitter::new(false, 0);
-        out.value(self);
-        out.finish()
+        self.to_text(None)
     }
 
     /// Serializes with two-space indentation.
     #[must_use]
     pub fn to_string_pretty(&self) -> String {
-        let mut out = JsonEmitter::new(true, 0);
-        out.value(self);
-        out.finish()
+        self.to_text(Some(0))
+    }
+
+    /// The document's text; pretty text ends in a newline.
+    fn to_text(&self, depth: Option<usize>) -> String {
+        let mut out = Vec::new();
+        write_value(&mut out, self, depth);
+        if depth.is_some() {
+            out.push(b'\n');
+        }
+        String::from_utf8(out).expect("the writer writes only whole UTF-8 strings")
     }
 }
 
-/// Streaming JSON emitter: the formatter of every tree document.
-///
-/// Callers announce structure (`begin_*` / `key` / `end_*`) and scalars
-/// in document order and the text is appended to an owned buffer at
-/// once. [`JsonValue`] serialization is a walk over this type. Misnested
-/// calls are a caller bug and produce malformed text, not a panic.
-#[derive(Debug)]
-pub struct JsonEmitter {
-    out: Vec<u8>,
-    pretty: bool,
-    depth: usize,
-    /// The innermost open container has no item yet.
-    first: bool,
-    /// A key was just written: the next value follows it inline.
-    after_key: bool,
-}
-
-impl JsonEmitter {
-    /// An emitter producing two-space `pretty` or compact text into a
-    /// buffer pre-sized to `capacity` bytes.
-    #[must_use]
-    pub fn new(pretty: bool, capacity: usize) -> JsonEmitter {
-        JsonEmitter {
-            out: Vec::with_capacity(capacity),
-            pretty,
-            depth: 0,
-            first: true,
-            after_key: false,
+/// Appends the text of `value`: compact when `depth` is `None`, else
+/// two-space pretty text for a value nested `depth` containers deep. A
+/// container's items each go on their own line one level deeper, and
+/// an empty one is just its brackets.
+fn write_value(out: &mut Vec<u8>, value: &JsonValue, depth: Option<usize>) {
+    let newline = |out: &mut Vec<u8>, depth: Option<usize>| {
+        if let Some(depth) = depth {
+            out.push(b'\n');
+            out.resize(out.len() + 2 * depth, b' ');
         }
-    }
-
-    /// Ends the document (pretty text ends in a newline) and returns
-    /// the text.
-    #[must_use]
-    pub fn finish(mut self) -> String {
-        if self.pretty {
-            self.out.push(b'\n');
-        }
-        String::from_utf8(self.out).expect("the emitter writes only whole UTF-8 strings")
-    }
-
-    /// Separator and indentation in front of an item of the open
-    /// container; nothing in front of a keyed or top-level value.
-    fn item(&mut self) {
-        if self.after_key {
-            self.after_key = false;
-        } else if self.depth > 0 {
-            if !self.first {
-                self.out.push(b',');
+    };
+    let inner = depth.map(|depth| depth + 1);
+    match value {
+        JsonValue::Null => out.extend_from_slice(b"null"),
+        JsonValue::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+        JsonValue::UInt(v) => push_u64(out, *v),
+        JsonValue::Int(v) => {
+            if *v < 0 {
+                out.push(b'-');
             }
-            self.newline();
+            push_u64(out, v.unsigned_abs());
         }
-        self.first = false;
-    }
-
-    fn newline(&mut self) {
-        if self.pretty {
-            self.out.push(b'\n');
-            for _ in 0..self.depth {
-                self.out.extend_from_slice(b"  ");
-            }
+        // Rust's shortest-roundtrip Display is deterministic; force a
+        // trailing `.0` so integers stay floats on re-parse. Writing into
+        // a `Vec` cannot fail.
+        JsonValue::Float(v) if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 => {
+            let _ = write!(out, "{v:.1}");
         }
-    }
-
-    fn open(&mut self, bracket: u8) {
-        self.item();
-        self.out.push(bracket);
-        self.depth += 1;
-        self.first = true;
-    }
-
-    fn close(&mut self, bracket: u8) {
-        self.depth -= 1;
-        if !self.first {
-            self.newline();
+        JsonValue::Float(v) if v.is_finite() => {
+            let _ = write!(out, "{v}");
         }
-        self.out.push(bracket);
-        self.first = false;
-    }
-
-    /// Opens an object.
-    pub fn begin_object(&mut self) {
-        self.open(b'{');
-    }
-
-    /// Closes the innermost object.
-    pub fn end_object(&mut self) {
-        self.close(b'}');
-    }
-
-    /// Opens an array.
-    pub fn begin_array(&mut self) {
-        self.open(b'[');
-    }
-
-    /// Closes the innermost array.
-    pub fn end_array(&mut self) {
-        self.close(b']');
-    }
-
-    /// Writes an object key; the next call supplies its value.
-    pub fn key(&mut self, key: &str) {
-        self.item();
-        push_escaped(&mut self.out, key);
-        self.out
-            .extend_from_slice(if self.pretty { b": " } else { b":" });
-        self.after_key = true;
-    }
-
-    /// Writes a string value.
-    pub fn string(&mut self, s: &str) {
-        self.item();
-        push_escaped(&mut self.out, s);
-    }
-
-    /// Writes an unsigned integer value.
-    pub fn uint(&mut self, v: u64) {
-        self.item();
-        push_u64(&mut self.out, v);
-    }
-
-    /// Writes any [`JsonValue`] tree.
-    pub fn value(&mut self, value: &JsonValue) {
-        match value {
-            JsonValue::Null => self.literal("null"),
-            JsonValue::Bool(b) => self.literal(if *b { "true" } else { "false" }),
-            JsonValue::UInt(v) => self.uint(*v),
-            JsonValue::Int(v) => {
-                self.item();
-                if *v < 0 {
-                    self.out.push(b'-');
+        JsonValue::Float(_) => out.extend_from_slice(b"null"),
+        JsonValue::Str(s) => push_escaped(out, s),
+        JsonValue::Array(items) => {
+            out.push(b'[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
                 }
-                push_u64(&mut self.out, v.unsigned_abs());
+                newline(out, inner);
+                write_value(out, item, inner);
             }
-            JsonValue::Float(v) if v.is_finite() => {
-                self.item();
-                // Rust's shortest-roundtrip Display is deterministic;
-                // force a trailing `.0` so integers stay floats on
-                // re-parse. Writing into a `Vec` cannot fail.
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    let _ = write!(self.out, "{v:.1}");
-                } else {
-                    let _ = write!(self.out, "{v}");
-                }
+            if !items.is_empty() {
+                newline(out, depth);
             }
-            JsonValue::Float(_) => self.literal("null"),
-            JsonValue::Str(s) => self.string(s),
-            JsonValue::Array(items) => {
-                self.begin_array();
-                for item in items {
-                    self.value(item);
-                }
-                self.end_array();
-            }
-            JsonValue::Object(fields) => {
-                self.begin_object();
-                for (key, value) in fields {
-                    self.key(key);
-                    self.value(value);
-                }
-                self.end_object();
-            }
+            out.push(b']');
         }
-    }
-
-    fn literal(&mut self, text: &str) {
-        self.item();
-        self.out.extend_from_slice(text.as_bytes());
+        JsonValue::Object(fields) => {
+            out.push(b'{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                newline(out, inner);
+                push_escaped(out, key);
+                out.extend_from_slice(if depth.is_some() { b": " } else { b":" });
+                write_value(out, item, inner);
+            }
+            if !fields.is_empty() {
+                newline(out, depth);
+            }
+            out.push(b'}');
+        }
     }
 }
 
@@ -311,7 +213,7 @@ const DECIMAL_PAIRS: &[u8; 200] = b"\
 
 /// Writes `v` in decimal, as `v.to_string()` spells it, at the start of
 /// `out` and returns the byte count (at most 20): the integer routine
-/// of the emitter, the Chrome writer and the `.prv` writer. The digits
+/// of the tree writer, the Chrome writer and the `.prv` writer. The digits
 /// go straight to their place, two per table lookup, right to left.
 ///
 /// # Panics

@@ -7,15 +7,16 @@
 //!
 //! - [`Histogram`] — log2-bucketed latency histograms for
 //!   request-lifecycle stages (NoC, bank, MSHR wait, DRAM, delivery);
-//! - [`TimeSeries`] / [`Sample`] — epoch-sampled delta counters with
-//!   bounded-memory pair-merge compaction, serializing to CSV;
-//! - [`JsonValue`] — a hand-rolled, dependency-free JSON tree and
-//!   parser used for the stable `schema_version`ed metrics document,
-//!   serialized by [`JsonEmitter`];
+//! - [`TimeSeries`] — the cumulative [`EpochSnapshot`]s of a run,
+//!   compacted in bounded memory, read as per-epoch [`Sample`]s and
+//!   serialized to CSV;
+//! - [`JsonValue`] — a hand-rolled, dependency-free JSON tree, its one
+//!   writer and a parser, used for the stable `schema_version`ed
+//!   metrics document;
 //! - [`ChromeWriter`] — Chrome trace-event JSON (Perfetto-loadable) for
 //!   request lifecycles and core-state intervals, streamed event by
-//!   event from templates taken from the emitter's text, each event a
-//!   [`Record`] (as each `.prv` line is);
+//!   event from templates taken from the tree writer's text, each event
+//!   a [`Record`] (as each `.prv` line is);
 //! - [`TelemetrySink`] — the epoch bookkeeping the simulation loop
 //!   drives, deliberately typed on plain numbers so this crate stays a
 //!   leaf dependency;
@@ -43,8 +44,8 @@ pub mod topk;
 pub use chrome::{ChromeWriter, SliceArgs};
 pub use hist::{Histogram, BUCKETS};
 pub use hostprof::{HostProf, ProfClock, SpanToken, WallClock};
-pub use json::{parse as parse_json, JsonEmitter, JsonParseError, JsonValue, Record, RECORD_BYTES};
-pub use series::{Sample, TimeSeries};
+pub use json::{parse as parse_json, JsonParseError, JsonValue, Record, RECORD_BYTES};
+pub use series::{EpochSnapshot, Sample, TimeSeries};
 pub use topk::{PcEntry, TopK};
 
 /// Version of the exported metrics JSON schema. Bump on any breaking
@@ -204,47 +205,12 @@ impl RequestCause {
     }
 }
 
-/// Cumulative counters and instantaneous gauges captured at one cycle,
-/// fed to [`TelemetrySink::sample`]. The sink differences consecutive
-/// snapshots to produce per-epoch [`Sample`]s, so callers only ever
-/// report running totals — no delta bookkeeping leaks into the
-/// simulator.
-#[derive(Debug, Clone, Default)]
-pub struct EpochSnapshot {
-    /// Cycle at which the snapshot was taken.
-    pub cycle: u64,
-    /// Per-core cumulative `[retired, dep_stall_cycles,
-    /// fetch_stall_cycles]`.
-    pub per_core: Vec<[u64; 3]>,
-    /// Per-core cumulative dependency-stall cycles by attribution
-    /// category (`Blame::ALL` order, then `other`). Covers *closed*
-    /// stall intervals only — an in-progress stall is attributed when
-    /// its closing completion arrives, which keeps every column
-    /// monotone across snapshots.
-    pub per_core_blame: Vec<[u64; BLAME_COLS]>,
-    /// Per-bank `[hits, misses, mshr_occupancy]` — first two
-    /// cumulative, third an instantaneous gauge.
-    pub per_bank: Vec<[u64; 3]>,
-    /// Cumulative NoC traversals.
-    pub noc_traversals: u64,
-    /// Cumulative completed hierarchy requests.
-    pub completed: u64,
-    /// Requests parked waiting for an MSHR right now.
-    pub queued_requests: u64,
-    /// Requests in flight anywhere in the hierarchy right now.
-    pub in_flight: u64,
-    /// Memory-controller channels busy right now.
-    pub mc_busy_channels: u64,
-}
-
 /// Epoch bookkeeping for the simulation loop: decides when the next
-/// sample is due, differences cumulative snapshots into delta
-/// [`Sample`]s, and owns the resulting [`TimeSeries`].
+/// sample is due and owns the [`TimeSeries`] of snapshots.
 #[derive(Debug)]
 pub struct TelemetrySink {
     interval: u64,
     next_due: u64,
-    last: EpochSnapshot,
     series: TimeSeries,
 }
 
@@ -257,7 +223,6 @@ impl TelemetrySink {
         TelemetrySink {
             interval,
             next_due: interval,
-            last: EpochSnapshot::default(),
             series: TimeSeries::default(),
         }
     }
@@ -277,49 +242,14 @@ impl TelemetrySink {
     }
 
     /// Records one epoch ending at `snapshot.cycle`. Counters in the
-    /// snapshot are cumulative; the sink differences them against the
-    /// previous snapshot. Zero-length epochs are dropped.
+    /// snapshot are cumulative; zero-length epochs are dropped.
     pub fn sample(&mut self, snapshot: EpochSnapshot) {
-        let start = self.last.cycle;
-        let end = snapshot.cycle;
         // Schedule the next epoch boundary strictly after `end`, on the
         // interval grid, so a fast-forwarded cycle counter never causes
         // back-to-back zero-length epochs.
+        let end = snapshot.cycle;
         self.next_due = end + self.interval - end % self.interval;
-        if end <= start {
-            return;
-        }
-
-        let per_core: Vec<[u64; 3]> = diff_rows(&snapshot.per_core, &self.last.per_core, [true; 3]);
-        let per_core_blame: Vec<[u64; BLAME_COLS]> = diff_rows(
-            &snapshot.per_core_blame,
-            &self.last.per_core_blame,
-            [true; BLAME_COLS],
-        );
-        let per_bank: Vec<[u64; 3]> =
-            diff_rows(&snapshot.per_bank, &self.last.per_bank, [true, true, false]);
-
-        let sum_col = |rows: &[[u64; 3]], col: usize| rows.iter().map(|r| r[col]).sum::<u64>();
-        let sample = Sample {
-            start,
-            end,
-            retired: sum_col(&per_core, 0),
-            dep_stall_cycles: sum_col(&per_core, 1),
-            fetch_stall_cycles: sum_col(&per_core, 2),
-            l2_hits: sum_col(&per_bank, 0),
-            l2_misses: sum_col(&per_bank, 1),
-            noc_traversals: snapshot.noc_traversals - self.last.noc_traversals,
-            completed: snapshot.completed - self.last.completed,
-            mshr_occupancy: sum_col(&per_bank, 2),
-            queued_requests: snapshot.queued_requests,
-            in_flight: snapshot.in_flight,
-            mc_busy_channels: snapshot.mc_busy_channels,
-            per_core,
-            per_core_blame,
-            per_bank,
-        };
-        self.series.push(sample);
-        self.last = snapshot;
+        self.series.push(snapshot);
     }
 
     /// The accumulated time series.
@@ -327,32 +257,6 @@ impl TelemetrySink {
     pub fn series(&self) -> &TimeSeries {
         &self.series
     }
-}
-
-/// Per-row difference of cumulative snapshots; `diff[i]` subtracts the
-/// column, otherwise the newer gauge value is kept. Rows absent from
-/// the older snapshot diff against zero.
-fn diff_rows<const N: usize>(
-    newer: &[[u64; N]],
-    older: &[[u64; N]],
-    diff: [bool; N],
-) -> Vec<[u64; N]> {
-    newer
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let prev = older.get(i).copied().unwrap_or([0; N]);
-            let mut out = [0u64; N];
-            for c in 0..N {
-                out[c] = if diff[c] {
-                    row[c].saturating_sub(prev[c])
-                } else {
-                    row[c]
-                };
-            }
-            out
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -375,16 +279,16 @@ mod tests {
         let mut sink = TelemetrySink::new(100);
         sink.sample(snapshot(100, 50, 10));
         sink.sample(snapshot(200, 120, 25));
-        let samples = sink.series().samples();
+        let samples: Vec<Sample> = sink.series().samples().collect();
         assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].retired, 50);
-        assert_eq!(samples[1].retired, 70);
-        assert_eq!(samples[1].l2_hits, 15);
-        assert_eq!(samples[1].completed, 15);
+        assert_eq!(samples[0].cores()[0], 50);
+        assert_eq!(samples[1].cores()[0], 70);
+        assert_eq!(samples[1].banks()[0], 15);
+        assert_eq!(samples[1].delta(|s| s.completed), 15);
         // Gauge column passes through untouched.
-        assert_eq!(samples[1].per_bank[0][2], 3);
+        assert_eq!(samples[1].bank(0)[2], 3);
         // Delta sum equals the final cumulative value.
-        let total: u64 = samples.iter().map(|s| s.retired).sum();
+        let total: u64 = samples.iter().map(|s| s.cores()[0]).sum();
         assert_eq!(total, 120);
     }
 
@@ -424,9 +328,9 @@ mod tests {
         let mut second = snapshot(200, 20, 2);
         second.per_core_blame = vec![[7, 0, 25, 4, 20, 3]];
         sink.sample(second);
-        let samples = sink.series().samples();
-        assert_eq!(samples[0].per_core_blame, vec![[5, 0, 10, 0, 20, 3]]);
-        assert_eq!(samples[1].per_core_blame, vec![[2, 0, 15, 4, 0, 0]]);
+        let samples: Vec<Sample> = sink.series().samples().collect();
+        assert_eq!(samples[0].blame(0), [5, 0, 10, 0, 20, 3]);
+        assert_eq!(samples[1].blame(0), [2, 0, 15, 4, 0, 0]);
     }
 
     #[test]

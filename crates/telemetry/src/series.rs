@@ -1,208 +1,211 @@
 //! Epoch-sampled time series with bounded memory.
 //!
-//! The simulator pushes one [`Sample`] per metrics epoch. To keep the
-//! ring in-memory for arbitrarily long runs, the series compacts by
-//! merging adjacent sample pairs once it reaches its capacity: summed
-//! counters add, occupancy gauges keep their end-of-epoch value, and
-//! the effective epoch length doubles. Compaction preserves every
-//! column's total, so invariants like "per-epoch retired deltas sum to
-//! total retired" survive any number of compactions.
+//! The series keeps the cumulative [`EpochSnapshot`]s the sampler hands
+//! it, after a cycle-0 origin. Epoch `i` is the [`Sample`] between
+//! snapshots `i` and `i + 1`, read at export: a counter is its growth
+//! between the two, a gauge its value at the later one. To keep memory
+//! bounded over arbitrarily long runs, a series holding its capacity in
+//! epochs compacts by keeping the even-indexed snapshots and the last,
+//! so each kept epoch spans the two (or, at an odd end, the one) it
+//! replaces and the effective epoch length doubles. Every counter in a
+//! snapshot is monotone, so a merged epoch's growth is exactly the sum
+//! of its parts and its gauges are the later part's: no column's total
+//! changes, and invariants like "per-epoch retired deltas sum to total
+//! retired" survive any number of compactions.
 
 use crate::{Blame, BLAME_COLS};
 
-/// Delta counters and end-of-epoch gauges for one metrics epoch.
-///
-/// `retired`/`hits`-style fields are deltas over `[start, end)`;
-/// `*_occupancy`/`*_depth` fields are gauges sampled at `end`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Sample {
-    /// First cycle covered by this epoch (inclusive).
-    pub start: u64,
-    /// Last cycle covered by this epoch (exclusive).
-    pub end: u64,
-    /// Instructions retired across all cores during the epoch.
-    pub retired: u64,
-    /// Cycles cores spent stalled on RAW dependencies during the epoch.
-    pub dep_stall_cycles: u64,
-    /// Cycles cores spent stalled on instruction fetch during the epoch.
-    pub fetch_stall_cycles: u64,
-    /// L2 hits across all banks during the epoch.
-    pub l2_hits: u64,
-    /// L2 misses across all banks during the epoch.
-    pub l2_misses: u64,
-    /// NoC traversals during the epoch.
-    pub noc_traversals: u64,
-    /// Requests completed by the hierarchy during the epoch.
-    pub completed: u64,
-    /// Outstanding MSHR entries summed over banks, at epoch end.
-    pub mshr_occupancy: u64,
-    /// Requests parked waiting for an MSHR, summed over banks, at epoch end.
-    pub queued_requests: u64,
-    /// Requests in flight anywhere in the hierarchy at epoch end.
-    pub in_flight: u64,
-    /// Memory-controller channels busy at epoch end.
-    pub mc_busy_channels: u64,
-    /// Per-core `[retired, dep_stall_cycles, fetch_stall_cycles]` deltas.
+/// Cumulative counters and instantaneous gauges captured at one cycle,
+/// fed to [`crate::TelemetrySink::sample`]. Callers only ever report
+/// running totals; the series stores the snapshot as it is and reads
+/// per-epoch deltas off neighbouring snapshots. A new epoch column is a
+/// field here and its column in [`TimeSeries::to_csv`].
+#[derive(Debug, Clone, Default)]
+pub struct EpochSnapshot {
+    /// Cycle at which the snapshot was taken.
+    pub cycle: u64,
+    /// Per-core cumulative `[retired, dep_stall_cycles,
+    /// fetch_stall_cycles]`.
     pub per_core: Vec<[u64; 3]>,
-    /// Per-core dependency-stall cycle deltas by attribution category
-    /// ([`Blame::ALL`] order, then `other`). Counts closed stall
-    /// intervals only, so an epoch's columns can lag
-    /// `dep_stall_cycles` by at most one in-progress stall per core.
+    /// Per-core cumulative dependency-stall cycles by attribution
+    /// category ([`Blame::ALL`] order, then `other`). Covers *closed*
+    /// stall intervals only — an in-progress stall is attributed when
+    /// its closing completion arrives, which keeps every column
+    /// monotone across snapshots (so an epoch's columns can lag its
+    /// `dep_stall` by at most one in-progress stall per core).
     pub per_core_blame: Vec<[u64; BLAME_COLS]>,
-    /// Per-bank `[hits, misses, mshr_occupancy]`; the first two are
-    /// deltas, the third is an end-of-epoch gauge.
+    /// Per-bank `[hits, misses, mshr_occupancy]` — first two
+    /// cumulative, third an instantaneous gauge.
     pub per_bank: Vec<[u64; 3]>,
+    /// Cumulative NoC traversals.
+    pub noc_traversals: u64,
+    /// Cumulative completed hierarchy requests.
+    pub completed: u64,
+    /// Requests parked waiting for an MSHR right now.
+    pub queued_requests: u64,
+    /// Requests in flight anywhere in the hierarchy right now.
+    pub in_flight: u64,
+    /// Memory-controller channels busy right now.
+    pub mc_busy_channels: u64,
 }
 
-impl Sample {
+/// One epoch: a view of the two snapshots that bound it. Gauges are
+/// read straight off [`to`](Self::to); counters as their growth from
+/// [`from`](Self::from) through the methods below.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample<'a> {
+    /// The snapshot at the epoch's first cycle.
+    pub from: &'a EpochSnapshot,
+    /// The snapshot at the epoch's end (exclusive).
+    pub to: &'a EpochSnapshot,
+}
+
+impl Sample<'_> {
     /// Cycles covered by this epoch.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.end.saturating_sub(self.start)
+        self.to.cycle.saturating_sub(self.from.cycle)
     }
 
-    /// Aggregate IPC over the epoch (0.0 for empty epochs).
+    /// Growth of a scalar counter over the epoch.
     #[must_use]
-    pub fn ipc(&self, cores: usize) -> f64 {
-        let core_cycles = self.cycles().saturating_mul(cores as u64);
-        if core_cycles == 0 {
-            0.0
-        } else {
-            self.retired as f64 / core_cycles as f64
-        }
+    pub fn delta(&self, counter: fn(&EpochSnapshot) -> u64) -> u64 {
+        counter(self.to).saturating_sub(counter(self.from))
     }
 
-    fn absorb(&mut self, next: &Sample) {
-        debug_assert!(self.end <= next.start, "samples out of order");
-        self.end = next.end;
-        self.retired += next.retired;
-        self.dep_stall_cycles += next.dep_stall_cycles;
-        self.fetch_stall_cycles += next.fetch_stall_cycles;
-        self.l2_hits += next.l2_hits;
-        self.l2_misses += next.l2_misses;
-        self.noc_traversals += next.noc_traversals;
-        self.completed += next.completed;
-        // Gauges: the merged epoch ends where `next` ended.
-        self.mshr_occupancy = next.mshr_occupancy;
-        self.queued_requests = next.queued_requests;
-        self.in_flight = next.in_flight;
-        self.mc_busy_channels = next.mc_busy_channels;
-        merge_triples(&mut self.per_core, &next.per_core, [true, true, true]);
-        merge_triples(
-            &mut self.per_core_blame,
-            &next.per_core_blame,
-            [true; BLAME_COLS],
-        );
-        merge_triples(&mut self.per_bank, &next.per_bank, [true, true, false]);
+    /// Core `c`'s `[retired, dep_stall_cycles, fetch_stall_cycles]`
+    /// over the epoch.
+    #[must_use]
+    pub fn core(&self, c: usize) -> [u64; 3] {
+        growth(&self.from.per_core, &self.to.per_core, c)
+    }
+
+    /// Core `c`'s dependency-stall cycles by attribution category over
+    /// the epoch.
+    #[must_use]
+    pub fn blame(&self, c: usize) -> [u64; BLAME_COLS] {
+        growth(&self.from.per_core_blame, &self.to.per_core_blame, c)
+    }
+
+    /// Bank `b`'s `[hits, misses]` over the epoch, then its MSHR
+    /// occupancy at the end: the one gauge column of the tables.
+    #[must_use]
+    pub fn bank(&self, b: usize) -> [u64; 3] {
+        let [hits, misses, _] = growth(&self.from.per_bank, &self.to.per_bank, b);
+        let mshr = self.to.per_bank.get(b).map_or(0, |row| row[2]);
+        [hits, misses, mshr]
+    }
+
+    /// [`core`](Self::core) summed over the cores.
+    #[must_use]
+    pub fn cores(&self) -> [u64; 3] {
+        column_sums((0..self.to.per_core.len()).map(|c| self.core(c)))
+    }
+
+    /// [`bank`](Self::bank) summed over the banks.
+    #[must_use]
+    pub fn banks(&self) -> [u64; 3] {
+        column_sums((0..self.to.per_bank.len()).map(|b| self.bank(b)))
     }
 }
 
-/// Element-wise merge of `[u64; N]` rows: `add[i]` sums the column,
-/// otherwise the later (gauge) value wins.
-fn merge_triples<const N: usize>(into: &mut Vec<[u64; N]>, from: &[[u64; N]], add: [bool; N]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), [0; N]);
-    }
-    for (mine, theirs) in into.iter_mut().zip(from) {
-        for i in 0..N {
-            if add[i] {
-                mine[i] += theirs[i];
-            } else {
-                mine[i] = theirs[i];
-            }
-        }
-    }
+/// Growth of row `i` of a cumulative table, column by column: a row
+/// `from` lacks grows from zero, and a row `to` lacks reads as zero.
+fn growth<const N: usize>(from: &[[u64; N]], to: &[[u64; N]], i: usize) -> [u64; N] {
+    let at = |table: &[[u64; N]]| table.get(i).copied().unwrap_or([0; N]);
+    let (from, to) = (at(from), at(to));
+    std::array::from_fn(|c| to[c].saturating_sub(from[c]))
 }
 
-/// A bounded, compacting sequence of epoch samples.
+fn column_sums(rows: impl Iterator<Item = [u64; 3]>) -> [u64; 3] {
+    rows.fold([0; 3], |sum, row| std::array::from_fn(|c| sum[c] + row[c]))
+}
+
+/// A bounded, compacting sequence of epoch snapshots.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
-    samples: Vec<Sample>,
+    /// The origin, then one snapshot per epoch end, in time order.
+    snapshots: Vec<EpochSnapshot>,
     capacity: usize,
     compactions: u32,
 }
 
 impl TimeSeries {
-    /// Default capacity before pair-merge compaction kicks in.
+    /// Default capacity in epochs before compaction kicks in.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    /// A series that compacts once it holds `capacity` samples
+    /// A series that compacts once it holds `capacity` epochs
     /// (minimum 2).
     #[must_use]
     pub fn new(capacity: usize) -> TimeSeries {
         TimeSeries {
-            samples: Vec::new(),
+            snapshots: vec![EpochSnapshot::default()],
             capacity: capacity.max(2),
             compactions: 0,
         }
     }
 
-    /// Appends one epoch sample, compacting first if at capacity.
-    pub fn push(&mut self, sample: Sample) {
-        if self.samples.len() >= self.capacity {
-            self.compact();
+    /// Ends an epoch at `snapshot.cycle`, compacting first if at
+    /// capacity. A snapshot no later than the last one would end an
+    /// empty epoch and is dropped.
+    pub fn push(&mut self, snapshot: EpochSnapshot) {
+        if self
+            .snapshots
+            .last()
+            .is_some_and(|last| snapshot.cycle <= last.cycle)
+        {
+            return;
         }
-        self.samples.push(sample);
-    }
-
-    /// Merges adjacent pairs in place, halving the length (an odd
-    /// trailing sample is kept as-is).
-    fn compact(&mut self) {
-        let mut merged = Vec::with_capacity(self.samples.len() / 2 + 1);
-        let mut iter = self.samples.drain(..);
-        while let Some(mut first) = iter.next() {
-            if let Some(second) = iter.next() {
-                first.absorb(&second);
-            }
-            merged.push(first);
+        if self.len() >= self.capacity {
+            let count = self.snapshots.len();
+            let mut nth = 0;
+            self.snapshots.retain(|_| {
+                nth += 1;
+                nth % 2 == 1 || nth == count
+            });
+            self.compactions += 1;
         }
-        drop(iter);
-        self.samples = merged;
-        self.compactions += 1;
+        self.snapshots.push(snapshot);
     }
 
-    /// The samples currently held, in time order.
-    #[must_use]
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    /// The epochs currently held, in time order.
+    pub fn samples(&self) -> impl Iterator<Item = Sample<'_>> {
+        self.snapshots.windows(2).map(|pair| Sample {
+            from: &pair[0],
+            to: &pair[1],
+        })
     }
 
-    /// How many pair-merge compactions have run.
+    /// How many compactions have run.
     #[must_use]
     pub fn compactions(&self) -> u32 {
         self.compactions
     }
 
-    /// Number of samples currently held.
+    /// Number of epochs currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.snapshots.len() - 1
     }
 
-    /// Whether the series holds no samples.
+    /// Whether the series holds no epochs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// Serializes the series as CSV: a header row, then one row per
     /// epoch. Per-core and per-bank columns are sized by the widest
-    /// sample, and rows missing those entries report 0.
+    /// snapshot, and rows missing those entries report 0.
     #[must_use]
     pub fn to_csv(&self) -> String {
         use std::fmt::Write as _;
-        let cores = self
-            .samples
-            .iter()
-            .map(|s| s.per_core.len())
-            .max()
-            .unwrap_or(0);
-        let banks = self
-            .samples
-            .iter()
-            .map(|s| s.per_bank.len())
-            .max()
-            .unwrap_or(0);
+        let widest = |table: fn(&EpochSnapshot) -> usize| {
+            self.snapshots.iter().map(table).max().unwrap_or(0)
+        };
+        let cores = widest(|s| s.per_core.len());
+        let blame_cores = widest(|s| s.per_core_blame.len());
+        let banks = widest(|s| s.per_bank.len());
 
         let mut out = String::new();
         out.push_str(
@@ -210,12 +213,6 @@ impl TimeSeries {
              l2_hits,l2_misses,noc_traversals,completed,\
              mshr_occupancy,queued_requests,in_flight,mc_busy_channels",
         );
-        let blame_cores = self
-            .samples
-            .iter()
-            .map(|s| s.per_core_blame.len())
-            .max()
-            .unwrap_or(0);
         for c in 0..cores {
             let _ = write!(
                 out,
@@ -233,9 +230,8 @@ impl TimeSeries {
         }
         out.push('\n');
 
-        for (epoch, s) in self.samples.iter().enumerate() {
-            let cycles = s.cycles();
-            let core_cycles = cycles.saturating_mul(cores.max(1) as u64);
+        for (epoch, s) in self.samples().enumerate() {
+            let core_cycles = s.cycles().saturating_mul(cores.max(1) as u64);
             let frac = |v: u64| {
                 if core_cycles == 0 {
                     0.0
@@ -243,37 +239,34 @@ impl TimeSeries {
                     v as f64 / core_cycles as f64
                 }
             };
+            let [retired, dep, fetch] = s.cores();
+            let [hits, misses, mshr] = s.banks();
             let _ = write!(
                 out,
-                "{epoch},{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{},{},{},{}",
-                s.start,
-                s.end,
-                s.retired,
-                s.ipc(cores.max(1)),
-                frac(s.dep_stall_cycles),
-                frac(s.fetch_stall_cycles),
-                s.l2_hits,
-                s.l2_misses,
-                s.noc_traversals,
-                s.completed,
-                s.mshr_occupancy,
-                s.queued_requests,
-                s.in_flight,
-                s.mc_busy_channels,
+                "{epoch},{},{},{retired},{:.6},{:.6},{:.6},{hits},{misses},{},{},{mshr},{},{},{}",
+                s.from.cycle,
+                s.to.cycle,
+                frac(retired),
+                frac(dep),
+                frac(fetch),
+                s.delta(|s| s.noc_traversals),
+                s.delta(|s| s.completed),
+                s.to.queued_requests,
+                s.to.in_flight,
+                s.to.mc_busy_channels,
             );
             for c in 0..cores {
-                let row = s.per_core.get(c).copied().unwrap_or([0; 3]);
-                let _ = write!(out, ",{},{},{}", row[0], row[1], row[2]);
+                let [retired, dep, fetch] = s.core(c);
+                let _ = write!(out, ",{retired},{dep},{fetch}");
             }
             for c in 0..blame_cores {
-                let row = s.per_core_blame.get(c).copied().unwrap_or([0; BLAME_COLS]);
-                for value in row {
+                for value in s.blame(c) {
                     let _ = write!(out, ",{value}");
                 }
             }
             for b in 0..banks {
-                let row = s.per_bank.get(b).copied().unwrap_or([0; 3]);
-                let _ = write!(out, ",{},{},{}", row[0], row[1], row[2]);
+                let [hits, misses, mshr] = s.bank(b);
+                let _ = write!(out, ",{hits},{misses},{mshr}");
             }
             out.push('\n');
         }
@@ -290,24 +283,35 @@ impl Default for TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn sample(start: u64, end: u64, retired: u64) -> Sample {
-        Sample {
-            start,
-            end,
-            retired,
-            per_core: vec![[retired, 1, 0], [0, 2, 1]],
-            per_bank: vec![[3, 1, 2]],
-            mshr_occupancy: retired % 5,
-            ..Sample::default()
+    /// Ends one epoch at `end` on top of the series' last snapshot:
+    /// `retired` on core 0, fixed stalls on both cores, three hits and a
+    /// miss on the one bank, whose MSHR gauge reads `retired % 5`.
+    fn push_epoch(ts: &mut TimeSeries, end: u64, retired: u64) {
+        let mut next = ts.snapshots.last().cloned().unwrap_or_default();
+        next.per_core.resize(2, [0; 3]);
+        next.per_bank.resize(1, [0; 3]);
+        for (row, by) in next.per_core.iter_mut().zip([[retired, 1, 0], [0, 2, 1]]) {
+            for c in 0..3 {
+                row[c] += by[c];
+            }
         }
+        let bank = &mut next.per_bank[0];
+        *bank = [bank[0] + 3, bank[1] + 1, retired % 5];
+        next.cycle = end;
+        ts.push(next);
+    }
+
+    fn retired(ts: &TimeSeries) -> Vec<u64> {
+        ts.samples().map(|s| s.cores()[0]).collect()
     }
 
     #[test]
     fn push_below_capacity_keeps_all_samples() {
         let mut ts = TimeSeries::new(8);
         for i in 0..5 {
-            ts.push(sample(i * 100, (i + 1) * 100, 10));
+            push_epoch(&mut ts, (i + 1) * 100, 10);
         }
         assert_eq!(ts.len(), 5);
         assert_eq!(ts.compactions(), 0);
@@ -318,48 +322,43 @@ mod tests {
         let mut ts = TimeSeries::new(4);
         let mut pushed_retired = 0u64;
         for i in 0..33 {
-            let s = sample(i * 100, (i + 1) * 100, i + 1);
-            pushed_retired += s.retired;
-            ts.push(s);
+            push_epoch(&mut ts, (i + 1) * 100, i + 1);
+            pushed_retired += i + 1;
         }
         assert!(ts.compactions() > 0);
         assert!(ts.len() <= 4 + 1);
-        let total: u64 = ts.samples().iter().map(|s| s.retired).sum();
-        assert_eq!(total, pushed_retired);
+        assert_eq!(retired(&ts).iter().sum::<u64>(), pushed_retired);
         // Per-core retired column keeps the same total too.
-        let core0: u64 = ts.samples().iter().map(|s| s.per_core[0][0]).sum();
+        let core0: u64 = ts.samples().map(|s| s.core(0)[0]).sum();
         assert_eq!(core0, pushed_retired);
         // Time coverage stays contiguous.
-        assert_eq!(ts.samples().first().unwrap().start, 0);
-        assert_eq!(ts.samples().last().unwrap().end, 3300);
-        for pair in ts.samples().windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
+        let samples: Vec<Sample> = ts.samples().collect();
+        assert_eq!(samples.first().unwrap().from.cycle, 0);
+        assert_eq!(samples.last().unwrap().to.cycle, 3300);
+        for pair in samples.windows(2) {
+            assert_eq!(pair[0].to.cycle, pair[1].from.cycle);
         }
     }
 
     #[test]
     fn odd_sample_count_compacts_pairwise_and_keeps_the_trailer() {
-        // Five samples at capacity: pairs (0,1) and (2,3) merge, the
-        // odd trailing sample rides along untouched.
+        // Five epochs at capacity: pairs (0,1) and (2,3) merge, the odd
+        // trailing epoch rides along untouched.
         let mut ts = TimeSeries::new(5);
         for i in 0..5u64 {
-            ts.push(sample(i * 100, (i + 1) * 100, i + 1));
+            push_epoch(&mut ts, (i + 1) * 100, i + 1);
         }
         assert_eq!(ts.len(), 5);
-        ts.push(sample(500, 600, 6));
+        push_epoch(&mut ts, 600, 6);
         assert_eq!(ts.compactions(), 1);
         assert_eq!(ts.len(), 4);
-        let retired: Vec<u64> = ts.samples().iter().map(|s| s.retired).collect();
-        assert_eq!(retired, vec![3, 7, 5, 6]);
+        assert_eq!(retired(&ts), vec![3, 7, 5, 6]);
         // The odd trailer kept its exact bounds and the merged pairs
         // doubled their epoch length.
-        assert_eq!(ts.samples()[0].cycles(), 200);
-        assert_eq!(ts.samples()[2].start, 400);
-        assert_eq!(ts.samples()[2].end, 500);
-        // Coverage stays contiguous across the odd boundary.
-        for pair in ts.samples().windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
-        }
+        let samples: Vec<Sample> = ts.samples().collect();
+        assert_eq!(samples[0].cycles(), 200);
+        assert_eq!(samples[2].from.cycle, 400);
+        assert_eq!(samples[2].to.cycle, 500);
     }
 
     #[test]
@@ -370,33 +369,36 @@ mod tests {
         let mut ts = TimeSeries::new(2);
         let mut pushed = 0u64;
         for i in 0..17u64 {
-            let s = sample(i * 10, (i + 1) * 10, i + 1);
-            pushed += s.retired;
-            ts.push(s);
+            push_epoch(&mut ts, (i + 1) * 10, i + 1);
+            pushed += i + 1;
         }
         assert!(ts.compactions() >= 4);
-        let total: u64 = ts.samples().iter().map(|s| s.retired).sum();
-        assert_eq!(total, pushed);
-        assert_eq!(ts.samples().first().unwrap().start, 0);
-        assert_eq!(ts.samples().last().unwrap().end, 170);
+        assert_eq!(retired(&ts).iter().sum::<u64>(), pushed);
+        let samples: Vec<Sample> = ts.samples().collect();
+        assert_eq!(samples.first().unwrap().from.cycle, 0);
+        assert_eq!(samples.last().unwrap().to.cycle, 170);
     }
 
     #[test]
     fn gauges_take_end_of_epoch_value() {
-        let mut a = sample(0, 100, 4); // mshr gauge 4
-        let b = sample(100, 200, 7); // mshr gauge 2
-        a.absorb(&b);
-        assert_eq!(a.mshr_occupancy, 2);
-        // Bank column 2 is a gauge: takes b's value, not the sum.
-        assert_eq!(a.per_bank[0][2], 2);
+        // The third epoch compacts the first two into one.
+        let mut ts = TimeSeries::new(2);
+        push_epoch(&mut ts, 100, 4); // mshr gauge 4
+        push_epoch(&mut ts, 200, 7); // mshr gauge 2
+        push_epoch(&mut ts, 300, 1);
+        let merged = ts.samples().next().unwrap();
+        assert_eq!(merged.cycles(), 200);
+        assert_eq!(merged.banks()[2], 2);
+        // Bank column 2 is a gauge: the later value, not the sum.
+        assert_eq!(merged.bank(0)[2], 2);
         // Bank columns 0/1 are counters: summed.
-        assert_eq!(a.per_bank[0][0], 6);
+        assert_eq!(merged.bank(0)[0], 6);
     }
 
     #[test]
     fn csv_has_header_and_per_entity_columns() {
         let mut ts = TimeSeries::new(8);
-        ts.push(sample(0, 1000, 500));
+        push_epoch(&mut ts, 1000, 500);
         let csv = ts.to_csv();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
@@ -410,18 +412,19 @@ mod tests {
 
     #[test]
     fn blame_columns_absorb_and_serialize() {
-        let mut a = sample(0, 100, 4);
-        a.per_core_blame = vec![[1, 2, 3, 4, 5, 6]];
-        let mut b = sample(100, 200, 7);
-        b.per_core_blame = vec![[10, 0, 0, 0, 0, 1], [2, 0, 0, 0, 0, 0]];
-        a.absorb(&b);
-        assert_eq!(
-            a.per_core_blame,
-            vec![[11, 2, 3, 4, 5, 7], [2, 0, 0, 0, 0, 0]]
-        );
+        let mut ts = TimeSeries::new(2);
+        let at = |cycle, per_core_blame| EpochSnapshot {
+            cycle,
+            per_core_blame,
+            ..EpochSnapshot::default()
+        };
+        ts.push(at(100, vec![[1, 2, 3, 4, 5, 6]]));
+        ts.push(at(200, vec![[11, 2, 3, 4, 5, 7], [2, 0, 0, 0, 0, 0]]));
+        ts.push(at(300, vec![[11, 2, 3, 4, 5, 7], [2, 0, 0, 0, 0, 0]]));
+        let merged = ts.samples().next().unwrap();
+        assert_eq!(merged.blame(0), [11, 2, 3, 4, 5, 7]);
+        assert_eq!(merged.blame(1), [2, 0, 0, 0, 0, 0]);
 
-        let mut ts = TimeSeries::new(8);
-        ts.push(a);
         let csv = ts.to_csv();
         let header = csv.lines().next().unwrap();
         assert!(header.contains("core0_dep_noc"));
@@ -438,14 +441,299 @@ mod tests {
         assert_eq!(csv.lines().count(), 1);
     }
 
-    #[test]
-    fn ipc_handles_zero_length_epochs() {
-        let s = Sample {
-            start: 5,
-            end: 5,
-            retired: 10,
-            ..Sample::default()
+    /// The sampler and compactor the snapshot series replaced, kept as
+    /// the reference it must match: the sink differenced each snapshot
+    /// against the last into a delta sample, and the series merged
+    /// adjacent delta samples in pairs.
+    mod reference {
+        use crate::{Blame, EpochSnapshot, BLAME_COLS};
+
+        #[derive(Debug, Clone, Default)]
+        pub struct Delta {
+            start: u64,
+            end: u64,
+            retired: u64,
+            dep_stall_cycles: u64,
+            fetch_stall_cycles: u64,
+            l2_hits: u64,
+            l2_misses: u64,
+            noc_traversals: u64,
+            completed: u64,
+            mshr_occupancy: u64,
+            queued_requests: u64,
+            in_flight: u64,
+            mc_busy_channels: u64,
+            per_core: Vec<[u64; 3]>,
+            per_core_blame: Vec<[u64; BLAME_COLS]>,
+            per_bank: Vec<[u64; 3]>,
+        }
+
+        impl Delta {
+            fn absorb(&mut self, next: &Delta) {
+                self.end = next.end;
+                self.retired += next.retired;
+                self.dep_stall_cycles += next.dep_stall_cycles;
+                self.fetch_stall_cycles += next.fetch_stall_cycles;
+                self.l2_hits += next.l2_hits;
+                self.l2_misses += next.l2_misses;
+                self.noc_traversals += next.noc_traversals;
+                self.completed += next.completed;
+                self.mshr_occupancy = next.mshr_occupancy;
+                self.queued_requests = next.queued_requests;
+                self.in_flight = next.in_flight;
+                self.mc_busy_channels = next.mc_busy_channels;
+                merge_triples(&mut self.per_core, &next.per_core, [true, true, true]);
+                merge_triples(
+                    &mut self.per_core_blame,
+                    &next.per_core_blame,
+                    [true; BLAME_COLS],
+                );
+                merge_triples(&mut self.per_bank, &next.per_bank, [true, true, false]);
+            }
+        }
+
+        fn merge_triples<const N: usize>(
+            into: &mut Vec<[u64; N]>,
+            from: &[[u64; N]],
+            add: [bool; N],
+        ) {
+            if into.len() < from.len() {
+                into.resize(from.len(), [0; N]);
+            }
+            for (mine, theirs) in into.iter_mut().zip(from) {
+                for i in 0..N {
+                    if add[i] {
+                        mine[i] += theirs[i];
+                    } else {
+                        mine[i] = theirs[i];
+                    }
+                }
+            }
+        }
+
+        fn diff_rows<const N: usize>(
+            newer: &[[u64; N]],
+            older: &[[u64; N]],
+            diff: [bool; N],
+        ) -> Vec<[u64; N]> {
+            newer
+                .iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let prev = older.get(i).copied().unwrap_or([0; N]);
+                    std::array::from_fn(|c| {
+                        if diff[c] {
+                            row[c].saturating_sub(prev[c])
+                        } else {
+                            row[c]
+                        }
+                    })
+                })
+                .collect()
+        }
+
+        /// The sink's sampler: `last` is the last snapshot it kept.
+        #[derive(Debug, Default)]
+        pub struct Series {
+            last: EpochSnapshot,
+            samples: Vec<Delta>,
+            capacity: usize,
+            pub compactions: u32,
+        }
+
+        impl Series {
+            pub fn new(capacity: usize) -> Series {
+                Series {
+                    capacity: capacity.max(2),
+                    ..Series::default()
+                }
+            }
+
+            pub fn sample(&mut self, snapshot: &EpochSnapshot) {
+                let (start, end) = (self.last.cycle, snapshot.cycle);
+                if end <= start {
+                    return;
+                }
+                let last = &self.last;
+                let per_core = diff_rows(&snapshot.per_core, &last.per_core, [true; 3]);
+                let per_core_blame = diff_rows(
+                    &snapshot.per_core_blame,
+                    &last.per_core_blame,
+                    [true; BLAME_COLS],
+                );
+                let per_bank = diff_rows(&snapshot.per_bank, &last.per_bank, [true, true, false]);
+                let sum_col = |rows: &[[u64; 3]], col: usize| rows.iter().map(|r| r[col]).sum();
+                let sample = Delta {
+                    start,
+                    end,
+                    retired: sum_col(&per_core, 0),
+                    dep_stall_cycles: sum_col(&per_core, 1),
+                    fetch_stall_cycles: sum_col(&per_core, 2),
+                    l2_hits: sum_col(&per_bank, 0),
+                    l2_misses: sum_col(&per_bank, 1),
+                    noc_traversals: snapshot.noc_traversals - last.noc_traversals,
+                    completed: snapshot.completed - last.completed,
+                    mshr_occupancy: sum_col(&per_bank, 2),
+                    queued_requests: snapshot.queued_requests,
+                    in_flight: snapshot.in_flight,
+                    mc_busy_channels: snapshot.mc_busy_channels,
+                    per_core,
+                    per_core_blame,
+                    per_bank,
+                };
+                if self.samples.len() >= self.capacity {
+                    let mut merged = Vec::new();
+                    let mut iter = self.samples.drain(..);
+                    while let Some(mut first) = iter.next() {
+                        if let Some(second) = iter.next() {
+                            first.absorb(&second);
+                        }
+                        merged.push(first);
+                    }
+                    drop(iter);
+                    self.samples = merged;
+                    self.compactions += 1;
+                }
+                self.samples.push(sample);
+                self.last = snapshot.clone();
+            }
+
+            pub fn to_csv(&self) -> String {
+                use std::fmt::Write as _;
+                let widest =
+                    |width: fn(&Delta) -> usize| self.samples.iter().map(width).max().unwrap_or(0);
+                let cores = widest(|s| s.per_core.len());
+                let blame_cores = widest(|s| s.per_core_blame.len());
+                let banks = widest(|s| s.per_bank.len());
+                let mut out = String::from(
+                    "epoch,start,end,retired,ipc,dep_stall_frac,fetch_stall_frac,\
+                     l2_hits,l2_misses,noc_traversals,completed,\
+                     mshr_occupancy,queued_requests,in_flight,mc_busy_channels",
+                );
+                for c in 0..cores {
+                    let _ = write!(
+                        out,
+                        ",core{c}_retired,core{c}_dep_stall,core{c}_fetch_stall"
+                    );
+                }
+                for c in 0..blame_cores {
+                    for blame in Blame::ALL {
+                        let _ = write!(out, ",core{c}_dep_{}", blame.name());
+                    }
+                    let _ = write!(out, ",core{c}_dep_other");
+                }
+                for b in 0..banks {
+                    let _ = write!(out, ",bank{b}_hits,bank{b}_misses,bank{b}_mshr");
+                }
+                out.push('\n');
+                for (epoch, s) in self.samples.iter().enumerate() {
+                    let core_cycles = (s.end - s.start).saturating_mul(cores.max(1) as u64);
+                    let frac = |v: u64| {
+                        if core_cycles == 0 {
+                            0.0
+                        } else {
+                            v as f64 / core_cycles as f64
+                        }
+                    };
+                    let _ = write!(
+                        out,
+                        "{epoch},{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{},{},{},{}",
+                        s.start,
+                        s.end,
+                        s.retired,
+                        frac(s.retired),
+                        frac(s.dep_stall_cycles),
+                        frac(s.fetch_stall_cycles),
+                        s.l2_hits,
+                        s.l2_misses,
+                        s.noc_traversals,
+                        s.completed,
+                        s.mshr_occupancy,
+                        s.queued_requests,
+                        s.in_flight,
+                        s.mc_busy_channels,
+                    );
+                    for c in 0..cores {
+                        let row = s.per_core.get(c).copied().unwrap_or([0; 3]);
+                        let _ = write!(out, ",{},{},{}", row[0], row[1], row[2]);
+                    }
+                    for c in 0..blame_cores {
+                        let row = s.per_core_blame.get(c).copied().unwrap_or([0; BLAME_COLS]);
+                        for value in row {
+                            let _ = write!(out, ",{value}");
+                        }
+                    }
+                    for b in 0..banks {
+                        let row = s.per_bank.get(b).copied().unwrap_or([0; 3]);
+                        let _ = write!(out, ",{},{},{}", row[0], row[1], row[2]);
+                    }
+                    out.push('\n');
+                }
+                out
+            }
+        }
+    }
+
+    /// A monotone snapshot stream of `cores` cores and `banks` banks, one
+    /// snapshot per word: a word that is 0 mod 5 repeats the last cycle
+    /// (an empty epoch), counters grow by the word's bits (sometimes by
+    /// nothing), and gauges take fresh values that rise and fall.
+    fn stream(cores: usize, banks: usize, words: &[u64]) -> Vec<EpochSnapshot> {
+        let mut at = EpochSnapshot {
+            per_core: vec![[0; 3]; cores],
+            per_core_blame: vec![[0; BLAME_COLS]; cores],
+            per_bank: vec![[0; 3]; banks],
+            ..EpochSnapshot::default()
         };
-        assert_eq!(s.ipc(4), 0.0);
+        let mut out = Vec::new();
+        for &word in words {
+            let mut bits = word;
+            let mut draw = |bound: u64| {
+                bits = bits.rotate_left(7) ^ 0x9e37_79b9_7f4a_7c15;
+                bits % bound
+            };
+            if word % 5 != 0 {
+                at.cycle += 1 + draw(40);
+            }
+            for row in &mut at.per_core {
+                *row = [row[0] + draw(20), row[1] + draw(7), row[2] + draw(3)];
+            }
+            for row in &mut at.per_core_blame {
+                for value in row.iter_mut() {
+                    *value += draw(5);
+                }
+            }
+            for row in &mut at.per_bank {
+                *row = [row[0] + draw(9), row[1] + draw(4), draw(8)];
+            }
+            at.noc_traversals += draw(30);
+            at.completed += draw(10);
+            at.queued_requests = draw(6);
+            at.in_flight = draw(12);
+            at.mc_busy_channels = draw(4);
+            out.push(at.clone());
+        }
+        out
+    }
+
+    proptest! {
+        /// Storing snapshots and keeping the even-indexed ones is the
+        /// delta sampler with pair-merge compaction, to the byte.
+        #[test]
+        fn the_snapshot_series_writes_the_delta_series_csv(
+            cores in 1usize..=9,
+            banks in 0usize..=4,
+            capacity in 2usize..=8,
+            words in prop::collection::vec(any::<u64>(), 0..=60),
+        ) {
+            let mut series = TimeSeries::new(capacity);
+            let mut reference = reference::Series::new(capacity);
+            for snapshot in stream(cores, banks, &words) {
+                reference.sample(&snapshot);
+                series.push(snapshot);
+            }
+            prop_assert_eq!(series.to_csv(), reference.to_csv());
+            prop_assert_eq!(series.compactions(), reference.compactions);
+        }
     }
 }
