@@ -74,6 +74,4 @@ pub use coyote_mem::mapping::MappingPolicy;
 pub use coyote_mem::mc::McConfig;
 pub use coyote_mem::noc::NocModel;
 pub use coyote_oracle::{Delta, Divergence, LockstepChecker};
-pub use coyote_telemetry::{
-    parse_json, Histogram, HostProf, JsonValue, Stage, TelemetrySink, TimeSeries,
-};
+pub use coyote_telemetry::{parse_json, Histogram, HostProf, JsonValue, Stage, TimeSeries};

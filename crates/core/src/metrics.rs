@@ -57,8 +57,8 @@ pub fn metrics_json(sim: &Simulation, report: &Report) -> JsonValue {
 #[must_use]
 pub fn metrics_csv(sim: &Simulation) -> String {
     match sim.telemetry() {
-        Some(sink) => sink.series().to_csv(),
-        None => coyote_telemetry::TimeSeries::default().to_csv(),
+        Some(series) => series.to_csv(),
+        None => coyote_telemetry::TimeSeries::new(1).to_csv(),
     }
 }
 
@@ -280,13 +280,12 @@ fn attribution_json(sim: &Simulation) -> JsonValue {
 }
 
 fn time_series_json(sim: &Simulation) -> JsonValue {
-    let Some(sink) = sim.telemetry() else {
+    let Some(series) = sim.telemetry() else {
         return JsonValue::Null;
     };
-    let series = sink.series();
     let retired: u64 = series.samples().map(|s| s.cores()[0]).sum();
     JsonValue::object()
-        .with("interval", sink.interval())
+        .with("interval", series.interval())
         .with("epochs", series.len())
         .with("compactions", u64::from(series.compactions()))
         .with("total_retired", retired)

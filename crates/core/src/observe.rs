@@ -27,7 +27,7 @@ use coyote_iss::core::{Core, CoreState};
 use coyote_iss::{FuseStop, MissKind, MissRequest};
 use coyote_mem::hierarchy::{Completion, Hierarchy};
 use coyote_telemetry::hostprof::{HostProf, ProfClock, SpanToken};
-use coyote_telemetry::TelemetrySink;
+use coyote_telemetry::TimeSeries;
 
 use crate::attr::StallAttribution;
 use crate::config::{ProfMode, SimConfig};
@@ -81,7 +81,7 @@ pub struct Observer {
     /// [`SimConfig::chrome_trace`]: hand out the state intervals.
     chrome: bool,
     /// Epoch sampler, present when telemetry is on.
-    telemetry: Option<TelemetrySink>,
+    telemetry: Option<TimeSeries>,
     /// Always-on bounded ring of recent notable events, dumped into
     /// crash reports.
     flight: FlightRecorder,
@@ -113,7 +113,7 @@ impl Observer {
             chrome: config.chrome_trace,
             telemetry: config
                 .telemetry
-                .then(|| TelemetrySink::new(config.metrics_interval)),
+                .then(|| TimeSeries::new(config.metrics_interval)),
             flight: FlightRecorder::new(),
             prof: clock.map(|clock| HostProf::new(clock, config.cores)),
         }
@@ -132,9 +132,9 @@ impl Observer {
         trace.into_iter().flat_map(Trace::states)
     }
 
-    /// The epoch-sampling telemetry sink, if telemetry was enabled.
+    /// The epoch time series, if telemetry was enabled.
     #[must_use]
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
+    pub fn telemetry(&self) -> Option<&TimeSeries> {
         self.telemetry.as_ref()
     }
 
@@ -161,7 +161,7 @@ impl Observer {
     #[must_use]
     #[inline]
     pub fn next_due(&self) -> Option<u64> {
-        self.telemetry.as_ref().map(TelemetrySink::next_due)
+        self.telemetry.as_ref().map(TimeSeries::next_due)
     }
 
     /// Opens a profiling span, if profiling is on. The token must be
@@ -329,13 +329,13 @@ impl Observer {
     }
 
     /// Takes one epoch-telemetry sample at `cycle`, if telemetry is on
-    /// (the sink itself drops empty spans).
+    /// (the series itself drops empty spans).
     fn sample_epoch(&mut self, cores: &[Core], hierarchy: &Hierarchy, cycle: u64) {
         if self.telemetry.is_some() {
             let span = self.enter("epoch_sample");
             let snapshot = epoch_snapshot(cycle, cores, hierarchy, self.attr.dep());
-            if let Some(sink) = &mut self.telemetry {
-                sink.sample(snapshot);
+            if let Some(series) = &mut self.telemetry {
+                series.push(snapshot);
             }
             self.exit(span);
         }

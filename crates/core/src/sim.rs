@@ -25,7 +25,7 @@ use coyote_mem::hierarchy::{Completion, Hierarchy, Request};
 use coyote_mem::telemetry::MemTelemetry;
 use coyote_oracle::{LockstepChecker, TRAIL_EVENTS};
 use coyote_telemetry::hostprof::{HostProf, WallClock};
-use coyote_telemetry::{JsonValue, TelemetrySink};
+use coyote_telemetry::{JsonValue, TimeSeries};
 
 use crate::attr::StallAttribution;
 use crate::config::{ConfigError, SimConfig};
@@ -242,9 +242,9 @@ impl Simulation {
         self.obs.trace()
     }
 
-    /// The epoch-sampling telemetry sink, if telemetry was enabled.
+    /// The epoch time series, if telemetry was enabled.
     #[must_use]
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
+    pub fn telemetry(&self) -> Option<&TimeSeries> {
         self.obs.telemetry()
     }
 

@@ -8,8 +8,9 @@
 //! - [`Histogram`] — log2-bucketed latency histograms for
 //!   request-lifecycle stages (NoC, bank, MSHR wait, DRAM, delivery);
 //! - [`TimeSeries`] — the cumulative [`EpochSnapshot`]s of a run,
-//!   compacted in bounded memory, read as per-epoch [`Sample`]s and
-//!   serialized to CSV;
+//!   taken on the epoch grid it schedules, compacted in bounded memory,
+//!   read as per-epoch [`Sample`]s and serialized to CSV. It is typed
+//!   on plain numbers so this crate stays a leaf dependency;
 //! - [`JsonValue`] — a hand-rolled, dependency-free JSON tree, its one
 //!   writer and a parser, used for the stable `schema_version`ed
 //!   metrics document;
@@ -17,9 +18,6 @@
 //!   request lifecycles and core-state intervals, streamed event by
 //!   event from templates taken from the tree writer's text, each event
 //!   a [`Record`] (as each `.prv` line is);
-//! - [`TelemetrySink`] — the epoch bookkeeping the simulation loop
-//!   drives, deliberately typed on plain numbers so this crate stays a
-//!   leaf dependency;
 //! - [`HostProf`] — the host-side self-profiler: phase timers and
 //!   counters for the simulator's *own* hot path.
 //!
@@ -205,133 +203,9 @@ impl RequestCause {
     }
 }
 
-/// Epoch bookkeeping for the simulation loop: decides when the next
-/// sample is due and owns the [`TimeSeries`] of snapshots.
-#[derive(Debug)]
-pub struct TelemetrySink {
-    interval: u64,
-    next_due: u64,
-    series: TimeSeries,
-}
-
-impl TelemetrySink {
-    /// A sink sampling every `interval` cycles (minimum 1), starting
-    /// from cycle 0.
-    #[must_use]
-    pub fn new(interval: u64) -> TelemetrySink {
-        let interval = interval.max(1);
-        TelemetrySink {
-            interval,
-            next_due: interval,
-            series: TimeSeries::default(),
-        }
-    }
-
-    /// The configured sampling interval in cycles.
-    #[must_use]
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// First cycle at which the next sample is due. The simulator can
-    /// fast-forward past this; the epoch then simply covers more
-    /// cycles.
-    #[must_use]
-    pub fn next_due(&self) -> u64 {
-        self.next_due
-    }
-
-    /// Records one epoch ending at `snapshot.cycle`. Counters in the
-    /// snapshot are cumulative; zero-length epochs are dropped.
-    pub fn sample(&mut self, snapshot: EpochSnapshot) {
-        // Schedule the next epoch boundary strictly after `end`, on the
-        // interval grid, so a fast-forwarded cycle counter never causes
-        // back-to-back zero-length epochs.
-        let end = snapshot.cycle;
-        self.next_due = end + self.interval - end % self.interval;
-        self.series.push(snapshot);
-    }
-
-    /// The accumulated time series.
-    #[must_use]
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snapshot(cycle: u64, retired: u64, hits: u64) -> EpochSnapshot {
-        EpochSnapshot {
-            cycle,
-            per_core: vec![[retired, cycle / 2, 0]],
-            per_bank: vec![[hits, hits / 2, 3]],
-            noc_traversals: hits * 2,
-            completed: hits,
-            ..EpochSnapshot::default()
-        }
-    }
-
-    #[test]
-    fn sink_differences_cumulative_counters() {
-        let mut sink = TelemetrySink::new(100);
-        sink.sample(snapshot(100, 50, 10));
-        sink.sample(snapshot(200, 120, 25));
-        let samples: Vec<Sample> = sink.series().samples().collect();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].cores()[0], 50);
-        assert_eq!(samples[1].cores()[0], 70);
-        assert_eq!(samples[1].banks()[0], 15);
-        assert_eq!(samples[1].delta(|s| s.completed), 15);
-        // Gauge column passes through untouched.
-        assert_eq!(samples[1].bank(0)[2], 3);
-        // Delta sum equals the final cumulative value.
-        let total: u64 = samples.iter().map(|s| s.cores()[0]).sum();
-        assert_eq!(total, 120);
-    }
-
-    #[test]
-    fn next_due_follows_the_interval_grid_after_fast_forward() {
-        let mut sink = TelemetrySink::new(100);
-        assert_eq!(sink.next_due(), 100);
-        // Fast-forwarded well past several boundaries.
-        sink.sample(snapshot(370, 10, 1));
-        assert_eq!(sink.next_due(), 400);
-        // Landing exactly on a boundary schedules the following one.
-        sink.sample(snapshot(400, 12, 2));
-        assert_eq!(sink.next_due(), 500);
-    }
-
-    #[test]
-    fn zero_length_epochs_are_dropped() {
-        let mut sink = TelemetrySink::new(10);
-        sink.sample(snapshot(10, 5, 1));
-        sink.sample(snapshot(10, 5, 1));
-        assert_eq!(sink.series().len(), 1);
-    }
-
-    #[test]
-    fn interval_is_clamped_to_one() {
-        let sink = TelemetrySink::new(0);
-        assert_eq!(sink.interval(), 1);
-        assert_eq!(sink.next_due(), 1);
-    }
-
-    #[test]
-    fn blame_rows_difference_like_other_counters() {
-        let mut sink = TelemetrySink::new(100);
-        let mut first = snapshot(100, 10, 1);
-        first.per_core_blame = vec![[5, 0, 10, 0, 20, 3]];
-        sink.sample(first);
-        let mut second = snapshot(200, 20, 2);
-        second.per_core_blame = vec![[7, 0, 25, 4, 20, 3]];
-        sink.sample(second);
-        let samples: Vec<Sample> = sink.series().samples().collect();
-        assert_eq!(samples[0].blame(0), [5, 0, 10, 0, 20, 3]);
-        assert_eq!(samples[1].blame(0), [2, 0, 15, 4, 0, 0]);
-    }
 
     #[test]
     fn dominant_blame_ties_resolve_in_all_order() {

@@ -16,7 +16,7 @@
 use crate::{Blame, BLAME_COLS};
 
 /// Cumulative counters and instantaneous gauges captured at one cycle,
-/// fed to [`crate::TelemetrySink::sample`]. Callers only ever report
+/// fed to [`TimeSeries::push`]. Callers only ever report
 /// running totals; the series stores the snapshot as it is and reads
 /// per-epoch deltas off neighbouring snapshots. A new epoch column is a
 /// field here and its column in [`TimeSeries::to_csv`].
@@ -64,7 +64,7 @@ impl Sample<'_> {
     /// Cycles covered by this epoch.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.to.cycle.saturating_sub(self.from.cycle)
+        self.to.cycle - self.from.cycle
     }
 
     /// Growth of a scalar counter over the epoch.
@@ -121,39 +121,60 @@ fn column_sums(rows: impl Iterator<Item = [u64; 3]>) -> [u64; 3] {
     rows.fold([0; 3], |sum, row| std::array::from_fn(|c| sum[c] + row[c]))
 }
 
-/// A bounded, compacting sequence of epoch snapshots.
+/// A bounded, compacting sequence of epoch snapshots, and the epoch
+/// grid the simulation loop samples on.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     /// The origin, then one snapshot per epoch end, in time order.
     snapshots: Vec<EpochSnapshot>,
     capacity: usize,
     compactions: u32,
+    interval: u64,
+    next_due: u64,
 }
 
 impl TimeSeries {
-    /// Default capacity in epochs before compaction kicks in.
-    pub const DEFAULT_CAPACITY: usize = 4096;
+    /// Epochs held before compaction kicks in.
+    pub const CAPACITY: usize = 4096;
 
-    /// A series that compacts once it holds `capacity` epochs
-    /// (minimum 2).
+    /// A series sampled every `interval` cycles (minimum 1), starting
+    /// from cycle 0.
     #[must_use]
-    pub fn new(capacity: usize) -> TimeSeries {
+    pub fn new(interval: u64) -> TimeSeries {
+        let interval = interval.max(1);
         TimeSeries {
             snapshots: vec![EpochSnapshot::default()],
-            capacity: capacity.max(2),
+            capacity: Self::CAPACITY,
             compactions: 0,
+            interval,
+            next_due: interval,
         }
+    }
+
+    /// The configured sampling interval in cycles.
+    #[must_use]
+    pub fn interval(&self) -> u64 {
+        self.interval
+    }
+
+    /// First cycle at which the next sample is due. The simulator can
+    /// fast-forward past this; the epoch then simply covers more
+    /// cycles.
+    #[must_use]
+    pub fn next_due(&self) -> u64 {
+        self.next_due
     }
 
     /// Ends an epoch at `snapshot.cycle`, compacting first if at
     /// capacity. A snapshot no later than the last one would end an
     /// empty epoch and is dropped.
     pub fn push(&mut self, snapshot: EpochSnapshot) {
-        if self
-            .snapshots
-            .last()
-            .is_some_and(|last| snapshot.cycle <= last.cycle)
-        {
+        // Schedule the next epoch boundary strictly after this one, on
+        // the interval grid, so a fast-forwarded cycle counter never
+        // causes back-to-back empty epochs.
+        let end = snapshot.cycle;
+        self.next_due = end + self.interval - end % self.interval;
+        if self.snapshots.last().is_some_and(|last| end <= last.cycle) {
             return;
         }
         if self.len() >= self.capacity {
@@ -231,14 +252,9 @@ impl TimeSeries {
         out.push('\n');
 
         for (epoch, s) in self.samples().enumerate() {
-            let core_cycles = s.cycles().saturating_mul(cores.max(1) as u64);
-            let frac = |v: u64| {
-                if core_cycles == 0 {
-                    0.0
-                } else {
-                    v as f64 / core_cycles as f64
-                }
-            };
+            // A held epoch spans at least one cycle, so this is never 0.
+            let core_cycles = s.cycles().saturating_mul(cores.max(1) as u64) as f64;
+            let frac = |v: u64| v as f64 / core_cycles;
             let [retired, dep, fetch] = s.cores();
             let [hits, misses, mshr] = s.banks();
             let _ = write!(
@@ -274,16 +290,18 @@ impl TimeSeries {
     }
 }
 
-impl Default for TimeSeries {
-    fn default() -> Self {
-        TimeSeries::new(Self::DEFAULT_CAPACITY)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A series that compacts once it holds `capacity` (≥ 2) epochs.
+    fn capped(capacity: usize) -> TimeSeries {
+        TimeSeries {
+            capacity,
+            ..TimeSeries::new(1)
+        }
+    }
 
     /// Ends one epoch at `end` on top of the series' last snapshot:
     /// `retired` on core 0, fixed stalls on both cores, three hits and a
@@ -309,7 +327,7 @@ mod tests {
 
     #[test]
     fn push_below_capacity_keeps_all_samples() {
-        let mut ts = TimeSeries::new(8);
+        let mut ts = capped(8);
         for i in 0..5 {
             push_epoch(&mut ts, (i + 1) * 100, 10);
         }
@@ -319,7 +337,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_counter_totals() {
-        let mut ts = TimeSeries::new(4);
+        let mut ts = capped(4);
         let mut pushed_retired = 0u64;
         for i in 0..33 {
             push_epoch(&mut ts, (i + 1) * 100, i + 1);
@@ -344,7 +362,7 @@ mod tests {
     fn odd_sample_count_compacts_pairwise_and_keeps_the_trailer() {
         // Five epochs at capacity: pairs (0,1) and (2,3) merge, the odd
         // trailing epoch rides along untouched.
-        let mut ts = TimeSeries::new(5);
+        let mut ts = capped(5);
         for i in 0..5u64 {
             push_epoch(&mut ts, (i + 1) * 100, i + 1);
         }
@@ -359,6 +377,10 @@ mod tests {
         assert_eq!(samples[0].cycles(), 200);
         assert_eq!(samples[2].from.cycle, 400);
         assert_eq!(samples[2].to.cycle, 500);
+        // Coverage stays contiguous across the odd boundary.
+        for pair in samples.windows(2) {
+            assert_eq!(pair[0].to.cycle, pair[1].from.cycle);
+        }
     }
 
     #[test]
@@ -366,7 +388,7 @@ mod tests {
         // Minimum capacity (2) forces a compaction on nearly every
         // push; with an odd length at each step the trailer path runs
         // constantly. No counter mass may be created or destroyed.
-        let mut ts = TimeSeries::new(2);
+        let mut ts = capped(2);
         let mut pushed = 0u64;
         for i in 0..17u64 {
             push_epoch(&mut ts, (i + 1) * 10, i + 1);
@@ -382,7 +404,7 @@ mod tests {
     #[test]
     fn gauges_take_end_of_epoch_value() {
         // The third epoch compacts the first two into one.
-        let mut ts = TimeSeries::new(2);
+        let mut ts = capped(2);
         push_epoch(&mut ts, 100, 4); // mshr gauge 4
         push_epoch(&mut ts, 200, 7); // mshr gauge 2
         push_epoch(&mut ts, 300, 1);
@@ -397,7 +419,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_per_entity_columns() {
-        let mut ts = TimeSeries::new(8);
+        let mut ts = capped(8);
         push_epoch(&mut ts, 1000, 500);
         let csv = ts.to_csv();
         let mut lines = csv.lines();
@@ -412,7 +434,7 @@ mod tests {
 
     #[test]
     fn blame_columns_absorb_and_serialize() {
-        let mut ts = TimeSeries::new(2);
+        let mut ts = capped(2);
         let at = |cycle, per_core_blame| EpochSnapshot {
             cycle,
             per_core_blame,
@@ -436,9 +458,103 @@ mod tests {
 
     #[test]
     fn empty_series_yields_header_only() {
-        let ts = TimeSeries::default();
+        let ts = TimeSeries::new(1);
         let csv = ts.to_csv();
         assert_eq!(csv.lines().count(), 1);
+    }
+
+    #[test]
+    fn ipc_handles_zero_length_epochs() {
+        // A snapshot repeating the last cycle would end an empty epoch:
+        // no row may span zero cycles or divide by them.
+        let mut ts = capped(8);
+        push_epoch(&mut ts, 100, 10);
+        push_epoch(&mut ts, 100, 10);
+        push_epoch(&mut ts, 250, 30);
+        let csv = ts.to_csv();
+        let rows: Vec<Vec<&str>> = csv
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').collect())
+            .collect();
+        assert_eq!(rows.len(), 2);
+        for row in &rows {
+            assert_ne!(row[1], row[2], "epoch {} is empty", row[0]);
+            for frac in &row[4..7] {
+                assert!(frac.parse::<f64>().is_ok_and(f64::is_finite), "{frac}");
+            }
+        }
+        assert_eq!(rows[1][4], "0.100000");
+    }
+
+    fn snapshot(cycle: u64, retired: u64, hits: u64) -> EpochSnapshot {
+        EpochSnapshot {
+            cycle,
+            per_core: vec![[retired, cycle / 2, 0]],
+            per_bank: vec![[hits, hits / 2, 3]],
+            noc_traversals: hits * 2,
+            completed: hits,
+            ..EpochSnapshot::default()
+        }
+    }
+
+    #[test]
+    fn sink_differences_cumulative_counters() {
+        let mut sink = TimeSeries::new(100);
+        sink.push(snapshot(100, 50, 10));
+        sink.push(snapshot(200, 120, 25));
+        let samples: Vec<Sample> = sink.samples().collect();
+        assert_eq!(samples.len(), 2);
+        assert_eq!(samples[0].cores()[0], 50);
+        assert_eq!(samples[1].cores()[0], 70);
+        assert_eq!(samples[1].banks()[0], 15);
+        assert_eq!(samples[1].delta(|s| s.completed), 15);
+        // Gauge column passes through untouched.
+        assert_eq!(samples[1].bank(0)[2], 3);
+        // Delta sum equals the final cumulative value.
+        let total: u64 = samples.iter().map(|s| s.cores()[0]).sum();
+        assert_eq!(total, 120);
+    }
+
+    #[test]
+    fn next_due_follows_the_interval_grid_after_fast_forward() {
+        let mut sink = TimeSeries::new(100);
+        assert_eq!(sink.next_due(), 100);
+        // Fast-forwarded well past several boundaries.
+        sink.push(snapshot(370, 10, 1));
+        assert_eq!(sink.next_due(), 400);
+        // Landing exactly on a boundary schedules the following one.
+        sink.push(snapshot(400, 12, 2));
+        assert_eq!(sink.next_due(), 500);
+    }
+
+    #[test]
+    fn zero_length_epochs_are_dropped() {
+        let mut sink = TimeSeries::new(10);
+        sink.push(snapshot(10, 5, 1));
+        sink.push(snapshot(10, 5, 1));
+        assert_eq!(sink.len(), 1);
+    }
+
+    #[test]
+    fn interval_is_clamped_to_one() {
+        let sink = TimeSeries::new(0);
+        assert_eq!(sink.interval(), 1);
+        assert_eq!(sink.next_due(), 1);
+    }
+
+    #[test]
+    fn blame_rows_difference_like_other_counters() {
+        let mut sink = TimeSeries::new(100);
+        let mut first = snapshot(100, 10, 1);
+        first.per_core_blame = vec![[5, 0, 10, 0, 20, 3]];
+        sink.push(first);
+        let mut second = snapshot(200, 20, 2);
+        second.per_core_blame = vec![[7, 0, 25, 4, 20, 3]];
+        sink.push(second);
+        let samples: Vec<Sample> = sink.samples().collect();
+        assert_eq!(samples[0].blame(0), [5, 0, 10, 0, 20, 3]);
+        assert_eq!(samples[1].blame(0), [2, 0, 15, 4, 0, 0]);
     }
 
     /// The sampler and compactor the snapshot series replaced, kept as
@@ -726,7 +842,7 @@ mod tests {
             capacity in 2usize..=8,
             words in prop::collection::vec(any::<u64>(), 0..=60),
         ) {
-            let mut series = TimeSeries::new(capacity);
+            let mut series = capped(capacity);
             let mut reference = reference::Series::new(capacity);
             for snapshot in stream(cores, banks, &words) {
                 reference.sample(&snapshot);
